@@ -21,10 +21,10 @@ let list_experiments () =
   Format.printf "  %-8s %s@." "--serve [N]"
     "Zipf workload against the serving layer (optional domain count)";
   Format.printf "  %-8s %s@." "--bundle [rows reps]"
-    "naive vs interpreted vs columnar tuple-bundle execution";
+    "naive vs columnar tuple-bundle execution";
   Format.printf "  %-8s %s@." "--relational [rows [domains]]"
-    "row algebra vs interpreted vs compiled columnar relational pipeline, plus \
-     packed-vs-boxed keyed operators (pooled when domains > 1)";
+    "row algebra vs columnar relational pipeline and packed keyed operators \
+     (pooled when domains > 1)";
   Format.printf "  %-8s %s@." "--shard [N]"
     "sharded serving front: bit-identity vs single shard + open-loop overload sweep";
   Format.printf "  %-8s %s@." "--session [N]"
@@ -57,39 +57,39 @@ let () =
     | _ ->
       Format.eprintf "--par expects a positive integer domain count, got %S@." n;
       exit 1)
-  | [ "--bundle" ] -> Bundle_run.run ()
+  | [ "--bundle" ] -> Bundle_bench.run ()
   | [ "--bundle"; rows; reps ] -> (
     match (int_of_string_opt rows, int_of_string_opt reps) with
     | Some rows, Some reps when rows >= 1 && reps >= 2 ->
-      Bundle_run.run ~rows ~reps ()
+      Bundle_bench.run ~rows ~reps ()
     | _ ->
       Format.eprintf "--bundle expects positive integers ROWS REPS (reps >= 2)@.";
       exit 1)
-  | [ "--relational" ] -> Relational_run.run ()
+  | [ "--relational" ] -> Relational_bench.run ()
   | [ "--relational"; rows ] -> (
     match int_of_string_opt rows with
-    | Some rows when rows >= 1 -> Relational_run.run ~rows ()
+    | Some rows when rows >= 1 -> Relational_bench.run ~rows ()
     | _ ->
       Format.eprintf "--relational expects a positive integer row count, got %S@." rows;
       exit 1)
   | [ "--relational"; rows; domains ] -> (
     match (int_of_string_opt rows, int_of_string_opt domains) with
     | Some rows, Some domains when rows >= 1 && domains >= 1 ->
-      Relational_run.run ~domains ~rows ()
+      Relational_bench.run ~domains ~rows ()
     | _ ->
       Format.eprintf "--relational expects positive integers ROWS [DOMAINS]@.";
       exit 1)
-  | [ "--shard" ] -> Shard_run.run ()
+  | [ "--shard" ] -> Shard_bench.run ()
   | [ "--shard"; n ] -> (
     match int_of_string_opt n with
-    | Some shards when shards >= 1 -> Shard_run.run ~shards ()
+    | Some shards when shards >= 1 -> Shard_bench.run ~shards ()
     | _ ->
       Format.eprintf "--shard expects a positive integer shard count, got %S@." n;
       exit 1)
-  | [ "--session" ] -> Session_run.run ()
+  | [ "--session" ] -> Session_bench.run ()
   | [ "--session"; n ] -> (
     match int_of_string_opt n with
-    | Some tick_reps when tick_reps >= 1 -> Session_run.run ~tick_reps ()
+    | Some tick_reps when tick_reps >= 1 -> Session_bench.run ~tick_reps ()
     | _ ->
       Format.eprintf "--session expects a positive integer tick budget, got %S@." n;
       exit 1)

@@ -42,18 +42,6 @@ let test_bundle_query =
          let selected = Mcdb.Bundle.select pred bundle in
          Mcdb.Bundle.aggregate [ ("s", Mcdb.Bundle.Sum (Expr.col "amount")) ] selected))
 
-(* The same query forced through the interpreter fallback: the per-run
-   time and allocation gap to the kernel case is the whole point of the
-   columnar engine. *)
-let test_bundle_query_interp =
-  Test.make ~name:"mcdb/bundle-query-interp-50reps"
-    (Staged.stage (fun () ->
-         let _, bundle = Lazy.force bundle_fixture in
-         let selected = Mcdb.Bundle.select ~impl:`Interpreter pred bundle in
-         Mcdb.Bundle.aggregate ~impl:`Interpreter
-           [ ("s", Mcdb.Bundle.Sum (Expr.col "amount")) ]
-           selected))
-
 let test_naive_query =
   Test.make ~name:"mcdb/naive-query-50reps"
     (Staged.stage (fun () ->
@@ -320,7 +308,6 @@ let run_parallel ?(reps = 400) ~domains () =
 let tests =
   [
     test_bundle_query;
-    test_bundle_query_interp;
     test_naive_query;
     test_hash_join;
     test_thomas;

@@ -1,6 +1,8 @@
 (* The serving-layer experiment (--serve): a Zipf closed-loop workload
    against the demo server, cold pass then warm pass, recorded in
-   bench/BENCH_serve.json through the shared emitter. *)
+   bench/BENCH_serve.json through the shared emitter. The run fails
+   unless cold and warm estimates are bit-identical, the warm hit rate
+   beats the cold one, and the warm p50 is above zero. *)
 
 module Serve = Mde.Serve
 module Emit = Mde_bench_emit
@@ -9,9 +11,9 @@ let report_row label (r : Serve.Workload.report) =
   [
     label;
     Printf.sprintf "%.1f req/s" r.throughput;
-    Printf.sprintf "%.2f ms" (1e3 *. r.p50);
-    Printf.sprintf "%.2f ms" (1e3 *. r.p95);
-    Printf.sprintf "%.2f ms" (1e3 *. r.p99);
+    Printf.sprintf "%.1f us" (1e6 *. r.p50);
+    Printf.sprintf "%.1f us" (1e6 *. r.p95);
+    Printf.sprintf "%.1f us" (1e6 *. r.p99);
     Printf.sprintf "%.0f%%" (100. *. r.hit_rate);
     Printf.sprintf "%.0f%%" (100. *. r.rejection_rate);
   ]
@@ -19,7 +21,7 @@ let report_row label (r : Serve.Workload.report) =
 let run ~domains () =
   Util.section "SERVE"
     (Printf.sprintf "Zipf workload against the serving layer (%d domains)" domains);
-  let clock = Unix.gettimeofday in
+  let clock = Util.clock in
   (* Benchmark with observability on: the registry must be live before
      the pool and server exist, and the snapshot rides along in the
      emitted entry so regressions in queue depth or batch shape are
@@ -70,8 +72,11 @@ let run ~domains () =
   in
   Util.note "recorded in %s" path;
   match verdict with
-  | `Identical _ when warm.hit_rate > cold.hit_rate -> ()
-  | `Identical _ ->
-    Util.note "WARNING: warm hit rate did not improve on cold";
-    exit 1
   | `Mismatch _ -> exit 1
+  | `Identical _ when warm.hit_rate <= cold.hit_rate ->
+    Util.note "FAIL: warm hit rate did not improve on cold";
+    exit 1
+  | `Identical _ when not (warm.p50 > 0.) ->
+    Util.note "FAIL: warm p50 is %g s: the clock cannot resolve a cache hit" warm.p50;
+    exit 1
+  | `Identical _ -> ()

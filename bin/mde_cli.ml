@@ -31,29 +31,6 @@ let seed_arg =
           & info [ "seed" ] ~docv:"N"
               ~doc:"Random seed (non-negative; echoed on stderr).")))
 
-(* Engine-selection flag shared by the bench subcommands, parsed and
-   printed through the first-class {!Mde.Relational.Impl} vocabulary so
-   the accepted spellings are exactly the ones the library defines. *)
-let impl_conv =
-  let parse s =
-    match Impl.of_string_opt s with
-    | Some impl -> Ok impl
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "expected %s, got %S"
-             (String.concat " or " (List.map Impl.to_string Impl.all))
-             s))
-  in
-  Arg.conv (parse, fun ppf impl -> Format.pp_print_string ppf (Impl.to_string impl))
-
-let impl_arg =
-  Arg.(
-    value
-    & opt impl_conv `Kernel
-    & info [ "impl" ] ~docv:"ENGINE"
-        ~doc:"Columnar bundle-plan engine: $(b,kernel) or $(b,interpreter).")
-
 (* --- traffic --- *)
 
 let traffic_cmd =
@@ -491,359 +468,6 @@ let metrics_cmd =
       const run $ requests $ concurrency $ zipf $ catalog_size $ domains $ format $ out
       $ seed_arg)
 
-(* --- bundle-bench --- *)
-
-let bundle_bench_cmd =
-  let run rows reps domains seed =
-    if rows < 1 || reps < 2 || domains < 1 then begin
-      prerr_endline
-        "mde bundle-bench: --rows and --domains must be positive, --reps >= 2";
-      exit 2
-    end;
-    let result = Mde_bundle_bench.run ~domains ~rows ~reps ~seed () in
-    Mde_bundle_bench.print result;
-    let path = Mde_bundle_bench.emit ~domains ~seed result in
-    Printf.printf "recorded in %s\n" path;
-    if not result.Mde_bundle_bench.identical then begin
-      prerr_endline "mde bundle-bench: execution paths disagree";
-      exit 1
-    end
-  in
-  let rows =
-    Arg.(
-      value & opt int 2000
-      & info [ "rows" ] ~docv:"N" ~doc:"Driver rows in the stochastic table.")
-  in
-  let reps =
-    Arg.(
-      value & opt int 200
-      & info [ "reps" ] ~docv:"N" ~doc:"Monte Carlo repetitions per tuple bundle.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Domain-pool size for bundle construction and the kernel sweep.")
-  in
-  Cmd.v
-    (Cmd.info "bundle-bench"
-       ~doc:
-         "naive vs interpreted vs columnar tuple-bundle execution of one MCDB plan \
-          (records BENCH_bundle.json)")
-    Term.(const run $ rows $ reps $ domains $ seed_arg)
-
-(* --- relational-bench --- *)
-
-let relational_bench_cmd =
-  let run rows domains seed =
-    if rows < 1 || domains < 1 then begin
-      prerr_endline "mde relational-bench: --rows and --domains must be positive";
-      exit 2
-    end;
-    let result = Mde_relational_bench.run ~domains ~rows ~seed () in
-    Mde_relational_bench.print result;
-    let path = Mde_relational_bench.emit ~domains ~seed result in
-    Printf.printf "recorded in %s\n" path;
-    if not result.Mde_relational_bench.identical then begin
-      prerr_endline "mde relational-bench: engines disagree";
-      exit 1
-    end;
-    let keyed = Mde_relational_bench.run_keyed ~domains ~rows ~seed () in
-    Mde_relational_bench.print_keyed keyed;
-    let path = Mde_relational_bench.emit_keyed ~domains ~seed keyed in
-    Printf.printf "recorded in %s\n" path;
-    if not keyed.Mde_relational_bench.kidentical then begin
-      prerr_endline "mde relational-bench: packed and boxed keyed operators disagree";
-      exit 1
-    end
-  in
-  let rows =
-    Arg.(
-      value & opt int 200_000
-      & info [ "rows" ] ~docv:"N" ~doc:"Rows in the randomized measurement table.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Domain-pool size for the kernel select/extend stages.")
-  in
-  Cmd.v
-    (Cmd.info "relational-bench"
-       ~doc:
-         "row algebra vs interpreted vs compiled columnar execution of one relational \
-          pipeline (records BENCH_relational.json)")
-    Term.(const run $ rows $ domains $ seed_arg)
-
-(* --- serve-bench --- *)
-
-let serve_bench_cmd =
-  let run requests concurrency zipf catalog_size cache_capacity domains deadline metrics
-      seed =
-    if requests < 1 || concurrency < 1 || catalog_size < 1 || cache_capacity < 1
-       || domains < 1
-    then begin
-      prerr_endline
-        "mde serve-bench: --requests, --concurrency, --catalog, --cache and --domains \
-         must be positive";
-      exit 2
-    end;
-    let clock = Unix.gettimeofday in
-    let deadline = if deadline > 0. then Some deadline else None in
-    (* Instrumented objects capture the default registry at construction,
-       so it must be live before the pool and server are built. The
-       instrumentation never touches RNG streams, so the cold-vs-warm
-       bit-identity verdict below holds with metrics on. *)
-    let registry =
-      if metrics then begin
-        let r = Mde.Obs.create () in
-        Mde.Obs.set_default r;
-        Some r
-      end
-      else None
-    in
-    let run_with pool =
-      let server = Mde.Serve.Demo.server ?pool ~clock ~cache_capacity () in
-      let catalog = Mde.Serve.Demo.catalog ?deadline catalog_size in
-      let config =
-        { Mde.Serve.Workload.requests; concurrency; zipf_s = zipf; seed }
-      in
-      ( config,
-        Mde.Serve.Demo.cold_warm ~clock
-          (Mde.Serve.Target.of_server server)
-          ~catalog config )
-    in
-    let config, (cold, warm, verdict) =
-      if domains > 1 then
-        Mde.Par.Pool.with_pool ~domains (fun pool -> run_with (Some pool))
-      else run_with None
-    in
-    if metrics then Mde.Obs.set_default Mde.Obs.noop;
-    Printf.printf
-      "serve-bench: %d requests, concurrency %d, Zipf s=%.2f over %d templates\n\n"
-      config.requests config.concurrency config.zipf_s catalog_size;
-    Printf.printf "%-6s %12s %9s %9s %9s %9s %9s %9s\n" "pass" "throughput" "p50" "p95"
-      "p99" "hits" "rejected" "degraded";
-    let row label (r : Mde.Serve.Workload.report) =
-      Printf.printf "%-6s %9.1f/s %7.2fms %7.2fms %7.2fms %8.1f%% %8.1f%% %9d\n" label
-        r.throughput (1e3 *. r.p50) (1e3 *. r.p95) (1e3 *. r.p99) (100. *. r.hit_rate)
-        (100. *. r.rejection_rate) r.degraded
-    in
-    row "cold" cold;
-    row "warm" warm;
-    (match verdict with
-    | `Identical n ->
-      Printf.printf "\ncold vs warm estimates: bit-identical over %d served requests\n" n
-    | `Mismatch n -> Printf.printf "\ncold vs warm estimates: %d MISMATCHES\n" n);
-    let path =
-      Mde_bench_emit.append ~file:"BENCH_serve.json" ~name:"serve-zipf"
-        ([
-          ("requests", Mde_bench_emit.Int config.requests);
-          ("concurrency", Int config.concurrency);
-          ("zipf_s", Float config.zipf_s);
-          ("catalog", Int catalog_size);
-          ("seed", Int config.seed);
-          ("domains", Int domains);
-          ( "deadline_s",
-            match deadline with Some d -> Float d | None -> Float Float.nan );
-          ("cold_throughput_rps", Float cold.throughput);
-          ("warm_throughput_rps", Float warm.throughput);
-          ("warm_p50_s", Float warm.p50);
-          ("warm_p95_s", Float warm.p95);
-          ("warm_p99_s", Float warm.p99);
-          ("cold_hit_rate", Float cold.hit_rate);
-          ("warm_hit_rate", Float warm.hit_rate);
-          ("rejection_rate", Float warm.rejection_rate);
-          ( "identical_output",
-            Bool (match verdict with `Identical _ -> true | _ -> false) );
-        ]
-        @
-        match registry with
-        | Some r -> [ ("metrics", Mde_bench_emit.Json (Mde.Obs.Export.json r)) ]
-        | None -> [])
-    in
-    Printf.printf "recorded in %s\n" path;
-    match verdict with
-    | `Mismatch _ -> exit 1
-    | `Identical _ ->
-      if deadline = None && warm.hit_rate <= cold.hit_rate then begin
-        prerr_endline "serve-bench: warm hit rate did not improve on cold";
-        exit 1
-      end
-  in
-  let requests =
-    Arg.(value & opt int 240 & info [ "requests" ] ~docv:"N" ~doc:"Requests per pass.")
-  in
-  let concurrency =
-    Arg.(
-      value & opt int 8
-      & info [ "concurrency" ] ~docv:"N" ~doc:"Closed-loop clients per round.")
-  in
-  let zipf =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"S" ~doc:"Zipf popularity skew exponent.")
-  in
-  let catalog_size =
-    Arg.(
-      value & opt int 24 & info [ "catalog" ] ~docv:"N" ~doc:"Distinct request templates.")
-  in
-  let cache_capacity =
-    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc:"Result-cache capacity.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"Domain-pool size for batch fan-out.")
-  in
-  let deadline =
-    Arg.(
-      value & opt float 0.
-      & info [ "deadline" ] ~docv:"S"
-          ~doc:
-            "Per-request deadline in seconds (0 = none). Deadlines may degrade \
-             estimates, so the bit-identical warm-vs-cold check is skipped.")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "Run with a live observability registry and attach its JSON snapshot to \
-             the BENCH_serve.json entry.")
-  in
-  Cmd.v
-    (Cmd.info "serve-bench"
-       ~doc:"Zipf workload against the cached, batched serving layer")
-    Term.(
-      const run $ requests $ concurrency $ zipf $ catalog_size $ cache_capacity
-      $ domains $ deadline $ metrics $ seed_arg)
-
-(* --- shard-bench --- *)
-
-let shard_bench_cmd =
-  let run shards rate requests catalog queue zipf domains rows seed =
-    if shards < 1 || requests < 1 || catalog < 1 || queue < 1 || domains < 1 || rows < 1
-    then begin
-      prerr_endline
-        "mde shard-bench: --shards, --requests, --catalog, --queue, --rows and \
-         --domains must be positive";
-      exit 2
-    end;
-    if rate < 0. || zipf < 0. then begin
-      prerr_endline "mde shard-bench: --rate and --zipf must be non-negative";
-      exit 2
-    end;
-    let rates = if rate > 0. then [ rate ] else [] in
-    let result =
-      Mde_shard_bench.run ~domains ~shards ~rows ~catalog ~arrivals:requests ~queue
-        ~zipf ~rates ~seed ()
-    in
-    Mde_shard_bench.print result;
-    let path = Mde_shard_bench.emit result in
-    Printf.printf "recorded in %s\n" path;
-    match Mde_shard_bench.gate result with
-    | Ok () -> ()
-    | Error msg ->
-      prerr_endline ("mde shard-bench: " ^ msg);
-      exit 1
-  in
-  let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Shards in the front.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 0.
-      & info [ "rate" ] ~docv:"R"
-          ~doc:
-            "Offered load in requests per second for a single open-loop point (0 = \
-             sweep multiples of the measured capacity, ending deliberately \
-             overloaded).")
-  in
-  let requests =
-    Arg.(
-      value & opt int 160
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Requests in the identity pass and arrivals per sweep point.")
-  in
-  let catalog_size =
-    Arg.(
-      value & opt int 16 & info [ "catalog" ] ~docv:"N" ~doc:"Distinct request templates.")
-  in
-  let queue =
-    Arg.(
-      value & opt int 8
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Per-shard scheduler queue capacity during the sweep.")
-  in
-  let zipf =
-    Arg.(
-      value & opt float 1.1
-      & info [ "zipf" ] ~docv:"S" ~doc:"Zipf popularity skew exponent.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"Domain-pool size shared by every shard.")
-  in
-  let rows =
-    Arg.(
-      value & opt int 60
-      & info [ "rows" ] ~docv:"N" ~doc:"Driver rows in the demo stochastic table.")
-  in
-  Cmd.v
-    (Cmd.info "shard-bench"
-       ~doc:
-         "consistent-hash sharded serving front: bit-identity vs a single shard, then \
-          an open-loop latency-under-load sweep with typed shedding (records \
-          BENCH_serve.json)")
-    Term.(
-      const run $ shards $ rate $ requests $ catalog_size $ queue $ zipf $ domains
-      $ rows $ seed_arg)
-
-(* --- session-bench --- *)
-
-let session_bench_cmd =
-  let run tick_reps domains rows impl seed =
-    if tick_reps < 1 || domains < 1 || rows < 1 then begin
-      prerr_endline
-        "mde session-bench: --tick-reps, --domains and --rows must be positive";
-      exit 2
-    end;
-    let result = Mde_session_bench.run ~domains ~rows ~impl ~tick_reps ~seed () in
-    Mde_session_bench.print result;
-    let path = Mde_session_bench.emit result in
-    Printf.printf "recorded in %s\n" path;
-    match Mde_session_bench.gate result with
-    | Ok () -> ()
-    | Error msg ->
-      prerr_endline ("mde session-bench: " ^ msg);
-      exit 1
-  in
-  let tick_reps =
-    Arg.(
-      value & opt int 64
-      & info [ "tick-reps" ] ~docv:"N"
-          ~doc:"Replication budget each session tick may spend.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"Domain-pool size behind the servers.")
-  in
-  let rows =
-    Arg.(
-      value & opt int 60
-      & info [ "rows" ] ~docv:"N" ~doc:"Driver rows in the demo stochastic table.")
-  in
-  Cmd.v
-    (Cmd.info "session-bench"
-       ~doc:
-         "progressive-refinement query sessions: GenIE-style explorer vs round-robin \
-          reps-to-target race, plus converged-session vs one-shot bit-identity \
-          (records BENCH_session.json)")
-    Term.(const run $ tick_reps $ domains $ rows $ impl_arg $ seed_arg)
-
 let () =
   let info =
     Cmd.info "mde" ~version:"1.0.0"
@@ -852,8 +476,7 @@ let () =
   let group =
     Cmd.group info
       [ traffic_cmd; epidemic_cmd; fire_cmd; schelling_cmd; market_cmd; mcdb_cmd;
-        housing_cmd; serve_bench_cmd; shard_bench_cmd; session_bench_cmd;
-        bundle_bench_cmd; relational_bench_cmd; metrics_cmd ]
+        housing_cmd; metrics_cmd ]
   in
   (* cmdliner's usage errors span several lines (message + usage + help
      pointer); compress to the first line so scripts see one diagnostic

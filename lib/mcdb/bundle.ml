@@ -9,8 +9,6 @@ type t = {
   presence : Bitset.t;
 }
 
-type impl = Impl.t
-
 let schema t = t.schema
 let n_reps t = t.n_reps
 let row_count t = t.n_rows
@@ -129,22 +127,13 @@ let interp_det_only t e =
     (fun name -> Column.det t.columns.(Schema.column_index t.schema name))
     (Expr.columns_used e)
 
-let select ?pool ?(impl = `Kernel) pred t =
+let select ?pool pred t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
       let presence = Bitset.copy t.presence in
       let compiled =
-        match impl with
-        | `Interpreter -> None
-        | `Kernel -> begin
-          let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
-          match Kernel.compile env pred with
-          | Some node -> begin
-            match Kernel.as_pred node with
-            | Some test -> Some (test, Kernel.node_unc node)
-            | None -> None
-          end
-          | None -> None
-        end
+        let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
+        Option.bind (Kernel.compile env pred) (fun node ->
+            Option.map (fun test -> (test, Kernel.node_unc node)) (Kernel.as_pred node))
       in
       begin
         match compiled with
@@ -160,7 +149,7 @@ let select ?pool ?(impl = `Kernel) pred t =
                     Bitset.unset presence i r
                 done)
         | None ->
-          (match impl with `Kernel -> count_fallbacks 1 | `Interpreter -> ());
+          count_fallbacks 1;
           if interp_det_only t pred then
             iter_rows ?pool t.n_rows (fun i ->
                 if not (Expr.eval_bool t.schema (realize_row t i 0) pred) then
@@ -186,7 +175,7 @@ let project names t =
     columns = Array.of_list (List.map (fun j -> t.columns.(j)) idxs);
   }
 
-let extend ?pool ?(impl = `Kernel) defs t =
+let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
   let out_schema = Schema.concat t.schema added in
   instrumented ~cells:(t.n_rows * t.n_reps * List.length defs) (fun () ->
@@ -194,13 +183,10 @@ let extend ?pool ?(impl = `Kernel) defs t =
       let new_cols =
         List.map
           (fun (_, ty, e) ->
-            let node =
-              match impl with `Interpreter -> None | `Kernel -> Kernel.compile env e
-            in
-            match node with
+            match Kernel.compile env e with
             | Some node -> Kernel.materialize ?pool ~rows:t.n_rows ~reps:t.n_reps node
             | None ->
-              (match impl with `Kernel -> count_fallbacks 1 | `Interpreter -> ());
+              count_fallbacks 1;
               if interp_det_only t e then
                 Column.of_det_cells ~ty ~rows:t.n_rows ~reps:t.n_reps (fun i ->
                     Expr.eval t.schema (realize_row t i 0) e)
@@ -278,7 +264,7 @@ type def_eval = D_node of Kernel.node | D_interp of Expr.t
 type pred_eval = P_none | P_cell of (int -> int -> bool) | P_interp of Expr.t
 type agg_eval = A_count | A_cell of Kernel.cell | A_interp of Expr.t
 
-let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
+let fused ?pool t ~pred ~defs ~keys ~aggs =
   let key_idx = List.map (Schema.column_index t.schema) keys in
   let ext_schema =
     match defs with
@@ -287,19 +273,16 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
       Schema.concat t.schema
         (Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs))
   in
-  let kernel = match impl with `Kernel -> true | `Interpreter -> false in
   let fallbacks = ref 0 in
   let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
   let def_evals =
     List.map
       (fun (name, _, e) ->
-        if kernel then
-          match Kernel.compile env e with
-          | Some node -> (name, D_node node)
-          | None ->
-            incr fallbacks;
-            (name, D_interp e)
-        else (name, D_interp e))
+        match Kernel.compile env e with
+        | Some node -> (name, D_node node)
+        | None ->
+          incr fallbacks;
+          (name, D_interp e))
       defs
   in
   let env' =
@@ -311,15 +294,12 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
   let pred_eval =
     match pred with
     | None -> P_none
-    | Some p ->
-      if kernel then begin
-        match Option.bind (Kernel.compile env p) Kernel.as_pred with
-        | Some test -> P_cell test
-        | None ->
-          incr fallbacks;
-          P_interp p
-      end
-      else P_interp p
+    | Some p -> (
+      match Option.bind (Kernel.compile env p) Kernel.as_pred with
+      | Some test -> P_cell test
+      | None ->
+        incr fallbacks;
+        P_interp p)
   in
   let agg_evals =
     Array.of_list
@@ -327,18 +307,15 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
          (fun (_, agg) ->
            match agg with
            | Count -> A_count
-           | Sum e | Avg e | Min e | Max e ->
-             if kernel then begin
-               match Option.bind (Kernel.compile env' e) Kernel.as_float_cell with
-               | Some cell -> A_cell cell
-               | None ->
-                 incr fallbacks;
-                 A_interp e
-             end
-             else A_interp e)
+           | Sum e | Avg e | Min e | Max e -> (
+             match Option.bind (Kernel.compile env' e) Kernel.as_float_cell with
+             | Some cell -> A_cell cell
+             | None ->
+               incr fallbacks;
+               A_interp e))
          aggs)
   in
-  if kernel then count_fallbacks !fallbacks;
+  count_fallbacks !fallbacks;
   (* Extended-schema row for interpreted aggregate arguments. *)
   let ext_row i r =
     let base = realize_row t i r in
@@ -552,9 +529,9 @@ let fused ?pool ~impl t ~pred ~defs ~keys ~aggs =
   | [], [] -> [ finish_empty_global () ]
   | found, _ -> List.map finish found
 
-let aggregate ?pool ?(impl = `Kernel) ?(keys = []) aggs t =
+let aggregate ?pool ?(keys = []) aggs t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
-      fused ?pool ~impl t ~pred:None ~defs:[] ~keys ~aggs)
+      fused ?pool t ~pred:None ~defs:[] ~keys ~aggs)
 
 type plan = {
   where_ : Expr.t option;
@@ -584,16 +561,16 @@ let plan_fingerprint plan =
     (String.concat ";"
        (List.map (fun (n, a) -> n ^ "=" ^ agg_fingerprint a) plan.aggs))
 
-let query ?pool ?(impl = `Kernel) t plan =
+let query ?pool t plan =
   if List.for_all (Schema.mem t.schema) plan.group_keys then
     instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
-        fused ?pool ~impl t ~pred:plan.where_ ~defs:plan.derive
+        fused ?pool t ~pred:plan.where_ ~defs:plan.derive
           ~keys:plan.group_keys ~aggs:plan.aggs)
   else
     (* Group keys name derived columns: materialize, then aggregate. *)
-    let t = match plan.where_ with None -> t | Some p -> select ?pool ~impl p t in
-    let t = extend ?pool ~impl plan.derive t in
-    aggregate ?pool ~impl ~keys:plan.group_keys plan.aggs t
+    let t = match plan.where_ with None -> t | Some p -> select ?pool p t in
+    let t = extend ?pool plan.derive t in
+    aggregate ?pool ~keys:plan.group_keys plan.aggs t
 
 let to_instances t =
   Array.init t.n_reps (fun r ->

@@ -19,10 +19,9 @@
     repetition (so realization [r] of {!to_instances} is bit-identical to
     element [r] of {!Stochastic_table.instantiate_many} with the same
     seed), and the [?pool] row-chunked parallel paths produce
-    bit-identical bundles and aggregates to their sequential runs.
-    [?impl:`Interpreter] forces the fallback path everywhere — the
-    benchmark baseline, and the oracle the kernel path is tested
-    against.
+    bit-identical bundles and aggregates to their sequential runs. The
+    naive path ({!to_instances} + {!Mde_relational.Algebra}) is the
+    reference the bundle engine is tested and benchmarked against.
 
     Restrictions (documented MCDB-style): bundle construction requires a
     row-stable VG function (exactly one output row per driver row), and
@@ -33,11 +32,6 @@
 open Mde_relational
 
 type t
-
-type impl = Impl.t
-(** The shared selector ({!Mde_relational.Impl.t}): [`Kernel] (the
-    default) compiles what it can and falls back per expression;
-    [`Interpreter] forces interpreted evaluation. *)
 
 val of_stochastic_table :
   ?pool:Mde_par.Pool.t -> Stochastic_table.t -> Mde_prob.Rng.t -> n_reps:int -> t
@@ -69,7 +63,7 @@ val realize_row : t -> int -> int -> Table.row
 
 val present : t -> int -> int -> bool
 
-val select : ?pool:Mde_par.Pool.t -> ?impl:impl -> Expr.t -> t -> t
+val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
 (** Narrow presence by the predicate, sweeping the repetition axis with
     a compiled kernel (deterministic predicates evaluate once per
     tuple). [?pool] chunks rows over the domain pool; each row's
@@ -78,8 +72,7 @@ val select : ?pool:Mde_par.Pool.t -> ?impl:impl -> Expr.t -> t -> t
 
 val project : string list -> t -> t
 
-val extend :
-  ?pool:Mde_par.Pool.t -> ?impl:impl -> (string * Value.ty * Expr.t) list -> t -> t
+val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
 (** Computed columns, materialized as typed columns. A compiled column
     is deterministic when the expression touches only deterministic
     inputs; a fallback column is deterministic when its values are
@@ -101,7 +94,6 @@ type agg =
 
 val aggregate :
   ?pool:Mde_par.Pool.t ->
-  ?impl:impl ->
   ?keys:string list ->
   (string * agg) list ->
   t ->
@@ -130,7 +122,6 @@ val plan_fingerprint : plan -> string
 
 val query :
   ?pool:Mde_par.Pool.t ->
-  ?impl:impl ->
   t ->
   plan ->
   (Table.row * float array array) list

@@ -63,7 +63,7 @@ let monte_carlo ?pool t rng ~reps ~query =
   let streams = Rng.split_n rng reps in
   Mde_par.Pool.init ?pool ~site:"mcdb.monte_carlo" reps (fun r -> query (instantiate t streams.(r)))
 
-let plan_samples ?pool ?impl t rng ~table ~reps plan =
+let plan_samples ?pool t rng ~table ~reps plan =
   if reps < 1 then invalid_arg "Database.plan_samples: reps must be >= 1";
   if plan.Bundle.group_keys <> [] then
     invalid_arg "Database.plan_samples: plan must aggregate into a single global group";
@@ -78,7 +78,7 @@ let plan_samples ?pool ?impl t rng ~table ~reps plan =
   in
   let run () =
     let bundle = Bundle.of_stochastic_table ?pool st rng ~n_reps:reps in
-    match Bundle.query ?pool ?impl bundle plan with
+    match Bundle.query ?pool bundle plan with
     | [ (_, aggs) ] -> aggs.(0)
     | results ->
       invalid_arg

@@ -51,7 +51,6 @@ val monte_carlo :
 
 val plan_samples :
   ?pool:Mde_par.Pool.t ->
-  ?impl:Bundle.impl ->
   t ->
   Mde_prob.Rng.t ->
   table:string ->

@@ -1,18 +1,15 @@
 (* The columnar relational table: the deterministic reps=1 specialization
    of the tuple-bundle storage ([Column]/[Bitset]) carrying the [Algebra]
    operators. Predicates and computed columns compile to typed closures
-   via [Kernel]; anything the compiler does not cover — and everything
-   under [`Interpreter] — evaluates with [Expr.eval]/[Expr.eval_bool] on
-   a realized row, which doubles as the bit-identity oracle. Every
-   operator reproduces its [Algebra] twin bit for bit: same row order,
+   via [Kernel]; anything the compiler does not cover evaluates with
+   [Expr.eval]/[Expr.eval_bool] on a realized row. Every operator
+   reproduces its [Algebra] twin bit for bit: same row order,
    same float accumulation order, same error behavior on well-formed
    inputs. *)
 
 module Array1 = Bigarray.Array1
 
 type t = { tschema : Schema.t; n_rows : int; cols : Column.t array }
-
-type impl = Impl.t
 
 let schema t = t.tschema
 let row_count t = t.n_rows
@@ -48,14 +45,9 @@ let gather t idx =
     cols = Array.map (fun c -> Column.gather c idx) t.cols;
   }
 
-let select ?pool ?(impl = (`Kernel : impl)) pred t =
+let select ?pool pred t =
   let test =
-    let compiled =
-      match impl with
-      | `Interpreter -> None
-      | `Kernel -> Option.bind (Kernel.compile (env t) pred) Kernel.as_pred
-    in
-    match compiled with
+    match Option.bind (Kernel.compile (env t) pred) Kernel.as_pred with
     | Some p -> fun i -> p i 0
     | None -> fun i -> Expr.eval_bool t.tschema (row t i) pred
   in
@@ -81,7 +73,7 @@ let project names t =
     cols = Array.of_list (List.map (fun j -> t.cols.(j)) idxs);
   }
 
-let extend ?pool ?(impl = (`Kernel : impl)) defs t =
+let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
   let out_schema = Schema.concat t.tschema added in
   let kenv = env t in
@@ -91,10 +83,7 @@ let extend ?pool ?(impl = (`Kernel : impl)) defs t =
         Expr.eval t.tschema (row t i) e)
   in
   let build (_, ty, e) =
-    let compiled =
-      match impl with `Interpreter -> None | `Kernel -> Kernel.compile kenv e
-    in
-    match compiled with
+    match Kernel.compile kenv e with
     | Some node -> Kernel.materialize ?pool ~rows:t.n_rows ~reps:1 node
     | None -> interpret ty e
   in
@@ -122,7 +111,7 @@ let no_nulls = function
   | None -> fun _ -> false
   | Some (flags : bool array) -> fun i -> flags.(i)
 
-let equi_join ?pool ?(packed = true) ~on l r =
+let equi_join ?pool ~on l r =
   let out_schema = Schema.concat l.tschema r.tschema in
   let l_idx = List.map (fun (a, _) -> Schema.column_index l.tschema a) on in
   let r_idx = List.map (fun (_, b) -> Schema.column_index r.tschema b) on in
@@ -141,9 +130,7 @@ let equi_join ?pool ?(packed = true) ~on l r =
      match. *)
   let key_cols t idxs = Array.of_list (List.map (fun j -> t.cols.(j)) idxs) in
   let enc =
-    if packed && on <> [] then
-      Keycode.of_columns [ key_cols r r_idx; key_cols l l_idx ]
-    else None
+    if on = [] then None else Keycode.of_columns [ key_cols r r_idx; key_cols l l_idx ]
   in
   match enc with
   | Some enc ->
@@ -362,19 +349,16 @@ let compile_feeder ?pool ~rows kenv = function
   | Algebra.Min e -> value_feeder ?pool ~rows kenv e (fun a -> a.kvmin)
   | Algebra.Max e -> value_feeder ?pool ~rows kenv e (fun a -> a.kvmax)
 
-let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
+let group_by ?pool ~keys ~aggs t =
   let feeders =
-    match impl with
-    | `Interpreter -> None
-    | `Kernel ->
-      let kenv = env t in
-      let rec all = function
-        | [] -> Some []
-        | (_, a) :: rest ->
-          Option.bind (compile_feeder ?pool ~rows:t.n_rows kenv a) (fun f ->
-              Option.map (fun fs -> f :: fs) (all rest))
-      in
-      Option.map Array.of_list (all aggs)
+    let kenv = env t in
+    let rec all = function
+      | [] -> Some []
+      | (_, a) :: rest ->
+        Option.bind (compile_feeder ?pool ~rows:t.n_rows kenv a) (fun f ->
+            Option.map (fun fs -> f :: fs) (all rest))
+    in
+    Option.map Array.of_list (all aggs)
   in
   match feeders with
   | None ->
@@ -391,85 +375,76 @@ let group_by ?pool ?(packed = true) ?(impl = (`Kernel : impl)) ~keys ~aggs t =
         (key_schema_cols @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
     in
     let n_aggs = Array.length feeders in
-    let enc = if packed then Keycode.of_columns [ key_cols ] else None in
-    (match enc with
+    (* Dense first-seen group ids; per group its first (representative)
+       row and its accumulators, fed in row order so float sums come out
+       bit-identical to the row oracle's. *)
+    let accs_store = ref (Array.make 16 [||]) in
+    let rep_store = ref (Array.make 16 0) in
+    let n_groups = ref 0 in
+    let new_group i =
+      let id = !n_groups in
+      if id = Array.length !accs_store then begin
+        let grow fill a =
+          let bigger = Array.make (2 * Array.length a) fill in
+          Array.blit a 0 bigger 0 (Array.length a);
+          bigger
+        in
+        accs_store := grow [||] !accs_store;
+        rep_store := grow 0 !rep_store
+      end;
+      !accs_store.(id) <- Array.init n_aggs (fun _ -> fresh_kacc ());
+      !rep_store.(id) <- i;
+      incr n_groups
+    in
+    let feed id i =
+      let accs = !accs_store.(id) in
+      Array.iteri (fun a f -> f.feed accs.(a) i) feeders
+    in
+    (match Keycode.of_columns [ key_cols ] with
     | Some enc ->
-      (* Packed path: one unboxed key per row replaces the per-row boxed
-         [Value.t list]; group ids come out of the open-addressing table
-         in first-seen order, accumulators still feed in row order, so
-         the output is the generic path's bit for bit. Output columns
-         are built directly — keys by gathering each group's first
-         (representative) row, aggregates from the finishers. *)
+      (* Packed path: one unboxed key per row instead of a boxed
+         [Value.t list]; the open-addressing table hands out ids in
+         first-seen order. *)
       let coded = Keycode.encode ?pool enc ~side:0 in
       let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 8)) coded.keys in
-      let accs_store = ref (Array.make 16 [||]) in
-      let rep_store = ref (Array.make 16 0) in
-      let n_groups = ref 0 in
       for i = 0 to t.n_rows - 1 do
         let id = Keycode.tbl_add tbl i in
-        if id = !n_groups then begin
-          if id = Array.length !accs_store then begin
-            let grow fill a =
-              let bigger = Array.make (2 * Array.length a) fill in
-              Array.blit a 0 bigger 0 (Array.length a);
-              bigger
-            in
-            accs_store := grow [||] !accs_store;
-            rep_store := grow 0 !rep_store
-          end;
-          !accs_store.(id) <- Array.init n_aggs (fun _ -> fresh_kacc ());
-          !rep_store.(id) <- i;
-          incr n_groups
-        end;
-        let accs = !accs_store.(id) in
-        Array.iteri (fun a f -> f.feed accs.(a) i) feeders
-      done;
-      let n_groups = !n_groups in
-      let accs_store = !accs_store in
-      let rep_idx = Array.sub !rep_store 0 n_groups in
-      let key_out = Array.map (fun c -> Column.gather c rep_idx) key_cols in
-      let agg_out =
-        Array.of_list
-          (List.mapi
-             (fun a (_, agg) ->
-               Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
-                 (fun g -> feeders.(a).finish accs_store.(g).(a)))
-             aggs)
-      in
-      { tschema = out_schema; n_rows = n_groups; cols = Array.append key_out agg_out }
+        if id = !n_groups then new_group i;
+        feed id i
+      done
+    | None when keys = [] ->
+      (* A global aggregate: one group, emitted even on empty input. *)
+      new_group 0;
+      for i = 0 to t.n_rows - 1 do
+        feed 0 i
+      done
     | None ->
-      let groups : kacc array Value.Tbl.t = Value.Tbl.create 64 in
-      let order = ref [] in
+      (* Keys Keycode refuses ([Vvalues] storage): boxed key lists. *)
+      let ids = Value.Tbl.create 64 in
       for i = 0 to t.n_rows - 1 do
         let key = Array.to_list (Array.map (fun c -> Column.value c i 0) key_cols) in
-        let accs =
-          match Value.Tbl.find_opt groups key with
-          | Some accs -> accs
-          | None ->
-            let accs = Array.init n_aggs (fun _ -> fresh_kacc ()) in
-            Value.Tbl.add groups key accs;
-            order := key :: !order;
-            accs
-        in
-        Array.iteri (fun a f -> f.feed accs.(a) i) feeders
-      done;
-      let keys_in_order =
-        match (!order, keys) with
-        | [], [] ->
-          (* Global aggregate over an empty table still emits one row. *)
-          Value.Tbl.add groups [] (Array.init n_aggs (fun _ -> fresh_kacc ()));
-          [ [] ]
-        | found, _ -> List.rev found
-      in
-      let out_rows =
-        List.map
-          (fun key ->
-            let accs = Value.Tbl.find groups key in
-            Array.of_list
-              (key @ Array.to_list (Array.mapi (fun a f -> f.finish accs.(a)) feeders)))
-          keys_in_order
-      in
-      of_table (Table.create out_schema out_rows))
+        match Value.Tbl.find_opt ids key with
+        | Some id -> feed id i
+        | None ->
+          Value.Tbl.add ids key !n_groups;
+          new_group i;
+          feed (!n_groups - 1) i
+      done);
+    (* Output columns are built directly: keys by gathering each group's
+       representative row, aggregates from the finishers. *)
+    let n_groups = !n_groups in
+    let accs_store = !accs_store in
+    let rep_idx = Array.sub !rep_store 0 n_groups in
+    let key_out = Array.map (fun c -> Column.gather c rep_idx) key_cols in
+    let agg_out =
+      Array.of_list
+        (List.mapi
+           (fun a (_, agg) ->
+             Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
+               (fun g -> feeders.(a).finish accs_store.(g).(a)))
+           aggs)
+    in
+    { tschema = out_schema; n_rows = n_groups; cols = Array.append key_out agg_out }
 
 (* --- ordering, distinct, limit -------------------------------------- *)
 
@@ -504,13 +479,11 @@ let slot_compare col =
       (fun i j -> String.compare dict.(codes.(i)) dict.(codes.(j)))
   | Column.Vvalues { data; _ } -> fun i j -> Value.compare data.(i) data.(j)
 
-let order_by ?(descending = false) ?(packed = true) names t =
+let order_by ?(descending = false) names t =
   let cols =
     Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) names)
   in
-  match
-    if packed then Keycode.sort_perm ~descending cols ~n_rows:t.n_rows else None
-  with
+  match Keycode.sort_perm ~descending cols ~n_rows:t.n_rows with
   | Some perm ->
     (* One extracted normalized key per row: the packed image agrees
        with the comparator chain below on order and ties, so the
@@ -540,10 +513,8 @@ let order_by ?(descending = false) ?(packed = true) names t =
     perm;
   gather t perm
 
-let distinct ?pool ?(packed = true) t =
-  let enc =
-    if packed && Array.length t.cols > 0 then Keycode.of_columns [ t.cols ] else None
-  in
+let distinct ?pool t =
+  let enc = if Array.length t.cols > 0 then Keycode.of_columns [ t.cols ] else None in
   match enc with
   | Some enc ->
     (* A row is kept iff its packed key is fresh; dense first-seen ids

@@ -4,33 +4,30 @@
     A value of type {!t} is the deterministic reps=1 specialization of
     the tuple-bundle layout: one typed column per schema column (floats
     in a float64 bigarray, ints/bools unboxed, strings
-    dictionary-coded), nulls in a packed {!Column.Bitset}. Operators
-    come in two implementations, selected per call like the tuple-bundle
-    engine's: [`Kernel] (default) compiles predicates, computed columns
-    and aggregate sources to typed closures and falls back per
-    expression when the compiler does not cover one; [`Interpreter]
-    forces the row-at-a-time fallback everywhere and is the bit-identity
-    oracle.
+    dictionary-coded), nulls in a packed {!Column.Bitset}. Each operator
+    has one path, picked from its inputs: predicates, computed columns
+    and aggregate sources compile to typed closures ({!Kernel.compile}),
+    falling back per expression to row-at-a-time {!Expr.eval} when the
+    compiler does not cover one; keys pack into {!Keycode} words when
+    the key columns encode, and take a boxed [Value.Tbl] / comparator
+    path when {!Keycode} refuses.
 
     The contract, property-tested in [test/test_relational.ml]: every
     operator returns exactly what its {!Algebra} twin returns on the
     same input — same rows in the same order with bit-identical floats
-    — under either implementation, with or without a pool. Group
+    — with or without a pool. Group
     aggregates feed rows in row order (float sums are order-sensitive),
     joins emit probe-order × build-order pairs, sorts are stable with
     the same [Value.compare] key order. *)
 
 type t
 
-type impl = Impl.t
-(** = [[ `Kernel | `Interpreter ]]; the shared selector ({!Impl.t}). *)
-
 val of_table : Table.t -> t
 val to_table : t -> Table.t
 val schema : t -> Schema.t
 val row_count : t -> int
 
-val select : ?pool:Mde_par.Pool.t -> ?impl:impl -> Expr.t -> t -> t
+val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
 (** σ, preserving row order. With [?pool] the predicate is evaluated
     row-chunked in parallel (bit-identical: each row's flag is
     independent). *)
@@ -38,52 +35,50 @@ val select : ?pool:Mde_par.Pool.t -> ?impl:impl -> Expr.t -> t -> t
 val project : string list -> t -> t
 (** π onto existing columns — O(1) per column, nothing is copied. *)
 
-val extend : ?pool:Mde_par.Pool.t -> ?impl:impl -> (string * Value.ty * Expr.t) list -> t -> t
+val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
 (** Append computed columns; every defining expression reads the input
     schema (not columns added by earlier defs), as {!Algebra.extend}. *)
 
-val equi_join :
-  ?pool:Mde_par.Pool.t -> ?packed:bool -> on:(string * string) list -> t -> t -> t
+val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
 (** Inner hash join, build side right, probe side left — the plan
     executor's join. Row order and null-key behavior match
-    {!Algebra.equi_join}. When the key columns encode ([packed],
-    default [true]), both sides hash one unboxed {!Keycode} word (or
-    packed bytes) per row through an open-addressing table with
-    build-order match chains; otherwise the boxed [Value.Tbl] path
-    runs. With [?pool] the key encoding and the probe are row-chunked
+    {!Algebra.equi_join}. When the key columns encode, both sides hash
+    one unboxed {!Keycode} word (or packed bytes) per row through an
+    open-addressing table with build-order match chains; otherwise
+    (an empty key, [Vvalues] storage, inexact ints joined to floats) the
+    boxed [Value.Tbl] path runs. With [?pool] the key encoding and the probe are row-chunked
     in parallel — per-chunk match buffers concatenate in row order, so
     the output is bit-identical whatever the chunking. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->
-  ?packed:bool ->
-  ?impl:impl ->
   keys:string list ->
   aggs:(string * Algebra.aggregate) list ->
   t ->
   t
 (** Grouped aggregation with {!Algebra.group_by}'s exact semantics:
     first-seen group order, NaN keys collapse to one group, [keys = []]
-    yields one global row even on empty input. Under [`Kernel] the
-    Sum/Avg/Std/Count paths accumulate unboxed; if any aggregate's
-    source fails to compile the whole call drops to the row oracle.
-    When the key columns encode ([packed], default [true]) each row's
-    composite key is one {!Keycode} word instead of a boxed list, and
-    the output columns are built directly (keys gathered from each
-    group's first row). With [?pool] the key encoding and the aggregate
+    yields one global row even on empty input. The Sum/Avg/Std/Count
+    paths accumulate unboxed; if any aggregate's source fails to
+    compile the whole call drops to {!Algebra.group_by}. When the key
+    columns encode, each row's composite key is one {!Keycode} word
+    instead of a boxed list, and the output columns are built directly
+    (keys gathered from each group's first row); otherwise — the empty
+    key of a global aggregate included — groups hash boxed key lists in
+    a [Value.Tbl]. With [?pool] the key encoding and the aggregate
     sources are evaluated row-chunked in parallel into scratch buffers;
     accumulation always replays sequentially in row order, so pooled
     results are bit-identical to sequential ones. *)
 
-val order_by : ?descending:bool -> ?packed:bool -> string list -> t -> t
+val order_by : ?descending:bool -> string list -> t -> t
 (** Stable sort via typed per-column comparators agreeing with
-    [Value.compare] — or, when every key column normalizes ([packed],
-    default [true]), via one packed order-preserving {!Keycode} image
-    per row (ints, bools, dictionary ranks; the row index rides in the
-    low bits as the tiebreak) and a flat monomorphic int sort. Both
-    produce the same permutation. *)
+    [Value.compare] — or, when every key column normalizes, via one
+    packed order-preserving {!Keycode} image per row (ints, bools,
+    dictionary ranks; the row index rides in the low bits as the
+    tiebreak) and a flat monomorphic int sort. Both produce the same
+    permutation; float keys take the comparator path. *)
 
-val distinct : ?pool:Mde_par.Pool.t -> ?packed:bool -> t -> t
+val distinct : ?pool:Mde_par.Pool.t -> t -> t
 (** First occurrence of each distinct row, in row order; packed all-column
     {!Keycode} keys when they encode, boxed [Value.Tbl] otherwise. *)
 

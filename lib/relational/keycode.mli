@@ -25,8 +25,7 @@
     Anything the encoder cannot represent injectively — boxed [Vvalues]
     storage, uncertain (non-det) columns, int magnitudes whose float
     image is inexact next to float-typed mates — makes {!of_columns}
-    return [None] and the caller keeps its boxed [Value.Tbl] path, which
-    is the bit-identity oracle anyway. *)
+    return [None] and the caller takes its boxed [Value.Tbl] path. *)
 
 type t
 (** An encoder over one or more aligned sets of key columns ("sides"):

@@ -22,10 +22,10 @@ let rec execute_rows catalog = function
   | Join (on, l, r) ->
     Algebra.equi_join ~on (execute_rows catalog l) (execute_rows catalog r)
 
-let execute ?pool ?(impl = (`Kernel : Impl.t)) catalog plan =
+let execute ?pool catalog plan =
   let rec go = function
     | Scan name -> Columnar.of_table (Catalog.find catalog name)
-    | Select (pred, child) -> Columnar.select ?pool ~impl pred (go child)
+    | Select (pred, child) -> Columnar.select ?pool pred (go child)
     | Project (cols, child) -> Columnar.project cols (go child)
     | Join (on, l, r) -> Columnar.equi_join ?pool ~on (go l) (go r)
   in

@@ -24,17 +24,15 @@ val schema_of : Catalog.t -> t -> Schema.t
 (** Output schema of the plan. Raises [Not_found] for unknown tables or
     columns. *)
 
-val execute : ?pool:Mde_par.Pool.t -> ?impl:Impl.t -> Catalog.t -> t -> Table.t
+val execute : ?pool:Mde_par.Pool.t -> Catalog.t -> t -> Table.t
 (** Evaluate the plan bottom-up on the columnar substrate ({!Columnar}),
     bit-identical to {!execute_rows}: same rows, same order, same float
-    bits. [?impl] ({!Impl.t}) selects compiled kernels (default) or the
-    interpreter oracle, as the tuple-bundle engine does; [?pool] fans
-    predicate evaluation out row-chunked. *)
+    bits. [?pool] fans predicate evaluation out row-chunked. *)
 
 val execute_rows : Catalog.t -> t -> Table.t
 (** Evaluate the plan row-at-a-time with the {!Algebra} operators — the
-    legacy path, kept as the oracle the columnar executor is
-    property-tested against. *)
+    reference semantics the columnar executor is property-tested
+    against. *)
 
 (** {2 Cardinality and cost estimation} *)
 

@@ -78,10 +78,10 @@ let queue_composite =
     model2 = (fun rng y1 -> y1 +. Rng.float rng);
   }
 
-let server ?pool ?impl ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
+let server ?pool ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
     ?(rows = 120) () =
   let t =
-    Server.create ?pool ?impl ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission ()
+    Server.create ?pool ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission ()
   in
   let db = sbp_database rows in
   Server.register_mcdb t ~name:"sbp" ~query:mean_sbp db;
@@ -94,10 +94,10 @@ let server ?pool ?impl ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
 (* The sharded twin of [server]: same models on every shard, plus the
    federated "sbp_any" name answered by whichever of the bundle / naive
    SBP backends is currently cheaper (identical bits either way). *)
-let front ?pool ?impl ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
+let front ?pool ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
     ?high_water ?(rows = 120) ~shards () =
   let t =
-    Shard.create ?pool ?impl ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
+    Shard.create ?pool ?clock ?cache_capacity ?cache_ttl ?scheduler ?admission
       ?high_water ~shards ()
   in
   let db = sbp_database rows in

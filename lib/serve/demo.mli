@@ -1,12 +1,12 @@
 (** The standard serving demo: one server wired with the headline models
     (the paper's SBP_DATA Monte Carlo database, a random-walk SimSQL
     chain, a two-stage demand→service composite) plus a catalog builder
-    and the cold/warm benchmark pass — shared by [mde_cli serve-bench],
-    the bench harness and the tests so they all measure the same thing. *)
+    and the cold/warm benchmark pass — shared by the bench harness, the
+    benchmark workloads and the tests so they all measure the same
+    thing. *)
 
 val server :
   ?pool:Mde_par.Pool.t ->
-  ?impl:Mde_relational.Impl.t ->
   ?clock:(unit -> float) ->
   ?cache_capacity:int ->
   ?cache_ttl:float ->
@@ -24,7 +24,6 @@ val server :
 
 val front :
   ?pool:Mde_par.Pool.t ->
-  ?impl:Mde_relational.Impl.t ->
   ?clock:(unit -> float) ->
   ?cache_capacity:int ->
   ?cache_ttl:float ->

@@ -83,7 +83,6 @@ let kind_class_labels = [| "mcdb_mean"; "mcdb_tail"; "chain_mean"; "composite" |
 
 type t = {
   clock : unit -> float;
-  impl : Mde_relational.Impl.t option;  (* engine for bundle-plan execution *)
   cache : (float * (float * float) option * int) Cache.t;
   sched : executed Scheduler.t;
   models : (string, model) Hashtbl.t;
@@ -101,13 +100,12 @@ type t = {
 
 let default_admission = Cost_aware { min_gain = 1. +. 1e-9; warmup = 3 }
 
-let create ?pool ?impl ?(clock = Mde_obs.Clock.wall) ?obs ?(cache_capacity = 256)
+let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs ?(cache_capacity = 256)
     ?(cache_ttl = infinity) ?(scheduler = Scheduler.default_config)
     ?(admission = default_admission) () =
   let obs = match obs with Some o -> o | None -> Mde_obs.default () in
   {
     clock;
-    impl;
     cache = Cache.create ~obs ~capacity:cache_capacity ~ttl:cache_ttl ~clock ();
     sched = Scheduler.create ?pool ~clock ~obs scheduler;
     models = Hashtbl.create 8;
@@ -263,7 +261,7 @@ let effective_units ~requested ~floor_units ~time_left ~per_unit_cost =
 
 (* Runs on a pool domain: reads only its captured snapshot, returns
    timing for the caller to fold into the class statistics. *)
-let execute ~clock ~impl ~model ~kind ~seed ~per_unit_cost ~time_left =
+let execute ~clock ~model ~kind ~seed ~per_unit_cost ~time_left =
   let requested = units_of kind in
   let floor_units = floor_units kind in
   let units = effective_units ~requested ~floor_units ~time_left ~per_unit_cost in
@@ -280,13 +278,13 @@ let execute ~clock ~impl ~model ~kind ~seed ~per_unit_cost ~time_left =
       (q, Some ci)
     | Bundle_model { db; table; plan }, Mcdb_mean _ ->
       let samples =
-        Database.plan_samples ?impl db (Rng.create ~seed ()) ~table ~reps:units plan
+        Database.plan_samples db (Rng.create ~seed ()) ~table ~reps:units plan
       in
       let est = Est.of_samples samples in
       (est.Est.mean, Some est.Est.ci95)
     | Bundle_model { db; table; plan }, Mcdb_tail { p; _ } ->
       let samples =
-        Database.plan_samples ?impl db (Rng.create ~seed ()) ~table ~reps:units plan
+        Database.plan_samples db (Rng.create ~seed ()) ~table ~reps:units plan
       in
       let q, ci = Est.tail_estimate samples ~p ~level:0.95 in
       (q, Some ci)
@@ -341,9 +339,9 @@ let submit t request =
       if cls.exec_units > 0 then Some (cls.exec_seconds /. float_of_int cls.exec_units)
       else None
     in
-    let clock = t.clock and impl = t.impl in
+    let clock = t.clock in
     let kind = request.kind and seed = request.seed in
-    let run = execute ~clock ~impl ~model ~kind ~seed ~per_unit_cost in
+    let run = execute ~clock ~model ~kind ~seed ~per_unit_cost in
     match
       Scheduler.submit t.sched ~class_key:(class_key t request) ?deadline:request.deadline
         run
@@ -480,7 +478,7 @@ let sample_batch t request ~lo ~hi =
   | Mcdb { db; query }, (Mcdb_mean _ | Mcdb_tail _) ->
     Database.monte_carlo ?pool db root ~reps ~query
   | Bundle_model { db; table; plan }, (Mcdb_mean _ | Mcdb_tail _) ->
-    Database.plan_samples ?pool ?impl:t.impl db root ~table ~reps plan
+    Database.plan_samples ?pool db root ~table ~reps plan
   | Chain_model { chain; query }, Chain_mean { steps; _ } ->
     let series = Chain.monte_carlo ?pool chain root ~steps ~reps ~query in
     Array.map (fun row -> row.(steps)) series

@@ -65,7 +65,6 @@ type t
 
 val create :
   ?pool:Mde_par.Pool.t ->
-  ?impl:Mde_relational.Impl.t ->
   ?clock:(unit -> float) ->
   ?obs:Mde_obs.t ->
   ?cache_capacity:int ->
@@ -75,10 +74,7 @@ val create :
   unit ->
   t
 (** [admission] defaults to [Cost_aware { min_gain = 1.0 +. 1e-9;
-    warmup = 3 }]. [impl] selects the execution engine for bundle-plan
-    models ({!Mde_relational.Impl.t}, default [`Kernel]); the kernel and
-    interpreter are bit-identical, so it only changes cost.
-    [clock] (default {!Mde_obs.Clock.wall}) is shared by
+    warmup = 3 }]. [clock] (default {!Mde_obs.Clock.wall}) is shared by
     the cache, the scheduler and the latency accounting; the wall-clock
     default means reported latencies include queueing and sleeping, which
     the previous [Sys.time] (CPU seconds) default silently excluded.

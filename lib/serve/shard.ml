@@ -45,7 +45,7 @@ type t = {
   metrics : metrics;
 }
 
-let create ?pool ?impl ?(clock = Mde_obs.Clock.wall) ?obs ?cache_capacity ?cache_ttl
+let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs ?cache_capacity ?cache_ttl
     ?(scheduler = Scheduler.default_config) ?admission ?high_water ~shards () =
   let router = Router.create ~shards in
   let high_water =
@@ -55,7 +55,7 @@ let create ?pool ?impl ?(clock = Mde_obs.Clock.wall) ?obs ?cache_capacity ?cache
   let obs = match obs with Some o -> o | None -> Mde_obs.default () in
   let servers =
     Array.init shards (fun _ ->
-        Server.create ?pool ?impl ~clock ~obs ?cache_capacity ?cache_ttl ~scheduler
+        Server.create ?pool ~clock ~obs ?cache_capacity ?cache_ttl ~scheduler
           ?admission ())
   in
   let shard_label i = [ ("shard", string_of_int i) ] in

@@ -53,7 +53,6 @@ type shed = {
 
 val create :
   ?pool:Mde_par.Pool.t ->
-  ?impl:Mde_relational.Impl.t ->
   ?clock:(unit -> float) ->
   ?obs:Mde_obs.t ->
   ?cache_capacity:int ->
@@ -64,8 +63,7 @@ val create :
   shards:int ->
   unit ->
   t
-(** A front of [shards] independent {!Server}s sharing [pool] and
-    [impl] (each
+(** A front of [shards] independent {!Server}s sharing [pool] (each
     scheduler fans its batches over the same pool — a slice in time
     rather than a partition of domains) and [obs]. [cache_capacity],
     [cache_ttl], [scheduler] and [admission] configure {e each} shard,

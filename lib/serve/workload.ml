@@ -70,9 +70,6 @@ let report_percentiles latencies =
 
 type target = Target.t
 
-let server_target = Target.of_server
-let shard_target = Target.of_shard
-
 type open_config = { arrivals : int; rate : float; zipf_s : float; seed : int }
 
 type open_report = {

@@ -73,12 +73,6 @@ type target = Target.t
     the driver counts them as shed either way. (The ad-hoc closure
     record this type used to be is now the first-class {!Target.t}.) *)
 
-val server_target : Server.t -> target
-  [@@ocaml.deprecated "use Target.of_server"]
-
-val shard_target : Shard.t -> target
-  [@@ocaml.deprecated "use Target.of_shard"]
-
 type open_config = {
   arrivals : int;  (** total arrivals to generate *)
   rate : float;  (** offered load: mean arrivals per clock second (> 0) *)

@@ -62,14 +62,14 @@ module Rules = struct
     in
     { target; derive }
 
-  let plan_rule ?pool ?impl ~target plan =
+  let plan_rule ?pool ~target plan =
     (* A deterministic derivation: run a relational plan over the current
        state's tables on the columnar substrate. The rng is unused — the
        stochasticity of a chain step lives in its vg rules. *)
     let derive _rng state =
       let catalog = Catalog.create () in
       String_map.iter (fun name t -> Catalog.register catalog name t) state;
-      Plan.execute ?pool ?impl catalog plan
+      Plan.execute ?pool catalog plan
     in
     { target; derive }
 

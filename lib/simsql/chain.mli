@@ -74,7 +74,6 @@ module Rules : sig
 
   val plan_rule :
     ?pool:Mde_par.Pool.t ->
-    ?impl:Mde_relational.Impl.t ->
     target:string ->
     Mde_relational.Plan.t ->
     rule

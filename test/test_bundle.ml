@@ -4,9 +4,9 @@
    built from seed [s] is bit-identical to element [r] of
    [Stochastic_table.instantiate_many] with the same seed, and every
    operator (select / extend / aggregate / fused query) produces
-   bit-identical results across the compiled-kernel path, the
-   interpreter-fallback path, and the naive per-instance path — pooled
-   or sequential. Randomized trials draw rows / reps / predicates /
+   bit-identical results to the naive per-instance path, pooled or
+   sequential, both for expressions the kernel compiles and for those
+   it declines and interprets. Randomized trials draw rows / reps / predicates /
    computed columns from a seeded RNG so failures reproduce exactly. *)
 
 open Mde_relational
@@ -143,25 +143,34 @@ let test_to_instances_matches_naive () =
       realized
   done
 
+(* [f ()] with the interpreter fallbacks it took, read off the
+   [mde_bundle_fallback_total] counter of a registry live for the call. *)
+let with_fallbacks f =
+  let saved = Mde_obs.default () in
+  let registry = Mde_obs.create () in
+  Mde_obs.set_default registry;
+  let x = Fun.protect ~finally:(fun () -> Mde_obs.set_default saved) f in
+  (x, Mde_obs.Counter.value (Mde_obs.counter registry "mde_bundle_fallback_total"))
+
+(* Both the kernel and the interpreter fallback must have run over a pool:
+   the parity properties cover each path only if each was taken. *)
+let check_both_paths msg fallback_counts =
+  Alcotest.(check bool) (msg ^ ": some expression compiled") true
+    (List.exists (( = ) 0) fallback_counts);
+  Alcotest.(check bool) (msg ^ ": some expression interpreted") true
+    (List.exists (( < ) 0) fallback_counts)
+
 (* --- select: kernel ≡ interpreter ≡ naive σ ---------------------------- *)
 
 let test_select_parity () =
   let rng0 = Rng.create ~seed:202 () in
-  List.iteri
+  List.mapi
     (fun pi pred ->
       let rows = 2 + Rng.int rng0 10 and reps = 2 + Rng.int rng0 6 in
       let st = sbp_table rows in
       let seed = 900 + pi in
       let b = Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps in
-      let kernel = Bundle.select ~impl:`Kernel pred b in
-      let interp = Bundle.select ~impl:`Interpreter pred b in
-      for i = 0 to Bundle.row_count b - 1 do
-        for r = 0 to reps - 1 do
-          if Bundle.present kernel i r <> Bundle.present interp i r then
-            Alcotest.failf "predicate %d: kernel/interp presence differs at (%d,%d)"
-              pi i r
-        done
-      done;
+      let kernel, fallbacks = with_fallbacks (fun () -> Bundle.select pred b) in
       let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
       Array.iteri
         (fun r t ->
@@ -169,28 +178,22 @@ let test_select_parity () =
             (Printf.sprintf "predicate %d rep %d vs naive σ" pi r)
             (Algebra.select pred naive.(r))
             t)
-        (Bundle.to_instances kernel))
+        (Bundle.to_instances kernel);
+      fallbacks)
     predicates
+  |> check_both_paths "predicate pool"
 
 (* --- extend: kernel ≡ interpreter ≡ naive ------------------------------ *)
 
 let test_extend_parity () =
   let rng0 = Rng.create ~seed:303 () in
-  List.iteri
+  List.mapi
     (fun di def ->
       let rows = 2 + Rng.int rng0 8 and reps = 2 + Rng.int rng0 6 in
       let st = sbp_table rows in
       let seed = 1300 + di in
       let b = Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps in
-      let kernel = Bundle.extend ~impl:`Kernel [ def ] b in
-      let interp = Bundle.extend ~impl:`Interpreter [ def ] b in
-      for i = 0 to Bundle.row_count b - 1 do
-        for r = 0 to reps - 1 do
-          if not (row_eq (Bundle.realize_row kernel i r) (Bundle.realize_row interp i r))
-          then
-            Alcotest.failf "derivation %d: kernel/interp row differs at (%d,%d)" di i r
-        done
-      done;
+      let kernel, fallbacks = with_fallbacks (fun () -> Bundle.extend [ def ] b) in
       let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
       Array.iteri
         (fun r t ->
@@ -198,8 +201,10 @@ let test_extend_parity () =
             (Printf.sprintf "derivation %d rep %d vs naive extend" di r)
             (Algebra.extend [ def ] naive.(r))
             t)
-        (Bundle.to_instances kernel))
+        (Bundle.to_instances kernel);
+      fallbacks)
     derivations
+  |> check_both_paths "derivation pool"
 
 (* --- aggregate: kernel ≡ interpreter ≡ naive group_by ------------------ *)
 
@@ -230,12 +235,7 @@ let test_aggregate_parity () =
       let filtered = Bundle.select pred b in
       List.iter
         (fun keys ->
-          let kernel = Bundle.aggregate ~impl:`Kernel ~keys agg_pool filtered in
-          let interp = Bundle.aggregate ~impl:`Interpreter ~keys agg_pool filtered in
-          check_agg_results_identical
-            (Printf.sprintf "predicate %d keys [%s] kernel vs interp" pi
-               (String.concat ";" keys))
-            kernel interp;
+          let kernel = Bundle.aggregate ~keys agg_pool filtered in
           (* Naive oracle: run σ + γ on every realized instance. A group
              empty in repetition [r] simply has no row in the naive
              output; the bundle reports Count 0 / Sum 0 / nan there. *)
@@ -297,10 +297,10 @@ let plan =
       ];
   }
 
-let compose ?pool ?impl b (p : Bundle.plan) =
-  let b = match p.where_ with None -> b | Some e -> Bundle.select ?pool ?impl e b in
-  let b = match p.derive with [] -> b | defs -> Bundle.extend ?pool ?impl defs b in
-  Bundle.aggregate ?pool ?impl ~keys:p.group_keys p.aggs b
+let compose ?pool b (p : Bundle.plan) =
+  let b = match p.where_ with None -> b | Some e -> Bundle.select ?pool e b in
+  let b = match p.derive with [] -> b | defs -> Bundle.extend ?pool defs b in
+  Bundle.aggregate ?pool ~keys:p.group_keys p.aggs b
 
 let test_query_fused_equals_compose () =
   let st = sbp_table 40 in
@@ -316,15 +316,25 @@ let test_query_fused_equals_compose () =
         @ [ ("pid_band", Value.Tint, Expr.(If (col "pid" < int 20, int 0, int 1))) ];
     }
   in
+  (* The same plan with a predicate and a derivation the kernel declines:
+     the fused sweep interprets both, and the aggregate over the
+     interpreted column, while compose aggregates a materialized column. *)
+  let fallback_plan =
+    {
+      plan with
+      Bundle.where_ = Some (List.nth predicates 6);
+      derive = (List.nth derivations 3) :: plan.Bundle.derive;
+      aggs = ("mean_mixed", Bundle.Avg (Expr.col "mixed")) :: plan.Bundle.aggs;
+    }
+  in
   List.iter
-    (fun impl ->
+    (fun plan ->
       List.iter
         (fun keys ->
           let p = { plan with Bundle.group_keys = keys } in
-          check_agg_results_identical "query vs compose"
-            (Bundle.query ~impl b p) (compose ~impl b p))
+          check_agg_results_identical "query vs compose" (Bundle.query b p) (compose b p))
         [ []; [ "gender" ]; [ "pid_band" ] ])
-    [ `Kernel; `Interpreter ]
+    [ plan; fallback_plan ]
 
 (* --- pooled execution is bit-identical --------------------------------- *)
 
@@ -437,7 +447,7 @@ let test_plan_samples_matches_instances () =
       if not (float_bits_eq expect samples.(r)) then
         Alcotest.failf "rep %d: naive %h <> plan_samples %h" r expect samples.(r))
     naive;
-  (* pooled and interpreted paths are bit-identical too *)
+  (* the pooled path is bit-identical too *)
   Pool.with_pool ~domains:2 (fun pool ->
       let pooled =
         Database.plan_samples ~pool db (Rng.create ~seed ()) ~table:"SBP_DATA" ~reps
@@ -447,16 +457,7 @@ let test_plan_samples_matches_instances () =
         (fun r x ->
           if not (float_bits_eq x pooled.(r)) then
             Alcotest.failf "pooled plan_samples differs at rep %d" r)
-        samples);
-  let interp =
-    Database.plan_samples ~impl:`Interpreter db (Rng.create ~seed ())
-      ~table:"SBP_DATA" ~reps plan
-  in
-  Array.iteri
-    (fun r x ->
-      if not (float_bits_eq x interp.(r)) then
-        Alcotest.failf "interpreted plan_samples differs at rep %d" r)
-    samples
+        samples)
 
 let raises_invalid f =
   try

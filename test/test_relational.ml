@@ -320,10 +320,8 @@ let tables_identical a b =
        (fun ra rb -> Array.for_all2 value_identical ra rb)
        (Table.rows a) (Table.rows b)
 
-(* Check one operator against its row oracle under both implementations. *)
-let both_impls oracle f =
-  tables_identical oracle (Columnar.to_table (f `Kernel))
-  && tables_identical oracle (Columnar.to_table (f `Interpreter))
+(* Check one columnar operator's output against its row oracle. *)
+let matches oracle c = tables_identical oracle (Columnar.to_table c)
 
 let test_columnar_roundtrip () =
   Alcotest.(check bool) "of_table |> to_table is the identity" true
@@ -336,17 +334,15 @@ let test_columnar_matches_algebra_people () =
   let defs = [ ("age2", Value.Tint, Expr.(col "age" * int 2)) ] in
   let aggs = [ ("n", Algebra.Count); ("best", Algebra.Max (Expr.col "score")) ] in
   Alcotest.(check bool) "select (numeric pred)" true
-    (both_impls (Algebra.select num_pred people) (fun impl ->
-         Columnar.select ~impl num_pred c));
+    (matches (Algebra.select num_pred people) (Columnar.select num_pred c));
   Alcotest.(check bool) "select (string pred)" true
-    (both_impls (Algebra.select str_pred people) (fun impl ->
-         Columnar.select ~impl str_pred c));
+    (matches (Algebra.select str_pred people) (Columnar.select str_pred c));
   Alcotest.(check bool) "extend" true
-    (both_impls (Algebra.extend defs people) (fun impl -> Columnar.extend ~impl defs c));
+    (matches (Algebra.extend defs people) (Columnar.extend defs c));
   Alcotest.(check bool) "group_by (null score skipped)" true
-    (both_impls
+    (matches
        (Algebra.group_by ~keys:[ "age" ] ~aggs people)
-       (fun impl -> Columnar.group_by ~impl ~keys:[ "age" ] ~aggs c));
+       (Columnar.group_by ~keys:[ "age" ] ~aggs c));
   Alcotest.(check bool) "project" true
     (tables_identical
        (Algebra.project [ "name"; "score" ] people)
@@ -371,8 +367,7 @@ let test_columnar_empty_global () =
   in
   let oracle = Algebra.group_by ~keys:[] ~aggs empty in
   Alcotest.(check bool) "empty global row identical" true
-    (both_impls oracle (fun impl ->
-         Columnar.group_by ~impl ~keys:[] ~aggs (Columnar.of_table empty)));
+    (matches oracle (Columnar.group_by ~keys:[] ~aggs (Columnar.of_table empty)));
   Alcotest.(check int) "keyed empty: no groups" 0
     (Columnar.row_count
        (Columnar.group_by ~keys:[ "age" ] ~aggs:[ ("n", Algebra.Count) ]
@@ -405,6 +400,12 @@ let mixed_table rows =
   in
   Table.create schema (List.map (fun (k, g, v) -> [| k; Value.Int g; v |]) rows)
 
+(* Shapes the kernel compiler declines (a mixed-kind If, an untyped Null
+   branch): columnar operators evaluate them with the row interpreter
+   inside the engine, and group_by drops to row Algebra. *)
+let fallback_pred = Expr.(If (col "g" = int 1, col "v", col "g") > float 0.)
+let fallback_def = ("x", Value.Tfloat, Expr.(If (col "g" = int 1, col "v", Lit Value.Null)))
+
 let prop_columnar_matches_algebra =
   QCheck.Test.make ~name:"columnar kernel == interpreter == row algebra" ~count:120
     (QCheck.make mixed_rows_gen)
@@ -413,6 +414,8 @@ let prop_columnar_matches_algebra =
       let c = Columnar.of_table t in
       let pred = Expr.(col "v" > float 0. || col "g" = int 1) in
       let defs = [ ("w", Value.Tfloat, Expr.((col "v" * float 2.) + col "k")) ] in
+      let _, _, fallback_expr = fallback_def in
+      let fallback_aggs = [ ("fs", Algebra.Sum fallback_expr) ] in
       let aggs =
         [ ("n", Algebra.Count);
           ("pos", Algebra.Count_if Expr.(col "v" > float 0.));
@@ -422,16 +425,24 @@ let prop_columnar_matches_algebra =
           ("lo", Algebra.Min (Expr.col "k"));
           ("hi", Algebra.Max (Expr.col "k")) ]
       in
-      both_impls (Algebra.select pred t) (fun impl -> Columnar.select ~impl pred c)
-      && both_impls (Algebra.extend defs t) (fun impl -> Columnar.extend ~impl defs c)
-      && both_impls
+      matches (Algebra.select pred t) (Columnar.select pred c)
+      && matches (Algebra.extend defs t) (Columnar.extend defs c)
+      && matches
            (Algebra.group_by ~keys:[ "g" ] ~aggs t)
-           (fun impl -> Columnar.group_by ~impl ~keys:[ "g" ] ~aggs c)
-      && both_impls
+           (Columnar.group_by ~keys:[ "g" ] ~aggs c)
+      && matches
            (* Float keys: NaN collapses to one group, Null forms its own. *)
            (Algebra.group_by ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] t)
-           (fun impl ->
-             Columnar.group_by ~impl ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] c)
+           (Columnar.group_by ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] c)
+      (* The interpreter fallback: per expression in select/extend, the
+         whole call in group_by. *)
+      && matches (Algebra.select fallback_pred t) (Columnar.select fallback_pred c)
+      && matches
+           (Algebra.extend (fallback_def :: defs) t)
+           (Columnar.extend (fallback_def :: defs) c)
+      && matches
+           (Algebra.group_by ~keys:[ "g" ] ~aggs:(fallback_aggs @ aggs) t)
+           (Columnar.group_by ~keys:[ "g" ] ~aggs:(fallback_aggs @ aggs) c)
       && tables_identical
            (Algebra.project [ "v"; "g" ] t)
            (Columnar.to_table (Columnar.project [ "v"; "g" ] c))
@@ -489,16 +500,16 @@ let test_columnar_pooled_identity () =
   let defs = [ ("w", Value.Tfloat, Expr.(col "v" + col "k")) ] in
   Mde_par.Pool.with_pool ~domains:3 (fun pool ->
       List.iter
-        (fun impl ->
+        (fun (pred, defs) ->
           Alcotest.(check bool) "pooled select == sequential" true
             (tables_identical
-               (Columnar.to_table (Columnar.select ~impl pred c))
-               (Columnar.to_table (Columnar.select ~pool ~impl pred c)));
+               (Columnar.to_table (Columnar.select pred c))
+               (Columnar.to_table (Columnar.select ~pool pred c)));
           Alcotest.(check bool) "pooled extend == sequential" true
             (tables_identical
-               (Columnar.to_table (Columnar.extend ~impl defs c))
-               (Columnar.to_table (Columnar.extend ~pool ~impl defs c))))
-        [ `Kernel; `Interpreter ])
+               (Columnar.to_table (Columnar.extend defs c))
+               (Columnar.to_table (Columnar.extend ~pool defs c))))
+        [ (pred, defs); (fallback_pred, [ fallback_def ]) ])
 
 (* --- packed key codes --- *)
 
@@ -728,17 +739,12 @@ let test_order_by_packed_matches_comparator () =
   let t = Table.create schema rows in
   let c = Columnar.of_table t in
   let keys = [ "s"; "b"; "i" ] in
-  Alcotest.(check bool) "packed == row oracle" true
-    (tables_identical (Algebra.order_by keys t)
-       (Columnar.to_table (Columnar.order_by keys c)));
   List.iter
     (fun descending ->
       Alcotest.(check bool)
         (if descending then "descending" else "ascending")
         true
-        (tables_identical
-           (Columnar.to_table (Columnar.order_by ~descending ~packed:false keys c))
-           (Columnar.to_table (Columnar.order_by ~descending keys c))))
+        (matches (Algebra.order_by ~descending keys t) (Columnar.order_by ~descending keys c)))
     [ false; true ]
 
 let mixed_table_r rows =
@@ -747,34 +753,104 @@ let mixed_table_r rows =
   in
   Table.create schema (List.map (fun (k, g, v) -> [| k; Value.Int g; v |]) rows)
 
+(* Row Algebra is the boxed [Value.Tbl] / [Value.compare] implementation
+   of every keyed operator. *)
 let prop_packed_matches_boxed =
   QCheck.Test.make ~name:"packed keyed operators == boxed Value.Tbl paths" ~count:80
     (QCheck.pair (QCheck.make mixed_rows_gen) (QCheck.make mixed_rows_gen))
     (fun (ls, rs) ->
-      let lc = Columnar.of_table (mixed_table ls) in
-      let rc = Columnar.of_table (mixed_table_r rs) in
+      let lt = mixed_table ls and rt = mixed_table_r rs in
+      let lc = Columnar.of_table lt and rc = Columnar.of_table rt in
       let aggs =
         [ ("n", Algebra.Count); ("s", Algebra.Sum (Expr.col "v"));
           ("m", Algebra.Avg (Expr.col "v")) ]
       in
-      let same a b = tables_identical (Columnar.to_table a) (Columnar.to_table b) in
-      same
-        (Columnar.group_by ~packed:false ~keys:[ "g" ] ~aggs lc)
-        (Columnar.group_by ~keys:[ "g" ] ~aggs lc)
-      && same
-           (Columnar.group_by ~packed:false ~keys:[ "k"; "g" ] ~aggs lc)
+      matches (Algebra.group_by ~keys:[ "g" ] ~aggs lt) (Columnar.group_by ~keys:[ "g" ] ~aggs lc)
+      && matches
+           (Algebra.group_by ~keys:[ "k"; "g" ] ~aggs lt)
            (Columnar.group_by ~keys:[ "k"; "g" ] ~aggs lc)
-      && same (Columnar.distinct ~packed:false lc) (Columnar.distinct lc)
-      && same (Columnar.order_by ~packed:false [ "g" ] lc) (Columnar.order_by [ "g" ] lc)
-      && same
-           (Columnar.order_by ~packed:false ~descending:true [ "g" ] lc)
+      && matches (Algebra.distinct lt) (Columnar.distinct lc)
+      && matches (Algebra.order_by [ "g" ] lt) (Columnar.order_by [ "g" ] lc)
+      && matches
+           (Algebra.order_by ~descending:true [ "g" ] lt)
            (Columnar.order_by ~descending:true [ "g" ] lc)
-      && same
-           (Columnar.equi_join ~packed:false ~on:[ ("g", "rg") ] lc rc)
+      && matches
+           (Algebra.equi_join ~on:[ ("g", "rg") ] lt rt)
            (Columnar.equi_join ~on:[ ("g", "rg") ] lc rc)
-      && same
-           (Columnar.equi_join ~packed:false ~on:[ ("k", "rk") ] lc rc)
+      && matches
+           (Algebra.equi_join ~on:[ ("k", "rk") ] lt rt)
            (Columnar.equi_join ~on:[ ("k", "rk") ] lc rc))
+
+(* Inputs Keycode refuses take the boxed [Value.Tbl] / comparator paths
+   of each keyed operator; each must still match row Algebra. *)
+let test_refused_keys_match_algebra () =
+  let rng = Mde_prob.Rng.create ~seed:77 () in
+  let t =
+    mixed_table
+      (List.init 300 (fun i ->
+           ( (if i mod 11 = 0 then Value.Null
+              else Value.Float (float_of_int (Mde_prob.Rng.int rng 6) /. 2.)),
+             Mde_prob.Rng.int rng 4,
+             Value.Float (Mde_prob.Rng.float_range rng (-1.) 1.) )))
+  in
+  let c = Columnar.of_table t in
+  let aggs = [ ("n", Algebra.Count); ("s", Algebra.Sum (Expr.col "v")) ] in
+  let check label oracle out = Alcotest.(check bool) label true (matches oracle out) in
+  check "keyless global group_by"
+    (Algebra.group_by ~keys:[] ~aggs t)
+    (Columnar.group_by ~keys:[] ~aggs c);
+  List.iter
+    (fun descending ->
+      check "float sort key"
+        (Algebra.order_by ~descending [ "k"; "g" ] t)
+        (Columnar.order_by ~descending [ "k"; "g" ] c))
+    [ false; true ];
+  check "zero-column distinct"
+    (Algebra.distinct (Algebra.project [] t))
+    (Columnar.distinct (Columnar.project [] c));
+  (* 2^53 + 1 has no exact float image, so the int side cannot share the
+     float side's canonical code. *)
+  let big = 1 lsl 53 in
+  let ints =
+    Table.create
+      (Schema.of_list [ ("i", Value.Tint) ])
+      [ [| Value.Int (big + 1) |]; [| Value.Int big |]; [| Value.Int 3 |]; [| Value.Null |] ]
+  in
+  let floats =
+    Table.create
+      (Schema.of_list [ ("f", Value.Tfloat); ("y", Value.Tint) ])
+      [ [| Value.Float (float_of_int big); Value.Int 0 |];
+        [| Value.Float 3.; Value.Int 1 |];
+        [| Value.Float nan; Value.Int 2 |] ]
+  in
+  check "inexact int joined to a float"
+    (Algebra.equi_join ~on:[ ("i", "f") ] ints floats)
+    (Columnar.equi_join ~on:[ ("i", "f") ] (Columnar.of_table ints)
+       (Columnar.of_table floats));
+  (* A mixed-kind If stores Int and Float cells in one column: boxed
+     [Vvalues] storage, which Keycode refuses. Row Algebra cannot hold such
+     a column, so its reference computes the numerically equal float key
+     (Int 1 and Float 1. are one key) and both sides drop the key column. *)
+  let mixed = Expr.(If (col "g" = int 1, col "g", col "k")) in
+  let numeric = Expr.(If (col "g" = int 1, col "g" * float 1., col "k")) in
+  let vv =
+    Column.of_det_cells ~ty:Value.Tfloat ~rows:2 ~reps:1 (fun i ->
+        if i = 0 then Value.Int 1 else Value.Float 0.5)
+  in
+  Alcotest.(check bool) "premise: mixed cells are Vvalues, refused" true
+    ((match Column.view vv with Column.Vvalues _ -> true | _ -> false)
+    && Keycode.of_columns [ [| vv |] ] = None);
+  let rows_m = Algebra.extend [ ("m", Value.Tfloat, numeric) ] t in
+  let cols_m = Columnar.extend [ ("m", Value.Tfloat, mixed) ] c in
+  let agg_names = List.map fst aggs in
+  check "group_by on a Vvalues key"
+    (Algebra.project agg_names (Algebra.group_by ~keys:[ "m" ] ~aggs rows_m))
+    (Columnar.project agg_names (Columnar.group_by ~keys:[ "m" ] ~aggs cols_m));
+  let kept = [ "k"; "g"; "v"; "f"; "y" ] in
+  check "equi_join on a Vvalues key"
+    (Algebra.project kept (Algebra.equi_join ~on:[ ("m", "f") ] rows_m floats))
+    (Columnar.project kept
+       (Columnar.equi_join ~on:[ ("m", "f") ] cols_m (Columnar.of_table floats)))
 
 let test_keyed_pooled_identity () =
   (* Sizes straddling the pooled chunk boundaries; NaN and Null keys. *)
@@ -815,9 +891,10 @@ let test_keyed_pooled_identity () =
           check "group_by"
             (Columnar.group_by ~keys:[ "k"; "g" ] ~aggs lc)
             (Columnar.group_by ~pool ~keys:[ "k"; "g" ] ~aggs lc);
-          check "group_by boxed"
-            (Columnar.group_by ~packed:false ~keys:[ "k" ] ~aggs lc)
-            (Columnar.group_by ~packed:false ~pool ~keys:[ "k" ] ~aggs lc);
+          (* Keycode refuses the empty key: the boxed global path. *)
+          check "global group_by"
+            (Columnar.group_by ~keys:[] ~aggs lc)
+            (Columnar.group_by ~pool ~keys:[] ~aggs lc);
           check "join"
             (Columnar.equi_join ~on:[ ("k", "rk") ] lc rc)
             (Columnar.equi_join ~pool ~on:[ ("k", "rk") ] lc rc);
@@ -966,14 +1043,15 @@ let test_plan_columnar_identity () =
   let cat = star_catalog 7 in
   let check_plan label plan =
     let oracle = Plan.execute_rows cat plan in
-    Alcotest.(check bool) (label ^ ": kernel == rows") true
-      (tables_identical oracle (Plan.execute cat plan));
-    Alcotest.(check bool)
-      (label ^ ": interpreter == rows")
-      true
-      (tables_identical oracle (Plan.execute ~impl:`Interpreter cat plan))
+    Alcotest.(check bool) (label ^ ": columnar == rows") true
+      (tables_identical oracle (Plan.execute cat plan))
   in
   check_plan "raw" star_query;
+  (* A mixed-kind If the kernel declines: the in-engine interpreter. *)
+  check_plan "fallback predicate"
+    (Plan.select
+       Expr.(If (col "amount" > float 25., col "amount", col "rid") > float 30.)
+       star_query);
   check_plan "optimized" (Plan.optimize cat star_query);
   check_plan "projected" (Plan.project [ "oid"; "rname" ] star_query)
 
@@ -992,7 +1070,6 @@ let prop_plan_execute_bit_identity =
       in
       let oracle = Plan.execute_rows cat plan in
       tables_identical oracle (Plan.execute cat plan)
-      && tables_identical oracle (Plan.execute ~impl:`Interpreter cat plan)
       && tables_identical
            (Plan.execute_rows cat (Plan.optimize cat plan))
            (Plan.execute cat (Plan.optimize cat plan)))
@@ -1217,6 +1294,8 @@ let () =
           Alcotest.test_case "table first-seen ids" `Quick test_keycode_tbl_first_seen;
           Alcotest.test_case "order_by packed == comparator" `Quick
             test_order_by_packed_matches_comparator;
+          Alcotest.test_case "refused keys == algebra" `Quick
+            test_refused_keys_match_algebra;
           Alcotest.test_case "keyed ops pooled == sequential" `Quick
             test_keyed_pooled_identity;
         ] );
