@@ -23,8 +23,8 @@ let list_experiments () =
   Format.printf "  %-8s %s@." "--bundle [rows reps]"
     "naive vs columnar tuple-bundle execution";
   Format.printf "  %-8s %s@." "--relational [rows [domains]]"
-    "row algebra vs columnar relational pipeline and packed keyed operators \
-     (pooled when domains > 1)";
+    "row algebra vs columnar relational pipeline, packed keyed operators \
+     (pooled when domains > 1) and the plan executor";
   Format.printf "  %-8s %s@." "--shard [N]"
     "sharded serving front: bit-identity vs single shard + open-loop overload sweep";
   Format.printf "  %-8s %s@." "--session [N]"

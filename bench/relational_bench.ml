@@ -1,7 +1,7 @@
 (* The --relational experiment: the columnar relational engine against row
    [Algebra], recorded in bench/BENCH_relational.json.
 
-   Two stages, each checked bit for bit against [Algebra] — the reference
+   Three stages, each checked bit for bit against [Algebra] — the reference
    semantics — on the same rows:
 
    - pipeline: one randomized measurement table (float key, small int
@@ -11,7 +11,11 @@
    - keyed: group_by / equi_join / distinct / order_by over a star-shaped
      table (dictionary-coded string dimension key + small int bucket),
      whose composite key packs into one Keycode word per row; with
-     [domains] > 1 the operators that take a pool also run pooled.
+     [domains] > 1 the operators that take a pool also run pooled;
+   - plan: a 3-way star join through [Plan.execute] and on into
+     [Columnar.of_table], the analytic query's shape (catalog scans enter
+     as cached column images, the result leaves as a column-backed
+     table), against [Plan.execute_rows] over [Algebra].
 
    Every measurement starts on a settled heap and keeps its best of two
    runs. The run fails on any bit-identity miss or when a gated speedup
@@ -31,6 +35,12 @@ let group_floor = 2.5
 let join_floor = 1.8
 let distinct_floor = 1.8
 let order_floor = 2.5
+
+(* Below the lowest ratio seen in ten runs of [--relational 20000 2]
+   (five per build profile; 2.1-8.8x, and 1.5x in earlier noisy runs).
+   Building the join result as boxed rows and re-columnarizing it ran
+   at 0.5-0.8x, so the floor still catches a return to that. *)
+let plan_floor = 1.2
 
 (* Best of two after a full major GC: single-shot timings at smoke row
    counts are dominated by GC debt and scheduling noise, and whichever
@@ -306,6 +316,86 @@ let keyed ?pool ~domains ~rows ~seed () =
       end)
     ops
 
+(* --- plan ----------------------------------------------------------- *)
+
+(* A star catalog: a fact table of [rows] rows keyed into a customer
+   dimension, itself keyed into a region dimension. *)
+let make_plan_catalog ~rows ~seed =
+  let rng = Rng.create ~seed () in
+  let custs = max 16 (rows / 20) and regions = 16 in
+  let cat = Catalog.create () in
+  Catalog.register cat "facts"
+    (Table.create
+       (Schema.of_list
+          [ ("fid", Value.Tint); ("fcust", Value.Tint); ("amount", Value.Tfloat) ])
+       (List.init rows (fun i ->
+            [| Value.Int i; Value.Int (Rng.int rng custs); Value.Float (Rng.float rng) |])));
+  Catalog.register cat "custs"
+    (Table.create
+       (Schema.of_list [ ("cid", Value.Tint); ("creg", Value.Tint); ("tier", Value.Tstring) ])
+       (List.init custs (fun i ->
+            [| Value.Int i; Value.Int (Rng.int rng regions);
+               Value.String (Printf.sprintf "tier-%d" (Rng.int rng 4)) |])));
+  Catalog.register cat "regions"
+    (Table.create
+       (Schema.of_list [ ("rid", Value.Tint); ("rname", Value.Tstring) ])
+       (List.init regions (fun i ->
+            [| Value.Int i; Value.String (Printf.sprintf "r%02d" i) |])));
+  cat
+
+let plan_query =
+  Plan.join ~on:[ ("fcust", "cid") ]
+    (Plan.select Expr.(col "amount" > float 0.25) (Plan.scan "facts"))
+    (Plan.join ~on:[ ("creg", "rid") ] (Plan.scan "custs") (Plan.scan "regions"))
+
+let plan_stage ?pool ~domains ~rows ~seed () =
+  let cat = make_plan_catalog ~rows ~seed in
+  (* One untimed run first: as in a long-lived catalog, the scans then
+     read each table's cached column image. *)
+  ignore (Plan.execute ?pool cat plan_query);
+  let columnar, columnar_t =
+    settled (fun () -> Columnar.of_table (Plan.execute ?pool cat plan_query))
+  in
+  let rows_out, rows_t = settled (fun () -> Plan.execute_rows cat plan_query) in
+  let identical = tables_identical (Columnar.to_table columnar) rows_out in
+  let speedup = ratio rows_t.seconds columnar_t.seconds in
+  let alloc = ratio rows_t.alloc_bytes columnar_t.alloc_bytes in
+  Printf.printf "\n  3-way join plan over %d fact rows -> %d result rows\n\n" rows
+    (Table.cardinality rows_out);
+  Printf.printf "  %-28s %10.4f s  %14.3g bytes\n" "Plan.execute + of_table" columnar_t.seconds
+    columnar_t.alloc_bytes;
+  Printf.printf "  %-28s %10.4f s  %14.3g bytes\n" "Plan.execute_rows (Algebra)" rows_t.seconds
+    rows_t.alloc_bytes;
+  Printf.printf "\n  columnar plan vs row algebra: %.1fx throughput, %.1fx less allocation\n"
+    speedup alloc;
+  Printf.printf "  outputs bit-identical: %b\n" identical;
+  let path =
+    Mde_bench_emit.(
+      append ~file:"BENCH_relational.json" ~name:"relational-plan"
+        [
+          ("rows", Int rows);
+          ("seed", Int seed);
+          ("domains", Int domains);
+          ("result_rows", Int (Table.cardinality rows_out));
+          ("plan_columnar_s", Float columnar_t.seconds);
+          ("plan_rows_s", Float rows_t.seconds);
+          ("plan_columnar_alloc_bytes", Float columnar_t.alloc_bytes);
+          ("plan_rows_alloc_bytes", Float rows_t.alloc_bytes);
+          ("plan_speedup_vs_rows", Float speedup);
+          ("plan_alloc_reduction_vs_rows", Float alloc);
+          ("identical_output", Bool identical);
+        ])
+  in
+  Util.note "recorded in %s" path;
+  if not identical then begin
+    Util.note "FAIL: the columnar plan executor disagrees with row algebra";
+    exit 1
+  end;
+  if speedup < plan_floor then begin
+    Util.note "FAIL: columnar plan speedup %.1fx below the %.1fx floor" speedup plan_floor;
+    exit 1
+  end
+
 let run ?(domains = 1) ?(rows = 200_000) ?(seed = 42) () =
   Util.section "RELATIONAL"
     (Printf.sprintf "unified columnar substrate, %d rows (%d domains)" rows domains);
@@ -313,4 +403,5 @@ let run ?(domains = 1) ?(rows = 200_000) ?(seed = 42) () =
      inside a timed section. *)
   let pool = if domains > 1 then Some (Mde.Par.Pool.shared ~domains ()) else None in
   pipeline ?pool ~domains ~rows ~seed ();
-  keyed ?pool ~domains ~rows ~seed ()
+  keyed ?pool ~domains ~rows ~seed ();
+  plan_stage ?pool ~domains ~rows ~seed ()

@@ -18,20 +18,14 @@ let row_count t = t.n_rows
    so slot s = row i everywhere below. *)
 
 let of_table table =
-  let tschema = Table.schema table in
-  let rows = Table.rows table in
-  let n_rows = Array.length rows in
-  let cols =
-    Array.of_list
-      (List.mapi
-         (fun j (c : Schema.column) ->
-           Column.of_det_cells ~ty:c.ty ~rows:n_rows ~reps:1 (fun i -> rows.(i).(j)))
-         (Schema.columns tschema))
-  in
-  { tschema; n_rows; cols }
+  {
+    tschema = Table.schema table;
+    n_rows = Table.cardinality table;
+    cols = Table.columns table;
+  }
 
 let row t i = Array.map (fun c -> Column.value c i 0) t.cols
-let to_table t = Table.of_rows t.tschema (Array.init t.n_rows (fun i -> row t i))
+let to_table t = Table.of_columns t.tschema ~rows:t.n_rows t.cols
 let env t = Kernel.env_of_columns t.tschema ~reps:1 t.cols
 
 (* Row-chunked parallel fill over disjoint per-row slots: bit-identical

@@ -23,7 +23,18 @@
 type t
 
 val of_table : Table.t -> t
+(** The table's column image: O(1) when the table already has one (it
+    came from {!to_table}, or an earlier [of_table] built it), otherwise
+    one O(rows × columns) conversion that is stored on the table, so
+    later calls on the same table — a catalog scan in every query — are
+    O(1) and return physically the same columns. *)
+
 val to_table : t -> Table.t
+(** A column-backed table over the same columns: O(columns), builds no
+    rows ({!Table.rows} builds them on first read). Columns whose
+    storage does not match their declared type are scanned, raising
+    the same [Invalid_argument] that [Table.of_rows] would. *)
+
 val schema : t -> Schema.t
 val row_count : t -> int
 

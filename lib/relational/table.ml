@@ -1,58 +1,128 @@
 type row = Value.t array
-type t = { schema : Schema.t; rows : row array }
 
-let check_row schema row =
-  let cols = Array.of_list (Schema.columns schema) in
+(* Two images of one relation, at least one present from construction:
+   the boxed row array and the typed column array (deterministic,
+   reps=1). Each is filled in once, on first demand, and published with
+   a compare-and-set so concurrent readers on different domains all get
+   the first image built (a [Lazy] forced from two domains at once
+   raises). *)
+type t = {
+  schema : Schema.t;
+  n_rows : int;
+  rows : row array option Atomic.t;
+  cols : Column.t array option Atomic.t;
+}
+
+let check_cell (c : Schema.column) v =
+  match Value.type_of v with
+  | Some ty when ty <> c.ty ->
+    invalid_arg
+      (Printf.sprintf "Table: column %S expects %s, got %s" c.name (Value.type_name c.ty)
+         (Value.type_name ty))
+  | _ -> ()
+
+let check_row cols row =
   if Array.length row <> Array.length cols then
     invalid_arg
       (Printf.sprintf "Table: row arity %d, schema arity %d" (Array.length row)
          (Array.length cols));
-  Array.iteri
-    (fun i v ->
-      match Value.type_of v with
-      | None -> ()
-      | Some ty ->
-        if ty <> cols.(i).Schema.ty then
-          invalid_arg
-            (Printf.sprintf "Table: column %S expects %s, got %s" cols.(i).Schema.name
-               (Value.type_name cols.(i).Schema.ty)
-               (Value.type_name ty)))
-    row
+  Array.iteri (fun i v -> check_cell cols.(i) v) row
+
+let row_backed schema rows =
+  {
+    schema;
+    n_rows = Array.length rows;
+    rows = Atomic.make (Some rows);
+    cols = Atomic.make None;
+  }
 
 let of_rows schema rows =
-  Array.iter (check_row schema) rows;
-  { schema; rows }
+  let cols = Array.of_list (Schema.columns schema) in
+  Array.iter (check_row cols) rows;
+  row_backed schema rows
+
+(* Whether a column's storage alone guarantees every non-null cell has
+   the declared type; only the others need a per-cell scan. *)
+let storage_matches (c : Schema.column) col =
+  match (Column.view col, c.ty) with
+  | Column.Vfloat _, Value.Tfloat
+  | Column.Vint _, Value.Tint
+  | Column.Vbool _, Value.Tbool
+  | Column.Vstring _, Value.Tstring ->
+    true
+  | _ -> false
+
+let of_columns schema ~rows:n_rows cols =
+  let scols = Array.of_list (Schema.columns schema) in
+  if Array.length cols <> Array.length scols then
+    invalid_arg
+      (Printf.sprintf "Table.of_columns: %d columns, schema arity %d" (Array.length cols)
+         (Array.length scols));
+  (* Row-major over the suspect columns: the first bad cell is the one a
+     row-by-row check would report. *)
+  let suspect =
+    List.filter (fun j -> not (storage_matches scols.(j) cols.(j)))
+      (List.init (Array.length cols) Fun.id)
+  in
+  if suspect <> [] then
+    for i = 0 to n_rows - 1 do
+      List.iter (fun j -> check_cell scols.(j) (Column.value cols.(j) i 0)) suspect
+    done;
+  { schema; n_rows; rows = Atomic.make None; cols = Atomic.make (Some cols) }
 
 let create schema row_list = of_rows schema (Array.of_list row_list)
-let empty schema = { schema; rows = [||] }
+let empty schema = of_rows schema [||]
 let schema t = t.schema
-let rows t = t.rows
-let cardinality t = Array.length t.rows
-let get t i col = t.rows.(i).(Schema.column_index t.schema col)
+let cardinality t = t.n_rows
+
+(* First writer wins; a loser drops its copy and returns the winner's. *)
+let publish cell build =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+    let v = build () in
+    if Atomic.compare_and_set cell None (Some v) then v else Option.get (Atomic.get cell)
+
+let rows t =
+  publish t.rows (fun () ->
+      let cols = Option.get (Atomic.get t.cols) in
+      Array.init t.n_rows (fun i -> Array.map (fun c -> Column.value c i 0) cols))
+
+let columns t =
+  publish t.cols (fun () ->
+      let rows = Option.get (Atomic.get t.rows) in
+      Array.of_list
+        (List.mapi
+           (fun j (c : Schema.column) ->
+             Column.of_det_cells ~ty:c.ty ~rows:t.n_rows ~reps:1 (fun i -> rows.(i).(j)))
+           (Schema.columns t.schema)))
+
+let get t i col = (rows t).(i).(Schema.column_index t.schema col)
 
 let column t col =
   let idx = Schema.column_index t.schema col in
-  Array.map (fun row -> row.(idx)) t.rows
+  Array.map (fun row -> row.(idx)) (rows t)
 
 let column_floats t col =
   let idx = Schema.column_index t.schema col in
-  Array.map (fun row -> Value.to_float row.(idx)) t.rows
+  Array.map (fun row -> Value.to_float row.(idx)) (rows t)
 
-let iter f t = Array.iter f t.rows
+let iter f t = Array.iter f (rows t)
 
 let append a b =
   if not (Schema.equal a.schema b.schema) then
     invalid_arg "Table.append: schema mismatch";
-  { schema = a.schema; rows = Array.append a.rows b.rows }
+  row_backed a.schema (Array.append (rows a) (rows b))
 
 let pp ?(max_rows = 20) ppf t =
   let names = Schema.column_names t.schema in
   let shown = min max_rows (cardinality t) in
+  let rows = rows t in
   let cells =
     List.map
       (fun name ->
         let idx = Schema.column_index t.schema name in
-        let body = List.init shown (fun i -> Value.to_display t.rows.(i).(idx)) in
+        let body = List.init shown (fun i -> Value.to_display rows.(i).(idx)) in
         name :: body)
       names
   in

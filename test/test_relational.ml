@@ -1140,6 +1140,213 @@ let test_catalog () =
   Catalog.drop cat "people";
   Alcotest.(check bool) "dropped" true (Catalog.find_opt cat "people" = None)
 
+(* --- table images: row-backed and column-backed --- *)
+
+(* [Columnar.to_table] keeps the type check [Table.of_rows] made on the
+   rows it used to build, and raises at [to_table] time: the table it
+   returns has never built a row when the exception would fire. *)
+let test_to_table_validation () =
+  let schema = Schema.of_list [ ("a", Value.Tint); ("f", Value.Tfloat) ] in
+  let c =
+    Columnar.of_table
+      (Table.create schema
+         [
+           [| v_int 1; v_float 0.5 |]; [| v_int 2; Value.Null |]; [| v_int 3; v_float (-0.) |];
+         ])
+  in
+  let raises_at_to_table msg out =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Columnar.to_table out))
+  in
+  (* Kernel-compiled int arithmetic declared float: Ints storage. *)
+  raises_at_to_table "Table: column \"x\" expects float, got int"
+    (Columnar.extend [ ("x", Value.Tfloat, Expr.(col "a" + int 1)) ] c);
+  (* A mixed If the kernel declines: boxed Values storage. *)
+  raises_at_to_table "Table: column \"x\" expects float, got int"
+    (Columnar.extend
+       [ ("x", Value.Tfloat, Expr.(If (col "a" = int 1, col "f", int 0))) ] c);
+  (* Row-major order: row 0's bad "y" is reported before row 1's "x". *)
+  raises_at_to_table "Table: column \"y\" expects string, got int"
+    (Columnar.extend
+       [
+         ("x", Value.Tfloat, Expr.(If (col "a" = int 2, int 0, col "f")));
+         ("y", Value.Tstring, Expr.(If (col "a" = int 1, int 5, string "s")));
+       ]
+       c);
+  (* Mismatched storage with no offending cell passes, as rows would. *)
+  let empty = Columnar.select Expr.(col "a" > int 9) c in
+  let int_as_float = [ ("x", Value.Tfloat, Expr.(col "a" + int 1)) ] in
+  Alcotest.(check int) "no rows, no error" 0
+    (Table.cardinality (Columnar.to_table (Columnar.extend int_as_float empty)));
+  let nulls_as_string =
+    [ ("x", Value.Tstring, Expr.(If (col "a" = int 0, int 1, Lit Value.Null))) ]
+  in
+  Alcotest.(check int) "null cells only, no error" 3
+    (Table.cardinality (Columnar.to_table (Columnar.extend nulls_as_string c)))
+
+let image_schema =
+  Schema.of_list
+    [ ("f", Value.Tfloat); ("i", Value.Tint); ("s", Value.Tstring); ("b", Value.Tbool);
+      ("boxed", Value.Tint) ]
+
+(* One row per element: float (NaN payloads, -0., Null), int (extremes,
+   Null), string ("" and Null), bool (Null), and an int column held in
+   boxed [Values] storage. Zero rows included. *)
+let image_rows_gen =
+  QCheck.Gen.(
+    let null_or g = frequency [ (5, g); (1, return Value.Null) ] in
+    let vf =
+      null_or
+        (frequency
+           [ (5, map v_float (float_range (-3.) 3.)); (1, return (v_float (-0.)));
+             (1, return (v_float nan)); (1, return (v_float neg_nan)) ])
+    in
+    let vi =
+      null_or
+        (frequency
+           [ (5, map v_int (int_range (-9) 9)); (1, oneofl [ v_int min_int; v_int max_int ]) ])
+    in
+    let vs = null_or (map v_str (oneofl [ ""; "a"; "bb"; "a b" ])) in
+    let vb = null_or (map (fun b -> Value.Bool b) bool) in
+    let row = map (fun (f, i, s, b, x) -> [| f; i; s; b; x |]) (tup5 vf vi vs vb vi) in
+    map Array.of_list (list_size (int_range 0 25) row))
+
+(* The same cells as a column-backed table, boxed column included. *)
+let column_backed rows =
+  let n = Array.length rows in
+  let cols =
+    Array.of_list
+      (List.mapi
+         (fun j (c : Schema.column) ->
+           if c.name = "boxed" then
+             Column.of_values ~det:true ~reps:1 (Array.map (fun r -> r.(j)) rows)
+           else Column.of_det_cells ~ty:c.ty ~rows:n ~reps:1 (fun i -> rows.(i).(j)))
+         (Schema.columns image_schema))
+  in
+  (Table.of_columns image_schema ~rows:n cols, cols)
+
+let rows_identical a b =
+  Array.length a = Array.length b && Array.for_all2 (Array.for_all2 value_identical) a b
+
+let outcome f = try Ok (f ()) with Invalid_argument m -> Error m
+
+let prop_table_images_agree =
+  QCheck.Test.make ~name:"row-backed and column-backed tables read identically" ~count:150
+    (QCheck.make image_rows_gen) (fun rows ->
+      let n = Array.length rows in
+      let rt = Table.of_rows image_schema rows in
+      let ct, cols = column_backed rows in
+      let eager = Array.init n (fun i -> Array.map (fun c -> Column.value c i 0) cols) in
+      let names = Schema.column_names image_schema in
+      let floats_same a b =
+        match (a, b) with
+        | Ok a, Ok b ->
+          Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      let pp t = Format.asprintf "%a" (Table.pp ~max_rows:10) t in
+      Table.cardinality ct = n
+      && rows_identical eager rows
+      && rows_identical (Table.rows ct) eager
+      && rows_identical
+           (Table.rows
+              (Columnar.to_table (Columnar.of_table (Table.of_rows image_schema rows))))
+           rows
+      && List.for_all
+           (fun name ->
+             Array.for_all2 value_identical (Table.column rt name) (Table.column ct name)
+             && floats_same
+                  (outcome (fun () -> Table.column_floats rt name))
+                  (outcome (fun () -> Table.column_floats ct name))
+             && List.for_all
+                  (fun i -> value_identical (Table.get rt i name) (Table.get ct i name))
+                  (List.init n Fun.id))
+           names
+      && rows_identical (Table.rows (Table.append rt ct)) (Table.rows (Table.append ct rt))
+      && rows_identical (Table.rows (Table.append ct ct)) (Array.append rows rows)
+      && pp rt = pp ct)
+
+let test_columnar_shares_images () =
+  let c = Columnar.of_table people in
+  let cols = Table.columns people in
+  Alcotest.(check bool) "of_table (to_table c) shares c's columns" true
+    (Table.columns (Columnar.to_table (Columnar.of_table (Columnar.to_table c))) == cols);
+  let cat = star_catalog 3 in
+  let orders = Catalog.find cat "orders" in
+  let first = Table.columns (Columnar.to_table (Columnar.of_table orders)) in
+  ignore (Plan.execute cat star_query);
+  Alcotest.(check bool) "a second of_table on a catalog table reuses the image" true
+    (Table.columns (Columnar.to_table (Columnar.of_table orders)) == first);
+  Alcotest.(check bool) "Plan.execute scans the cached image" true
+    (Table.columns orders == first)
+
+let test_to_table_builds_no_rows () =
+  let rng = Mde_prob.Rng.create ~seed:5 () in
+  let t =
+    Table.create
+      (Schema.of_list
+         [ ("a", Value.Tint); ("b", Value.Tfloat); ("c", Value.Tstring); ("d", Value.Tbool);
+           ("e", Value.Tfloat) ])
+      (List.init 10_000 (fun i ->
+           [| v_int i; v_float (Mde_prob.Rng.float rng); v_str (string_of_int (i mod 7));
+              Value.Bool (i mod 3 = 0);
+              (if i mod 11 = 0 then Value.Null else v_float (float_of_int i)) |]))
+  in
+  let result = Columnar.select Expr.(col "b" >= float 0.) (Columnar.of_table t) in
+  let w0 = Gc.minor_words () in
+  let back = Columnar.of_table (Columnar.to_table result) in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all rows kept" 10_000 (Columnar.row_count back);
+  Alcotest.(check bool) (Printf.sprintf "to_table + of_table: %.0f minor words < 1000" words)
+    true (words < 1000.)
+
+(* Many domains reading one fresh table at once: every reader gets the
+   single published image, whichever domain built it. *)
+let test_table_images_domain_safe () =
+  let rows =
+    Array.init 3000 (fun i ->
+        [| v_float (float_of_int i /. 7.); v_int (i mod 13); v_str (string_of_int (i mod 5));
+           Value.Bool (i mod 2 = 0); (if i mod 17 = 0 then Value.Null else v_int i) |])
+  in
+  let fresh_tables () =
+    [
+      ("row-backed", Table.of_rows image_schema rows);
+      ("column-backed", fst (column_backed rows));
+    ]
+  in
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      for _ = 1 to 5 do
+        List.iter
+          (fun (label, t) ->
+            let chunks = 16 in
+            let seen_rows = Array.make chunks [||] and seen_cols = Array.make chunks [||] in
+            Mde_par.Pool.parallel_iter pool ~site:"test.table_images" ~chunk:1 chunks (fun k ->
+                if k mod 2 = 0 then begin
+                  seen_rows.(k) <- Table.rows t;
+                  seen_cols.(k) <- Table.columns (Columnar.to_table (Columnar.of_table t))
+                end
+                else begin
+                  seen_cols.(k) <- Table.columns (Columnar.to_table (Columnar.of_table t));
+                  seen_rows.(k) <- Table.rows t
+                end);
+            let published_rows = Table.rows t and published_cols = Table.columns t in
+            Alcotest.(check bool) (label ^ ": contents equal") true
+              (rows_identical published_rows rows);
+            Array.iteri
+              (fun k r ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: chunk %d rows published" label k)
+                  true (r == published_rows);
+                Alcotest.(check bool) (Printf.sprintf "%s: chunk %d columns published" label k)
+                  true
+                  (seen_cols.(k) == published_cols))
+              seen_rows;
+            Alcotest.(check bool) (label ^ ": later of_table returns the image") true
+              (Table.columns (Columnar.to_table (Columnar.of_table t)) == published_cols))
+          (fresh_tables ())
+      done)
+
 (* --- QCheck properties --- *)
 
 let random_table_gen =
@@ -1279,6 +1486,10 @@ let () =
           Alcotest.test_case "empty global aggregate" `Quick test_columnar_empty_global;
           Alcotest.test_case "negative limit raises" `Quick test_limit_negative;
           Alcotest.test_case "pooled == sequential" `Quick test_columnar_pooled_identity;
+          Alcotest.test_case "to_table validates eagerly" `Quick test_to_table_validation;
+          Alcotest.test_case "images shared" `Quick test_columnar_shares_images;
+          Alcotest.test_case "to_table builds no rows" `Quick test_to_table_builds_no_rows;
+          Alcotest.test_case "images domain-safe" `Quick test_table_images_domain_safe;
         ] );
       ( "keycode",
         [
@@ -1322,5 +1533,6 @@ let () =
           [ prop_select_conjunction; prop_join_count; prop_distinct_idempotent;
             prop_expr_total; prop_optimize_preserves_semantics;
             prop_columnar_matches_algebra; prop_columnar_join_mixed_keys;
-            prop_packed_matches_boxed; prop_plan_execute_bit_identity ] );
+            prop_packed_matches_boxed; prop_plan_execute_bit_identity;
+            prop_table_images_agree ] );
     ]
