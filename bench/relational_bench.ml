@@ -52,6 +52,13 @@ let settled f =
   let _, b = Util.timed f in
   (out, Util.min_timing a b)
 
+(* Every timed columnar closure ends in [forced]: operator outputs are
+   views whose columns are gathered on first read, while the row
+   [Algebra] baselines build every output cell inside their timers. *)
+let forced c =
+  Array.iter (fun col -> ignore (Column.view col)) (Table.columns (Columnar.to_table c));
+  c
+
 let value_identical a b =
   match (a, b) with
   | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
@@ -109,9 +116,13 @@ let run_rows table =
   (grouped, { select_t; extend_t; group_t })
 
 let run_columnar ?pool c =
-  let selected, select_t = settled (fun () -> Columnar.select ?pool pred c) in
-  let extended, extend_t = settled (fun () -> Columnar.extend ?pool defs selected) in
-  let grouped, group_t = settled (fun () -> Columnar.group_by ~keys ~aggs extended) in
+  let selected, select_t = settled (fun () -> forced (Columnar.select ?pool pred c)) in
+  let extended, extend_t =
+    settled (fun () -> forced (Columnar.extend ?pool defs selected))
+  in
+  let grouped, group_t =
+    settled (fun () -> forced (Columnar.group_by ~keys ~aggs extended))
+  in
   (Columnar.to_table grouped, { select_t; extend_t; group_t })
 
 let total p = p.select_t.seconds +. p.extend_t.seconds +. p.group_t.seconds
@@ -230,13 +241,13 @@ let keyed ?pool ~domains ~rows ~seed () =
   let fact = Columnar.of_table fact_t and dim = Columnar.of_table dim_t in
   let keys_only = Columnar.of_table keys_t in
   let measure ~name ~floor ?pooled packed_f rows_f =
-    let packed_out, packed_t = settled packed_f in
+    let packed_out, packed_t = settled (fun () -> forced (packed_f ())) in
     let packed_out = Columnar.to_table packed_out in
     let rows_out, rows_t = settled rows_f in
     let pooled_t, pooled_ok =
       match (pool, pooled) with
       | Some p, Some f ->
-        let out, t = settled (fun () -> f p) in
+        let out, t = settled (fun () -> forced (f p)) in
         (Some t, tables_identical (Columnar.to_table out) packed_out)
       | _ -> (None, true)
     in
@@ -354,7 +365,7 @@ let plan_stage ?pool ~domains ~rows ~seed () =
      read each table's cached column image. *)
   ignore (Plan.execute ?pool cat plan_query);
   let columnar, columnar_t =
-    settled (fun () -> Columnar.of_table (Plan.execute ?pool cat plan_query))
+    settled (fun () -> forced (Columnar.of_table (Plan.execute ?pool cat plan_query)))
   in
   let rows_out, rows_t = settled (fun () -> Plan.execute_rows cat plan_query) in
   let identical = tables_identical (Columnar.to_table columnar) rows_out in

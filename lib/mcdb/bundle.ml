@@ -237,9 +237,7 @@ let join ~on left right =
   let n_out = Array.length pairs in
   let li = Array.map fst pairs and ri = Array.map snd pairs in
   let columns =
-    Array.append
-      (Array.map (fun c -> Column.gather c li) left.columns)
-      (Array.map (fun c -> Column.gather c ri) right.columns)
+    Array.append (Column.gather left.columns li) (Column.gather right.columns ri)
   in
   let presence = Bitset.create ~rows:n_out ~reps:left.n_reps false in
   Array.iteri

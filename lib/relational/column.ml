@@ -84,17 +84,28 @@ type data =
   | Strings of { codes : int array; dict : string array }
   | Values of Value.t array
 
-type t = {
-  cdet : bool;
-  crows : int;
-  creps : int;
+type storage = {
   data : data;
   nulls : Bitset.t option;  (** geometry rows × (det ? 1 : reps); None = no nulls *)
 }
 
+(* A column's cells are either built, or a view: row [k] is row
+   [idx.(k)] of a built [base], gathered on first read. Gathering a view
+   composes its index onto the same base, so [base] is never itself a
+   view. The forced storage replaces the view in one compare-and-set, so
+   the base is dropped and concurrent readers on different domains all
+   get the first storage published (a [Lazy] forced from two domains at
+   once raises). *)
+type state = Built of storage | View of { base : storage; idx : int array }
+
+type t = { cdet : bool; crows : int; creps : int; state : state Atomic.t }
+
 let det t = t.cdet
 let rows t = t.crows
 let reps t = t.creps
+
+let built ~det ~rows ~reps data nulls =
+  { cdet = det; crows = rows; creps = reps; state = Atomic.make (Built { data; nulls }) }
 
 (* --- construction ------------------------------------------------- *)
 
@@ -194,7 +205,7 @@ let build ~ty ~det ~rows ~reps get =
       | Value.Tstring -> fill_strings ~det ~rows ~reps get
     with Untyped -> fill_values ~det ~rows ~reps get
   in
-  { cdet = det; crows = rows; creps = reps; data; nulls }
+  built ~det ~rows ~reps data nulls
 
 let of_cells ~ty ~rows ~reps get =
   if reps < 1 then invalid_arg "Column.of_cells: reps must be >= 1";
@@ -266,66 +277,36 @@ let of_det_cells ?pool ~ty ~rows ~reps get =
       with Untyped ->
         (Values (Mde_par.Pool.parallel_init p ~site:"column.fill" rows get), None)
     in
-    { cdet = true; crows = rows; creps = reps; data; nulls }
+    built ~det:true ~rows ~reps data nulls
 
 let infer_rows ~det ~reps n = if det then n else n / reps
 
 let of_floats ~det ~reps ?nulls data =
   let rows = infer_rows ~det ~reps (Array1.dim data) in
-  { cdet = det; crows = rows; creps = reps; data = Floats data; nulls }
+  built ~det ~rows ~reps (Floats data) nulls
 
 let of_ints ~det ~reps ?nulls data =
   let rows = infer_rows ~det ~reps (Array.length data) in
-  { cdet = det; crows = rows; creps = reps; data = Ints data; nulls }
+  built ~det ~rows ~reps (Ints data) nulls
 
 let of_bools ~det ~reps ?nulls data =
   let rows = infer_rows ~det ~reps (Array.length data) in
-  { cdet = det; crows = rows; creps = reps; data = Bools data; nulls }
+  built ~det ~rows ~reps (Bools data) nulls
 
 let of_codes ~det ~reps ~dict codes =
   let rows = infer_rows ~det ~reps (Array.length codes) in
-  { cdet = det; crows = rows; creps = reps; data = Strings { codes; dict }; nulls = None }
+  built ~det ~rows ~reps (Strings { codes; dict }) None
 
 let of_values ~det ~reps data =
   let rows = infer_rows ~det ~reps (Array.length data) in
-  { cdet = det; crows = rows; creps = reps; data = Values data; nulls = None }
+  built ~det ~rows ~reps (Values data) None
 
-(* --- access ------------------------------------------------------- *)
+(* --- views ---------------------------------------------------------- *)
 
-type view =
-  | Vfloat of { vdet : bool; data : floats; nulls : Bitset.t option }
-  | Vint of { vdet : bool; data : int array; nulls : Bitset.t option }
-  | Vbool of { vdet : bool; data : int array; nulls : Bitset.t option }
-  | Vstring of { vdet : bool; codes : int array; dict : string array }
-  | Vvalues of { vdet : bool; data : Value.t array }
-
-let view t =
-  match t.data with
-  | Floats data -> Vfloat { vdet = t.cdet; data; nulls = t.nulls }
-  | Ints data -> Vint { vdet = t.cdet; data; nulls = t.nulls }
-  | Bools data -> Vbool { vdet = t.cdet; data; nulls = t.nulls }
-  | Strings { codes; dict } -> Vstring { vdet = t.cdet; codes; dict }
-  | Values data -> Vvalues { vdet = t.cdet; data }
-
-let is_null t i r =
-  match t.nulls with
-  | None -> false
-  | Some m -> Bitset.get m i (if t.cdet then 0 else r)
-
-let value t i r =
-  let s = if t.cdet then i else (i * t.creps) + r in
-  match t.data with
-  | Floats a -> if is_null t i r then Value.Null else Value.Float (Array1.get a s)
-  | Ints a -> if is_null t i r then Value.Null else Value.Int a.(s)
-  | Bools a -> if is_null t i r then Value.Null else Value.Bool (a.(s) <> 0)
-  | Strings { codes; dict } ->
-    let c = codes.(s) in
-    if c < 0 then Value.Null else Value.String dict.(c)
-  | Values a -> a.(s)
-
-let gather t idx =
+(* Rows [idx] of [base], [block] slots per row: the eager gather a view
+   runs once, when it is first read. *)
+let gather_storage ~block base idx =
   let out_rows = Array.length idx in
-  let block = if t.cdet then 1 else t.creps in
   let gather_int src =
     let dst = Array.make (out_rows * block) 0 in
     if block = 1 then
@@ -334,7 +315,7 @@ let gather t idx =
     dst
   in
   let data =
-    match t.data with
+    match base.data with
     | Floats a ->
       let dst = Array1.create Bigarray.float64 Bigarray.c_layout (out_rows * block) in
       (* Element loops, not Array1.sub + blit: sub allocates a bigarray
@@ -358,5 +339,89 @@ let gather t idx =
       Array.iteri (fun k i -> Array.blit a (i * block) dst (k * block) block) idx;
       Values dst
   in
-  let nulls = Option.map (fun m -> Bitset.gather_rows m idx) t.nulls in
-  { cdet = t.cdet; crows = out_rows; creps = t.creps; data; nulls }
+  { data; nulls = Option.map (fun m -> Bitset.gather_rows m idx) base.nulls }
+
+(* The column's storage, forcing a view: the first storage published
+   wins, and a domain that loses the race drops its copy. *)
+let rec storage t =
+  match Atomic.get t.state with
+  | Built s -> s
+  | View { base; idx } as seen -> (
+    let s = gather_storage ~block:(if t.cdet then 1 else t.creps) base idx in
+    (* A failed compare-and-set means another domain published: a state
+       only ever moves from view to built, so the retry reads it. *)
+    if Atomic.compare_and_set t.state seen (Built s) then s else storage t)
+
+let materialized t = match Atomic.get t.state with Built _ -> true | View _ -> false
+
+let storage_ty t =
+  let base = match Atomic.get t.state with Built s -> s | View { base; _ } -> base in
+  match base.data with
+  | Floats _ -> Some Value.Tfloat
+  | Ints _ -> Some Value.Tint
+  | Bools _ -> Some Value.Tbool
+  | Strings _ -> Some Value.Tstring
+  | Values _ -> None
+
+let gather cols idx =
+  (* The columns of one operator's input usually share one index vector
+     (every view a select or a join emitted), so each distinct source
+     vector is composed once per call, not once per column. *)
+  let composed = ref [] in
+  let compose src =
+    match List.assq_opt src !composed with
+    | Some c -> c
+    | None ->
+      let c = Array.map (fun i -> src.(i)) idx in
+      composed := (src, c) :: !composed;
+      c
+  in
+  Array.map
+    (fun c ->
+      let base, idx =
+        match Atomic.get c.state with
+        | Built s -> (s, idx)
+        | View { base; idx = src } -> (base, compose src)
+      in
+      {
+        cdet = c.cdet;
+        crows = Array.length idx;
+        creps = c.creps;
+        state = Atomic.make (View { base; idx });
+      })
+    cols
+
+(* --- access ------------------------------------------------------- *)
+
+type view =
+  | Vfloat of { vdet : bool; data : floats; nulls : Bitset.t option }
+  | Vint of { vdet : bool; data : int array; nulls : Bitset.t option }
+  | Vbool of { vdet : bool; data : int array; nulls : Bitset.t option }
+  | Vstring of { vdet : bool; codes : int array; dict : string array }
+  | Vvalues of { vdet : bool; data : Value.t array }
+
+let view t =
+  let { data; nulls } = storage t in
+  match data with
+  | Floats data -> Vfloat { vdet = t.cdet; data; nulls }
+  | Ints data -> Vint { vdet = t.cdet; data; nulls }
+  | Bools data -> Vbool { vdet = t.cdet; data; nulls }
+  | Strings { codes; dict } -> Vstring { vdet = t.cdet; codes; dict }
+  | Values data -> Vvalues { vdet = t.cdet; data }
+
+let is_null t nulls i r =
+  match nulls with
+  | None -> false
+  | Some m -> Bitset.get m i (if t.cdet then 0 else r)
+
+let value t i r =
+  let { data; nulls } = storage t in
+  let s = if t.cdet then i else (i * t.creps) + r in
+  match data with
+  | Floats a -> if is_null t nulls i r then Value.Null else Value.Float (Array1.get a s)
+  | Ints a -> if is_null t nulls i r then Value.Null else Value.Int a.(s)
+  | Bools a -> if is_null t nulls i r then Value.Null else Value.Bool (a.(s) <> 0)
+  | Strings { codes; dict } ->
+    let c = codes.(s) in
+    if c < 0 then Value.Null else Value.String dict.(c)
+  | Values a -> a.(s)

@@ -103,10 +103,35 @@ type view =
   | Vvalues of { vdet : bool; data : Value.t array }
 
 val view : t -> view
+(** The column's storage, forcing a view. *)
 
 val value : t -> int -> int -> Value.t
-(** Boxed read of cell [(i, r)]; deterministic columns ignore [r]. *)
+(** Boxed read of cell [(i, r)]; deterministic columns ignore [r].
+    Forces a view. *)
 
-val gather : t -> int array -> t
-(** New column whose row [k] is row [idx.(k)] — the join's output
-    construction. Dictionaries are shared, not copied. *)
+val gather : t array -> int array -> t array
+(** [gather cols idx] is, for each column, a {e view} whose row [k] is
+    row [idx.(k)] — how select, join, sort and limit build their
+    outputs. A view costs O(1) per column: nothing is copied until the
+    view's storage is first read ({!view} or {!value}), which gathers
+    its rows (a dictionary is shared, not copied) and publishes them by
+    compare-and-set, so domains forcing one view at once all get the
+    first storage published. {!det}, {!rows}, {!reps} and
+    {!storage_ty} never force.
+
+    Gathering a view composes the index vectors, so a view's base is
+    always a built column, never an intermediate view: a chain of
+    gathers copies each column once, from that base, when it is first
+    read, and never copies a column no one reads. Each distinct source
+    index vector among [cols] is composed once per call, in
+    O([Array.length idx]). A view keeps its base column alive until it
+    is forced, and then drops it. *)
+
+val materialized : t -> bool
+(** Whether the column's storage is built: [false] for a view not yet
+    read. Never forces. *)
+
+val storage_ty : t -> Value.ty option
+(** The type every non-null cell of the typed storage has, or [None]
+    for boxed [Values] storage. Never forces: a view reports its
+    base's storage. *)

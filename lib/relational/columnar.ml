@@ -28,16 +28,48 @@ let row t i = Array.map (fun c -> Column.value c i 0) t.cols
 let to_table t = Table.of_columns t.tschema ~rows:t.n_rows t.cols
 let env t = Kernel.env_of_columns t.tschema ~reps:1 t.cols
 
-(* Row-chunked parallel fill over disjoint per-row slots: bit-identical
-   to the sequential loop (same argument as [Kernel.materialize]). *)
-let fill_rows ?pool ~site n f = Mde_par.Pool.iter ?pool ~site n f
-
+(* Every output column is a view over its input ([Column.gather]):
+   nothing is copied until something reads the column. *)
 let gather t idx =
-  {
-    tschema = t.tschema;
-    n_rows = Array.length idx;
-    cols = Array.map (fun c -> Column.gather c idx) t.cols;
-  }
+  { tschema = t.tschema; n_rows = Array.length idx; cols = Column.gather t.cols idx }
+
+(* A growable unboxed int buffer: select's survivors, distinct's keepers. *)
+type ibuf = { mutable ib : int array; mutable ilen : int }
+
+let ibuf_create () = { ib = Array.make 64 0; ilen = 0 }
+
+let ibuf_push b v =
+  if b.ilen = Array.length b.ib then begin
+    let bigger = Array.make (2 * b.ilen) 0 in
+    Array.blit b.ib 0 bigger 0 b.ilen;
+    b.ib <- bigger
+  end;
+  b.ib.(b.ilen) <- v;
+  b.ilen <- b.ilen + 1
+
+let ibuf_concat bufs =
+  let out = Array.make (Array.fold_left (fun n b -> n + b.ilen) 0 bufs) 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun b ->
+      Array.blit b.ib 0 out !k b.ilen;
+      k := !k + b.ilen)
+    bufs;
+  out
+
+(* Deterministic row chunks of [0, n): one without a pool, [domains × 8]
+   contiguous ones run over it, each as [f c lo hi]. Whatever each chunk
+   writes to its own slot, read back in chunk order, is the sequential
+   output whatever the chunk count. *)
+let n_chunks ?pool n =
+  match pool with None -> 1 | Some p -> min (max 1 n) (Mde_par.Pool.domains p * 8)
+
+let iter_chunks ?pool ~site ~chunks n f =
+  let per = (n + chunks - 1) / chunks in
+  let run c = f c (c * per) (min n ((c + 1) * per)) in
+  match pool with
+  | None -> run 0
+  | Some p -> Mde_par.Pool.parallel_iter p ~site ~chunk:1 chunks run
 
 let select ?pool pred t =
   let test =
@@ -45,19 +77,16 @@ let select ?pool pred t =
     | Some p -> fun i -> p i 0
     | None -> fun i -> Expr.eval_bool t.tschema (row t i) pred
   in
-  let flags = Array.make t.n_rows false in
-  fill_rows ?pool ~site:"columnar.select" t.n_rows (fun i -> flags.(i) <- test i);
-  let n_keep = Array.fold_left (fun n b -> if b then n + 1 else n) 0 flags in
-  let idx = Array.make n_keep 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if b then begin
-        idx.(!k) <- i;
-        incr k
-      end)
-    flags;
-  gather t idx
+  (* One pass: each chunk pushes its survivors, in row order, into its
+     own buffer. *)
+  let chunks = n_chunks ?pool t.n_rows in
+  let bufs = Array.init chunks (fun _ -> ibuf_create ()) in
+  iter_chunks ?pool ~site:"columnar.select" ~chunks t.n_rows (fun c lo hi ->
+      let buf = bufs.(c) in
+      for i = lo to hi - 1 do
+        if test i then ibuf_push buf i
+      done);
+  gather t (ibuf_concat bufs)
 
 let project names t =
   let idxs = List.map (Schema.column_index t.tschema) names in
@@ -87,20 +116,6 @@ let extend ?pool defs t =
     cols = Array.append t.cols (Array.of_list (List.map build defs));
   }
 
-(* A growable unboxed int buffer: the join's per-chunk match lists. *)
-type ibuf = { mutable ib : int array; mutable ilen : int }
-
-let ibuf_create () = { ib = Array.make 64 0; ilen = 0 }
-
-let ibuf_push b v =
-  if b.ilen = Array.length b.ib then begin
-    let bigger = Array.make (2 * b.ilen) 0 in
-    Array.blit b.ib 0 bigger 0 b.ilen;
-    b.ib <- bigger
-  end;
-  b.ib.(b.ilen) <- v;
-  b.ilen <- b.ilen + 1
-
 let no_nulls = function
   | None -> fun _ -> false
   | Some (flags : bool array) -> fun i -> flags.(i)
@@ -113,10 +128,7 @@ let equi_join ?pool ~on l r =
     {
       tschema = out_schema;
       n_rows = Array.length li;
-      cols =
-        Array.append
-          (Array.map (fun c -> Column.gather c li) l.cols)
-          (Array.map (fun c -> Column.gather c ri) r.cols);
+      cols = Array.append (Column.gather l.cols li) (Column.gather r.cols ri);
     }
   in
   (* Build right, probe left in row order, emit matches in build order —
@@ -137,70 +149,64 @@ let equi_join ?pool ~on l r =
     let tbl = Keycode.tbl_create ~hint:r.n_rows bcoded.keys in
     let head = ref (Array.make (max 16 (r.n_rows / 4)) (-1)) in
     let tail = ref (Array.make (Array.length !head) (-1)) in
+    let len = ref (Array.make (Array.length !head) 0) in
     let next = Array.make r.n_rows (-1) in
     for j = 0 to r.n_rows - 1 do
       if not (bnull j) then begin
         let id = Keycode.tbl_add tbl j in
         if id >= Array.length !head then begin
-          let grow a =
-            let bigger = Array.make (2 * Array.length a) (-1) in
+          let grow fill a =
+            let bigger = Array.make (2 * Array.length a) fill in
             Array.blit a 0 bigger 0 (Array.length a);
             bigger
           in
-          head := grow !head;
-          tail := grow !tail
+          head := grow (-1) !head;
+          tail := grow (-1) !tail;
+          len := grow 0 !len
         end;
         if !head.(id) < 0 then !head.(id) <- j else next.(!tail.(id)) <- j;
-        !tail.(id) <- j
+        !tail.(id) <- j;
+        !len.(id) <- !len.(id) + 1
       end
     done;
-    let head = !head in
-    let probe_into buf lo hi =
-      for i = lo to hi - 1 do
-        if not (pnull i) then begin
-          let id = Keycode.tbl_find tbl pcoded.keys i in
+    let head = !head and len = !len in
+    (* Two passes over the same chunks: the first finds each probe row's
+       key id and counts its chunk's matches, the second writes the
+       pairs at the chunk's offset. Output pairs cost exactly their two
+       index words, and chunk order is row order whatever the chunking. *)
+    let chunks = n_chunks ?pool l.n_rows in
+    let found = Array.make l.n_rows (-1) in
+    let starts = Array.make (chunks + 1) 0 in
+    iter_chunks ?pool ~site:"columnar.join.probe" ~chunks l.n_rows (fun c lo hi ->
+        let m = ref 0 in
+        for i = lo to hi - 1 do
+          if not (pnull i) then begin
+            let id = Keycode.tbl_find tbl pcoded.keys i in
+            if id >= 0 then begin
+              found.(i) <- id;
+              m := !m + len.(id)
+            end
+          end
+        done;
+        starts.(c + 1) <- !m);
+    for c = 1 to chunks do
+      starts.(c) <- starts.(c - 1) + starts.(c)
+    done;
+    let li = Array.make starts.(chunks) 0 and ri = Array.make starts.(chunks) 0 in
+    iter_chunks ?pool ~site:"columnar.join.emit" ~chunks l.n_rows (fun c lo hi ->
+        let k = ref starts.(c) in
+        for i = lo to hi - 1 do
+          let id = found.(i) in
           if id >= 0 then begin
             let j = ref head.(id) in
             while !j >= 0 do
-              ibuf_push buf i;
-              ibuf_push buf !j;
+              li.(!k) <- i;
+              ri.(!k) <- !j;
+              incr k;
               j := next.(!j)
             done
           end
-        end
-      done
-    in
-    let bufs =
-      match pool with
-      | None ->
-        let buf = ibuf_create () in
-        probe_into buf 0 l.n_rows;
-        [| buf |]
-      | Some p ->
-        (* Deterministic chunk descriptors, one private buffer each:
-           every row's matches land in its own chunk's buffer, and the
-           in-order concatenation below restores exactly the sequential
-           emission order whatever the chunk count. *)
-        let n_chunks = min (max 1 l.n_rows) (Mde_par.Pool.domains p * 8) in
-        let per = (l.n_rows + n_chunks - 1) / n_chunks in
-        let bufs = Array.init n_chunks (fun _ -> ibuf_create ()) in
-        Mde_par.Pool.parallel_iter p ~site:"columnar.join.probe" ~chunk:1 n_chunks
-          (fun c -> probe_into bufs.(c) (c * per) (min l.n_rows ((c + 1) * per)));
-        bufs
-    in
-    let n_pairs = Array.fold_left (fun n b -> n + (b.ilen / 2)) 0 bufs in
-    let li = Array.make n_pairs 0 and ri = Array.make n_pairs 0 in
-    let k = ref 0 in
-    Array.iter
-      (fun b ->
-        let p = ref 0 in
-        while !p < b.ilen do
-          li.(!k) <- b.ib.(!p);
-          ri.(!k) <- b.ib.(!p + 1);
-          incr k;
-          p := !p + 2
-        done)
-      bufs;
+        done);
     emit li ri
   | None ->
     let key_of t idxs i = List.map (fun j -> Column.value t.cols.(j) i 0) idxs in
@@ -429,7 +435,7 @@ let group_by ?pool ~keys ~aggs t =
     let n_groups = !n_groups in
     let accs_store = !accs_store in
     let rep_idx = Array.sub !rep_store 0 n_groups in
-    let key_out = Array.map (fun c -> Column.gather c rep_idx) key_cols in
+    let key_out = Column.gather key_cols rep_idx in
     let agg_out =
       Array.of_list
         (List.mapi

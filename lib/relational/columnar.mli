@@ -12,6 +12,14 @@
     the key columns encode, and take a boxed [Value.Tbl] / comparator
     path when {!Keycode} refuses.
 
+    Operator outputs are views: [select], [equi_join], [order_by],
+    [distinct], [limit] and [group_by]'s key columns build each output
+    column with {!Column.gather}, which copies nothing until the column
+    is first read. A chain of operators then gathers each column once,
+    straight from its scan column, and never gathers a column that
+    nothing downstream reads. Compiling an expression forces only the
+    columns it references ({!Kernel.env_of_columns}).
+
     The contract, property-tested in [test/test_relational.ml]: every
     operator returns exactly what its {!Algebra} twin returns on the
     same input — same rows in the same order with bit-identical floats
@@ -39,9 +47,10 @@ val schema : t -> Schema.t
 val row_count : t -> int
 
 val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
-(** σ, preserving row order. With [?pool] the predicate is evaluated
-    row-chunked in parallel (bit-identical: each row's flag is
-    independent). *)
+(** σ, preserving row order, in one pass that collects the surviving
+    row indices. With [?pool] the predicate is evaluated row-chunked in
+    parallel, each chunk collecting its own survivors; concatenated in
+    chunk order they are the sequential selection. *)
 
 val project : string list -> t -> t
 (** π onto existing columns — O(1) per column, nothing is copied. *)
@@ -57,9 +66,11 @@ val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
     one unboxed {!Keycode} word (or packed bytes) per row through an
     open-addressing table with build-order match chains; otherwise
     (an empty key, [Vvalues] storage, inexact ints joined to floats) the
-    boxed [Value.Tbl] path runs. With [?pool] the key encoding and the probe are row-chunked
-    in parallel — per-chunk match buffers concatenate in row order, so
-    the output is bit-identical whatever the chunking. *)
+    boxed [Value.Tbl] path runs. The packed probe counts each chunk's
+    matches, then writes the index pairs at the chunk's offset, so the
+    pairs cost two words each. With [?pool] the key encoding and both
+    probe passes are row-chunked in parallel — chunk order is row
+    order, so the output is bit-identical whatever the chunking. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->

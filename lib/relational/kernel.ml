@@ -37,7 +37,12 @@ let node_value n i r =
 
 (* --- environments -------------------------------------------------- *)
 
-type env = { nodes : (string, node option) Hashtbl.t }
+(* A name is bound to its column until an expression first references
+   it; the column's node (which forces a view) is then built and kept.
+   Compilation runs on the calling domain, so the table needs no lock. *)
+type binding = Base of Column.t | Compiled of node option
+
+type env = { reps : int; nodes : (string, binding) Hashtbl.t }
 
 let null_getter ~vdet nulls =
   match nulls with
@@ -81,14 +86,23 @@ let node_of_column ~reps col =
 let env_of_columns schema ~reps columns =
   let nodes = Hashtbl.create (Array.length columns * 2) in
   List.iteri
-    (fun j name -> Hashtbl.replace nodes name (node_of_column ~reps columns.(j)))
+    (fun j name -> Hashtbl.replace nodes name (Base columns.(j)))
     (Schema.column_names schema);
-  { nodes }
+  { reps; nodes }
 
 let env_extend env defs =
   let nodes = Hashtbl.copy env.nodes in
-  List.iter (fun (name, node) -> Hashtbl.replace nodes name (Some node)) defs;
-  { nodes }
+  List.iter (fun (name, node) -> Hashtbl.replace nodes name (Compiled (Some node))) defs;
+  { env with nodes }
+
+let lookup env name =
+  match Hashtbl.find_opt env.nodes name with
+  | None -> None
+  | Some (Compiled n) -> n
+  | Some (Base col) ->
+    let n = node_of_column ~reps:env.reps col in
+    Hashtbl.replace env.nodes name (Compiled n);
+    n
 
 (* --- compilation --------------------------------------------------- *)
 
@@ -150,7 +164,7 @@ let bool_cmp = function
 
 let rec compile env expr =
   match (expr : Expr.t) with
-  | Expr.Col name -> Option.join (Hashtbl.find_opt env.nodes name)
+  | Expr.Col name -> lookup env name
   | Expr.Lit (Value.Int i) ->
     Some (Nint { geti = (fun _ _ -> i); inull = no_null; iunc = false })
   | Expr.Lit (Value.Float f) ->

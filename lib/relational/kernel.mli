@@ -25,7 +25,11 @@
 
 type env
 (** Named compiled columns: the base bundle columns plus any computed
-    nodes a fused plan has introduced. *)
+    nodes a fused plan has introduced. A base column's node is built
+    when an expression first references it, so a column no compiled
+    expression reads is never forced ({!Column.gather} views stay
+    unread). Environments are not domain-safe: compile on one domain,
+    then share the compiled nodes. *)
 
 type node
 (** A compiled expression. *)

@@ -42,15 +42,9 @@ let of_rows schema rows =
   row_backed schema rows
 
 (* Whether a column's storage alone guarantees every non-null cell has
-   the declared type; only the others need a per-cell scan. *)
-let storage_matches (c : Schema.column) col =
-  match (Column.view col, c.ty) with
-  | Column.Vfloat _, Value.Tfloat
-  | Column.Vint _, Value.Tint
-  | Column.Vbool _, Value.Tbool
-  | Column.Vstring _, Value.Tstring ->
-    true
-  | _ -> false
+   the declared type; only the others need a per-cell scan. Reading the
+   storage kind forces no view. *)
+let storage_matches (c : Schema.column) col = Column.storage_ty col = Some c.ty
 
 let of_columns schema ~rows:n_rows cols =
   let scols = Array.of_list (Schema.columns schema) in

@@ -29,10 +29,11 @@ val of_rows : Schema.t -> row array -> t
 val of_columns : Schema.t -> rows:int -> Column.t array -> t
 (** A column-backed table of [rows] rows over deterministic columns in
     schema order, in O(columns) time when every column's typed storage
-    matches its declared type. Columns whose storage does not (boxed
-    [Values] storage, or another kind) are scanned row by row, raising
-    the same [Invalid_argument] that {!of_rows} would raise on the
-    equivalent rows. *)
+    matches its declared type ({!Column.storage_ty}, which forces no
+    view). Columns whose storage does not (boxed [Values] storage, or
+    another kind) are scanned row by row, raising the same
+    [Invalid_argument] that {!of_rows} would raise on the equivalent
+    rows. *)
 
 val empty : Schema.t -> t
 val schema : t -> Schema.t

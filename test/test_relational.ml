@@ -1347,6 +1347,267 @@ let test_table_images_domain_safe () =
           (fresh_tables ())
       done)
 
+(* --- late materialization: gathered columns are views --- *)
+
+(* One column of every storage kind: typed floats (NaN payloads, -0.),
+   ints, bools and strings with nulls, boxed [Values], each deterministic
+   or uncertain over [reps] repetitions as Bundle lays them out. *)
+type view_col = { kind : int; vreps : int; vrows : int; cells : Value.t array }
+
+let view_col_gen =
+  QCheck.Gen.(
+    let null_or g = frequency [ (4, g); (1, return Value.Null) ] in
+    let cell = function
+      | 0 ->
+        null_or
+          (frequency
+             [ (4, map v_float (float_range (-3.) 3.)); (1, return (v_float (-0.)));
+               (1, return (v_float nan)); (1, return (v_float neg_nan)) ])
+      | 1 -> null_or (map v_int (int_range (-4) 4))
+      | 2 -> null_or (map (fun b -> Value.Bool b) bool)
+      | 3 -> null_or (map v_str (oneofl [ ""; "a"; "bb" ]))
+      | _ ->
+        null_or
+          (oneof [ map v_int (int_range 0 3); map v_str (oneofl [ "x"; "y" ]);
+                   return (v_float nan) ])
+    in
+    int_range 0 4 >>= fun kind ->
+    oneofl [ 1; 3 ] >>= fun vreps ->
+    int_range 0 12 >>= fun vrows ->
+    map (fun cells -> { kind; vreps; vrows; cells = Array.of_list cells })
+      (list_repeat (vrows * vreps) (cell kind)))
+
+(* Det kinds read slot [i * reps]; an uncertain column reads every slot. *)
+let build_view_col ~uncertain v =
+  let ty = [| Value.Tfloat; Value.Tint; Value.Tbool; Value.Tstring; Value.Tint |] in
+  let reps = v.vreps in
+  if v.kind = 4 then
+    if uncertain then Column.of_values ~det:false ~reps v.cells
+    else Column.of_values ~det:true ~reps (Array.init v.vrows (fun i -> v.cells.(i * reps)))
+  else if uncertain then
+    Column.of_cells ~ty:ty.(v.kind) ~rows:v.vrows ~reps (fun i r -> v.cells.((i * reps) + r))
+  else Column.of_det_cells ~ty:ty.(v.kind) ~rows:v.vrows ~reps (fun i -> v.cells.(i * reps))
+
+(* A chain step: random indices (repeats, possibly empty) or a full
+   permutation of the current rows, drawn from a seed. *)
+let chain_step ~rows (perm, seed, len) =
+  let st = Random.State.make [| seed |] in
+  if perm then begin
+    let a = Array.init rows Fun.id in
+    for i = rows - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  end
+  else if rows = 0 then [||]
+  else Array.init len (fun _ -> Random.State.int st rows)
+
+let bitset_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    Column.Bitset.rows a = Column.Bitset.rows b
+    && Column.Bitset.reps a = Column.Bitset.reps b
+    && List.for_all
+         (fun i ->
+           List.for_all
+             (fun r -> Column.Bitset.get a i r = Column.Bitset.get b i r)
+             (List.init (Column.Bitset.reps a) Fun.id))
+         (List.init (Column.Bitset.rows a) Fun.id)
+  | _ -> false
+
+let views_identical a b =
+  match (Column.view a, Column.view b) with
+  | Column.Vfloat x, Column.Vfloat y ->
+    x.vdet = y.vdet
+    && Bigarray.Array1.dim x.data = Bigarray.Array1.dim y.data
+    && List.for_all
+         (fun s ->
+           Int64.bits_of_float (Bigarray.Array1.get x.data s)
+           = Int64.bits_of_float (Bigarray.Array1.get y.data s))
+         (List.init (Bigarray.Array1.dim x.data) Fun.id)
+    && bitset_equal x.nulls y.nulls
+  | Column.Vint x, Column.Vint y ->
+    x.vdet = y.vdet && x.data = y.data && bitset_equal x.nulls y.nulls
+  | Column.Vbool x, Column.Vbool y ->
+    x.vdet = y.vdet && x.data = y.data && bitset_equal x.nulls y.nulls
+  | Column.Vstring x, Column.Vstring y -> x.vdet = y.vdet && x.codes = y.codes && x.dict == y.dict
+  | Column.Vvalues x, Column.Vvalues y ->
+    x.vdet = y.vdet
+    && Array.length x.data = Array.length y.data
+    && Array.for_all2 value_identical x.data y.data
+  | _ -> false
+
+let prop_view_chains =
+  QCheck.Test.make ~name:"composed gather views == step-by-step eager gathers" ~count:300
+    QCheck.(
+      triple (make view_col_gen) bool
+        (list_of_size Gen.(int_range 1 4) (triple bool small_nat (int_range 0 15))))
+    (fun (v, uncertain, steps) ->
+      let base = build_view_col ~uncertain v in
+      (* [composed] never forces until the end; [eager] forces every step;
+         [chain] maps an output row back to its base row. *)
+      let composed, eager, chain, fresh =
+        List.fold_left
+          (fun (composed, eager, chain, fresh) step ->
+            let idx = chain_step ~rows:(Column.rows composed) step in
+            let composed = (Column.gather [| composed |] idx).(0) in
+            let eager = (Column.gather [| eager |] idx).(0) in
+            ignore (Column.view eager);
+            (composed, eager, Array.map (fun k -> chain.(k)) idx,
+             fresh && not (Column.materialized composed)))
+          (base, base, Array.init (Column.rows base) Fun.id, true)
+          steps
+      in
+      let reps = Column.reps base in
+      fresh
+      && Column.rows composed = Array.length chain
+      && Column.det composed = Column.det base
+      && Column.reps composed = reps
+      && Column.storage_ty composed = Column.storage_ty base
+      && List.for_all
+           (fun k ->
+             List.for_all
+               (fun r ->
+                 let cell = Column.value composed k r in
+                 value_identical cell (Column.value base chain.(k) r)
+                 && value_identical cell (Column.value eager k r))
+               (List.init reps Fun.id))
+           (List.init (Array.length chain) Fun.id)
+      && views_identical composed eager
+      && Column.materialized composed)
+
+(* The allocation gate: a 10k-row join over ten int columns a side,
+   fanned out 10x, then one output column read. Only the read column is
+   gathered; eager gathering would copy all twenty (20 words a row). *)
+let int_table ~rows ~keys name =
+  Table.of_columns
+    (Schema.of_list (List.init 10 (fun j -> (Printf.sprintf "%s%d" name j, Value.Tint))))
+    ~rows
+    (Array.init 10 (fun j ->
+         Column.of_ints ~det:true ~reps:1
+           (Array.init rows (fun i -> if j = 0 then i mod keys else (i * 31) + j))))
+
+let test_join_allocates_read_columns_only () =
+  let l = Columnar.of_table (int_table ~rows:10_000 ~keys:1_000 "l") in
+  let r = Columnar.of_table (int_table ~rows:10_000 ~keys:1_000 "r") in
+  let read () =
+    let out = Columnar.equi_join ~on:[ ("l0", "r0") ] l r in
+    let col = (Table.columns (Columnar.to_table out)).(13) in
+    (match Column.view col with Column.Vint { data; _ } -> ignore data.(0) | _ -> ());
+    Columnar.row_count out
+  in
+  ignore (read ());
+  let a0 = Gc.allocated_bytes () in
+  let n = read () in
+  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check int) "10 matches per probe row" 100_000 n;
+  Alcotest.(check bool)
+    (Printf.sprintf "join + one column read: %.2f words per output row < 5" (words /. float n))
+    true
+    (words < 5. *. float n)
+
+(* A wide plan: a select above a join, then a group_by reading 2 of the
+   plan's 12 output columns. The other 10 stay unforced views through
+   Plan.execute's [to_table], of_table and group_by — [a] included: the
+   select forces the join's [a], and emits a fresh view of it. *)
+let test_plan_leaves_unread_columns_unforced () =
+  let cat = Catalog.create () in
+  Catalog.register cat "fact"
+    (Table.create
+       (Schema.of_list
+          (List.map (fun n -> (n, Value.Tint)) [ "k"; "g"; "b"; "c"; "d"; "e"; "f" ]
+          @ [ ("a", Value.Tfloat) ]))
+       (List.init 2000 (fun i ->
+            Array.append
+              (Array.init 7 (fun j -> v_int (if j = 0 then i mod 100 else (i * j) mod 7)))
+              [| v_float (float_of_int (i mod 13) /. 13.) |])));
+  Catalog.register cat "dim"
+    (Table.create
+       (Schema.of_list
+          [ ("dk", Value.Tint); ("name", Value.Tstring); ("x", Value.Tfloat); ("y", Value.Tint) ])
+       (List.init 100 (fun i ->
+            [| v_int i; v_str (Printf.sprintf "n%d" i); v_float (float_of_int i); v_int i |])));
+  let plan =
+    Plan.select Expr.(col "a" > float 0.5)
+      (Plan.join ~on:[ ("k", "dk") ] (Plan.scan "fact") (Plan.scan "dim"))
+  in
+  let aggs = [ ("sx", Algebra.Sum (Expr.col "x")) ] in
+  let joined = Plan.execute cat plan in
+  let grouped = Columnar.group_by ~keys:[ "g" ] ~aggs (Columnar.of_table joined) in
+  let read = [ "g"; "x" ] in
+  List.iteri
+    (fun j name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s" name (if List.mem name read then "forced" else "unforced"))
+        (List.mem name read)
+        (Column.materialized (Table.columns joined).(j)))
+    (Schema.column_names (Table.schema joined));
+  Alcotest.(check bool) "group_by == Algebra" true
+    (tables_identical (Columnar.to_table grouped)
+       (Algebra.group_by ~keys:[ "g" ] ~aggs (Plan.execute_rows cat plan)))
+
+(* Two domains forcing one fresh view at once, and gathering from it,
+   from every chunk of a batch: all readers get the single published
+   storage. A spin (bounded, so one domain alone cannot hang) lines the
+   first chunks up so both domains race to force. *)
+let test_views_domain_safe () =
+  let n = 100_000 in
+  let nulls = Column.Bitset.create ~rows:n ~reps:1 false in
+  for i = 0 to n - 1 do
+    if i mod 7 = 0 then Column.Bitset.set nulls i 0
+  done;
+  let base =
+    Column.of_floats ~det:true ~reps:1 ~nulls
+      (Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n (fun i ->
+           float_of_int i /. 3.))
+  in
+  let rev = Array.init n (fun k -> n - 1 - k) in
+  let expect k = Column.value base (n - 1 - k) 0 in
+  let data_of c =
+    match Column.view c with Column.Vfloat { data; _ } -> data | _ -> assert false
+  in
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      for trial = 1 to 10 do
+        let v = (Column.gather [| base |] rev).(0) in
+        let chunks = 16 in
+        let arrived = Atomic.make 0 in
+        let seen = Array.make chunks None and cells_ok = Array.make chunks false in
+        Mde_par.Pool.parallel_iter pool ~site:"test.views" ~chunk:1 chunks (fun c ->
+            Atomic.incr arrived;
+            let deadline = Sys.time () +. 0.05 in
+            while Atomic.get arrived < 2 && Sys.time () < deadline do
+              Domain.cpu_relax ()
+            done;
+            let probe = [| 0; c; n / 2; n - 1 |] in
+            if c mod 2 = 0 then begin
+              seen.(c) <- Some (data_of v);
+              cells_ok.(c) <-
+                Array.for_all (fun k -> value_identical (Column.value v k 0) (expect k)) probe
+            end
+            else begin
+              let g = (Column.gather [| v |] probe).(0) in
+              cells_ok.(c) <-
+                Array.for_all
+                  (fun p -> value_identical (Column.value g p 0) (expect probe.(p)))
+                  [| 0; 1; 2; 3 |];
+              seen.(c) <- Some (data_of v)
+            end);
+        let published = data_of v in
+        Array.iteri
+          (fun c s ->
+            Alcotest.(check bool) (Printf.sprintf "trial %d chunk %d cells" trial c) true
+              cells_ok.(c);
+            Alcotest.(check bool)
+              (Printf.sprintf "trial %d chunk %d read the published storage" trial c)
+              true
+              (match s with Some d -> d == published | None -> false))
+          seen
+      done)
+
 (* --- QCheck properties --- *)
 
 let random_table_gen =
@@ -1490,6 +1751,11 @@ let () =
           Alcotest.test_case "images shared" `Quick test_columnar_shares_images;
           Alcotest.test_case "to_table builds no rows" `Quick test_to_table_builds_no_rows;
           Alcotest.test_case "images domain-safe" `Quick test_table_images_domain_safe;
+          Alcotest.test_case "join allocates read columns only" `Quick
+            test_join_allocates_read_columns_only;
+          Alcotest.test_case "plan leaves unread columns unforced" `Quick
+            test_plan_leaves_unread_columns_unforced;
+          Alcotest.test_case "views domain-safe" `Quick test_views_domain_safe;
         ] );
       ( "keycode",
         [
@@ -1534,5 +1800,5 @@ let () =
             prop_expr_total; prop_optimize_preserves_semantics;
             prop_columnar_matches_algebra; prop_columnar_join_mixed_keys;
             prop_packed_matches_boxed; prop_plan_execute_bit_identity;
-            prop_table_images_agree ] );
+            prop_table_images_agree; prop_view_chains ] );
     ]
