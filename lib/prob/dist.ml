@@ -10,16 +10,35 @@ type t =
 
 let sqrt_two_pi = sqrt (2. *. Float.pi)
 
-let standard_normal rng =
-  (* Marsaglia polar method; no discarded state since we use one of the pair
-     per call at most twice per acceptance loop on average. *)
-  let rec draw () =
-    let u = Rng.float_range rng (-1.) 1. in
-    let v = Rng.float_range rng (-1.) 1. in
-    let s = (u *. u) +. (v *. v) in
-    if s >= 1. || s = 0. then draw () else u *. sqrt (-2. *. log s /. s)
-  in
-  draw ()
+(* Marsaglia polar method: draw points in the square until one falls
+   inside the unit disc (excluding the origin), then return
+   [mean + std * z] for the standard normal z. A top-level loop, so a
+   draw builds no closure; scaling inside it returns the sample in one
+   box. *)
+let rec normal rng mean std =
+  let u = Rng.float_range rng (-1.) 1. in
+  let v = Rng.float_range rng (-1.) 1. in
+  let s = (u *. u) +. (v *. v) in
+  if s >= 1. || s = 0. then normal rng mean std
+  else mean +. (std *. (u *. sqrt (-2. *. log s /. s)))
+
+(* [0 + 1 * z] is exactly [z]: the polar method never yields [-0.]. *)
+let standard_normal rng = normal rng 0. 1.
+
+(* Marsaglia-Tsang rejection for shape >= 1, with d = shape - 1/3 and
+   c = 1 / sqrt (9 d). *)
+let rec marsaglia_tsang rng d c =
+  let x = standard_normal rng in
+  let v = 1. +. (c *. x) in
+  if v <= 0. then marsaglia_tsang rng d c
+  else begin
+    let v = v *. v *. v in
+    let u = Rng.float_pos rng in
+    let x2 = x *. x in
+    if u < 1. -. (0.0331 *. x2 *. x2) then d *. v
+    else if log u < (0.5 *. x2) +. (d *. (1. -. v +. log v)) then d *. v
+    else marsaglia_tsang rng d c
+  end
 
 (* Marsaglia-Tsang for shape >= 1; boost via U^(1/shape) below 1. *)
 let rec gamma_sample rng shape scale =
@@ -28,28 +47,14 @@ let rec gamma_sample rng shape scale =
     gamma_sample rng (shape +. 1.) scale *. (u ** (1. /. shape))
   else begin
     let d = shape -. (1. /. 3.) in
-    let c = 1. /. sqrt (9. *. d) in
-    let rec draw () =
-      let x = standard_normal rng in
-      let v = 1. +. (c *. x) in
-      if v <= 0. then draw ()
-      else begin
-        let v = v *. v *. v in
-        let u = Rng.float_pos rng in
-        let x2 = x *. x in
-        if u < 1. -. (0.0331 *. x2 *. x2) then d *. v
-        else if log u < (0.5 *. x2) +. (d *. (1. -. v +. log v)) then d *. v
-        else draw ()
-      end
-    in
-    scale *. draw ()
+    scale *. marsaglia_tsang rng d (1. /. sqrt (9. *. d))
   end
 
 let sample d rng =
   match d with
   | Uniform (lo, hi) -> Rng.float_range rng lo hi
-  | Normal { mean; std } -> mean +. (std *. standard_normal rng)
-  | Lognormal { mu; sigma } -> exp (mu +. (sigma *. standard_normal rng))
+  | Normal { mean; std } -> normal rng mean std
+  | Lognormal { mu; sigma } -> exp (normal rng mu sigma)
   | Exponential { rate } -> -.log (Rng.float_pos rng) /. rate
   | Gamma { shape; scale } -> gamma_sample rng shape scale
   | Beta { alpha; beta } ->

@@ -92,6 +92,484 @@ let test_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* --- Golden stream ---
+
+   The exact outputs of the generator and of the samplers, pinned as bits
+   (floats through [Int64.bits_of_float]). Every other determinism test
+   compares two paths of the same binary, so only this one notices a
+   drifted step function, seeding, split or sampler rejection order. The
+   vector was generated once from the reference implementation and must
+   never be regenerated to make a run pass: a mismatch means the stream
+   changed. *)
+
+let golden_seeds =
+  [ ("default", None); ("0", Some 0); ("1", Some 1); ("-7", Some (-7));
+    ("max_int", Some max_int) ]
+
+let golden_trace seed =
+  let rng =
+    match seed with None -> Rng.create () | Some seed -> Rng.create ~seed ()
+  in
+  let out = ref [] in
+  let bits label v = out := (label, v) :: !out in
+  let float label x = bits label (Int64.bits_of_float x) in
+  let int label k = bits label (Int64.of_int k) in
+  let bool label b = int label (Bool.to_int b) in
+  let repeat n f = for _ = 1 to n do f () done in
+  repeat 4 (fun () -> bits "bits64" (Rng.bits64 rng));
+  repeat 3 (fun () -> float "float" (Rng.float rng));
+  repeat 2 (fun () -> float "float_pos" (Rng.float_pos rng));
+  repeat 2 (fun () -> float "float_range" (Rng.float_range rng (-3.) 5.));
+  repeat 2 (fun () -> int "int 8" (Rng.int rng 8));
+  int "int 1" (Rng.int rng 1);
+  repeat 2 (fun () -> int "int 7" (Rng.int rng 7));
+  int "int 1000003" (Rng.int rng 1000003);
+  repeat 2 (fun () -> int "int max_int" (Rng.int rng max_int));
+  repeat 4 (fun () -> bool "bool" (Rng.bool rng));
+  repeat 3 (fun () -> bool "bernoulli 0.3" (Rng.bernoulli rng 0.3));
+  let c = Rng.copy rng in
+  repeat 2 (fun () -> bits "copy bits64" (Rng.bits64 c));
+  float "copy float_pos" (Rng.float_pos c);
+  let s = Rng.split rng in
+  repeat 2 (fun () -> bits "split bits64" (Rng.bits64 s));
+  float "split float" (Rng.float s);
+  bits "after split bits64" (Rng.bits64 rng);
+  let kids = Rng.split_n rng 3 in
+  float "split_n child0 float" (Rng.float kids.(0));
+  int "split_n child1 int 10" (Rng.int kids.(1) 10);
+  bool "split_n child2 bool" (Rng.bool kids.(2));
+  Array.iter (int "permutation 10") (Rng.permutation rng 10);
+  let sample label d n =
+    repeat n (fun () -> float label (Dist.sample d rng))
+  in
+  sample "normal" (Dist.Normal { mean = 1.; std = 2. }) 3;
+  sample "lognormal" (Dist.Lognormal { mu = 0.; sigma = 0.5 }) 2;
+  sample "gamma 0.7" (Dist.Gamma { shape = 0.7; scale = 2. }) 2;
+  sample "gamma 3" (Dist.Gamma { shape = 3.; scale = 1.5 }) 2;
+  sample "beta" (Dist.Beta { alpha = 2.; beta = 0.5 }) 2;
+  let discrete label d n =
+    repeat n (fun () -> int label (Dist.sample_discrete d rng))
+  in
+  discrete "poisson 4" (Dist.Poisson 4.) 2;
+  discrete "poisson 50" (Dist.Poisson 50.) 2;
+  discrete "categorical" (Dist.Categorical [| 1.; 2.; 3.; 4. |]) 2;
+  bits "tail bits64" (Rng.bits64 rng);
+  List.rev !out
+
+let golden =
+  [
+    ( "default",
+      [|
+        0x6a2b70a8e09724edL;
+        0x9249f9d3ac6dec67L;
+        0x50d86f30a1661f90L;
+        0xac5ecbad12934a8bL;
+        0x3fe7fa621117596fL;
+        0x3fb26c34392b8738L;
+        0x3fe6b08909907320L;
+        0x3f57ea8e39430e00L;
+        0x3fe151528df12c5aL;
+        0x400c7030db5bb1a2L;
+        0x4002ad69622266f0L;
+        0x0000000000000002L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000006L;
+        0x0000000000000002L;
+        0x0000000000011981L;
+        0x254b1086d1601e3dL;
+        0x15a1c687a3d5af0eL;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0f750c986cf0823eL;
+        0xae5eea321b24db6dL;
+        0x3fc2458c47a2bed4L;
+        0x8703cfbe2eb085a3L;
+        0x4bf7a6ae6c720a53L;
+        0x3fbc83e437bc61c0L;
+        0xae5eea321b24db6dL;
+        0x3feb155fb483d36eL;
+        0x0000000000000005L;
+        0x0000000000000001L;
+        0x0000000000000005L;
+        0x0000000000000003L;
+        0x0000000000000002L;
+        0x0000000000000008L;
+        0x0000000000000006L;
+        0x0000000000000000L;
+        0x0000000000000007L;
+        0x0000000000000001L;
+        0x0000000000000004L;
+        0x0000000000000009L;
+        0x4009e5b83d98e13bL;
+        0x4006242c5f38a484L;
+        0x400b8a33f2477202L;
+        0x3fee91e9e2d37564L;
+        0x3ff8b74e7e7a0384L;
+        0x401c3dacae0b91a1L;
+        0x3fe060979d3dccc5L;
+        0x4032ced01c692b5bL;
+        0x400d88d6053d66b0L;
+        0x3feb30d89b31263aL;
+        0x3fe0d8471124623eL;
+        0x0000000000000003L;
+        0x0000000000000003L;
+        0x0000000000000025L;
+        0x000000000000002eL;
+        0x0000000000000003L;
+        0x0000000000000003L;
+        0x66dc00fd43159904L;
+      |] );
+    ( "0",
+      [|
+        0xb7bd9587c4150d11L;
+        0x8f7cb3a60f64dfacL;
+        0x853abe00b135b441L;
+        0xff201a48294f358cL;
+        0x3fe9a50060baa671L;
+        0x3fbcc38fa1b04dd0L;
+        0x3feb61b10d4235a9L;
+        0x3fcb18b223e5ec0cL;
+        0x3fc9df2151b4f16cL;
+        0xbff70ca84cd4e604L;
+        0xc0036524aa0c9bfcL;
+        0x0000000000000006L;
+        0x0000000000000002L;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000025cf2L;
+        0x3c707c4d6feafb18L;
+        0x1ba733cb49e500bbL;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0xd81cb113d60800d9L;
+        0xb66554a6c4782e9fL;
+        0x3fbedff6ccc2e488L;
+        0xe143bb847593a6b4L;
+        0x5955c826034a3c6fL;
+        0x3fc1f59a218d6280L;
+        0xb66554a6c4782e9fL;
+        0x3fe609c55f03f64fL;
+        0x0000000000000005L;
+        0x0000000000000001L;
+        0x0000000000000009L;
+        0x0000000000000004L;
+        0x0000000000000001L;
+        0x0000000000000003L;
+        0x0000000000000007L;
+        0x0000000000000008L;
+        0x0000000000000005L;
+        0x0000000000000000L;
+        0x0000000000000006L;
+        0x0000000000000002L;
+        0xc01725e5422c3d13L;
+        0xbfc0539875176508L;
+        0x40112d7cc91eb2f1L;
+        0x3fe2f9faae110276L;
+        0x3ffb05633d0289d4L;
+        0x40062a6375b98b67L;
+        0x3ff49dd1edb32a76L;
+        0x401146494ca19b36L;
+        0x3ff51d827494a132L;
+        0x3feea15eda664cafL;
+        0x3fefc113fdb57db1L;
+        0x0000000000000005L;
+        0x0000000000000004L;
+        0x000000000000002fL;
+        0x000000000000002bL;
+        0x0000000000000003L;
+        0x0000000000000000L;
+        0x8c72510edc217029L;
+      |] );
+    ( "1",
+      [|
+        0xe4875e1694641278L;
+        0x4e36f2cc3e017d0eL;
+        0x873c62ef777f6912L;
+        0x7b4c7da5ac910ceaL;
+        0x3fef0a4439eaa434L;
+        0x3fb81ece8d6ae778L;
+        0x3fe58f74e284b42fL;
+        0x3fd2b7f6c1c87110L;
+        0x3fb434510bedf860L;
+        0xc00172ef9819b73aL;
+        0x3fe399ea28c43ca0L;
+        0x0000000000000001L;
+        0x0000000000000002L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000006L;
+        0x00000000000b94d0L;
+        0x393d41632eaa950fL;
+        0x1135a4337a98e357L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x5df31c12fd3ede14L;
+        0x51f9d1f7bc09ec23L;
+        0x3f9587097b3ee6e0L;
+        0xfade6c296d7f078bL;
+        0x69d3c679d1e95dd8L;
+        0x3fe05dac849d1c4dL;
+        0x51f9d1f7bc09ec23L;
+        0x3fc7b2d2a55befdcL;
+        0x0000000000000004L;
+        0x0000000000000000L;
+        0x0000000000000002L;
+        0x0000000000000005L;
+        0x0000000000000009L;
+        0x0000000000000006L;
+        0x0000000000000007L;
+        0x0000000000000001L;
+        0x0000000000000003L;
+        0x0000000000000004L;
+        0x0000000000000000L;
+        0x0000000000000008L;
+        0x3ff1fe9d807be41dL;
+        0xbfca02e755b0f3c0L;
+        0x3fec16f130d8e857L;
+        0x3fea204142d82406L;
+        0x3ff1591a59b38ac1L;
+        0x3fe76f95caba18b2L;
+        0x3fce7a89bc6f8d3dL;
+        0x4017907fb42f1cd9L;
+        0x4009866120b39792L;
+        0x3fe688e1a564b29bL;
+        0x3fe864e8f6e8992eL;
+        0x0000000000000001L;
+        0x0000000000000003L;
+        0x0000000000000032L;
+        0x0000000000000035L;
+        0x0000000000000000L;
+        0x0000000000000002L;
+        0x40e76df2d766c496L;
+      |] );
+    ( "-7",
+      [|
+        0xcee39b128be06ce1L;
+        0xdcf3b4be9b87d0d7L;
+        0x7ebafe93d3c268efL;
+        0x10f9a5093ea31cc5L;
+        0x3fee69bf6ff6f0aeL;
+        0x3f7e15e362a44700L;
+        0x3fe347c76ef36033L;
+        0x3febb41367291931L;
+        0x3fe852feecf4a604L;
+        0x40079920bcf9136cL;
+        0x4013099b391e8958L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000004L;
+        0x0000000000000006L;
+        0x000000000005d4c6L;
+        0x213bd1aafc5a4016L;
+        0x07b668de227716d3L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0xc3c10c74e0b7251fL;
+        0x7569b090e5438ec9L;
+        0x3fc426f17c9c4cc4L;
+        0xf4fbe6a91bdf066dL;
+        0xc1b031627a011346L;
+        0x3fe5c98bda8bd83bL;
+        0x7569b090e5438ec9L;
+        0x3fad96688df71e80L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000002L;
+        0x0000000000000005L;
+        0x0000000000000008L;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000003L;
+        0x0000000000000004L;
+        0x0000000000000007L;
+        0x0000000000000009L;
+        0x0000000000000006L;
+        0x40011baca3ba13a2L;
+        0x400e5baf0e790e85L;
+        0x3ffd273505dc229cL;
+        0x3ff4215c9fcd1778L;
+        0x3fecf0684d6555ccL;
+        0x3ff403385b2bfe73L;
+        0x3fccb49d3c1cee47L;
+        0x4009fe0cce6dc804L;
+        0x40001bb2b31a987aL;
+        0x3fe4b9d7fceec90bL;
+        0x3fe4dcb4af571f94L;
+        0x0000000000000001L;
+        0x0000000000000002L;
+        0x0000000000000037L;
+        0x0000000000000030L;
+        0x0000000000000003L;
+        0x0000000000000002L;
+        0xfd34c88c671a503dL;
+      |] );
+    ( "max_int",
+      [|
+        0xde6f51727bbfd13cL;
+        0x88945e93f8a4420eL;
+        0x868e162b37babebaL;
+        0x2567c10eebaba018L;
+        0x3fe53382e79c9014L;
+        0x3fd80eeaba92d7a8L;
+        0x3f8c4465522961c0L;
+        0x3fddd0450577d0e4L;
+        0x3fef5f6c2d0560d0L;
+        0xbfed4bb9b23a2130L;
+        0xbffec9f3bb21f1b4L;
+        0x0000000000000007L;
+        0x0000000000000004L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000003L;
+        0x000000000006f6b6L;
+        0x12c50d9cab221fa6L;
+        0x33c2d92967a9eb6eL;
+        0x0000000000000000L;
+        0x0000000000000001L;
+        0x0000000000000001L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x3f4d9ad35a9e854fL;
+        0x6cfa2be7be9f2344L;
+        0x3f951bacf88e6ac0L;
+        0x4a28705421a2fd68L;
+        0x3ed74dcc90ed20f7L;
+        0x3fbe8c3f1c879028L;
+        0x6cfa2be7be9f2344L;
+        0x3fc7dfa242065f04L;
+        0x0000000000000000L;
+        0x0000000000000000L;
+        0x0000000000000005L;
+        0x0000000000000004L;
+        0x0000000000000009L;
+        0x0000000000000006L;
+        0x0000000000000001L;
+        0x0000000000000002L;
+        0x0000000000000008L;
+        0x0000000000000007L;
+        0x0000000000000003L;
+        0x0000000000000000L;
+        0x3feb0894eab18bfaL;
+        0x3ff59ff779f95234L;
+        0xc00064e4b431f639L;
+        0x3fe3977b59a69ce5L;
+        0x3fff886ffb9fed2aL;
+        0x3fd92a761e574451L;
+        0x3fb068f38ec08006L;
+        0x3fec9c1161db04bbL;
+        0x4000f8f22e0d445cL;
+        0x3fef3763a867de0aL;
+        0x3feff4823896693cL;
+        0x0000000000000005L;
+        0x0000000000000003L;
+        0x000000000000002cL;
+        0x0000000000000028L;
+        0x0000000000000001L;
+        0x0000000000000003L;
+        0xadba37bb4127bff0L;
+      |] );
+  ]
+
+let test_golden_stream () =
+  List.iter
+    (fun (name, expected) ->
+      let seed = List.assoc name golden_seeds in
+      let trace = Array.of_list (golden_trace seed) in
+      Alcotest.(check int) (name ^ " trace length") (Array.length expected)
+        (Array.length trace);
+      Array.iteri
+        (fun i (label, v) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "seed %s, #%d %s" name i label)
+            expected.(i) v)
+        trace)
+    golden
+
+(* Validation must raise [Invalid_argument] in every build profile, never
+   an [Assert_failure] that [-noassert] compiles away. *)
+let raises_invalid f =
+  try
+    f ();
+    false
+  with
+  | Invalid_argument _ -> true
+  | _ -> false
+
+let test_rng_validation () =
+  let rng = Rng.create () in
+  List.iter
+    (fun (name, f) -> Alcotest.(check bool) name true (raises_invalid f))
+    [
+      ("int 0", fun () -> ignore (Rng.int rng 0));
+      ("int -3", fun () -> ignore (Rng.int rng (-3)));
+      ("int min_int", fun () -> ignore (Rng.int rng min_int));
+      ("float_range lo = hi", fun () -> ignore (Rng.float_range rng 1. 1.));
+      ("float_range lo > hi", fun () -> ignore (Rng.float_range rng 2. 1.));
+      ("float_range nan lo", fun () -> ignore (Rng.float_range rng nan 1.));
+      ("float_range nan hi", fun () -> ignore (Rng.float_range rng 0. nan));
+      ("bernoulli -0.1", fun () -> ignore (Rng.bernoulli rng (-0.1)));
+      ("bernoulli 1.5", fun () -> ignore (Rng.bernoulli rng 1.5));
+      ("bernoulli nan", fun () -> ignore (Rng.bernoulli rng nan));
+      ("split_n -1", fun () -> ignore (Rng.split_n rng (-1)));
+    ];
+  (* The boundaries themselves are valid. *)
+  Alcotest.(check int) "int 1" 0 (Rng.int rng 1);
+  Alcotest.(check bool) "bernoulli 0" false (Rng.bernoulli rng 0.);
+  Alcotest.(check bool) "bernoulli 1" true (Rng.bernoulli rng 1.);
+  Alcotest.(check int) "split_n 0" 0 (Array.length (Rng.split_n rng 0))
+
+(* --- Allocation ---
+
+   A draw allocates nothing beyond its boxed return value: the state lives
+   in an unboxed buffer and the samplers build no closures. Measured as
+   minor words per call over 100k calls. *)
+let minor_words_per_call f =
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_draw_allocation () =
+  let rng = Rng.create ~seed:5 () in
+  let normal = Dist.Normal { mean = 1.; std = 2. } in
+  let check name bound f =
+    let words = minor_words_per_call f in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words/call <= %g" name words bound)
+      true (words <= bound)
+  in
+  check "Rng.bits64" 4. (fun () -> Rng.bits64 rng);
+  check "Rng.float" 4. (fun () -> Rng.float rng);
+  check "Dist.sample Normal" 8. (fun () -> Dist.sample normal rng);
+  check "Rng.split" 10. (fun () -> Rng.split rng)
+
 (* --- Special functions --- *)
 
 let test_erf_known () =
@@ -407,6 +885,11 @@ let () =
           Alcotest.test_case "int chi-square" `Quick test_rng_int_chi_square;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "permutation" `Quick test_permutation;
+          Alcotest.test_case "golden stream" `Quick test_golden_stream;
+          Alcotest.test_case "validation raises Invalid_argument" `Quick
+            test_rng_validation;
+          Alcotest.test_case "draws allocate only their result" `Quick
+            test_draw_allocation;
         ] );
       ( "special",
         [
