@@ -164,10 +164,12 @@ let run ?(rows = 2000) ?(reps = 200) ?(seed = 42) () =
         ("cells", Int cells);
         ("seed", Int seed);
         ("naive_build_s", Float naive_build.seconds);
+        ("naive_build_alloc_bytes", Float naive_build.alloc_bytes);
         ("naive_query_s", Float naive_query.seconds);
         ("naive_query_alloc_bytes", Float naive_query.alloc_bytes);
         ("naive_query_cells_per_s", Float (cells_per_second naive_query));
         ("bundle_build_s", Float bundle_build.seconds);
+        ("bundle_build_alloc_bytes", Float bundle_build.alloc_bytes);
         ("kernel_query_s", Float kernel_query.seconds);
         ("kernel_query_alloc_bytes", Float kernel_query.alloc_bytes);
         ("kernel_query_cells_per_s", Float (cells_per_second kernel_query));

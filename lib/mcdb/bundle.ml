@@ -59,8 +59,7 @@ let iter_rows ?pool n f = Mde_par.Pool.iter ?pool ~site:"bundle.sweep" n f
 
 (* --- construction -------------------------------------------------- *)
 
-let column_types schema =
-  Array.of_list (List.map (fun c -> c.Schema.ty) (Schema.columns schema))
+let column_types schema = Array.map (fun c -> c.Schema.ty) (Schema.column_array schema)
 
 let of_stochastic_table ?pool st rng ~n_reps =
   if n_reps < 1 then invalid_arg "Bundle.of_stochastic_table: n_reps must be >= 1";
@@ -70,35 +69,25 @@ let of_stochastic_table ?pool st rng ~n_reps =
       (Printf.sprintf
          "Bundle.of_stochastic_table: VG function %S is not row-stable" vg.Vg.name);
   let out_schema = Stochastic_table.schema st in
-  let driver_rows = Table.rows (Stochastic_table.driver st) in
-  let n_rows = Array.length driver_rows in
-  (* One pre-split stream per repetition, consumed driver-row-major —
-     exactly how [Stochastic_table.instantiate] consumes stream [r] in
-     [instantiate_many] — so realization [r] of this bundle is
-     bit-identical to the naive path's instance [r], and repetitions can
-     run on the pool without changing a single draw. *)
+  (* [params] takes no RNG: one evaluation per driver row serves every
+     repetition. *)
+  let params = Stochastic_table.driver_params st in
+  (* One pre-split stream per repetition, consumed driver-row-major by
+     the same routine [Stochastic_table.instantiate] runs on stream [r]
+     in [instantiate_many] — so realization [r] of this bundle is naive
+     instance [r] by construction, and repetitions can run on the pool
+     without changing a single draw. *)
   let streams = Mde_prob.Rng.split_n rng n_reps in
-  let reps_rows =
+  let realized =
     Mde_par.Pool.init ?pool ~site:"bundle.generate" n_reps (fun r ->
-        let rng = streams.(r) in
-        Array.map
-          (fun driver_row ->
-            match Stochastic_table.generate_for_row st rng driver_row with
-            | [ row ] -> row
-            | rows ->
-              invalid_arg
-                (Printf.sprintf
-                   "Bundle.of_stochastic_table: VG %S emitted %d rows for one \
-                    driver row (expected 1)"
-                   vg.Vg.name (List.length rows)))
-          driver_rows)
+        snd (Stochastic_table.realize ~params ~one_row:true st streams.(r)))
   in
-  let tys = column_types out_schema in
   let columns =
-    Array.init (Array.length tys) (fun j ->
-        Column.of_cells ~ty:tys.(j) ~rows:n_rows ~reps:n_reps (fun i r ->
-            reps_rows.(r).(i).(j)))
+    Array.mapi
+      (fun j ty -> Column.of_realizations ~ty (Array.map (fun cols -> cols.(j)) realized))
+      (column_types out_schema)
   in
+  let n_rows = Array.length params in
   {
     schema = out_schema;
     n_reps;

@@ -37,9 +37,17 @@ val of_stochastic_table :
   ?pool:Mde_par.Pool.t -> Stochastic_table.t -> Mde_prob.Rng.t -> n_reps:int -> t
 (** Instantiate all repetitions at once, one pre-split RNG stream per
     repetition ([?pool] parallelizes over repetitions, bit-identically).
-    Columns constant across repetitions are stored deterministically.
+    [params] runs once per driver row, and each repetition runs
+    [Stochastic_table.realize] — the routine behind
+    [Stochastic_table.instantiate] — on its stream, so realization [r]
+    is naive instance [r] by construction. Each column is then assembled
+    from its realizations with [Column.of_realizations]: a pass-through
+    driver column, or one whose cells are identical in every repetition
+    (same constructor, bitwise floats), is stored deterministically.
     Raises [Invalid_argument] if the table's VG function is not
-    row-stable or [n_reps < 1]. *)
+    row-stable, emits other than one row for a driver row, or
+    [n_reps < 1], and, like [Stochastic_table.instantiate], when a
+    combined row has the wrong arity or a mistyped cell. *)
 
 val of_table : Table.t -> n_reps:int -> t
 (** Wrap a deterministic table (all columns deterministic, all rows

@@ -39,12 +39,51 @@ val fingerprint : t -> string
     by the rest of the definition. *)
 
 val generate_for_row : t -> Mde_prob.Rng.t -> Table.row -> Table.row list
-(** Run the VG function for a single driver row and combine: the unit of
-    work that both the naive and the tuple-bundle paths share. *)
+(** Run the VG function for a single driver row and combine: the row
+    construction {!instantiate} performs, as boxed rows (the reference
+    tests compare realizations against). *)
+
+val driver_params : t -> Table.t list array
+(** The parameter tables of every driver row, in driver order: [params]
+    takes no RNG, so one evaluation per driver row serves every
+    realization. *)
+
+val realize :
+  ?params:Table.t list array ->
+  one_row:bool ->
+  t ->
+  Mde_prob.Rng.t ->
+  int * Column.t array
+(** The one realization routine behind {!instantiate} and
+    [Bundle.of_stochastic_table]: the number of output rows and the
+    output's deterministic columns in schema order. Driver rows are
+    visited in order; each calls [params] (or reads [params.(i)] when
+    given), then the VG function once on [rng], then [combine] on each
+    VG row in turn, so the stream is consumed exactly as
+    {!generate_for_row} row after row would consume it.
+
+    Combined cells go straight into typed columns. An output column
+    whose every cell is physically ([==]) the same driver cell of its
+    row, with the same declared type, is not copied: it is the driver's
+    cached column ([Table.columns]), or a [Column.gather] view of it
+    when the VG did not emit exactly one row per driver row. Every
+    [combine] that passes driver cells through takes this path.
+
+    With [~one_row:true], a driver row whose VG emits other than one row
+    raises [Invalid_argument]. A combined row of the wrong arity, or a
+    non-null cell whose type is not its column's, raises the
+    [Invalid_argument] [Table.of_rows] raises on that row, as soon as
+    the row is combined: when several rows are bad, the one reported is
+    the first combined, and an error the VG function or [combine] would
+    raise on a later row is not reached. *)
 
 val instantiate : t -> Mde_prob.Rng.t -> Table.t
-(** Draw one realization of the whole table: loop over the driver rows,
-    call the VG function once per row, and UNION the combined outputs. *)
+(** Draw one realization of the whole table: {!realize}, wrapped as a
+    column-backed table ([Table.of_columns]). Its boxed rows are built
+    only if a consumer reads them; a pass-through column is the
+    driver's own column. Cells are bit-identical to [Table.create] over
+    the concatenated {!generate_for_row} outputs, and errors are those
+    of {!realize}. *)
 
 val instantiate_many :
   ?pool:Mde_par.Pool.t -> t -> Mde_prob.Rng.t -> int -> Table.t array

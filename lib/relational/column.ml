@@ -110,174 +110,183 @@ let built ~det ~rows ~reps data nulls =
 (* --- construction ------------------------------------------------- *)
 
 exception Untyped
-(* A cell contradicted the declared column type; degrade to boxed. *)
 
 let slots ~det ~rows ~reps = rows * if det then 1 else reps
 
-(* Lazily-created null mask: most columns have none. *)
-let make_nulls ~det ~rows ~reps =
-  let mask = ref None in
-  let mark s =
-    let m =
-      match !mask with
-      | Some m -> m
-      | None ->
-        let m = Bitset.create ~rows ~reps:(if det then 1 else reps) false in
-        mask := Some m;
-        m
-    in
-    if det then Bitset.set m s 0 else Bitset.set m (s / reps) (s mod reps)
+(* The typed buffer a builder appends to. Strings are dictionary codes
+   in first-seen order, with [-1] for Null. *)
+type cells =
+  | Cfloats of { mutable fdata : floats }
+  | Cints of { mutable idata : int array }
+  | Cbools of { mutable bdata : int array }
+  | Cstrings of {
+      mutable codes : int array;
+      table : (string, int) Hashtbl.t;
+      mutable dict : string list;  (** newest first *)
+    }
+
+type builder = {
+  bdet : bool;
+  breps : int;
+  block : int;  (** slots per row: 1 when deterministic, else [breps] *)
+  cells : cells;
+  mutable cap : int;  (** rows allocated *)
+  mutable len : int;  (** slots written *)
+  mutable mask : Bitset.t option;
+      (** rows × block null bits, created on the first null: most
+          columns have none, and string codes carry their own *)
+}
+
+let alloc_cells ty n =
+  match (ty : Value.ty) with
+  | Value.Tfloat -> Cfloats { fdata = Array1.create Bigarray.float64 Bigarray.c_layout n }
+  | Value.Tint -> Cints { idata = Array.make n 0 }
+  | Value.Tbool -> Cbools { bdata = Array.make n 0 }
+  | Value.Tstring -> Cstrings { codes = Array.make n (-1); table = Hashtbl.create 16; dict = [] }
+
+let builder ~ty ~det ~reps ~rows =
+  if reps < 1 then invalid_arg "Column.builder: reps must be >= 1";
+  let block = if det then 1 else reps in
+  { bdet = det; breps = reps; block; cells = alloc_cells ty (rows * block); cap = rows;
+    len = 0; mask = None }
+
+(* The string's dictionary code, assigned on first sight. *)
+let intern b str =
+  match b.cells with
+  | Cstrings c -> (
+    match Hashtbl.find c.table str with
+    | k -> k
+    | exception Not_found ->
+      let k = Hashtbl.length c.table in
+      Hashtbl.add c.table str k;
+      c.dict <- str :: c.dict;
+      k)
+  | Cfloats _ | Cints _ | Cbools _ -> raise Untyped
+
+let mask b =
+  match b.mask with
+  | Some m -> m
+  | None ->
+    let m = Bitset.create ~rows:b.cap ~reps:b.block false in
+    b.mask <- Some m;
+    m
+
+let mark_null b s = Bitset.set (mask b) (s / b.block) (s mod b.block)
+
+(* The one typed write: slot [s] of the buffer. Slots are disjoint
+   memory, and so are deterministic rows' null bytes once the mask
+   exists, so a pooled fill may call it from several domains at once. *)
+let set b s (v : Value.t) =
+  match (b.cells, v) with
+  | Cfloats c, Value.Float f -> Array1.set c.fdata s f
+  | Cints c, Value.Int i -> c.idata.(s) <- i
+  | Cbools c, Value.Bool x -> c.bdata.(s) <- Bool.to_int x
+  | Cstrings c, Value.String str -> c.codes.(s) <- intern b str
+  | Cfloats c, Value.Null ->
+    Array1.set c.fdata s nan;
+    mark_null b s
+  | (Cints _ | Cbools _), Value.Null -> mark_null b s
+  | Cstrings _, Value.Null -> ()
+  | (Cfloats _ | Cints _ | Cbools _ | Cstrings _), _ -> raise Untyped
+
+let grow b =
+  let cap = max 16 (2 * b.cap) in
+  let n = cap * b.block and used = b.len in
+  let ints fill a =
+    let bigger = Array.make n fill in
+    Array.blit a 0 bigger 0 used;
+    bigger
   in
-  (mask, mark)
+  (match b.cells with
+  | Cfloats c ->
+    let bigger = Array1.create Bigarray.float64 Bigarray.c_layout n in
+    Array1.blit (Array1.sub c.fdata 0 used) (Array1.sub bigger 0 used);
+    c.fdata <- bigger
+  | Cints c -> c.idata <- ints 0 c.idata
+  | Cbools c -> c.bdata <- ints 0 c.bdata
+  | Cstrings c -> c.codes <- ints (-1) c.codes);
+  b.mask <-
+    Option.map
+      (fun m ->
+        let bigger = Bitset.create ~rows:cap ~reps:b.block false in
+        Bytes.blit m.Bitset.bits 0 bigger.Bitset.bits 0 (Bytes.length m.Bitset.bits);
+        bigger)
+      b.mask;
+  b.cap <- cap
 
-let fill_floats ~det ~rows ~reps get =
-  let n = slots ~det ~rows ~reps in
-  let data = Array1.create Bigarray.float64 Bigarray.c_layout n in
-  let mask, mark = make_nulls ~det ~rows ~reps in
-  for s = 0 to n - 1 do
-    match (get s : Value.t) with
-    | Value.Float f -> Array1.set data s f
-    | Value.Null ->
-      Array1.set data s nan;
-      mark s
-    | Value.Int _ | Value.String _ | Value.Bool _ -> raise Untyped
-  done;
-  (Floats data, !mask)
+let reserve b = if b.len = b.cap * b.block then grow b
 
-let fill_ints ~det ~rows ~reps get =
-  let n = slots ~det ~rows ~reps in
-  let data = Array.make n 0 in
-  let mask, mark = make_nulls ~det ~rows ~reps in
-  for s = 0 to n - 1 do
-    match (get s : Value.t) with
-    | Value.Int i -> data.(s) <- i
-    | Value.Null -> mark s
-    | Value.Float _ | Value.String _ | Value.Bool _ -> raise Untyped
-  done;
-  (Ints data, !mask)
+let push b v =
+  reserve b;
+  set b b.len v;
+  b.len <- b.len + 1
 
-let fill_bools ~det ~rows ~reps get =
-  let n = slots ~det ~rows ~reps in
-  let data = Array.make n 0 in
-  let mask, mark = make_nulls ~det ~rows ~reps in
-  for s = 0 to n - 1 do
-    match (get s : Value.t) with
-    | Value.Bool b -> data.(s) <- Bool.to_int b
-    | Value.Null -> mark s
-    | Value.Float _ | Value.String _ | Value.Int _ -> raise Untyped
-  done;
-  (Bools data, !mask)
-
-let fill_strings ~det ~rows ~reps get =
-  let n = slots ~det ~rows ~reps in
-  let codes = Array.make n (-1) in
-  let table : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let rev = ref [] in
-  let next = ref 0 in
-  for s = 0 to n - 1 do
-    match (get s : Value.t) with
-    | Value.String str ->
-      codes.(s) <-
-        (match Hashtbl.find_opt table str with
-        | Some c -> c
-        | None ->
-          let c = !next in
-          incr next;
-          Hashtbl.add table str c;
-          rev := str :: !rev;
-          c)
-    | Value.Null -> ()
-    | Value.Float _ | Value.Bool _ | Value.Int _ -> raise Untyped
-  done;
-  (Strings { codes; dict = Array.of_list (List.rev !rev) }, None)
-
-let fill_values ~det ~rows ~reps get =
-  (Values (Array.init (slots ~det ~rows ~reps) get), None)
+let finish b =
+  let n = b.len in
+  let rows = n / b.block in
+  let full = rows = b.cap in
+  let ints a = if full then a else Array.sub a 0 n in
+  let data =
+    match b.cells with
+    | Cfloats c -> Floats (if full then c.fdata else Array1.sub c.fdata 0 n)
+    | Cints c -> Ints (ints c.idata)
+    | Cbools c -> Bools (ints c.bdata)
+    | Cstrings c -> Strings { codes = ints c.codes; dict = Array.of_list (List.rev c.dict) }
+  in
+  let nulls =
+    match b.mask with
+    | Some m when Bitset.popcount m > 0 ->
+      if full then Some m
+      else begin
+        let exact = Bitset.create ~rows ~reps:b.block false in
+        Bytes.blit m.Bitset.bits 0 exact.Bitset.bits 0 (Bytes.length exact.Bitset.bits);
+        Some exact
+      end
+    | Some _ | None -> None
+  in
+  built ~det:b.bdet ~rows ~reps:b.breps data nulls
 
 let build ~ty ~det ~rows ~reps get =
-  (* [get] here reads by slot; map back to (i, r). *)
-  let data, nulls =
-    try
-      match (ty : Value.ty) with
-      | Value.Tfloat -> fill_floats ~det ~rows ~reps get
-      | Value.Tint -> fill_ints ~det ~rows ~reps get
-      | Value.Tbool -> fill_bools ~det ~rows ~reps get
-      | Value.Tstring -> fill_strings ~det ~rows ~reps get
-    with Untyped -> fill_values ~det ~rows ~reps get
-  in
-  built ~det ~rows ~reps data nulls
-
-let of_cells ~ty ~rows ~reps get =
-  if reps < 1 then invalid_arg "Column.of_cells: reps must be >= 1";
-  let is_det =
-    try
-      for i = 0 to rows - 1 do
-        let v0 = get i 0 in
-        for r = 1 to reps - 1 do
-          if not (Value.equal (get i r) v0) then raise Exit
-        done
-      done;
-      true
-    with Exit -> false
-  in
-  if is_det then build ~ty ~det:true ~rows ~reps (fun s -> get s 0)
-  else build ~ty ~det:false ~rows ~reps (fun s -> get (s / reps) (s mod reps))
+  (* [get] reads by slot. A cell contradicting [ty] degrades the whole
+     column to boxed storage. *)
+  let n = slots ~det ~rows ~reps in
+  match
+    let b = builder ~ty ~det ~reps ~rows in
+    for s = 0 to n - 1 do
+      push b (get s)
+    done;
+    finish b
+  with
+  | c -> c
+  | exception Untyped -> built ~det ~rows ~reps (Values (Array.init n get)) None
 
 let of_det_cells ?pool ~ty ~rows ~reps get =
   if reps < 1 then invalid_arg "Column.of_det_cells: reps must be >= 1";
-  match pool with
-  | None -> build ~ty ~det:true ~rows ~reps get
-  | Some p ->
-    (* Pooled direct fill: rows are chunked over the pool and written
-       straight into the typed storage — no intermediate boxed cell
-       array. Det storage has one slot and one null-mask byte per row,
-       so row-chunked writes touch disjoint memory. A cell contradicting
-       [ty] degrades to boxed storage exactly as the sequential build,
-       re-evaluating [get]: the rare path pays twice, the common path
-       never boxes. *)
-    let seal mask = if Bitset.popcount mask = 0 then None else Some mask in
-    let data, nulls =
-      try
-        match (ty : Value.ty) with
-        | Value.Tfloat ->
-          let data = Array1.create Bigarray.float64 Bigarray.c_layout rows in
-          let mask = Bitset.create ~rows ~reps:1 false in
-          Mde_par.Pool.parallel_iter p ~site:"column.fill" rows (fun i ->
-              match (get i : Value.t) with
-              | Value.Float f -> Array1.set data i f
-              | Value.Null ->
-                Array1.set data i nan;
-                Bitset.set mask i 0
-              | Value.Int _ | Value.String _ | Value.Bool _ -> raise Untyped);
-          (Floats data, seal mask)
-        | Value.Tint ->
-          let data = Array.make rows 0 in
-          let mask = Bitset.create ~rows ~reps:1 false in
-          Mde_par.Pool.parallel_iter p ~site:"column.fill" rows (fun i ->
-              match (get i : Value.t) with
-              | Value.Int v -> data.(i) <- v
-              | Value.Null -> Bitset.set mask i 0
-              | Value.Float _ | Value.String _ | Value.Bool _ -> raise Untyped);
-          (Ints data, seal mask)
-        | Value.Tbool ->
-          let data = Array.make rows 0 in
-          let mask = Bitset.create ~rows ~reps:1 false in
-          Mde_par.Pool.parallel_iter p ~site:"column.fill" rows (fun i ->
-              match (get i : Value.t) with
-              | Value.Bool b -> data.(i) <- Bool.to_int b
-              | Value.Null -> Bitset.set mask i 0
-              | Value.Float _ | Value.String _ | Value.Int _ -> raise Untyped);
-          (Bools data, seal mask)
-        | Value.Tstring ->
-          (* Dictionary codes are assigned in first-seen order, which is
-             inherently sequential: evaluate cells in parallel (that is
-             where the expression cost lives), encode sequentially. *)
-          let cells = Mde_par.Pool.parallel_init p ~site:"column.fill" rows get in
-          fill_strings ~det:true ~rows ~reps (fun s -> cells.(s))
-      with Untyped ->
-        (Values (Mde_par.Pool.parallel_init p ~site:"column.fill" rows get), None)
-    in
-    built ~det:true ~rows ~reps data nulls
+  match (pool, (ty : Value.ty)) with
+  | None, _ -> build ~ty ~det:true ~rows ~reps get
+  | Some p, Value.Tstring ->
+    (* Dictionary codes are assigned in first-seen order, which is
+       inherently sequential: evaluate cells in parallel (that is where
+       the expression cost lives), encode sequentially. *)
+    let cells = Mde_par.Pool.parallel_init p ~site:"column.fill" rows get in
+    build ~ty ~det:true ~rows ~reps (fun s -> cells.(s))
+  | Some p, (Value.Tfloat | Value.Tint | Value.Tbool) -> (
+    (* Pooled direct fill: rows are chunked over the pool and each
+       written straight into the builder's slot — no intermediate boxed
+       cell array. A cell contradicting [ty] degrades to boxed storage
+       exactly as the sequential build, re-evaluating [get]: the rare
+       path pays twice, the common path never boxes. *)
+    let b = builder ~ty ~det:true ~reps ~rows in
+    (* The mask up front: domains must not race to create it. *)
+    ignore (mask b);
+    match Mde_par.Pool.parallel_iter p ~site:"column.fill" rows (fun i -> set b i (get i)) with
+    | () ->
+      b.len <- rows;
+      finish b
+    | exception Untyped ->
+      built ~det:true ~rows ~reps
+        (Values (Mde_par.Pool.parallel_init p ~site:"column.fill" rows get))
+        None)
 
 let infer_rows ~det ~reps n = if det then n else n / reps
 
@@ -409,19 +418,114 @@ let view t =
   | Strings { codes; dict } -> Vstring { vdet = t.cdet; codes; dict }
   | Values data -> Vvalues { vdet = t.cdet; data }
 
-let is_null t nulls i r =
+let null_at nulls i r =
   match nulls with
   | None -> false
-  | Some m -> Bitset.get m i (if t.cdet then 0 else r)
+  | Some m -> Bitset.get m i r
+
+(* Cell [(row, rep)] of a storage whose slot is [slot]; [rep] indexes
+   the null mask, so it is 0 for deterministic storage. *)
+let read { data; nulls } ~slot ~row ~rep =
+  match data with
+  | Floats a -> if null_at nulls row rep then Value.Null else Value.Float (Array1.get a slot)
+  | Ints a -> if null_at nulls row rep then Value.Null else Value.Int a.(slot)
+  | Bools a -> if null_at nulls row rep then Value.Null else Value.Bool (a.(slot) <> 0)
+  | Strings { codes; dict } ->
+    let c = codes.(slot) in
+    if c < 0 then Value.Null else Value.String dict.(c)
+  | Values a -> a.(slot)
 
 let value t i r =
-  let { data; nulls } = storage t in
-  let s = if t.cdet then i else (i * t.creps) + r in
-  match data with
-  | Floats a -> if is_null t nulls i r then Value.Null else Value.Float (Array1.get a s)
-  | Ints a -> if is_null t nulls i r then Value.Null else Value.Int a.(s)
-  | Bools a -> if is_null t nulls i r then Value.Null else Value.Bool (a.(s) <> 0)
-  | Strings { codes; dict } ->
-    let c = codes.(s) in
-    if c < 0 then Value.Null else Value.String dict.(c)
-  | Values a -> a.(s)
+  if t.cdet then read (storage t) ~slot:i ~row:i ~rep:0
+  else read (storage t) ~slot:((i * t.creps) + r) ~row:i ~rep:r
+
+(* --- realizations ---------------------------------------------------- *)
+
+(* Whether row [i] of two deterministic storages holds the same cell in
+   the sense of [Value.identical]: the same constructor and, for floats,
+   the same bits. Typed storages compare in place. *)
+let same_cell a b i =
+  match (a.data, b.data) with
+  | Floats x, Floats y ->
+    let null = null_at a.nulls i 0 in
+    null = null_at b.nulls i 0
+    && (null || Value.same_float (Array1.get x i) (Array1.get y i))
+  | Ints x, Ints y | Bools x, Bools y ->
+    let null = null_at a.nulls i 0 in
+    null = null_at b.nulls i 0 && (null || x.(i) = y.(i))
+  | Strings x, Strings y ->
+    let cx = x.codes.(i) and cy = y.codes.(i) in
+    if cx < 0 || cy < 0 then cx < 0 && cy < 0
+    else (x.dict == y.dict && cx = cy) || String.equal x.dict.(cx) y.dict.(cy)
+  | (Floats _ | Ints _ | Bools _ | Strings _ | Values _), _ ->
+    Value.identical (read a ~slot:i ~row:i ~rep:0) (read b ~slot:i ~row:i ~rep:0)
+
+(* Append row [i] of deterministic storage [src] to [b], typed to typed
+   without boxing. *)
+let push_row b src i =
+  reserve b;
+  let s = b.len in
+  (match (b.cells, src.data) with
+  | Cfloats c, Floats a ->
+    Array1.set c.fdata s (Array1.get a i);
+    if null_at src.nulls i 0 then mark_null b s
+  | Cints c, Ints a ->
+    c.idata.(s) <- a.(i);
+    if null_at src.nulls i 0 then mark_null b s
+  | Cbools c, Bools a ->
+    c.bdata.(s) <- a.(i);
+    if null_at src.nulls i 0 then mark_null b s
+  | Cstrings c, Strings { codes; dict } ->
+    let k = codes.(i) in
+    if k >= 0 then c.codes.(s) <- intern b dict.(k)
+  | (Cfloats _ | Cints _ | Cbools _ | Cstrings _), _ ->
+    set b s (read src ~slot:i ~row:i ~rep:0));
+  b.len <- s + 1
+
+let of_realizations ~ty cols =
+  let reps = Array.length cols in
+  if reps < 1 then invalid_arg "Column.of_realizations: no realizations";
+  let c0 = cols.(0) in
+  let rows = c0.crows in
+  if not (Array.for_all (fun c -> c.cdet && c.crows = rows) cols) then
+    invalid_arg "Column.of_realizations: expects deterministic columns of equal length";
+  (* Rep 0's column serves every repetition when all are one column, or
+     when every row holds identical cells across them. *)
+  let stable () =
+    let st = Array.map storage cols in
+    let rec row i =
+      i = rows
+      ||
+      let rec rep r = r = reps || (same_cell st.(0) st.(r) i && rep (r + 1)) in
+      rep 1 && row (i + 1)
+    in
+    (st, row 0)
+  in
+  if Array.for_all (fun c -> c == c0) cols then { c0 with creps = reps }
+  else
+    match stable () with
+    | _, true -> { c0 with creps = reps }
+    | st, false -> (
+      (* Interleave: slot [i * reps + r] is row [i] of realization [r]. *)
+      match
+        let b = builder ~ty ~det:false ~reps ~rows in
+        for i = 0 to rows - 1 do
+          for r = 0 to reps - 1 do
+            push_row b st.(r) i
+          done
+        done;
+        finish b
+      with
+      | c -> c
+      | exception Untyped ->
+        built ~det:false ~rows ~reps
+          (Values
+             (Array.init (rows * reps) (fun s ->
+                  let i = s / reps in
+                  read st.(s mod reps) ~slot:i ~row:i ~rep:0)))
+          None)
+
+let of_cells ~ty ~rows ~reps get =
+  if reps < 1 then invalid_arg "Column.of_cells: reps must be >= 1";
+  of_realizations ~ty
+    (Array.init reps (fun r -> build ~ty ~det:true ~rows ~reps:1 (fun i -> get i r)))

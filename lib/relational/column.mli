@@ -62,10 +62,21 @@ val rows : t -> int
 val reps : t -> int
 
 val of_cells : ty:Value.ty -> rows:int -> reps:int -> (int -> int -> Value.t) -> t
-(** Build from a cell reader [get i r]. Detects determinism (all rows
-    constant across repetitions under [Value.equal]) and selects typed
-    storage from [ty], degrading to boxed storage if any cell's type
-    contradicts [ty]. *)
+(** Build from a cell reader [get i r]: each repetition's cells become a
+    deterministic column, combined by {!of_realizations}. Typed storage
+    follows [ty], degrading to boxed storage if any cell's type
+    contradicts it. *)
+
+val of_realizations : ty:Value.ty -> t array -> t
+(** [of_realizations ~ty cols] is the column whose repetition [r] is the
+    deterministic column [cols.(r)] (all of equal length): a bundle
+    column assembled from its per-repetition realizations. When every
+    [cols.(r)] is physically [cols.(0)], or every row holds identical
+    cells across them ({!Value.identical}: same constructor, bitwise
+    floats, so [0.] and [-0.] stay apart), the result shares [cols.(0)]'s
+    storage as a deterministic column. Otherwise the cells are
+    interleaved into rows × reps typed storage, degrading to boxed
+    storage like {!of_cells}. *)
 
 val of_det_cells :
   ?pool:Mde_par.Pool.t -> ty:Value.ty -> rows:int -> reps:int -> (int -> Value.t) -> t
@@ -74,6 +85,31 @@ val of_det_cells :
     reader is evaluated row-chunked in parallel and written directly
     into the typed storage (no intermediate boxed array); the result is
     identical to the sequential build. *)
+
+(** {2 Builder}
+
+    The one typed fill behind every constructor above: cells are
+    appended one at a time and written straight into the typed storage
+    [ty] selects — unboxed floats, ints, 0/1 bools or dictionary codes —
+    with Null cells marked in the null mask as they arrive. *)
+
+type builder
+
+exception Untyped
+(** Raised by {!push} on a non-null cell whose type is not the
+    builder's. *)
+
+val builder : ty:Value.ty -> det:bool -> reps:int -> rows:int -> builder
+(** An empty builder for a column of [reps] repetitions ([det]: one slot
+    per row, else rows × reps slots, repetition-major within a row), with
+    room for [rows] rows; it grows as needed. *)
+
+val push : builder -> Value.t -> unit
+(** Append the next slot's cell. Raises {!Untyped} when the cell
+    contradicts the builder's type; the builder is then unusable. *)
+
+val finish : builder -> t
+(** The column of the cells pushed so far (a whole number of rows). *)
 
 (** Raw constructors for compiled kernels that have already produced
     typed storage. [rows] is inferred from the data length; [nulls], when

@@ -14,6 +14,7 @@ let build cols =
 let create cols = build (Array.of_list cols)
 let of_list l = create (List.map (fun (name, ty) -> { name; ty }) l)
 let columns t = Array.to_list t.cols
+let column_array t = t.cols
 let arity t = Array.length t.cols
 
 let column_index t name =

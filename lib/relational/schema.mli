@@ -10,6 +10,10 @@ val create : column list -> t
 
 val of_list : (string * Value.ty) list -> t
 val columns : t -> column list
+
+val column_array : t -> column array
+(** The columns in order, without a copy: callers must not mutate it. *)
+
 val arity : t -> int
 val column_index : t -> string -> int
 (** Raises [Not_found] for an unknown column. *)

@@ -21,12 +21,15 @@ let check_cell (c : Schema.column) v =
          (Value.type_name ty))
   | _ -> ()
 
-let check_row cols row =
+let check_row schema row =
+  let cols = Schema.column_array schema in
   if Array.length row <> Array.length cols then
     invalid_arg
       (Printf.sprintf "Table: row arity %d, schema arity %d" (Array.length row)
          (Array.length cols));
-  Array.iteri (fun i v -> check_cell cols.(i) v) row
+  for i = 0 to Array.length row - 1 do
+    check_cell cols.(i) row.(i)
+  done
 
 let row_backed schema rows =
   {
@@ -37,8 +40,9 @@ let row_backed schema rows =
   }
 
 let of_rows schema rows =
-  let cols = Array.of_list (Schema.columns schema) in
-  Array.iter (check_row cols) rows;
+  for i = 0 to Array.length rows - 1 do
+    check_row schema rows.(i)
+  done;
   row_backed schema rows
 
 (* Whether a column's storage alone guarantees every non-null cell has
@@ -47,7 +51,7 @@ let of_rows schema rows =
 let storage_matches (c : Schema.column) col = Column.storage_ty col = Some c.ty
 
 let of_columns schema ~rows:n_rows cols =
-  let scols = Array.of_list (Schema.columns schema) in
+  let scols = Schema.column_array schema in
   if Array.length cols <> Array.length scols then
     invalid_arg
       (Printf.sprintf "Table.of_columns: %d columns, schema arity %d" (Array.length cols)

@@ -35,6 +35,10 @@ val of_columns : Schema.t -> rows:int -> Column.t array -> t
     [Invalid_argument] that {!of_rows} would raise on the equivalent
     rows. *)
 
+val check_row : Schema.t -> row -> unit
+(** Raises the [Invalid_argument] {!of_rows} raises for [row] if its
+    arity or a non-null cell's type does not fit the schema. *)
+
 val empty : Schema.t -> t
 val schema : t -> Schema.t
 

@@ -29,6 +29,17 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let identical a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y -> same_float x y
+  | String x, String y -> String.equal x y
+  | (Null | Bool _ | Int _ | Float _ | String _), _ -> false
+
 let hash = function
   | Null -> 0x6e756c6c
   | Bool false -> 0x0b001

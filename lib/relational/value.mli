@@ -21,6 +21,16 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val identical : t -> t -> bool
+(** Same constructor and same bits: floats compare by their IEEE bits
+    ({!same_float}), so unlike {!equal}, [0.] and [-0.] differ, NaNs
+    with different payloads differ, and [Int 2] differs from
+    [Float 2.]. Whether a cell can stand in for another without
+    changing an answer. *)
+
+val same_float : float -> float -> bool
+(** Bitwise float equality, the float case of {!identical}. *)
+
 val hash : t -> int
 (** Compatible with [equal] (equal values hash identically), which the
     polymorphic [Hashtbl.hash] is {e not}: all NaN floats are [equal]

@@ -143,6 +143,55 @@ let test_to_instances_matches_naive () =
       realized
   done
 
+(* Deciding a column is deterministic must not lose bits: [0.] and
+   [-0.], and NaNs with different payloads, are equal under
+   [Value.equal] but not interchangeable. Drawn per cell from
+   [Rng.bool], they differ across repetitions, so every realization must
+   keep its own bits. *)
+let test_signed_zero_and_nan_bits () =
+  let quiet_nan = Int64.float_of_bits 0x7FF8000000000001L in
+  List.iter
+    (fun (label, a, b) ->
+      let vg =
+        Vg.create ~name:label
+          ~output:(Schema.of_list [ ("value", Value.Tfloat) ])
+          ~row_stable:true
+          (fun rng _ -> [ [| v_float (if Mde_prob.Rng.bool rng then a else b) |] ])
+      in
+      let st =
+        St.define ~name:label
+          ~schema:(Schema.of_list [ ("pid", Value.Tint); ("value", Value.Tfloat) ])
+          ~driver:(Table.create (Schema.of_list [ ("pid", Value.Tint) ])
+             (List.init 4 (fun i -> [| v_int i |])))
+          ~vg
+          ~params:(fun _ -> [])
+          ~combine:(fun d v -> [| d.(0); v.(0) |])
+      in
+      let naive = St.instantiate_many st (Rng.create ~seed:7 ()) 8 in
+      let b = Bundle.of_stochastic_table st (Rng.create ~seed:7 ()) ~n_reps:8 in
+      Array.iteri
+        (fun r t -> check_tables_identical (Printf.sprintf "%s rep %d" label r) naive.(r) t)
+        (Bundle.to_instances b))
+    [ ("zeros", 0., -0.); ("nans", nan, quiet_nan) ]
+
+(* [params] takes no RNG, so the bundle evaluates it once per driver
+   row, not once per (driver row, repetition). *)
+let test_params_once_per_driver_row () =
+  let calls = ref 0 in
+  let st =
+    St.define ~name:"SBP_DATA" ~schema:sbp_schema ~driver:(St.driver (sbp_table 9))
+      ~vg:Vg.normal
+      ~params:(fun _ ->
+        incr calls;
+        [ sbp_param ])
+      ~combine:(fun d v -> [| d.(0); d.(1); v.(0) |])
+  in
+  let b = Bundle.of_stochastic_table st (Rng.create ~seed:3 ()) ~n_reps:12 in
+  Alcotest.(check int) "one params call per driver row" 9 !calls;
+  Array.iteri
+    (fun r t -> check_tables_identical (Printf.sprintf "rep %d" r) t (Bundle.to_instances b).(r))
+    (St.instantiate_many (sbp_table 9) (Rng.create ~seed:3 ()) 12)
+
 (* [f ()] with the interpreter fallbacks it took, read off the
    [mde_bundle_fallback_total] counter of a registry live for the call. *)
 let with_fallbacks f =
@@ -493,6 +542,10 @@ let () =
         [
           Alcotest.test_case "to_instances = instantiate_many" `Quick
             test_to_instances_matches_naive;
+          Alcotest.test_case "signed zeros and NaN payloads keep their bits" `Quick
+            test_signed_zero_and_nan_bits;
+          Alcotest.test_case "params once per driver row" `Quick
+            test_params_once_per_driver_row;
           Alcotest.test_case "select: kernel = interp = naive" `Quick
             test_select_parity;
           Alcotest.test_case "extend: kernel = interp = naive" `Quick

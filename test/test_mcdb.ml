@@ -580,6 +580,237 @@ let test_whatif_revenue_pipeline () =
     Alcotest.(check int) "all reps" 60 estimate.Estimator.n
   | _ -> Alcotest.fail "expected one group"
 
+(* --- realization: instantiate ≡ the reference row construction ---
+
+   [instantiate] writes combined cells straight into typed columns and
+   shares pass-through driver columns; the reference is the boxed row
+   construction it replaced, [Table.create] over the concatenated
+   [generate_for_row] outputs on the same stream. Cells must agree by
+   [Value.identical]: same constructor, bitwise floats. *)
+
+let check_identical msg expected actual =
+  Alcotest.(check bool) (msg ^ ": schema") true
+    (Schema.equal (Table.schema expected) (Table.schema actual));
+  Alcotest.(check int) (msg ^ ": cardinality") (Table.cardinality expected)
+    (Table.cardinality actual);
+  Array.iteri
+    (fun i row ->
+      let got = (Table.rows actual).(i) in
+      if not (Array.length row = Array.length got && Array.for_all2 Value.identical row got)
+      then Alcotest.failf "%s: row %d differs" msg i)
+    (Table.rows expected)
+
+let reference st rng =
+  Table.create (St.schema st)
+    (List.concat_map (St.generate_for_row st rng) (Array.to_list (Table.rows (St.driver st))))
+
+let driver_schema =
+  Schema.of_list
+    [ ("i", Value.Tint); ("x", Value.Tfloat); ("s", Value.Tstring); ("b", Value.Tbool) ]
+
+(* Cells with nulls, signed zeros and two NaN payloads. *)
+let driver_cell rng = function
+  | 0 -> if Rng.int rng 5 = 0 then Value.Null else v_int (Rng.int rng 7 - 3)
+  | 1 -> (
+    match Rng.int rng 7 with
+    | 0 -> Value.Null
+    | 1 -> v_float (-0.)
+    | 2 -> v_float 0.
+    | 3 -> v_float nan
+    | 4 -> v_float (Int64.float_of_bits 0x7FF8000000000001L)
+    | _ -> v_float (Rng.float rng))
+  | 2 -> ( match Rng.int rng 4 with 0 -> Value.Null | k -> v_str (String.make 1 "xyz".[k - 1]))
+  | _ -> ( match Rng.int rng 3 with 0 -> Value.Null | k -> Value.Bool (k = 1))
+
+(* Row-backed, or column-backed over the same cells (its rows are then
+   rebuilt from the columns, so no cell is shared with a row-backed
+   twin). *)
+let random_driver rng ~rows ~column_backed =
+  let t =
+    Table.create driver_schema
+      (List.init rows (fun _ -> Array.init 4 (driver_cell rng)))
+  in
+  if column_backed then Table.of_columns driver_schema ~rows (Table.columns t) else t
+
+let one_row_table names cells =
+  Table.create (Schema.of_list names) [ Array.of_list cells ]
+
+(* The VG functions under test: (VG, its parameter tables). *)
+let vg_cases =
+  let resample_schema = Schema.of_list [ ("k", Value.Tint); ("v", Value.Tfloat) ] in
+  [|
+    ( Vg.normal,
+      [ one_row_table [ ("mean", Value.Tfloat); ("std", Value.Tfloat) ] [ v_float 1.; v_float 2. ] ] );
+    (Vg.poisson, [ one_row_table [ ("rate", Value.Tfloat) ] [ v_float 3. ] ]);
+    ( Vg.discrete_choice,
+      [
+        Table.create
+          (Schema.of_list [ ("label", Value.Tstring); ("w", Value.Tfloat) ])
+          [ [| v_str "a"; v_float 1. |]; [| Value.Null; v_float 1. |]; [| v_str "c"; v_float 2. |] ];
+      ] );
+    ( Vg.resample_row ~output:resample_schema,
+      [
+        Table.create resample_schema
+          [
+            [| v_int 1; v_float (-0.) |];
+            [| Value.Null; v_float nan |];
+            [| v_int 3; Value.Null |];
+          ];
+      ] );
+    ( Vg.backward_walk ~steps:2,
+      [ one_row_table [ ("p", Value.Tfloat); ("vol", Value.Tfloat) ] [ v_float 10.; v_float 0.1 ] ] );
+  |]
+
+let copy_cell = function
+  | Value.Null -> Value.Null
+  | Value.Int i -> Value.Int i
+  | Value.Float f -> Value.Float f
+  | Value.String s -> Value.String (String.sub s 0 (String.length s))
+  | Value.Bool b -> Value.Bool b
+
+(* Output schema: the driver columns [perm] picks (in that order,
+   repeats allowed), then the VG's columns. [mode]: 0 passes driver
+   cells through, 1 copies them by value, 2 passes the first [switch]
+   combined rows through and copies the rest. *)
+let realization_table ~driver ~vg:(vg, params) ~perm ~mode ~switch =
+  let dcols = Array.of_list (Schema.columns driver_schema) in
+  let schema =
+    Schema.create
+      (List.mapi (fun n k -> { Schema.name = Printf.sprintf "d%d" n; ty = dcols.(k).ty }) perm
+      @ Schema.columns vg.Vg.output)
+  in
+  let perm = Array.of_list perm in
+  let calls = ref 0 in
+  let combine d v =
+    incr calls;
+    let pass = mode = 0 || (mode = 2 && !calls <= switch) in
+    Array.append (Array.map (fun k -> if pass then d.(k) else copy_cell d.(k)) perm) v
+  in
+  St.define ~name:"R" ~schema ~driver ~vg ~params:(fun _ -> params) ~combine
+
+let perms = [| [ 0; 1; 2; 3 ]; [ 3; 0; 2; 1 ]; [ 1; 1; 0 ]; [ 2 ]; [] |]
+
+let realization_gen =
+  QCheck.Gen.(
+    tup2
+      (tup4 (int_bound 10_000) (int_bound 12) bool (int_bound (Array.length vg_cases - 1)))
+      (tup3 (int_bound (Array.length perms - 1)) (int_bound 2) (int_bound 12)))
+
+let print_case ((seed, rows, column_backed, vg), (perm, mode, switch)) =
+  Printf.sprintf "seed=%d rows=%d column_backed=%b vg=%d perm=%d mode=%d switch=%d" seed
+    rows column_backed vg perm mode switch
+
+let realization_case ((seed, rows, column_backed, vg), (perm, mode, switch)) =
+  let driver = random_driver (Rng.create ~seed ()) ~rows ~column_backed in
+  realization_table ~driver ~vg:vg_cases.(vg) ~perm:perms.(perm) ~mode ~switch
+
+let prop_instantiate_matches_reference =
+  QCheck.Test.make ~name:"instantiate == Table.create over generate_for_row" ~count:300
+    (QCheck.make ~print:print_case realization_gen)
+    (fun ((seed, _, _, _), _ as case) ->
+      let st = realization_case case in
+      let expected = reference st (Rng.create ~seed:(seed + 1) ()) in
+      check_identical "instance" expected (St.instantiate st (Rng.create ~seed:(seed + 1) ()));
+      true)
+
+(* Bundle realization [r] is naive instance [r], sequentially and on a
+   2-domain pool, for every row-stable VG and combine mode. *)
+let prop_bundle_matches_instances =
+  QCheck.Test.make ~name:"bundle realization r == instance r (sequential, pooled)" ~count:60
+    (QCheck.make ~print:print_case realization_gen)
+    (fun ((seed, rows, column_backed, vg), rest) ->
+      let vg = vg mod 4 (* the row-stable ones *) in
+      let st = realization_case ((seed, rows, column_backed, vg), rest) in
+      let reps = 1 + (seed mod 6) in
+      let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
+      let check label b =
+        Array.iteri
+          (fun r inst -> check_identical (Printf.sprintf "%s rep %d" label r) naive.(r) inst)
+          (Bundle.to_instances b)
+      in
+      check "sequential" (Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps);
+      Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+          check "pooled"
+            (Bundle.of_stochastic_table ~pool st (Rng.create ~seed ()) ~n_reps:reps));
+      true)
+
+let test_pass_through_shares_driver_column () =
+  let st = sbp_table 30 in
+  let driver = St.driver st in
+  let inst = St.instantiate st (Rng.create ~seed:40 ()) in
+  let dcols = Table.columns driver and cols = Table.columns inst in
+  Alcotest.(check bool) "pid is the driver's column" true (cols.(0) == dcols.(0));
+  Alcotest.(check bool) "gender is the driver's column" true (cols.(1) == dcols.(1));
+  check_identical "instance" (reference st (Rng.create ~seed:40 ())) inst;
+  (* A multi-row VG: each driver cell passes through to several output
+     rows, so the column is a gather view of the driver's column. *)
+  let walk =
+    realization_table
+      ~driver:(random_driver (Rng.create ~seed:41 ()) ~rows:7 ~column_backed:false)
+      ~vg:vg_cases.(4) ~perm:[ 0; 1 ] ~mode:0 ~switch:0
+  in
+  let inst = St.instantiate walk (Rng.create ~seed:42 ()) in
+  Alcotest.(check int) "3 rows per driver row" 21 (Table.cardinality inst);
+  Alcotest.(check bool) "pass-through column is an unread view" false
+    (Column.materialized (Table.columns inst).(0));
+  check_identical "multi-row instance" (reference walk (Rng.create ~seed:42 ())) inst
+
+(* A [combine] putting a string into a float column: both the naive
+   instance and the bundle reject it with [Table.of_rows]'s error. *)
+let test_mistyped_combine_raises () =
+  let st =
+    St.define ~name:"BAD"
+      ~schema:(Schema.of_list [ ("pid", Value.Tint); ("v", Value.Tfloat) ])
+      ~driver:(patients 4) ~vg:Vg.normal
+      ~params:(fun _ -> [ sbp_param ])
+      ~combine:(fun d _ -> [| d.(0); d.(1) |])
+  in
+  let error f =
+    match f () with
+    | _ -> Alcotest.fail "mistyped cell accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  let expected = {|Table: column "v" expects float, got string|} in
+  Alcotest.(check string) "instantiate" expected
+    (error (fun () -> St.instantiate st (Rng.create ~seed:1 ())));
+  Alcotest.(check string) "bundle" expected
+    (error (fun () -> Bundle.of_stochastic_table st (Rng.create ~seed:1 ()) ~n_reps:4));
+  Alcotest.(check string) "reference" expected
+    (error (fun () -> reference st (Rng.create ~seed:1 ())));
+  let short =
+    St.define ~name:"SHORT" ~schema:sbp_schema ~driver:(patients 3) ~vg:Vg.normal
+      ~params:(fun _ -> [ sbp_param ])
+      ~combine:(fun d _ -> [| d.(0) |])
+  in
+  Alcotest.(check string) "arity" "Table: row arity 1, schema arity 3"
+    (error (fun () -> St.instantiate short (Rng.create ~seed:1 ())))
+
+(* Minor words [instantiate] spends per driver row beyond running
+   [generate_for_row] on every driver row. Those calls already allocate
+   the VG's rows and the combined rows; the typed columns add nothing
+   per row, where boxed staging consed, reversed and re-checked every
+   row. *)
+let test_instantiate_allocation () =
+  let rows = 2000 in
+  let st = sbp_table rows in
+  let drows = Table.rows (St.driver st) in
+  ignore (St.instantiate st (Rng.create ~seed:3 ()));
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let generate =
+    words (fun () ->
+        let rng = Rng.create ~seed:3 () in
+        Array.iter (fun d -> ignore (Sys.opaque_identity (St.generate_for_row st rng d))) drows)
+  in
+  let instantiate = words (fun () -> St.instantiate st (Rng.create ~seed:3 ())) in
+  let extra = (instantiate -. generate) /. float_of_int rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "instantiate: %.2f words per row beyond generate_for_row <= 0.5" extra)
+    true (extra <= 0.5)
+
 let () =
   Alcotest.run "mde_mcdb"
     [
@@ -596,6 +827,15 @@ let () =
           Alcotest.test_case "row count" `Quick test_instantiate_row_count;
           Alcotest.test_case "instances differ" `Quick test_instantiate_many_differ;
           Alcotest.test_case "empty driver" `Quick test_empty_driver;
+        ] );
+      ( "realization",
+        [
+          QCheck_alcotest.to_alcotest prop_instantiate_matches_reference;
+          QCheck_alcotest.to_alcotest prop_bundle_matches_instances;
+          Alcotest.test_case "pass-through shares the driver column" `Quick
+            test_pass_through_shares_driver_column;
+          Alcotest.test_case "mistyped combine raises" `Quick test_mistyped_combine_raises;
+          Alcotest.test_case "allocation per row" `Quick test_instantiate_allocation;
         ] );
       ( "database",
         [

@@ -1405,6 +1405,122 @@ let chain_step ~rows (perm, seed, len) =
   else if rows = 0 then [||]
   else Array.init len (fun _ -> Random.State.int st rows)
 
+(* --- column builder and realizations --------------------------------
+
+   One typed builder fills every column; [of_cells] and
+   [of_realizations] decide determinism by [Value.identical], so a read
+   returns exactly the cell that went in, signed zeros and NaN payloads
+   included. *)
+
+let column_ty = [| Value.Tfloat; Value.Tint; Value.Tbool; Value.Tstring; Value.Tint |]
+
+let check_cells msg col v =
+  for i = 0 to v.vrows - 1 do
+    for r = 0 to v.vreps - 1 do
+      let want = v.cells.((i * v.vreps) + r) and got = Column.value col i r in
+      if not (Value.identical want got) then
+        QCheck.Test.fail_reportf "%s: cell (%d,%d) %s read back as %s" msg i r
+          (Format.asprintf "%a" Value.pp want) (Format.asprintf "%a" Value.pp got)
+    done
+  done
+
+let prop_builder_round_trip =
+  QCheck.Test.make ~name:"builder: cells read back identical, mistyped raise" ~count:300
+    (QCheck.make view_col_gen)
+    (fun v ->
+      let ty = column_ty.(v.kind) in
+      (* Room for one row, so pushes grow the buffers. *)
+      let b = Column.builder ~ty ~det:false ~reps:v.vreps ~rows:1 in
+      let fits = function
+        | Value.Null -> true
+        | c -> Value.type_of c = Some ty
+      in
+      match Array.iter (Column.push b) v.cells with
+      | () ->
+        let col = Column.finish b in
+        check_cells "builder" col v;
+        Array.for_all fits v.cells && Column.rows col = v.vrows && Column.storage_ty col = Some ty
+      | exception Column.Untyped -> not (Array.for_all fits v.cells))
+
+let prop_of_cells_identical =
+  QCheck.Test.make ~name:"of_cells: det iff identical across reps, bits kept" ~count:300
+    (QCheck.make view_col_gen)
+    (fun v ->
+      let col =
+        Column.of_cells ~ty:column_ty.(v.kind) ~rows:v.vrows ~reps:v.vreps (fun i r ->
+            v.cells.((i * v.vreps) + r))
+      in
+      check_cells "of_cells" col v;
+      let stable =
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun r -> Value.identical v.cells.(i * v.vreps) v.cells.((i * v.vreps) + r))
+              (List.init v.vreps Fun.id))
+          (List.init v.vrows Fun.id)
+      in
+      Column.det col = stable)
+
+let test_of_cells_signed_zero () =
+  (* [Value.equal] calls these cells equal; a deterministic column would
+     read rep 0's bits for rep 1. *)
+  let cells = [| [| v_float 0.; v_float (-0.) |]; [| v_float nan; v_float neg_nan |] |] in
+  let col = Column.of_cells ~ty:Value.Tfloat ~rows:2 ~reps:2 (fun i r -> cells.(i).(r)) in
+  Alcotest.(check bool) "uncertain" false (Column.det col);
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun r want ->
+          Alcotest.(check bool)
+            (Printf.sprintf "cell (%d,%d) keeps its bits" i r)
+            true
+            (Value.identical want (Column.value col i r)))
+        row)
+    cells
+
+let test_of_realizations_sharing () =
+  let det cells =
+    Column.of_det_cells ~ty:Value.Tstring ~rows:(Array.length cells) ~reps:1 (fun i ->
+        cells.(i))
+  in
+  let a = det [| v_str "x"; Value.Null; v_str "y" |] in
+  let shared = Column.of_realizations ~ty:Value.Tstring [| a; a; a |] in
+  Alcotest.(check bool) "one column: deterministic" true (Column.det shared);
+  Alcotest.(check int) "reps" 3 (Column.reps shared);
+  (* Equal cells under another dictionary order are still identical. *)
+  let b = det [| v_str "x"; Value.Null; v_str "y" |] in
+  let c = (Column.gather [| det [| v_str "y"; Value.Null; v_str "x" |] |] [| 2; 1; 0 |]).(0) in
+  Alcotest.(check bool) "identical cells: deterministic" true
+    (Column.det (Column.of_realizations ~ty:Value.Tstring [| a; b; c |]));
+  let d = det [| v_str "x"; v_str "z"; v_str "y" |] in
+  let mixed = Column.of_realizations ~ty:Value.Tstring [| a; d |] in
+  Alcotest.(check bool) "differing cells: uncertain" false (Column.det mixed);
+  Alcotest.(check bool) "rep 0 null" true (Value.identical Value.Null (Column.value mixed 1 0));
+  Alcotest.(check bool) "rep 1 string" true (Value.identical (v_str "z") (Column.value mixed 1 1));
+  (* Boxed storage beside typed storage: interleaved by value. *)
+  let boxed = Column.of_values ~det:true ~reps:1 [| v_str "x"; v_str "w"; v_str "y" |] in
+  let both = Column.of_realizations ~ty:Value.Tstring [| a; boxed |] in
+  Alcotest.(check bool) "typed storage" true (Column.storage_ty both = Some Value.Tstring);
+  Alcotest.(check bool) "boxed rep read" true (Value.identical (v_str "w") (Column.value both 1 1))
+
+let test_table_row_errors () =
+  let schema = Schema.of_list [ ("a", Value.Tint); ("b", Value.Tfloat) ] in
+  Alcotest.(check int) "column array" 2 (Array.length (Schema.column_array schema));
+  let error row =
+    match Table.check_row schema row with
+    | () -> "accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "arity" "Table: row arity 1, schema arity 2" (error [| v_int 1 |]);
+  Alcotest.(check string) "type" {|Table: column "b" expects float, got string|}
+    (error [| v_int 1; v_str "x" |]);
+  Alcotest.(check string) "nulls fit" "accepted" (error [| Value.Null; Value.Null |]);
+  Alcotest.(check string) "of_rows raises the same"
+    {|Table: column "b" expects float, got string|}
+    (match Table.of_rows schema [| [| v_int 1; v_float 2. |]; [| v_int 1; v_str "x" |] |] with
+    | _ -> "accepted"
+    | exception Invalid_argument msg -> msg)
+
 let bitset_equal a b =
   match (a, b) with
   | None, None -> true
@@ -1739,6 +1855,15 @@ let () =
           Alcotest.test_case "distinct/union/limit" `Quick test_distinct_union_limit;
           Alcotest.test_case "empty-table sweep" `Quick test_empty_table_operators;
         ] );
+      ( "column builder",
+        qc [ prop_builder_round_trip; prop_of_cells_identical ]
+        @ [
+            Alcotest.test_case "of_cells keeps signed zeros and NaN payloads" `Quick
+              test_of_cells_signed_zero;
+            Alcotest.test_case "of_realizations shares and interleaves" `Quick
+              test_of_realizations_sharing;
+            Alcotest.test_case "row errors" `Quick test_table_row_errors;
+          ] );
       ( "columnar",
         [
           Alcotest.test_case "roundtrip" `Quick test_columnar_roundtrip;
