@@ -183,7 +183,7 @@ let sort_by ?pool ~cmp input =
     (* Local sorts are independent per range partition. Array.sort is
        not stable; sort (record, arrival index) pairs so equal-key
        records keep their arrival (= input) order, the same idiom as
-       Algebra.order_by — otherwise the sample sort and the sequential
+       the row oracle's order_by — otherwise the sample sort and the sequential
        oracle disagree on duplicate keys. *)
     let out =
       Mde_par.Pool.map ?pool ~site:"mapred.sort"

@@ -1,7 +1,8 @@
 (* Relational tables on the MapReduce engine: the same group/shuffle and
-   sample-sort machinery every other job uses, keyed by Value.Key so NaN
-   and cross-type numeric keys behave exactly as they do in the columnar
-   and row engines, and folding group members through Algebra's shared
+   sample-sort machinery every other job uses, keyed by packed Keycode
+   words (injective under Value.Key equality) so NaN and cross-type
+   numeric keys behave exactly as they do in the columnar and row
+   engines, and folding group members through Algebra's shared
    accumulators so per-group values come out bit-identical to the row
    oracle. *)
 open Mde_relational
@@ -17,10 +18,9 @@ let group_by ?pool ?partitions ~keys ~aggs table =
       (List.map (fun k -> (k, Schema.column_type schema k)) keys
       @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
   in
-  (* The reduce fold, shared by both keying strategies. The shuffle
-     routes partitions in index order and each bucket preserves arrival
-     order, so [rows] is in original row order — float accumulation
-     order matches the sequential oracle. *)
+  (* The shuffle routes partitions in index order and each bucket
+     preserves arrival order, so a group's rows arrive in original row
+     order — float accumulation order matches the sequential oracle. *)
   let fold_group key rows =
     let accs = List.map (fun (_, a) -> (a, Algebra.fresh_acc ())) aggs in
     List.iter
@@ -29,54 +29,39 @@ let group_by ?pool ?partitions ~keys ~aggs table =
     [ Array.of_list (key @ List.map (fun (a, acc) -> Algebra.finish_acc a acc) accs) ]
   in
   let rows = Table.rows table in
-  (* Packed key codes: when the key columns encode, each row's composite
-     key shuffles as one immediate int (mixed by [Keycode.int_hash])
-     instead of a boxed Value list hashed component-wise per row. The
-     reduce recovers the boxed key values from its first member row —
-     all members agree under Value.Key equality, which the code is
-     injective for. Group order across partitions may differ from the
-     boxed routing; the Reljob contract compares groups as multisets. *)
+  (* Packed key codes: each row's composite key shuffles as one
+     immediate int (mixed by [Keycode.int_hash]) instead of a boxed
+     Value list; the empty key is one constant code. The reduce recovers
+     the boxed key values from its first member row — all members agree
+     under Value.Key equality, which the code is injective for. *)
+  let n = Array.length rows in
+  let key_cols =
+    Array.of_list
+      (List.map2
+         (fun k j ->
+           Column.of_det_cells ?pool ~ty:(Schema.column_type schema k) ~rows:n ~reps:1
+             (fun i -> rows.(i).(j)))
+         keys key_idx)
+  in
   let codes =
-    match keys with
-    | [] -> None
-    | _ -> (
-      let key_cols =
-        Array.of_list
-          (List.map2
-             (fun k j ->
-               Column.of_det_cells ?pool
-                 ~ty:(Schema.column_type schema k)
-                 ~rows:(Array.length rows) ~reps:1
-                 (fun i -> rows.(i).(j)))
-             keys key_idx)
-      in
-      match Keycode.of_columns [ key_cols ] with
-      | None -> None
-      | Some enc -> (
-        match (Keycode.encode ?pool enc ~side:0).keys with
-        | Keycode.Kint arr -> Some arr
-        | Keycode.Kbytes _ -> None))
+    match Keycode.of_columns [ key_cols ] with
+    | Some enc -> (Keycode.codes ?pool enc ~side:0 ~rows:n).keys
+    | None -> invalid_arg "Reljob.group_by: uncertain key column"
   in
   let out, stats =
-    match codes with
-    | Some codes ->
-      Job.map_reduce ?pool ~hash:Keycode.int_hash ~equal:Int.equal
-        ~map:(fun (i, row) -> [ (codes.(i), (row : Table.row)) ])
-        ~reduce:(fun _code group_rows ->
-          let row0 = List.hd group_rows in
-          fold_group (List.map (fun j -> row0.(j)) key_idx) group_rows)
-        (Dataset.of_array
-           ~partitions:(Option.value ~default:4 partitions)
-           (Array.mapi (fun i r -> (i, r)) rows))
-    | None ->
-      Job.map_reduce ?pool ~hash:Value.Key.hash ~equal:Value.Key.equal
-        ~map:(fun row -> [ (List.map (fun i -> row.(i)) key_idx, (row : Table.row)) ])
-        ~reduce:fold_group (dataset ?partitions table)
+    Job.map_reduce ?pool ~hash:Keycode.int_hash ~equal:Int.equal
+      ~map:(fun (i, row) -> [ (codes.(i), (row : Table.row)) ])
+      ~reduce:(fun _code group_rows ->
+        let row0 = List.hd group_rows in
+        fold_group (List.map (fun j -> row0.(j)) key_idx) group_rows)
+      (Dataset.of_array
+         ~partitions:(Option.value ~default:4 partitions)
+         (Array.mapi (fun i r -> (i, r)) rows))
   in
   let rows = Dataset.to_array out in
   let rows =
     (* A global aggregate over empty input still emits one row, per the
-       Algebra.group_by contract. *)
+       row oracle's group_by contract. *)
     if Array.length rows = 0 && keys = [] then
       [| Array.of_list (List.map (fun (_, a) -> Algebra.finish_acc a (Algebra.fresh_acc ())) aggs) |]
     else rows

@@ -7,9 +7,10 @@
     machinery as every other job, with two guarantees the generic
     defaults cannot give:
 
-    - keys use [Value.Key.hash]/[Value.Key.equal], so NaN group keys
-      form one group and Int/Float keys match numerically, exactly as
-      the columnar and row engines behave;
+    - each row's key shuffles as one packed {!Keycode} word, injective
+      under [Value.Key] equality, so NaN group keys form one group and
+      Int/Float keys match numerically, exactly as the columnar and row
+      engines behave;
     - group members are folded through {!Algebra}'s shared accumulators
       in original row order, so per-group aggregate values are
       bit-identical to {!Algebra.group_by}, pooled or not. *)

@@ -192,47 +192,31 @@ let extend ?pool defs t =
 
 (* --- join ----------------------------------------------------------- *)
 
-let det_key_exn t idxs i =
-  List.map
-    (fun j ->
-      let c = t.columns.(j) in
-      if Column.det c then Column.value c i 0
-      else invalid_arg "Bundle: key column is uncertain")
-    idxs
+(* Key columns must be deterministic: checked before any work. *)
+let det_key_columns t idxs =
+  Array.of_list
+    (List.map
+       (fun j ->
+         let c = t.columns.(j) in
+         if Column.det c then c else invalid_arg "Bundle: key column is uncertain")
+       idxs)
 
 let join ~on left right =
   if left.n_reps <> right.n_reps then
     invalid_arg "Bundle.join: repetition counts differ";
   let ls = left.schema and rs = right.schema in
   let out_schema = Schema.concat ls rs in
-  let l_idx = List.map (fun (l, _) -> Schema.column_index ls l) on in
-  let r_idx = List.map (fun (_, r) -> Schema.column_index rs r) on in
-  (* NaN-safe build side: keys hash via [Value.hash]. *)
-  let build = Value.Tbl.create (max 16 right.n_rows) in
-  for j = 0 to right.n_rows - 1 do
-    let key = det_key_exn right r_idx j in
-    if not (List.exists Value.is_null key) then Value.Tbl.add build key j
-  done;
-  let pairs = ref [] in
-  for i = 0 to left.n_rows - 1 do
-    let key = det_key_exn left l_idx i in
-    if not (List.exists Value.is_null key) then
-      (* find_all returns most-recent first; restore build order. *)
-      List.iter
-        (fun j -> pairs := (i, j) :: !pairs)
-        (List.rev (Value.Tbl.find_all build key))
-  done;
-  let pairs = Array.of_list (List.rev !pairs) in
-  let n_out = Array.length pairs in
-  let li = Array.map fst pairs and ri = Array.map snd pairs in
+  let l_keys = det_key_columns left (List.map (fun (l, _) -> Schema.column_index ls l) on) in
+  let r_keys = det_key_columns right (List.map (fun (_, r) -> Schema.column_index rs r) on) in
+  let li, ri = Columnar.join_index (l_keys, left.n_rows) (r_keys, right.n_rows) in
+  let n_out = Array.length li in
   let columns =
     Array.append (Column.gather left.columns li) (Column.gather right.columns ri)
   in
   let presence = Bitset.create ~rows:n_out ~reps:left.n_reps false in
-  Array.iteri
-    (fun k (i, j) ->
-      Bitset.and_rows ~dst:presence k ~a:left.presence i ~b:right.presence j)
-    pairs;
+  for k = 0 to n_out - 1 do
+    Bitset.and_rows ~dst:presence k ~a:left.presence li.(k) ~b:right.presence ri.(k)
+  done;
   { schema = out_schema; n_reps = left.n_reps; n_rows = n_out; columns; presence }
 
 (* --- aggregate / fused query ---------------------------------------- *)
@@ -252,7 +236,7 @@ type pred_eval = P_none | P_cell of (int -> int -> bool) | P_interp of Expr.t
 type agg_eval = A_count | A_cell of Kernel.cell | A_interp of Expr.t
 
 let fused ?pool t ~pred ~defs ~keys ~aggs =
-  let key_idx = List.map (Schema.column_index t.schema) keys in
+  let key_cols = det_key_columns t (List.map (Schema.column_index t.schema) keys) in
   let ext_schema =
     match defs with
     | [] -> t.schema
@@ -333,68 +317,11 @@ let fused ?pool t ~pred ~defs ~keys ~aggs =
       agg_counts = Array.init n_aggs (fun _ -> Array.make t.n_reps 0);
     }
   in
-  (* Keying: packed Keycode words when every key column encodes, the
-     boxed Value.Tbl otherwise. Group order is first-seen either way,
-     and each group's key values are read back from its first row, so
-     the two strategies are bit-identical. An uncertain key column makes
-     [Keycode.of_columns] refuse (it requires det storage), which lands
-     on the boxed path where [det_key_exn] raises exactly as before. *)
-  let enc =
-    match keys with
-    | [] -> None
-    | _ ->
-      Keycode.of_columns [ Array.of_list (List.map (fun j -> t.columns.(j)) key_idx) ]
-  in
-  let state_for, finished =
-    match enc with
-    | Some enc ->
-      let coded = Keycode.encode ?pool enc ~side:0 in
-      let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 8)) coded.keys in
-      (* The [fresh ()] fill is a dummy shared by unused slots only;
-         every live id gets its own state on first sight. *)
-      let states = ref (Array.make 16 (fresh ())) in
-      let rep_rows = ref (Array.make 16 0) in
-      let n_groups = ref 0 in
-      let state_for i =
-        let id = Keycode.tbl_add tbl i in
-        if id = !n_groups then begin
-          if id = Array.length !states then begin
-            let grow fill a =
-              let bigger = Array.make (2 * Array.length a) fill in
-              Array.blit a 0 bigger 0 (Array.length a);
-              bigger
-            in
-            states := grow (fresh ()) !states;
-            rep_rows := grow 0 !rep_rows
-          end;
-          !states.(id) <- fresh ();
-          !rep_rows.(id) <- i;
-          incr n_groups
-        end;
-        !states.(id)
-      in
-      let finished () =
-        List.init !n_groups (fun g -> (det_key_exn t key_idx !rep_rows.(g), !states.(g)))
-      in
-      (state_for, finished)
-    | None ->
-      let groups : group_state Value.Tbl.t = Value.Tbl.create 16 in
-      let order = ref [] in
-      let state_for i =
-        let key = det_key_exn t key_idx i in
-        match Value.Tbl.find_opt groups key with
-        | Some s -> s
-        | None ->
-          let s = fresh () in
-          Value.Tbl.add groups key s;
-          order := key :: !order;
-          s
-      in
-      let finished () =
-        List.map (fun key -> (key, Value.Tbl.find groups key)) (List.rev !order)
-      in
-      (state_for, finished)
-  in
+  (* Keying: one packed Keycode word per row, first-seen group ids, and
+     each group's key values read back from its first row. *)
+  let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
+  let states = Array.map (fun _ -> fresh ()) firsts in
+  let state_for i = states.(ids.(i)) in
   let accumulate state a r x =
     state.sums.(a).(r) <- state.sums.(a).(r) +. x;
     if x < state.mins.(a).(r) then state.mins.(a).(r) <- x;
@@ -498,7 +425,7 @@ let fused ?pool t ~pred ~defs ~keys ~aggs =
                    if state.agg_counts.(a).(r) = 0 then nan else state.maxs.(a).(r)))
            aggs)
     in
-    (Array.of_list key, per_agg)
+    (key, per_agg)
   in
   let finish_empty_global () =
     (* No tuples at all and a global group: zero counts/sums, nan moments. *)
@@ -512,9 +439,11 @@ let fused ?pool t ~pred ~defs ~keys ~aggs =
     in
     ([||], per_agg)
   in
-  match (finished (), keys) with
-  | [], [] -> [ finish_empty_global () ]
-  | found, _ -> List.map finish found
+  match (firsts, keys) with
+  | [||], [] -> [ finish_empty_global () ]
+  | _ ->
+    List.init (Array.length firsts) (fun g ->
+        finish (Array.map (fun c -> Column.value c firsts.(g) 0) key_cols, states.(g)))
 
 let aggregate ?pool ?(keys = []) aggs t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->

@@ -100,7 +100,8 @@ let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
   let out_schema = Schema.concat t.tschema added in
   let kenv = env t in
-  (* Every defining expression reads the input schema, as Algebra.extend. *)
+  (* Every defining expression reads the input schema, as the row oracle's
+     extend does. *)
   let interpret ty e =
     Column.of_det_cells ?pool ~ty ~rows:t.n_rows ~reps:1 (fun i ->
         Expr.eval t.tschema (row t i) e)
@@ -120,112 +121,98 @@ let no_nulls = function
   | None -> fun _ -> false
   | Some (flags : bool array) -> fun i -> flags.(i)
 
-let equi_join ?pool ~on l r =
-  let out_schema = Schema.concat l.tschema r.tschema in
-  let l_idx = List.map (fun (a, _) -> Schema.column_index l.tschema a) on in
-  let r_idx = List.map (fun (_, b) -> Schema.column_index r.tschema b) on in
-  let emit li ri =
-    {
-      tschema = out_schema;
-      n_rows = Array.length li;
-      cols = Array.append (Column.gather l.cols li) (Column.gather r.cols ri);
-    }
-  in
-  (* Build right, probe left in row order, emit matches in build order —
-     the exact row order Algebra.equi_join produces. Null keys never
-     match. *)
-  let key_cols t idxs = Array.of_list (List.map (fun j -> t.cols.(j)) idxs) in
+let join_index ?pool (probe, probe_rows) (build, build_rows) =
   let enc =
-    if on = [] then None else Keycode.of_columns [ key_cols r r_idx; key_cols l l_idx ]
+    match Keycode.of_columns [ build; probe ] with
+    | Some enc -> enc
+    | None -> invalid_arg "Columnar.join_index: uncertain key column"
   in
-  match enc with
-  | Some enc ->
-    (* Packed path: one unboxed key per row, an open-addressing build
-       table, and build-order match chains (head/next/tail per key id)
-       replacing the boxed Value.Tbl + find_all + List.rev churn. *)
-    let bcoded = Keycode.encode ?pool enc ~side:0 in
-    let pcoded = Keycode.encode ?pool enc ~side:1 in
-    let bnull = no_nulls bcoded.null_rows and pnull = no_nulls pcoded.null_rows in
-    let tbl = Keycode.tbl_create ~hint:r.n_rows bcoded.keys in
-    let head = ref (Array.make (max 16 (r.n_rows / 4)) (-1)) in
-    let tail = ref (Array.make (Array.length !head) (-1)) in
-    let len = ref (Array.make (Array.length !head) 0) in
-    let next = Array.make r.n_rows (-1) in
-    for j = 0 to r.n_rows - 1 do
-      if not (bnull j) then begin
-        let id = Keycode.tbl_add tbl j in
-        if id >= Array.length !head then begin
-          let grow fill a =
-            let bigger = Array.make (2 * Array.length a) fill in
-            Array.blit a 0 bigger 0 (Array.length a);
-            bigger
-          in
-          head := grow (-1) !head;
-          tail := grow (-1) !tail;
-          len := grow 0 !len
-        end;
-        if !head.(id) < 0 then !head.(id) <- j else next.(!tail.(id)) <- j;
-        !tail.(id) <- j;
-        !len.(id) <- !len.(id) + 1
-      end
-    done;
-    let head = !head and len = !len in
-    (* Two passes over the same chunks: the first finds each probe row's
-       key id and counts its chunk's matches, the second writes the
-       pairs at the chunk's offset. Output pairs cost exactly their two
-       index words, and chunk order is row order whatever the chunking. *)
-    let chunks = n_chunks ?pool l.n_rows in
-    let found = Array.make l.n_rows (-1) in
-    let starts = Array.make (chunks + 1) 0 in
-    iter_chunks ?pool ~site:"columnar.join.probe" ~chunks l.n_rows (fun c lo hi ->
-        let m = ref 0 in
-        for i = lo to hi - 1 do
-          if not (pnull i) then begin
-            let id = Keycode.tbl_find tbl pcoded.keys i in
-            if id >= 0 then begin
-              found.(i) <- id;
-              m := !m + len.(id)
-            end
-          end
-        done;
-        starts.(c + 1) <- !m);
-    for c = 1 to chunks do
-      starts.(c) <- starts.(c - 1) + starts.(c)
-    done;
-    let li = Array.make starts.(chunks) 0 and ri = Array.make starts.(chunks) 0 in
-    iter_chunks ?pool ~site:"columnar.join.emit" ~chunks l.n_rows (fun c lo hi ->
-        let k = ref starts.(c) in
-        for i = lo to hi - 1 do
-          let id = found.(i) in
+  (* One unboxed key per row, an open-addressing build table, and
+     build-order match chains (head/next/tail per key id). *)
+  let bcoded = Keycode.codes ?pool enc ~side:0 ~rows:build_rows in
+  let pcoded = Keycode.codes ?pool enc ~side:1 ~rows:probe_rows in
+  let bnull = no_nulls bcoded.null_rows and pnull = no_nulls pcoded.null_rows in
+  let tbl = Keycode.tbl_create ~hint:build_rows bcoded.keys in
+  let head = ref (Array.make (max 16 (build_rows / 4)) (-1)) in
+  let tail = ref (Array.make (Array.length !head) (-1)) in
+  let len = ref (Array.make (Array.length !head) 0) in
+  let next = Array.make build_rows (-1) in
+  for j = 0 to build_rows - 1 do
+    if not (bnull j) then begin
+      let id = Keycode.tbl_add tbl j in
+      if id >= Array.length !head then begin
+        let grow fill a =
+          let bigger = Array.make (2 * Array.length a) fill in
+          Array.blit a 0 bigger 0 (Array.length a);
+          bigger
+        in
+        head := grow (-1) !head;
+        tail := grow (-1) !tail;
+        len := grow 0 !len
+      end;
+      if !head.(id) < 0 then !head.(id) <- j else next.(!tail.(id)) <- j;
+      !tail.(id) <- j;
+      !len.(id) <- !len.(id) + 1
+    end
+  done;
+  let head = !head and len = !len in
+  (* Two passes over the same chunks: the first finds each probe row's
+     key id and counts its chunk's matches, the second writes the
+     pairs at the chunk's offset. Output pairs cost exactly their two
+     index words, and chunk order is row order whatever the chunking. *)
+  let chunks = n_chunks ?pool probe_rows in
+  let found = Array.make probe_rows (-1) in
+  let starts = Array.make (chunks + 1) 0 in
+  iter_chunks ?pool ~site:"columnar.join.probe" ~chunks probe_rows (fun c lo hi ->
+      let m = ref 0 in
+      for i = lo to hi - 1 do
+        if not (pnull i) then begin
+          let id = Keycode.tbl_find tbl pcoded.keys i in
           if id >= 0 then begin
-            let j = ref head.(id) in
-            while !j >= 0 do
-              li.(!k) <- i;
-              ri.(!k) <- !j;
-              incr k;
-              j := next.(!j)
-            done
+            found.(i) <- id;
+            m := !m + len.(id)
           end
-        done);
-    emit li ri
-  | None ->
-    let key_of t idxs i = List.map (fun j -> Column.value t.cols.(j) i 0) idxs in
-    let build = Value.Tbl.create (max 16 r.n_rows) in
-    for j = 0 to r.n_rows - 1 do
-      let key = key_of r r_idx j in
-      if not (List.exists Value.is_null key) then Value.Tbl.add build key j
-    done;
-    let pairs = ref [] in
-    for i = 0 to l.n_rows - 1 do
-      let key = key_of l l_idx i in
-      if not (List.exists Value.is_null key) then
-        (* find_all returns most-recent first; restore build order. *)
-        List.iter
-          (fun j -> pairs := (i, j) :: !pairs)
-          (List.rev (Value.Tbl.find_all build key))
-    done;
-    let pairs = Array.of_list (List.rev !pairs) in
-    emit (Array.map fst pairs) (Array.map snd pairs)
+        end
+      done;
+      starts.(c + 1) <- !m);
+  for c = 1 to chunks do
+    starts.(c) <- starts.(c - 1) + starts.(c)
+  done;
+  let pi = Array.make starts.(chunks) 0 and bi = Array.make starts.(chunks) 0 in
+  iter_chunks ?pool ~site:"columnar.join.emit" ~chunks probe_rows (fun c lo hi ->
+      let k = ref starts.(c) in
+      for i = lo to hi - 1 do
+        let id = found.(i) in
+        if id >= 0 then begin
+          let j = ref head.(id) in
+          while !j >= 0 do
+            pi.(!k) <- i;
+            bi.(!k) <- !j;
+            incr k;
+            j := next.(!j)
+          done
+        end
+      done);
+  (pi, bi)
+
+let key_cols t names =
+  Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) names)
+
+let equi_join ?pool ~on l r =
+  let tschema = Schema.concat l.tschema r.tschema in
+  (* Build right, probe left in row order, emit matches in build order —
+     the exact row order of the row oracle's equi_join. Null keys never
+     match. *)
+  let li, ri =
+    join_index ?pool
+      (key_cols l (List.map fst on), l.n_rows)
+      (key_cols r (List.map snd on), r.n_rows)
+  in
+  {
+    tschema;
+    n_rows = Array.length li;
+    cols = Array.append (Column.gather l.cols li) (Column.gather r.cols ri);
+  }
 
 (* --- grouped aggregation -------------------------------------------- *)
 
@@ -294,253 +281,123 @@ let float_feeder ?pool ~rows kenv e finish =
       { feed; finish })
     (Option.bind (Kernel.compile kenv e) Kernel.as_float_cell)
 
-(* Min/Max read the boxed cell so string inputs raise in [Value.to_float]
-   exactly as the row oracle's feed does. *)
-let value_feeder ?pool ~rows kenv e finish =
-  Option.map
-    (fun node ->
-      let read =
-        match pool with
-        | None -> fun i -> Kernel.node_value node i 0
-        | Some _ ->
-          let vals =
-            Mde_par.Pool.init ?pool ~site:"columnar.group.scratch" rows (fun i ->
-                Kernel.node_value node i 0)
-          in
-          fun i -> vals.(i)
-      in
-      let feed a i =
-        match read i with
-        | Value.Null -> ()
-        | v ->
-          let x = Value.to_float v in
-          a.kcount <- a.kcount + 1;
-          a.ksum <- a.ksum +. x;
-          a.ksum_sq <- a.ksum_sq +. (x *. x);
-          if Value.is_null a.kvmin || Value.compare v a.kvmin < 0 then a.kvmin <- v;
-          if Value.is_null a.kvmax || Value.compare v a.kvmax > 0 then a.kvmax <- v
-      in
-      { feed; finish })
-    (Kernel.compile kenv e)
+(* Min/Max, and sources the compiler declines, read the boxed cell, so
+   string inputs raise in [Value.to_float] exactly as the row oracle's
+   feed does. *)
+let value_feeder ?pool ~rows read finish =
+  let read =
+    match pool with
+    | None -> read
+    | Some _ ->
+      let vals = Mde_par.Pool.init ?pool ~site:"columnar.group.scratch" rows read in
+      fun i -> vals.(i)
+  in
+  let feed a i =
+    match read i with
+    | Value.Null -> ()
+    | v ->
+      let x = Value.to_float v in
+      a.kcount <- a.kcount + 1;
+      a.ksum <- a.ksum +. x;
+      a.ksum_sq <- a.ksum_sq +. (x *. x);
+      if Value.is_null a.kvmin || Value.compare v a.kvmin < 0 then a.kvmin <- v;
+      if Value.is_null a.kvmax || Value.compare v a.kvmax > 0 then a.kvmax <- v
+  in
+  { feed; finish }
 
-let compile_feeder ?pool ~rows kenv = function
-  | Algebra.Count ->
-    Some { feed = (fun a _ -> a.kcount <- a.kcount + 1); finish = finish_count }
+(* An aggregate source the kernel compiler declines is interpreted on
+   the realized row, as [extend] does for its definitions. *)
+let compile_feeder ?pool t kenv agg =
+  let rows = t.n_rows in
+  let source e =
+    match Kernel.compile kenv e with
+    | Some node -> fun i -> Kernel.node_value node i 0
+    | None -> fun i -> Expr.eval t.tschema (row t i) e
+  in
+  let numeric e finish =
+    match float_feeder ?pool ~rows kenv e finish with
+    | Some f -> f
+    | None -> value_feeder ?pool ~rows (source e) finish
+  in
+  match agg with
+  | Algebra.Count -> { feed = (fun a _ -> a.kcount <- a.kcount + 1); finish = finish_count }
   | Algebra.Count_if e ->
-    Option.map
-      (fun p ->
-        let test =
-          match pool with
-          | None -> fun i -> p i 0
-          | Some _ ->
-            let flags = Bytes.make rows '\000' in
-            Mde_par.Pool.iter ?pool ~site:"columnar.group.scratch" rows (fun i ->
-                if p i 0 then Bytes.set flags i '\001');
-            fun i -> Bytes.get flags i <> '\000'
-        in
-        {
-          feed = (fun a i -> if test i then a.kcount <- a.kcount + 1);
-          finish = finish_count;
-        })
-      (Option.bind (Kernel.compile kenv e) Kernel.as_pred)
-  | Algebra.Sum e -> float_feeder ?pool ~rows kenv e finish_sum
-  | Algebra.Avg e -> float_feeder ?pool ~rows kenv e finish_avg
-  | Algebra.Std e -> float_feeder ?pool ~rows kenv e finish_std
-  | Algebra.Min e -> value_feeder ?pool ~rows kenv e (fun a -> a.kvmin)
-  | Algebra.Max e -> value_feeder ?pool ~rows kenv e (fun a -> a.kvmax)
+    let test =
+      match Option.bind (Kernel.compile kenv e) Kernel.as_pred with
+      | Some p -> fun i -> p i 0
+      | None -> fun i -> Expr.eval_bool t.tschema (row t i) e
+    in
+    let test =
+      match pool with
+      | None -> test
+      | Some _ ->
+        let flags = Bytes.make rows '\000' in
+        Mde_par.Pool.iter ?pool ~site:"columnar.group.scratch" rows (fun i ->
+            if test i then Bytes.set flags i '\001');
+        fun i -> Bytes.get flags i <> '\000'
+    in
+    { feed = (fun a i -> if test i then a.kcount <- a.kcount + 1); finish = finish_count }
+  | Algebra.Sum e -> numeric e finish_sum
+  | Algebra.Avg e -> numeric e finish_avg
+  | Algebra.Std e -> numeric e finish_std
+  | Algebra.Min e -> value_feeder ?pool ~rows (source e) (fun a -> a.kvmin)
+  | Algebra.Max e -> value_feeder ?pool ~rows (source e) (fun a -> a.kvmax)
 
 let group_by ?pool ~keys ~aggs t =
-  let feeders =
-    let kenv = env t in
-    let rec all = function
-      | [] -> Some []
-      | (_, a) :: rest ->
-        Option.bind (compile_feeder ?pool ~rows:t.n_rows kenv a) (fun f ->
-            Option.map (fun fs -> f :: fs) (all rest))
-    in
-    Option.map Array.of_list (all aggs)
+  let kenv = env t in
+  let feeders = Array.of_list (List.map (fun (_, a) -> compile_feeder ?pool t kenv a) aggs) in
+  let key_cols = key_cols t keys in
+  let key_schema_cols = List.map (fun k -> (k, Schema.column_type t.tschema k)) keys in
+  let out_schema =
+    Schema.of_list (key_schema_cols @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
   in
-  match feeders with
-  | None ->
-    (* Any aggregate the compiler does not cover drops the whole group-by
-       to the row oracle itself — identical by construction. *)
-    of_table (Algebra.group_by ~keys ~aggs (to_table t))
-  | Some feeders ->
-    let key_cols =
-      Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) keys)
-    in
-    let key_schema_cols = List.map (fun k -> (k, Schema.column_type t.tschema k)) keys in
-    let out_schema =
-      Schema.of_list
-        (key_schema_cols @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
-    in
-    let n_aggs = Array.length feeders in
-    (* Dense first-seen group ids; per group its first (representative)
-       row and its accumulators, fed in row order so float sums come out
-       bit-identical to the row oracle's. *)
-    let accs_store = ref (Array.make 16 [||]) in
-    let rep_store = ref (Array.make 16 0) in
-    let n_groups = ref 0 in
-    let new_group i =
-      let id = !n_groups in
-      if id = Array.length !accs_store then begin
-        let grow fill a =
-          let bigger = Array.make (2 * Array.length a) fill in
-          Array.blit a 0 bigger 0 (Array.length a);
-          bigger
-        in
-        accs_store := grow [||] !accs_store;
-        rep_store := grow 0 !rep_store
-      end;
-      !accs_store.(id) <- Array.init n_aggs (fun _ -> fresh_kacc ());
-      !rep_store.(id) <- i;
-      incr n_groups
-    in
-    let feed id i =
-      let accs = !accs_store.(id) in
-      Array.iteri (fun a f -> f.feed accs.(a) i) feeders
-    in
-    (match Keycode.of_columns [ key_cols ] with
-    | Some enc ->
-      (* Packed path: one unboxed key per row instead of a boxed
-         [Value.t list]; the open-addressing table hands out ids in
-         first-seen order. *)
-      let coded = Keycode.encode ?pool enc ~side:0 in
-      let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 8)) coded.keys in
-      for i = 0 to t.n_rows - 1 do
-        let id = Keycode.tbl_add tbl i in
-        if id = !n_groups then new_group i;
-        feed id i
-      done
-    | None when keys = [] ->
+  (* Per group its first (representative) row and its accumulators, fed
+     in row order so float sums come out bit-identical to the row
+     oracle's. *)
+  let fresh () = Array.map (fun _ -> fresh_kacc ()) feeders in
+  let feed accs i = Array.iteri (fun a f -> f.feed accs.(a) i) feeders in
+  let firsts, accs =
+    match keys with
+    | [] ->
       (* A global aggregate: one group, emitted even on empty input. *)
-      new_group 0;
+      let accs = fresh () in
       for i = 0 to t.n_rows - 1 do
-        feed 0 i
-      done
-    | None ->
-      (* Keys Keycode refuses ([Vvalues] storage): boxed key lists. *)
-      let ids = Value.Tbl.create 64 in
+        feed accs i
+      done;
+      ([||], [| accs |])
+    | _ ->
+      let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
+      let accs = Array.map (fun _ -> fresh ()) firsts in
       for i = 0 to t.n_rows - 1 do
-        let key = Array.to_list (Array.map (fun c -> Column.value c i 0) key_cols) in
-        match Value.Tbl.find_opt ids key with
-        | Some id -> feed id i
-        | None ->
-          Value.Tbl.add ids key !n_groups;
-          new_group i;
-          feed (!n_groups - 1) i
-      done);
-    (* Output columns are built directly: keys by gathering each group's
-       representative row, aggregates from the finishers. *)
-    let n_groups = !n_groups in
-    let accs_store = !accs_store in
-    let rep_idx = Array.sub !rep_store 0 n_groups in
-    let key_out = Column.gather key_cols rep_idx in
-    let agg_out =
-      Array.of_list
-        (List.mapi
-           (fun a (_, agg) ->
-             Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
-               (fun g -> feeders.(a).finish accs_store.(g).(a)))
-           aggs)
-    in
-    { tschema = out_schema; n_rows = n_groups; cols = Array.append key_out agg_out }
+        feed accs.(ids.(i)) i
+      done;
+      (firsts, accs)
+  in
+  (* Output columns are built directly: keys by gathering each group's
+     representative row, aggregates from the finishers. *)
+  let n_groups = Array.length accs in
+  let agg_out =
+    Array.of_list
+      (List.mapi
+         (fun a (_, agg) ->
+           Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1 (fun g ->
+               feeders.(a).finish accs.(g).(a)))
+         aggs)
+  in
+  {
+    tschema = out_schema;
+    n_rows = n_groups;
+    cols = Array.append (Column.gather key_cols firsts) agg_out;
+  }
 
 (* --- ordering, distinct, limit -------------------------------------- *)
 
-(* Per-column typed comparator agreeing with [Value.compare] on a typed
-   column's possible values: Null sorts below everything, floats through
-   [Float.compare] (NaN lowest, -0. < 0.), strings through the
-   dictionary. *)
-let cmp_nulls is_null cmp i j =
-  match (is_null i, is_null j) with
-  | true, true -> 0
-  | true, false -> -1
-  | false, true -> 1
-  | false, false -> cmp i j
-
-let slot_compare col =
-  let masked nulls =
-    match nulls with
-    | None -> fun _ -> false
-    | Some m -> fun i -> Column.Bitset.get m i 0
-  in
-  match Column.view col with
-  | Column.Vfloat { data; nulls; _ } ->
-    cmp_nulls (masked nulls) (fun i j -> Float.compare (Array1.get data i) (Array1.get data j))
-  | Column.Vint { data; nulls; _ } ->
-    cmp_nulls (masked nulls) (fun i j -> Int.compare data.(i) data.(j))
-  | Column.Vbool { data; nulls; _ } ->
-    (* 0/1 under Int.compare agrees with Bool.compare. *)
-    cmp_nulls (masked nulls) (fun i j -> Int.compare data.(i) data.(j))
-  | Column.Vstring { codes; dict; _ } ->
-    cmp_nulls
-      (fun i -> codes.(i) < 0)
-      (fun i j -> String.compare dict.(codes.(i)) dict.(codes.(j)))
-  | Column.Vvalues { data; _ } -> fun i j -> Value.compare data.(i) data.(j)
-
 let order_by ?(descending = false) names t =
-  let cols =
-    Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) names)
-  in
-  match Keycode.sort_perm ~descending cols ~n_rows:t.n_rows with
-  | Some perm ->
-    (* One extracted normalized key per row: the packed image agrees
-       with the comparator chain below on order and ties, so the
-       permutation is identical. *)
-    gather t perm
-  | None ->
-  let cmps = Array.to_list (Array.map slot_compare cols) in
-  let key_cmp i j =
-    let rec go = function
-      | [] -> 0
-      | c :: rest ->
-        let v = c i j in
-        if v <> 0 then v else go rest
-    in
-    go cmps
-  in
-  let perm = Array.init t.n_rows Fun.id in
-  (* Array.sort is not stable; break ties on the original index, exactly
-     as Algebra.order_by (descending negates keys, never the tiebreak). *)
-  Array.sort
-    (fun a b ->
-      let c =
-        let c = key_cmp a b in
-        if descending then -c else c
-      in
-      if c <> 0 then c else Int.compare a b)
-    perm;
-  gather t perm
+  gather t (Keycode.sort_perm ~descending (key_cols t names) ~n_rows:t.n_rows)
 
-let distinct ?pool t =
-  let enc = if Array.length t.cols > 0 then Keycode.of_columns [ t.cols ] else None in
-  match enc with
-  | Some enc ->
-    (* A row is kept iff its packed key is fresh; dense first-seen ids
-       make "fresh" one integer comparison. Null cells are ordinary key
-       codes here — Null = Null under Value.Key, exactly as the boxed
-       path's [Value.Tbl.mem]. *)
-    let coded = Keycode.encode ?pool enc ~side:0 in
-    let tbl = Keycode.tbl_create ~hint:(max 16 (t.n_rows / 4)) coded.keys in
-    let keep = ibuf_create () in
-    for i = 0 to t.n_rows - 1 do
-      if Keycode.tbl_add tbl i = keep.ilen then ibuf_push keep i
-    done;
-    gather t (Array.sub keep.ib 0 keep.ilen)
-  | None ->
-    let seen = Value.Tbl.create 64 in
-    let idx = ref [] in
-    let n = ref 0 in
-    for i = 0 to t.n_rows - 1 do
-      let key = Array.to_list (row t i) in
-      if not (Value.Tbl.mem seen key) then begin
-        Value.Tbl.add seen key ();
-        idx := i :: !idx;
-        incr n
-      end
-    done;
-    gather t (Array.of_list (List.rev !idx))
+(* A row is kept iff its key is fresh. Null cells are ordinary key codes
+   here: Null = Null under Value.Key, exactly as in the row oracle. *)
+let distinct ?pool t = gather t (snd (Keycode.groups ?pool t.cols ~rows:t.n_rows))
 
 let limit n t =
   (* Not an assert: validation must survive [-noassert] builds. *)

@@ -8,9 +8,8 @@
     has one path, picked from its inputs: predicates, computed columns
     and aggregate sources compile to typed closures ({!Kernel.compile}),
     falling back per expression to row-at-a-time {!Expr.eval} when the
-    compiler does not cover one; keys pack into {!Keycode} words when
-    the key columns encode, and take a boxed [Value.Tbl] / comparator
-    path when {!Keycode} refuses.
+    compiler does not cover one; every key — group, join, distinct and
+    sort — packs into {!Keycode} words, whatever its column types.
 
     Operator outputs are views: [select], [equi_join], [order_by],
     [distinct], [limit] and [group_by]'s key columns build each output
@@ -61,16 +60,24 @@ val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
 
 val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
 (** Inner hash join, build side right, probe side left — the plan
-    executor's join. Row order and null-key behavior match
-    {!Algebra.equi_join}. When the key columns encode, both sides hash
-    one unboxed {!Keycode} word (or packed bytes) per row through an
-    open-addressing table with build-order match chains; otherwise
-    (an empty key, [Vvalues] storage, inexact ints joined to floats) the
-    boxed [Value.Tbl] path runs. The packed probe counts each chunk's
-    matches, then writes the index pairs at the chunk's offset, so the
-    pairs cost two words each. With [?pool] the key encoding and both
-    probe passes are row-chunked in parallel — chunk order is row
-    order, so the output is bit-identical whatever the chunking. *)
+    executor's join, through {!join_index}. Row order and null-key
+    behavior match {!Algebra.equi_join}; [on = []] is the cross
+    product. *)
+
+val join_index :
+  ?pool:Mde_par.Pool.t -> Column.t array * int -> Column.t array * int -> int array * int array
+(** [join_index (probe_keys, probe_rows) (build_keys, build_rows)]: the
+    matching (probe row, build row) pairs of an inner equi-join on the
+    given deterministic key columns, probe rows in order and each probe
+    row's matches in build order; rows with a Null key component never
+    match. Both sides hash one unboxed {!Keycode} word per row through
+    an open-addressing table with build-order match chains. The probe
+    counts each chunk's matches, then writes the index pairs at the
+    chunk's offset, so the pairs cost two words each. With [?pool] the
+    key encoding and both probe passes are row-chunked in parallel —
+    chunk order is row order, so the output is bit-identical whatever
+    the chunking. Raises [Invalid_argument] on an uncertain key
+    column. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->
@@ -80,29 +87,26 @@ val group_by :
   t
 (** Grouped aggregation with {!Algebra.group_by}'s exact semantics:
     first-seen group order, NaN keys collapse to one group, [keys = []]
-    yields one global row even on empty input. The Sum/Avg/Std/Count
-    paths accumulate unboxed; if any aggregate's source fails to
-    compile the whole call drops to {!Algebra.group_by}. When the key
-    columns encode, each row's composite key is one {!Keycode} word
-    instead of a boxed list, and the output columns are built directly
-    (keys gathered from each group's first row); otherwise — the empty
-    key of a global aggregate included — groups hash boxed key lists in
-    a [Value.Tbl]. With [?pool] the key encoding and the aggregate
+    yields one global row even on empty input. Each row's composite key
+    is one {!Keycode} word ({!Keycode.groups}), and the output columns
+    are built directly (keys gathered from each group's first row). The
+    Sum/Avg/Std/Count paths accumulate unboxed; an aggregate source the
+    kernel compiler declines is interpreted per row and fed to the same
+    accumulators. With [?pool] the key encoding and the aggregate
     sources are evaluated row-chunked in parallel into scratch buffers;
     accumulation always replays sequentially in row order, so pooled
     results are bit-identical to sequential ones. *)
 
 val order_by : ?descending:bool -> string list -> t -> t
-(** Stable sort via typed per-column comparators agreeing with
-    [Value.compare] — or, when every key column normalizes, via one
-    packed order-preserving {!Keycode} image per row (ints, bools,
-    dictionary ranks; the row index rides in the low bits as the
-    tiebreak) and a flat monomorphic int sort. Both produce the same
-    permutation; float keys take the comparator path. *)
+(** Stable sort under [Value.compare] via {!Keycode.sort_perm}: one
+    packed order-preserving image per row (the row index in the low
+    bits as the tiebreak) and a flat monomorphic int sort, or a
+    word-by-word comparison when the image needs more than one word. *)
 
 val distinct : ?pool:Mde_par.Pool.t -> t -> t
-(** First occurrence of each distinct row, in row order; packed all-column
-    {!Keycode} keys when they encode, boxed [Value.Tbl] otherwise. *)
+(** First occurrence of each distinct row, in row order, keyed by packed
+    all-column {!Keycode} words; a zero-column table keeps its first
+    row. *)
 
 val limit : int -> t -> t
 (** Raises [Invalid_argument] on a negative count. *)

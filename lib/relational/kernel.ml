@@ -136,7 +136,7 @@ let int_cmp = function
   | Cge -> fun (x : int) y -> x >= y
 
 (* Total-order float comparison — [Value.compare] goes through
-   [Float.compare], so NaN sorts below everything and [-0. < 0.]; the
+   [Float.compare], so NaN sorts below everything and [-0. = 0.]; the
    compiled path must agree bit for bit, hence no IEEE [<]. *)
 let float_cmp = function
   | Ceq -> fun x y -> Float.compare x y = 0
@@ -145,6 +145,16 @@ let float_cmp = function
   | Cle -> fun x y -> Float.compare x y <= 0
   | Cgt -> fun x y -> Float.compare x y > 0
   | Cge -> fun x y -> Float.compare x y >= 0
+
+(* An operator applied to a three-way comparison's sign: the mixed
+   int/float arms compare exactly, through [Value.compare_int_float]. *)
+let sign_cmp = function
+  | Ceq -> fun c -> c = 0
+  | Cne -> fun c -> c <> 0
+  | Clt -> fun c -> c < 0
+  | Cle -> fun c -> c <= 0
+  | Cgt -> fun c -> c > 0
+  | Cge -> fun c -> c >= 0
 
 let str_cmp = function
   | Ceq -> fun x y -> String.compare x y = 0
@@ -309,12 +319,23 @@ and cmp env cop a b =
            bunc = x.iunc || y.iunc;
          })
   | Some ((Nint _ | Nfloat _) as x), Some ((Nint _ | Nfloat _) as y) ->
-    let op = float_cmp cop in
-    let fx = as_float_get x and fy = as_float_get y in
+    let test =
+      match (x, y) with
+      | Nint a, Nfloat b ->
+        let op = sign_cmp cop and gx = a.geti and gy = b.getf in
+        fun i r -> op (Value.compare_int_float (gx i r) (gy i r))
+      | Nfloat a, Nint b ->
+        let op = sign_cmp cop and gx = a.getf and gy = b.geti in
+        fun i r -> op (-Value.compare_int_float (gy i r) (gx i r))
+      | _ ->
+        let op = float_cmp cop in
+        let fx = as_float_get x and fy = as_float_get y in
+        fun i r -> op (fx i r) (fy i r)
+    in
     Some
       (Nbool
          {
-           getb = guard2 (node_null x) (node_null y) (fun i r -> op (fx i r) (fy i r));
+           getb = guard2 (node_null x) (node_null y) test;
            bnull = no_null;
            bunc = node_unc x || node_unc y;
          })

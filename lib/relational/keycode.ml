@@ -1,305 +1,9 @@
 (* Packed key codes. See keycode.mli for the semantic contract; the
-   short version is that every encoding below must be injective w.r.t.
-   Value.Key equality over the cells it covers, or [of_columns] must
-   refuse and send the caller back to the boxed Value.Tbl path. *)
+   short version is that every code below must be injective w.r.t.
+   Value.Key equality over the cells it covers, and a pure function of
+   the encoder and the row. *)
 
-module Bitset = Column.Bitset
-
-(* --- component classification ------------------------------------- *)
-
-(* One component of the composite key, classified across all sides.
-   Packed components carry the field width in bits; a code of 0 always
-   means Null, so a packed key of all-zero fields is the all-null key
-   and null detection is "any field extracts to 0". *)
-type comp =
-  | Craw  (* sole component, int storage, no nulls on any side: the raw
-             value is already an injective one-word key (zero-copy) *)
-  | Cint of { base : int; width : int }  (* code = v - base + 1 *)
-  | Cbool  (* width 2: null 0, false 1, true 2 *)
-  | Cstr of { remaps : int array array; width : int }
-      (* remaps.(side).(column_code) = shared dictionary code;
-         packed code = shared + 1 *)
-  | Cnum  (* bytes mode: canonical float image (ints validated exact) *)
-  | Cwide  (* bytes mode: exact int payload, range too wide to pack *)
-
-type mode = Mraw | Mpacked | Mbytes
-
-type t = { sides : Column.t array array; comps : comp array; mode : mode }
-
-let comp_width = function
-  | Cint { width; _ } -> width
-  | Cbool -> 2
-  | Cstr { width; _ } -> width
-  | Craw | Cnum | Cwide -> 0
-
-(* Smallest w >= 1 with 2^w >= count. Callers guarantee count < 2^62. *)
-let bits_for count =
-  let w = ref 1 in
-  while 1 lsl !w < count do incr w done;
-  !w
-
-(* Range of an int data array, scanned over every slot: null slots hold
-   the fill default 0, which can only widen the range — codes stay
-   injective because base <= every non-null value. *)
-let int_range datas =
-  let mn = ref 0 and mx = ref 0 and first = ref true in
-  List.iter
-    (fun (data : int array) ->
-      Array.iter
-        (fun v ->
-          if !first then begin
-            mn := v;
-            mx := v;
-            first := false
-          end
-          else begin
-            if v < !mn then mn := v;
-            if v > !mx then mx := v
-          end)
-        data)
-    datas;
-  (!mn, !mx)
-
-let exact_float_limit = 1 lsl 53
-
-(* Every int whose magnitude is at most 2^53 has an exact float image,
-   so Int i = Float f decisions survive the encoding. Beyond that,
-   float_of_int is not injective and we refuse the component. *)
-let ints_exact datas =
-  List.for_all
-    (fun (data : int array) ->
-      Array.for_all (fun v -> v >= -exact_float_limit && v <= exact_float_limit) data)
-    datas
-
-(* [sole] is true when this is the key's only component: only then may
-   an all-int no-null component stay raw (zero-copy Mraw mode) — in a
-   composite key every component needs a bounded packed width. *)
-let classify_comp ~sole n_sides views =
-  let all p = Array.for_all p views in
-  let int_datas () =
-    Array.to_list views
-    |> List.filter_map (function Column.Vint { data; _ } -> Some data | _ -> None)
-  in
-  if all (function Column.Vint _ -> true | _ -> false) then begin
-    let no_nulls = all (function Column.Vint { nulls = None; _ } -> true | _ -> false) in
-    if sole && no_nulls && n_sides = 1 then Some Craw
-    else begin
-      let mn, mx = int_range (int_datas ()) in
-      let span = mx - mn in
-      (* span < 0 is overflow of the subtraction itself: definitely wide *)
-      if span >= 0 && span <= (1 lsl 61) - 2 then
-        Some (Cint { base = mn; width = bits_for (span + 2) })
-      else Some Cwide
-    end
-  end
-  else if all (function Column.Vbool _ -> true | _ -> false) then Some Cbool
-  else if all (function Column.Vstring _ -> true | _ -> false) then begin
-    let shared : (string, int) Hashtbl.t = Hashtbl.create 64 in
-    let next = ref 0 in
-    let remaps =
-      Array.map
-        (function
-          | Column.Vstring { dict; _ } ->
-            Array.map
-              (fun s ->
-                match Hashtbl.find_opt shared s with
-                | Some c -> c
-                | None ->
-                  let c = !next in
-                  incr next;
-                  Hashtbl.add shared s c;
-                  c)
-              dict
-          | _ -> assert false)
-        views
-    in
-    Some (Cstr { remaps; width = bits_for (!next + 1) })
-  end
-  else if
-    all (function Column.Vint _ | Column.Vfloat _ -> true | _ -> false)
-    && ints_exact (int_datas ())
-  then Some Cnum
-  else None
-
-let of_columns sides =
-  match sides with
-  | [] -> None
-  | first :: rest ->
-    let k = Array.length first in
-    if k = 0 || List.exists (fun s -> Array.length s <> k) rest then None
-    else begin
-      let sides = Array.of_list sides in
-      if Array.exists (fun cols -> Array.exists (fun c -> not (Column.det c)) cols) sides
-      then None
-      else begin
-        let comps =
-          Array.init k (fun c ->
-              classify_comp ~sole:(k = 1) (Array.length sides)
-                (Array.map (fun cols -> Column.view cols.(c)) sides))
-        in
-        if Array.exists Option.is_none comps then None
-        else begin
-          let comps = Array.map Option.get comps in
-          let has_bytes =
-            Array.exists (function Cnum | Cwide -> true | _ -> false) comps
-          in
-          let total = Array.fold_left (fun a c -> a + comp_width c) 0 comps in
-          let mode =
-            if k = 1 && comps.(0) = Craw then Mraw
-            else if (not has_bytes) && total <= 63 then Mpacked
-            else Mbytes
-          in
-          Some { sides; comps; mode }
-        end
-      end
-    end
-
-(* --- encoding ------------------------------------------------------ *)
-
-type keys = Kint of int array | Kbytes of bytes array
-
-type coded = { keys : keys; null_rows : bool array option }
-
-let null_reader nulls =
-  match nulls with
-  | None -> fun _ -> false
-  | Some m -> fun i -> Bitset.get m i 0
-
-(* Packed field code for component [c] of [side]: 0 iff the cell is
-   Null, otherwise >= 1 and injective over the component's values. *)
-let packed_code comp side_idx view =
-  match (comp, view) with
-  | Cint { base; _ }, Column.Vint { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun i -> if is_null i then 0 else data.(i) - base + 1
-  | Cbool, Column.Vbool { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun i -> if is_null i then 0 else data.(i) + 1
-  | Cstr { remaps; _ }, Column.Vstring { codes; _ } ->
-    let remap = remaps.(side_idx) in
-    fun i ->
-      let c = codes.(i) in
-      if c < 0 then 0 else remap.(c) + 1
-  | _ -> invalid_arg "Keycode: component/storage mismatch"
-
-(* Can this component be Null on this side? Used only to decide whether
-   the null_rows array is worth allocating; false negatives would be a
-   bug, false positives just cost one bool array. *)
-let comp_nullable view =
-  match view with
-  | Column.Vint { nulls; _ } | Column.Vbool { nulls; _ } | Column.Vfloat { nulls; _ } ->
-    nulls <> None
-  | Column.Vstring { codes; _ } -> Array.exists (fun c -> c < 0) codes
-  | Column.Vvalues _ -> true
-
-let canonical_nan_bits = 0x7FF8_0000_0000_0000L
-
-(* Canonical image: injective over Float Value.Key classes — all NaNs
-   collapse, -0.0 collapses onto +0.0, everything else is bits. *)
-let num_image f =
-  if f <> f then canonical_nan_bits
-  else if f = 0. then 0L
-  else Int64.bits_of_float f
-
-(* Bytes component writer: 9 bytes at [off] (1 tag + 8 payload), returns
-   true iff the cell was Null. Tags: 0 null, 1 numeric image, 2 bool,
-   3 shared string code, 4 exact int. *)
-let bytes_writer comp side_idx view =
-  let write_null b off =
-    Bytes.set b off '\000';
-    Bytes.set_int64_le b (off + 1) 0L;
-    true
-  in
-  let write b off tag payload =
-    Bytes.set b off tag;
-    Bytes.set_int64_le b (off + 1) payload;
-    false
-  in
-  match (comp, view) with
-  | Cnum, Column.Vfloat { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun b off i ->
-      if is_null i then write_null b off
-      else write b off '\001' (num_image (Bigarray.Array1.get data i))
-  | Cnum, Column.Vint { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun b off i ->
-      if is_null i then write_null b off
-      else write b off '\001' (num_image (float_of_int data.(i)))
-  | (Cwide | Cint _ | Craw), Column.Vint { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun b off i ->
-      if is_null i then write_null b off
-      else write b off '\004' (Int64.of_int data.(i))
-  | Cbool, Column.Vbool { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun b off i ->
-      if is_null i then write_null b off else write b off '\002' (Int64.of_int data.(i))
-  | Cstr { remaps; _ }, Column.Vstring { codes; _ } ->
-    let remap = remaps.(side_idx) in
-    fun b off i ->
-      let c = codes.(i) in
-      if c < 0 then write_null b off else write b off '\003' (Int64.of_int remap.(c))
-  | _ -> invalid_arg "Keycode: component/storage mismatch"
-
-let encode ?pool t ~side =
-  let cols = t.sides.(side) in
-  let k = Array.length cols in
-  let n = Column.rows cols.(0) in
-  let views = Array.map Column.view cols in
-  match t.mode with
-  | Mraw -> (
-    match views.(0) with
-    | Column.Vint { data; _ } -> { keys = Kint data; null_rows = None }
-    | _ -> invalid_arg "Keycode: component/storage mismatch")
-  | Mpacked ->
-    let codes = Array.init k (fun c -> packed_code t.comps.(c) side views.(c)) in
-    let widths = Array.map comp_width t.comps in
-    let nullable = Array.exists comp_nullable views in
-    let out = Array.make n 0 in
-    let nulls = if nullable then Some (Array.make n false) else None in
-    let fill =
-      match nulls with
-      | None ->
-        fun i ->
-          let key = ref 0 in
-          for c = 0 to k - 1 do
-            key := (!key lsl widths.(c)) lor codes.(c) i
-          done;
-          out.(i) <- !key
-      | Some flags ->
-        fun i ->
-          let key = ref 0 in
-          let anynull = ref false in
-          for c = 0 to k - 1 do
-            let code = codes.(c) i in
-            if code = 0 then anynull := true;
-            key := (!key lsl widths.(c)) lor code
-          done;
-          out.(i) <- !key;
-          if !anynull then flags.(i) <- true
-    in
-    Mde_par.Pool.iter ?pool ~site:"relational.keycode" n fill;
-    { keys = Kint out; null_rows = nulls }
-  | Mbytes ->
-    let writers = Array.init k (fun c -> bytes_writer t.comps.(c) side views.(c)) in
-    let len = 9 * k in
-    let out = Array.make n Bytes.empty in
-    let nullable = Array.exists comp_nullable views in
-    let nulls = if nullable then Some (Array.make n false) else None in
-    let fill i =
-      let b = Bytes.create len in
-      let anynull = ref false in
-      for c = 0 to k - 1 do
-        if writers.(c) b (9 * c) i then anynull := true
-      done;
-      out.(i) <- b;
-      match nulls with
-      | Some flags -> if !anynull then flags.(i) <- true
-      | None -> ()
-    in
-    Mde_par.Pool.iter ?pool ~site:"relational.keycode" n fill;
-    { keys = Kbytes out; null_rows = nulls }
+module Array1 = Bigarray.Array1
 
 (* --- key tables ---------------------------------------------------- *)
 
@@ -311,7 +15,7 @@ let int_hash k =
   let h = k * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 31)) land max_int
 
-type int_tbl = {
+type tbl = {
   mutable mask : int;  (* capacity - 1, capacity a power of two *)
   mutable slot_keys : int array;
   mutable slot_ids : int array;  (* -1 = empty *)
@@ -319,32 +23,14 @@ type int_tbl = {
   build_keys : int array;
 }
 
-type bytes_tbl = {
-  bt : (bytes, int) Hashtbl.t;
-  bbuild : bytes array;
-  mutable bcount : int;
-}
-
-type tbl = Tint of int_tbl | Tbytes of bytes_tbl
-
 let pow2_at_least n =
   let c = ref 16 in
   while !c < n do c := !c * 2 done;
   !c
 
-let tbl_create ~hint keys =
-  match keys with
-  | Kint build_keys ->
-    let cap = pow2_at_least (max 16 (hint * 2)) in
-    Tint
-      {
-        mask = cap - 1;
-        slot_keys = Array.make cap 0;
-        slot_ids = Array.make cap (-1);
-        count = 0;
-        build_keys;
-      }
-  | Kbytes bbuild -> Tbytes { bt = Hashtbl.create (max 16 hint); bbuild; bcount = 0 }
+let tbl_create ~hint build_keys =
+  let cap = pow2_at_least (max 16 (hint * 2)) in
+  { mask = cap - 1; slot_keys = Array.make cap 0; slot_ids = Array.make cap (-1); count = 0; build_keys }
 
 let int_grow t =
   let cap = (t.mask + 1) * 2 in
@@ -398,48 +84,349 @@ let int_find t k =
   done;
   !res
 
-let tbl_add t i =
-  match t with
-  | Tint it -> int_add it it.build_keys.(i)
-  | Tbytes bt -> (
-    let key = bt.bbuild.(i) in
-    match Hashtbl.find_opt bt.bt key with
-    | Some id -> id
-    | None ->
-      let fresh = bt.bcount in
-      Hashtbl.add bt.bt key fresh;
-      bt.bcount <- fresh + 1;
-      fresh)
+let tbl_add t i = int_add t t.build_keys.(i)
+let tbl_find t probe i = int_find t probe.(i)
+let tbl_count t = t.count
 
-let tbl_find t probe i =
-  match (t, probe) with
-  | Tint it, Kint keys -> int_find it keys.(i)
-  | Tbytes bt, Kbytes keys -> (
-    match Hashtbl.find_opt bt.bt keys.(i) with Some id -> id | None -> -1)
-  | _ -> invalid_arg "Keycode.tbl_find: probe keys from a different encoder"
+(* Smallest w >= 1 with 2^w >= count. Callers guarantee count < 2^62. *)
+let bits_for count =
+  let w = ref 1 in
+  while 1 lsl !w < count do incr w done;
+  !w
 
-let tbl_count = function Tint it -> it.count | Tbytes bt -> bt.bcount
+(* Replaces every side's codes, sides in order, by their dense
+   first-seen ids — the shared dictionary that narrows a wide field —
+   and returns the ids' width. *)
+let densify sides =
+  let t = tbl_create ~hint:(Array.fold_left (fun n a -> n + Array.length a) 0 sides) [||] in
+  Array.iter (fun a -> Array.iteri (fun i code -> a.(i) <- int_add t code) a) sides;
+  bits_for t.count
+
+(* --- component classification ------------------------------------- *)
+
+(* One component of the composite key, classified across all sides.
+   Packed components carry the field width in bits; a code of 0 always
+   means Null, so a packed key of all-zero fields is the all-null key
+   and null detection is "any field extracts to 0". *)
+type comp =
+  | Craw  (* sole component, int storage, no nulls on any side: the raw
+             value is already an injective one-word key (zero-copy) *)
+  | Cint of { base : int; width : int }  (* code = v - base + 1 *)
+  | Cbool  (* width 2: null 0, false 1, true 2 *)
+  | Cstr of { remaps : int array array; width : int }
+      (* remaps.(side).(column_code) = shared dictionary code;
+         packed code = shared + 1 *)
+  | Cdict of { codes : int array array; width : int }
+      (* codes.(side).(row): 0 for Null, else 1 + the cell's dense id in
+         one dictionary of Value.Key classes shared by every side *)
+
+type mode =
+  | Mraw
+  | Mpacked
+  | Mdense of { keys : int array array; nulls : bool array option array }
+      (* a composite wider than one word, coded per side up front *)
+
+type t = { sides : Column.t array array; comps : comp array; mode : mode }
+
+let comp_width = function
+  | Cint { width; _ } | Cstr { width; _ } | Cdict { width; _ } -> width
+  | Cbool -> 2
+  | Craw -> 0
+
+(* Range of an int data array, scanned over every slot: null slots hold
+   the fill default 0, which can only widen the range — codes stay
+   injective because base <= every non-null value. *)
+let int_range datas =
+  let mn = ref 0 and mx = ref 0 and first = ref true in
+  List.iter
+    (fun (data : int array) ->
+      Array.iter
+        (fun v ->
+          if !first then begin
+            mn := v;
+            mx := v;
+            first := false
+          end
+          else begin
+            if v < !mn then mn := v;
+            if v > !mx then mx := v
+          end)
+        data)
+    datas;
+  (!mn, !mx)
+
+module Dict = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* The component with no narrow native code: floats, ints next to
+   floats or spanning more than 2^61, boxed [Vvalues] cells and mixed
+   kinds across sides. One dictionary over the boxed cells, filled
+   sequentially side by side and row by row. *)
+let dict_comp cols =
+  let dict = Dict.create 64 in
+  let codes =
+    Array.map
+      (fun col ->
+        Array.init (Column.rows col) (fun i ->
+            match Column.value col i 0 with
+            | Value.Null -> 0
+            | v -> (
+              match Dict.find_opt dict v with
+              | Some code -> code
+              | None ->
+                let code = Dict.length dict + 1 in
+                Dict.add dict v code;
+                code)))
+      cols
+  in
+  Cdict { codes; width = bits_for (Dict.length dict + 1) }
+
+(* [sole] is true when this is the key's only component: only then may
+   an all-int no-null component stay raw (zero-copy Mraw mode) — in a
+   composite key every component needs a bounded packed width. *)
+let classify_comp ~sole cols =
+  let views = Array.map Column.view cols in
+  let all p = Array.for_all p views in
+  if all (function Column.Vint _ -> true | _ -> false) then begin
+    let no_nulls = all (function Column.Vint { nulls = None; _ } -> true | _ -> false) in
+    if sole && no_nulls && Array.length cols = 1 then Craw
+    else begin
+      let mn, mx =
+        int_range
+          (Array.to_list views
+          |> List.filter_map (function Column.Vint { data; _ } -> Some data | _ -> None))
+      in
+      let span = mx - mn in
+      (* span < 0 is overflow of the subtraction itself: definitely wide *)
+      if span >= 0 && span <= (1 lsl 61) - 2 then
+        Cint { base = mn; width = bits_for (span + 2) }
+      else dict_comp cols
+    end
+  end
+  else if all (function Column.Vbool _ -> true | _ -> false) then Cbool
+  else if all (function Column.Vstring _ -> true | _ -> false) then begin
+    let shared : (string, int) Hashtbl.t = Hashtbl.create 64 in
+    let next = ref 0 in
+    let remaps =
+      Array.map
+        (function
+          | Column.Vstring { dict; _ } ->
+            Array.map
+              (fun s ->
+                match Hashtbl.find_opt shared s with
+                | Some c -> c
+                | None ->
+                  let c = !next in
+                  incr next;
+                  Hashtbl.add shared s c;
+                  c)
+              dict
+          | _ -> assert false)
+        views
+    in
+    Cstr { remaps; width = bits_for (!next + 1) }
+  end
+  else dict_comp cols
+
+let null_reader nulls =
+  match nulls with
+  | None -> fun _ -> false
+  | Some m -> fun i -> Column.Bitset.get m i 0
+
+(* Packed field code for component [c] of [side]: 0 iff the cell is
+   Null, otherwise >= 1 and injective over the component's values. *)
+let packed_code comp side_idx view =
+  match (comp, view) with
+  | Cint { base; _ }, Column.Vint { data; nulls; _ } ->
+    let is_null = null_reader nulls in
+    fun i -> if is_null i then 0 else data.(i) - base + 1
+  | Cbool, Column.Vbool { data; nulls; _ } ->
+    let is_null = null_reader nulls in
+    fun i -> if is_null i then 0 else data.(i) + 1
+  | Cstr { remaps; _ }, Column.Vstring { codes; _ } ->
+    let remap = remaps.(side_idx) in
+    fun i ->
+      let c = codes.(i) in
+      if c < 0 then 0 else remap.(c) + 1
+  | Cdict { codes; _ }, _ ->
+    let codes = codes.(side_idx) in
+    fun i -> codes.(i)
+  | _ -> invalid_arg "Keycode: component/storage mismatch"
+
+(* A composite whose fields pass 63 bits, coded per side up front:
+   fields pack left to right, and when the next one would not fit, the
+   packed prefix is replaced by its dense id. A field too wide to sit
+   beside that id is densified itself; two ids over fewer than 2^31 rows
+   always fit one word. *)
+let dense_mode sides comps =
+  let field c =
+    Array.mapi
+      (fun s cols ->
+        let col = cols.(c) in
+        Array.init (Column.rows col) (packed_code comps.(c) s (Column.view col)))
+      sides
+  in
+  let nulls = Array.map (fun cols -> Array.make (Column.rows cols.(0)) false) sides in
+  let mark codes =
+    Array.iteri
+      (fun s a -> Array.iteri (fun i code -> if code = 0 then nulls.(s).(i) <- true) a)
+      codes
+  in
+  let acc = field 0 and acc_w = ref (comp_width comps.(0)) in
+  mark acc;
+  for c = 1 to Array.length comps - 1 do
+    let codes = field c in
+    mark codes;
+    if !acc_w + comp_width comps.(c) > 63 then acc_w := densify acc;
+    let w =
+      if !acc_w + comp_width comps.(c) > 63 then densify codes else comp_width comps.(c)
+    in
+    Array.iter2 (fun a b -> Array.iteri (fun i x -> a.(i) <- (x lsl w) lor b.(i)) a) acc codes;
+    acc_w := !acc_w + w
+  done;
+  Mdense
+    { keys = acc; nulls = Array.map (fun f -> if Array.mem true f then Some f else None) nulls }
+
+let of_columns sides =
+  match sides with
+  | [] -> None
+  | first :: rest ->
+    let k = Array.length first in
+    if List.exists (fun s -> Array.length s <> k) rest then None
+    else begin
+      let sides = Array.of_list sides in
+      if Array.exists (fun cols -> Array.exists (fun c -> not (Column.det c)) cols) sides
+      then None
+      else begin
+        let comps =
+          Array.init k (fun c ->
+              classify_comp ~sole:(k = 1) (Array.map (fun cols -> cols.(c)) sides))
+        in
+        let total = Array.fold_left (fun a c -> a + comp_width c) 0 comps in
+        let mode =
+          match comps with
+          | [| Craw |] -> Mraw
+          | _ -> if total <= 63 then Mpacked else dense_mode sides comps
+        in
+        Some { sides; comps; mode }
+      end
+    end
+
+(* --- encoding ------------------------------------------------------ *)
+
+type coded = { keys : int array; null_rows : bool array option }
+
+(* Can this component be Null on this side? Used only to decide whether
+   the null_rows array is worth allocating; false negatives would be a
+   bug, false positives just cost one bool array. *)
+let comp_nullable view =
+  match view with
+  | Column.Vint { nulls; _ } | Column.Vbool { nulls; _ } | Column.Vfloat { nulls; _ } ->
+    nulls <> None
+  | Column.Vstring { codes; _ } -> Array.exists (fun c -> c < 0) codes
+  | Column.Vvalues _ -> true
+
+let codes ?pool t ~side ~rows:n =
+  let cols = t.sides.(side) in
+  let k = Array.length cols in
+  let views = Array.map Column.view cols in
+  match t.mode with
+  | Mraw -> (
+    match views.(0) with
+    | Column.Vint { data; _ } -> { keys = data; null_rows = None }
+    | _ -> invalid_arg "Keycode: component/storage mismatch")
+  | Mdense { keys; nulls } -> { keys = keys.(side); null_rows = nulls.(side) }
+  | Mpacked ->
+    let codes = Array.init k (fun c -> packed_code t.comps.(c) side views.(c)) in
+    let widths = Array.map comp_width t.comps in
+    let nullable = Array.exists comp_nullable views in
+    let out = Array.make n 0 in
+    let nulls = if nullable then Some (Array.make n false) else None in
+    let fill =
+      match nulls with
+      | None ->
+        fun i ->
+          let key = ref 0 in
+          for c = 0 to k - 1 do
+            key := (!key lsl widths.(c)) lor codes.(c) i
+          done;
+          out.(i) <- !key
+      | Some flags ->
+        fun i ->
+          let key = ref 0 in
+          let anynull = ref false in
+          for c = 0 to k - 1 do
+            let code = codes.(c) i in
+            if code = 0 then anynull := true;
+            key := (!key lsl widths.(c)) lor code
+          done;
+          out.(i) <- !key;
+          if !anynull then flags.(i) <- true
+    in
+    Mde_par.Pool.iter ?pool ~site:"relational.keycode" n fill;
+    { keys = out; null_rows = nulls }
+
+let encode ?pool t ~side =
+  let cols = t.sides.(side) in
+  if Array.length cols = 0 then invalid_arg "Keycode.encode: empty key (use codes ~rows)";
+  codes ?pool t ~side ~rows:(Column.rows cols.(0))
+
+let groups ?pool cols ~rows =
+  match of_columns [ cols ] with
+  | None -> invalid_arg "Keycode.groups: uncertain key column"
+  | Some t ->
+    let keys = (codes ?pool t ~side:0 ~rows).keys in
+    let tbl = tbl_create ~hint:(max 16 (rows / 8)) keys in
+    (* Ids overwrite the packed keys in place when this call allocated
+       them: row i's key is read before its id is written, and the table
+       keeps its own copy of every key it has seen. *)
+    let ids = match t.mode with Mpacked -> keys | Mraw | Mdense _ -> Array.make rows 0 in
+    for i = 0 to rows - 1 do
+      ids.(i) <- tbl_add tbl i
+    done;
+    let firsts = Array.make tbl.count 0 in
+    for i = rows - 1 downto 0 do
+      firsts.(ids.(i)) <- i
+    done;
+    (ids, firsts)
 
 (* --- normalized sort keys ------------------------------------------ *)
 
-(* Order-preserving per-column images: Null -> 0 below everything,
-   ints offset by the scanned minimum, bools 0/1 after the null slot,
-   strings by dictionary *rank* under String.compare (equal strings on
-   duplicate dictionary entries must get equal ranks, or the index
-   tiebreak would be pre-empted by dictionary code order). *)
-let sort_image view =
+(* A non-NaN float's order as an unsigned 64-bit word: the sign bit set
+   on non-negatives, every bit flipped on negatives. *)
+let[@inline] order_bits f =
+  let b = Int64.bits_of_float (if f = 0. then 0. else f) in
+  if Int64.compare b 0L >= 0 then Int64.logxor b Int64.min_int else Int64.lognot b
+
+(* A column's order-preserving image under [Value.compare], as fields of
+   at most 62 bits, most significant first. Null reads 0, below
+   everything: ints offset by the scanned minimum (or, spanning more
+   than 2^61, split unsigned halves of [v - min_int]), bools 0/1 after
+   the null slot, strings by dictionary {e rank} under String.compare
+   (equal strings on duplicate dictionary entries must get equal ranks,
+   or the index tiebreak would be pre-empted by dictionary code order),
+   floats as NaN below every number and then the sign-flipped bits of
+   the number with [-0.] read as [0.], boxed cells by dense rank. *)
+let sort_fields view =
   match view with
-  | Column.Vint { data; nulls; vdet = true } ->
+  | Column.Vint { data; nulls; _ } ->
     let mn, mx = int_range [ data ] in
     let span = mx - mn in
-    if span < 0 || span > (1 lsl 61) - 2 then None
-    else
-      let is_null = null_reader nulls in
-      Some (bits_for (span + 2), fun i -> if is_null i then 0 else data.(i) - mn + 1)
-  | Column.Vbool { data; nulls; vdet = true } ->
     let is_null = null_reader nulls in
-    Some (2, fun i -> if is_null i then 0 else data.(i) + 1)
-  | Column.Vstring { codes; dict; vdet = true } ->
+    if span >= 0 && span <= (1 lsl 61) - 2 then
+      [ (bits_for (span + 2), fun i -> if is_null i then 0 else data.(i) - mn + 1) ]
+    else
+      [ (1, fun i -> if is_null i then 0 else 1);
+        (32, fun i -> if is_null i then 0 else (data.(i) - min_int) lsr 31);
+        (31, fun i -> if is_null i then 0 else (data.(i) - min_int) land 0x7FFF_FFFF) ]
+  | Column.Vbool { data; nulls; _ } ->
+    let is_null = null_reader nulls in
+    [ (2, fun i -> if is_null i then 0 else data.(i) + 1) ]
+  | Column.Vstring { codes; dict; _ } ->
     let n_dict = Array.length dict in
     let order = Array.init n_dict Fun.id in
     Array.sort (fun a b -> String.compare dict.(a) dict.(b)) order;
@@ -451,59 +438,102 @@ let sort_image view =
           incr rank;
         ranks.(code) <- !rank)
       order;
-    Some
-      ( bits_for (!rank + 2 + Bool.to_int (n_dict = 0)),
+    [ ( bits_for (!rank + 2 + Bool.to_int (n_dict = 0)),
         fun i ->
           let c = codes.(i) in
-          if c < 0 then 0 else ranks.(c) + 1 )
-  | _ -> None
+          if c < 0 then 0 else ranks.(c) + 1 ) ]
+  | Column.Vfloat { data; nulls; _ } ->
+    let is_null = null_reader nulls in
+    let number i = (not (is_null i)) && not (Float.is_nan (Array1.get data i)) in
+    [ (2, fun i -> if is_null i then 0 else if number i then 2 else 1);
+      ( 32,
+        fun i ->
+          if number i then
+            Int64.to_int (Int64.shift_right_logical (order_bits (Array1.get data i)) 32)
+          else 0 );
+      ( 32,
+        fun i ->
+          if number i then Int64.to_int (Int64.logand (order_bits (Array1.get data i)) 0xFFFF_FFFFL)
+          else 0 ) ]
+  | Column.Vvalues { data; _ } ->
+    let order = Array.init (Array.length data) Fun.id in
+    Array.sort (fun a b -> Value.compare data.(a) data.(b)) order;
+    let ranks = Array.make (Array.length data) 0 in
+    let rank = ref 0 in
+    Array.iteri
+      (fun pos i ->
+        if pos > 0 && Value.compare data.(order.(pos - 1)) data.(i) <> 0 then incr rank;
+        ranks.(i) <- !rank)
+      order;
+    [ (bits_for (!rank + 1), fun i -> ranks.(i)) ]
+
+(* Fields packed greedily into words of at most 62 bits, a field never
+   straddling two: (width, reader) per word. *)
+let pack_words fields =
+  let word fs =
+    let fs = Array.of_list (List.rev fs) in
+    let k = Array.length fs in
+    ( Array.fold_left (fun a (w, _) -> a + w) 0 fs,
+      fun i ->
+        let key = ref 0 in
+        for c = 0 to k - 1 do
+          let w, f = fs.(c) in
+          key := (!key lsl w) lor f i
+        done;
+        !key )
+  in
+  let rec go words cur cur_w = function
+    | [] -> List.rev (word cur :: words)
+    | ((w, _) as f) :: rest ->
+      if cur <> [] && cur_w + w > 62 then go (word cur :: words) [ f ] w rest
+      else go words (f :: cur) (cur_w + w) rest
+  in
+  Array.of_list (go [] [] 0 fields)
 
 let sort_perm ?(descending = false) cols ~n_rows =
-  if n_rows <= 1 then Some (Array.init n_rows Fun.id)
+  if Array.exists (fun c -> not (Column.det c)) cols then
+    invalid_arg "Keycode.sort_perm: uncertain column";
+  if n_rows <= 1 then Array.init n_rows Fun.id
   else begin
-    let images = Array.map (fun c -> sort_image (Column.view c)) cols in
-    if Array.exists Option.is_none images then None
-    else begin
-      let images = Array.map Option.get images in
-      let k = Array.length images in
-      let total = Array.fold_left (fun a (w, _) -> a + w) 0 images in
-      if total > 62 then None
-      else begin
-        let img i =
-          let key = ref 0 in
-          for c = 0 to k - 1 do
-            let w, f = images.(c) in
-            key := (!key lsl w) lor f i
+    let words =
+      pack_words (List.concat_map (fun c -> sort_fields (Column.view c)) (Array.to_list cols))
+    in
+    let idx_bits = bits_for n_rows in
+    match words with
+    | [| (total, img) |] when total + idx_bits <= 62 ->
+      (* Fully unboxed: key and tiebreak index share one word, so a
+         flat monomorphic int sort gives the stable order. Descending
+         complements the key image, never the index. *)
+      let wmask = (1 lsl total) - 1 in
+      let imask = (1 lsl idx_bits) - 1 in
+      let arr =
+        Array.init n_rows (fun i ->
+            let v = img i in
+            let v = if descending then v lxor wmask else v in
+            (v lsl idx_bits) lor i)
+      in
+      Array.sort (fun (a : int) b -> Int.compare a b) arr;
+      Array.map (fun packed -> packed land imask) arr
+    | _ ->
+      (* Word by word, then the row index. *)
+      let nw = Array.length words in
+      let imgs = Array.make (n_rows * nw) 0 in
+      Array.iteri
+        (fun w (_, img) ->
+          for i = 0 to n_rows - 1 do
+            imgs.((i * nw) + w) <- img i
+          done)
+        words;
+      let perm = Array.init n_rows Fun.id in
+      Array.sort
+        (fun a b ->
+          let c = ref 0 and w = ref 0 in
+          while !c = 0 && !w < nw do
+            c := Int.compare imgs.((a * nw) + !w) imgs.((b * nw) + !w);
+            incr w
           done;
-          !key
-        in
-        let idx_bits = bits_for n_rows in
-        if total + idx_bits <= 62 then begin
-          (* Fully unboxed: key and tiebreak index share one word, so a
-             flat monomorphic int sort gives the stable order. Descending
-             complements the key image, never the index. *)
-          let wmask = (1 lsl total) - 1 in
-          let imask = (1 lsl idx_bits) - 1 in
-          let arr =
-            Array.init n_rows (fun i ->
-                let v = img i in
-                let v = if descending then v lxor wmask else v in
-                (v lsl idx_bits) lor i)
-          in
-          Array.sort (fun (a : int) b -> Int.compare a b) arr;
-          Some (Array.map (fun packed -> packed land imask) arr)
-        end
-        else begin
-          let imgs = Array.init n_rows img in
-          let perm = Array.init n_rows Fun.id in
-          Array.sort
-            (fun a b ->
-              let c = Int.compare imgs.(a) imgs.(b) in
-              let c = if descending then -c else c in
-              if c <> 0 then c else Int.compare a b)
-            perm;
-          Some perm
-        end
-      end
-    end
+          let c = if descending then - !c else !c in
+          if c <> 0 then c else Int.compare a b)
+        perm;
+      perm
   end

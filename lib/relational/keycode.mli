@@ -3,81 +3,90 @@
 
     Every keyed operator used to realize one boxed [Value.t list] per
     row ([Array.to_list] + a {!Value.Tbl} probe) just to ask "same key?"
-    This module encodes a composite key into an unboxed form instead —
-    one immediate [int] word per row when the key fits (ranged ints,
-    bools, dictionary string codes, a null sentinel), a packed [Bytes.t]
-    otherwise (float bit images, wide ints) — with the encoding exactly
+    This module encodes any composite key over deterministic columns into
+    one immediate [int] word per row instead, with the encoding exactly
     {e injective} with respect to {!Value.Key} equality:
 
-    - [Int i] and [Float f] are one key when numerically equal under
-      [Float.compare], so mixed numeric components encode both through
-      the same canonical float image (ints are validated to have an
-      exact image, else the encoder refuses);
-    - every NaN payload is one key ([Float.compare nan nan = 0]): all
-      NaNs collapse to one image;
-    - [-0.0] and [0.0] are one key ([Float.compare (-0.) 0. = 0]): both
-      collapse to the [+0.0] image;
-    - [Null] is a key distinct from every value (its own sentinel code);
-    - string dictionary codes are {e per column}, so multi-column
-      encodings (join sides) translate through a shared dictionary
-      rather than comparing raw codes.
+    - ranged ints, bools and strings have narrow native codes: an offset
+      from the scanned minimum, 0/1, and a string dictionary shared
+      across sides (dictionary codes are {e per column}, so join sides
+      translate through it rather than comparing raw codes); a sole
+      no-null int column is its own key, zero-copy;
+    - every other component — floats, ints beside floats or spanning
+      more than 2^61, boxed [Vvalues] cells, different kinds on
+      different sides — is coded by one dictionary shared across sides
+      under [Value.Key] equality, so [Int i] meets [Float f] exactly
+      when [f] is integral with value [i], every NaN payload is one
+      key, and [-0.0] is [0.0];
+    - [Null] is a key distinct from every value (the code 0 in its
+      field);
+    - a composite whose fields pass one word replaces its packed prefix
+      by a dense id (an int-keyed dictionary shared across sides)
+      whenever the next field would not fit;
+    - the empty key is one constant code.
 
-    Anything the encoder cannot represent injectively — boxed [Vvalues]
-    storage, uncertain (non-det) columns, int magnitudes whose float
-    image is inexact next to float-typed mates — makes {!of_columns}
-    return [None] and the caller takes its boxed [Value.Tbl] path. *)
+    Dictionaries are filled sequentially in {!of_columns}, sides in
+    order and rows in order, so every code is a pure function of the
+    encoder and the row: pooled and sequential encodings agree. *)
 
 type t
 (** An encoder over one or more aligned sets of key columns ("sides"):
     group/distinct pass one side, a join passes the build and probe
-    sides so component encodings (int offsets, shared string
-    dictionaries) agree across both. *)
+    sides so component encodings (int offsets, shared dictionaries)
+    agree across both. *)
 
 val of_columns : Column.t array list -> t option
 (** [of_columns sides] analyses the key columns (all sides must list the
     same number of components; component [c] pairs [sides.(s).(c)]
-    across sides). Involves one unboxed scan per int component (value
-    range, float-image exactness) and a dictionary merge per string
-    component. [None] when any component cannot be encoded injectively,
-    and for an empty component list (key-less operators have their own
-    degenerate paths). *)
-
-type keys =
-  | Kint of int array  (** one immediate word per row *)
-  | Kbytes of bytes array  (** packed tagged bytes per row *)
+    across sides). Involves one unboxed scan per int component and a
+    dictionary merge per string component; dictionary-coded components
+    and composites wider than a word are coded here, once. [None] only
+    for no sides, sides of different arity, or an uncertain (non-det)
+    column. *)
 
 type coded = {
-  keys : keys;
+  keys : int array;  (** one immediate word per row *)
   null_rows : bool array option;
       (** [Some flags]: [flags.(i)] iff any component of row [i] is
           Null — the rows a join must skip. [None] = no nulls anywhere
           in the side's key columns. *)
 }
 
+val codes : ?pool:Mde_par.Pool.t -> t -> side:int -> rows:int -> coded
+(** Encode every row of one side; [rows] is the side's row count, which
+    the empty key has no column to take from (it codes every row 0).
+    Row-chunked over the pool when given; each row's slots are disjoint,
+    so the pooled fill is bit-identical to the sequential one. A single
+    no-null int component is returned zero-copy (the column's own
+    storage). *)
+
 val encode : ?pool:Mde_par.Pool.t -> t -> side:int -> coded
-(** Encode every row of one side. Row-chunked over the pool when given;
-    each row's slots are disjoint, so the pooled fill is bit-identical
-    to the sequential one. A single no-null int component is returned
-    zero-copy (the column's own storage). *)
+(** {!codes} with the row count of the side's key columns. Raises
+    [Invalid_argument] on the empty key. *)
+
+val groups : ?pool:Mde_par.Pool.t -> Column.t array -> rows:int -> int array * int array
+(** [groups cols ~rows]: each row's dense first-seen group id under
+    [Value.Key] equality of its key cells, and each group's first row
+    (increasing). The empty key is one group when [rows > 0]. Raises
+    [Invalid_argument] on an uncertain column. *)
 
 (** {2 Key tables}
 
     First-seen id assignment over encoded keys: the hash side of
-    group/join/distinct without any boxing. Int keys go through an
-    open-addressing table (linear probing, multiplicative hashing);
-    bytes keys through a [Hashtbl] keyed by [Bytes]. *)
+    group/join/distinct without any boxing, an open-addressing table
+    (linear probing, multiplicative hashing). *)
 
 type tbl
 
-val tbl_create : hint:int -> keys -> tbl
-(** A table that will be fed rows of [keys] (the build side). *)
+val tbl_create : hint:int -> int array -> tbl
+(** A table that will be fed rows of the given keys (the build side). *)
 
 val tbl_add : tbl -> int -> int
 (** [tbl_add t i]: the id of build row [i]'s key, inserting it if new.
     Ids are dense and in first-seen order: a fresh key gets id
     [tbl_count t] (pre-insertion). *)
 
-val tbl_find : tbl -> keys -> int -> int
+val tbl_find : tbl -> int array -> int -> int
 (** [tbl_find t probe i]: the id of probe row [i]'s key, or [-1] if the
     key was never added. [probe] must come from the same encoder (a
     different side is the point). *)
@@ -91,14 +100,16 @@ val int_hash : int -> int
 
 (** {2 Normalized sort keys} *)
 
-val sort_perm : ?descending:bool -> Column.t array -> n_rows:int -> int array option
-(** The stable multi-key sort permutation via one extracted normalized
-    key per row instead of a per-column comparator chain: each
-    component maps order-preservingly onto a packed integer (Null
-    lowest, ints offset, bools 0/1, strings by dictionary {e rank}),
-    the row index rides in the low bits as the tiebreak, and one flat
-    [int array] sort replaces the closure chain. [descending] reverses
-    the key order, never the tiebreak, exactly like
-    {!Algebra.order_by}. [None] when a component does not normalize
-    (floats, boxed storage) or the packed image would not fit — the
-    caller keeps its comparator path. *)
+val sort_perm : ?descending:bool -> Column.t array -> n_rows:int -> int array
+(** The stable multi-key sort permutation under [Value.compare], via
+    extracted normalized keys instead of a per-column comparator chain.
+    Each column maps order-preservingly onto fields of at most 62 bits,
+    Null lowest: ints offset (or split halves when they span more than
+    2^61), bools 0/1, strings by dictionary {e rank}, floats as NaN
+    below every number and then their sign-flipped bits with [-0.]
+    read as [0.], boxed cells by dense rank. When the fields and the row
+    index fit one word, one flat [int array] sort does it all;
+    otherwise rows compare word by word, then by index. [descending]
+    reverses the key order, never the tiebreak, exactly like
+    {!Algebra.order_by}. Raises [Invalid_argument] on an uncertain
+    column. *)

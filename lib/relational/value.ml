@@ -16,14 +16,27 @@ let type_name = function
 
 let rank = function Null -> 0 | Bool _ -> 1 | Int _ | Float _ -> 2 | String _ -> 3
 
+(* Exact: [float_of_int] rounds beyond 2^53, so comparing through it
+   made Int (2^53+1), Float 2^53. and Int 2^53 pairwise "equal" but
+   not all equal. Ints span [-2^62, 2^62); inside that range [f]'s
+   integral part [t] is exact, and so is [float_of_int t]. NaN sorts
+   below every number, as under [Float.compare]. *)
+let compare_int_float i f =
+  if Float.is_nan f then 1
+  else if f >= 0x1p62 then -1
+  else if f < -0x1p62 then 1
+  else
+    let t = int_of_float f in
+    if i <> t then Int.compare i t else Float.compare (float_of_int t) f
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | String x, String y -> String.compare x y
   | (Null | Bool _ | Int _ | Float _ | String _), _ -> Int.compare (rank a) (rank b)
 
@@ -46,7 +59,9 @@ let hash = function
   | Bool true -> 0x0b101
   (* Int and Float hash through the same float image because [compare]
      (hence [equal]) orders them numerically across types: Int 1 and
-     Float 1. are equal keys and must collide. *)
+     Float 1. are equal keys and must collide. An Int equals a Float
+     only when the float is its exact image, so rounding here merely
+     adds collisions. *)
   | Int i -> Hashtbl.hash (float_of_int i)
   | Float f ->
     (* Every NaN payload is [equal] under [Float.compare], so all NaNs

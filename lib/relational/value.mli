@@ -17,7 +17,13 @@ val type_name : ty -> string
 val compare : t -> t -> int
 (** Total order: Null < Bool < Int/Float (numeric order, cross-type) <
     String. Ints and floats compare numerically so that a join or sort key
-    may mix them. *)
+    may mix them, and exactly: [Int i] equals [Float f] only when [f] is
+    integral with value [i] ({!compare_int_float}), so equality is
+    transitive beyond 2^53. Floats follow [Float.compare]: NaN lowest
+    among numbers, every NaN one value, [-0. = 0.]. *)
+
+val compare_int_float : int -> float -> int
+(** [compare (Int i) (Float f)], without boxing. *)
 
 val equal : t -> t -> bool
 

@@ -470,6 +470,32 @@ let test_nan_keys () =
   (* both NaN-keyed left rows match the NaN-keyed right row *)
   Alcotest.(check int) "NaN join matches" 2 (Bundle.row_count joined)
 
+(* --- key validation ------------------------------------------------------ *)
+
+let test_key_validation () =
+  (* [sbp] is uncertain in a bundle: a key on it is rejected up front. *)
+  let b = Bundle.of_stochastic_table (sbp_table 6) (Rng.create ~seed:5 ()) ~n_reps:4 in
+  let uncertain = Invalid_argument "Bundle: key column is uncertain" in
+  let right =
+    Bundle.of_table
+      (Table.create (Schema.of_list [ ("rk", Value.Tfloat) ]) [ [| v_float 120. |] ])
+      ~n_reps:4
+  in
+  Alcotest.check_raises "join on an uncertain key" uncertain (fun () ->
+      ignore (Bundle.join ~on:[ ("sbp", "rk") ] b right));
+  let plan keys =
+    { Bundle.where_ = None; derive = []; group_keys = keys; aggs = [ ("n", Bundle.Count) ] }
+  in
+  Alcotest.check_raises "query keyed on an uncertain column" uncertain (fun () ->
+      ignore (Bundle.query b (plan [ "sbp" ])));
+  (* A keyless query over zero rows is the one global group, empty. *)
+  let empty = Bundle.of_stochastic_table (sbp_table 0) (Rng.create ~seed:5 ()) ~n_reps:4 in
+  match Bundle.query empty (plan []) with
+  | [ (key, per_agg) ] ->
+    Alcotest.(check int) "no key values" 0 (Array.length key);
+    Alcotest.(check (array (float 0.))) "zero counts" [| 0.; 0.; 0.; 0. |] per_agg.(0)
+  | groups -> Alcotest.failf "%d groups, expected the one global group" (List.length groups)
+
 (* --- Database.plan_samples --------------------------------------------- *)
 
 let test_plan_samples_matches_instances () =
@@ -562,6 +588,9 @@ let () =
         [ Alcotest.test_case "survivors = popcount" `Quick test_survivors_popcount ] );
       ( "nan-keys",
         [ Alcotest.test_case "NaN groups and joins" `Quick test_nan_keys ] );
+      ( "keys",
+        [ Alcotest.test_case "uncertain keys rejected, empty keyless query" `Quick
+            test_key_validation ] );
       ( "plan-samples",
         [
           Alcotest.test_case "matches per-instance naive" `Quick

@@ -402,7 +402,7 @@ let mixed_table rows =
 
 (* Shapes the kernel compiler declines (a mixed-kind If, an untyped Null
    branch): columnar operators evaluate them with the row interpreter
-   inside the engine, and group_by drops to row Algebra. *)
+   inside the engine, group_by aggregate sources included. *)
 let fallback_pred = Expr.(If (col "g" = int 1, col "v", col "g") > float 0.)
 let fallback_def = ("x", Value.Tfloat, Expr.(If (col "g" = int 1, col "v", Lit Value.Null)))
 
@@ -517,11 +517,7 @@ let det_col ty vs =
   let a = Array.of_list vs in
   Column.of_det_cells ~ty ~rows:(Array.length a) ~reps:1 (fun i -> a.(i))
 
-let codes_equal a i b j =
-  match (a, b) with
-  | Keycode.Kint xa, Keycode.Kint xb -> xa.(i) = xb.(j)
-  | Keycode.Kbytes xa, Keycode.Kbytes xb -> Bytes.equal xa.(i) xb.(j)
-  | _ -> false
+let codes_equal (a : int array) i (b : int array) j = a.(i) = b.(j)
 
 (* The encoding contract: codes compare equal exactly when the boxed
    keys are Value.Key-equal. [sides] is a list of (components, boxed
@@ -572,9 +568,47 @@ let check_injective label sides =
 
 let neg_nan = Int64.float_of_bits 0xFFF8000000000001L
 
-let test_keycode_bytes_composite () =
-  (* Float component forces bytes mode; the image must collapse every
-     NaN payload to one key and -0.0 onto +0.0, and keep Null apart. *)
+(* The keyed operators of Columnar, Reljob and Bundle (n_reps = 1) on
+   [table] keyed by [keys], each against its row Algebra oracle. *)
+let keyed_ops_match_algebra ?pool table keys =
+  let c = Columnar.of_table table in
+  let aggs = [ ("n", Algebra.Count) ] in
+  let grouped = Algebra.group_by ~keys ~aggs table in
+  let reljob, _ = Mde_mapred.Reljob.group_by ?pool ~keys ~aggs table in
+  let sorted t =
+    List.sort (List.compare Value.compare) (List.map Array.to_list (Array.to_list (Table.rows t)))
+  in
+  let b = Mde_mcdb.Bundle.of_table table ~n_reps:1 in
+  let bundle_groups =
+    Mde_mcdb.Bundle.aggregate ?pool ~keys [ ("n", Mde_mcdb.Bundle.Count) ] b
+    |> List.map (fun (key, per_agg) ->
+           Array.append key [| Value.Int (int_of_float per_agg.(0).(0)) |])
+  in
+  (* A self-join, the build side renamed apart. *)
+  let right =
+    Algebra.rename
+      (List.map (fun n -> (n, "r_" ^ n)) (Schema.column_names (Table.schema table)))
+      table
+  in
+  let pairs = List.map (fun k -> (k, "r_" ^ k)) keys in
+  let joined = Algebra.equi_join ~on:pairs table right in
+  matches grouped (Columnar.group_by ?pool ~keys ~aggs c)
+  && matches (Algebra.distinct (Algebra.project keys table))
+       (Columnar.distinct ?pool (Columnar.project keys c))
+  && matches (Algebra.order_by keys table) (Columnar.order_by keys c)
+  && matches (Algebra.order_by ~descending:true keys table)
+       (Columnar.order_by ~descending:true keys c)
+  && matches joined (Columnar.equi_join ?pool ~on:pairs c (Columnar.of_table right))
+  && tables_identical joined
+       (Mde_mcdb.Bundle.to_instances
+          (Mde_mcdb.Bundle.join ~on:pairs b (Mde_mcdb.Bundle.of_table right ~n_reps:1))).(0)
+  && tables_identical grouped
+       (Table.of_rows (Table.schema grouped) (Array.of_list bundle_groups))
+  && List.equal (List.equal Value.identical) (sorted grouped) (sorted reljob)
+
+let test_keycode_float_composite () =
+  (* A float component: the dictionary must collapse every NaN payload
+     to one key and -0.0 onto +0.0, and keep Null apart. *)
   let fpool =
     [ Value.Float nan; Value.Float neg_nan; Value.Float (-0.); Value.Float 0.;
       Value.Null; Value.Float 1.5; Value.Float (-1.5) ]
@@ -584,7 +618,13 @@ let test_keycode_bytes_composite () =
   let fcol = det_col Value.Tfloat (List.map fst rows) in
   let gcol = det_col Value.Tint (List.map snd rows) in
   check_injective "float+int composite"
-    [ ([ fcol; gcol ], List.map (fun (f, g) -> [ f; g ]) rows) ]
+    [ ([ fcol; gcol ], List.map (fun (f, g) -> [ f; g ]) rows) ];
+  let t =
+    Table.create
+      (Schema.of_list [ ("f", Value.Tfloat); ("g", Value.Tint) ])
+      (List.map (fun (f, g) -> [| f; g |]) rows)
+  in
+  Alcotest.(check bool) "keyed ops == algebra" true (keyed_ops_match_algebra t [ "f"; "g" ])
 
 let test_keycode_packed_composite () =
   let ipool = [ Value.Int (-3); Value.Int 7; Value.Null ] in
@@ -598,12 +638,6 @@ let test_keycode_packed_composite () =
   let icol = det_col Value.Tint (List.map (fun (i, _, _) -> i) rows) in
   let bcol = det_col Value.Tbool (List.map (fun (_, b, _) -> b) rows) in
   let scol = det_col Value.Tstring (List.map (fun (_, _, s) -> s) rows) in
-  (match Keycode.of_columns [ [| icol; bcol; scol |] ] with
-  | Some enc -> (
-    match (Keycode.encode enc ~side:0).Keycode.keys with
-    | Keycode.Kint _ -> ()
-    | Keycode.Kbytes _ -> Alcotest.fail "int/bool/string key should pack into one word")
-  | None -> Alcotest.fail "int/bool/string key should encode");
   check_injective "packed int+bool+string"
     [ ([ icol; bcol; scol ], List.map (fun (i, b, s) -> [ i; b; s ]) rows) ]
 
@@ -656,41 +690,50 @@ let test_keycode_shared_string_dict () =
              (Columnar.of_table rt))))
 
 let test_keycode_wide_ints () =
-  (* A range too wide to offset-pack must fall back to exact int bytes,
-     not wrap: min_int and max_int stay distinct keys. *)
+  (* A range too wide to offset-pack is dictionary-coded, not wrapped:
+     min_int and max_int stay distinct keys. *)
   let vs = [ Value.Int min_int; Value.Int max_int; Value.Int 0; Value.Int 1; Value.Null ] in
   let pair = List.map (fun _ -> Value.Int 1) vs in
   let wide = det_col Value.Tint vs
   and mate = det_col Value.Tint pair in
   check_injective "wide int composite"
     [ ([ wide; mate ], List.map2 (fun a b -> [ a; b ]) vs pair) ];
-  match Keycode.of_columns [ [| wide; mate |] ] with
-  | Some enc -> (
-    match (Keycode.encode enc ~side:0).Keycode.keys with
-    | Keycode.Kbytes _ -> ()
-    | Keycode.Kint _ -> Alcotest.fail "min_int..max_int cannot offset-pack")
-  | None -> Alcotest.fail "wide ints should still encode exactly"
+  let t =
+    Table.create
+      (Schema.of_list [ ("w", Value.Tint); ("m", Value.Tint) ])
+      (List.map2 (fun a b -> [| a; b |]) vs pair)
+  in
+  Alcotest.(check bool) "keyed ops == algebra" true (keyed_ops_match_algebra t [ "w"; "m" ])
 
 let test_keycode_refusals_and_raw () =
   Alcotest.(check bool) "no sides refused" true (Keycode.of_columns [] = None);
-  Alcotest.(check bool) "no components refused" true (Keycode.of_columns [ [||] ] = None);
-  (* Beyond 2^53, float_of_int is not injective: an int column next to a
-     float-typed mate must refuse rather than conflate 2^53+1 with 2^53. *)
+  (* The empty key is one constant code. *)
+  (match Keycode.of_columns [ [||] ] with
+  | None -> Alcotest.fail "the empty key should encode"
+  | Some enc ->
+    Alcotest.(check (array int)) "constant code" [| 0; 0; 0 |]
+      (Keycode.codes enc ~side:0 ~rows:3).Keycode.keys);
+  (* Beyond 2^53, float_of_int is not injective: an int column beside a
+     float-typed mate must not conflate 2^53+1 with 2^53. *)
   let big = det_col Value.Tint [ Value.Int ((1 lsl 53) + 1) ] in
   let f = det_col Value.Tfloat [ Value.Float 1. ] in
-  Alcotest.(check bool) "inexact int next to float refused" true
-    (Keycode.of_columns [ [| big |]; [| f |] ] = None);
+  check_injective "inexact int beside a float"
+    [ ([ big ], [ [ Value.Int ((1 lsl 53) + 1) ] ]); ([ f ], [ [ Value.Float 1. ] ]) ];
   Alcotest.(check bool) "side arity mismatch refused" true
     (Keycode.of_columns [ [| big |]; [| f; f |] ] = None);
+  let uncertain =
+    Column.of_cells ~ty:Value.Tint ~rows:1 ~reps:2 (fun _ r -> Value.Int r)
+  in
+  Alcotest.(check bool) "uncertain column refused" true
+    (Keycode.of_columns [ [| uncertain |] ] = None);
   (* A sole no-null int component is zero-copy: the raw values. *)
   let vs = [ 5; min_int + 1; max_int; 5 ] in
   let raw = det_col Value.Tint (List.map (fun v -> Value.Int v) vs) in
   match Keycode.of_columns [ [| raw |] ] with
   | None -> Alcotest.fail "sole int column should encode"
-  | Some enc -> (
-    match (Keycode.encode enc ~side:0).Keycode.keys with
-    | Keycode.Kint a -> Alcotest.(check (array int)) "raw zero-copy" (Array.of_list vs) a
-    | Keycode.Kbytes _ -> Alcotest.fail "sole int column should stay unboxed")
+  | Some enc ->
+    Alcotest.(check (array int)) "raw zero-copy" (Array.of_list vs)
+      (Keycode.encode enc ~side:0).Keycode.keys
 
 let test_keycode_tbl_first_seen () =
   (* Dense first-seen ids, across a growth of the open-addressing table
@@ -753,37 +796,108 @@ let mixed_table_r rows =
   in
   Table.create schema (List.map (fun (k, g, v) -> [| k; Value.Int g; v |]) rows)
 
+(* Every deterministic storage kind a key can hold: floats with NaN
+   payloads, signed zeros, infinities and values equal to ints; ints
+   near 2^53 and spanning more than 2^61; small ints, bools, strings and
+   nulls; two high-cardinality ints, so composites of up to 5 components
+   pass one word and take the prefix-densify path. [v] is a payload. *)
+let key_schema =
+  Schema.of_list
+    [ ("f", Value.Tfloat); ("i", Value.Tint); ("g", Value.Tint); ("b", Value.Tbool);
+      ("s", Value.Tstring); ("h1", Value.Tint); ("h2", Value.Tint); ("v", Value.Tfloat) ]
+
+let key_rows_gen =
+  QCheck.Gen.(
+    let big = 1 lsl 53 in
+    let nullable g = frequency [ (8, g); (1, return Value.Null) ] in
+    let float_of g = map (fun x -> Value.Float x) g in
+    let int_of g = map (fun x -> Value.Int x) g in
+    let f =
+      nullable
+        (frequency
+           [ ( 3,
+               float_of
+                 (oneofl
+                    [ nan; neg_nan; 0.; -0.; 1.; 1.5; -1.5; float_of_int big; infinity;
+                      neg_infinity; 0x1p62 ]) );
+             (2, float_of (float_range (-3.) 3.)) ])
+    in
+    let i = nullable (int_of (oneofl [ min_int; max_int; 0; 1; big; big + 1; -big - 1 ])) in
+    let high =
+      nullable
+        (frequency [ (1, int_of (oneofl [ 7; 1 lsl 40 ])); (2, int_of (int_range 0 (1 lsl 40))) ])
+    in
+    let row =
+      map
+        (fun (f, i, g, b, s, h1, h2, v) -> [| f; i; g; b; s; h1; h2; v |])
+        (tup8 f i
+           (int_of (int_range 0 3))
+           (nullable (map (fun x -> Value.Bool x) bool))
+           (nullable (map (fun x -> Value.String x) (oneofl [ "ann"; "bob"; "" ])))
+           high high
+           (float_of (float_range (-5.) 5.)))
+    in
+    list_size (int_range 0 25) row)
+
+let key_sets =
+  [ []; [ "f" ]; [ "i" ]; [ "g" ]; [ "b" ]; [ "s" ]; [ "h1" ]; [ "f"; "g" ]; [ "i"; "f" ];
+    [ "h1"; "h2" ]; [ "h1"; "h2"; "f" ]; [ "f"; "i"; "b"; "s"; "h1" ];
+    [ "h1"; "i"; "h2"; "s"; "f" ] ]
+
 (* Row Algebra is the boxed [Value.Tbl] / [Value.compare] implementation
    of every keyed operator. *)
 let prop_packed_matches_boxed =
   QCheck.Test.make ~name:"packed keyed operators == boxed Value.Tbl paths" ~count:80
-    (QCheck.pair (QCheck.make mixed_rows_gen) (QCheck.make mixed_rows_gen))
-    (fun (ls, rs) ->
-      let lt = mixed_table ls and rt = mixed_table_r rs in
-      let lc = Columnar.of_table lt and rc = Columnar.of_table rt in
-      let aggs =
-        [ ("n", Algebra.Count); ("s", Algebra.Sum (Expr.col "v"));
-          ("m", Algebra.Avg (Expr.col "v")) ]
+    QCheck.(
+      triple (make key_rows_gen) (make key_rows_gen)
+        (int_range 0 (List.length key_sets - 1)))
+    (fun (ls, rs, set) ->
+      let lt = Table.create key_schema ls in
+      let rt =
+        Algebra.rename
+          (List.map (fun n -> (n, "r_" ^ n)) (Schema.column_names key_schema))
+          (Table.create key_schema rs)
       in
-      matches (Algebra.group_by ~keys:[ "g" ] ~aggs lt) (Columnar.group_by ~keys:[ "g" ] ~aggs lc)
+      let keys = List.nth key_sets set in
+      let pool = Mde_par.Pool.shared ~domains:2 () in
+      let lc = Columnar.of_table lt and rc = Columnar.of_table rt in
+      (* Int beside float across sides: one shared dictionary. *)
+      let cross on =
+        matches (Algebra.equi_join ~on lt rt) (Columnar.equi_join ~on lc rc)
+        && matches (Algebra.equi_join ~on lt rt) (Columnar.equi_join ~pool ~on lc rc)
+      in
+      (* A mixed-kind If stores Int and Float cells in one [Vvalues]
+         column; Algebra's reference computes the equal float key, and
+         both sides drop the key column. *)
+      let mixed = Expr.(If (col "b" = bool true, col "g", col "f")) in
+      let numeric = Expr.(If (col "b" = bool true, col "g" * float 1., col "f")) in
+      let rows_m = Algebra.extend [ ("m", Value.Tfloat, numeric) ] lt in
+      let cols_m = Columnar.extend [ ("m", Value.Tfloat, mixed) ] lc in
+      let kept = Schema.column_names key_schema in
+      let both = kept @ Schema.column_names (Table.schema rt) in
+      let aggs = [ ("n", Algebra.Count); ("s_v", Algebra.Sum (Expr.col "v")) ] in
+      keyed_ops_match_algebra lt keys
+      && keyed_ops_match_algebra ~pool lt keys
+      && cross [ ("i", "r_f") ]
+      && cross [ ("f", "r_i"); ("g", "r_g") ]
+      && cross [ ("s", "r_s"); ("h1", "r_h1"); ("i", "r_f") ]
       && matches
-           (Algebra.group_by ~keys:[ "k"; "g" ] ~aggs lt)
-           (Columnar.group_by ~keys:[ "k"; "g" ] ~aggs lc)
-      && matches (Algebra.distinct lt) (Columnar.distinct lc)
-      && matches (Algebra.order_by [ "g" ] lt) (Columnar.order_by [ "g" ] lc)
+           (Algebra.project [ "n"; "s_v" ] (Algebra.group_by ~keys:[ "m" ] ~aggs rows_m))
+           (Columnar.project [ "n"; "s_v" ] (Columnar.group_by ~keys:[ "m" ] ~aggs cols_m))
       && matches
-           (Algebra.order_by ~descending:true [ "g" ] lt)
-           (Columnar.order_by ~descending:true [ "g" ] lc)
+           (Algebra.project kept (Algebra.order_by [ "m"; "v" ] rows_m))
+           (Columnar.project kept (Columnar.order_by [ "m"; "v" ] cols_m))
+      && Table.cardinality (Algebra.distinct (Algebra.project [ "m" ] rows_m))
+         = Columnar.row_count (Columnar.distinct (Columnar.project [ "m" ] cols_m))
       && matches
-           (Algebra.equi_join ~on:[ ("g", "rg") ] lt rt)
-           (Columnar.equi_join ~on:[ ("g", "rg") ] lc rc)
-      && matches
-           (Algebra.equi_join ~on:[ ("k", "rk") ] lt rt)
-           (Columnar.equi_join ~on:[ ("k", "rk") ] lc rc))
+           (Algebra.project both (Algebra.equi_join ~on:[ ("m", "r_f") ] rows_m rt))
+           (Columnar.project both (Columnar.equi_join ~on:[ ("m", "r_f") ] cols_m rc)))
 
-(* Inputs Keycode refuses take the boxed [Value.Tbl] / comparator paths
-   of each keyed operator; each must still match row Algebra. *)
-let test_refused_keys_match_algebra () =
+(* Keys without a narrow native code — floats, an inexact int beside a
+   float, boxed [Vvalues] cells, the empty key — take the dictionary
+   and constant codes of each keyed operator's one packed path; each
+   must still match row Algebra. *)
+let test_dictionary_keys_match_algebra () =
   let rng = Mde_prob.Rng.create ~seed:77 () in
   let t =
     mixed_table
@@ -808,8 +922,7 @@ let test_refused_keys_match_algebra () =
   check "zero-column distinct"
     (Algebra.distinct (Algebra.project [] t))
     (Columnar.distinct (Columnar.project [] c));
-  (* 2^53 + 1 has no exact float image, so the int side cannot share the
-     float side's canonical code. *)
+  (* 2^53 + 1 has no exact float image: it must not meet Float 2^53. *)
   let big = 1 lsl 53 in
   let ints =
     Table.create
@@ -828,7 +941,7 @@ let test_refused_keys_match_algebra () =
     (Columnar.equi_join ~on:[ ("i", "f") ] (Columnar.of_table ints)
        (Columnar.of_table floats));
   (* A mixed-kind If stores Int and Float cells in one column: boxed
-     [Vvalues] storage, which Keycode refuses. Row Algebra cannot hold such
+     [Vvalues] storage, dictionary-coded. Row Algebra cannot hold such
      a column, so its reference computes the numerically equal float key
      (Int 1 and Float 1. are one key) and both sides drop the key column. *)
   let mixed = Expr.(If (col "g" = int 1, col "g", col "k")) in
@@ -837,9 +950,10 @@ let test_refused_keys_match_algebra () =
     Column.of_det_cells ~ty:Value.Tfloat ~rows:2 ~reps:1 (fun i ->
         if i = 0 then Value.Int 1 else Value.Float 0.5)
   in
-  Alcotest.(check bool) "premise: mixed cells are Vvalues, refused" true
-    ((match Column.view vv with Column.Vvalues _ -> true | _ -> false)
-    && Keycode.of_columns [ [| vv |] ] = None);
+  Alcotest.(check bool) "premise: mixed cells are Vvalues" true
+    (match Column.view vv with Column.Vvalues _ -> true | _ -> false);
+  check_injective "Vvalues cells"
+    [ ([ vv ], [ [ Value.Int 1 ]; [ Value.Float 0.5 ] ]) ];
   let rows_m = Algebra.extend [ ("m", Value.Tfloat, numeric) ] t in
   let cols_m = Columnar.extend [ ("m", Value.Tfloat, mixed) ] c in
   let agg_names = List.map fst aggs in
@@ -891,7 +1005,7 @@ let test_keyed_pooled_identity () =
           check "group_by"
             (Columnar.group_by ~keys:[ "k"; "g" ] ~aggs lc)
             (Columnar.group_by ~pool ~keys:[ "k"; "g" ] ~aggs lc);
-          (* Keycode refuses the empty key: the boxed global path. *)
+          (* The keyless global aggregate's own single-group loop. *)
           check "global group_by"
             (Columnar.group_by ~keys:[] ~aggs lc)
             (Columnar.group_by ~pool ~keys:[] ~aggs lc);
@@ -1816,6 +1930,115 @@ let prop_distinct_idempotent =
       let twice = Algebra.distinct once in
       Table.cardinality once = Table.cardinality twice)
 
+(* --- exact Int/Float order --- *)
+
+let big53 = 1 lsl 53
+
+(* Ints and floats where float_of_int rounds (±2^53), where ints end
+   (±2^62, and float_of_int max_int = 2^62.), and the float specials. *)
+let edge_number_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 3,
+          map
+            (fun (base, d) -> Value.Int (base + d))
+            (pair (oneofl [ big53; -big53; 0 ]) (int_range (-3) 3)) );
+        (1, map (fun d -> Value.Int (max_int - d)) (int_range 0 3));
+        (1, map (fun d -> Value.Int (min_int + d)) (int_range 0 3));
+        ( 3,
+          map
+            (fun f -> Value.Float f)
+            (oneofl
+               [ float_of_int big53; float_of_int big53 +. 2.; -.float_of_int big53;
+                 0x1p62; -0x1p62; Float.pred 0x1p62; Float.succ (-0x1p62); 0.; -0.; 0.5;
+                 -0.5; nan; Int64.float_of_bits 0x7FF0000000000001L; infinity; neg_infinity ]) );
+      ])
+
+let prop_value_compare_total =
+  QCheck.Test.make ~name:"Value.compare is antisymmetric and transitive on numbers" ~count:2000
+    (QCheck.make QCheck.Gen.(triple edge_number_gen edge_number_gen edge_number_gen))
+    (fun (a, b, c) ->
+      let sign x = compare x 0 in
+      let le x y = Value.compare x y <= 0 in
+      sign (Value.compare a b) = -sign (Value.compare b a)
+      && ((not (le a b && le b c)) || le a c)
+      && ((not (Value.equal a b && Value.equal b c)) || Value.equal a c)
+      && ((not (Value.equal a b)) || Value.hash a = Value.hash b))
+
+let test_compare_int_float_exact () =
+  let check label want a b = Alcotest.(check int) label want (Value.compare a b) in
+  check "2^53+1 > 2^53." 1 (Value.Int (big53 + 1)) (Value.Float (float_of_int big53));
+  check "2^53 = 2^53." 0 (Value.Int big53) (Value.Float (float_of_int big53));
+  check "2^53. < 2^53+1" (-1) (Value.Float (float_of_int big53)) (Value.Int (big53 + 1));
+  check "max_int < 2^62." (-1) (Value.Int max_int) (Value.Float 0x1p62);
+  check "min_int = -2^62." 0 (Value.Int min_int) (Value.Float (-0x1p62));
+  check "0 = -0." 0 (Value.Int 0) (Value.Float (-0.));
+  check "int > NaN" 1 (Value.Int min_int) (Value.Float nan);
+  check "2 < 2.5" (-1) (Value.Int 2) (Value.Float 2.5);
+  check "-2 > -2.5" 1 (Value.Int (-2)) (Value.Float (-2.5));
+  (* Compiled predicates compare exactly too, as the interpreter does. *)
+  let ints = [ big53 + 1; big53; max_int; min_int; 0; 2; -2 ] in
+  let floats = [ float_of_int big53; 0x1p62; -0x1p62; -0.; nan; 2.5; -2.5; infinity ] in
+  let t =
+    Table.create
+      (Schema.of_list [ ("i", Value.Tint); ("f", Value.Tfloat) ])
+      (List.concat_map (fun i -> List.map (fun f -> [| Value.Int i; Value.Float f |]) floats) ints)
+  in
+  let c = Columnar.of_table t in
+  List.iter
+    (fun (label, pred) ->
+      Alcotest.(check bool) label true (matches (Algebra.select pred t) (Columnar.select pred c)))
+    Expr.
+      [ ("i = f", col "i" = col "f"); ("i < f", col "i" < col "f");
+        ("f <= i", col "f" <= col "i"); ("f > i", col "f" > col "i");
+        ("i <> f", Ne (col "i", col "f")); ("i >= f", col "i" >= col "f") ]
+
+(* The three keys the old rounding made pairwise equal but not all
+   equal: Int (2^53+1) <> Float 2^53. = Int 2^53, in any row order. *)
+let test_inexact_keys_row_order () =
+  let cells = [ Value.Int (big53 + 1); Value.Float (float_of_int big53); Value.Int big53 ] in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( != ) x) l))) l
+  in
+  List.iter
+    (fun order ->
+      (* A mixed-kind If puts Int and Float cells in one column. *)
+      let t =
+        Table.create
+          (Schema.of_list [ ("i", Value.Tint); ("f", Value.Tfloat); ("pick", Value.Tbool) ])
+          (List.map
+             (function
+               | Value.Int i -> [| Value.Int i; Value.Float 0.; Value.Bool true |]
+               | v -> [| Value.Int 0; v; Value.Bool false |])
+             order)
+      in
+      let c =
+        Columnar.extend
+          [ ("k", Value.Tfloat, Expr.(If (col "pick", col "i", col "f"))) ]
+          (Columnar.of_table t)
+      in
+      let g = Columnar.group_by ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] c in
+      let counts =
+        List.sort compare
+          (Array.to_list (Array.map (fun r -> Value.to_int r.(0)) (Table.rows (Columnar.to_table (Columnar.project [ "n" ] g)))))
+      in
+      Alcotest.(check (list int)) "group sizes" [ 1; 2 ] counts;
+      Alcotest.(check int) "distinct keys" 2
+        (Columnar.row_count (Columnar.distinct (Columnar.project [ "k" ] c))))
+    (perms cells)
+
+let test_inexact_int_never_joins_float () =
+  let ints = Table.create (Schema.of_list [ ("i", Value.Tint) ]) [ [| Value.Int (big53 + 1) |] ] in
+  let floats =
+    Table.create (Schema.of_list [ ("f", Value.Tfloat) ]) [ [| Value.Float (float_of_int big53) |] ]
+  in
+  Alcotest.(check int) "algebra" 0
+    (Table.cardinality (Algebra.equi_join ~on:[ ("i", "f") ] ints floats));
+  Alcotest.(check int) "columnar" 0
+    (Columnar.row_count
+       (Columnar.equi_join ~on:[ ("i", "f") ] (Columnar.of_table ints) (Columnar.of_table floats)))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_relational"
@@ -1882,9 +2105,18 @@ let () =
             test_plan_leaves_unread_columns_unforced;
           Alcotest.test_case "views domain-safe" `Quick test_views_domain_safe;
         ] );
+      ( "value order",
+        qc [ prop_value_compare_total ]
+        @ [
+            Alcotest.test_case "int/float compare exact" `Quick test_compare_int_float_exact;
+            Alcotest.test_case "inexact keys row-order invariant" `Quick
+              test_inexact_keys_row_order;
+            Alcotest.test_case "inexact int never joins float" `Quick
+              test_inexact_int_never_joins_float;
+          ] );
       ( "keycode",
         [
-          Alcotest.test_case "bytes composite injective" `Quick test_keycode_bytes_composite;
+          Alcotest.test_case "float composite injective" `Quick test_keycode_float_composite;
           Alcotest.test_case "packed composite injective" `Quick
             test_keycode_packed_composite;
           Alcotest.test_case "cross-side numeric keys" `Quick
@@ -1896,8 +2128,8 @@ let () =
           Alcotest.test_case "table first-seen ids" `Quick test_keycode_tbl_first_seen;
           Alcotest.test_case "order_by packed == comparator" `Quick
             test_order_by_packed_matches_comparator;
-          Alcotest.test_case "refused keys == algebra" `Quick
-            test_refused_keys_match_algebra;
+          Alcotest.test_case "dictionary keys == algebra" `Quick
+            test_dictionary_keys_match_algebra;
           Alcotest.test_case "keyed ops pooled == sequential" `Quick
             test_keyed_pooled_identity;
         ] );
