@@ -39,7 +39,7 @@ let group_by ?pool ?partitions ~keys ~aggs table =
     Array.of_list
       (List.map2
          (fun k j ->
-           Column.of_det_cells ?pool ~ty:(Schema.column_type schema k) ~rows:n ~reps:1
+           Column.of_det_cells ~ty:(Schema.column_type schema k) ~rows:n ~reps:1
              (fun i -> rows.(i).(j)))
          keys key_idx)
   in

@@ -52,11 +52,6 @@ let count_fallbacks n =
         n
   end
 
-(* Row-chunked side-effecting sweep; [Pool.iter] chunks contiguously,
-   and every per-row write (presence bytes, column slots) is disjoint
-   across rows, so the parallel sweep is bit-identical to sequential. *)
-let iter_rows ?pool n f = Mde_par.Pool.iter ?pool ~site:"bundle.sweep" n f
-
 (* --- construction -------------------------------------------------- *)
 
 let column_types schema = Array.map (fun c -> c.Schema.ty) (Schema.column_array schema)
@@ -109,52 +104,39 @@ let of_table table ~n_reps =
   in
   { schema; n_reps; n_rows; columns; presence = Bitset.create ~rows:n_rows ~reps:n_reps true }
 
-(* --- select -------------------------------------------------------- *)
+(* --- select / project / extend ---------------------------------------- *)
 
-let interp_det_only t e =
-  List.for_all
-    (fun name -> Column.det t.columns.(Schema.column_index t.schema name))
-    (Expr.columns_used e)
+let compile t e =
+  let node = Kernel.compile (Kernel.env_of_columns t.schema t.columns) e in
+  if not (Kernel.compiled node) then count_fallbacks 1;
+  node
 
+(* A deterministic predicate is tested once per row and clears the whole
+   row; an uncertain one is tested on the present cells. *)
 let select ?pool pred t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
       let presence = Bitset.copy t.presence in
-      let compiled =
-        let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
-        Option.bind (Kernel.compile env pred) (fun node ->
-            Option.map (fun test -> (test, Kernel.node_unc node)) (Kernel.as_pred node))
-      in
-      begin
-        match compiled with
-        | Some (test, unc) ->
-          if not unc then
-            (* One evaluation covers every repetition. *)
-            iter_rows ?pool t.n_rows (fun i ->
-                if not (test i 0) then Bitset.clear_row presence i)
-          else
-            iter_rows ?pool t.n_rows (fun i ->
-                for r = 0 to t.n_reps - 1 do
-                  if Bitset.get presence i r && not (test i r) then
-                    Bitset.unset presence i r
-                done)
-        | None ->
-          count_fallbacks 1;
-          if interp_det_only t pred then
-            iter_rows ?pool t.n_rows (fun i ->
-                if not (Expr.eval_bool t.schema (realize_row t i 0) pred) then
-                  Bitset.clear_row presence i)
-          else
-            iter_rows ?pool t.n_rows (fun i ->
-                for r = 0 to t.n_reps - 1 do
-                  if
-                    Bitset.get presence i r
-                    && not (Expr.eval_bool t.schema (realize_row t i r) pred)
-                  then Bitset.unset presence i r
-                done)
-      end;
+      let node = compile t pred in
+      let unc = Kernel.unc node in
+      let presence_in = if unc then Some t.presence else None in
+      Kernel.sweep ?pool ~site:"bundle.select" ?presence:presence_in ~rows:t.n_rows
+        ~reps:(if unc then t.n_reps else 1)
+        (fun f ->
+          let kept, keep = Kernel.filter node f in
+          ( (fun () -> keep f.all),
+            fun () ->
+              (* Drop every selected position the filter did not keep. *)
+              let m = ref 0 in
+              for j = 0 to f.all.n - 1 do
+                let k = f.all.pos.(j) in
+                if !m < kept.n && kept.pos.(!m) = k then incr m
+                else if unc then begin
+                  let i = f.rowix.(k) in
+                  Bitset.unset presence i (f.lo + k - (i * t.n_reps))
+                end
+                else Bitset.clear_row presence f.rowix.(k)
+              done ));
       { t with presence })
-
-(* --- project / extend ---------------------------------------------- *)
 
 let project names t =
   let idxs = List.map (Schema.column_index t.schema) names in
@@ -166,28 +148,14 @@ let project names t =
 
 let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
-  let out_schema = Schema.concat t.schema added in
   instrumented ~cells:(t.n_rows * t.n_reps * List.length defs) (fun () ->
-      let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
-      let new_cols =
-        List.map
-          (fun (_, ty, e) ->
-            match Kernel.compile env e with
-            | Some node -> Kernel.materialize ?pool ~rows:t.n_rows ~reps:t.n_reps node
-            | None ->
-              count_fallbacks 1;
-              if interp_det_only t e then
-                Column.of_det_cells ~ty ~rows:t.n_rows ~reps:t.n_reps (fun i ->
-                    Expr.eval t.schema (realize_row t i 0) e)
-              else
-                Column.of_cells ~ty ~rows:t.n_rows ~reps:t.n_reps (fun i r ->
-                    Expr.eval t.schema (realize_row t i r) e))
-          defs
+      let materialize (_, ty, e) =
+        Kernel.materialize ?pool ~ty ~rows:t.n_rows ~reps:t.n_reps (compile t e)
       in
       {
         t with
-        schema = out_schema;
-        columns = Array.append t.columns (Array.of_list new_cols);
+        schema = Schema.concat t.schema added;
+        columns = Array.append t.columns (Array.of_list (List.map materialize defs));
       })
 
 (* --- join ----------------------------------------------------------- *)
@@ -231,182 +199,53 @@ type group_state = {
   agg_counts : int array array;  (* per agg: rows contributing per rep *)
 }
 
-type def_eval = D_node of Kernel.node | D_interp of Expr.t
-type pred_eval = P_none | P_cell of (int -> int -> bool) | P_interp of Expr.t
-type agg_eval = A_count | A_cell of Kernel.cell | A_interp of Expr.t
-
-let fused ?pool t ~pred ~defs ~keys ~aggs =
+(* One sweep over the present cells: test, derive, then accumulate each
+   block in row order, so per-rep float sums keep their bits whether or
+   not the blocks were evaluated on the pool. *)
+let sweep_plan ?pool t ~pred ~keys ~aggs agg_nodes =
   let key_cols = det_key_columns t (List.map (Schema.column_index t.schema) keys) in
-  let ext_schema =
-    match defs with
-    | [] -> t.schema
-    | _ ->
-      Schema.concat t.schema
-        (Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs))
-  in
-  let fallbacks = ref 0 in
-  let env = Kernel.env_of_columns t.schema ~reps:t.n_reps t.columns in
-  let def_evals =
-    List.map
-      (fun (name, _, e) ->
-        match Kernel.compile env e with
-        | Some node -> (name, D_node node)
-        | None ->
-          incr fallbacks;
-          (name, D_interp e))
-      defs
-  in
-  let env' =
-    Kernel.env_extend env
-      (List.filter_map
-         (function n, D_node node -> Some (n, node) | _, D_interp _ -> None)
-         def_evals)
-  in
-  let pred_eval =
-    match pred with
-    | None -> P_none
-    | Some p -> (
-      match Option.bind (Kernel.compile env p) Kernel.as_pred with
-      | Some test -> P_cell test
-      | None ->
-        incr fallbacks;
-        P_interp p)
-  in
-  let agg_evals =
-    Array.of_list
-      (List.map
-         (fun (_, agg) ->
-           match agg with
-           | Count -> A_count
-           | Sum e | Avg e | Min e | Max e -> (
-             match Option.bind (Kernel.compile env' e) Kernel.as_float_cell with
-             | Some cell -> A_cell cell
-             | None ->
-               incr fallbacks;
-               A_interp e))
-         aggs)
-  in
-  count_fallbacks !fallbacks;
-  (* Extended-schema row for interpreted aggregate arguments. *)
-  let ext_row i r =
-    let base = realize_row t i r in
-    match def_evals with
-    | [] -> base
-    | _ ->
-      Array.append base
-        (Array.of_list
-           (List.map
-              (function
-                | _, D_node node -> Kernel.node_value node i r
-                | _, D_interp e -> Expr.eval t.schema base e)
-              def_evals))
-  in
-  let pass =
-    match pred_eval with
-    | P_none -> fun _ _ -> true
-    | P_cell test -> test
-    | P_interp p -> fun i r -> Expr.eval_bool t.schema (realize_row t i r) p
-  in
-  let n_aggs = Array.length agg_evals in
+  let n_aggs = Array.length agg_nodes and reps = t.n_reps in
   let fresh () =
     {
-      counts = Array.make t.n_reps 0;
-      sums = Array.init n_aggs (fun _ -> Array.make t.n_reps 0.);
-      mins = Array.init n_aggs (fun _ -> Array.make t.n_reps infinity);
-      maxs = Array.init n_aggs (fun _ -> Array.make t.n_reps neg_infinity);
-      agg_counts = Array.init n_aggs (fun _ -> Array.make t.n_reps 0);
+      counts = Array.make reps 0;
+      sums = Array.init n_aggs (fun _ -> Array.make reps 0.);
+      mins = Array.init n_aggs (fun _ -> Array.make reps infinity);
+      maxs = Array.init n_aggs (fun _ -> Array.make reps neg_infinity);
+      agg_counts = Array.init n_aggs (fun _ -> Array.make reps 0);
     }
   in
   (* Keying: one packed Keycode word per row, first-seen group ids, and
      each group's key values read back from its first row. *)
   let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
   let states = Array.map (fun _ -> fresh ()) firsts in
-  let state_for i = states.(ids.(i)) in
-  let accumulate state a r x =
-    state.sums.(a).(r) <- state.sums.(a).(r) +. x;
-    if x < state.mins.(a).(r) then state.mins.(a).(r) <- x;
-    if x > state.maxs.(a).(r) then state.maxs.(a).(r) <- x;
-    state.agg_counts.(a).(r) <- state.agg_counts.(a).(r) + 1
-  in
-  begin
-    match pool with
-    | None ->
-      (* Single fused sweep: test, derive and accumulate per cell. *)
-      for i = 0 to t.n_rows - 1 do
-        let state = state_for i in
-        for r = 0 to t.n_reps - 1 do
-          if Bitset.get t.presence i r && pass i r then begin
-            state.counts.(r) <- state.counts.(r) + 1;
-            Array.iteri
-              (fun a ev ->
-                match ev with
-                | A_count -> ()
-                | A_cell cell ->
-                  if not (cell.Kernel.null i r) then
-                    accumulate state a r (cell.Kernel.value i r)
-                | A_interp e ->
-                  let v = Expr.eval ext_schema (ext_row i r) e in
-                  if not (Value.is_null v) then accumulate state a r (Value.to_float v))
-              agg_evals
-          end
-        done
-      done
-    | Some _ ->
-      (* Two-phase parallel: evaluate cells row-chunked into scratch,
-         then replay the accumulation sequentially in row order — float
-         addition is order-sensitive, so the replay keeps grouped sums
-         bit-identical to the sequential sweep. *)
-      let pass_bits = Bitset.create ~rows:t.n_rows ~reps:t.n_reps false in
-      let scratch =
-        Array.map
-          (function
-            | A_count -> None
-            | A_cell _ | A_interp _ ->
-              Some
-                ( Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-                    (max 1 (t.n_rows * t.n_reps)),
-                  Bitset.create ~rows:t.n_rows ~reps:t.n_reps false ))
-          agg_evals
+  Kernel.sweep ?pool ~site:"bundle.sweep" ~presence:t.presence ~rows:t.n_rows ~reps (fun f ->
+      let kept, keep =
+        match pred with Some p -> Kernel.filter p f | None -> (f.all, ignore)
       in
-      iter_rows ?pool t.n_rows (fun i ->
-          for r = 0 to t.n_reps - 1 do
-            if Bitset.get t.presence i r && pass i r then begin
-              Bitset.set pass_bits i r;
-              Array.iteri
-                (fun a ev ->
-                  match (ev, scratch.(a)) with
-                  | A_count, _ | _, None -> ()
-                  | A_cell cell, Some (vals, skips) ->
-                    if cell.Kernel.null i r then Bitset.set skips i r
-                    else
-                      Bigarray.Array1.set vals ((i * t.n_reps) + r)
-                        (cell.Kernel.value i r)
-                  | A_interp e, Some (vals, skips) ->
-                    let v = Expr.eval ext_schema (ext_row i r) e in
-                    if Value.is_null v then Bitset.set skips i r
-                    else
-                      Bigarray.Array1.set vals ((i * t.n_reps) + r) (Value.to_float v))
-                agg_evals
-            end
-          done);
-      for i = 0 to t.n_rows - 1 do
-        let state = state_for i in
-        for r = 0 to t.n_reps - 1 do
-          if Bitset.get pass_bits i r then begin
+      let srcs = Array.map (Option.map (fun node -> Kernel.floats node f)) agg_nodes in
+      ( (fun () ->
+          keep f.all;
+          Array.iter (Option.iter (fun (v : float array Kernel.vec) -> v.fill kept)) srcs),
+        fun () ->
+          for j = 0 to kept.n - 1 do
+            let k = kept.pos.(j) in
+            let i = f.rowix.(k) in
+            let r = f.lo + k - (i * reps) and state = states.(ids.(i)) in
             state.counts.(r) <- state.counts.(r) + 1;
-            Array.iteri
-              (fun a ev ->
-                match (ev, scratch.(a)) with
-                | A_count, _ | _, None -> ()
-                | (A_cell _ | A_interp _), Some (vals, skips) ->
-                  if not (Bitset.get skips i r) then
-                    accumulate state a r
-                      (Bigarray.Array1.get vals ((i * t.n_reps) + r)))
-              agg_evals
-          end
-        done
-      done
-  end;
+            for a = 0 to n_aggs - 1 do
+              match srcs.(a) with
+              | None -> ()
+              | Some v ->
+                if Bytes.length v.nulls = 0 || Bytes.unsafe_get v.nulls k = '\000' then begin
+                  let x = v.data.(k) in
+                  let sums = state.sums.(a) and mins = state.mins.(a) and maxs = state.maxs.(a) in
+                  sums.(r) <- sums.(r) +. x;
+                  if x < mins.(r) then mins.(r) <- x;
+                  if x > maxs.(r) then maxs.(r) <- x;
+                  state.agg_counts.(a).(r) <- state.agg_counts.(a).(r) + 1
+                end
+            done
+          done ));
   let finish (key, state) =
     let per_agg =
       Array.of_list
@@ -427,27 +266,42 @@ let fused ?pool t ~pred ~defs ~keys ~aggs =
     in
     (key, per_agg)
   in
-  let finish_empty_global () =
-    (* No tuples at all and a global group: zero counts/sums, nan moments. *)
-    let per_agg =
-      Array.of_list
-        (List.map
-           (fun (_, agg) ->
-             Array.init t.n_reps (fun _ ->
-                 match agg with Count | Sum _ -> 0. | Avg _ | Min _ | Max _ -> nan))
-           aggs)
-    in
-    ([||], per_agg)
-  in
   match (firsts, keys) with
-  | [||], [] -> [ finish_empty_global () ]
+  | [||], [] ->
+    (* No tuples at all and a global group: zero counts and sums, nan
+       moments. *)
+    [ finish ([||], fresh ()) ]
   | _ ->
     List.init (Array.length firsts) (fun g ->
         finish (Array.map (fun c -> Column.value c firsts.(g) 0) key_cols, states.(g)))
 
+(* [None] when the plan derives columns and a derivation, or an
+   aggregate over the derived schema, falls back: interpreting such a
+   cell needs the derived columns materialized, which [query]'s compose
+   path does. *)
+let fused ?pool t ~pred ~defs ~keys ~aggs =
+  let env = Kernel.env_of_columns t.schema t.columns in
+  let def_nodes = List.map (fun (n, _, e) -> (n, Kernel.compile env e)) defs in
+  let env' = Kernel.env_extend env def_nodes in
+  let agg_nodes =
+    Array.of_list
+      (List.map
+         (fun (_, agg) ->
+           match agg with Count -> None | Sum e | Avg e | Min e | Max e -> Some (Kernel.compile env' e))
+         aggs)
+  in
+  let fallback = function Some n -> not (Kernel.compiled n) | None -> false in
+  if defs <> [] && List.exists fallback (List.map (fun (_, n) -> Some n) def_nodes @ Array.to_list agg_nodes)
+  then None
+  else begin
+    let pred = Option.map (Kernel.compile env) pred in
+    count_fallbacks (List.length (List.filter fallback (pred :: Array.to_list agg_nodes)));
+    Some (sweep_plan ?pool t ~pred ~keys ~aggs agg_nodes)
+  end
+
 let aggregate ?pool ?(keys = []) aggs t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
-      fused ?pool t ~pred:None ~defs:[] ~keys ~aggs)
+      Option.get (fused ?pool t ~pred:None ~defs:[] ~keys ~aggs))
 
 type plan = {
   where_ : Expr.t option;
@@ -478,15 +332,18 @@ let plan_fingerprint plan =
        (List.map (fun (n, a) -> n ^ "=" ^ agg_fingerprint a) plan.aggs))
 
 let query ?pool t plan =
-  if List.for_all (Schema.mem t.schema) plan.group_keys then
-    instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
-        fused ?pool t ~pred:plan.where_ ~defs:plan.derive
-          ~keys:plan.group_keys ~aggs:plan.aggs)
-  else
-    (* Group keys name derived columns: materialize, then aggregate. *)
+  (* Materialize, then aggregate: for group keys naming derived columns,
+     and for derived columns the kernel declines. *)
+  let compose () =
     let t = match plan.where_ with None -> t | Some p -> select ?pool p t in
-    let t = extend ?pool plan.derive t in
-    aggregate ?pool ~keys:plan.group_keys plan.aggs t
+    aggregate ?pool ~keys:plan.group_keys plan.aggs (extend ?pool plan.derive t)
+  in
+  let fused () =
+    instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
+        fused ?pool t ~pred:plan.where_ ~defs:plan.derive ~keys:plan.group_keys ~aggs:plan.aggs)
+  in
+  if not (List.for_all (Schema.mem t.schema) plan.group_keys) then compose ()
+  else match fused () with Some result -> result | None -> compose ()
 
 let to_instances t =
   Array.init t.n_reps (fun r ->

@@ -7,9 +7,10 @@
     ({!Column}): float attributes in float64 bigarrays, int/bool in int
     arrays, strings dictionary-encoded, and presence as a packed
     rows × reps bitset with popcount survivor counting. Predicates,
-    computed columns and aggregate arguments are compiled to typed
-    closures ({!Kernel}); expressions the compiler does not cover fall
-    back to the {!Mde_relational.Expr} interpreter per expression, with
+    computed columns and aggregate arguments run as {!Kernel} block
+    programs over the cells, the presence bitset as the initial
+    selection; expressions the compiler does not cover run as fallback
+    blocks through the {!Mde_relational.Expr} interpreter, with
     identical results (fallbacks are counted on
     [mde_bundle_fallback_total] when a live {!Mde_obs} registry is
     installed, and every operator sweep records
@@ -18,8 +19,9 @@
     Determinism contract: construction pre-splits one RNG stream per
     repetition (so realization [r] of {!to_instances} is bit-identical to
     element [r] of {!Stochastic_table.instantiate_many} with the same
-    seed), and the [?pool] row-chunked parallel paths produce
-    bit-identical bundles and aggregates to their sequential runs. The
+    seed), and the [?pool] paths, which evaluate blocks on the pool and
+    replay them in order, produce bit-identical bundles and aggregates
+    to their sequential runs. The
     naive path ({!to_instances} + {!Mde_relational.Algebra}) is the
     reference the bundle engine is tested and benchmarked against.
 
@@ -72,11 +74,9 @@ val realize_row : t -> int -> int -> Table.row
 val present : t -> int -> int -> bool
 
 val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
-(** Narrow presence by the predicate, sweeping the repetition axis with
-    a compiled kernel (deterministic predicates evaluate once per
-    tuple). [?pool] chunks rows over the domain pool; each row's
-    presence bits start on a byte boundary, so chunks write disjoint
-    bytes and the result is bit-identical. *)
+(** Narrow presence by the predicate, tested on the present cells
+    (a deterministic predicate once per tuple). With [?pool] the blocks
+    are tested on the pool; the result is bit-identical. *)
 
 val project : string list -> t -> t
 
@@ -110,9 +110,9 @@ val aggregate :
     deterministic columns; [?keys] defaults to none, i.e. one global
     group) and each named aggregate, the per-repetition aggregate values
     (array of length [n_reps]). Empty groups in a repetition yield [nan]
-    for Avg/Min/Max and 0 for Count/Sum. With [?pool], evaluation is
-    row-chunked and the accumulation replayed in row order, so grouped
-    sums are bit-identical to the sequential pass. *)
+    for Avg/Min/Max and 0 for Count/Sum. With [?pool], blocks are
+    evaluated on the pool and the accumulation replayed in row order,
+    so grouped sums are bit-identical to the sequential pass. *)
 
 type plan = {
   where_ : Expr.t option;  (** selection over the base schema *)
@@ -137,8 +137,9 @@ val query :
     materialized and presence is not rewritten — each cell is tested,
     derived and accumulated in a single sweep. Result is exactly
     [aggregate ~keys (select |> extend)] on the same bundle (asserted in
-    tests, bit for bit). Group keys naming derived columns force the
-    unfused compose path. *)
+    tests, bit for bit). Group keys naming derived columns, and derived
+    columns the kernel compiler declines (or aggregates over them that
+    it declines), take that compose path. *)
 
 val to_instances : t -> Table.t array
 (** Materialize each repetition as an ordinary table (presence applied) —

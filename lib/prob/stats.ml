@@ -1,11 +1,11 @@
 let mean xs =
   let n = Array.length xs in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Stats.mean: empty sample";
   Array.fold_left ( +. ) 0. xs /. float_of_int n
 
 let variance xs =
   let n = Array.length xs in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Stats.variance: empty sample";
   if n = 1 then 0.
   else begin
     let m = mean xs in
@@ -22,7 +22,8 @@ let std xs = sqrt (variance xs)
 
 let covariance xs ys =
   let n = Array.length xs in
-  assert (n = Array.length ys && n >= 2);
+  if n <> Array.length ys || n < 2 then
+    invalid_arg "Stats.covariance: samples need equal lengths >= 2";
   let mx = mean xs and my = mean ys in
   let acc = ref 0. in
   for i = 0 to n - 1 do
@@ -35,7 +36,7 @@ let correlation xs ys =
   if sx = 0. || sy = 0. then 0. else covariance xs ys /. (sx *. sy)
 
 let min_max xs =
-  assert (Array.length xs > 0);
+  if Array.length xs = 0 then invalid_arg "Stats.min_max: empty sample";
   Array.fold_left
     (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
     (xs.(0), xs.(0))
@@ -43,7 +44,8 @@ let min_max xs =
 
 let quantile_sorted sorted p =
   let n = Array.length sorted in
-  assert (n > 0 && p >= 0. && p <= 1.);
+  if n = 0 then invalid_arg "Stats.quantile: empty sample";
+  if not (p >= 0. && p <= 1.) then invalid_arg "Stats.quantile: p outside [0, 1]";
   if n = 1 then sorted.(0)
   else begin
     let h = p *. float_of_int (n - 1) in
@@ -66,7 +68,7 @@ let median xs = quantile xs 0.5
 
 let autocovariance xs k =
   let n = Array.length xs in
-  assert (k >= 0 && k < n);
+  if k < 0 || k >= n then invalid_arg "Stats.autocovariance: lag outside [0, n)";
   let m = mean xs in
   let acc = ref 0. in
   for i = 0 to n - k - 1 do
@@ -80,7 +82,9 @@ let autocorrelation xs k =
 
 let mean_confidence_interval xs level =
   let n = Array.length xs in
-  assert (n >= 2 && level > 0. && level < 1.);
+  if n < 2 then invalid_arg "Stats.mean_confidence_interval: fewer than 2 samples";
+  if not (level > 0. && level < 1.) then
+    invalid_arg "Stats.mean_confidence_interval: level outside (0, 1)";
   let m = mean xs in
   let se = std xs /. sqrt (float_of_int n) in
   let z = Special.normal_inv_cdf (1. -. ((1. -. level) /. 2.)) in
@@ -165,7 +169,9 @@ end
 
 let bootstrap_ci ~rng ~statistic ?(replicates = 1000) xs level =
   let n = Array.length xs in
-  assert (n >= 2 && level > 0. && level < 1. && replicates >= 10);
+  if n < 2 then invalid_arg "Stats.bootstrap_ci: fewer than 2 samples";
+  if not (level > 0. && level < 1.) then invalid_arg "Stats.bootstrap_ci: level outside (0, 1)";
+  if replicates < 10 then invalid_arg "Stats.bootstrap_ci: fewer than 10 replicates";
   let stats =
     Array.init replicates (fun _ ->
         statistic (Array.init n (fun _ -> xs.(Rng.int rng n))))
@@ -175,7 +181,8 @@ let bootstrap_ci ~rng ~statistic ?(replicates = 1000) xs level =
 
 let root_mean_square_error xs ys =
   let n = Array.length xs in
-  assert (n = Array.length ys && n > 0);
+  if n <> Array.length ys || n = 0 then
+    invalid_arg "Stats.root_mean_square_error: samples need equal non-zero lengths";
   let acc = ref 0. in
   for i = 0 to n - 1 do
     let d = xs.(i) -. ys.(i) in

@@ -39,6 +39,20 @@ module Bitset = struct
     Bytes.set t.bits b
       (Char.chr (Char.code (Bytes.get t.bits b) land lnot (1 lsl (r land 7)) land 0xff))
 
+  let row_positions t i ~base out m =
+    let m = ref m in
+    for b = 0 to t.stride - 1 do
+      let byte = Char.code (Bytes.unsafe_get t.bits ((i * t.stride) + b)) in
+      if byte <> 0 then
+        for bit = 0 to 7 do
+          if byte land (1 lsl bit) <> 0 then begin
+            Array.unsafe_set out !m (base + (8 * b) + bit);
+            incr m
+          end
+        done
+    done;
+    !m
+
   let copy t = { t with bits = Bytes.copy t.bits }
   let clear_row t i = Bytes.fill t.bits (i * t.stride) t.stride '\x00'
 
@@ -173,9 +187,7 @@ let mask b =
 
 let mark_null b s = Bitset.set (mask b) (s / b.block) (s mod b.block)
 
-(* The one typed write: slot [s] of the buffer. Slots are disjoint
-   memory, and so are deterministic rows' null bytes once the mask
-   exists, so a pooled fill may call it from several domains at once. *)
+(* The one typed write: slot [s] of the buffer. *)
 let set b s (v : Value.t) =
   match (b.cells, v) with
   | Cfloats c, Value.Float f -> Array1.set c.fdata s f
@@ -260,33 +272,9 @@ let build ~ty ~det ~rows ~reps get =
   | c -> c
   | exception Untyped -> built ~det ~rows ~reps (Values (Array.init n get)) None
 
-let of_det_cells ?pool ~ty ~rows ~reps get =
+let of_det_cells ~ty ~rows ~reps get =
   if reps < 1 then invalid_arg "Column.of_det_cells: reps must be >= 1";
-  match (pool, (ty : Value.ty)) with
-  | None, _ -> build ~ty ~det:true ~rows ~reps get
-  | Some p, Value.Tstring ->
-    (* Dictionary codes are assigned in first-seen order, which is
-       inherently sequential: evaluate cells in parallel (that is where
-       the expression cost lives), encode sequentially. *)
-    let cells = Mde_par.Pool.parallel_init p ~site:"column.fill" rows get in
-    build ~ty ~det:true ~rows ~reps (fun s -> cells.(s))
-  | Some p, (Value.Tfloat | Value.Tint | Value.Tbool) -> (
-    (* Pooled direct fill: rows are chunked over the pool and each
-       written straight into the builder's slot — no intermediate boxed
-       cell array. A cell contradicting [ty] degrades to boxed storage
-       exactly as the sequential build, re-evaluating [get]: the rare
-       path pays twice, the common path never boxes. *)
-    let b = builder ~ty ~det:true ~reps ~rows in
-    (* The mask up front: domains must not race to create it. *)
-    ignore (mask b);
-    match Mde_par.Pool.parallel_iter p ~site:"column.fill" rows (fun i -> set b i (get i)) with
-    | () ->
-      b.len <- rows;
-      finish b
-    | exception Untyped ->
-      built ~det:true ~rows ~reps
-        (Values (Mde_par.Pool.parallel_init p ~site:"column.fill" rows get))
-        None)
+  build ~ty ~det:true ~rows ~reps get
 
 let infer_rows ~det ~reps n = if det then n else n / reps
 
@@ -302,10 +290,6 @@ let of_bools ~det ~reps ?nulls data =
   let rows = infer_rows ~det ~reps (Array.length data) in
   built ~det ~rows ~reps (Bools data) nulls
 
-let of_codes ~det ~reps ~dict codes =
-  let rows = infer_rows ~det ~reps (Array.length codes) in
-  built ~det ~rows ~reps (Strings { codes; dict }) None
-
 let of_values ~det ~reps data =
   let rows = infer_rows ~det ~reps (Array.length data) in
   built ~det ~rows ~reps (Values data) None
@@ -319,8 +303,13 @@ let gather_storage ~block base idx =
   let gather_int src =
     let dst = Array.make (out_rows * block) 0 in
     if block = 1 then
-      Array.iteri (fun k i -> Array.unsafe_set dst k (Array.unsafe_get src i)) idx
-    else Array.iteri (fun k i -> Array.blit src (i * block) dst (k * block) block) idx;
+      for k = 0 to out_rows - 1 do
+        Array.unsafe_set dst k (Array.unsafe_get src (Array.unsafe_get idx k))
+      done
+    else
+      for k = 0 to out_rows - 1 do
+        Array.blit src (idx.(k) * block) dst (k * block) block
+      done;
     dst
   in
   let data =
@@ -329,16 +318,12 @@ let gather_storage ~block base idx =
       let dst = Array1.create Bigarray.float64 Bigarray.c_layout (out_rows * block) in
       (* Element loops, not Array1.sub + blit: sub allocates a bigarray
          proxy per call, which dominates a row-at-a-time gather. *)
-      if block = 1 then
-        Array.iteri (fun k i -> Array1.unsafe_set dst k (Array1.unsafe_get a i)) idx
-      else
-        Array.iteri
-          (fun k i ->
-            for r = 0 to block - 1 do
-              Array1.unsafe_set dst ((k * block) + r)
-                (Array1.unsafe_get a ((i * block) + r))
-            done)
-          idx;
+      for k = 0 to out_rows - 1 do
+        let i = Array.unsafe_get idx k in
+        for r = 0 to block - 1 do
+          Array1.unsafe_set dst ((k * block) + r) (Array1.unsafe_get a ((i * block) + r))
+        done
+      done;
       Floats dst
     | Ints a -> Ints (gather_int a)
     | Bools a -> Bools (gather_int a)

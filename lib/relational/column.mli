@@ -32,6 +32,12 @@ module Bitset : sig
   val set : t -> int -> int -> unit
   val unset : t -> int -> int -> unit
 
+  val row_positions : t -> int -> base:int -> int array -> int -> int
+  (** [row_positions t i ~base out m] writes [base + r] for each set bit
+      [r] of row [i], ascending, into [out] from index [m]; returns the
+      next free index. A byte at a time: absent repetitions cost
+      nothing. *)
+
   val clear_row : t -> int -> unit
   (** Zero every bit of one row (a deterministic predicate rejected the
       tuple in all repetitions at once). *)
@@ -78,13 +84,9 @@ val of_realizations : ty:Value.ty -> t array -> t
     interleaved into rows × reps typed storage, degrading to boxed
     storage like {!of_cells}. *)
 
-val of_det_cells :
-  ?pool:Mde_par.Pool.t -> ty:Value.ty -> rows:int -> reps:int -> (int -> Value.t) -> t
+val of_det_cells : ty:Value.ty -> rows:int -> reps:int -> (int -> Value.t) -> t
 (** Deterministic column from a per-row reader (wrapping a plain table);
-    [reps] is the owning bundle's repetition count. With [?pool] the
-    reader is evaluated row-chunked in parallel and written directly
-    into the typed storage (no intermediate boxed array); the result is
-    identical to the sequential build. *)
+    [reps] is the owning bundle's repetition count. *)
 
 (** {2 Builder}
 
@@ -122,9 +124,6 @@ val of_ints : det:bool -> reps:int -> ?nulls:Bitset.t -> int array -> t
 val of_bools : det:bool -> reps:int -> ?nulls:Bitset.t -> int array -> t
 (** Bool storage is 0/1 ints; a distinct constructor so read-back knows
     to rebuild [Value.Bool]. *)
-
-val of_codes : det:bool -> reps:int -> dict:string array -> int array -> t
-(** Dictionary-encoded strings; code [-1] is Null. *)
 
 val of_values : det:bool -> reps:int -> Value.t array -> t
 (** Boxed fallback storage. *)

@@ -1,13 +1,10 @@
 (* The columnar relational table: the deterministic reps=1 specialization
    of the tuple-bundle storage ([Column]/[Bitset]) carrying the [Algebra]
-   operators. Predicates and computed columns compile to typed closures
-   via [Kernel]; anything the compiler does not cover evaluates with
-   [Expr.eval]/[Expr.eval_bool] on a realized row. Every operator
-   reproduces its [Algebra] twin bit for bit: same row order,
-   same float accumulation order, same error behavior on well-formed
-   inputs. *)
-
-module Array1 = Bigarray.Array1
+   operators. Predicates, computed columns and aggregate sources run as
+   [Kernel] block programs, whose fallback blocks interpret what the
+   compiler declines. Every operator reproduces its [Algebra] twin bit
+   for bit: same row order, same float accumulation order, same error
+   behavior on well-formed inputs. *)
 
 type t = { tschema : Schema.t; n_rows : int; cols : Column.t array }
 
@@ -24,69 +21,37 @@ let of_table table =
     cols = Table.columns table;
   }
 
-let row t i = Array.map (fun c -> Column.value c i 0) t.cols
 let to_table t = Table.of_columns t.tschema ~rows:t.n_rows t.cols
-let env t = Kernel.env_of_columns t.tschema ~reps:1 t.cols
+let env t = Kernel.env_of_columns t.tschema t.cols
 
 (* Every output column is a view over its input ([Column.gather]):
    nothing is copied until something reads the column. *)
 let gather t idx =
   { tschema = t.tschema; n_rows = Array.length idx; cols = Column.gather t.cols idx }
 
-(* A growable unboxed int buffer: select's survivors, distinct's keepers. *)
-type ibuf = { mutable ib : int array; mutable ilen : int }
-
-let ibuf_create () = { ib = Array.make 64 0; ilen = 0 }
-
-let ibuf_push b v =
-  if b.ilen = Array.length b.ib then begin
-    let bigger = Array.make (2 * b.ilen) 0 in
-    Array.blit b.ib 0 bigger 0 b.ilen;
-    b.ib <- bigger
-  end;
-  b.ib.(b.ilen) <- v;
-  b.ilen <- b.ilen + 1
-
-let ibuf_concat bufs =
-  let out = Array.make (Array.fold_left (fun n b -> n + b.ilen) 0 bufs) 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun b ->
-      Array.blit b.ib 0 out !k b.ilen;
-      k := !k + b.ilen)
-    bufs;
-  out
-
-(* Deterministic row chunks of [0, n): one without a pool, [domains × 8]
-   contiguous ones run over it, each as [f c lo hi]. Whatever each chunk
-   writes to its own slot, read back in chunk order, is the sequential
-   output whatever the chunk count. *)
-let n_chunks ?pool n =
-  match pool with None -> 1 | Some p -> min (max 1 n) (Mde_par.Pool.domains p * 8)
-
-let iter_chunks ?pool ~site ~chunks n f =
-  let per = (n + chunks - 1) / chunks in
-  let run c = f c (c * per) (min n ((c + 1) * per)) in
-  match pool with
-  | None -> run 0
-  | Some p -> Mde_par.Pool.parallel_iter p ~site ~chunk:1 chunks run
-
+(* Survivors are marked one byte per row, then collected into an index
+   vector of exactly their number: the only allocation that grows with
+   the input. *)
 let select ?pool pred t =
-  let test =
-    match Option.bind (Kernel.compile (env t) pred) Kernel.as_pred with
-    | Some p -> fun i -> p i 0
-    | None -> fun i -> Expr.eval_bool t.tschema (row t i) pred
-  in
-  (* One pass: each chunk pushes its survivors, in row order, into its
-     own buffer. *)
-  let chunks = n_chunks ?pool t.n_rows in
-  let bufs = Array.init chunks (fun _ -> ibuf_create ()) in
-  iter_chunks ?pool ~site:"columnar.select" ~chunks t.n_rows (fun c lo hi ->
-      let buf = bufs.(c) in
-      for i = lo to hi - 1 do
-        if test i then ibuf_push buf i
-      done);
-  gather t (ibuf_concat bufs)
+  let node = Kernel.compile (env t) pred in
+  let marks = Bytes.make t.n_rows '\000' and count = ref 0 and last = ref (-1) in
+  Kernel.sweep ?pool ~site:"columnar.select" ~rows:t.n_rows ~reps:1 (fun f ->
+      let kept, keep = Kernel.filter node f in
+      ( (fun () -> keep f.all),
+        fun () ->
+          for j = 0 to kept.n - 1 do
+            Bytes.unsafe_set marks (f.lo + kept.pos.(j)) '\001'
+          done;
+          if kept.n > 0 then last := f.lo + kept.pos.(kept.n - 1);
+          count := !count + kept.n ));
+  (* Branch-free: up to the last survivor, the write index stays below
+     [count]. *)
+  let idx = Array.make !count 0 and m = ref 0 in
+  for i = 0 to !last do
+    Array.unsafe_set idx !m i;
+    m := !m + Char.code (Bytes.unsafe_get marks i)
+  done;
+  gather t idx
 
 let project names t =
   let idxs = List.map (Schema.column_index t.tschema) names in
@@ -98,21 +63,12 @@ let project names t =
 
 let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
-  let out_schema = Schema.concat t.tschema added in
   let kenv = env t in
   (* Every defining expression reads the input schema, as the row oracle's
      extend does. *)
-  let interpret ty e =
-    Column.of_det_cells ?pool ~ty ~rows:t.n_rows ~reps:1 (fun i ->
-        Expr.eval t.tschema (row t i) e)
-  in
-  let build (_, ty, e) =
-    match Kernel.compile kenv e with
-    | Some node -> Kernel.materialize ?pool ~rows:t.n_rows ~reps:1 node
-    | None -> interpret ty e
-  in
+  let build (_, ty, e) = Kernel.materialize ?pool ~ty ~rows:t.n_rows ~reps:1 (Kernel.compile kenv e) in
   {
-    tschema = out_schema;
+    tschema = Schema.concat t.tschema added;
     n_rows = t.n_rows;
     cols = Array.append t.cols (Array.of_list (List.map build defs));
   }
@@ -156,43 +112,38 @@ let join_index ?pool (probe, probe_rows) (build, build_rows) =
     end
   done;
   let head = !head and len = !len in
-  (* Two passes over the same chunks: the first finds each probe row's
-     key id and counts its chunk's matches, the second writes the
-     pairs at the chunk's offset. Output pairs cost exactly their two
-     index words, and chunk order is row order whatever the chunking. *)
-  let chunks = n_chunks ?pool probe_rows in
-  let found = Array.make probe_rows (-1) in
-  let starts = Array.make (chunks + 1) 0 in
-  iter_chunks ?pool ~site:"columnar.join.probe" ~chunks probe_rows (fun c lo hi ->
-      let m = ref 0 in
-      for i = lo to hi - 1 do
-        if not (pnull i) then begin
-          let id = Keycode.tbl_find tbl pcoded.keys i in
-          if id >= 0 then begin
-            found.(i) <- id;
-            m := !m + len.(id)
-          end
-        end
-      done;
-      starts.(c + 1) <- !m);
-  for c = 1 to chunks do
-    starts.(c) <- starts.(c - 1) + starts.(c)
+  (* The lookups run as a block sweep, on the pool when given; the pairs
+     are then written in probe order, each probe row's matches in build
+     order, into arrays of exactly their number. *)
+  let found = Array.make probe_rows (-1) and total = ref 0 in
+  Kernel.sweep ?pool ~site:"columnar.join.probe" ~rows:probe_rows ~reps:1 (fun f ->
+      let matches = ref 0 in
+      ( (fun () ->
+          let m = ref 0 in
+          for i = f.lo to f.lo + f.all.n - 1 do
+            if not (pnull i) then begin
+              let id = Keycode.tbl_find tbl pcoded.keys i in
+              if id >= 0 then begin
+                found.(i) <- id;
+                m := !m + len.(id)
+              end
+            end
+          done;
+          matches := !m),
+        fun () -> total := !total + !matches ));
+  let pi = Array.make !total 0 and bi = Array.make !total 0 and k = ref 0 in
+  for i = 0 to probe_rows - 1 do
+    let id = found.(i) in
+    if id >= 0 then begin
+      let j = ref head.(id) in
+      while !j >= 0 do
+        pi.(!k) <- i;
+        bi.(!k) <- !j;
+        incr k;
+        j := next.(!j)
+      done
+    end
   done;
-  let pi = Array.make starts.(chunks) 0 and bi = Array.make starts.(chunks) 0 in
-  iter_chunks ?pool ~site:"columnar.join.emit" ~chunks probe_rows (fun c lo hi ->
-      let k = ref starts.(c) in
-      for i = lo to hi - 1 do
-        let id = found.(i) in
-        if id >= 0 then begin
-          let j = ref head.(id) in
-          while !j >= 0 do
-            pi.(!k) <- i;
-            bi.(!k) <- !j;
-            incr k;
-            j := next.(!j)
-          done
-        end
-      done);
   (pi, bi)
 
 let key_cols t names =
@@ -216,172 +167,161 @@ let equi_join ?pool ~on l r =
 
 (* --- grouped aggregation -------------------------------------------- *)
 
-(* Typed per-group accumulator, one per (group, aggregate). The same
-   shape as Algebra's: count/sum/sum_sq fed in row order so float sums
-   come out bit-identical, min/max kept as boxed values under
-   [Value.compare] with first-of-equals retained. Sum/Avg/Std feeders
-   skip the min/max updates (unobservable through their finishers) to
-   stay unboxed on the hot path. *)
-type kacc = {
-  mutable kcount : int;
-  mutable ksum : float;
-  mutable ksum_sq : float;
-  mutable kvmin : Value.t;
-  mutable kvmax : Value.t;
+(* One aggregate's accumulators, flat over group ids, fed block by block:
+   [bind f] binds the aggregate's views to a frame and returns its
+   (eval, consume) pair; [finish g] is group [g]'s output cell. Counts
+   and float sums are fed in row order, so sums come out bit-identical
+   to the row oracle's. *)
+type agg_state = {
+  bind : Kernel.frame -> (unit -> unit) * (unit -> unit);
+  finish : int -> Value.t;
 }
 
-let fresh_kacc () =
-  { kcount = 0; ksum = 0.; ksum_sq = 0.; kvmin = Value.Null; kvmax = Value.Null }
+(* Group of row [i]: [ids] is empty for a global aggregate. *)
+let[@inline] group ids i = if Array.length ids = 0 then 0 else Array.unsafe_get ids i
 
-type feeder = { feed : kacc -> int -> unit; finish : kacc -> Value.t }
+let float_moments ~ids ~n_groups node finish =
+  let count = Array.make n_groups 0 and sum = Array.make n_groups 0.
+  and sum_sq = Array.make n_groups 0. in
+  let bind (f : Kernel.frame) =
+    let v = Kernel.floats node f in
+    ( (fun () -> v.fill f.all),
+      fun () ->
+        let nullable = Bytes.length v.nulls > 0 in
+        for j = 0 to f.all.n - 1 do
+          let k = f.all.pos.(j) in
+          if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then begin
+            let g = group ids (f.lo + k) and x = v.data.(k) in
+            count.(g) <- count.(g) + 1;
+            sum.(g) <- sum.(g) +. x;
+            sum_sq.(g) <- sum_sq.(g) +. (x *. x)
+          end
+        done )
+  in
+  { bind; finish = (fun g -> finish count.(g) sum.(g) sum_sq.(g)) }
 
-let finish_count a = Value.Int a.kcount
-let finish_sum a = Value.Float a.ksum
-
-let finish_avg a =
-  if a.kcount = 0 then Value.Null
-  else Value.Float (a.ksum /. float_of_int a.kcount)
-
-let finish_std a =
-  if a.kcount < 2 then Value.Null
+(* Min/Max keep [Value.compare]'s order and its first of equals: typed
+   over a float node, boxed otherwise, through [Value.to_float] first (so
+   strings raise as the row oracle's feed does). *)
+let extremum ~ids ~n_groups ~sign node =
+  let seen = Array.make n_groups false in
+  let wins g c = (not seen.(g)) || c * sign < 0 in
+  (* [view f]: the node's fill and null flags in a frame, and [offer g
+     k], which keeps position [k]'s value for group [g] if it wins. *)
+  let state view finish =
+    let bind (f : Kernel.frame) =
+      let fill, nulls, offer = view f in
+      ( (fun () -> fill f.all),
+        fun () ->
+          let nullable = Bytes.length nulls > 0 in
+          for j = 0 to f.all.n - 1 do
+            let k = f.all.pos.(j) in
+            if not (nullable && Bytes.unsafe_get nulls k <> '\000') then
+              offer (group ids (f.lo + k)) k
+          done )
+    in
+    { bind; finish = (fun g -> if seen.(g) then finish g else Value.Null) }
+  in
+  if Kernel.kind node = Kernel.Float then begin
+    let best = Array.make n_groups 0. in
+    state
+      (fun f ->
+        let v = Kernel.floats node f in
+        ( v.fill,
+          v.nulls,
+          fun g k ->
+            let x = v.data.(k) in
+            if wins g (Float.compare x best.(g)) then begin
+              seen.(g) <- true;
+              best.(g) <- x
+            end ))
+      (fun g -> Value.Float best.(g))
+  end
   else begin
-    let n = float_of_int a.kcount in
-    let var = (a.ksum_sq -. (a.ksum *. a.ksum /. n)) /. (n -. 1.) in
+    let best = Array.make n_groups Value.Null in
+    state
+      (fun f ->
+        let v = Kernel.boxed node f in
+        ( v.fill,
+          v.nulls,
+          fun g k ->
+            match v.data.(k) with
+            | Value.Null -> ()
+            | x ->
+              ignore (Value.to_float x);
+              if wins g (Value.compare x best.(g)) then begin
+                seen.(g) <- true;
+                best.(g) <- x
+              end ))
+      (fun g -> best.(g))
+  end
+
+let count_cells ~ids ~n_groups filter =
+  let count = Array.make n_groups 0 in
+  let bind (f : Kernel.frame) =
+    let kept, keep =
+      match filter with Some node -> Kernel.filter node f | None -> (f.all, ignore)
+    in
+    ( (fun () -> keep f.all),
+      fun () ->
+        for j = 0 to kept.n - 1 do
+          let g = group ids (f.lo + kept.pos.(j)) in
+          count.(g) <- count.(g) + 1
+        done )
+  in
+  { bind; finish = (fun g -> Value.Int count.(g)) }
+
+let finish_sum _ sum _ = Value.Float sum
+let finish_avg n sum _ = if n = 0 then Value.Null else Value.Float (sum /. float_of_int n)
+
+let finish_std n sum sum_sq =
+  if n < 2 then Value.Null
+  else begin
+    let n = float_of_int n in
+    let var = (sum_sq -. (sum *. sum /. n)) /. (n -. 1.) in
     Value.Float (sqrt (Float.max var 0.))
   end
 
-(* Pooled aggregation is two-phase, like Bundle's pooled sweeps: the
-   per-row source values are evaluated row-chunked into a flat scratch
-   buffer (each row owns its slot), then the order-sensitive
-   accumulation replays from the scratch sequentially in row order — so
-   the pooled result is the sequential result bit for bit. *)
-
-let float_feeder ?pool ~rows kenv e finish =
-  Option.map
-    (fun (cell : Kernel.cell) ->
-      let null, value =
-        match pool with
-        | None -> ((fun i -> cell.null i 0), fun i -> cell.value i 0)
-        | Some _ ->
-          let data = Array1.create Bigarray.float64 Bigarray.c_layout rows in
-          let nulls = Bytes.make rows '\000' in
-          Mde_par.Pool.iter ?pool ~site:"columnar.group.scratch" rows (fun i ->
-              if cell.null i 0 then Bytes.set nulls i '\001'
-              else Array1.set data i (cell.value i 0));
-          ((fun i -> Bytes.get nulls i <> '\000'), fun i -> Array1.get data i)
-      in
-      let feed a i =
-        if not (null i) then begin
-          let x = value i in
-          a.kcount <- a.kcount + 1;
-          a.ksum <- a.ksum +. x;
-          a.ksum_sq <- a.ksum_sq +. (x *. x)
-        end
-      in
-      { feed; finish })
-    (Option.bind (Kernel.compile kenv e) Kernel.as_float_cell)
-
-(* Min/Max, and sources the compiler declines, read the boxed cell, so
-   string inputs raise in [Value.to_float] exactly as the row oracle's
-   feed does. *)
-let value_feeder ?pool ~rows read finish =
-  let read =
-    match pool with
-    | None -> read
-    | Some _ ->
-      let vals = Mde_par.Pool.init ?pool ~site:"columnar.group.scratch" rows read in
-      fun i -> vals.(i)
-  in
-  let feed a i =
-    match read i with
-    | Value.Null -> ()
-    | v ->
-      let x = Value.to_float v in
-      a.kcount <- a.kcount + 1;
-      a.ksum <- a.ksum +. x;
-      a.ksum_sq <- a.ksum_sq +. (x *. x);
-      if Value.is_null a.kvmin || Value.compare v a.kvmin < 0 then a.kvmin <- v;
-      if Value.is_null a.kvmax || Value.compare v a.kvmax > 0 then a.kvmax <- v
-  in
-  { feed; finish }
-
-(* An aggregate source the kernel compiler declines is interpreted on
-   the realized row, as [extend] does for its definitions. *)
-let compile_feeder ?pool t kenv agg =
-  let rows = t.n_rows in
-  let source e =
-    match Kernel.compile kenv e with
-    | Some node -> fun i -> Kernel.node_value node i 0
-    | None -> fun i -> Expr.eval t.tschema (row t i) e
-  in
-  let numeric e finish =
-    match float_feeder ?pool ~rows kenv e finish with
-    | Some f -> f
-    | None -> value_feeder ?pool ~rows (source e) finish
-  in
-  match agg with
-  | Algebra.Count -> { feed = (fun a _ -> a.kcount <- a.kcount + 1); finish = finish_count }
-  | Algebra.Count_if e ->
-    let test =
-      match Option.bind (Kernel.compile kenv e) Kernel.as_pred with
-      | Some p -> fun i -> p i 0
-      | None -> fun i -> Expr.eval_bool t.tschema (row t i) e
-    in
-    let test =
-      match pool with
-      | None -> test
-      | Some _ ->
-        let flags = Bytes.make rows '\000' in
-        Mde_par.Pool.iter ?pool ~site:"columnar.group.scratch" rows (fun i ->
-            if test i then Bytes.set flags i '\001');
-        fun i -> Bytes.get flags i <> '\000'
-    in
-    { feed = (fun a i -> if test i then a.kcount <- a.kcount + 1); finish = finish_count }
-  | Algebra.Sum e -> numeric e finish_sum
-  | Algebra.Avg e -> numeric e finish_avg
-  | Algebra.Std e -> numeric e finish_std
-  | Algebra.Min e -> value_feeder ?pool ~rows (source e) (fun a -> a.kvmin)
-  | Algebra.Max e -> value_feeder ?pool ~rows (source e) (fun a -> a.kvmax)
+let agg_state ~ids ~n_groups kenv agg =
+  let compile = Kernel.compile kenv in
+  match (agg : Algebra.aggregate) with
+  | Algebra.Count -> count_cells ~ids ~n_groups None
+  | Algebra.Count_if e -> count_cells ~ids ~n_groups (Some (compile e))
+  | Algebra.Sum e -> float_moments ~ids ~n_groups (compile e) finish_sum
+  | Algebra.Avg e -> float_moments ~ids ~n_groups (compile e) finish_avg
+  | Algebra.Std e -> float_moments ~ids ~n_groups (compile e) finish_std
+  | Algebra.Min e -> extremum ~ids ~n_groups ~sign:1 (compile e)
+  | Algebra.Max e -> extremum ~ids ~n_groups ~sign:(-1) (compile e)
 
 let group_by ?pool ~keys ~aggs t =
-  let kenv = env t in
-  let feeders = Array.of_list (List.map (fun (_, a) -> compile_feeder ?pool t kenv a) aggs) in
   let key_cols = key_cols t keys in
   let key_schema_cols = List.map (fun k -> (k, Schema.column_type t.tschema k)) keys in
   let out_schema =
     Schema.of_list (key_schema_cols @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
   in
-  (* Per group its first (representative) row and its accumulators, fed
-     in row order so float sums come out bit-identical to the row
-     oracle's. *)
-  let fresh () = Array.map (fun _ -> fresh_kacc ()) feeders in
-  let feed accs i = Array.iteri (fun a f -> f.feed accs.(a) i) feeders in
-  let firsts, accs =
+  (* Group ids in first-seen order and each group's first row; a global
+     aggregate is one group, emitted even on empty input. *)
+  let ids, firsts, n_groups =
     match keys with
-    | [] ->
-      (* A global aggregate: one group, emitted even on empty input. *)
-      let accs = fresh () in
-      for i = 0 to t.n_rows - 1 do
-        feed accs i
-      done;
-      ([||], [| accs |])
+    | [] -> ([||], [||], 1)
     | _ ->
       let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
-      let accs = Array.map (fun _ -> fresh ()) firsts in
-      for i = 0 to t.n_rows - 1 do
-        feed accs.(ids.(i)) i
-      done;
-      (firsts, accs)
+      (ids, firsts, Array.length firsts)
   in
+  let kenv = env t in
+  let states = Array.of_list (List.map (fun (_, a) -> agg_state ~ids ~n_groups kenv a) aggs) in
+  Kernel.sweep ?pool ~site:"columnar.group" ~rows:t.n_rows ~reps:1 (fun f ->
+      let bound = Array.map (fun st -> st.bind f) states in
+      ( (fun () -> Array.iter (fun (eval, _) -> eval ()) bound),
+        fun () -> Array.iter (fun (_, consume) -> consume ()) bound ));
   (* Output columns are built directly: keys by gathering each group's
      representative row, aggregates from the finishers. *)
-  let n_groups = Array.length accs in
   let agg_out =
     Array.of_list
       (List.mapi
          (fun a (_, agg) ->
-           Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1 (fun g ->
-               feeders.(a).finish accs.(g).(a)))
+           Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
+             states.(a).finish)
          aggs)
   in
   {

@@ -6,10 +6,10 @@
     in a float64 bigarray, ints/bools unboxed, strings
     dictionary-coded), nulls in a packed {!Column.Bitset}. Each operator
     has one path, picked from its inputs: predicates, computed columns
-    and aggregate sources compile to typed closures ({!Kernel.compile}),
-    falling back per expression to row-at-a-time {!Expr.eval} when the
-    compiler does not cover one; every key — group, join, distinct and
-    sort — packs into {!Keycode} words, whatever its column types.
+    and aggregate sources run as {!Kernel} block programs, whose
+    fallback blocks interpret what the compiler does not cover; every
+    key — group, join, distinct and sort — packs into {!Keycode} words,
+    whatever its column types.
 
     Operator outputs are views: [select], [equi_join], [order_by],
     [distinct], [limit] and [group_by]'s key columns build each output
@@ -46,10 +46,9 @@ val schema : t -> Schema.t
 val row_count : t -> int
 
 val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
-(** σ, preserving row order, in one pass that collects the surviving
-    row indices. With [?pool] the predicate is evaluated row-chunked in
-    parallel, each chunk collecting its own survivors; concatenated in
-    chunk order they are the sequential selection. *)
+(** σ, preserving row order: one block sweep marks the survivors, and
+    their row indices fill an index vector of exactly their number.
+    With [?pool] the blocks are tested on the pool. *)
 
 val project : string list -> t -> t
 (** π onto existing columns — O(1) per column, nothing is copied. *)
@@ -72,12 +71,10 @@ val join_index :
     row's matches in build order; rows with a Null key component never
     match. Both sides hash one unboxed {!Keycode} word per row through
     an open-addressing table with build-order match chains. The probe
-    counts each chunk's matches, then writes the index pairs at the
-    chunk's offset, so the pairs cost two words each. With [?pool] the
-    key encoding and both probe passes are row-chunked in parallel —
-    chunk order is row order, so the output is bit-identical whatever
-    the chunking. Raises [Invalid_argument] on an uncertain key
-    column. *)
+    looks rows up in a block sweep, counting matches, then writes the
+    pairs into arrays of exactly their number. With [?pool] the key
+    encoding and the lookups run on the pool; the output is the same.
+    Raises [Invalid_argument] on an uncertain key column. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->
@@ -89,12 +86,11 @@ val group_by :
     first-seen group order, NaN keys collapse to one group, [keys = []]
     yields one global row even on empty input. Each row's composite key
     is one {!Keycode} word ({!Keycode.groups}), and the output columns
-    are built directly (keys gathered from each group's first row). The
-    Sum/Avg/Std/Count paths accumulate unboxed; an aggregate source the
-    kernel compiler declines is interpreted per row and fed to the same
-    accumulators. With [?pool] the key encoding and the aggregate
-    sources are evaluated row-chunked in parallel into scratch buffers;
-    accumulation always replays sequentially in row order, so pooled
+    are built directly (keys gathered from each group's first row).
+    Aggregate sources run as one block sweep and accumulate unboxed, in
+    row order; Min/Max keep [Value.compare]'s order and the first of
+    equals. With [?pool] the key encoding and the blocks' evaluation run
+    on the pool, and accumulation replays in row order, so pooled
     results are bit-identical to sequential ones. *)
 
 val order_by : ?descending:bool -> string list -> t -> t

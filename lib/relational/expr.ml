@@ -67,8 +67,9 @@ let rec eval schema row expr =
   | Is_null a -> Value.Bool (Value.is_null (eval schema row a))
   | If (c, t, e) -> if eval_bool schema row c then eval schema row t else eval schema row e
 
-and eval_bool schema row expr =
-  match eval schema row expr with
+and eval_bool schema row expr = truth (eval schema row expr)
+
+and truth = function
   | Value.Bool b -> b
   | Value.Null -> false
   | Value.Int _ | Value.Float _ | Value.String _ ->
@@ -97,35 +98,6 @@ let columns_used expr =
   in
   go expr;
   List.rev !order
-
-let rec typeof lookup = function
-  | Col name -> lookup name
-  | Lit v -> Value.type_of v
-  | Add (a, b) | Sub (a, b) | Mul (a, b) -> begin
-    match (typeof lookup a, typeof lookup b) with
-    | Some Value.Tint, Some Value.Tint -> Some Value.Tint
-    | Some (Value.Tint | Value.Tfloat), Some (Value.Tint | Value.Tfloat) ->
-      Some Value.Tfloat
-    | _ -> None
-  end
-  | Div (a, b) -> begin
-    match (typeof lookup a, typeof lookup b) with
-    | Some (Value.Tint | Value.Tfloat), Some (Value.Tint | Value.Tfloat) ->
-      Some Value.Tfloat
-    | _ -> None
-  end
-  | Neg a -> begin
-    match typeof lookup a with
-    | Some (Value.Tint | Value.Tfloat) as ty -> ty
-    | _ -> None
-  end
-  | Eq _ | Ne _ | Lt _ | Le _ | Gt _ | Ge _ | And _ | Or _ | Not _ | Is_null _ ->
-    Some Value.Tbool
-  | If (_, t, e) -> begin
-    match (typeof lookup t, typeof lookup e) with
-    | Some ty1, Some ty2 when Stdlib.( = ) ty1 ty2 -> Some ty1
-    | _ -> None
-  end
 
 let rec pp ppf = function
   | Col name -> Format.pp_print_string ppf name

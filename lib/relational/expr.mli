@@ -50,17 +50,13 @@ val eval : Schema.t -> Table.row -> t -> Value.t
 val eval_bool : Schema.t -> Table.row -> t -> bool
 (** Evaluate as a predicate; Null counts as false. *)
 
+val truth : Value.t -> bool
+(** [eval_bool]'s reading of a value: [Bool b] is [b], Null is false,
+    and anything else raises [Invalid_argument]. *)
+
 val columns_used : t -> string list
 (** Distinct column names referenced, in first-use order; the handle the
     optimizer uses to decide whether a predicate commutes past an
     operator. *)
-
-val typeof : (string -> Value.ty option) -> t -> Value.ty option
-(** Static result type under a column-type environment: [Some ty] means
-    every non-raising evaluation yields a value of type [ty] (or Null,
-    which arithmetic propagates). [None] means unknown or
-    evaluation-dependent (Null literals, mixed-type [If] branches,
-    arithmetic over non-numeric operands). The kernel compiler keys its
-    typed code paths off this; anything [None] falls back to {!eval}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,467 +1,645 @@
 module Array1 = Bigarray.Array1
 module Bitset = Column.Bitset
 
-(* A shared physical constant for "never null", so combinators can skip
-   the null check entirely when both operands are non-nullable. *)
-let no_null : int -> int -> bool = fun _ _ -> false
+(* 256 slots: a vector of at most 256 words is allocated on the minor
+   heap, so a sweep's scratch never reaches the major heap. *)
+let block = 256
 
-let or_null a b =
-  if a == no_null then b
-  else if b == no_null then a
-  else fun i r -> a i r || b i r
+(* --- frames --------------------------------------------------------- *)
 
-type node =
-  | Nint of { geti : int -> int -> int; inull : int -> int -> bool; iunc : bool }
-  | Nfloat of { getf : int -> int -> float; fnull : int -> int -> bool; func : bool }
-  | Nbool of { getb : int -> int -> bool; bnull : int -> int -> bool; bunc : bool }
-  | Nstr of { gets : int -> int -> string; snull : int -> int -> bool; sunc : bool }
+type selection = { pos : int array; mutable n : int }
 
-let node_unc = function
-  | Nint x -> x.iunc
-  | Nfloat x -> x.func
-  | Nbool x -> x.bunc
-  | Nstr x -> x.sunc
+type frame = {
+  reps : int;  (* slots per row in this sweep *)
+  rowix : int array;  (* row of each position of the block *)
+  all : selection;  (* the block's initial selection *)
+  mutable lo : int;  (* slot of position 0 *)
+}
 
-let node_null = function
-  | Nint x -> x.inull
-  | Nfloat x -> x.fnull
-  | Nbool x -> x.bnull
-  | Nstr x -> x.snull
+type 'a vec = { data : 'a; nulls : Bytes.t; fill : selection -> unit }
 
-let node_value n i r =
-  match n with
-  | Nint x -> if x.inull i r then Value.Null else Value.Int (x.geti i r)
-  | Nfloat x -> if x.fnull i r then Value.Null else Value.Float (x.getf i r)
-  | Nbool x -> if x.bnull i r then Value.Null else Value.Bool (x.getb i r)
-  | Nstr x -> if x.snull i r then Value.Null else Value.String (x.gets i r)
+let cap f = Array.length f.rowix
+let selection cap = { pos = Array.make cap 0; n = 0 }
+let noop (_ : selection) = ()
 
-(* --- environments -------------------------------------------------- *)
+let[@inline] is_null nul k = Bytes.length nul > 0 && Bytes.unsafe_get nul k <> '\000'
 
-(* A name is bound to its column until an expression first references
-   it; the column's node (which forces a view) is then built and kept.
-   Compilation runs on the calling domain, so the table needs no lock. *)
-type binding = Base of Column.t | Compiled of node option
+(* --- compiled nodes -------------------------------------------------- *)
 
-type env = { reps : int; nodes : (string, binding) Hashtbl.t }
+(* One node's evaluator in one frame: [run s] fills the value vector of
+   the node's kind ([iv] holds ints and 0/1 bools) and, when the node is
+   nullable, [nul], at the positions [s] selects. Values at null
+   positions are unspecified. *)
+type inst = {
+  run : selection -> unit;
+  fv : float array;
+  iv : int array;
+  sv : string array;
+  nul : Bytes.t;  (* empty when the node is never null *)
+}
 
-let null_getter ~vdet nulls =
-  match nulls with
-  | None -> no_null
-  | Some m -> if vdet then fun i _ -> Bitset.get m i 0 else fun i r -> Bitset.get m i r
+let inst ?(fv = [||]) ?(iv = [||]) ?(sv = [||]) ?(nul = Bytes.empty) run =
+  { run; fv; iv; sv; nul }
 
-let node_of_column ~reps col =
+type kind = Int | Float | Bool | String | Boxed
+
+type node = C of cnode | F of { fenv : env; expr : Expr.t; func : bool }
+
+and cnode = {
+  kind : kind;
+  unc : bool;
+  nullable : bool;
+  make : frame -> inst;
+  narrow : (frame -> selection * (selection -> unit)) option;
+      (* a boolean node's own filter, when it beats value-then-compact *)
+}
+
+(* Named columns: the base columns, plus any definitions bound by name.
+   A base column's node is built when an expression first references
+   it, so a column no expression reads is never forced. *)
+and env = { schema : Schema.t; columns : Column.t array; names : (string, binding) Hashtbl.t }
+
+and binding = Base of Column.t | Bound of node
+
+let unc = function C n -> n.unc | F f -> f.func
+let compiled = function C _ -> true | F _ -> false
+let kind = function C n -> n.kind | F _ -> Boxed
+let cnode kind ~unc ~nullable make = { kind; unc; nullable; make; narrow = None }
+let const kind make = cnode kind ~unc:false ~nullable:false (fun f -> make (cap f))
+
+(* --- column leaves --------------------------------------------------- *)
+
+let read_nulls f ~det mask nul s =
+  match mask with
+  | None -> ()
+  | Some m ->
+    for j = 0 to s.n - 1 do
+      let k = Array.unsafe_get s.pos j in
+      let i = Array.unsafe_get f.rowix k in
+      let r = if det then 0 else f.lo + k - (i * f.reps) in
+      Bytes.unsafe_set nul k (if Bitset.get m i r then '\001' else '\000')
+    done
+
+let leaf col =
+  let det = Column.det col in
+  let mk kind nullable make = Some (cnode kind ~unc:(not det) ~nullable make) in
+  let nulls_for mask f = if mask = None then Bytes.empty else Bytes.make (cap f) '\000' in
+  let ints data mask ~bool f =
+    let iv = Array.make (cap f) 0 and nul = nulls_for mask f in
+    inst ~iv ~nul (fun s ->
+        let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
+        for j = 0 to s.n - 1 do
+          let k = Array.unsafe_get pos j in
+          let x = Array.unsafe_get data (if by_row then Array.unsafe_get rowix k else lo + k) in
+          Array.unsafe_set iv k (if bool then Bool.to_int (x <> 0) else x)
+        done;
+        read_nulls f ~det mask nul s)
+  in
   match Column.view col with
-  | Column.Vfloat { vdet; data; nulls } ->
-    let getf =
-      if vdet then fun i _ -> Array1.unsafe_get data i
-      else fun i r -> Array1.unsafe_get data ((i * reps) + r)
-    in
-    Some (Nfloat { getf; fnull = null_getter ~vdet nulls; func = not vdet })
-  | Column.Vint { vdet; data; nulls } ->
-    let geti =
-      if vdet then fun i _ -> Array.unsafe_get data i
-      else fun i r -> Array.unsafe_get data ((i * reps) + r)
-    in
-    Some (Nint { geti; inull = null_getter ~vdet nulls; iunc = not vdet })
-  | Column.Vbool { vdet; data; nulls } ->
-    let getb =
-      if vdet then fun i _ -> Array.unsafe_get data i <> 0
-      else fun i r -> Array.unsafe_get data ((i * reps) + r) <> 0
-    in
-    Some (Nbool { getb; bnull = null_getter ~vdet nulls; bunc = not vdet })
-  | Column.Vstring { vdet; codes; dict } ->
-    let code =
-      if vdet then fun i _ -> Array.unsafe_get codes i
-      else fun i r -> Array.unsafe_get codes ((i * reps) + r)
-    in
-    (* The value closure is only consulted when non-null, but return a
-       dummy rather than trap if a caller strays. *)
-    let gets i r =
-      let c = code i r in
-      if c < 0 then "" else Array.unsafe_get dict c
-    in
-    Some (Nstr { gets; snull = (fun i r -> code i r < 0); sunc = not vdet })
+  | Column.Vfloat { data; nulls; _ } ->
+    mk Float (nulls <> None) (fun f ->
+        let fv = Array.create_float (cap f) and nul = nulls_for nulls f in
+        inst ~fv ~nul (fun s ->
+            let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get pos j in
+              Array.unsafe_set fv k
+                (Array1.unsafe_get data (if by_row then Array.unsafe_get rowix k else lo + k))
+            done;
+            read_nulls f ~det nulls nul s))
+  | Column.Vint { data; nulls; _ } -> mk Int (nulls <> None) (ints data nulls ~bool:false)
+  | Column.Vbool { data; nulls; _ } -> mk Bool (nulls <> None) (ints data nulls ~bool:true)
+  | Column.Vstring { codes; dict; _ } ->
+    mk String true (fun f ->
+        let sv = Array.make (cap f) "" and nul = Bytes.make (cap f) '\000' in
+        inst ~sv ~nul (fun s ->
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get s.pos j in
+              let c = Array.unsafe_get codes (if det && f.reps > 1 then f.rowix.(k) else f.lo + k) in
+              Bytes.unsafe_set nul k (if c < 0 then '\001' else '\000');
+              Array.unsafe_set sv k (if c < 0 then "" else Array.unsafe_get dict c)
+            done))
   | Column.Vvalues _ -> None
 
-let env_of_columns schema ~reps columns =
-  let nodes = Hashtbl.create (Array.length columns * 2) in
+(* --- environments ---------------------------------------------------- *)
+
+let env_of_columns schema columns =
+  let names = Hashtbl.create (Array.length columns * 2) in
   List.iteri
-    (fun j name -> Hashtbl.replace nodes name (Base columns.(j)))
+    (fun j name -> Hashtbl.replace names name (Base columns.(j)))
     (Schema.column_names schema);
-  { reps; nodes }
+  { schema; columns; names }
 
 let env_extend env defs =
-  let nodes = Hashtbl.copy env.nodes in
-  List.iter (fun (name, node) -> Hashtbl.replace nodes name (Compiled (Some node))) defs;
-  { env with nodes }
+  let names = Hashtbl.copy env.names in
+  List.iter (fun (name, node) -> Hashtbl.replace names name (Bound node)) defs;
+  { env with names }
 
+(* A name bound to a node the compiler declined (boxed storage, an
+   interpreted definition) makes every expression reading it fall back. *)
 let lookup env name =
-  match Hashtbl.find_opt env.nodes name with
+  match Hashtbl.find_opt env.names name with
   | None -> None
-  | Some (Compiled n) -> n
+  | Some (Bound (C n)) -> Some n
+  | Some (Bound (F _)) -> None
   | Some (Base col) ->
-    let n = node_of_column ~reps:env.reps col in
-    Hashtbl.replace env.nodes name (Compiled n);
-    n
+    let node =
+      match leaf col with
+      | Some n -> C n
+      | None -> F { fenv = env; expr = Expr.Col name; func = not (Column.det col) }
+    in
+    Hashtbl.replace env.names name (Bound node);
+    (match node with C n -> Some n | F _ -> None)
 
-(* --- compilation --------------------------------------------------- *)
+(* An interpreted expression is uncertain iff a column it reads is. *)
+let reads_unc env e =
+  List.exists
+    (fun name ->
+      match Hashtbl.find_opt env.names name with
+      | None -> false
+      | Some (Base col) -> not (Column.det col)
+      | Some (Bound n) -> unc n)
+    (Expr.columns_used e)
 
-let as_float_get = function
-  | Nint x ->
-    let g = x.geti in
-    fun i r -> float_of_int (g i r)
-  | Nfloat x -> x.getf
-  | Nbool _ | Nstr _ -> assert false
+(* --- operators ------------------------------------------------------- *)
 
-(* Null-guarded boolean: comparisons yield false (not Null) when either
-   side is Null, per [Expr.compare_values]. *)
-let guard2 n1 n2 f =
-  if n1 == no_null && n2 == no_null then f
-  else fun i r -> if n1 i r || n2 i r then false else f i r
+(* Null flags of a binary node: those of its one nullable operand, shared,
+   or the two merged. *)
+let merged_nulls f x y =
+  match (Bytes.length x.nul > 0, Bytes.length y.nul > 0) with
+  | false, false -> (Bytes.empty, noop)
+  | true, false -> (x.nul, noop)
+  | false, true -> (y.nul, noop)
+  | true, true ->
+    let nul = Bytes.make (cap f) '\000' in
+    ( nul,
+      fun s ->
+        for j = 0 to s.n - 1 do
+          let k = Array.unsafe_get s.pos j in
+          Bytes.unsafe_set nul k
+            (if is_null x.nul k || is_null y.nul k then '\001' else '\000')
+        done )
+
+(* [Value.to_float]'s image of a numeric or boolean node. *)
+let floated n =
+  match n.kind with
+  | Int | Bool ->
+    {
+      n with
+      kind = Float;
+      narrow = None;
+      make =
+        (fun f ->
+          let x = n.make f and fv = Array.create_float (cap f) in
+          {
+            x with
+            fv;
+            run =
+              (fun s ->
+                x.run s;
+                let pos = s.pos and xv = x.iv in
+                for j = 0 to s.n - 1 do
+                  let k = Array.unsafe_get pos j in
+                  Array.unsafe_set fv k (float_of_int (Array.unsafe_get xv k))
+                done);
+          });
+    }
+  | Float | String | Boxed -> n
+
+type arop = Add | Sub | Mul | Div
+
+(* Int on two ints except for [/], float otherwise, as the interpreter's
+   [arith]. *)
+let arith op a b =
+  match (a.kind, b.kind) with
+  | (Int | Float), (Int | Float) ->
+    let int = a.kind = Int && b.kind = Int && op <> Div in
+    let a, b = if int then (a, b) else (floated a, floated b) in
+    Some
+      (cnode (if int then Int else Float) ~unc:(a.unc || b.unc)
+         ~nullable:(a.nullable || b.nullable) (fun f ->
+           let x = a.make f and y = b.make f in
+           let iv = if int then Array.make (cap f) 0 else [||]
+           and fv = if int then [||] else Array.create_float (cap f) in
+           let nul, merge = merged_nulls f x y in
+           inst ~iv ~fv ~nul (fun s ->
+               x.run s;
+               y.run s;
+               let pos = s.pos in
+               if int then begin
+                 let xv = x.iv and yv = y.iv in
+                 for j = 0 to s.n - 1 do
+                   let k = Array.unsafe_get pos j in
+                   let u = Array.unsafe_get xv k and v = Array.unsafe_get yv k in
+                   Array.unsafe_set iv k
+                     (match op with Add -> u + v | Sub -> u - v | Mul | Div -> u * v)
+                 done
+               end
+               else begin
+                 let xv = x.fv and yv = y.fv in
+                 for j = 0 to s.n - 1 do
+                   let k = Array.unsafe_get pos j in
+                   let u = Array.unsafe_get xv k and v = Array.unsafe_get yv k in
+                   Array.unsafe_set fv k
+                     (match op with Add -> u +. v | Sub -> u -. v | Mul -> u *. v | Div -> u /. v)
+                 done
+               end;
+               merge s)))
+  | _ -> None
 
 (* [eval_bool] semantics: Null counts as false. *)
-let effective_bool x =
-  match x with
-  | Nbool b -> if b.bnull == no_null then b.getb else fun i r -> (not (b.bnull i r)) && b.getb i r
-  | Nint _ | Nfloat _ | Nstr _ -> assert false
+let[@inline] truthy x k = Array.unsafe_get x.iv k <> 0 && not (is_null x.nul k)
+
+(* A node computed one position at a time from its operands' vectors:
+   [cell xs y k] writes position [k] of [y], the node's own vectors (and
+   its null flag when [nullable]). The operators off the hot paths. *)
+let per_cell kind ~unc ~nullable parts cell =
+  cnode kind ~unc ~nullable (fun f ->
+      let xs = Array.of_list (List.map (fun p -> p.make f) parts) and n = cap f in
+      let y =
+        inst
+          ~fv:(if kind = Float then Array.create_float n else [||])
+          ~iv:(if kind = Int || kind = Bool then Array.make n 0 else [||])
+          ~sv:(if kind = String then Array.make n "" else [||])
+          ~nul:(if nullable then Bytes.make n '\000' else Bytes.empty)
+          noop
+      in
+      {
+        y with
+        run =
+          (fun s ->
+            Array.iter (fun x -> x.run s) xs;
+            for j = 0 to s.n - 1 do
+              cell xs y (Array.unsafe_get s.pos j)
+            done);
+      })
+
+let set_bool y k b = Array.unsafe_set y.iv k (Bool.to_int b)
+
+let copy_cell kind x y k =
+  (match kind with
+  | Float -> Array.unsafe_set y.fv k (Array.unsafe_get x.fv k)
+  | Int | Bool -> Array.unsafe_set y.iv k (Array.unsafe_get x.iv k)
+  | String -> Array.unsafe_set y.sv k (Array.unsafe_get x.sv k)
+  | Boxed -> ());
+  if Bytes.length y.nul > 0 then
+    Bytes.unsafe_set y.nul k (if is_null x.nul k then '\001' else '\000')
 
 type cmpop = Ceq | Cne | Clt | Cle | Cgt | Cge
 
-let int_cmp = function
-  | Ceq -> fun (x : int) y -> x = y
-  | Cne -> fun (x : int) y -> x <> y
-  | Clt -> fun (x : int) y -> x < y
-  | Cle -> fun (x : int) y -> x <= y
-  | Cgt -> fun (x : int) y -> x > y
-  | Cge -> fun (x : int) y -> x >= y
-
-(* Total-order float comparison — [Value.compare] goes through
-   [Float.compare], so NaN sorts below everything and [-0. = 0.]; the
-   compiled path must agree bit for bit, hence no IEEE [<]. *)
-let float_cmp = function
-  | Ceq -> fun x y -> Float.compare x y = 0
-  | Cne -> fun x y -> Float.compare x y <> 0
-  | Clt -> fun x y -> Float.compare x y < 0
-  | Cle -> fun x y -> Float.compare x y <= 0
-  | Cgt -> fun x y -> Float.compare x y > 0
-  | Cge -> fun x y -> Float.compare x y >= 0
-
-(* An operator applied to a three-way comparison's sign: the mixed
-   int/float arms compare exactly, through [Value.compare_int_float]. *)
-let sign_cmp = function
-  | Ceq -> fun c -> c = 0
-  | Cne -> fun c -> c <> 0
-  | Clt -> fun c -> c < 0
-  | Cle -> fun c -> c <= 0
-  | Cgt -> fun c -> c > 0
-  | Cge -> fun c -> c >= 0
-
-let str_cmp = function
-  | Ceq -> fun x y -> String.compare x y = 0
-  | Cne -> fun x y -> String.compare x y <> 0
-  | Clt -> fun x y -> String.compare x y < 0
-  | Cle -> fun x y -> String.compare x y <= 0
-  | Cgt -> fun x y -> String.compare x y > 0
-  | Cge -> fun x y -> String.compare x y >= 0
-
-let bool_cmp = function
-  | Ceq -> fun (x : bool) y -> x = y
-  | Cne -> fun (x : bool) y -> x <> y
-  | Clt -> fun x y -> Bool.compare x y < 0
-  | Cle -> fun x y -> Bool.compare x y <= 0
-  | Cgt -> fun x y -> Bool.compare x y > 0
-  | Cge -> fun x y -> Bool.compare x y >= 0
-
-let rec compile env expr =
-  match (expr : Expr.t) with
-  | Expr.Col name -> lookup env name
-  | Expr.Lit (Value.Int i) ->
-    Some (Nint { geti = (fun _ _ -> i); inull = no_null; iunc = false })
-  | Expr.Lit (Value.Float f) ->
-    Some (Nfloat { getf = (fun _ _ -> f); fnull = no_null; func = false })
-  | Expr.Lit (Value.Bool b) ->
-    Some (Nbool { getb = (fun _ _ -> b); bnull = no_null; bunc = false })
-  | Expr.Lit (Value.String s) ->
-    Some (Nstr { gets = (fun _ _ -> s); snull = no_null; sunc = false })
-  | Expr.Lit Value.Null -> None
-  | Expr.Add (a, b) -> arith env ( + ) ( +. ) a b
-  | Expr.Sub (a, b) -> arith env ( - ) ( -. ) a b
-  | Expr.Mul (a, b) -> arith env ( * ) ( *. ) a b
-  | Expr.Div (a, b) -> begin
-    match (compile env a, compile env b) with
-    | Some ((Nint _ | Nfloat _) as x), Some ((Nint _ | Nfloat _) as y) ->
-      let fx = as_float_get x and fy = as_float_get y in
-      Some
-        (Nfloat
-           {
-             getf = (fun i r -> fx i r /. fy i r);
-             fnull = or_null (node_null x) (node_null y);
-             func = node_unc x || node_unc y;
-           })
-    | _ -> None
-  end
-  | Expr.Neg a -> begin
-    match compile env a with
-    | Some (Nint x) ->
-      let g = x.geti in
-      Some (Nint { x with geti = (fun i r -> 0 - g i r) })
-    | Some (Nfloat x) ->
-      let g = x.getf in
-      Some (Nfloat { x with getf = (fun i r -> -.(g i r)) })
-    | _ -> None
-  end
-  | Expr.Eq (a, b) -> cmp env Ceq a b
-  | Expr.Ne (a, b) -> cmp env Cne a b
-  | Expr.Lt (a, b) -> cmp env Clt a b
-  | Expr.Le (a, b) -> cmp env Cle a b
-  | Expr.Gt (a, b) -> cmp env Cgt a b
-  | Expr.Ge (a, b) -> cmp env Cge a b
-  | Expr.And (a, b) -> logic env (fun ea eb i r -> ea i r && eb i r) a b
-  | Expr.Or (a, b) -> logic env (fun ea eb i r -> ea i r || eb i r) a b
-  | Expr.Not a -> begin
-    match compile env a with
-    | Some (Nbool _ as x) ->
-      let e = effective_bool x in
-      Some
-        (Nbool { getb = (fun i r -> not (e i r)); bnull = no_null; bunc = node_unc x })
-    | _ -> None
-  end
-  | Expr.Is_null a -> begin
-    match compile env a with
-    | Some x ->
-      Some (Nbool { getb = node_null x; bnull = no_null; bunc = node_unc x })
-    | None -> None
-  end
-  | Expr.If (c, t, e) -> begin
-    match (compile env c, compile env t, compile env e) with
-    | Some (Nbool _ as cn), Some tn, Some en ->
-      let cond = effective_bool cn in
-      let unc = node_unc cn || node_unc tn || node_unc en in
-      let branch_null nt ne =
-        if nt == no_null && ne == no_null then no_null
-        else fun i r -> if cond i r then nt i r else ne i r
-      in
-      begin
-        match (tn, en) with
-        | Nint t', Nint e' ->
-          let gt = t'.geti and ge = e'.geti in
-          Some
-            (Nint
-               {
-                 geti = (fun i r -> if cond i r then gt i r else ge i r);
-                 inull = branch_null t'.inull e'.inull;
-                 iunc = unc;
-               })
-        | Nfloat t', Nfloat e' ->
-          let gt = t'.getf and ge = e'.getf in
-          Some
-            (Nfloat
-               {
-                 getf = (fun i r -> if cond i r then gt i r else ge i r);
-                 fnull = branch_null t'.fnull e'.fnull;
-                 func = unc;
-               })
-        | Nbool t', Nbool e' ->
-          let gt = t'.getb and ge = e'.getb in
-          Some
-            (Nbool
-               {
-                 getb = (fun i r -> if cond i r then gt i r else ge i r);
-                 bnull = branch_null t'.bnull e'.bnull;
-                 bunc = unc;
-               })
-        | Nstr t', Nstr e' ->
-          let gt = t'.gets and ge = e'.gets in
-          Some
-            (Nstr
-               {
-                 gets = (fun i r -> if cond i r then gt i r else ge i r);
-                 snull = branch_null t'.snull e'.snull;
-                 sunc = unc;
-               })
-        | _ -> None (* mixed-kind branches: rep-dependent result type *)
-      end
-    | _ -> None
-  end
-
-and arith env fi ff a b =
-  match (compile env a, compile env b) with
-  | Some (Nint x), Some (Nint y) ->
-    let gx = x.geti and gy = y.geti in
+(* Three-way comparisons agree with [Value.compare] bit for bit: ints and
+   bools as ints, floats by [Float.compare] (NaN below everything,
+   [-0. = 0.]), mixed numerics exactly through
+   [Value.compare_int_float], strings by [String.compare]. The operator
+   is looked up by the sign; a comparison with a Null side is false,
+   never Null. Int and float pairs get loops of their own. *)
+let compare_node op a b =
+  let tbl =
+    Array.map Bool.to_int
+      (match op with
+      | Ceq -> [| false; true; false |]
+      | Cne -> [| true; false; true |]
+      | Clt -> [| true; false; false |]
+      | Cle -> [| true; true; false |]
+      | Cgt -> [| false; false; true |]
+      | Cge -> [| false; true; true |])
+  in
+  let[@inline] outcome c = Array.unsafe_get tbl (1 + Int.compare c 0) in
+  let unc = a.unc || b.unc in
+  let typed loop =
+    cnode Bool ~unc ~nullable:false (fun f ->
+        let x = a.make f and y = b.make f and iv = Array.make (cap f) 0 in
+        let guarded = Bytes.length x.nul > 0 || Bytes.length y.nul > 0 in
+        inst ~iv (fun s ->
+            x.run s;
+            y.run s;
+            loop x y iv s;
+            if guarded then
+              for j = 0 to s.n - 1 do
+                let k = Array.unsafe_get s.pos j in
+                if is_null x.nul k || is_null y.nul k then Array.unsafe_set iv k 0
+              done))
+  in
+  let generic three =
+    per_cell Bool ~unc ~nullable:false [ a; b ] (fun xs y k ->
+        let x = xs.(0) and z = xs.(1) in
+        set_bool y k
+          ((not (is_null x.nul k || is_null z.nul k)) && outcome (three x z k) = 1))
+  in
+  match (a.kind, b.kind) with
+  | Int, Int | Bool, Bool ->
     Some
-      (Nint
-         {
-           geti = (fun i r -> fi (gx i r) (gy i r));
-           inull = or_null x.inull y.inull;
-           iunc = x.iunc || y.iunc;
-         })
-  | Some ((Nint _ | Nfloat _) as x), Some ((Nint _ | Nfloat _) as y) ->
-    let fx = as_float_get x and fy = as_float_get y in
+      (typed (fun x y iv s ->
+           let pos = s.pos and xv = x.iv and yv = y.iv in
+           for j = 0 to s.n - 1 do
+             let k = Array.unsafe_get pos j in
+             Array.unsafe_set iv k
+               (outcome (Int.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
+           done))
+  | Float, Float ->
     Some
-      (Nfloat
-         {
-           getf = (fun i r -> ff (fx i r) (fy i r));
-           fnull = or_null (node_null x) (node_null y);
-           func = node_unc x || node_unc y;
-         })
-  | _ -> None
-
-and cmp env cop a b =
-  match (compile env a, compile env b) with
-  | Some (Nint x), Some (Nint y) ->
-    let op = int_cmp cop in
-    let gx = x.geti and gy = y.geti in
-    Some
-      (Nbool
-         {
-           getb = guard2 x.inull y.inull (fun i r -> op (gx i r) (gy i r));
-           bnull = no_null;
-           bunc = x.iunc || y.iunc;
-         })
-  | Some ((Nint _ | Nfloat _) as x), Some ((Nint _ | Nfloat _) as y) ->
-    let test =
-      match (x, y) with
-      | Nint a, Nfloat b ->
-        let op = sign_cmp cop and gx = a.geti and gy = b.getf in
-        fun i r -> op (Value.compare_int_float (gx i r) (gy i r))
-      | Nfloat a, Nint b ->
-        let op = sign_cmp cop and gx = a.getf and gy = b.geti in
-        fun i r -> op (-Value.compare_int_float (gy i r) (gx i r))
-      | _ ->
-        let op = float_cmp cop in
-        let fx = as_float_get x and fy = as_float_get y in
-        fun i r -> op (fx i r) (fy i r)
-    in
-    Some
-      (Nbool
-         {
-           getb = guard2 (node_null x) (node_null y) test;
-           bnull = no_null;
-           bunc = node_unc x || node_unc y;
-         })
-  | Some (Nstr x), Some (Nstr y) ->
-    let op = str_cmp cop in
-    let gx = x.gets and gy = y.gets in
-    Some
-      (Nbool
-         {
-           getb = guard2 x.snull y.snull (fun i r -> op (gx i r) (gy i r));
-           bnull = no_null;
-           bunc = x.sunc || y.sunc;
-         })
-  | Some (Nbool x), Some (Nbool y) ->
-    let op = bool_cmp cop in
-    let gx = x.getb and gy = y.getb in
-    Some
-      (Nbool
-         {
-           getb = guard2 x.bnull y.bnull (fun i r -> op (gx i r) (gy i r));
-           bnull = no_null;
-           bunc = x.bunc || y.bunc;
-         })
+      (typed (fun x y iv s ->
+           let pos = s.pos and xv = x.fv and yv = y.fv in
+           for j = 0 to s.n - 1 do
+             let k = Array.unsafe_get pos j in
+             Array.unsafe_set iv k
+               (outcome (Float.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
+           done))
+  | Int, Float -> Some (generic (fun x z k -> Value.compare_int_float x.iv.(k) z.fv.(k)))
+  | Float, Int -> Some (generic (fun x z k -> -Value.compare_int_float z.iv.(k) x.fv.(k)))
+  | String, String -> Some (generic (fun x z k -> String.compare x.sv.(k) z.sv.(k)))
   | _ -> None (* cross-kind comparison: rank order, left to the interpreter *)
 
-and logic env combine a b =
-  match (compile env a, compile env b) with
-  | Some (Nbool _ as x), Some (Nbool _ as y) ->
-    let ea = effective_bool x and eb = effective_bool y in
-    Some
-      (Nbool
-         { getb = combine ea eb; bnull = no_null; bunc = node_unc x || node_unc y })
-  | _ -> None
+(* A boolean node's filter: the positions of [s] where it holds, in a
+   selection the filter owns. *)
+let narrow_bool f n =
+  match n.narrow with
+  | Some narrow -> narrow f
+  | None ->
+    let x = n.make f and out = selection (cap f) in
+    ( out,
+      fun s ->
+        x.run s;
+        (* Branch-free compaction: selectivity is data, not a pattern. *)
+        let m = ref 0 and pos = s.pos and opos = out.pos and xv = x.iv and nul = x.nul in
+        for j = 0 to s.n - 1 do
+          let k = Array.unsafe_get pos j in
+          Array.unsafe_set opos !m k;
+          m := !m + (Array.unsafe_get xv k land Bool.to_int (not (is_null nul k)))
+        done;
+        out.n <- !m )
 
-(* --- consumers ----------------------------------------------------- *)
-
-let as_pred = function
-  | Nbool _ as x -> Some (effective_bool x)
-  | Nint _ | Nfloat _ | Nstr _ -> None
-
-type cell = {
-  value : int -> int -> float;
-  null : int -> int -> bool;
-  cell_unc : bool;
-}
-
-let as_float_cell = function
-  | Nfloat x -> Some { value = x.getf; null = x.fnull; cell_unc = x.func }
-  | Nint x ->
-    let g = x.geti in
-    Some { value = (fun i r -> float_of_int (g i r)); null = x.inull; cell_unc = x.iunc }
-  | Nbool x ->
-    let g = x.getb in
-    Some
-      {
-        value = (fun i r -> if g i r then 1. else 0.);
-        null = x.bnull;
-        cell_unc = x.bunc;
-      }
-  | Nstr _ -> None
-
-(* --- materialization ----------------------------------------------- *)
-
-(* Row-chunked fill: the pool chunks contiguously and each row's slots
-   (and null-mask bytes) are disjoint across rows, so the parallel fill
-   writes exactly the bytes the sequential one would. [Pool.iter] is the
-   no-result fan-out — nothing is allocated to drive the side effects. *)
-let fill_rows ?pool rows f = Mde_par.Pool.iter ?pool ~site:"bundle.materialize" rows f
-
-let materialize ?pool ~rows ~reps node =
-  let det = not (node_unc node) in
-  let nslots = rows * if det then 1 else reps in
-  let nulls_of getn =
-    if getn == no_null then None
-    else Some (Bitset.create ~rows ~reps:(if det then 1 else reps) false)
+let logic ~conj a b =
+  let node =
+    per_cell Bool ~unc:(a.unc || b.unc) ~nullable:false [ a; b ] (fun xs y k ->
+        let u = truthy xs.(0) k and v = truthy xs.(1) k in
+        set_bool y k (if conj then u && v else u || v))
   in
-  let each_slot i f =
-    if det then f 0 i else for r = 0 to reps - 1 do f r ((i * reps) + r) done
+  if not conj then node
+  else
+    (* A conjunction narrows in turn: the right side sees only the rows
+       the left kept. Compiled nodes never raise, so skipping work
+       changes nothing observable. *)
+    {
+      node with
+      narrow =
+        Some
+          (fun f ->
+            let sa, ra = narrow_bool f a and sb, rb = narrow_bool f b in
+            ( sb,
+              fun s ->
+                ra s;
+                rb sa ));
+    }
+
+let rec comp env (e : Expr.t) =
+  match e with
+  | Expr.Col name -> lookup env name
+  | Expr.Lit (Value.Int i) -> Some (const Int (fun n -> inst ~iv:(Array.make n i) noop))
+  | Expr.Lit (Value.Float x) ->
+    Some (const Float (fun n -> inst ~fv:(Array.make n x) noop))
+  | Expr.Lit (Value.Bool b) ->
+    Some (const Bool (fun n -> inst ~iv:(Array.make n (Bool.to_int b)) noop))
+  | Expr.Lit (Value.String str) ->
+    Some (const String (fun n -> inst ~sv:(Array.make n str) noop))
+  | Expr.Lit Value.Null -> None
+  | Expr.Add (a, b) -> binary env (arith Add) a b
+  | Expr.Sub (a, b) -> binary env (arith Sub) a b
+  | Expr.Mul (a, b) -> binary env (arith Mul) a b
+  | Expr.Div (a, b) -> binary env (arith Div) a b
+  | Expr.Neg a ->
+    Option.bind (comp env a) (fun a ->
+        match a.kind with
+        | Int | Float ->
+          Some
+            (per_cell a.kind ~unc:a.unc ~nullable:a.nullable [ a ] (fun xs y k ->
+                 let x = xs.(0) in
+                 copy_cell a.kind x y k;
+                 if a.kind = Int then y.iv.(k) <- 0 - x.iv.(k) else y.fv.(k) <- -.x.fv.(k)))
+        | Bool | String | Boxed -> None)
+  | Expr.Eq (a, b) -> binary env (compare_node Ceq) a b
+  | Expr.Ne (a, b) -> binary env (compare_node Cne) a b
+  | Expr.Lt (a, b) -> binary env (compare_node Clt) a b
+  | Expr.Le (a, b) -> binary env (compare_node Cle) a b
+  | Expr.Gt (a, b) -> binary env (compare_node Cgt) a b
+  | Expr.Ge (a, b) -> binary env (compare_node Cge) a b
+  | Expr.And (a, b) -> binary env (bools (logic ~conj:true)) a b
+  | Expr.Or (a, b) -> binary env (bools (logic ~conj:false)) a b
+  | Expr.Not a ->
+    Option.bind (comp env a) (fun a ->
+        if a.kind <> Bool then None
+        else
+          Some
+            (per_cell Bool ~unc:a.unc ~nullable:false [ a ] (fun xs y k ->
+                 set_bool y k (not (truthy xs.(0) k)))))
+  | Expr.Is_null a ->
+    Option.map
+      (fun a ->
+        per_cell Bool ~unc:a.unc ~nullable:false [ a ] (fun xs y k ->
+            set_bool y k (is_null xs.(0).nul k)))
+      (comp env a)
+  | Expr.If (c, t, e) -> begin
+    match (comp env c, comp env t, comp env e) with
+    | Some c, Some t, Some e when c.kind = Bool && t.kind = e.kind ->
+      Some
+        (per_cell t.kind ~unc:(c.unc || t.unc || e.unc) ~nullable:(t.nullable || e.nullable)
+           [ c; t; e ] (fun xs y k ->
+             copy_cell t.kind (if truthy xs.(0) k then xs.(1) else xs.(2)) y k))
+    | _ -> None (* mixed-kind branches: rep-dependent result type *)
+  end
+
+and binary env build a b =
+  match (comp env a, comp env b) with Some a, Some b -> build a b | _ -> None
+
+and bools build a b = if a.kind = Bool && b.kind = Bool then Some (build a b) else None
+
+let compile env e =
+  match comp env e with
+  | Some n -> C n
+  | None -> F { fenv = env; expr = e; func = reads_unc env e }
+
+(* --- per-frame views -------------------------------------------------- *)
+
+let boxed node f =
+  let data = Array.make (cap f) Value.Null in
+  let fill =
+    match node with
+    | C n ->
+      let x = n.make f in
+      fun s ->
+        x.run s;
+        for j = 0 to s.n - 1 do
+          let k = Array.unsafe_get s.pos j in
+          data.(k) <-
+            (if is_null x.nul k then Value.Null
+             else
+               match n.kind with
+               | Int -> Value.Int x.iv.(k)
+               | Float -> Value.Float x.fv.(k)
+               | Bool -> Value.Bool (x.iv.(k) <> 0)
+               | String -> Value.String x.sv.(k)
+               | Boxed -> Value.Null)
+        done
+    | F { fenv; expr; _ } ->
+      (* The fallback block: realize each selected cell's row and
+         interpret. *)
+      fun s ->
+        for j = 0 to s.n - 1 do
+          let k = s.pos.(j) in
+          let i = f.rowix.(k) in
+          let r = f.lo + k - (i * f.reps) in
+          data.(k) <- Expr.eval fenv.schema (Array.map (fun c -> Column.value c i r) fenv.columns) expr
+        done
   in
-  let record_null mask i r = Bitset.set mask i (if det then 0 else r) in
+  { data; nulls = Bytes.empty; fill }
+
+let filter node f =
   match node with
-  | Nfloat x ->
-    let data = Array1.create Bigarray.float64 Bigarray.c_layout nslots in
-    let nulls = nulls_of x.fnull in
-    fill_rows ?pool rows (fun i ->
-        each_slot i (fun r s ->
-            if x.fnull i r then begin
-              Array1.set data s nan;
-              record_null (Option.get nulls) i r
-            end
-            else Array1.set data s (x.getf i r)));
-    Column.of_floats ~det ~reps ?nulls data
-  | Nint x ->
-    let data = Array.make nslots 0 in
-    let nulls = nulls_of x.inull in
-    fill_rows ?pool rows (fun i ->
-        each_slot i (fun r s ->
-            if x.inull i r then record_null (Option.get nulls) i r
-            else data.(s) <- x.geti i r));
-    Column.of_ints ~det ~reps ?nulls data
-  | Nbool x ->
-    let data = Array.make nslots 0 in
-    let nulls = nulls_of x.bnull in
-    fill_rows ?pool rows (fun i ->
-        each_slot i (fun r s ->
-            if x.bnull i r then record_null (Option.get nulls) i r
-            else data.(s) <- Bool.to_int (x.getb i r)));
-    Column.of_bools ~det ~reps ?nulls data
-  | Nstr x ->
-    (* Dictionary construction is stateful; fill sequentially. *)
-    let codes = Array.make nslots (-1) in
-    let table : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let rev = ref [] and next = ref 0 in
-    for i = 0 to rows - 1 do
-      each_slot i (fun r s ->
-          if not (x.snull i r) then begin
-            let str = x.gets i r in
-            codes.(s) <-
-              (match Hashtbl.find_opt table str with
-              | Some c -> c
-              | None ->
-                let c = !next in
-                incr next;
-                Hashtbl.add table str c;
-                rev := str :: !rev;
-                c)
-          end)
+  | C ({ kind = Bool; _ } as n) -> narrow_bool f n
+  | C _ | F _ ->
+    let v = boxed node f and out = selection (cap f) in
+    ( out,
+      fun s ->
+        v.fill s;
+        out.n <- 0;
+        for j = 0 to s.n - 1 do
+          let k = s.pos.(j) in
+          if Expr.truth v.data.(k) then begin
+            out.pos.(out.n) <- k;
+            out.n <- out.n + 1
+          end
+        done )
+
+let floats node f =
+  match node with
+  | C ({ kind = Int | Float | Bool; _ } as n) ->
+    let x = (floated n).make f in
+    { data = x.fv; nulls = x.nul; fill = x.run }
+  | C _ | F _ ->
+    (* Strings and fallbacks convert through [Value.to_float], raising
+       as the interpreter does. *)
+    let v = boxed node f in
+    let data = Array.create_float (cap f) and nulls = Bytes.make (cap f) '\000' in
+    {
+      data;
+      nulls;
+      fill =
+        (fun s ->
+          v.fill s;
+          for j = 0 to s.n - 1 do
+            let k = s.pos.(j) in
+            match v.data.(k) with
+            | Value.Null -> Bytes.set nulls k '\001'
+            | x ->
+              Bytes.set nulls k '\000';
+              data.(k) <- Value.to_float x
+          done);
+    }
+
+(* --- sweeps ---------------------------------------------------------- *)
+
+let sweep ?pool ~site ?presence ~rows ~reps body =
+  let per = max 1 (block / reps) in
+  let blocks = (rows + per - 1) / per in
+  let frame () =
+    let cap = min rows per * reps in
+    let pos = Array.make cap 0 in
+    for k = 0 to cap - 1 do
+      Array.unsafe_set pos k k
     done;
-    Column.of_codes ~det ~reps ~dict:(Array.of_list (List.rev !rev)) codes
+    let f = { reps; rowix = Array.make cap 0; all = { pos; n = 0 }; lo = 0 } in
+    let eval, consume = body f in
+    (f, eval, consume)
+  in
+  let load f b =
+    let r0 = b * per in
+    let r1 = min rows (r0 + per) in
+    f.lo <- r0 * reps;
+    let rowix = f.rowix and m = ref 0 in
+    for i = r0 to r1 - 1 do
+      for k = (i - r0) * reps to ((i - r0 + 1) * reps) - 1 do
+        Array.unsafe_set rowix k i
+      done;
+      match presence with
+      | None -> ()
+      | Some p -> m := Bitset.row_positions p i ~base:((i - r0) * reps) f.all.pos !m
+    done;
+    f.all.n <- (match presence with None -> (r1 - r0) * reps | Some _ -> !m)
+  in
+  match pool with
+  | Some p when Mde_par.Pool.domains p > 1 && blocks > 1 ->
+    (* Waves of blocks: each frame evaluates one block on the pool, then
+       the frames are consumed in block order on the caller. *)
+    let frames = Array.init (min blocks (8 * Mde_par.Pool.domains p)) (fun _ -> frame ()) in
+    let b = ref 0 in
+    while !b < blocks do
+      let b0 = !b in
+      let m = min (Array.length frames) (blocks - b0) in
+      Mde_par.Pool.parallel_iter p ~site ~chunk:1 m (fun c ->
+          let f, eval, _ = frames.(c) in
+          load f (b0 + c);
+          eval ());
+      for c = 0 to m - 1 do
+        let _, _, consume = frames.(c) in
+        consume ()
+      done;
+      b := b0 + m
+    done
+  | _ ->
+    if blocks > 0 then begin
+      let f, eval, consume = frame () in
+      for b = 0 to blocks - 1 do
+        load f b;
+        eval ();
+        consume ()
+      done
+    end
+
+(* --- materialization ------------------------------------------------- *)
+
+let materialize ?pool ~ty ~rows ~reps node =
+  let det = not (unc node) in
+  let geo = if det then 1 else reps in
+  let nslots = rows * geo in
+  (* [write slot k x] copies position [k]'s value out; nulls go to the
+     mask (and floats read [nan]). *)
+  let run make write =
+    sweep ?pool ~site:"kernel.materialize" ~rows ~reps:geo (fun f ->
+        let x = make f in
+        ( (fun () -> x.run f.all),
+          fun () ->
+            for k = 0 to f.all.n - 1 do
+              write f x k (f.lo + k)
+            done ))
+  in
+  let mask nullable = if nullable then Some (Bitset.create ~rows ~reps:geo false) else None in
+  let set_null m f k s =
+    let i = f.rowix.(k) in
+    Bitset.set (Option.get m) i (s - (i * geo))
+  in
+  match node with
+  | C ({ kind = Int | Float | Bool; _ } as n) ->
+    let float = n.kind = Float and nulls = mask n.nullable in
+    let fdata = Array1.create Bigarray.float64 Bigarray.c_layout (if float then nslots else 0)
+    and idata = Array.make (if float then 0 else nslots) 0 in
+    run n.make (fun f x k s ->
+        if is_null x.nul k then begin
+          if float then Array1.set fdata s nan;
+          set_null nulls f k s
+        end
+        else if float then Array1.set fdata s x.fv.(k)
+        else idata.(s) <- x.iv.(k));
+    if float then Column.of_floats ~det ~reps ?nulls fdata
+    else if n.kind = Int then Column.of_ints ~det ~reps ?nulls idata
+    else Column.of_bools ~det ~reps ?nulls idata
+  | C { kind = String | Boxed; _ } | F _ ->
+    (* Strings and interpreted cells take the typed builder, which
+       dictionary-codes strings and degrades to boxed storage when a
+       cell contradicts [ty]. *)
+    let ty = if kind node = String then Value.Tstring else ty in
+    let vals = Array.make nslots Value.Null in
+    sweep ?pool ~site:"kernel.materialize" ~rows ~reps:geo (fun f ->
+        let v = boxed node f in
+        ((fun () -> v.fill f.all), fun () -> Array.blit v.data 0 vals f.lo f.all.n));
+    if det then Column.of_det_cells ~ty ~rows ~reps (fun i -> vals.(i))
+    else Column.of_cells ~ty ~rows ~reps (fun i r -> vals.((i * reps) + r))

@@ -1,71 +1,98 @@
-(** Compilation of {!Mde_relational.Expr} trees into typed closures over
-    columnar storage ({!Column}).
+(** Block kernels: {!Mde_relational.Expr} trees compiled to typed loops
+    over blocks of slots with a selection vector — the MonetDB/X100
+    design (Boncz, Zukowski, Nes, CIDR 2005), and MCDB's tuple-bundle
+    sweep (§2.1) done a block at a time.
 
-    A compiled node evaluates one cell [(row, rep)] with no [Value.t]
-    boxing: int-valued expressions run on native ints, float-valued ones
-    on a float64 bigarray sweep, string equality on dictionary entries.
-    Null is tracked by a separate is-null closure, so the value closure
-    of a null cell may return a dummy — consumers must consult the null
-    closure first, exactly as the compilers below do.
+    A compiled node fills an unboxed float, int (bools as 0/1) or string
+    vector, with null flags when it can be Null, at the selected
+    positions of a block, one tight loop per operator; a predicate
+    narrows the selection instead. Coverage: typed column reads,
+    non-Null literals, [+ - *] (int on two ints, else float), [/]
+    (float), [Neg], comparisons of two ints, two numerics (exact
+    int/float, [Float.compare] for floats: [Value.compare] bit for bit),
+    two strings or two bools, [And]/[Or]/[Not] (Null as false), [Is_null]
+    and [If] with same-kind branches. Anything else — boxed columns,
+    [Lit Null], cross-kind comparisons, mixed-kind [If] — is a fallback
+    node: it realizes each selected cell's row and runs {!Expr.eval}
+    into the same vectors, with the same bits and the same errors.
+    Compiled nodes never raise. *)
 
-    Coverage: column reads of typed storage, literals (except [Lit
-    Null]), [+ - *] (int when both sides are int, float otherwise, as
-    the interpreter's [arith]), [/] (always float), [Neg], comparisons
-    between two ints ([Int.compare] semantics), mixed numerics
-    ([Float.compare] semantics — NaN below everything, matching
-    [Value.compare] bit for bit), two strings, or two bools; [And]/[Or]/
-    [Not] over boolean operands (Null-as-false, as [eval_bool]);
-    [Is_null]; [If] with boolean condition and same-kind branches.
-    Everything else — boxed fallback columns, [Lit Null], cross-kind
-    comparisons, mixed-kind [If] branches — makes {!compile} return
-    [None] and the caller falls back to the interpreter, which by
-    construction gives the same answer (or raises the same error).
-    {!Mde_relational.Expr.typeof} is the static side of this contract. *)
-
+val block : int
+(** Slots per block: 256, so each vector of scratch fits the minor heap. *)
 
 type env
-(** Named compiled columns: the base bundle columns plus any computed
-    nodes a fused plan has introduced. A base column's node is built
-    when an expression first references it, so a column no compiled
-    expression reads is never forced ({!Column.gather} views stay
-    unread). Environments are not domain-safe: compile on one domain,
-    then share the compiled nodes. *)
+(** Named columns. A column is forced when an expression first reads
+    it, so a {!Column.gather} view no expression reads stays unread.
+    Not domain-safe: compile on one domain, then sweep. *)
 
 type node
-(** A compiled expression. *)
+type kind = Int | Float | Bool | String | Boxed  (** [Boxed]: a fallback *)
 
-val env_of_columns : Schema.t -> reps:int -> Column.t array -> env
+val env_of_columns : Schema.t -> Column.t array -> env
+
 val env_extend : env -> (string * node) list -> env
+(** Bind definitions by name. An expression reading a fallback
+    definition falls back, and a fallback reads only base columns. *)
 
-val compile : env -> Expr.t -> node option
-(** [None] = not covered; evaluate with {!Expr.eval} instead. *)
+val compile : env -> Expr.t -> node
+val compiled : node -> bool
 
-val node_unc : node -> bool
-(** Whether the node reads any uncertain column: [false] means every
-    repetition yields the same value, so one evaluation at rep 0
-    covers them all. *)
+val unc : node -> bool
+(** Whether the node reads an uncertain column; a certain node may
+    sweep with [reps = 1]. *)
 
-val node_value : node -> int -> int -> Value.t
-(** Boxed read-back of one cell — for deterministic group keys and
-    materializing computed columns into instances. *)
+val kind : node -> kind
 
-val as_pred : node -> (int -> int -> bool) option
-(** Predicate view with [eval_bool] semantics (Null counts false);
-    [None] unless the node is boolean. *)
+(** {2 Blocks} *)
 
-type cell = {
-  value : int -> int -> float;  (** [Value.to_float] image; see [null] *)
-  null : int -> int -> bool;  (** the cell contributes nothing when true *)
-  cell_unc : bool;
+type selection = private { pos : int array; mutable n : int }
+(** Positions [pos.(0) < … < pos.(n-1)] of the current block. *)
+
+type frame = private {
+  reps : int;  (** slots per row of the sweep *)
+  rowix : int array;  (** row of each position *)
+  all : selection;  (** the block's initial selection *)
+  mutable lo : int;  (** slot of position 0 *)
 }
+(** One block: position [k] is slot [lo + k] ([i * reps + r] for row
+    [i = rowix.(k)], repetition [r]). *)
 
-val as_float_cell : node -> cell option
-(** Aggregation view: numeric and bool nodes coerce as [Value.to_float];
-    string nodes return [None] (the interpreter path raises, as it always
-    did). *)
+type 'a vec = { data : 'a; nulls : Bytes.t; fill : selection -> unit }
+(** [fill s] writes [data.(k)] at each position [k] of [s]; a non-zero
+    [nulls.(k)] marks Null ([nulls] is empty if the node never is). *)
 
-val materialize : ?pool:Mde_par.Pool.t -> rows:int -> reps:int -> node -> Column.t
-(** Evaluate a node into a typed column (deterministic iff [not
-    (node_unc node)]). Row-chunked over the pool when given — each chunk
-    writes disjoint rows, so the result is bit-identical to the
-    sequential fill. String nodes build their dictionary sequentially. *)
+val filter : node -> frame -> selection * (selection -> unit)
+(** [(out, run)]: [run s] sets [out] to the positions of [s] where the
+    node holds, under [eval_bool] semantics (Null is false, a
+    non-boolean raises). *)
+
+val floats : node -> frame -> float array vec
+(** The [Value.to_float] image; strings raise as it does. *)
+
+val boxed : node -> frame -> Value.t array vec
+
+val sweep :
+  ?pool:Mde_par.Pool.t ->
+  site:string ->
+  ?presence:Column.Bitset.t ->
+  rows:int ->
+  reps:int ->
+  (frame -> (unit -> unit) * (unit -> unit)) ->
+  unit
+(** Walk [rows × reps] slots in blocks of whole rows, at most {!block}
+    slots unless one row has more. [body f] binds its views to a frame
+    and returns [(eval, consume)]; each block is loaded into a frame,
+    then [eval ()] and [consume ()] run. [?presence] limits each
+    block's initial selection to the present cells. With a pool of
+    more than one domain, waves of blocks [eval] on the pool, one frame
+    each, and [consume] replays them on the caller in block order, so
+    accumulation sees the sequential order. Scratch is one block per
+    frame, never [rows]. *)
+
+val materialize :
+  ?pool:Mde_par.Pool.t -> ty:Value.ty -> rows:int -> reps:int -> node -> Column.t
+(** The node's [rows × reps] cells as a column, deterministic iff [not
+    (unc node)]. Numeric and bool storage follows the node's kind;
+    strings and fallbacks go through the typed builder for [ty]
+    ([Tstring] for string nodes), degrading to boxed storage as
+    {!Column.of_cells} does. *)

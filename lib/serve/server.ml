@@ -87,7 +87,9 @@ type t = {
   sched : executed Scheduler.t;
   models : (string, model) Hashtbl.t;
   classes : (string, class_info) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t;
+  seen : (string, unit) Hashtbl.t;  (* the last [seen_window] distinct fingerprints *)
+  mutable seen_ring : string array;  (* [seen]'s keys by arrival, a ring once full *)
+  mutable seen_count : int;  (* distinct fingerprints seen so far *)
   admission : admission;
   inflight : (int, inflight) Hashtbl.t;  (* scheduler ticket -> bookkeeping *)
   mutable ready : (int * response) list;  (* completed at submission (cache hits) *)
@@ -100,6 +102,27 @@ type t = {
 
 let default_admission = Cost_aware { min_gain = 1. +. 1e-9; warmup = 3 }
 
+(* Repeats are counted against the most recent [seen_window] distinct
+   fingerprints, an exact set evicted first in, first out: a server's
+   memory stays bounded however many distinct requests it serves, and
+   the repeat fraction, so every admission decision, is unchanged until
+   that many distinct fingerprints have been seen. *)
+let seen_window = 4096
+
+(* The ring grows by doubling to [seen_window] slots, then overwrites
+   its oldest entry. *)
+let remember t fp =
+  let n = t.seen_count and cap = Array.length t.seen_ring in
+  if n >= seen_window then Hashtbl.remove t.seen t.seen_ring.(n mod seen_window)
+  else if n = cap then begin
+    let bigger = Array.make (min seen_window (max 16 (2 * cap))) "" in
+    Array.blit t.seen_ring 0 bigger 0 cap;
+    t.seen_ring <- bigger
+  end;
+  t.seen_ring.(n mod seen_window) <- fp;
+  Hashtbl.add t.seen fp ();
+  t.seen_count <- n + 1
+
 let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs ?(cache_capacity = 256)
     ?(cache_ttl = infinity) ?(scheduler = Scheduler.default_config)
     ?(admission = default_admission) () =
@@ -111,6 +134,8 @@ let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs ?(cache_capacity = 256)
     models = Hashtbl.create 8;
     classes = Hashtbl.create 16;
     seen = Hashtbl.create 64;
+    seen_ring = [||];
+    seen_count = 0;
     admission;
     inflight = Hashtbl.create 16;
     ready = [];
@@ -306,7 +331,7 @@ let submit t request =
   let cls = class_info t (class_key t request) in
   cls.requests <- cls.requests + 1;
   if Hashtbl.mem t.seen fp then cls.repeats <- cls.repeats + 1
-  else Hashtbl.add t.seen fp ();
+  else remember t fp;
   let probe_start = t.clock () in
   let cached = Cache.find t.cache fp in
   let probe_end = t.clock () in

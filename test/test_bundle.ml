@@ -420,6 +420,58 @@ let test_pooled_bit_identity () =
       check_agg_results_identical "pooled fused query" (Bundle.query seq plan)
         (Bundle.query ~pool par plan))
 
+(* --- block sweeps ------------------------------------------------------
+
+   A bundle spanning several blocks, and one whose rows are wider than a
+   block, give the naive instances' bits, sequentially and on a pool. *)
+
+let test_blocks_bit_identity () =
+  Pool.with_pool ~domains:2 (fun p ->
+      List.iter
+        (fun (rows, reps) ->
+          let b = Bundle.of_stochastic_table (sbp_table rows) (Rng.create ~seed:5 ()) ~n_reps:reps in
+          let naive = Bundle.to_instances b in
+          let each_instance msg f bundle =
+            Array.iteri
+              (fun r inst -> check_tables_identical (Printf.sprintf "%s, rep %d" msg r) (f naive.(r)) inst)
+              (Bundle.to_instances bundle)
+          in
+          List.iter
+            (fun pool ->
+              List.iteri
+                (fun pi pred ->
+                  each_instance (Printf.sprintf "%dx%d select %d" rows reps pi) (Algebra.select pred)
+                    (Bundle.select ?pool pred b))
+                predicates;
+              each_instance (Printf.sprintf "%dx%d extend" rows reps) (Algebra.extend derivations)
+                (Bundle.extend ?pool derivations b);
+              List.iter
+                (fun keys ->
+                  let plan = { plan with Bundle.group_keys = keys } in
+                  check_agg_results_identical "fused query" (compose b plan)
+                    (Bundle.query ?pool b plan))
+                [ []; [ "gender" ] ])
+            [ None; Some p ])
+        [ (300, 17); (3, Mde_relational.Kernel.block + 300) ])
+
+(* The fused sweep allocates per block, not per cell: marginal words per
+   cell between 200 and 400 rows of 64 repetitions, so the per-call setup
+   cancels. What remains is per row (the group key), spread over 64
+   repetitions. *)
+let test_query_allocation () =
+  let words rows =
+    let b = Bundle.of_stochastic_table (sbp_table rows) (Rng.create ~seed:3 ()) ~n_reps:64 in
+    let plan = { plan with Bundle.group_keys = [ "gender" ] } in
+    ignore (Bundle.query b plan);
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Bundle.query b plan));
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let per_cell = (words 400 -. words 200) /. float_of_int (200 * 64) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words/cell <= 0.25" per_cell)
+    true (per_cell <= 0.25)
+
 (* --- survivors = popcount of presence ---------------------------------- *)
 
 let test_survivors_popcount () =
@@ -584,6 +636,13 @@ let () =
       ( "parallel",
         [ Alcotest.test_case "pooled = sequential, bit for bit" `Quick
             test_pooled_bit_identity ] );
+      ( "blocks",
+        [
+          Alcotest.test_case "multi-block sweeps = naive, pooled or not" `Quick
+            test_blocks_bit_identity;
+          Alcotest.test_case "query allocates per block, not per cell" `Quick
+            test_query_allocation;
+        ] );
       ( "presence",
         [ Alcotest.test_case "survivors = popcount" `Quick test_survivors_popcount ] );
       ( "nan-keys",

@@ -543,6 +543,39 @@ let test_rng_validation () =
   Alcotest.(check bool) "bernoulli 1" true (Rng.bernoulli rng 1.);
   Alcotest.(check int) "split_n 0" 0 (Array.length (Rng.split_n rng 0))
 
+(* Each [Stats] precondition is a real [Invalid_argument], one test per
+   check, so it holds under [--profile noassert] too. *)
+let stats_validation =
+  let rng = Rng.create ~seed:9 () in
+  let two = [| 1.; 2. |] in
+  List.map
+    (fun (name, f) ->
+      Alcotest.test_case ("rejects " ^ name) `Quick (fun () ->
+          Alcotest.(check bool) name true (raises_invalid f)))
+    [
+      ("mean of nothing", fun () -> ignore (Stats.mean [||]));
+      ("variance of nothing", fun () -> ignore (Stats.variance [||]));
+      ("covariance of unequal lengths", fun () -> ignore (Stats.covariance two [| 1. |]));
+      ("covariance of one pair", fun () -> ignore (Stats.covariance [| 1. |] [| 1. |]));
+      ("min_max of nothing", fun () -> ignore (Stats.min_max [||]));
+      ("quantile of nothing", fun () -> ignore (Stats.quantile [||] 0.5));
+      ("quantile p > 1", fun () -> ignore (Stats.quantile two 1.5));
+      ("quantile p nan", fun () -> ignore (Stats.quantile two nan));
+      ("autocovariance lag n", fun () -> ignore (Stats.autocovariance two 2));
+      ("autocovariance lag -1", fun () -> ignore (Stats.autocovariance two (-1)));
+      ("mean CI of one sample", fun () -> ignore (Stats.mean_confidence_interval [| 1. |] 0.9));
+      ("mean CI level 1", fun () -> ignore (Stats.mean_confidence_interval two 1.));
+      ( "bootstrap CI of one sample",
+        fun () -> ignore (Stats.bootstrap_ci ~rng ~statistic:Stats.mean [| 1. |] 0.9) );
+      ( "bootstrap CI level 0",
+        fun () -> ignore (Stats.bootstrap_ci ~rng ~statistic:Stats.mean two 0.) );
+      ( "bootstrap CI of 9 replicates",
+        fun () -> ignore (Stats.bootstrap_ci ~rng ~statistic:Stats.mean ~replicates:9 two 0.9) );
+      ( "RMSE of unequal lengths",
+        fun () -> ignore (Stats.root_mean_square_error two [| 1. |]) );
+      ("RMSE of nothing", fun () -> ignore (Stats.root_mean_square_error [||] [||]));
+    ]
+
 (* --- Allocation ---
 
    A draw allocates nothing beyond its boxed return value: the state lives
@@ -919,7 +952,8 @@ let () =
           Alcotest.test_case "autocorrelation" `Quick test_autocorrelation;
           Alcotest.test_case "CI coverage" `Slow test_confidence_interval_coverage;
           Alcotest.test_case "bootstrap CI" `Quick test_bootstrap_ci;
-        ] );
+        ]
+        @ stats_validation );
       ( "kde",
         [
           Alcotest.test_case "integrates to 1" `Quick test_kde_integrates_to_one;

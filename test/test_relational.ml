@@ -511,6 +511,105 @@ let test_columnar_pooled_identity () =
                (Columnar.to_table (Columnar.extend ~pool defs c))))
         [ (pred, defs); (fallback_pred, [ fallback_def ]) ])
 
+(* Block kernels: every operator over several blocks, pooled or not,
+   agrees with the row oracle bit for bit, fallback blocks and every
+   aggregate kind included. *)
+let test_columnar_blocks_match_algebra () =
+  let rng = Mde_prob.Rng.create ~seed:7 () in
+  let v () = Value.Float (Mde_prob.Rng.float_range rng (-5.) 5.) in
+  let rows =
+    List.init ((3 * Kernel.block) + 17) (fun i ->
+        ( (if i mod 97 = 0 then Value.Null else if i mod 41 = 0 then Value.Float nan else v ()),
+          Mde_prob.Rng.int rng 4,
+          if i mod 53 = 0 then Value.Null else v () ))
+  in
+  let t = mixed_table rows in
+  let c = Columnar.of_table t in
+  let _, _, fallback_expr = fallback_def in
+  let preds = Expr.[ (col "v" > float 0. && col "g" <> int 2) || Is_null (col "k"); fallback_pred ] in
+  let defs = [ ("w", Value.Tfloat, Expr.((col "v" * float 2.) - col "k")); fallback_def ] in
+  let aggs =
+    Algebra.
+      [ ("n", Count);
+        ("pos", Count_if Expr.(col "v" > float 0.));
+        ("s", Sum (Expr.col "v"));
+        ("m", Avg (Expr.col "k"));
+        ("sd", Std (Expr.col "v"));
+        ("lo", Min (Expr.col "k"));
+        ("hi", Max (Expr.col "v"));
+        ("fs", Sum fallback_expr);
+        ("fhi", Max fallback_expr) ]
+  in
+  Mde_par.Pool.with_pool ~domains:2 (fun p ->
+      List.iter
+        (fun pool ->
+          let check name ok = Alcotest.(check bool) name true ok in
+          List.iter
+            (fun pred -> check "select" (matches (Algebra.select pred t) (Columnar.select ?pool pred c)))
+            preds;
+          check "extend" (matches (Algebra.extend defs t) (Columnar.extend ?pool defs c));
+          List.iter
+            (fun keys ->
+              check "group_by"
+                (matches (Algebra.group_by ~keys ~aggs t) (Columnar.group_by ?pool ~keys ~aggs c)))
+            [ []; [ "g" ]; [ "k" ] ])
+        [ None; Some p ])
+
+(* Allocation grows with the number of blocks, not with rows. Measured
+   as marginal words per row between 20k and 40k rows, so the per-call
+   setup (one block's scratch per expression node) cancels: select pays
+   one mark byte per row plus its output index, and the aggregate
+   feeders of group_by nothing per row. Each figure is the least of
+   three calls, past one-off work on first use. *)
+let allocated_words f =
+  let once () =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  List.fold_left Float.min infinity (List.init 3 (fun _ -> once ()))
+
+let test_columnar_allocation () =
+  let n = 20_000 in
+  let table rows =
+    let rng = Mde_prob.Rng.create ~seed:11 () in
+    let v () = Value.Float (Mde_prob.Rng.float_range rng (-5.) 5.) in
+    mixed_table (List.init rows (fun _ -> (v (), Mde_prob.Rng.int rng 50, v ())))
+  in
+  let small = table n and large = table (2 * n) in
+  let check name bound words =
+    let marginal = (words large -. words small) /. float_of_int n in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f words/row <= %g" name marginal bound)
+      true (marginal <= bound)
+  in
+  (* The column image is built before measuring. *)
+  let c t = Columnar.of_table t in
+  (* About 10% survive: 1/8 word of marks and 0.1 of output per row. *)
+  let pred = Expr.(col "v" > float 4. && col "k" < float 4.5) in
+  check "select" 0.3 (fun t ->
+      let c = c t in
+      allocated_words (fun () -> Columnar.select pred c));
+  let aggs =
+    Algebra.
+      [ ("n", Count);
+        ("pos", Count_if Expr.(col "v" > float 0.));
+        ("s", Sum Expr.(col "v" + col "k"));
+        ("m", Avg (Expr.col "v"));
+        ("sd", Std (Expr.col "k"));
+        ("lo", Min (Expr.col "v"));
+        ("hi", Max (Expr.col "k")) ]
+  in
+  check "global group_by" 0.05 (fun t ->
+      let c = c t in
+      allocated_words (fun () -> Columnar.group_by ~keys:[] ~aggs c));
+  (* Keyed: the feeders' share, over a count alone on the same keys. *)
+  check "keyed group_by feeders" 0.05 (fun t ->
+      let c = c t in
+      allocated_words (fun () -> Columnar.group_by ~keys:[ "g" ] ~aggs c)
+      -. allocated_words (fun () ->
+             Columnar.group_by ~keys:[ "g" ] ~aggs:[ ("n", Algebra.Count) ] c))
+
 (* --- packed key codes --- *)
 
 let det_col ty vs =
@@ -2095,6 +2194,10 @@ let () =
           Alcotest.test_case "empty global aggregate" `Quick test_columnar_empty_global;
           Alcotest.test_case "negative limit raises" `Quick test_limit_negative;
           Alcotest.test_case "pooled == sequential" `Quick test_columnar_pooled_identity;
+          Alcotest.test_case "blocks == algebra across block boundaries" `Quick
+            test_columnar_blocks_match_algebra;
+          Alcotest.test_case "allocation per block, not per row" `Quick
+            test_columnar_allocation;
           Alcotest.test_case "to_table validates eagerly" `Quick test_to_table_validation;
           Alcotest.test_case "images shared" `Quick test_columnar_shares_images;
           Alcotest.test_case "to_table builds no rows" `Quick test_to_table_builds_no_rows;

@@ -509,6 +509,34 @@ let test_demo_cold_warm () =
   Alcotest.(check int) "all requests served" config.Workload.requests
     cold.Workload.served
 
+(* A server's state stays bounded under a stream of distinct requests:
+   repeats are counted over a fixed window of recent fingerprints, the
+   cache has a capacity and completions leave with [drain]. Live heap
+   words after a full major collection must plateau between 100k and
+   200k distinct-seed requests. *)
+let test_state_bounded_under_distinct_requests () =
+  let t = Server.create () in
+  Server.register_composite t ~name:"queue" two_stage;
+  let kind = Server.Composite_estimate { n = 2; alpha = 0.5 } in
+  let live_after n0 n1 =
+    for seed = n0 to n1 - 1 do
+      match Server.serve t (req "queue" kind seed) with
+      | `Served _ -> ()
+      | `Rejected -> Alcotest.fail "request rejected"
+    done;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let at_100k = live_after 0 100_000 in
+  let at_200k = live_after 100_000 200_000 in
+  (* Reading the server after the last sample keeps it live through it. *)
+  Alcotest.(check int) "all served" 200_000 (Server.stats t).Server.served;
+  let growth = float_of_int (at_200k - at_100k) /. float_of_int at_100k in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d -> %d (%+.2f%%) within 5%%" at_100k at_200k (100. *. growth))
+    true
+    (Float.abs growth < 0.05)
+
 let () =
   Alcotest.run "serve"
     [
@@ -544,5 +572,7 @@ let () =
           Alcotest.test_case "demo columnar query == row fold" `Quick
             test_demo_columnar_query_matches_rows;
           Alcotest.test_case "cold vs warm workload" `Quick test_demo_cold_warm;
+          Alcotest.test_case "state bounded under distinct requests" `Slow
+            test_state_bounded_under_distinct_requests;
         ] );
     ]
