@@ -10,7 +10,8 @@
      with its allocation delta;
    - keyed: group_by / equi_join / distinct / order_by over a star-shaped
      table (dictionary-coded string dimension key + small int bucket),
-     whose composite key packs into one Keycode word per row; with
+     whose composite key packs into one Keycode word per row, and a
+     lopsided equi_join whose left side is 1/50 of the fact table; with
      [domains] > 1 the operators that take a pool also run pooled;
    - plan: a 3-way star join through [Plan.execute] and on into
      [Columnar.of_table], the analytic query's shape (catalog scans enter
@@ -193,7 +194,10 @@ let pipeline ?pool ~domains ~rows ~seed () =
    same composite (sku, g) pair. The dimension covers every other sku, so
    the join probes every fact row but emits only about half of them — the
    selective shape where probe cost, not output materialization, is the
-   operator. *)
+   operator. A third table, 1/50 of the fact table's rows, draws
+   (psku, pg) keys from the same space: joined as the left side against
+   the fact table, each of its rows meets many duplicate fact keys, and
+   the join hashes the small side. *)
 let make_keyed_tables ~rows ~seed =
   let rng = Rng.create ~seed () in
   let dims = max 16 (rows / 1000) in
@@ -220,7 +224,19 @@ let make_keyed_tables ~rows ~seed =
              Value.Float (Rng.float_range rng 0. 2.);
            |]))
   in
-  (fact, dim)
+  let probe =
+    Table.create
+      (Schema.of_list [ ("psku", Value.Tstring); ("pg", Value.Tint); ("pw", Value.Tfloat) ])
+      (List.init (max 1 (rows / 50)) (fun _ ->
+           [|
+             Value.String (dim_name (Rng.int rng dims));
+             Value.Int (Rng.int rng buckets);
+             Value.Float (Rng.float_range rng 0. 2.);
+           |]))
+  in
+  (fact, dim, probe)
+
+let lopsided_on = [ ("psku", "sku"); ("pg", "g") ]
 
 let join_on = [ ("sku", "dsku"); ("g", "dg") ]
 let keyed_keys = [ "sku"; "g" ]
@@ -236,9 +252,10 @@ type keyed_op = {
 }
 
 let keyed ?pool ~domains ~rows ~seed () =
-  let fact_t, dim_t = make_keyed_tables ~rows ~seed in
+  let fact_t, dim_t, probe_t = make_keyed_tables ~rows ~seed in
   let keys_t = Algebra.project keyed_keys fact_t in
   let fact = Columnar.of_table fact_t and dim = Columnar.of_table dim_t in
+  let probe = Columnar.of_table probe_t in
   let keys_only = Columnar.of_table keys_t in
   let measure ~name ~floor ?pooled packed_f rows_f =
     let packed_out, packed_t = settled (fun () -> forced (packed_f ())) in
@@ -264,6 +281,11 @@ let keyed ?pool ~domains ~rows ~seed () =
         ~pooled:(fun p -> Columnar.equi_join ~pool:p ~on:join_on fact dim)
         (fun () -> Columnar.equi_join ~on:join_on fact dim)
         (fun () -> Algebra.equi_join ~on:join_on fact_t dim_t);
+      (* Recorded and held to bit identity, with no speed floor. *)
+      measure ~name:"join_lopsided" ~floor:0.
+        ~pooled:(fun p -> Columnar.equi_join ~pool:p ~on:lopsided_on probe fact)
+        (fun () -> Columnar.equi_join ~on:lopsided_on probe fact)
+        (fun () -> Algebra.equi_join ~on:lopsided_on probe_t fact_t);
       measure ~name:"distinct" ~floor:distinct_floor
         ~pooled:(fun p -> Columnar.distinct ~pool:p keys_only)
         (fun () -> Columnar.distinct keys_only)
@@ -276,7 +298,7 @@ let keyed ?pool ~domains ~rows ~seed () =
   let speedup op = ratio op.rows_t.seconds op.packed_t.seconds in
   let alloc op = ratio op.rows_t.alloc_bytes op.packed_t.alloc_bytes in
   Printf.printf "\n  packed keyed operators vs row algebra over %d rows\n\n" rows;
-  Printf.printf "  %-10s %12s %12s %12s  %8s %10s\n" "operator" "packed" "algebra"
+  Printf.printf "  %-14s %12s %12s %12s  %8s %10s\n" "operator" "packed" "algebra"
     "pooled" "speedup" "alloc red.";
   List.iter
     (fun op ->
@@ -285,7 +307,7 @@ let keyed ?pool ~domains ~rows ~seed () =
         | Some t -> Printf.sprintf "%10.4f s" t.seconds
         | None -> "         --"
       in
-      Printf.printf "  %-10s %10.4f s %10.4f s %12s  %7.1fx %9.1fx\n" op.name
+      Printf.printf "  %-14s %10.4f s %10.4f s %12s  %7.1fx %9.1fx\n" op.name
         op.packed_t.seconds op.rows_t.seconds pooled (speedup op) (alloc op))
     ops;
   let identical = List.for_all (fun op -> op.ok) ops in

@@ -142,7 +142,7 @@ let support = function
   | Triangular { lo; hi; _ } -> (lo, hi)
 
 let quantile d p =
-  assert (p > 0. && p < 1.);
+  if not (p > 0. && p < 1.) then invalid_arg "Dist.quantile: p outside (0, 1)";
   match d with
   | Uniform (lo, hi) -> lo +. (p *. (hi -. lo))
   | Normal { mean; std } -> mean +. (std *. Special.normal_inv_cdf p)
@@ -295,13 +295,14 @@ let binomial_sample rng n p =
 
 let categorical_cumulative weights =
   let n = Array.length weights in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Dist.categorical_cumulative: no weights";
   let total = Array.fold_left ( +. ) 0. weights in
-  assert (total > 0.);
+  if not (total > 0.) then invalid_arg "Dist.categorical_cumulative: weights must sum to > 0";
   let cum = Array.make n 0. in
   let acc = ref 0. in
   for i = 0 to n - 1 do
-    assert (weights.(i) >= 0.);
+    if not (weights.(i) >= 0.) then
+      invalid_arg "Dist.categorical_cumulative: negative weight";
     acc := !acc +. (weights.(i) /. total);
     cum.(i) <- !acc
   done;
@@ -324,11 +325,11 @@ let sample_discrete d rng =
   | Binomial { n; p } -> binomial_sample rng n p
   | Poisson lambda -> poisson_sample rng lambda
   | Geometric p ->
-    assert (p > 0. && p <= 1.);
+    if not (p > 0. && p <= 1.) then invalid_arg "Dist.sample_discrete: Geometric p outside (0, 1]";
     if p = 1. then 0
     else Float.to_int (floor (log (Rng.float_pos rng) /. log (1. -. p)))
   | Discrete_uniform (lo, hi) ->
-    assert (hi >= lo);
+    if hi < lo then invalid_arg "Dist.sample_discrete: Discrete_uniform needs lo <= hi";
     lo + Rng.int rng (hi - lo + 1)
   | Categorical weights -> sample_cumulative (categorical_cumulative weights) rng
 

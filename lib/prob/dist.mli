@@ -24,7 +24,8 @@ val cdf : t -> float -> float
 
 val quantile : t -> float -> float
 (** [quantile d p] for p in (0, 1); closed form where available, else
-    bracketed bisection on the CDF. *)
+    bracketed bisection on the CDF. Raises [Invalid_argument] for any
+    other [p]. *)
 
 val mean : t -> float
 val variance : t -> float
@@ -47,6 +48,10 @@ type discrete =
       (** unnormalized nonnegative weights; values are indices *)
 
 val sample_discrete : discrete -> Rng.t -> int
+(** Raises [Invalid_argument] on a [Geometric] [p] outside (0, 1], a
+    [Discrete_uniform] with [hi < lo], or weights that
+    {!categorical_cumulative} rejects. *)
+
 val pmf : discrete -> int -> float
 val log_pmf : discrete -> int -> float
 val mean_discrete : discrete -> float
@@ -54,7 +59,9 @@ val variance_discrete : discrete -> float
 val sample_discrete_n : discrete -> Rng.t -> int -> int array
 
 val categorical_cumulative : float array -> float array
-(** Normalized cumulative weights for repeated categorical sampling. *)
+(** Normalized cumulative weights for repeated categorical sampling.
+    Raises [Invalid_argument] on no weights, a negative (or NaN) weight,
+    or weights that do not sum to > 0. *)
 
 val sample_cumulative : float array -> Rng.t -> int
 (** Sample an index given normalized cumulative weights (binary search). *)

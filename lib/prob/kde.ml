@@ -8,7 +8,7 @@ let kernel_value k u =
 
 let silverman_bandwidth xs =
   let n = Array.length xs in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Kde.silverman_bandwidth: empty sample";
   let sd = Stats.std xs in
   let iqr = Stats.quantile xs 0.75 -. Stats.quantile xs 0.25 in
   let spread =
@@ -23,11 +23,11 @@ let silverman_bandwidth xs =
 type t = { kernel : kernel; bandwidth : float; samples : float array }
 
 let fit ?(kernel = Gaussian) ?bandwidth samples =
-  assert (Array.length samples > 0);
+  if Array.length samples = 0 then invalid_arg "Kde.fit: empty sample";
   let bandwidth =
     match bandwidth with
     | Some h ->
-      assert (h > 0.);
+      if not (h > 0.) then invalid_arg "Kde.fit: bandwidth must be > 0";
       h
     | None -> silverman_bandwidth samples
   in

@@ -15,13 +15,15 @@ val kernel_value : kernel -> float -> float
 
 val silverman_bandwidth : float array -> float
 (** Silverman's rule-of-thumb bandwidth 0.9·min(σ̂, IQR/1.34)·M^{−1/5};
-    falls back to 1.0 for degenerate (constant) samples. *)
+    falls back to 1.0 for degenerate (constant) samples. Raises
+    [Invalid_argument] on an empty sample. *)
 
 type t
 
 val fit : ?kernel:kernel -> ?bandwidth:float -> float array -> t
-(** Build an estimator from samples (non-empty). Bandwidth defaults to
-    Silverman's rule. *)
+(** Build an estimator from samples. Bandwidth defaults to Silverman's
+    rule. Raises [Invalid_argument] on an empty sample or a bandwidth
+    that is not > 0. *)
 
 val density : t -> float -> float
 (** Estimated density f̂(x). *)

@@ -5,7 +5,7 @@ let lanczos =
      -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7 |]
 
 let rec log_gamma x =
-  assert (x > 0.);
+  if not (x > 0.) then invalid_arg "Special.log_gamma: x must be > 0";
   if x < 0.5 then
     (* Reflection formula keeps the Lanczos series in its accurate range. *)
     log (Float.pi /. sin (Float.pi *. x)) -. log_gamma (1. -. x)
@@ -61,7 +61,7 @@ let gamma_q_cf a x =
   exp ((-.x) +. (a *. log x) -. log_gamma a) *. !h
 
 let gamma_p a x =
-  assert (a > 0. && x >= 0.);
+  if not (a > 0. && x >= 0.) then invalid_arg "Special.gamma_p: requires a > 0 and x >= 0";
   if x = 0. then 0.
   else if x < a +. 1. then gamma_p_series a x
   else 1. -. gamma_q_cf a x
@@ -109,7 +109,8 @@ let betacf a b x =
   !h
 
 let beta_inc a b x =
-  assert (a > 0. && b > 0. && x >= 0. && x <= 1.);
+  if not (a > 0. && b > 0. && x >= 0. && x <= 1.) then
+    invalid_arg "Special.beta_inc: requires a, b > 0 and x in [0, 1]";
   if x = 0. then 0.
   else if x = 1. then 1.
   else begin
@@ -126,7 +127,7 @@ let normal_cdf x = 0.5 *. erfc (-.x /. sqrt 2.)
 
 (* Acklam's inverse normal CDF. *)
 let normal_inv_cdf p =
-  assert (p > 0. && p < 1.);
+  if not (p > 0. && p < 1.) then invalid_arg "Special.normal_inv_cdf: p outside (0, 1)";
   let a =
     [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
        1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
@@ -173,10 +174,10 @@ let factorial_table =
   t
 
 let log_factorial n =
-  assert (n >= 0);
+  if n < 0 then invalid_arg "Special.log_factorial: n must be non-negative";
   if n < Array.length factorial_table then factorial_table.(n)
   else log_gamma (float_of_int n +. 1.)
 
 let log_choose n k =
-  assert (k >= 0 && k <= n);
+  if k < 0 || k > n then invalid_arg "Special.log_choose: k outside [0, n]";
   log_factorial n -. log_factorial k -. log_factorial (n - k)

@@ -1,6 +1,8 @@
 (** Special functions used by the probability distributions and the
     Gaussian-process machinery: error function, log-gamma, regularized
-    incomplete gamma and beta, and the standard normal CDF and its inverse. *)
+    incomplete gamma and beta, and the standard normal CDF and its inverse.
+    An argument outside a function's stated domain (NaN included) raises
+    [Invalid_argument]. *)
 
 val erf : float -> float
 (** Error function, |error| < 1.5e-7 (Abramowitz & Stegun 7.1.26-based

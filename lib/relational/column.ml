@@ -366,7 +366,10 @@ let gather cols idx =
     match List.assq_opt src !composed with
     | Some c -> c
     | None ->
-      let c = Array.map (fun i -> src.(i)) idx in
+      let c = Array.make (Array.length idx) 0 in
+      for k = 0 to Array.length idx - 1 do
+        Array.unsafe_set c k src.(Array.unsafe_get idx k)
+      done;
       composed := (src, c) :: !composed;
       c
   in
@@ -394,14 +397,20 @@ type view =
   | Vstring of { vdet : bool; codes : int array; dict : string array }
   | Vvalues of { vdet : bool; data : Value.t array }
 
-let view t =
-  let { data; nulls } = storage t in
+let view_of vdet { data; nulls } =
   match data with
-  | Floats data -> Vfloat { vdet = t.cdet; data; nulls }
-  | Ints data -> Vint { vdet = t.cdet; data; nulls }
-  | Bools data -> Vbool { vdet = t.cdet; data; nulls }
-  | Strings { codes; dict } -> Vstring { vdet = t.cdet; codes; dict }
-  | Values data -> Vvalues { vdet = t.cdet; data }
+  | Floats data -> Vfloat { vdet; data; nulls }
+  | Ints data -> Vint { vdet; data; nulls }
+  | Bools data -> Vbool { vdet; data; nulls }
+  | Strings { codes; dict } -> Vstring { vdet; codes; dict }
+  | Values data -> Vvalues { vdet; data }
+
+let view t = view_of t.cdet (storage t)
+
+let source t =
+  match Atomic.get t.state with
+  | Built s -> (view_of t.cdet s, None)
+  | View { base; idx } -> (view_of t.cdet base, Some idx)
 
 let null_at nulls i r =
   match nulls with

@@ -54,9 +54,6 @@ module Bitset : sig
   (** [and_rows ~dst k ~a i ~b j]: row [k] of [dst] becomes the bitwise
       AND of row [i] of [a] and row [j] of [b]. All three must share
       [reps]. The join's presence conjunction, one byte at a time. *)
-
-  val gather_rows : t -> int array -> t
-  (** New bitset whose row [k] is row [idx.(k)] of the input. *)
 end
 
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -138,7 +135,15 @@ type view =
   | Vvalues of { vdet : bool; data : Value.t array }
 
 val view : t -> view
-(** The column's storage, forcing a view. *)
+(** The column's storage, forcing a view: for readers that need one
+    flat array. *)
+
+val source : t -> view * int array option
+(** The column's storage without forcing it. A built column returns its
+    storage and [None]; a view not yet read returns its base's storage
+    and its row index [idx] (row [k] of the column is row [idx.(k)] of
+    the base, and so are its null bits). Readers that visit rows through
+    [idx] copy nothing, and the view stays unread. *)
 
 val value : t -> int -> int -> Value.t
 (** Boxed read of cell [(i, r)]; deterministic columns ignore [r].
@@ -151,7 +156,7 @@ val gather : t array -> int array -> t array
     view's storage is first read ({!view} or {!value}), which gathers
     its rows (a dictionary is shared, not copied) and publishes them by
     compare-and-set, so domains forcing one view at once all get the
-    first storage published. {!det}, {!rows}, {!reps} and
+    first storage published. {!det}, {!rows}, {!reps}, {!source} and
     {!storage_ty} never force.
 
     Gathering a view composes the index vectors, so a view's base is

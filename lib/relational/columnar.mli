@@ -16,15 +16,17 @@
     column with {!Column.gather}, which copies nothing until the column
     is first read. A chain of operators then gathers each column once,
     straight from its scan column, and never gathers a column that
-    nothing downstream reads. Compiling an expression forces only the
-    columns it references ({!Kernel.env_of_columns}).
+    nothing downstream reads. Expressions ({!Kernel}) and key encoding
+    ({!Keycode}) read a view through its index without forcing it, so
+    a column that operators only read is never gathered at all; sort
+    keys, boxed and dictionary-coded key components still force.
 
     The contract, property-tested in [test/test_relational.ml]: every
     operator returns exactly what its {!Algebra} twin returns on the
     same input — same rows in the same order with bit-identical floats
     — with or without a pool. Group
     aggregates feed rows in row order (float sums are order-sensitive),
-    joins emit probe-order × build-order pairs, sorts are stable with
+    joins emit left-order × right-order pairs, sorts are stable with
     the same [Value.compare] key order. *)
 
 type t
@@ -58,23 +60,25 @@ val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
     schema (not columns added by earlier defs), as {!Algebra.extend}. *)
 
 val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
-(** Inner hash join, build side right, probe side left — the plan
-    executor's join, through {!join_index}. Row order and null-key
-    behavior match {!Algebra.equi_join}; [on = []] is the cross
-    product. *)
+(** Inner hash join through {!join_index} — the plan executor's join.
+    Row order and null-key behavior match {!Algebra.equi_join}; [on = []]
+    is the cross product. *)
 
 val join_index :
   ?pool:Mde_par.Pool.t -> Column.t array * int -> Column.t array * int -> int array * int array
-(** [join_index (probe_keys, probe_rows) (build_keys, build_rows)]: the
-    matching (probe row, build row) pairs of an inner equi-join on the
-    given deterministic key columns, probe rows in order and each probe
-    row's matches in build order; rows with a Null key component never
-    match. Both sides hash one unboxed {!Keycode} word per row through
-    an open-addressing table with build-order match chains. The probe
-    looks rows up in a block sweep, counting matches, then writes the
-    pairs into arrays of exactly their number. With [?pool] the key
-    encoding and the lookups run on the pool; the output is the same.
-    Raises [Invalid_argument] on an uncertain key column. *)
+(** [join_index (left_keys, left_rows) (right_keys, right_rows)]: the
+    matching (left row, right row) pairs of an inner equi-join on the
+    given deterministic key columns, left rows in order and each left
+    row's matches in right order; rows with a Null key component never
+    match. Both sides hash one unboxed {!Keycode} word per row. The
+    open-addressing table, with match chains in row order, goes over the
+    smaller side (the right on a tie), and the other side looks its rows
+    up in a block sweep; the pairs are then written through per-left-row
+    offsets (prefix sums of each left row's match count) into arrays of
+    exactly their number, in the same order whichever side was hashed.
+    With [?pool] the key encoding and the lookups run on the pool; the
+    output is the same. Raises [Invalid_argument] on an uncertain key
+    column. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->

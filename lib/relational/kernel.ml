@@ -56,7 +56,8 @@ and cnode = {
 
 (* Named columns: the base columns, plus any definitions bound by name.
    A base column's node is built when an expression first references
-   it, so a column no expression reads is never forced. *)
+   it; a deterministic leaf reads a view through its index, so only an
+   uncertain column an expression reads is ever forced. *)
 and env = { schema : Schema.t; columns : Column.t array; names : (string, binding) Hashtbl.t }
 
 and binding = Base of Column.t | Bound of node
@@ -69,19 +70,30 @@ let const kind make = cnode kind ~unc:false ~nullable:false (fun f -> make (cap 
 
 (* --- column leaves --------------------------------------------------- *)
 
-let read_nulls f ~det mask nul s =
+(* A column leaf reads, for position [k], slot [lo + k] of its storage
+   in a sweep of the column's own geometry, or the position's row when a
+   deterministic column meets a sweep of several repetitions. A
+   deterministic column that is an unread view ([Column.source]) reads
+   that row through the view's index [ix] instead ([direct]: no index),
+   so an expression forces no view it reads. *)
+let read_nulls f ~det ~direct ix mask nul s =
   match mask with
   | None -> ()
   | Some m ->
     for j = 0 to s.n - 1 do
       let k = Array.unsafe_get s.pos j in
       let i = Array.unsafe_get f.rowix k in
-      let r = if det then 0 else f.lo + k - (i * f.reps) in
-      Bytes.unsafe_set nul k (if Bitset.get m i r then '\001' else '\000')
+      let null =
+        if det then Bitset.get m (if direct then i else Array.unsafe_get ix i) 0
+        else Bitset.get m i (f.lo + k - (i * f.reps))
+      in
+      Bytes.unsafe_set nul k (if null then '\001' else '\000')
     done
 
 let leaf col =
   let det = Column.det col in
+  let view, idx = if det then Column.source col else (Column.view col, None) in
+  let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
   let mk kind nullable make = Some (cnode kind ~unc:(not det) ~nullable make) in
   let nulls_for mask f = if mask = None then Bytes.empty else Bytes.make (cap f) '\000' in
   let ints data mask ~bool f =
@@ -90,12 +102,13 @@ let leaf col =
         let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
         for j = 0 to s.n - 1 do
           let k = Array.unsafe_get pos j in
-          let x = Array.unsafe_get data (if by_row then Array.unsafe_get rowix k else lo + k) in
+          let i = if by_row then Array.unsafe_get rowix k else lo + k in
+          let x = Array.unsafe_get data (if direct then i else Array.unsafe_get ix i) in
           Array.unsafe_set iv k (if bool then Bool.to_int (x <> 0) else x)
         done;
-        read_nulls f ~det mask nul s)
+        read_nulls f ~det ~direct ix mask nul s)
   in
-  match Column.view col with
+  match view with
   | Column.Vfloat { data; nulls; _ } ->
     mk Float (nulls <> None) (fun f ->
         let fv = Array.create_float (cap f) and nul = nulls_for nulls f in
@@ -103,19 +116,22 @@ let leaf col =
             let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
             for j = 0 to s.n - 1 do
               let k = Array.unsafe_get pos j in
+              let i = if by_row then Array.unsafe_get rowix k else lo + k in
               Array.unsafe_set fv k
-                (Array1.unsafe_get data (if by_row then Array.unsafe_get rowix k else lo + k))
+                (Array1.unsafe_get data (if direct then i else Array.unsafe_get ix i))
             done;
-            read_nulls f ~det nulls nul s))
+            read_nulls f ~det ~direct ix nulls nul s))
   | Column.Vint { data; nulls; _ } -> mk Int (nulls <> None) (ints data nulls ~bool:false)
   | Column.Vbool { data; nulls; _ } -> mk Bool (nulls <> None) (ints data nulls ~bool:true)
   | Column.Vstring { codes; dict; _ } ->
     mk String true (fun f ->
         let sv = Array.make (cap f) "" and nul = Bytes.make (cap f) '\000' in
         inst ~sv ~nul (fun s ->
+            let rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
             for j = 0 to s.n - 1 do
               let k = Array.unsafe_get s.pos j in
-              let c = Array.unsafe_get codes (if det && f.reps > 1 then f.rowix.(k) else f.lo + k) in
+              let i = if by_row then Array.unsafe_get rowix k else lo + k in
+              let c = Array.unsafe_get codes (if direct then i else Array.unsafe_get ix i) in
               Bytes.unsafe_set nul k (if c < 0 then '\001' else '\000');
               Array.unsafe_set sv k (if c < 0 then "" else Array.unsafe_get dict c)
             done))

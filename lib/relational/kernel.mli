@@ -21,9 +21,11 @@ val block : int
 (** Slots per block: 256, so each vector of scratch fits the minor heap. *)
 
 type env
-(** Named columns. A column is forced when an expression first reads
-    it, so a {!Column.gather} view no expression reads stays unread.
-    Not domain-safe: compile on one domain, then sweep. *)
+(** Named columns. An expression reads a deterministic column in place,
+    through a {!Column.gather} view's index when the column is an unread
+    view, so compiling and sweeping it forces no deterministic view; an
+    uncertain column is forced when an expression first reads it. Not
+    domain-safe: compile on one domain, then sweep. *)
 
 type node
 type kind = Int | Float | Bool | String | Boxed  (** [Boxed]: a fallback *)

@@ -133,27 +133,27 @@ let comp_width = function
   | Cbool -> 2
   | Craw -> 0
 
-(* Range of an int data array, scanned over every slot: null slots hold
-   the fill default 0, which can only widen the range — codes stay
-   injective because base <= every non-null value. *)
-let int_range datas =
-  let mn = ref 0 and mx = ref 0 and first = ref true in
-  List.iter
-    (fun (data : int array) ->
-      Array.iter
-        (fun v ->
-          if !first then begin
-            mn := v;
-            mx := v;
-            first := false
-          end
-          else begin
-            if v < !mn then mn := v;
-            if v > !mx then mx := v
-          end)
-        data)
-    datas;
-  (!mn, !mx)
+(* Range of int data read through an optional row index ([None]: every
+   slot), over every row read: null rows hold the fill default 0, which
+   can only widen the range — codes stay injective because base <= every
+   non-null value. A view scanned through its index sees exactly the
+   slots its forced copy would hold, so widths do not depend on whether
+   a view was forced. *)
+let int_range srcs =
+  let mn, mx =
+    List.fold_left
+      (fun (mn, mx) ((data : int array), idx) ->
+        let mn = ref mn and mx = ref mx in
+        let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
+        for k = 0 to (if direct then Array.length data else Array.length ix) - 1 do
+          let v = data.(if direct then k else ix.(k)) in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        done;
+        (!mn, !mx))
+      (max_int, min_int) srcs
+  in
+  if mn > mx then (0, 0) else (mn, mx)
 
 module Dict = Hashtbl.Make (struct
   type t = Value.t
@@ -189,16 +189,16 @@ let dict_comp cols =
    an all-int no-null component stay raw (zero-copy Mraw mode) — in a
    composite key every component needs a bounded packed width. *)
 let classify_comp ~sole cols =
-  let views = Array.map Column.view cols in
-  let all p = Array.for_all p views in
+  let srcs = Array.map Column.source cols in
+  let all p = Array.for_all (fun (v, _) -> p v) srcs in
   if all (function Column.Vint _ -> true | _ -> false) then begin
     let no_nulls = all (function Column.Vint { nulls = None; _ } -> true | _ -> false) in
     if sole && no_nulls && Array.length cols = 1 then Craw
     else begin
       let mn, mx =
         int_range
-          (Array.to_list views
-          |> List.filter_map (function Column.Vint { data; _ } -> Some data | _ -> None))
+          (Array.to_list srcs
+          |> List.filter_map (function Column.Vint { data; _ }, idx -> Some (data, idx) | _ -> None))
       in
       let span = mx - mn in
       (* span < 0 is overflow of the subtraction itself: definitely wide *)
@@ -214,7 +214,7 @@ let classify_comp ~sole cols =
     let remaps =
       Array.map
         (function
-          | Column.Vstring { dict; _ } ->
+          | Column.Vstring { dict; _ }, _ ->
             Array.map
               (fun s ->
                 match Hashtbl.find_opt shared s with
@@ -226,7 +226,7 @@ let classify_comp ~sole cols =
                   c)
               dict
           | _ -> assert false)
-        views
+        srcs
     in
     Cstr { remaps; width = bits_for (!next + 1) }
   end
@@ -237,25 +237,47 @@ let null_reader nulls =
   | None -> fun _ -> false
   | Some m -> fun i -> Column.Bitset.get m i 0
 
-(* Packed field code for component [c] of [side]: 0 iff the cell is
-   Null, otherwise >= 1 and injective over the component's values. *)
-let packed_code comp side_idx view =
-  match (comp, view) with
-  | Cint { base; _ }, Column.Vint { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun i -> if is_null i then 0 else data.(i) - base + 1
-  | Cbool, Column.Vbool { data; nulls; _ } ->
-    let is_null = null_reader nulls in
-    fun i -> if is_null i then 0 else data.(i) + 1
+(* Packs component [comp] of [side] into rows [lo, hi) of [out]: each
+   key shifts left by the component's width and takes its field code,
+   0 iff the cell is Null, otherwise >= 1 and injective over the
+   component's values. One typed loop per component kind, reading the
+   column ([Column.source]) through its view's index, so nothing is
+   forced. Returns whether a field read 0. *)
+let pack comp side (view, idx) out lo hi =
+  let w = comp_width comp in
+  let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
+  let nul = ref false in
+  (match (comp, view) with
+  | Cint _, Column.Vint { data; nulls; _ } | Cbool, Column.Vbool { data; nulls; _ } ->
+    (* Bools are 0/1, so [base] 0 codes them 1/2. *)
+    let base = match comp with Cint { base; _ } -> base | _ -> 0 in
+    for i = lo to hi - 1 do
+      let s = if direct then i else ix.(i) in
+      let code =
+        match nulls with
+        | Some m when Column.Bitset.get m s 0 -> 0
+        | _ -> data.(s) - base + 1
+      in
+      if code = 0 then nul := true;
+      out.(i) <- (out.(i) lsl w) lor code
+    done
   | Cstr { remaps; _ }, Column.Vstring { codes; _ } ->
-    let remap = remaps.(side_idx) in
-    fun i ->
-      let c = codes.(i) in
-      if c < 0 then 0 else remap.(c) + 1
+    let remap = remaps.(side) in
+    for i = lo to hi - 1 do
+      let c = codes.(if direct then i else ix.(i)) in
+      if c < 0 then nul := true;
+      out.(i) <- (out.(i) lsl w) lor if c < 0 then 0 else remap.(c) + 1
+    done
   | Cdict { codes; _ }, _ ->
-    let codes = codes.(side_idx) in
-    fun i -> codes.(i)
-  | _ -> invalid_arg "Keycode: component/storage mismatch"
+    (* Dictionary codes are per row of the side, already coded. *)
+    let codes = codes.(side) in
+    for i = lo to hi - 1 do
+      let code = codes.(i) in
+      if code = 0 then nul := true;
+      out.(i) <- (out.(i) lsl w) lor code
+    done
+  | (Craw | Cint _ | Cbool | Cstr _), _ -> invalid_arg "Keycode: component/storage mismatch");
+  !nul
 
 (* A composite whose fields pass 63 bits, coded per side up front:
    fields pack left to right, and when the next one would not fit, the
@@ -267,7 +289,9 @@ let dense_mode sides comps =
     Array.mapi
       (fun s cols ->
         let col = cols.(c) in
-        Array.init (Column.rows col) (packed_code comps.(c) s (Column.view col)))
+        let codes = Array.make (Column.rows col) 0 in
+        ignore (pack comps.(c) s (Column.source col) codes 0 (Array.length codes));
+        codes)
       sides
   in
   let nulls = Array.map (fun cols -> Array.make (Column.rows cols.(0)) false) sides in
@@ -320,55 +344,55 @@ let of_columns sides =
 
 type coded = { keys : int array; null_rows : bool array option }
 
-(* Can this component be Null on this side? Used only to decide whether
-   the null_rows array is worth allocating; false negatives would be a
-   bug, false positives just cost one bool array. *)
-let comp_nullable view =
-  match view with
-  | Column.Vint { nulls; _ } | Column.Vbool { nulls; _ } | Column.Vfloat { nulls; _ } ->
-    nulls <> None
-  | Column.Vstring { codes; _ } -> Array.exists (fun c -> c < 0) codes
-  | Column.Vvalues _ -> true
+(* Whether a packed key has a field reading 0, the Null code. *)
+let has_null comps key =
+  let rec go c shift =
+    c >= 0
+    &&
+    let w = comp_width comps.(c) in
+    (key lsr shift) land ((1 lsl w) - 1) = 0 || go (c - 1) (shift + w)
+  in
+  go (Array.length comps - 1) 0
 
-let codes ?pool t ~side ~rows:n =
+(* Rows per chunk of the packed fill: the pool hands out whole chunks,
+   and each chunk runs the component loops over its own rows. *)
+let chunk_rows = 4096
+
+(* The codes, and whether [keys] was allocated by this call (so a caller
+   may overwrite it) rather than shared with a column or the encoder. *)
+let coded_rows ?pool t ~side ~rows:n =
   let cols = t.sides.(side) in
-  let k = Array.length cols in
-  let views = Array.map Column.view cols in
   match t.mode with
   | Mraw -> (
-    match views.(0) with
-    | Column.Vint { data; _ } -> { keys = data; null_rows = None }
+    match Column.source cols.(0) with
+    | Column.Vint { data; _ }, None -> ({ keys = data; null_rows = None }, false)
+    | Column.Vint { data; _ }, Some idx ->
+      (* A view's keys are read through its index, and the view stays
+         unread. *)
+      let keys = Array.make (Array.length idx) 0 in
+      for k = 0 to Array.length idx - 1 do
+        keys.(k) <- data.(idx.(k))
+      done;
+      ({ keys; null_rows = None }, true)
     | _ -> invalid_arg "Keycode: component/storage mismatch")
-  | Mdense { keys; nulls } -> { keys = keys.(side); null_rows = nulls.(side) }
+  | Mdense { keys; nulls } -> ({ keys = keys.(side); null_rows = nulls.(side) }, false)
   | Mpacked ->
-    let codes = Array.init k (fun c -> packed_code t.comps.(c) side views.(c)) in
-    let widths = Array.map comp_width t.comps in
-    let nullable = Array.exists comp_nullable views in
+    let srcs = Array.map Column.source cols in
     let out = Array.make n 0 in
-    let nulls = if nullable then Some (Array.make n false) else None in
-    let fill =
-      match nulls with
-      | None ->
-        fun i ->
-          let key = ref 0 in
-          for c = 0 to k - 1 do
-            key := (!key lsl widths.(c)) lor codes.(c) i
-          done;
-          out.(i) <- !key
-      | Some flags ->
-        fun i ->
-          let key = ref 0 in
-          let anynull = ref false in
-          for c = 0 to k - 1 do
-            let code = codes.(c) i in
-            if code = 0 then anynull := true;
-            key := (!key lsl widths.(c)) lor code
-          done;
-          out.(i) <- !key;
-          if !anynull then flags.(i) <- true
+    let chunks = (n + chunk_rows - 1) / chunk_rows in
+    let saw_null = Array.make chunks false in
+    Mde_par.Pool.iter ?pool ~site:"relational.keycode" chunks (fun b ->
+        let lo = b * chunk_rows in
+        let hi = min n (lo + chunk_rows) in
+        Array.iteri
+          (fun c comp -> if pack comp side srcs.(c) out lo hi then saw_null.(b) <- true)
+          t.comps);
+    let null_rows =
+      if Array.mem true saw_null then Some (Array.map (has_null t.comps) out) else None
     in
-    Mde_par.Pool.iter ?pool ~site:"relational.keycode" n fill;
-    { keys = out; null_rows = nulls }
+    ({ keys = out; null_rows }, true)
+
+let codes ?pool t ~side ~rows = fst (coded_rows ?pool t ~side ~rows)
 
 let encode ?pool t ~side =
   let cols = t.sides.(side) in
@@ -379,12 +403,12 @@ let groups ?pool cols ~rows =
   match of_columns [ cols ] with
   | None -> invalid_arg "Keycode.groups: uncertain key column"
   | Some t ->
-    let keys = (codes ?pool t ~side:0 ~rows).keys in
+    let { keys; _ }, fresh = coded_rows ?pool t ~side:0 ~rows in
     let tbl = tbl_create ~hint:(max 16 (rows / 8)) keys in
     (* Ids overwrite the packed keys in place when this call allocated
        them: row i's key is read before its id is written, and the table
        keeps its own copy of every key it has seen. *)
-    let ids = match t.mode with Mpacked -> keys | Mraw | Mdense _ -> Array.make rows 0 in
+    let ids = if fresh then keys else Array.make rows 0 in
     for i = 0 to rows - 1 do
       ids.(i) <- tbl_add tbl i
     done;
@@ -414,7 +438,7 @@ let[@inline] order_bits f =
 let sort_fields view =
   match view with
   | Column.Vint { data; nulls; _ } ->
-    let mn, mx = int_range [ data ] in
+    let mn, mx = int_range [ (data, None) ] in
     let span = mx - mn in
     let is_null = null_reader nulls in
     if span >= 0 && span <= (1 lsl 61) - 2 then

@@ -55,10 +55,15 @@ type coded = {
 val codes : ?pool:Mde_par.Pool.t -> t -> side:int -> rows:int -> coded
 (** Encode every row of one side; [rows] is the side's row count, which
     the empty key has no column to take from (it codes every row 0).
-    Row-chunked over the pool when given; each row's slots are disjoint,
-    so the pooled fill is bit-identical to the sequential one. A single
-    no-null int component is returned zero-copy (the column's own
-    storage). *)
+    Each component packs in one typed loop over the side's rows, read
+    through a view's index ({!Column.source}), so no view is forced
+    (boxed and dictionary-coded components were coded, and forced, by
+    {!of_columns}); a row is Null when one of its fields reads 0. The
+    fill is row-chunked over the pool when given; chunks own disjoint
+    rows, so the pooled fill is bit-identical to the sequential one. A
+    single no-null int component is returned zero-copy (the column's
+    own storage) when the column is built; an unread view's keys are
+    read through its index into a fresh array. *)
 
 val encode : ?pool:Mde_par.Pool.t -> t -> side:int -> coded
 (** {!codes} with the row count of the side's key columns. Raises

@@ -83,10 +83,6 @@ let to_int = function
   | Bool b -> if b then 1 else 0
   | Null | Float _ | String _ -> invalid_arg "Value.to_int"
 
-let to_bool = function
-  | Bool b -> b
-  | Null | Int _ | Float _ | String _ -> invalid_arg "Value.to_bool"
-
 let to_string_value = function
   | String s -> s
   | Null | Int _ | Float _ | Bool _ -> invalid_arg "Value.to_string_value"

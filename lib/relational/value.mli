@@ -53,9 +53,6 @@ val to_float : t -> float
 val to_int : t -> int
 (** Raises [Invalid_argument] unless the value is Int or a Bool. *)
 
-val to_bool : t -> bool
-(** Raises [Invalid_argument] unless the value is Bool. *)
-
 val to_string_value : t -> string
 (** Raises [Invalid_argument] unless the value is String. *)
 

@@ -576,6 +576,49 @@ let stats_validation =
       ("RMSE of nothing", fun () -> ignore (Stats.root_mean_square_error [||] [||]));
     ]
 
+(* Each [Special], [Dist] and [Kde] precondition is a real
+   [Invalid_argument] too, one test per check. *)
+let validation_cases cases =
+  List.map
+    (fun (name, f) ->
+      Alcotest.test_case ("rejects " ^ name) `Quick (fun () ->
+          Alcotest.(check bool) name true (raises_invalid f)))
+    cases
+
+let special_validation =
+  validation_cases
+    [
+      ("log_gamma 0", fun () -> ignore (Special.log_gamma 0.));
+      ("gamma_p a = 0", fun () -> ignore (Special.gamma_p 0. 1.));
+      ("beta_inc x > 1", fun () -> ignore (Special.beta_inc 1. 1. 1.5));
+      ("normal_inv_cdf 0", fun () -> ignore (Special.normal_inv_cdf 0.));
+      ("log_factorial -1", fun () -> ignore (Special.log_factorial (-1)));
+      ("log_choose k > n", fun () -> ignore (Special.log_choose 2 3));
+    ]
+
+let dist_validation =
+  let rng = Rng.create ~seed:3 () in
+  validation_cases
+    [
+      ( "quantile p = 1",
+        fun () -> ignore (Dist.quantile (Dist.Normal { mean = 0.; std = 1. }) 1.) );
+      ("categorical of no weights", fun () -> ignore (Dist.categorical_cumulative [||]));
+      ("categorical of zero weights", fun () -> ignore (Dist.categorical_cumulative [| 0.; 0. |]));
+      ( "categorical negative weight",
+        fun () -> ignore (Dist.categorical_cumulative [| -1.; 2. |]) );
+      ("geometric p = 0", fun () -> ignore (Dist.sample_discrete (Dist.Geometric 0.) rng));
+      ( "discrete uniform hi < lo",
+        fun () -> ignore (Dist.sample_discrete (Dist.Discrete_uniform (3, 2)) rng) );
+    ]
+
+let kde_validation =
+  validation_cases
+    [
+      ("silverman of nothing", fun () -> ignore (Kde.silverman_bandwidth [||]));
+      ("fit of nothing", fun () -> ignore (Kde.fit [||]));
+      ("fit bandwidth 0", fun () -> ignore (Kde.fit ~bandwidth:0. [| 1.; 2. |]));
+    ]
+
 (* --- Allocation ---
 
    A draw allocates nothing beyond its boxed return value: the state lives
@@ -933,7 +976,8 @@ let () =
           Alcotest.test_case "incomplete gamma" `Quick test_gamma_p_known;
           Alcotest.test_case "incomplete beta" `Quick test_beta_inc_known;
           Alcotest.test_case "log choose" `Quick test_log_choose;
-        ] );
+        ]
+        @ special_validation );
       ( "dist",
         [
           Alcotest.test_case "continuous moments" `Slow test_dist_moments;
@@ -941,7 +985,8 @@ let () =
           Alcotest.test_case "discrete moments" `Slow test_discrete_moments;
           Alcotest.test_case "pmf sums to 1" `Quick test_pmf_sums_to_one;
           Alcotest.test_case "pdf integrates to 1" `Quick test_pdf_integrates_to_one;
-        ] );
+        ]
+        @ dist_validation );
       ( "stats",
         [
           Alcotest.test_case "known dataset" `Quick test_stats_known;
@@ -959,7 +1004,8 @@ let () =
           Alcotest.test_case "integrates to 1" `Quick test_kde_integrates_to_one;
           Alcotest.test_case "tracks true density" `Slow test_kde_tracks_density;
           Alcotest.test_case "kernel shapes" `Quick test_kde_kernels;
-        ] );
+        ]
+        @ kde_validation );
       ( "properties",
         qc
           [

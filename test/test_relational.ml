@@ -992,6 +992,95 @@ let prop_packed_matches_boxed =
            (Algebra.project both (Algebra.equi_join ~on:[ ("m", "r_f") ] rows_m rt))
            (Columnar.project both (Columnar.equi_join ~on:[ ("m", "r_f") ] cols_m rc)))
 
+(* The same keyed operators on gather views: a select that drops rows on
+   the left, an order_by that permutes the right. Each equals row
+   Algebra on the equivalent tables, pooled and not. Group, distinct and
+   join read their inputs through the views' indexes and force nothing,
+   except the dictionary-coded key components ([f] and [i]: floats, and
+   ints spanning more than 2^61), which are boxed through forced cells;
+   order_by runs last, since its sort keys force their columns. *)
+let prop_packed_views_match_boxed =
+  QCheck.Test.make ~name:"packed keyed operators on gather views == boxed paths" ~count:80
+    QCheck.(
+      triple (make key_rows_gen) (make key_rows_gen)
+        (int_range 0 (List.length key_sets - 1)))
+    (fun (ls, rs, set) ->
+      let lt = Table.create key_schema ls in
+      let rt =
+        Algebra.rename
+          (List.map (fun n -> (n, "r_" ^ n)) (Schema.column_names key_schema))
+          (Table.create key_schema rs)
+      in
+      let keys = List.nth key_sets set in
+      let pairs = List.map (fun k -> (k, "r_" ^ k)) keys in
+      let keep = Expr.(Not (col "g" = int 0)) in
+      let lrows = Algebra.select keep lt
+      and rrows = Algebra.order_by ~descending:true [ "r_v" ] rt in
+      let aggs = [ ("n", Algebra.Count); ("s_v", Algebra.Sum (Expr.col "v")) ] in
+      let may_force = List.filter (fun k -> k = "f" || k = "i") keys in
+      let may_force = may_force @ List.map (fun k -> "r_" ^ k) may_force in
+      let unforced c =
+        List.for_all2
+          (fun name col -> List.mem name may_force || not (Column.materialized col))
+          (Schema.column_names (Columnar.schema c))
+          (Array.to_list (Table.columns (Columnar.to_table c)))
+      in
+      List.for_all
+        (fun pool ->
+          let lv = Columnar.select keep (Columnar.of_table lt)
+          and rv = Columnar.order_by ~descending:true [ "r_v" ] (Columnar.of_table rt) in
+          let grouped = Columnar.group_by ?pool ~keys ~aggs lv
+          and distinct = Columnar.distinct ?pool (Columnar.project keys lv)
+          and joined = Columnar.equi_join ?pool ~on:pairs lv rv in
+          unforced lv && unforced rv
+          && matches (Algebra.group_by ~keys ~aggs lrows) grouped
+          && matches (Algebra.distinct (Algebra.project keys lrows)) distinct
+          && matches (Algebra.equi_join ~on:pairs lrows rrows) joined
+          && matches (Algebra.order_by keys lrows) (Columnar.order_by keys lv))
+        [ None; Some (Mde_par.Pool.shared ~domains:2 ()) ])
+
+(* A lopsided join, left a tenth of right, on a composite (string, int)
+   key with duplicates and Nulls in both components on both sides: the
+   join hashes its left side, and with the sides swapped its right side.
+   Both orientations, pooled or not, and the bundle join emit exactly
+   the row oracle's pairs in its order. *)
+let test_lopsided_join_orientations () =
+  let rng = Mde_prob.Rng.create ~seed:23 () in
+  let side prefix rows =
+    let cell () =
+      let s =
+        if Mde_prob.Rng.int rng 12 = 0 then Value.Null
+        else v_str [| "ann"; "bob"; "" |].(Mde_prob.Rng.int rng 3)
+      in
+      let k = if Mde_prob.Rng.int rng 12 = 0 then Value.Null else v_int (Mde_prob.Rng.int rng 6) in
+      [| s; k; v_int (Mde_prob.Rng.int rng 1000) |]
+    in
+    Table.create
+      (Schema.of_list
+         [ (prefix ^ "s", Value.Tstring); (prefix ^ "k", Value.Tint); (prefix ^ "x", Value.Tint) ])
+      (List.init rows (fun _ -> cell ()))
+  in
+  let small = side "l_" 40 and large = side "r_" 400 in
+  let check label l r on =
+    let oracle = Algebra.equi_join ~on l r in
+    Alcotest.(check bool) (label ^ ": premise, pairs") true (Table.cardinality oracle > 40);
+    Mde_par.Pool.with_pool ~domains:2 (fun p ->
+        List.iter
+          (fun pool ->
+            Alcotest.(check bool) label true
+              (matches oracle
+                 (Columnar.equi_join ?pool ~on (Columnar.of_table l) (Columnar.of_table r))))
+          [ None; Some p ]);
+    Alcotest.(check bool) (label ^ ": bundle join") true
+      (tables_identical oracle
+         (Mde_mcdb.Bundle.to_instances
+            (Mde_mcdb.Bundle.join ~on
+               (Mde_mcdb.Bundle.of_table l ~n_reps:1)
+               (Mde_mcdb.Bundle.of_table r ~n_reps:1))).(0))
+  in
+  check "small left hashed" small large [ ("l_s", "r_s"); ("l_k", "r_k") ];
+  check "large left, right hashed" large small [ ("r_s", "l_s"); ("r_k", "l_k") ]
+
 (* Keys without a narrow native code — floats, an inexact int beside a
    float, boxed [Vvalues] cells, the empty key — take the dictionary
    and constant codes of each keyed operator's one packed path; each
@@ -1839,10 +1928,29 @@ let test_join_allocates_read_columns_only () =
     true
     (words < 5. *. float n)
 
+(* A lopsided join allocates for its large side only what it reads: key
+   codes and lookup ids, 2 words per right row. Marginal words per right
+   row as the right side grows from 20k to 40k rows against a 300-row
+   left, least of three calls; the matches grow by 600 pairs (0.06 words
+   per row). Hashing the right side instead cost 7.86 words per right
+   row, of which its open-addressing table was 6.5; this layout measures
+   2.06. *)
+let test_lopsided_join_allocation () =
+  let left = Columnar.of_table (int_table ~rows:300 ~keys:300 "l") in
+  let words rows =
+    let right = Columnar.of_table (int_table ~rows ~keys:10_000 "r") in
+    allocated_words (fun () -> Columnar.equi_join ~on:[ ("l0", "r0") ] left right)
+  in
+  let marginal = (words 40_000 -. words 20_000) /. 20_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "lopsided join: %.2f words per right row <= 3" marginal)
+    true (marginal <= 3.)
+
 (* A wide plan: a select above a join, then a group_by reading 2 of the
-   plan's 12 output columns. The other 10 stay unforced views through
-   Plan.execute's [to_table], of_table and group_by — [a] included: the
-   select forces the join's [a], and emits a fresh view of it. *)
+   plan's 12 output columns. All 12 stay unforced views through
+   Plan.execute's [to_table], of_table and group_by: the select reads the
+   join's [a], the group key encoding reads [g] and the aggregate reads
+   [x], each through its view's index. *)
 let test_plan_leaves_unread_columns_unforced () =
   let cat = Catalog.create () in
   Catalog.register cat "fact"
@@ -1867,12 +1975,11 @@ let test_plan_leaves_unread_columns_unforced () =
   let aggs = [ ("sx", Algebra.Sum (Expr.col "x")) ] in
   let joined = Plan.execute cat plan in
   let grouped = Columnar.group_by ~keys:[ "g" ] ~aggs (Columnar.of_table joined) in
-  let read = [ "g"; "x" ] in
   List.iteri
     (fun j name ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s %s" name (if List.mem name read then "forced" else "unforced"))
-        (List.mem name read)
+        (Printf.sprintf "%s unforced" name)
+        false
         (Column.materialized (Table.columns joined).(j)))
     (Schema.column_names (Table.schema joined));
   Alcotest.(check bool) "group_by == Algebra" true
@@ -2204,6 +2311,8 @@ let () =
           Alcotest.test_case "images domain-safe" `Quick test_table_images_domain_safe;
           Alcotest.test_case "join allocates read columns only" `Quick
             test_join_allocates_read_columns_only;
+          Alcotest.test_case "lopsided join allocates for what it reads" `Quick
+            test_lopsided_join_allocation;
           Alcotest.test_case "plan leaves unread columns unforced" `Quick
             test_plan_leaves_unread_columns_unforced;
           Alcotest.test_case "views domain-safe" `Quick test_views_domain_safe;
@@ -2229,6 +2338,8 @@ let () =
           Alcotest.test_case "wide ints exact" `Quick test_keycode_wide_ints;
           Alcotest.test_case "refusals and raw mode" `Quick test_keycode_refusals_and_raw;
           Alcotest.test_case "table first-seen ids" `Quick test_keycode_tbl_first_seen;
+          Alcotest.test_case "lopsided join, both orientations == algebra" `Quick
+            test_lopsided_join_orientations;
           Alcotest.test_case "order_by packed == comparator" `Quick
             test_order_by_packed_matches_comparator;
           Alcotest.test_case "dictionary keys == algebra" `Quick
@@ -2259,6 +2370,6 @@ let () =
           [ prop_select_conjunction; prop_join_count; prop_distinct_idempotent;
             prop_expr_total; prop_optimize_preserves_semantics;
             prop_columnar_matches_algebra; prop_columnar_join_mixed_keys;
-            prop_packed_matches_boxed; prop_plan_execute_bit_identity;
+            prop_packed_matches_boxed; prop_packed_views_match_boxed; prop_plan_execute_bit_identity;
             prop_table_images_agree; prop_view_chains ] );
     ]
