@@ -1,7 +1,7 @@
 type t = { r : int; c : int; a : float array }
 
 let create r c =
-  assert (r >= 0 && c >= 0);
+  if r < 0 || c < 0 then invalid_arg "Mat.create: dimensions must be non-negative";
   { r; c; a = Array.make (r * c) 0. }
 
 let init r c f =
@@ -15,9 +15,11 @@ let init r c f =
 
 let of_rows rows =
   let r = Array.length rows in
-  assert (r > 0);
+  if r = 0 then invalid_arg "Mat.of_rows: no rows";
   let c = Array.length rows.(0) in
-  Array.iter (fun row -> assert (Array.length row = c)) rows;
+  Array.iter
+    (fun row -> if Array.length row <> c then invalid_arg "Mat.of_rows: rows of unequal length")
+    rows;
   init r c (fun i j -> rows.(i).(j))
 
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
@@ -25,11 +27,11 @@ let rows m = m.r
 let cols m = m.c
 
 let get m i j =
-  assert (i >= 0 && i < m.r && j >= 0 && j < m.c);
+  if i < 0 || i >= m.r || j < 0 || j >= m.c then invalid_arg "Mat.get: index out of bounds";
   m.a.((i * m.c) + j)
 
 let set m i j v =
-  assert (i >= 0 && i < m.r && j >= 0 && j < m.c);
+  if i < 0 || i >= m.r || j < 0 || j >= m.c then invalid_arg "Mat.set: index out of bounds";
   m.a.((i * m.c) + j) <- v
 
 let copy m = { m with a = Array.copy m.a }
@@ -37,17 +39,17 @@ let transpose m = init m.c m.r (fun i j -> get m j i)
 let row m i = Array.init m.c (fun j -> get m i j)
 
 let add x y =
-  assert (x.r = y.r && x.c = y.c);
+  if x.r <> y.r || x.c <> y.c then invalid_arg "Mat.add: dimensions differ";
   { x with a = Array.mapi (fun k v -> v +. y.a.(k)) x.a }
 
 let sub x y =
-  assert (x.r = y.r && x.c = y.c);
+  if x.r <> y.r || x.c <> y.c then invalid_arg "Mat.sub: dimensions differ";
   { x with a = Array.mapi (fun k v -> v -. y.a.(k)) x.a }
 
 let scale s m = { m with a = Array.map (fun v -> s *. v) m.a }
 
 let mul x y =
-  assert (x.c = y.r);
+  if x.c <> y.r then invalid_arg "Mat.mul: inner dimensions differ";
   let out = create x.r y.c in
   for i = 0 to x.r - 1 do
     for k = 0 to x.c - 1 do
@@ -61,7 +63,7 @@ let mul x y =
   out
 
 let mul_vec m x =
-  assert (m.c = Array.length x);
+  if m.c <> Array.length x then invalid_arg "Mat.mul_vec: vector length differs from cols";
   Array.init m.r (fun i ->
       let acc = ref 0. in
       for j = 0 to m.c - 1 do
@@ -70,7 +72,8 @@ let mul_vec m x =
       !acc)
 
 let trans_mul_vec m x =
-  assert (m.r = Array.length x);
+  if m.r <> Array.length x then
+    invalid_arg "Mat.trans_mul_vec: vector length differs from rows";
   let out = Array.make m.c 0. in
   for i = 0 to m.r - 1 do
     let xi = x.(i) in
@@ -84,7 +87,7 @@ let trans_mul_vec m x =
 (* LU decomposition with partial pivoting (Doolittle). Returns the packed
    LU matrix, the pivot permutation, and the permutation sign. *)
 let lu_decompose m =
-  assert (m.r = m.c);
+  if m.r <> m.c then invalid_arg "Mat.lu_decompose: matrix is not square";
   let n = m.r in
   let lu = copy m in
   let piv = Array.init n (fun i -> i) in
@@ -125,7 +128,7 @@ let lu_decompose m =
 
 let lu_back_substitute lu piv b =
   let n = rows lu in
-  assert (Array.length b = n);
+  if Array.length b <> n then invalid_arg "Mat.lu_solve: b length differs from rows";
   let x = Array.init n (fun i -> b.(piv.(i))) in
   (* Forward: L y = Pb, L has unit diagonal. *)
   for i = 1 to n - 1 do
@@ -150,7 +153,7 @@ let lu_solve m b =
   lu_back_substitute lu piv b
 
 let lu_solve_many m b =
-  assert (m.r = b.r);
+  if m.r <> b.r then invalid_arg "Mat.lu_solve_many: row counts differ";
   let lu, piv, _ = lu_decompose m in
   let out = create b.r b.c in
   for j = 0 to b.c - 1 do
@@ -165,7 +168,7 @@ let lu_solve_many m b =
 let inverse m = lu_solve_many m (identity m.r)
 
 let cholesky m =
-  assert (m.r = m.c);
+  if m.r <> m.c then invalid_arg "Mat.cholesky: matrix is not square";
   let n = m.r in
   let l = create n n in
   for i = 0 to n - 1 do
@@ -185,7 +188,7 @@ let cholesky m =
 
 let cholesky_solve m b =
   let n = m.r in
-  assert (Array.length b = n);
+  if Array.length b <> n then invalid_arg "Mat.cholesky_solve: b length differs from rows";
   let l = cholesky m in
   (* Forward: L y = b. *)
   let y = Array.make n 0. in

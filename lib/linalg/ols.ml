@@ -16,8 +16,8 @@ let normal_matrix ?(ridge = 0.) x =
 
 let fit ?(ridge = 0.) x y =
   let n = Mat.rows x and p = Mat.cols x in
-  assert (Array.length y = n);
-  assert (n >= p && p > 0);
+  if Array.length y <> n then invalid_arg "Ols.fit: y length differs from the rows of x";
+  if p = 0 || n < p then invalid_arg "Ols.fit: x needs columns and at least as many rows";
   let xtx = normal_matrix ~ridge x in
   let xty = Mat.trans_mul_vec x y in
   let coefficients =
@@ -47,7 +47,7 @@ let predict_all f x = Mat.mul_vec x f.coefficients
 
 let standard_errors x _y f =
   let n = Mat.rows x and p = Mat.cols x in
-  assert (n > p);
+  if n <= p then invalid_arg "Ols.standard_errors: x needs more rows than columns";
   let sigma2 = f.residual_sum_of_squares /. float_of_int (n - p) in
   let inv = Mat.inverse (normal_matrix x) in
   Array.init p (fun j -> sqrt (sigma2 *. Mat.get inv j j))

@@ -2,14 +2,16 @@ type t = { lower : float array; diag : float array; upper : float array }
 
 let create ~lower ~diag ~upper =
   let n = Array.length diag in
-  assert (Array.length lower = n && Array.length upper = n);
+  if Array.length lower <> n || Array.length upper <> n then
+    invalid_arg "Tridiag.create: bands of unequal length";
   { lower; diag; upper }
 
 let dim t = Array.length t.diag
 
 let solve t b =
   let n = dim t in
-  assert (Array.length b = n && n > 0);
+  if n = 0 then invalid_arg "Tridiag.solve: empty system";
+  if Array.length b <> n then invalid_arg "Tridiag.solve: b length differs from the dimension";
   (* Thomas algorithm with forward sweep stored in scratch arrays. *)
   let c' = Array.make n 0. in
   let d' = Array.make n 0. in
@@ -31,7 +33,7 @@ let solve t b =
 
 let mul_vec t x =
   let n = dim t in
-  assert (Array.length x = n);
+  if Array.length x <> n then invalid_arg "Tridiag.mul_vec: x length differs from the dimension";
   Array.init n (fun i ->
       let acc = ref (t.diag.(i) *. x.(i)) in
       if i > 0 then acc := !acc +. (t.lower.(i) *. x.(i - 1));
@@ -40,7 +42,7 @@ let mul_vec t x =
 
 let row t i j =
   let n = dim t in
-  assert (i >= 0 && i < n && j >= 0 && j < n);
+  if i < 0 || i >= n || j < 0 || j >= n then invalid_arg "Tridiag.row: index out of bounds";
   if j = i then t.diag.(i)
   else if j = i - 1 then t.lower.(i)
   else if j = i + 1 then t.upper.(i)

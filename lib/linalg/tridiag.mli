@@ -12,19 +12,23 @@ type t = {
 }
 
 val create : lower:float array -> diag:float array -> upper:float array -> t
-(** Validates the three bands have equal length. *)
+(** Raises [Invalid_argument] unless the three bands have equal
+    length. *)
 
 val dim : t -> int
 
 val solve : t -> float array -> float array
 (** Thomas algorithm; O(n) time, not parallelizable across rows.
-    Raises [Failure] on a zero pivot. Inputs are not modified. *)
+    Raises [Failure] on a zero pivot, and [Invalid_argument] on an empty
+    system or a [b] of another length. Inputs are not modified. *)
 
 val mul_vec : t -> float array -> float array
-(** A x for a tridiagonal A. *)
+(** A x for a tridiagonal A; raises [Invalid_argument] unless [x] has
+    A's dimension. *)
 
 val row : t -> int -> int -> float
-(** [row t i j] is A(i,j) (0 outside the three bands). *)
+(** [row t i j] is A(i,j) (0 outside the three bands). Raises
+    [Invalid_argument] outside the matrix. *)
 
 val to_dense : t -> Mat.t
 

@@ -5,20 +5,20 @@ let init = Array.init
 let dim = Array.length
 let copy = Array.copy
 
-let check_same_dim x y = assert (Array.length x = Array.length y)
+let check_same_dim msg x y = if Array.length x <> Array.length y then invalid_arg msg
 
 let add x y =
-  check_same_dim x y;
+  check_same_dim "Vec.add: lengths differ" x y;
   Array.mapi (fun i xi -> xi +. y.(i)) x
 
 let sub x y =
-  check_same_dim x y;
+  check_same_dim "Vec.sub: lengths differ" x y;
   Array.mapi (fun i xi -> xi -. y.(i)) x
 
 let scale a x = Array.map (fun xi -> a *. xi) x
 
 let dot x y =
-  check_same_dim x y;
+  check_same_dim "Vec.dot: lengths differ" x y;
   let acc = ref 0. in
   for i = 0 to Array.length x - 1 do
     acc := !acc +. (x.(i) *. y.(i))
@@ -28,7 +28,7 @@ let dot x y =
 let norm2 x = sqrt (dot x x)
 
 let dist2 x y =
-  check_same_dim x y;
+  check_same_dim "Vec.dist2: lengths differ" x y;
   let acc = ref 0. in
   for i = 0 to Array.length x - 1 do
     let d = x.(i) -. y.(i) in
@@ -37,13 +37,13 @@ let dist2 x y =
   sqrt !acc
 
 let axpy a x y =
-  check_same_dim x y;
+  check_same_dim "Vec.axpy: lengths differ" x y;
   for i = 0 to Array.length x - 1 do
     y.(i) <- y.(i) +. (a *. x.(i))
   done
 
 let map2 f x y =
-  check_same_dim x y;
+  check_same_dim "Vec.map2: lengths differ" x y;
   Array.mapi (fun i xi -> f xi y.(i)) x
 
 let sum = Array.fold_left ( +. ) 0.

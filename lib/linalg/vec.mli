@@ -1,5 +1,7 @@
 (** Dense float vectors (thin wrappers over [float array] with the
-    arithmetic needed by the solvers, SGD, and kriging code). *)
+    arithmetic needed by the solvers, SGD, and kriging code). The
+    two-vector operations raise [Invalid_argument] when the lengths
+    differ, in every build profile. *)
 
 type t = float array
 

@@ -16,6 +16,7 @@ let survivors t = Bitset.popcount t.presence
 let row_survivors t i = Bitset.row_popcount t.presence i
 let realize_row t i r = Array.map (fun c -> Column.value c i r) t.columns
 let present t i r = Bitset.get t.presence i r
+let column t name = t.columns.(Schema.column_index t.schema name)
 
 (* --- observability -------------------------------------------------
 
@@ -64,25 +65,29 @@ let of_stochastic_table ?pool st rng ~n_reps =
       (Printf.sprintf
          "Bundle.of_stochastic_table: VG function %S is not row-stable" vg.Vg.name);
   let out_schema = Stochastic_table.schema st in
-  (* [params] takes no RNG: one evaluation per driver row serves every
-     repetition. *)
-  let params = Stochastic_table.driver_params st in
+  let n_rows = Table.cardinality (Stochastic_table.driver st) in
   (* One pre-split stream per repetition, consumed driver-row-major by
      the same routine [Stochastic_table.instantiate] runs on stream [r]
      in [instantiate_many] — so realization [r] of this bundle is naive
-     instance [r] by construction, and repetitions can run on the pool
-     without changing a single draw. *)
+     instance [r] by construction. [realize] steps a run of streams in
+     lock-step and writes each row's repetitions side by side: one run
+     writes the final rows × reps storage. On a pool, each domain's run
+     writes its own storage, null bits and string dictionary, and
+     [Column.of_realizations] interleaves the runs after the join; no
+     draw changes. *)
   let streams = Mde_prob.Rng.split_n rng n_reps in
-  let realized =
-    Mde_par.Pool.init ?pool ~site:"bundle.generate" n_reps (fun r ->
-        snd (Stochastic_table.realize ~params ~one_row:true st streams.(r)))
-  in
+  let n_runs = match pool with None -> 1 | Some p -> min n_reps (Mde_par.Pool.domains p) in
+  let realized = Array.make n_runs [||] in
+  Mde_par.Pool.iter ?pool ~site:"bundle.generate" n_runs (fun k ->
+      let lo = k * n_reps / n_runs and hi = (k + 1) * n_reps / n_runs in
+      realized.(k) <-
+        snd
+          (Stochastic_table.realize ~one_row:true st (Array.sub streams lo (hi - lo))));
   let columns =
     Array.mapi
       (fun j ty -> Column.of_realizations ~ty (Array.map (fun cols -> cols.(j)) realized))
       (column_types out_schema)
   in
-  let n_rows = Array.length params in
   {
     schema = out_schema;
     n_reps;
@@ -191,38 +196,79 @@ let join ~on left right =
 
 type agg = Count | Sum of Expr.t | Avg of Expr.t | Min of Expr.t | Max of Expr.t
 
-type group_state = {
-  counts : int array;  (* per rep *)
-  sums : float array array;  (* per agg, per rep *)
-  mins : float array array;
-  maxs : float array array;
-  agg_counts : int array array;  (* per agg: rows contributing per rep *)
-}
+(* One aggregate's per-(group, repetition) accumulators, flat at cell
+   [g * reps + r]: the value fed so far (a sum, or the least or greatest
+   value) and how many non-null values fed it. *)
+type acc = { xs : float array; ns : int array }
+
+(* Feed the values [v] at the kept positions into [acc]; [cell.(j)] is
+   the accumulator cell of kept position [j]. Per cell, values arrive in
+   row order, so each repetition's float sums keep their bits. *)
+let accumulate agg acc cell (v : float array Kernel.vec) (kept : Kernel.selection) =
+  let data = v.data and nulls = v.nulls and xs = acc.xs and ns = acc.ns in
+  let nullable = Bytes.length nulls > 0 in
+  match agg with
+  | Count -> ()
+  | Sum _ | Avg _ ->
+    for j = 0 to kept.n - 1 do
+      let k = kept.pos.(j) in
+      if not (nullable && Bytes.unsafe_get nulls k <> '\000') then begin
+        let c = cell.(j) in
+        xs.(c) <- xs.(c) +. data.(k);
+        ns.(c) <- ns.(c) + 1
+      end
+    done
+  | Min _ ->
+    for j = 0 to kept.n - 1 do
+      let k = kept.pos.(j) in
+      if not (nullable && Bytes.unsafe_get nulls k <> '\000') then begin
+        let c = cell.(j) and x = data.(k) in
+        if x < xs.(c) then xs.(c) <- x;
+        ns.(c) <- ns.(c) + 1
+      end
+    done
+  | Max _ ->
+    for j = 0 to kept.n - 1 do
+      let k = kept.pos.(j) in
+      if not (nullable && Bytes.unsafe_get nulls k <> '\000') then begin
+        let c = cell.(j) and x = data.(k) in
+        if x > xs.(c) then xs.(c) <- x;
+        ns.(c) <- ns.(c) + 1
+      end
+    done
 
 (* One sweep over the present cells: test, derive, then accumulate each
    block in row order, so per-rep float sums keep their bits whether or
    not the blocks were evaluated on the pool. *)
 let sweep_plan ?pool t ~pred ~keys ~aggs agg_nodes =
   let key_cols = det_key_columns t (List.map (Schema.column_index t.schema) keys) in
-  let n_aggs = Array.length agg_nodes and reps = t.n_reps in
-  let fresh () =
-    {
-      counts = Array.make reps 0;
-      sums = Array.init n_aggs (fun _ -> Array.make reps 0.);
-      mins = Array.init n_aggs (fun _ -> Array.make reps infinity);
-      maxs = Array.init n_aggs (fun _ -> Array.make reps neg_infinity);
-      agg_counts = Array.init n_aggs (fun _ -> Array.make reps 0);
-    }
-  in
+  let reps = t.n_reps in
   (* Keying: one packed Keycode word per row, first-seen group ids, and
-     each group's key values read back from its first row. *)
-  let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
-  let states = Array.map (fun _ -> fresh ()) firsts in
+     each group's key values read back from its first row. A global
+     aggregate is one group (no ids), emitted even over no tuples. *)
+  let ids, firsts, n_groups =
+    match keys with
+    | [] -> ([||], [||], 1)
+    | _ ->
+      let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
+      (ids, firsts, Array.length firsts)
+  in
+  let n_cells = n_groups * reps in
+  let counts = Array.make n_cells 0 in
+  let aggs = Array.of_list (List.map snd aggs) in
+  let accs =
+    Array.map
+      (fun agg ->
+        let x0 = match agg with Min _ -> infinity | Max _ -> neg_infinity | _ -> 0. in
+        { xs = Array.make n_cells x0; ns = Array.make n_cells 0 })
+      aggs
+  in
   Kernel.sweep ?pool ~site:"bundle.sweep" ~presence:t.presence ~rows:t.n_rows ~reps (fun f ->
       let kept, keep =
         match pred with Some p -> Kernel.filter p f | None -> (f.all, ignore)
       in
       let srcs = Array.map (Option.map (fun node -> Kernel.floats node f)) agg_nodes in
+      let cell = Array.make (Array.length f.all.pos) 0 in
       ( (fun () ->
           keep f.all;
           Array.iter (Option.iter (fun (v : float array Kernel.vec) -> v.fill kept)) srcs),
@@ -230,50 +276,30 @@ let sweep_plan ?pool t ~pred ~keys ~aggs agg_nodes =
           for j = 0 to kept.n - 1 do
             let k = kept.pos.(j) in
             let i = f.rowix.(k) in
-            let r = f.lo + k - (i * reps) and state = states.(ids.(i)) in
-            state.counts.(r) <- state.counts.(r) + 1;
-            for a = 0 to n_aggs - 1 do
-              match srcs.(a) with
-              | None -> ()
-              | Some v ->
-                if Bytes.length v.nulls = 0 || Bytes.unsafe_get v.nulls k = '\000' then begin
-                  let x = v.data.(k) in
-                  let sums = state.sums.(a) and mins = state.mins.(a) and maxs = state.maxs.(a) in
-                  sums.(r) <- sums.(r) +. x;
-                  if x < mins.(r) then mins.(r) <- x;
-                  if x > maxs.(r) then maxs.(r) <- x;
-                  state.agg_counts.(a).(r) <- state.agg_counts.(a).(r) + 1
-                end
-            done
-          done ));
-  let finish (key, state) =
-    let per_agg =
-      Array.of_list
-        (List.mapi
-           (fun a (_, agg) ->
-             Array.init t.n_reps (fun r ->
-                 match agg with
-                 | Count -> float_of_int state.counts.(r)
-                 | Sum _ -> state.sums.(a).(r)
-                 | Avg _ ->
-                   if state.agg_counts.(a).(r) = 0 then nan
-                   else state.sums.(a).(r) /. float_of_int state.agg_counts.(a).(r)
-                 | Min _ ->
-                   if state.agg_counts.(a).(r) = 0 then nan else state.mins.(a).(r)
-                 | Max _ ->
-                   if state.agg_counts.(a).(r) = 0 then nan else state.maxs.(a).(r)))
-           aggs)
-    in
-    (key, per_agg)
+            let g = if Array.length ids = 0 then 0 else ids.(i) in
+            let c = (g * reps) + f.lo + k - (i * reps) in
+            cell.(j) <- c;
+            counts.(c) <- counts.(c) + 1
+          done;
+          Array.iteri
+            (fun a src -> Option.iter (fun v -> accumulate aggs.(a) accs.(a) cell v kept) src)
+            srcs ));
+  let finish g =
+    let base = g * reps in
+    Array.mapi
+      (fun a agg ->
+        let { xs; ns } = accs.(a) in
+        Array.init reps (fun r ->
+            let c = base + r in
+            match agg with
+            | Count -> float_of_int counts.(c)
+            | Sum _ -> xs.(c)
+            | Avg _ -> if ns.(c) = 0 then nan else xs.(c) /. float_of_int ns.(c)
+            | Min _ | Max _ -> if ns.(c) = 0 then nan else xs.(c)))
+      aggs
   in
-  match (firsts, keys) with
-  | [||], [] ->
-    (* No tuples at all and a global group: zero counts and sums, nan
-       moments. *)
-    [ finish ([||], fresh ()) ]
-  | _ ->
-    List.init (Array.length firsts) (fun g ->
-        finish (Array.map (fun c -> Column.value c firsts.(g) 0) key_cols, states.(g)))
+  List.init n_groups (fun g ->
+      (Array.map (fun c -> Column.value c firsts.(g) 0) key_cols, finish g))
 
 (* [None] when the plan derives columns and a derivation, or an
    aggregate over the derived schema, falls back: interpreting such a

@@ -39,13 +39,17 @@ val of_stochastic_table :
   ?pool:Mde_par.Pool.t -> Stochastic_table.t -> Mde_prob.Rng.t -> n_reps:int -> t
 (** Instantiate all repetitions at once, one pre-split RNG stream per
     repetition ([?pool] parallelizes over repetitions, bit-identically).
-    [params] runs once per driver row, and each repetition runs
     [Stochastic_table.realize] — the routine behind
-    [Stochastic_table.instantiate] — on its stream, so realization [r]
-    is naive instance [r] by construction. Each column is then assembled
-    from its realizations with [Column.of_realizations]: a pass-through
-    driver column, or one whose cells are identical in every repetition
-    (same constructor, bitwise floats), is stored deterministically.
+    [Stochastic_table.instantiate] — steps the repetitions' streams in
+    lock-step, so realization [r] is naive instance [r] by construction,
+    and [params] runs once per driver row (once per domain's run of
+    repetitions on a pool). Each row's cells are written side by side,
+    straight into the column's rows × reps storage (on a pool, each
+    run's into its own, interleaved by {!Column.of_realizations} after
+    the join): a driver column every repetition passes through is
+    shared, not copied, and one whose cells are identical in every
+    repetition (same constructor, bitwise floats) is stored
+    deterministically.
     Raises [Invalid_argument] if the table's VG function is not
     row-stable, emits other than one row for a driver row, or
     [n_reps < 1], and, like [Stochastic_table.instantiate], when a
@@ -72,6 +76,10 @@ val realize_row : t -> int -> int -> Table.row
 (** [realize_row b i r]: row [i]'s values in repetition [r]. *)
 
 val present : t -> int -> int -> bool
+
+val column : t -> string -> Column.t
+(** The named attribute's storage: deterministic (one slot per row), or
+    rows × reps slots. Raises [Not_found] for an unknown name. *)
 
 val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
 (** Narrow presence by the predicate, tested on the present cells

@@ -27,8 +27,6 @@ let generate_for_row t rng driver_row =
   let vg_rows = t.vg.Vg.generate rng param_tables in
   List.map (fun vg_row -> t.combine driver_row vg_row) vg_rows
 
-let driver_params t = Array.map t.params (Table.rows t.driver)
-
 (* Where output column [j]'s cells come from so far. *)
 type source =
   | Undecided  (** no output row yet *)
@@ -37,7 +35,11 @@ type source =
           the column is the driver's column [k] *)
   | Own of Column.builder  (** the cells are pushed as they arrive *)
 
-let realize ?params ~one_row t rng =
+let realize ~one_row t streams =
+  let reps = Array.length streams in
+  if reps < 1 then invalid_arg "Stochastic_table.realize: no streams";
+  if reps > 1 && not one_row then
+    invalid_arg "Stochastic_table.realize: several streams need ~one_row:true";
   let cols = Schema.column_array t.schema in
   let arity = Array.length cols in
   let dcols = Schema.column_array (Table.schema t.driver) in
@@ -65,13 +67,19 @@ let realize ?params ~one_row t rng =
       in
       o.(!n) <- i
   in
-  let own j = Column.builder ~ty:cols.(j).ty ~det:true ~reps:1 ~rows:(max n_driver 1) in
+  (* Row-major: output row [m]'s cells for streams [0 .. reps - 1] sit
+     side by side, as the bundle stores them. *)
+  let own j =
+    Column.builder ~ty:cols.(j).ty ~det:(reps = 1) ~reps ~rows:(max n_driver 1)
+  in
   (* A mistyped cell raises exactly what [Table.of_rows] raises on its
      row: the shared driver cells before it are well typed. *)
   let push row b v =
     try Column.push b v with Column.Untyped -> Table.check_row t.schema row
   in
-  let emit d row =
+  (* Output row [!n]'s cells from stream [r]: [row], combined from
+     driver row [d]. *)
+  let emit d r row =
     if Array.length row <> arity then Table.check_row t.schema row;
     for j = 0 to arity - 1 do
       let v = row.(j) in
@@ -81,7 +89,13 @@ let realize ?params ~one_row t rng =
         if v != d.(k) then begin
           let b = own j in
           for m = 0 to !n - 1 do
-            Column.push b drows.(origin_of m).(k)
+            let c = drows.(origin_of m).(k) in
+            for _ = 1 to reps do
+              Column.push b c
+            done
+          done;
+          for _ = 1 to r do
+            Column.push b d.(k)
           done;
           push row b v;
           sources.(j) <- Own b
@@ -98,29 +112,33 @@ let realize ?params ~one_row t rng =
         in
         sources.(j) <- find 0
     done;
-    incr n
-  in
-  let rec combine_all i d = function
-    | [] -> ()
-    | vg_row :: rest ->
-      let row = t.combine d vg_row in
-      track i;
-      emit d row;
-      combine_all i d rest
+    if r = reps - 1 then incr n
   in
   for i = 0 to n_driver - 1 do
     let d = drows.(i) in
-    let ps = match params with Some ps -> ps.(i) | None -> t.params d in
-    let vg_rows = t.vg.Vg.generate rng ps in
-    (match vg_rows with
-    | [ _ ] -> ()
-    | _ ->
-      if one_row then
-        invalid_arg
-          (Printf.sprintf "Stochastic_table: VG %S emitted %d rows for one driver row (expected 1)"
-             t.vg.Vg.name (List.length vg_rows));
-      if Option.is_none !origin then origin := Some (Array.init (max 16 (2 * !n)) Fun.id));
-    combine_all i d vg_rows
+    (* [params] takes no RNG: one evaluation serves every stream. *)
+    let ps = t.params d in
+    for r = 0 to reps - 1 do
+      match t.vg.Vg.generate streams.(r) ps with
+      | [ vg_row ] ->
+        let row = t.combine d vg_row in
+        track i;
+        emit d r row
+      | vg_rows ->
+        if one_row then
+          invalid_arg
+            (Printf.sprintf
+               "Stochastic_table: VG %S emitted %d rows for one driver row (expected 1)"
+               t.vg.Vg.name (List.length vg_rows));
+        (* One stream here: several need [one_row]. *)
+        if Option.is_none !origin then origin := Some (Array.init (max 16 (2 * !n)) Fun.id);
+        List.iter
+          (fun vg_row ->
+            let row = t.combine d vg_row in
+            track i;
+            emit d 0 row)
+          vg_rows
+    done
   done;
   let n = !n in
   (* Pass-through columns share the driver's cached columns; when the
@@ -135,13 +153,15 @@ let realize ?params ~one_row t rng =
   ( n,
     Array.mapi
       (fun j -> function
-        | Pass k -> (Lazy.force passed).(k)
+        | Pass k ->
+          let c = (Lazy.force passed).(k) in
+          if reps = 1 then c else Column.of_realizations ~ty:cols.(j).ty (Array.make reps c)
         | Own b -> Column.finish b
         | Undecided -> Column.finish (own j))
       sources )
 
 let instantiate t rng =
-  let n, cols = realize ~one_row:false t rng in
+  let n, cols = realize ~one_row:false t [| rng |] in
   Table.of_columns t.schema ~rows:n cols
 
 let instantiate_many ?pool t rng n =

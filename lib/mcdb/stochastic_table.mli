@@ -43,35 +43,38 @@ val generate_for_row : t -> Mde_prob.Rng.t -> Table.row -> Table.row list
     construction {!instantiate} performs, as boxed rows (the reference
     tests compare realizations against). *)
 
-val driver_params : t -> Table.t list array
-(** The parameter tables of every driver row, in driver order: [params]
-    takes no RNG, so one evaluation per driver row serves every
-    realization. *)
-
 val realize :
-  ?params:Table.t list array ->
   one_row:bool ->
   t ->
-  Mde_prob.Rng.t ->
+  Mde_prob.Rng.t array ->
   int * Column.t array
-(** The one realization routine behind {!instantiate} and
-    [Bundle.of_stochastic_table]: the number of output rows and the
-    output's deterministic columns in schema order. Driver rows are
-    visited in order; each calls [params] (or reads [params.(i)] when
-    given), then the VG function once on [rng], then [combine] on each
-    VG row in turn, so the stream is consumed exactly as
-    {!generate_for_row} row after row would consume it.
+(** The one realization routine behind {!instantiate} (one stream) and
+    [Bundle.of_stochastic_table] (a run of repetitions' streams): the
+    number of output rows and the output's columns in schema order, of
+    one repetition per stream. Driver rows are visited in order; each
+    calls [params] once (it takes no RNG, so one evaluation serves every
+    stream), then, for each stream [r] in turn, the VG function once on [streams.(r)] and
+    [combine] on each VG row, so every stream is consumed exactly as
+    {!generate_for_row} row after row would consume it alone: the
+    repetitions advance in lock-step, and repetition [r] is the instance
+    stream [r] alone gives.
 
-    Combined cells go straight into typed columns. An output column
-    whose every cell is physically ([==]) the same driver cell of its
+    Combined cells go straight into typed storage, row by row with a
+    row's repetitions side by side: a deterministic column for one
+    stream, rows × reps storage for several (not compressed: see
+    {!Column.of_realizations}). An output column whose every cell, in
+    every repetition, is physically ([==]) the same driver cell of its
     row, with the same declared type, is not copied: it is the driver's
     cached column ([Table.columns]), or a [Column.gather] view of it
-    when the VG did not emit exactly one row per driver row. Every
-    [combine] that passes driver cells through takes this path.
+    when the VG did not emit exactly one row per driver row, with one
+    repetition per stream. Every [combine] that passes driver cells
+    through takes this path; one that stops passing them mid-run gets
+    typed storage, backfilled with the cells passed so far.
 
     With [~one_row:true], a driver row whose VG emits other than one row
-    raises [Invalid_argument]. A combined row of the wrong arity, or a
-    non-null cell whose type is not its column's, raises the
+    raises [Invalid_argument]; several streams need [~one_row:true], and
+    no stream raises [Invalid_argument]. A combined row of the wrong
+    arity, or a non-null cell whose type is not its column's, raises the
     [Invalid_argument] [Table.of_rows] raises on that row, as soon as
     the row is combined: when several rows are bad, the one reported is
     the first combined, and an error the VG function or [combine] would

@@ -37,26 +37,34 @@ let create ?(seed = 0x139408DCBBF7A44) () =
 
 let copy = Bytes.copy
 
-(* One xoshiro256** step: load the state, compute the output, store the
-   advanced state. Every draw goes through here. *)
-let[@inline] bits64 t =
+(* The xoshiro256** state update from the loaded state: every draw and
+   every skipped draw goes through here. *)
+let[@inline] step t s0 s1 s2 s3 =
   let open Int64 in
-  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
-  let result = mul (rotl (mul s1 5L) 7) 9L in
   let u = shift_left s1 17 in
   let s2 = logxor s2 s0 in
   let s3 = logxor s3 s1 in
-  let s1 = logxor s1 s2 in
-  let s0 = logxor s0 s3 in
-  let s2 = logxor s2 u in
-  let s3 = rotl s3 45 in
-  set64 t 0 s0;
-  set64 t 8 s1;
-  set64 t 16 s2;
-  set64 t 24 s3;
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 u);
+  set64 t 24 (rotl s3 45)
+
+(* One xoshiro256** draw: load the state, compute the output, advance
+   the state. *)
+let[@inline] bits64 t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.(mul (rotl (mul s1 5L) 7) 9L) in
+  step t s0 s1 s2 s3;
   result
 
 let split t = of_seed64 (bits64 t)
+
+(* [bits64]'s state update without its output: nothing is boxed. *)
+let advance t n =
+  if n < 0 then invalid_arg "Rng.advance: n must be non-negative";
+  for _ = 1 to n do
+    step t (get64 t 0) (get64 t 8) (get64 t 16) (get64 t 24)
+  done
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: n must be non-negative";

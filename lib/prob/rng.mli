@@ -33,6 +33,13 @@ val split : t -> t
 (** [split rng] advances [rng] and returns a fresh generator whose stream
     is statistically independent of the remainder of [rng]'s stream. *)
 
+val advance : t -> int -> unit
+(** [advance rng n] moves [rng] past its next [n] outputs, as [n] calls
+    of {!bits64} would, allocating nothing. Since {!split} consumes
+    exactly one output, [advance rng n] followed by [split rng] yields
+    element [n] of [split_n rng (n + 1)].
+    @raise Invalid_argument if [n < 0]. *)
+
 val split_n : t -> int -> t array
 (** [split_n rng n] returns [n] independent generators.
     @raise Invalid_argument if [n < 0]. *)

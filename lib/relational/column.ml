@@ -435,91 +435,134 @@ let value t i r =
 
 (* --- realizations ---------------------------------------------------- *)
 
-(* Whether row [i] of two deterministic storages holds the same cell in
-   the sense of [Value.identical]: the same constructor and, for floats,
-   the same bits. Typed storages compare in place. *)
-let same_cell a b i =
-  match (a.data, b.data) with
-  | Floats x, Floats y ->
-    let null = null_at a.nulls i 0 in
-    null = null_at b.nulls i 0
-    && (null || Value.same_float (Array1.get x i) (Array1.get y i))
-  | Ints x, Ints y | Bools x, Bools y ->
-    let null = null_at a.nulls i 0 in
-    null = null_at b.nulls i 0 && (null || x.(i) = y.(i))
-  | Strings x, Strings y ->
-    let cx = x.codes.(i) and cy = y.codes.(i) in
-    if cx < 0 || cy < 0 then cx < 0 && cy < 0
-    else (x.dict == y.dict && cx = cy) || String.equal x.dict.(cx) y.dict.(cy)
-  | (Floats _ | Ints _ | Bools _ | Strings _ | Values _), _ ->
-    Value.identical (read a ~slot:i ~row:i ~rep:0) (read b ~slot:i ~row:i ~rep:0)
-
-(* Append row [i] of deterministic storage [src] to [b], typed to typed
-   without boxing. *)
-let push_row b src i =
+(* Append cell [(i, r)] of column [c]'s storage [src] to [b], typed to
+   typed without boxing. *)
+let push_cell b c src i r =
+  let slot, rep = if c.cdet then (i, 0) else ((i * c.creps) + r, r) in
   reserve b;
   let s = b.len in
   (match (b.cells, src.data) with
-  | Cfloats c, Floats a ->
-    Array1.set c.fdata s (Array1.get a i);
-    if null_at src.nulls i 0 then mark_null b s
-  | Cints c, Ints a ->
-    c.idata.(s) <- a.(i);
-    if null_at src.nulls i 0 then mark_null b s
-  | Cbools c, Bools a ->
-    c.bdata.(s) <- a.(i);
-    if null_at src.nulls i 0 then mark_null b s
-  | Cstrings c, Strings { codes; dict } ->
-    let k = codes.(i) in
-    if k >= 0 then c.codes.(s) <- intern b dict.(k)
-  | (Cfloats _ | Cints _ | Cbools _ | Cstrings _), _ ->
-    set b s (read src ~slot:i ~row:i ~rep:0));
+  | Cfloats cs, Floats a ->
+    Array1.set cs.fdata s (Array1.get a slot);
+    if null_at src.nulls i rep then mark_null b s
+  | Cints cs, Ints a ->
+    cs.idata.(s) <- a.(slot);
+    if null_at src.nulls i rep then mark_null b s
+  | Cbools cs, Bools a ->
+    cs.bdata.(s) <- a.(slot);
+    if null_at src.nulls i rep then mark_null b s
+  | Cstrings cs, Strings { codes; dict } ->
+    let k = codes.(slot) in
+    if k >= 0 then cs.codes.(s) <- intern b dict.(k)
+  | (Cfloats _ | Cints _ | Cbools _ | Cstrings _), _ -> set b s (read src ~slot ~row:i ~rep));
   b.len <- s + 1
 
-let of_realizations ~ty cols =
-  let reps = Array.length cols in
-  if reps < 1 then invalid_arg "Column.of_realizations: no realizations";
-  let c0 = cols.(0) in
-  let rows = c0.crows in
-  if not (Array.for_all (fun c -> c.cdet && c.crows = rows) cols) then
-    invalid_arg "Column.of_realizations: expects deterministic columns of equal length";
-  (* Rep 0's column serves every repetition when all are one column, or
-     when every row holds identical cells across them. *)
-  let stable () =
-    let st = Array.map storage cols in
+(* Whether every row of rows × reps storage holds one cell in all its
+   slots in the sense of [Value.identical]: the same constructor and,
+   for floats, the same bits. The data under a null is not compared:
+   nothing defines it. *)
+let stable ~rows ~reps { data; nulls } =
+  let rows_agree same =
     let rec row i =
       i = rows
       ||
-      let rec rep r = r = reps || (same_cell st.(0) st.(r) i && rep (r + 1)) in
+      let base = i * reps and null = null_at nulls i 0 in
+      let rec rep r =
+        r = reps
+        || null_at nulls i r = null
+           && (null || same base (base + r))
+           && rep (r + 1)
+      in
       rep 1 && row (i + 1)
     in
-    (st, row 0)
+    row 0
   in
-  if Array.for_all (fun c -> c == c0) cols then { c0 with creps = reps }
+  match data with
+  | Floats a -> rows_agree (fun s0 s -> Value.same_float (Array1.get a s0) (Array1.get a s))
+  | Ints a | Bools a -> rows_agree (fun s0 s -> a.(s0) = a.(s))
+  | Strings { codes; _ } -> rows_agree (fun s0 s -> codes.(s0) = codes.(s))
+  | Values a -> rows_agree (fun s0 s -> Value.identical a.(s0) a.(s))
+
+(* A rows × reps column stored deterministically when it is stable:
+   every row keeps the cell of its first slot. *)
+let compress c =
+  if c.cdet || c.creps = 1 then c
   else
-    match stable () with
-    | _, true -> { c0 with creps = reps }
-    | st, false -> (
-      (* Interleave: slot [i * reps + r] is row [i] of realization [r]. *)
-      match
-        let b = builder ~ty ~det:false ~reps ~rows in
-        for i = 0 to rows - 1 do
-          for r = 0 to reps - 1 do
-            push_row b st.(r) i
-          done
-        done;
-        finish b
-      with
-      | c -> c
-      | exception Untyped ->
-        built ~det:false ~rows ~reps
-          (Values
-             (Array.init (rows * reps) (fun s ->
-                  let i = s / reps in
-                  read st.(s mod reps) ~slot:i ~row:i ~rep:0)))
-          None)
+    let rows = c.crows and reps = c.creps in
+    let ({ data; nulls } as st) = storage c in
+    if not (stable ~rows ~reps st) then c
+    else
+      let first a = Array.init rows (fun i -> a.(i * reps)) in
+      let data =
+        match data with
+        | Floats a ->
+          let d = Array1.create Bigarray.float64 Bigarray.c_layout rows in
+          for i = 0 to rows - 1 do
+            Array1.unsafe_set d i (Array1.get a (i * reps))
+          done;
+          Floats d
+        | Ints a -> Ints (first a)
+        | Bools a -> Bools (first a)
+        | Strings { codes; dict } -> Strings { codes = first codes; dict }
+        | Values a -> Values (first a)
+      in
+      let nulls =
+        Option.map
+          (fun m ->
+            let d = Bitset.create ~rows ~reps:1 false in
+            for i = 0 to rows - 1 do
+              if Bitset.get m i 0 then Bitset.set d i 0
+            done;
+            d)
+          nulls
+      in
+      built ~det:true ~rows ~reps data nulls
+
+let of_realizations ~ty cols =
+  if Array.length cols = 0 then invalid_arg "Column.of_realizations: no realizations";
+  let c0 = cols.(0) in
+  let rows = c0.crows in
+  if not (Array.for_all (fun c -> c.crows = rows) cols) then
+    invalid_arg "Column.of_realizations: expects columns of equal length";
+  let reps = Array.fold_left (fun n c -> n + c.creps) 0 cols in
+  (* One deterministic column serves every repetition. *)
+  if Array.for_all (fun c -> c.cdet && c.state == c0.state) cols then { c0 with creps = reps }
+  else
+    match cols with
+    | [| c |] -> compress c
+    | _ ->
+      (* Interleave: each row holds [cols.(0)]'s repetitions, then
+         [cols.(1)]'s, and so on. *)
+      let st = Array.map storage cols in
+      let interleaved =
+        match
+          let b = builder ~ty ~det:false ~reps ~rows in
+          for i = 0 to rows - 1 do
+            Array.iteri
+              (fun k c ->
+                for r = 0 to c.creps - 1 do
+                  push_cell b c st.(k) i r
+                done)
+              cols
+          done;
+          finish b
+        with
+        | c -> c
+        | exception Untyped ->
+          let cells = Array.make (rows * reps) Value.Null and s = ref 0 in
+          for i = 0 to rows - 1 do
+            Array.iter
+              (fun c ->
+                for r = 0 to c.creps - 1 do
+                  cells.(!s) <- value c i r;
+                  incr s
+                done)
+              cols
+          done;
+          built ~det:false ~rows ~reps (Values cells) None
+      in
+      compress interleaved
 
 let of_cells ~ty ~rows ~reps get =
   if reps < 1 then invalid_arg "Column.of_cells: reps must be >= 1";
-  of_realizations ~ty
-    (Array.init reps (fun r -> build ~ty ~det:true ~rows ~reps:1 (fun i -> get i r)))
+  compress (build ~ty ~det:(reps = 1) ~rows ~reps (fun s -> get (s / reps) (s mod reps)))

@@ -65,21 +65,26 @@ val rows : t -> int
 val reps : t -> int
 
 val of_cells : ty:Value.ty -> rows:int -> reps:int -> (int -> int -> Value.t) -> t
-(** Build from a cell reader [get i r]: each repetition's cells become a
-    deterministic column, combined by {!of_realizations}. Typed storage
+(** Build from a cell reader [get i r], read row by row. Typed storage
     follows [ty], degrading to boxed storage if any cell's type
-    contradicts it. *)
+    contradicts it; a column whose every row holds identical cells
+    across its repetitions is stored deterministically, as by
+    {!of_realizations}. *)
 
 val of_realizations : ty:Value.ty -> t array -> t
-(** [of_realizations ~ty cols] is the column whose repetition [r] is the
-    deterministic column [cols.(r)] (all of equal length): a bundle
-    column assembled from its per-repetition realizations. When every
-    [cols.(r)] is physically [cols.(0)], or every row holds identical
-    cells across them ({!Value.identical}: same constructor, bitwise
-    floats, so [0.] and [-0.] stay apart), the result shares [cols.(0)]'s
-    storage as a deterministic column. Otherwise the cells are
-    interleaved into rows × reps typed storage, degrading to boxed
-    storage like {!of_cells}. *)
+(** [of_realizations ~ty cols] is the column whose repetitions are
+    [cols.(0)]'s, then [cols.(1)]'s, and so on (all of equal length): a
+    bundle column assembled from realizations generated apart, one
+    repetition or a run of them each. When every [cols.(k)] is
+    deterministic with the storage of [cols.(0)], the result shares that
+    storage. Otherwise the cells are interleaved into rows × reps typed
+    storage (copied only when there are several [cols]), degrading to
+    boxed storage like {!of_cells}, and a column whose every row holds
+    identical cells across all repetitions ({!Value.identical}: same
+    constructor, bitwise floats, so [0.] and [-0.] stay apart; what a
+    Null slot stores is not compared) is stored deterministically.
+    Raises [Invalid_argument] on no columns or columns of different
+    lengths. *)
 
 val of_det_cells : ty:Value.ty -> rows:int -> reps:int -> (int -> Value.t) -> t
 (** Deterministic column from a per-row reader (wrapping a plain table);

@@ -314,8 +314,7 @@ let execute ~clock ~model ~kind ~seed ~per_unit_cost ~time_left =
       let q, ci = Est.tail_estimate samples ~p ~level:0.95 in
       (q, Some ci)
     | Chain_model { chain; query }, Chain_mean { steps; _ } ->
-      let series = Chain.monte_carlo chain (Rng.create ~seed ()) ~steps ~reps:units ~query in
-      let finals = Array.map (fun row -> row.(steps)) series in
+      let finals = Chain.final_values chain (Rng.create ~seed ()) ~steps ~reps:units ~query in
       let est = Est.of_samples finals in
       (est.Est.mean, Some est.Est.ci95)
     | Composite stages, Composite_estimate { alpha; _ } ->
@@ -471,14 +470,12 @@ let serve t request =
    paths pre-split one stream per replication off a fresh seed root
    ([Rng.split_n], or [Bundle.of_stochastic_table]'s internal split),
    and [Rng.split] consumes exactly one [bits64] of its parent. So the
-   root advanced past the first [lo] splits yields streams lo, lo+1, …
+   root advanced past its first [lo] outputs yields streams lo, lo+1, …
    of the full run — which is what makes an incremental batch
    bit-identical to the same slice of any larger one-shot execution. *)
 let slice_root ~seed ~lo =
   let root = Rng.create ~seed () in
-  for _ = 1 to lo do
-    ignore (Rng.split root)
-  done;
+  Rng.advance root lo;
   root
 
 let refinement_key t request =
@@ -505,8 +502,7 @@ let sample_batch t request ~lo ~hi =
   | Bundle_model { db; table; plan }, (Mcdb_mean _ | Mcdb_tail _) ->
     Database.plan_samples ?pool db root ~table ~reps plan
   | Chain_model { chain; query }, Chain_mean { steps; _ } ->
-    let series = Chain.monte_carlo ?pool chain root ~steps ~reps ~query in
-    Array.map (fun row -> row.(steps)) series
+    Chain.final_values ?pool chain root ~steps ~reps ~query
   | Composite _, Composite_estimate _ ->
     invalid_arg
       "Server.sample_batch: composite estimates consume their RNG sequentially; \

@@ -22,27 +22,44 @@ type t = {
   transition : Rng.t -> state -> state;
 }
 
+(* The one stepping loop: D[0] then [steps] transitions, each state
+   handed to [visit] with its index; returns D[steps]. *)
+let run t rng ~steps visit =
+  let state = ref (t.initial rng) in
+  visit 0 !state;
+  for i = 1 to steps do
+    state := t.transition rng !state;
+    visit i !state
+  done;
+  !state
+
 let simulate t rng ~steps =
   (* Not an assert: validation must survive [-noassert] builds. *)
   if steps < 0 then invalid_arg "Chain.simulate: steps must be non-negative";
   let states = Array.make (steps + 1) String_map.empty in
-  states.(0) <- t.initial rng;
-  for i = 1 to steps do
-    states.(i) <- t.transition rng states.(i - 1)
-  done;
+  ignore (run t rng ~steps (fun i s -> states.(i) <- s));
   states
 
 let simulate_query t rng ~steps ~query =
   Array.map query (simulate t rng ~steps)
 
+(* One pre-split stream per replication: the pooled fan-out consumes
+   exactly the stream the sequential loop would, so results are
+   bit-identical with or without a pool. *)
+let replicate ?pool rng ~reps f =
+  let streams = Rng.split_n rng reps in
+  Mde_par.Pool.init ?pool ~site:"simsql.monte_carlo" reps (fun r -> f streams.(r))
+
 let monte_carlo ?pool t rng ~steps ~reps ~query =
   if reps <= 0 then invalid_arg "Chain.monte_carlo: reps must be positive";
-  (* One pre-split stream per replication: the pooled fan-out consumes
-     exactly the stream the sequential loop would, so results are
-     bit-identical with or without a pool. *)
-  let streams = Rng.split_n rng reps in
-  Mde_par.Pool.init ?pool ~site:"simsql.monte_carlo" reps (fun r ->
-      simulate_query t streams.(r) ~steps ~query)
+  replicate ?pool rng ~reps (fun rng -> simulate_query t rng ~steps ~query)
+
+let final_values ?pool t rng ~steps ~reps ~query =
+  if reps <= 0 then invalid_arg "Chain.final_values: reps must be positive";
+  if steps < 0 then invalid_arg "Chain.final_values: steps must be non-negative";
+  (* [query] draws nothing, so skipping it on D[0..steps-1] leaves every
+     stream, and so D[steps], as [monte_carlo] has them. *)
+  replicate ?pool rng ~reps (fun rng -> query (run t rng ~steps (fun _ _ -> ())))
 
 module Rules = struct
   type rule = {

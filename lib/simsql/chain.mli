@@ -49,6 +49,20 @@ val monte_carlo :
     replications fan out across domains with bit-identical output.
     Raises [Invalid_argument] unless [reps] is positive. *)
 
+val final_values :
+  ?pool:Mde_par.Pool.t ->
+  t ->
+  Mde_prob.Rng.t ->
+  steps:int ->
+  reps:int ->
+  query:(state -> float) ->
+  float array
+(** Column [steps] of {!monte_carlo} with the same arguments, bit for
+    bit, computed keeping one state per replication and running [query]
+    once, on D[steps]. [query] must draw no randomness (it gets no
+    stream). Raises [Invalid_argument] unless [reps] is positive and
+    [steps] non-negative. *)
+
 (** Transition kernels assembled from per-table rules, applied in list
     order. Each rule sees the state as already updated by the preceding
     rules of the same step — matching SimSQL's topologically-ordered

@@ -216,11 +216,111 @@ let prop_solve_residual =
       let x = Tridiag.solve t b in
       Tridiag.residual_norm t x b < 1e-7)
 
+(* Each precondition is a real [Invalid_argument] with its constant
+   message, one test per check, so it holds under [--profile noassert]
+   too. *)
+let validation checks =
+  List.map
+    (fun (name, msg, f) ->
+      Alcotest.test_case ("rejects " ^ name) `Quick (fun () ->
+          match f () with
+          | () -> Alcotest.failf "%s: accepted" name
+          | exception Invalid_argument got -> Alcotest.(check string) name msg got))
+    checks
+
+let m22 = Mat.identity 2
+let m23 = Mat.create 2 3
+let v2 = [| 1.; 2. |]
+let v3 = [| 1.; 2.; 3. |]
+let band = Tridiag.create ~lower:[| 0.; 1. |] ~diag:[| 2.; 2. |] ~upper:[| 1.; 0. |]
+
+let vec_validation =
+  validation
+    [
+      ("add", "Vec.add: lengths differ", fun () -> ignore (Vec.add v2 v3));
+      ("sub", "Vec.sub: lengths differ", fun () -> ignore (Vec.sub v2 v3));
+      ("dot", "Vec.dot: lengths differ", fun () -> ignore (Vec.dot v2 v3));
+      ("dist2", "Vec.dist2: lengths differ", fun () -> ignore (Vec.dist2 v2 v3));
+      ("axpy", "Vec.axpy: lengths differ", fun () -> Vec.axpy 1. v2 (Array.copy v3));
+      ("map2", "Vec.map2: lengths differ", fun () -> ignore (Vec.map2 ( +. ) v2 v3));
+    ]
+
+let mat_validation =
+  validation
+    [
+      ( "negative create",
+        "Mat.create: dimensions must be non-negative",
+        fun () -> ignore (Mat.create 2 (-1)) );
+      ("of_rows empty", "Mat.of_rows: no rows", fun () -> ignore (Mat.of_rows [||]));
+      ( "of_rows ragged",
+        "Mat.of_rows: rows of unequal length",
+        fun () -> ignore (Mat.of_rows [| v2; v3 |]) );
+      ("get outside", "Mat.get: index out of bounds", fun () -> ignore (Mat.get m22 2 0));
+      ("set outside", "Mat.set: index out of bounds", fun () -> Mat.set m22 0 (-1) 1.);
+      ("add mismatch", "Mat.add: dimensions differ", fun () -> ignore (Mat.add m22 m23));
+      ("sub mismatch", "Mat.sub: dimensions differ", fun () -> ignore (Mat.sub m22 m23));
+      ("mul mismatch", "Mat.mul: inner dimensions differ", fun () -> ignore (Mat.mul m23 m23));
+      ( "mul_vec mismatch",
+        "Mat.mul_vec: vector length differs from cols",
+        fun () -> ignore (Mat.mul_vec m23 v2) );
+      ( "trans_mul_vec mismatch",
+        "Mat.trans_mul_vec: vector length differs from rows",
+        fun () -> ignore (Mat.trans_mul_vec m23 v3) );
+      ( "lu non-square",
+        "Mat.lu_decompose: matrix is not square",
+        fun () -> ignore (Mat.lu_solve m23 v2) );
+      ( "lu_solve b length",
+        "Mat.lu_solve: b length differs from rows",
+        fun () -> ignore (Mat.lu_solve m22 v3) );
+      ( "lu_solve_many rows",
+        "Mat.lu_solve_many: row counts differ",
+        fun () -> ignore (Mat.lu_solve_many m22 (Mat.create 3 1)) );
+      ( "cholesky non-square",
+        "Mat.cholesky: matrix is not square",
+        fun () -> ignore (Mat.cholesky m23) );
+      ( "cholesky_solve b length",
+        "Mat.cholesky_solve: b length differs from rows",
+        fun () -> ignore (Mat.cholesky_solve m22 v3) );
+    ]
+
+let tridiag_validation =
+  validation
+    [
+      ( "ragged bands",
+        "Tridiag.create: bands of unequal length",
+        fun () -> ignore (Tridiag.create ~lower:v3 ~diag:v2 ~upper:v2) );
+      ( "empty solve",
+        "Tridiag.solve: empty system",
+        fun () -> ignore (Tridiag.solve (Tridiag.create ~lower:[||] ~diag:[||] ~upper:[||]) [||]) );
+      ( "solve b length",
+        "Tridiag.solve: b length differs from the dimension",
+        fun () -> ignore (Tridiag.solve band v3) );
+      ( "mul_vec length",
+        "Tridiag.mul_vec: x length differs from the dimension",
+        fun () -> ignore (Tridiag.mul_vec band v3) );
+      ("row outside", "Tridiag.row: index out of bounds", fun () -> ignore (Tridiag.row band 0 2));
+    ]
+
+let ols_validation =
+  let x = Mat.of_rows [| [| 1.; 0. |]; [| 1.; 1. |] |] in
+  validation
+    [
+      ( "fit y length",
+        "Ols.fit: y length differs from the rows of x",
+        fun () -> ignore (Ols.fit x v3) );
+      ( "fit too few rows",
+        "Ols.fit: x needs columns and at least as many rows",
+        fun () -> ignore (Ols.fit (Mat.of_rows [| v3 |]) [| 1. |]) );
+      ( "standard errors rows",
+        "Ols.standard_errors: x needs more rows than columns",
+        fun () -> ignore (Ols.standard_errors x v2 (Ols.fit x v2)) );
+    ]
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_linalg"
     [
-      ("vec", [ Alcotest.test_case "ops" `Quick test_vec_ops ]);
+      ("vec", Alcotest.test_case "ops" `Quick test_vec_ops :: vec_validation);
       ( "mat",
         [
           Alcotest.test_case "mul identity" `Quick test_mat_mul_identity;
@@ -232,19 +332,22 @@ let () =
           Alcotest.test_case "cholesky = lu" `Quick test_cholesky_solve_matches_lu;
           Alcotest.test_case "cholesky rejects" `Quick test_cholesky_rejects_non_spd;
           Alcotest.test_case "determinant" `Quick test_determinant;
-        ] );
+        ]
+        @ mat_validation );
       ( "tridiag",
         [
           Alcotest.test_case "matches dense LU" `Quick test_tridiag_matches_dense;
           Alcotest.test_case "residual" `Quick test_tridiag_residual;
           Alcotest.test_case "mul_vec" `Quick test_tridiag_mul_vec;
-        ] );
+        ]
+        @ tridiag_validation );
       ( "ols",
         [
           Alcotest.test_case "exact quadratic" `Quick test_ols_exact_quadratic;
           Alcotest.test_case "noisy line" `Quick test_ols_noisy_recovers;
           Alcotest.test_case "ridge shrinks" `Quick test_ols_ridge_shrinks;
           Alcotest.test_case "standard errors" `Quick test_ols_standard_errors;
-        ] );
+        ]
+        @ ols_validation );
       ("properties", qc [ prop_transpose_involution; prop_solve_residual ]);
     ]

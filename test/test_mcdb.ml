@@ -348,6 +348,8 @@ let test_bundle_det_compression () =
   in
   let rng = Rng.create ~seed:10 () in
   let b = Bundle.of_stochastic_table st rng ~n_reps:10 in
+  Alcotest.(check bool) "constant column stored deterministically" true
+    (Column.det (Bundle.column b "value"));
   let selected = Bundle.select Expr.(col "value" > float 0.5) b in
   for r = 0 to 9 do
     Alcotest.(check bool) "all present" true (Bundle.present selected 0 r)
@@ -714,14 +716,16 @@ let prop_instantiate_matches_reference =
       true)
 
 (* Bundle realization [r] is naive instance [r], sequentially and on a
-   2-domain pool, for every row-stable VG and combine mode. *)
+   2-domain pool, for every row-stable VG and combine mode. Up to 40
+   repetitions: a row's null bits then span several bytes, and pooled
+   chunks split one row's repetitions. *)
 let prop_bundle_matches_instances =
   QCheck.Test.make ~name:"bundle realization r == instance r (sequential, pooled)" ~count:60
     (QCheck.make ~print:print_case realization_gen)
     (fun ((seed, rows, column_backed, vg), rest) ->
       let vg = vg mod 4 (* the row-stable ones *) in
       let st = realization_case ((seed, rows, column_backed, vg), rest) in
-      let reps = 1 + (seed mod 6) in
+      let reps = 1 + (seed mod 40) in
       let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
       let check label b =
         Array.iteri

@@ -543,6 +543,31 @@ let test_rng_validation () =
   Alcotest.(check bool) "bernoulli 1" true (Rng.bernoulli rng 1.);
   Alcotest.(check int) "split_n 0" 0 (Array.length (Rng.split_n rng 0))
 
+(* [advance rng lo] then [split rng] is stream [lo] of [split_n], which
+   is how a refinement batch starts at replication [lo]; advancing
+   allocates nothing. *)
+let test_rng_advance () =
+  List.iter
+    (fun lo ->
+      let skipped = Rng.create ~seed:17 () in
+      Rng.advance skipped lo;
+      let stream = Rng.split skipped in
+      let want = (Rng.split_n (Rng.create ~seed:17 ()) (lo + 1)).(lo) in
+      for d = 0 to 7 do
+        Alcotest.(check int64)
+          (Printf.sprintf "lo=%d draw %d" lo d)
+          (Rng.bits64 want) (Rng.bits64 stream)
+      done)
+    [ 0; 1; 7; 300 ];
+  let rng = Rng.create () in
+  Rng.advance rng 10;
+  let before = Gc.minor_words () in
+  Rng.advance rng 10_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "advance allocates nothing (%.0f words)" words) true
+    (words < 64.);
+  Alcotest.(check bool) "advance -1 raises" true (raises_invalid (fun () -> Rng.advance rng (-1)))
+
 (* Each [Stats] precondition is a real [Invalid_argument], one test per
    check, so it holds under [--profile noassert] too. *)
 let stats_validation =
@@ -962,6 +987,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "permutation" `Quick test_permutation;
           Alcotest.test_case "golden stream" `Quick test_golden_stream;
+          Alcotest.test_case "advance then split == split_n" `Quick test_rng_advance;
           Alcotest.test_case "validation raises Invalid_argument" `Quick
             test_rng_validation;
           Alcotest.test_case "draws allocate only their result" `Quick

@@ -1805,6 +1805,63 @@ let test_of_realizations_sharing () =
   Alcotest.(check bool) "typed storage" true (Column.storage_ty both = Some Value.Tstring);
   Alcotest.(check bool) "boxed rep read" true (Value.identical (v_str "w") (Column.value both 1 1))
 
+(* Runs of repetitions interleave in order, and determinism ignores
+   what a Null slot stores: a kernel-built column may hold anything
+   there, a pushed Null holds nan or 0. *)
+let test_of_realizations_runs () =
+  let nulls ~reps cells =
+    let m = Column.Bitset.create ~rows:3 ~reps false in
+    List.iter (fun (i, r) -> Column.Bitset.set m i r) cells;
+    m
+  in
+  let pushed =
+    Column.of_det_cells ~ty:Value.Tint ~rows:3 ~reps:1 (fun i ->
+        [| v_int 1; Value.Null; v_int 3 |].(i))
+  in
+  let stale = Column.of_ints ~det:true ~reps:1 ~nulls:(nulls ~reps:1 [ (1, 0) ]) [| 1; 99; 3 |] in
+  let ints = Column.of_realizations ~ty:Value.Tint [| pushed; stale; pushed |] in
+  Alcotest.(check bool) "int nulls over other data: deterministic" true (Column.det ints);
+  Alcotest.(check int) "reps" 3 (Column.reps ints);
+  Alcotest.(check bool) "null read" true (Value.identical Value.Null (Column.value ints 1 2));
+  let floats =
+    Column.of_realizations ~ty:Value.Tfloat
+      [|
+        Column.of_det_cells ~ty:Value.Tfloat ~rows:3 ~reps:1 (fun i ->
+            [| v_float 0.5; Value.Null; v_float 2. |].(i));
+        Column.of_floats ~det:false ~reps:2
+          ~nulls:(nulls ~reps:2 [ (1, 0); (1, 1) ])
+          (Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+             [| 0.5; 0.5; 7.; -1.; 2.; 2. |]);
+      |]
+  in
+  Alcotest.(check bool) "float nulls over other data: deterministic" true (Column.det floats);
+  Alcotest.(check int) "float reps" 3 (Column.reps floats);
+  (* One run of several repetitions compresses alone, without a copy
+     when its cells differ. *)
+  let run =
+    Column.of_ints ~det:false ~reps:2 ~nulls:(nulls ~reps:2 [ (1, 0); (1, 1) ])
+      [| 4; 4; 5; 6; 7; 7 |]
+  in
+  Alcotest.(check bool) "one stable run: deterministic" true
+    (Column.det (Column.of_realizations ~ty:Value.Tint [| run |]));
+  let differing = Column.of_ints ~det:false ~reps:2 [| 4; 5; 6; 6; 7; 7 |] in
+  Alcotest.(check bool) "one differing run: itself" true
+    (Column.of_realizations ~ty:Value.Tint [| differing |] == differing);
+  (* A run and a single realization: repetitions in order. *)
+  let both = Column.of_realizations ~ty:Value.Tint [| differing; pushed |] in
+  Alcotest.(check int) "run + one: reps" 3 (Column.reps both);
+  List.iter
+    (fun (i, r, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cell (%d,%d)" i r)
+        true
+        (Value.identical want (Column.value both i r)))
+    [ (0, 0, v_int 4); (0, 1, v_int 5); (0, 2, v_int 1); (1, 2, Value.Null); (2, 1, v_int 7) ];
+  Alcotest.(check bool) "no columns raise" true
+    (match Column.of_realizations ~ty:Value.Tint [||] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_table_row_errors () =
   let schema = Schema.of_list [ ("a", Value.Tint); ("b", Value.Tfloat) ] in
   Alcotest.(check int) "column array" 2 (Array.length (Schema.column_array schema));
@@ -2291,6 +2348,8 @@ let () =
               test_of_cells_signed_zero;
             Alcotest.test_case "of_realizations shares and interleaves" `Quick
               test_of_realizations_sharing;
+            Alcotest.test_case "of_realizations interleaves runs, ignores data under nulls"
+              `Quick test_of_realizations_runs;
             Alcotest.test_case "row errors" `Quick test_table_row_errors;
           ] );
       ( "columnar",

@@ -150,6 +150,36 @@ let test_chain_validation () =
     (Invalid_argument "Chain.monte_carlo: reps must be positive") (fun () ->
       ignore (Chain.monte_carlo chain rng ~steps:3 ~reps:0 ~query:total_wealth))
 
+(* The last column of [monte_carlo], bit for bit, keeping one state per
+   replication; sequential and on a 2-domain pool. *)
+let test_final_values () =
+  let bits = Array.map Int64.bits_of_float in
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun steps ->
+          let series =
+            Chain.monte_carlo chain (Rng.create ~seed:12 ()) ~steps ~reps:9 ~query:total_wealth
+          in
+          let want = bits (Array.map (fun row -> row.(steps)) series) in
+          let seq =
+            Chain.final_values chain (Rng.create ~seed:12 ()) ~steps ~reps:9 ~query:total_wealth
+          in
+          let par =
+            Chain.final_values ~pool chain (Rng.create ~seed:12 ()) ~steps ~reps:9
+              ~query:total_wealth
+          in
+          Alcotest.(check (array int64)) (Printf.sprintf "steps=%d sequential" steps) want (bits seq);
+          Alcotest.(check (array int64)) (Printf.sprintf "steps=%d pooled" steps) want (bits par))
+        [ 0; 1; 7 ]);
+  let rng = Rng.create ~seed:13 () in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative steps" true
+    (raises (fun () -> Chain.final_values chain rng ~steps:(-1) ~reps:2 ~query:total_wealth));
+  Alcotest.(check bool) "zero reps" true
+    (raises (fun () -> Chain.final_values chain rng ~steps:3 ~reps:0 ~query:total_wealth))
+
 let test_monte_carlo_pooled_identity () =
   Mde_par.Pool.with_pool ~domains:3 (fun pool ->
       let seq =
@@ -319,6 +349,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_chain_validation;
           Alcotest.test_case "pooled monte carlo identity" `Quick
             test_monte_carlo_pooled_identity;
+          Alcotest.test_case "final_values == last monte carlo column" `Quick
+            test_final_values;
           Alcotest.test_case "plan rule == row oracle" `Quick test_plan_rule_matches_rows;
         ] );
       ( "self_join",
