@@ -54,10 +54,13 @@ let mcdb_imputation () =
     (fun ticker ->
       let samples =
         Mcdb.Database.monte_carlo db rng ~reps:500 ~query:(fun catalog ->
-            let history = Catalog.find catalog "PRICE_HISTORY" in
-            Query.of_table history
-            |> Query.where Expr.(col "ticker" = string ticker && col "step" = int (-5))
-            |> Query.select_cols [ "price" ] |> Query.scalar |> Value.to_float)
+            let history =
+              Columnar.of_table (Catalog.find catalog "PRICE_HISTORY")
+              |> Columnar.select
+                   Expr.(col "ticker" = string ticker && col "step" = int (-5))
+              |> Columnar.to_table
+            in
+            Value.to_float (Table.get history 0 "price"))
       in
       let e = Mcdb.Estimator.of_samples samples in
       Util.note "  %s price 5 ticks ago: %.2f +/- %.2f (q05 %.2f, q95 %.2f)" ticker
@@ -426,36 +429,13 @@ let grid () =
 let alg1 () =
   Util.section "ALG1" "Indemics: SQL-specified vaccination policy (Algorithm 1)";
   let days = 150 in
-  let policy engine =
-    let cat = Indemics.catalog engine in
-    let person = Catalog.find cat "Person" in
-    let infected = Catalog.find cat "InfectedPerson" in
-    let preschool =
-      Query.of_table person
-      |> Query.where Expr.(col "age" >= int 0 && col "age" <= int 4)
-      |> Query.select_cols [ "pid" ]
-      |> Query.run
-    in
-    let n_preschool = Table.cardinality preschool in
-    let n_infected_preschool =
-      Query.of_table preschool
-      |> Query.join ~on:[ ("pid", "ipid") ] (Algebra.rename [ ("pid", "ipid") ] infected)
-      |> Query.count
-    in
-    if float_of_int n_infected_preschool > 0.01 *. float_of_int n_preschool then
-      Indemics.apply_intervention engine
-        ~pids:
-          (Array.to_list (Table.rows preschool) |> List.map (fun r -> Value.to_int r.(0)))
-        Indemics.Vaccinate
-    else 0
-  in
   let run ?(params = Indemics.default_params) p =
     let network = Network.synthetic ~seed:7 ~n:10_000 ~community_degree:4. () in
     let engine = Indemics.create ~seed:12 network params in
     Indemics.run engine ~days ~policy:p
   in
   let baseline = run None in
-  let with_policy = run (Some policy) in
+  let with_policy = run (Some Indemics.vaccinate_preschoolers) in
   (* Endogenous behaviour instead of mandated policy: fear-driven
      distancing (§2.4's behavioural state). *)
   let with_fear =

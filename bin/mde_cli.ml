@@ -77,33 +77,7 @@ let epidemic_cmd =
     let policy_fn =
       match policy with
       | "none" -> None
-      | "vaccinate-preschool" ->
-        Some
-          (fun engine ->
-            let cat = Mde.Epidemic.Indemics.catalog engine in
-            let person = Catalog.find cat "Person" in
-            let infected = Catalog.find cat "InfectedPerson" in
-            let preschool =
-              Query.of_table person
-              |> Query.where Expr.(col "age" <= int 4)
-              |> Query.select_cols [ "pid" ] |> Query.run
-            in
-            let infected_preschool =
-              Query.of_table preschool
-              |> Query.join ~on:[ ("pid", "ipid") ]
-                   (Algebra.rename [ ("pid", "ipid") ] infected)
-              |> Query.count
-            in
-            if
-              float_of_int infected_preschool
-              > 0.01 *. float_of_int (Table.cardinality preschool)
-            then
-              Mde.Epidemic.Indemics.apply_intervention engine
-                ~pids:
-                  (Array.to_list (Table.rows preschool)
-                  |> List.map (fun r -> Value.to_int r.(0)))
-                Mde.Epidemic.Indemics.Vaccinate
-            else 0)
+      | "vaccinate-preschool" -> Some Mde.Epidemic.Indemics.vaccinate_preschoolers
       | "quarantine" ->
         Some
           (fun engine ->

@@ -3,40 +3,12 @@
    at each observation the experimenter queries the relational session
    and, when more than 1 % of preschoolers are infected, vaccinates all
    preschoolers — the paper's example intervention, specified as queries
-   over the Person / InfectedPerson tables.
+   over the Person / InfectedPerson tables (Indemics.vaccinate_preschoolers).
 
    Run with: dune exec examples/epidemic_intervention.exe *)
 
-open Mde.Relational
 module Network = Mde.Epidemic.Network
 module Indemics = Mde.Epidemic.Indemics
-
-(* Algorithm 1, in the query DSL. *)
-let vaccinate_preschoolers_policy engine =
-  let cat = Indemics.catalog engine in
-  let person = Catalog.find cat "Person" in
-  let infected = Catalog.find cat "InfectedPerson" in
-  (* CREATE TABLE Preschool AS SELECT pid FROM Person WHERE 0 <= age <= 4 *)
-  let preschool =
-    Query.of_table person
-    |> Query.where Expr.(col "age" >= int 0 && col "age" <= int 4)
-    |> Query.select_cols [ "pid" ]
-    |> Query.run
-  in
-  let n_preschool = Table.cardinality preschool in
-  (* WITH InfectedPreschool AS (SELECT pid FROM Preschool JOIN InfectedPerson) *)
-  let n_infected_preschool =
-    Query.of_table preschool
-    |> Query.join ~on:[ ("pid", "ipid") ] (Algebra.rename [ ("pid", "ipid") ] infected)
-    |> Query.count
-  in
-  if float_of_int n_infected_preschool > 0.01 *. float_of_int n_preschool then begin
-    let pids =
-      Array.to_list (Table.rows preschool) |> List.map (fun r -> Value.to_int r.(0))
-    in
-    Indemics.apply_intervention engine ~pids Indemics.Vaccinate
-  end
-  else 0
 
 let preschool_attack engine =
   let persons = Network.persons (Indemics.network engine) in
@@ -62,7 +34,7 @@ let () =
   in
   Format.printf "Epidemic on a 5,000-person synthetic contact network, %d days.@.@." days;
   let baseline_engine, baseline = run None in
-  let policy_engine, with_policy = run (Some vaccinate_preschoolers_policy) in
+  let policy_engine, with_policy = run (Some Indemics.vaccinate_preschoolers) in
   let peak records =
     Array.fold_left (fun m (r : Indemics.day_record) -> max m r.Indemics.infectious) 0 records
   in

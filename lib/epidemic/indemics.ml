@@ -38,7 +38,8 @@ type t = {
 }
 
 let create ?(seed = 5) network params =
-  assert (params.initial_infectious >= 1);
+  if params.initial_infectious < 1 then
+    invalid_arg "Indemics.create: initial_infectious must be at least 1";
   Network.reset network;
   let rng = Rng.create ~seed () in
   let n = Network.size network in
@@ -222,6 +223,27 @@ let apply_intervention t ~pids action =
     pids;
   !changed
 
+(* Algorithm 1 on the columnar engine: Preschool is the pid column of
+   the persons aged 0-4, InfectedPreschool its key matches against
+   InfectedPerson's pid column. *)
+let vaccinate_preschoolers t =
+  let preschool =
+    Columnar.of_table (person_table t)
+    |> Columnar.select Expr.(col "age" >= int 0 && col "age" <= int 4)
+    |> Columnar.project [ "pid" ] |> Columnar.to_table
+  in
+  let infected = infected_table t in
+  let n = Table.cardinality preschool in
+  let pid = Table.columns preschool in
+  let hits, _ =
+    Columnar.join_index (pid, n) (Table.columns infected, Table.cardinality infected)
+  in
+  if float_of_int (Array.length hits) > 0.01 *. float_of_int n then
+    apply_intervention t
+      ~pids:(List.init n (fun i -> Value.to_int (Column.value pid.(0) i 0)))
+      Vaccinate
+  else 0
+
 type day_record = {
   day : int;
   susceptible : int;
@@ -246,7 +268,8 @@ let record (t : t) ~new_infections ~interventions_applied =
   }
 
 let run ?(observe_every = 1) t ~days ~policy =
-  assert (days >= 0 && observe_every >= 1);
+  if days < 0 then invalid_arg "Indemics.run: days must be non-negative";
+  if observe_every < 1 then invalid_arg "Indemics.run: observe_every must be at least 1";
   let out = Array.make (days + 1) (record t ~new_infections:0 ~interventions_applied:0) in
   for d = 1 to days do
     let fresh = step_day t in
@@ -260,7 +283,7 @@ let run ?(observe_every = 1) t ~days ~policy =
   out
 
 let attack_rate records =
-  assert (Array.length records > 0);
+  if Array.length records = 0 then invalid_arg "Indemics.attack_rate: no records";
   let last = records.(Array.length records - 1) in
   let total =
     last.susceptible + last.exposed + last.infectious + last.recovered
@@ -270,7 +293,7 @@ let attack_rate records =
   /. float_of_int total
 
 let close_contacts t ~kind ~days =
-  assert (days > 0);
+  if days <= 0 then invalid_arg "Indemics.close_contacts: days must be positive";
   let current = Option.value ~default:0 (Hashtbl.find_opt t.closures kind) in
   Hashtbl.replace t.closures kind (Stdlib.max current days)
 
@@ -288,7 +311,7 @@ let default_cost_params =
   { infection_cost = 100.; vaccination_cost = 5.; closure_day_cost = 50. }
 
 let economic_cost t costs records =
-  assert (Array.length records > 0);
+  if Array.length records = 0 then invalid_arg "Indemics.economic_cost: no records";
   let last = records.(Array.length records - 1) in
   let ever_infected =
     float_of_int (last.exposed + last.infectious + last.recovered)

@@ -32,7 +32,8 @@ val default_params : params
 type t
 
 val create : ?seed:int -> Network.t -> params -> t
-(** Resets the network and seeds [initial_infectious] random infections. *)
+(** Resets the network and seeds [initial_infectious] random infections.
+    Raises [Invalid_argument] if [initial_infectious < 1]. *)
 
 val network : t -> Network.t
 val day : t -> int
@@ -67,11 +68,20 @@ val apply_intervention : t -> pids:int list -> action -> int
 (** Apply an action to a subpopulation (typically the pids returned by a
     query); returns how many individuals actually changed state. *)
 
+val vaccinate_preschoolers : t -> int
+(** The paper's Algorithm 1 as a {!run} policy, on the columnar engine:
+    select the persons aged 0–4 (Preschool), count those among them who
+    are infectious by a key join with [InfectedPerson], and when that
+    exceeds 1 % of Preschool, {!apply_intervention} [Vaccinate] on every
+    preschooler in pid order. Returns the number vaccinated (0 when the
+    threshold is not crossed). *)
+
 val close_contacts : t -> kind:string -> days:int -> unit
 (** A structural intervention — the paper's "deletion of edges" case:
     damp every contact of the given kind (e.g. ["daycare"]) by the
     quarantine damping factor for the given number of days. Extends any
-    active closure of the same kind. *)
+    active closure of the same kind. Raises [Invalid_argument] if
+    [days <= 0]. *)
 
 val active_closures : t -> (string * int) list
 (** Contact kinds currently closed, with remaining days. *)
@@ -95,11 +105,12 @@ val run :
     observation times, and at every [observe_every]-th day (default 1)
     the optional policy runs with query access to the session and
     returns how many individuals it intervened on (Algorithm 1 style).
-    Record 0 is the initial state. *)
+    Record 0 is the initial state. Raises [Invalid_argument] if
+    [days < 0] or [observe_every < 1]. *)
 
 val attack_rate : day_record array -> float
 (** Fraction ever infected by the end (recovered + infectious + exposed
-    over population). *)
+    over population). Raises [Invalid_argument] on an empty array. *)
 
 (** {2 Performance measures} *)
 
@@ -113,4 +124,5 @@ val default_cost_params : cost_params
 
 val economic_cost : t -> cost_params -> day_record array -> float
 (** The "economic damage" objective of §2.4: infections + doses +
-    closure-days, each at its unit cost, over a completed run. *)
+    closure-days, each at its unit cost, over a completed run. Raises
+    [Invalid_argument] on an empty record array. *)

@@ -46,7 +46,7 @@ let sample_age rng =
   else 65 + Rng.int rng 30
 
 let synthetic ?(seed = 3) ~n ~community_degree () =
-  assert (n >= 10);
+  if n < 10 then invalid_arg "Network.synthetic: n must be at least 10";
   let rng = Rng.create ~seed () in
   let persons = Array.make n { id = 0; age = 0; household = 0; health = Susceptible; days_in_state = 0; quarantined_days = 0; fear = 0. } in
   (* Assign people to households of size 1-5. *)
@@ -125,7 +125,7 @@ let mean_fear t =
   acc /. float_of_int (Stdlib.max 1 (Array.length t.persons))
 
 let churn_community_edges t rng ~count =
-  assert (count >= 0);
+  if count < 0 then invalid_arg "Network.churn_community_edges: count must be non-negative";
   let n = Array.length t.persons in
   (* Deletion: pick random people with community contacts and drop one. *)
   let removed = ref 0 in

@@ -49,7 +49,7 @@ val synthetic :
 (** [n] people in households of 1–5 (ages drawn so that ≈6 % are
     preschoolers, 0–4); preschoolers additionally meet in daycare groups
     of ~8; everyone gets Poisson([community_degree]) random community
-    contacts. *)
+    contacts. Raises [Invalid_argument] if [n < 10]. *)
 
 val count_health : t -> health -> int
 val mean_fear : t -> float
@@ -58,7 +58,8 @@ val churn_community_edges : t -> Mde_prob.Rng.t -> count:int -> unit
 (** The paper's "formation of new edges due to new contacts" and edge
     deletion: remove up to [count] random community contacts and create
     [count] fresh ones between random pairs. Household and daycare
-    structure is left intact; symmetry is preserved. *)
+    structure is left intact; symmetry is preserved. Raises
+    [Invalid_argument] if [count < 0]. *)
 
 val reset : t -> unit
 (** All healthy, no quarantines (for reuse across Monte Carlo reps). *)

@@ -38,7 +38,6 @@ let mapi f t =
          f i x))
     t
 
-let map_partitions f t = Array.map f t
 
 let filter pred t = Array.map (fun p -> Array.of_list (List.filter pred (Array.to_list p))) t
 

@@ -24,9 +24,6 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val mapi : (int -> 'a -> 'b) -> 'a t -> 'b t
 (** Like {!map} with the global element index. *)
 
-val map_partitions : ('a array -> 'b array) -> 'a t -> 'b t
-(** Whole-partition transform (no shuffle). *)
-
 val filter : ('a -> bool) -> 'a t -> 'a t
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Sequential fold over all elements in partition order. *)

@@ -15,9 +15,8 @@ let global_records_shuffled () = !global_shuffled
 
 (* Group (key, value) pairs by key, preserving first-seen key order and
    per-key emission order — shared by the combiner and the reduce phase.
-   The defaults reproduce a polymorphic hash table; relational callers
-   pass [Value.Key.hash]/[Value.Key.equal] so NaN and cross-type numeric
-   keys group as one (structural equality matches neither). *)
+   The defaults reproduce a polymorphic hash table; Reljob passes packed
+   key codes with [Keycode.int_hash] and [Int.equal]. *)
 let group_pairs ?(hash = Hashtbl.hash) ?(equal = ( = )) pairs =
   let buckets = Hashtbl.create 64 in
   let order = ref [] in

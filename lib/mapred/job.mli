@@ -17,18 +17,6 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val group_pairs :
-  ?hash:('k -> int) ->
-  ?equal:('k -> 'k -> bool) ->
-  ('k * 'v) list ->
-  ('k * 'v list) list
-(** Group pairs by key, preserving first-seen key order and per-key
-    emission order — the grouping used by the combiner and reduce
-    phases. Defaults ([Hashtbl.hash]/structural [=]) reproduce a
-    polymorphic hash table; relational callers pass
-    [Value.Key.hash]/[Value.Key.equal] so NaN and cross-type numeric
-    keys form one group (see {!Reljob}). *)
-
 val map_reduce :
   ?pool:Mde_par.Pool.t ->
   ?reduce_partitions:int ->
@@ -46,7 +34,8 @@ val map_reduce :
     values per key preserving emission order, reduce. Within each reduce
     partition, key groups are processed in a deterministic (hash-bucket,
     then first-seen) order. [?hash]/[?equal] override the key equivalence
-    used by the shuffle and the grouping, as in {!group_pairs}.
+    used by the shuffle and the grouping (defaults: [Hashtbl.hash] and
+    structural [=]); {!Reljob} passes packed key codes.
 
     A record is charged to the shuffle only when it lands in a reduce
     partition different from the input partition that emitted it —

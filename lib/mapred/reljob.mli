@@ -2,23 +2,21 @@
     story (§2.1: "SimSQL compiles queries over stochastic tables into
     Hadoop jobs") made concrete over {!Job}.
 
-    Tables enter as row datasets ([Columnar.of_table]/[to_table] bridge
-    the columnar engine) and run through the same shuffle/group/sort
-    machinery as every other job, with two guarantees the generic
-    defaults cannot give:
+    Tables enter as datasets of [?partitions] (default 4) contiguous
+    row ranges and run through the same shuffle/group/sort machinery as
+    every other job, with two guarantees the generic defaults cannot give:
 
     - each row's key shuffles as one packed {!Keycode} word, injective
       under [Value.Key] equality, so NaN group keys form one group and
       Int/Float keys match numerically, exactly as the columnar and row
       engines behave;
-    - group members are folded through {!Algebra}'s shared accumulators
-      in original row order, so per-group aggregate values are
-      bit-identical to {!Algebra.group_by}, pooled or not. *)
+    - grouping shuffles row indices: the job's output lists each group's
+      rows contiguously and in original row order, and one
+      {!Columnar.group_by} aggregates the table in that order, so
+      per-group aggregate values are bit-identical to
+      {!Algebra.group_by}, pooled or not. *)
 
 open Mde_relational
-
-val dataset : ?partitions:int -> Table.t -> Table.row Dataset.t
-(** Rows of the table, range-partitioned (default 4). *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->

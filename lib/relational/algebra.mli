@@ -1,9 +1,13 @@
-(** Relational algebra over materialized {!Table}s.
+(** Relational algebra over materialized {!Table}s, one row at a time.
 
-    Everything MCDB (§2.1) and Indemics (§2.4) need from the "relational
-    database engine" side: selection, projection with computed columns,
+    The row engine: selection, projection with computed columns,
     renaming, hash equi-joins plus general theta joins, grouped
-    aggregation, sorting, distinct, union, limit. *)
+    aggregation, sorting, distinct, union, limit, each written the
+    plainest way over boxed rows. Production queries run on {!Columnar};
+    this module is the reference its operators, {!Plan.execute},
+    [Reljob] and [Bundle] are tested against, and the engine behind
+    {!Plan.execute_rows}. It also defines the {!aggregate} type every
+    engine's [group_by] takes. *)
 
 val select : Expr.t -> Table.t -> Table.t
 (** σ: keep rows where the predicate is true. *)
@@ -64,28 +68,6 @@ val union : Table.t -> Table.t -> Table.t
 
 val limit : int -> Table.t -> Table.t
 (** Raises [Invalid_argument] on a negative count. *)
-
-(** {2 Shared aggregate accumulators}
-
-    The accumulator implementation behind {!group_by}, exported so the
-    other backends ({!Columnar}'s interpreter path, the mapred bridge)
-    fold group members through the exact same state machine and stay
-    bit-identical to this row oracle: same float accumulation order,
-    same [Value.compare] min/max, same finish rules. *)
-
-type acc
-
-val fresh_acc : unit -> acc
-
-val feed_acc : aggregate -> Schema.t -> Table.row -> acc -> unit
-(** Fold one row in: the aggregate's source expression is evaluated
-    against the row; Null results are skipped. Raises like {!group_by}
-    on non-numeric inputs to numeric aggregates. *)
-
-val finish_acc : aggregate -> acc -> Value.t
-(** Count/Count_if are Int; Avg of no inputs and Std of fewer than two
-    are Null; Min/Max return the stored input value (keeping its input
-    type). *)
 
 val agg_type : aggregate -> Value.ty
 (** Declared output type: Count/Count_if are Int, the rest Float. *)

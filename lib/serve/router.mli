@@ -37,6 +37,3 @@ val weight : key:string -> shard:int -> int64
 (** The rendezvous weight the argmax runs over — exposed so property
     tests can verify [route] against a reference argmax. Compared
     unsigned. *)
-
-val hash64 : string -> int64
-(** The 64-bit FNV-1a key hash feeding {!weight}. Stable across runs. *)

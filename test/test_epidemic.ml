@@ -90,9 +90,9 @@ let test_relational_session () =
     (Table.cardinality infected);
   (* The paper's query shape: count preschoolers via SQL. *)
   let n_preschool =
-    Query.of_table person
-    |> Query.where Expr.(col "age" <= int 4)
-    |> Query.count
+    Columnar.of_table person
+    |> Columnar.select Expr.(col "age" <= int 4)
+    |> Columnar.row_count
   in
   Alcotest.(check bool) "preschool count positive" true (n_preschool > 0)
 
@@ -111,23 +111,25 @@ let test_vaccination_intervention () =
   Alcotest.(check bool) "epidemic contained" true
     (last.Indemics.recovered + last.Indemics.infectious + last.Indemics.exposed <= 5)
 
-(* Algorithm 1: vaccinate preschoolers when >1 % of them are infected. *)
+(* Algorithm 1: vaccinate preschoolers when >1 % of them are infected —
+   written by hand over the session's rows, the oracle for
+   [Indemics.vaccinate_preschoolers]. *)
 let preschool_policy engine =
   let cat = Indemics.catalog engine in
   let person = Catalog.find cat "Person" in
   let infected = Catalog.find cat "InfectedPerson" in
-  let preschool =
-    Query.of_table person |> Query.where Expr.(col "age" <= int 4) |> Query.run
-  in
-  let n_preschool = Table.cardinality preschool in
   let infected_ids =
     Array.fold_left
       (fun acc row -> Value.to_int row.(0) :: acc)
       [] (Table.rows infected)
   in
+  (* Person rows are (pid, age, ...). *)
   let preschool_ids =
-    Array.to_list (Table.rows preschool) |> List.map (fun r -> Value.to_int r.(0))
+    List.filter_map
+      (fun row -> if Value.to_int row.(1) <= 4 then Some (Value.to_int row.(0)) else None)
+      (Array.to_list (Table.rows person))
   in
+  let n_preschool = List.length preschool_ids in
   let n_infected_preschool =
     List.length (List.filter (fun pid -> List.mem pid infected_ids) preschool_ids)
   in
@@ -166,6 +168,17 @@ let test_algorithm1_policy_reduces_preschool_attack () =
     (Printf.sprintf "preschool attack %.3f < %.3f" protected_ baseline)
     true
     (protected_ < baseline)
+
+let test_algorithm1_matches_oracle () =
+  let run policy =
+    let engine = Indemics.create ~seed:8 (net ()) Indemics.default_params in
+    Indemics.run engine ~days:120 ~policy:(Some policy)
+  in
+  let library = run Indemics.vaccinate_preschoolers in
+  let oracle = run preschool_policy in
+  Alcotest.(check bool) "policy fired" true
+    (Array.exists (fun r -> r.Indemics.interventions_applied > 0) oracle);
+  Alcotest.(check bool) "same day records" true (library = oracle)
 
 let test_quarantine_reduces_spread () =
   let run policy seed =
@@ -280,7 +293,9 @@ let test_fear_queryable () =
   done;
   let person = Indemics.person_table engine in
   let fearful =
-    Query.of_table person |> Query.where Expr.(col "fear" > float 0.2) |> Query.count
+    Columnar.of_table person
+    |> Columnar.select Expr.(col "fear" > float 0.2)
+    |> Columnar.row_count
   in
   Alcotest.(check bool) "fearful subpopulation queryable" true (fearful > 0)
 
@@ -312,6 +327,34 @@ let test_edge_churn () =
     (abs (after - before) <= 5);
   Alcotest.(check bool) "still symmetric" true (symmetric n)
 
+(* Preconditions raise Invalid_argument, with or without -noassert. *)
+let rejects =
+  let engine () = Indemics.create ~seed:2 (net ()) Indemics.default_params in
+  List.map
+    (fun (name, msg, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) f))
+    [ ( "synthetic n < 10", "Network.synthetic: n must be at least 10",
+        fun () -> ignore (Network.synthetic ~n:9 ~community_degree:4. ()) );
+      ( "churn count < 0", "Network.churn_community_edges: count must be non-negative",
+        fun () ->
+          Network.churn_community_edges (net ()) (Mde_prob.Rng.create ~seed:1 ()) ~count:(-1) );
+      ( "create without seeds", "Indemics.create: initial_infectious must be at least 1",
+        fun () ->
+          ignore
+            (Indemics.create (net ()) { Indemics.default_params with initial_infectious = 0 }) );
+      ( "run days < 0", "Indemics.run: days must be non-negative",
+        fun () -> ignore (Indemics.run (engine ()) ~days:(-1) ~policy:None) );
+      ( "run observe_every < 1", "Indemics.run: observe_every must be at least 1",
+        fun () -> ignore (Indemics.run ~observe_every:0 (engine ()) ~days:3 ~policy:None) );
+      ( "attack_rate of no records", "Indemics.attack_rate: no records",
+        fun () -> ignore (Indemics.attack_rate [||]) );
+      ( "close_contacts days <= 0", "Indemics.close_contacts: days must be positive",
+        fun () -> Indemics.close_contacts (engine ()) ~kind:"daycare" ~days:0 );
+      ( "economic_cost of no records", "Indemics.economic_cost: no records",
+        fun () ->
+          ignore (Indemics.economic_cost (engine ()) Indemics.default_cost_params [||]) ) ]
+
 let () =
   Alcotest.run "mde_epidemic"
     [
@@ -332,6 +375,8 @@ let () =
         [
           Alcotest.test_case "mass vaccination" `Quick test_vaccination_intervention;
           Alcotest.test_case "algorithm 1 policy" `Slow test_algorithm1_policy_reduces_preschool_attack;
+          Alcotest.test_case "algorithm 1 == hand-written oracle" `Quick
+            test_algorithm1_matches_oracle;
           Alcotest.test_case "quarantine" `Slow test_quarantine_reduces_spread;
           Alcotest.test_case "contact closure" `Slow test_contact_closure;
           Alcotest.test_case "observation interval" `Quick test_observation_interval;
@@ -341,4 +386,5 @@ let () =
           Alcotest.test_case "fear queryable" `Quick test_fear_queryable;
           Alcotest.test_case "edge churn" `Quick test_edge_churn;
         ] );
+      ("preconditions", rejects);
     ]

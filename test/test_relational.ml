@@ -1206,26 +1206,24 @@ let test_keyed_pooled_identity () =
           check "distinct" (Columnar.distinct lc) (Columnar.distinct ~pool lc))
         [ 0; 1; 2; 3; 7; 61; 509; 2048 ])
 
-(* --- query builder --- *)
+(* --- query pipelines on the columnar engine --- *)
 
 let test_query_pipeline () =
   let n =
-    Query.of_table people
-    |> Query.where Expr.(col "age" > int 10)
-    |> Query.group ~keys:[] ~aggs:[ ("n", Algebra.Count) ]
-    |> Query.scalar
+    Columnar.of_table people
+    |> Columnar.select Expr.(col "age" > int 10)
+    |> Columnar.group_by ~keys:[] ~aggs:[ ("n", Algebra.Count) ]
+    |> Columnar.to_table
   in
-  Alcotest.(check int) "adults" 3 (Value.to_int n)
+  Alcotest.(check int) "adults" 3 (Value.to_int (Table.get n 0 "n"))
 
 let test_query_join_compute () =
   let result =
-    Query.of_table orders
-    |> Query.join ~on:[ ("customer", "id") ]
-         (Algebra.rename [ ("score", "cust_score") ] people
-         |> Algebra.project [ "id"; "cust_score" ])
-    |> Query.compute [ ("weighted", Value.Tfloat, Expr.(col "total" * col "cust_score")) ]
-    |> Query.sort ~descending:true [ "weighted" ]
-    |> Query.run
+    Columnar.equi_join ~on:[ ("customer", "id") ] (Columnar.of_table orders)
+      (Columnar.project [ "id"; "score" ] (Columnar.of_table people))
+    |> Columnar.extend [ ("weighted", Value.Tfloat, Expr.(col "total" * col "score")) ]
+    |> Columnar.order_by ~descending:true [ "weighted" ]
+    |> Columnar.to_table
   in
   Alcotest.(check int) "joined rows" 3 (Table.cardinality result);
   Alcotest.(check (float 1e-9)) "top weighted" 150. (Value.to_float (Table.get result 0 "weighted"))
