@@ -21,7 +21,6 @@ let report_row label (r : Serve.Workload.report) =
 let run ~domains () =
   Util.section "SERVE"
     (Printf.sprintf "Zipf workload against the serving layer (%d domains)" domains);
-  let clock = Util.clock in
   (* Benchmark with observability on: the registry must be live before
      the pool and server exist, and the snapshot rides along in the
      emitted entry so regressions in queue depth or batch shape are
@@ -29,12 +28,12 @@ let run ~domains () =
   let registry = Mde.Obs.create () in
   Mde.Obs.set_default registry;
   let run_with pool =
-    let server = Serve.Demo.server ?pool ~clock ~cache_capacity:256 () in
+    let server = Serve.Demo.server ?pool ~cache_capacity:256 () in
     let catalog = Serve.Demo.catalog 24 in
     let config =
       { Serve.Workload.requests = 240; concurrency = 8; zipf_s = 1.1; seed = 7 }
     in
-    (config, Serve.Demo.cold_warm ~clock (Serve.Target.of_server server) ~catalog config)
+    (config, Serve.Demo.cold_warm (Serve.Target.of_server server) ~catalog config)
   in
   let config, (cold, warm, verdict) =
     (* The shared pool persists across invocations — no domain spawn

@@ -45,7 +45,6 @@ let ms v = if Float.is_finite v then Printf.sprintf "%.2f" (1e3 *. v) else "-"
 let run ?(shards = 2) () =
   Util.section "SHARD"
     (Printf.sprintf "sharded serving front: %d shards, open-loop overload sweep" shards);
-  let clock = Util.clock in
   let templates = Serve.Demo.catalog catalog in
   (* Phase 1 — bit-identity + capacity. The same Zipf-sampled sequence
      (repeats exercise both sides' caches) is served request by request
@@ -56,10 +55,10 @@ let run ?(shards = 2) () =
     let rng = Mde.Prob.Rng.create ~seed:(seed + 17) () in
     Array.init arrivals (fun _ -> W.zipf_sample rng cdf)
   in
-  let single = Serve.Demo.server ~clock ~rows () in
-  let front = Serve.Demo.front ~clock ~rows ~shards () in
+  let single = Serve.Demo.server ~rows () in
+  let front = Serve.Demo.front ~rows ~shards () in
   let compared = ref 0 and mismatches = ref 0 in
-  let t0 = clock () in
+  let t0 = Mde.Obs.Clock.wall () in
   Array.iter
     (fun rank ->
       let request = templates.(rank) in
@@ -69,7 +68,7 @@ let run ?(shards = 2) () =
         if not (responses_identical a b) then incr mismatches
       | (`Rejected | `Served _), (`Shed _ | `Served _) -> ())
     picks;
-  let elapsed = clock () -. t0 in
+  let elapsed = Mde.Obs.Clock.wall () -. t0 in
   ignore (Serve.Shard.shutdown front);
   let capacity_rps = if elapsed > 0. then float_of_int arrivals /. elapsed else infinity in
   let identical = !compared > 0 && !mismatches = 0 in
@@ -88,9 +87,9 @@ let run ?(shards = 2) () =
     List.map
       (fun m ->
         let rate = m *. capacity_rps in
-        let front = Serve.Demo.front ~clock ~rows ~scheduler ~shards () in
+        let front = Serve.Demo.front ~rows ~scheduler ~shards () in
         let report, _ =
-          W.run_open ~clock (Serve.Target.of_shard front) ~catalog:sweep_catalog
+          W.run_open (Serve.Target.of_shard front) ~catalog:sweep_catalog
             { W.arrivals; rate; zipf_s = zipf; seed }
         in
         ignore (Serve.Shard.shutdown front);

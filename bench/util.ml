@@ -47,19 +47,14 @@ let time_it f =
   let result = f () in
   (result, Sys.time () -. t0)
 
-(* Seconds on bechamel's nanosecond monotonic clock. Handed to serving
-   fronts as [?clock], so a sub-microsecond cache hit does not round to
-   a zero latency as it would on [gettimeofday]. *)
-let clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 (* One timed section: wall seconds and the [Gc.allocated_bytes] delta. *)
 type timing = { seconds : float; alloc_bytes : float }
 
 let timed f =
   let a0 = Gc.allocated_bytes () in
-  let t0 = clock () in
+  let t0 = Mde.Obs.Clock.wall () in
   let x = f () in
-  let seconds = clock () -. t0 in
+  let seconds = Mde.Obs.Clock.wall () -. t0 in
   (x, { seconds; alloc_bytes = Gc.allocated_bytes () -. a0 })
 
 let min_timing a b =

@@ -271,9 +271,9 @@ let mcdb_cmd =
       !total /. float_of_int !n
     in
     let wall f =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Mde.Obs.Clock.wall () in
       let r = f () in
-      (r, Unix.gettimeofday () -. t0)
+      (r, Mde.Obs.Clock.wall () -. t0)
     in
     let samples_seq, t_seq =
       wall (fun () ->

@@ -34,9 +34,9 @@ let build_design rng spec ~factors =
 
 let run ?(replications = 1) ~rng ~design ~parameters ~composite ~fixed_inputs
     ~response () =
-  assert (replications >= 1);
+  if replications < 1 then invalid_arg "Experiment.run: replications must be >= 1";
   let factors = List.length parameters in
-  assert (factors >= 1);
+  if factors < 1 then invalid_arg "Experiment.run: no parameters to vary";
   let coded = build_design rng design ~factors in
   let ranges =
     Array.of_list (List.map (fun p -> (p.low, p.high)) parameters)

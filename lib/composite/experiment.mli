@@ -54,7 +54,8 @@ val run :
     into input datasets (later parameters override earlier ones on name
     clashes; all override [fixed_inputs]), run the composite
     [replications] times on split RNG streams, and record the scalar
-    response. *)
+    response. Raises [Invalid_argument] if [replications < 1] or
+    [parameters] is empty. *)
 
 val to_metamodel_data : result -> float array array * float array
 (** (design points, mean responses) in the form

@@ -17,7 +17,8 @@ let g_approx { c1; c2; v1; v2 } alpha =
   ((alpha *. c1) +. c2) *. (v1 +. (((1. /. alpha) -. 1.) *. v2))
 
 let alpha_star { c1; c2; v1; v2 } =
-  assert (c1 > 0. && c2 > 0. && v1 >= 0. && v2 >= 0.);
+  if not (c1 > 0. && c2 > 0. && v1 >= 0. && v2 >= 0.) then
+    invalid_arg "Result_cache.alpha_star: costs must be > 0 and variances >= 0";
   if v2 <= 0. then 0.
   else if v2 >= v1 then 1.
   else begin
@@ -45,7 +46,7 @@ type estimate = { theta_hat : float; n : int; m : int; alpha : float }
 
 let estimate two_stage rng ~n ~alpha =
   check_alpha alpha;
-  assert (n > 0);
+  if n < 1 then invalid_arg "Result_cache.estimate: n must be >= 1";
   let m = Stdlib.max 1 (Float.to_int (ceil (alpha *. float_of_int n))) in
   let cache = Array.init m (fun _ -> two_stage.model1 rng) in
   let total = ref 0. in
@@ -82,7 +83,8 @@ type pilot = {
 }
 
 let pilot ?pool two_stage rng ~inputs ~outputs_per_input =
-  assert (inputs >= 2 && outputs_per_input >= 2);
+  if inputs < 2 || outputs_per_input < 2 then
+    invalid_arg "Result_cache.pilot: inputs and outputs_per_input must be >= 2";
   let k = inputs and r = outputs_per_input in
   (* Each pilot input owns a split stream (its M1 draw and its M2 draws
      run on it in a fixed order), so the y matrix — and hence V1/V2 — is

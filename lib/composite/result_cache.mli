@@ -25,7 +25,8 @@ val alpha_star : statistics -> float
 (** Minimizer of g̃ truncated into (0, 1]: the optimal replication
     fraction. Degenerate cases follow the paper: V₂ = 0 (M₁ effectively
     deterministic for M₂'s variance) → 0 (run M₁ once, caller truncates
-    at 1/n); V₂ = V₁ (M₂ a deterministic transformer) → 1. *)
+    at 1/n); V₂ = V₁ (M₂ a deterministic transformer) → 1. Raises
+    [Invalid_argument] unless c₁, c₂ > 0 and V₁, V₂ ≥ 0. *)
 
 val efficiency_gain : statistics -> float
 (** The factor by which optimal caching beats no caching: g(1) divided by
@@ -57,7 +58,8 @@ type estimate = {
 val estimate : 'a two_stage -> Mde_prob.Rng.t -> n:int -> alpha:float -> estimate
 (** The RC estimator: run m = ⌈αn⌉ M₁ replications, cycle their cached
     outputs in fixed order through n M₂ replications (the stratified
-    re-use scheme), and average. *)
+    re-use scheme), and average. Raises [Invalid_argument] if [n < 1]
+    or [alpha] is outside (0, 1]. *)
 
 val estimate_under_budget :
   'a two_stage ->
@@ -94,4 +96,5 @@ val pilot :
     Every pilot input draws on its own split stream, so with [?pool] the
     inputs run one-per-domain and the sampled outputs (hence V₁/V₂) are
     bit-identical to the sequential run; the measured costs c₁/c₂ are
-    timing observations and carry run-to-run noise regardless. *)
+    timing observations and carry run-to-run noise regardless. Raises
+    [Invalid_argument] if [inputs < 2] or [outputs_per_input < 2]. *)

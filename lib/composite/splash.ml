@@ -50,7 +50,7 @@ let schema_map_transform ~dataset mapping =
   }
 
 let resample_transform ~dataset ~step =
-  assert (step > 0.);
+  if not (step > 0.) then invalid_arg "Splash.resample_transform: step must be > 0";
   {
     dataset;
     transform_name = Printf.sprintf "resample(step=%g)" step;
@@ -173,6 +173,6 @@ let execute_timed c rng ~inputs =
 let execute c rng ~inputs = fst (execute_timed c rng ~inputs)
 
 let monte_carlo c rng ~inputs ~reps ~query =
-  assert (reps > 0);
+  if reps < 1 then invalid_arg "Splash.monte_carlo: reps must be >= 1";
   let streams = Rng.split_n rng reps in
   Array.init reps (fun r -> query (execute c streams.(r) ~inputs))

@@ -43,7 +43,8 @@ val resample_transform : dataset:string -> step:float -> transform
 (** Re-tick a [Timeseries] dataset onto a regular grid with the given
     step, spanning the series' own time range — the transform a platform
     inserts automatically when producer and consumer declare different
-    time steps (see {!Mde.Registry.compose} in the core library). *)
+    time steps (see {!Mde.Registry.compose} in the core library).
+    Raises [Invalid_argument] unless [step > 0]. *)
 
 type composite
 
@@ -82,4 +83,5 @@ val monte_carlo :
   reps:int ->
   query:((string * datum) list -> float) ->
   float array
-(** Independent repetitions on split RNG streams, reduced by [query]. *)
+(** Independent repetitions on split RNG streams, reduced by [query].
+    Raises [Invalid_argument] if [reps < 1]. *)

@@ -55,13 +55,36 @@ let instantiate t rng =
     (stochastic_tables t);
   catalog
 
+(* Replication counts and sampling wall time go to whatever registry is
+   installed at call time (registration is idempotent, so the repeated
+   [counter]/[histogram] calls are hashtable lookups). With the no-op
+   default the whole block is skipped — no clock reads, no registration
+   — so samples stay bit-identical to uninstrumented runs. *)
 let monte_carlo ?pool t rng ~reps ~query =
   if reps < 1 then invalid_arg "Database.monte_carlo: reps must be >= 1";
   (* Streams are split up front, so repetition [r] consumes stream [r]
      whether it runs here or on a pool domain: parallel and sequential
      runs are bit-identical. *)
-  let streams = Rng.split_n rng reps in
-  Mde_par.Pool.init ?pool ~site:"mcdb.monte_carlo" reps (fun r -> query (instantiate t streams.(r)))
+  let run () =
+    let streams = Rng.split_n rng reps in
+    Mde_par.Pool.init ?pool ~site:"mcdb.monte_carlo" reps (fun r ->
+        query (instantiate t streams.(r)))
+  in
+  let obs = Mde_obs.default () in
+  if not (Mde_obs.enabled obs) then run ()
+  else
+    Mde_obs.with_span obs ~name:"mcdb.estimate" (fun () ->
+        let t0 = Mde_obs.Clock.wall () in
+        let samples = run () in
+        Mde_obs.Counter.add
+          (Mde_obs.counter obs ~help:"Monte Carlo replications executed by Database.monte_carlo"
+             "mde_mcdb_replications_total")
+          reps;
+        Mde_obs.Histogram.observe
+          (Mde_obs.histogram obs ~help:"Wall seconds per Database.monte_carlo call"
+             "mde_mcdb_estimate_seconds")
+          (Mde_obs.Clock.wall () -. t0);
+        samples)
 
 let plan_samples ?pool t rng ~table ~reps plan =
   if reps < 1 then invalid_arg "Database.plan_samples: reps must be >= 1";
@@ -89,27 +112,5 @@ let plan_samples ?pool t rng ~table ~reps plan =
   if not (Mde_obs.enabled obs) then run ()
   else Mde_obs.with_span obs ~name:"mcdb.plan_samples" run
 
-(* Replication counts and estimator wall time go to whatever registry
-   is installed at call time (registration is idempotent, so the
-   repeated [counter]/[histogram] calls are hashtable lookups). With the
-   no-op default the whole block is skipped — no clock reads, no
-   registration — so estimates stay bit-identical to uninstrumented
-   runs. *)
 let estimate ?pool t rng ~reps ~query =
-  let obs = Mde_obs.default () in
-  if not (Mde_obs.enabled obs) then
-    Estimator.of_samples (monte_carlo ?pool t rng ~reps ~query)
-  else
-    Mde_obs.with_span obs ~name:"mcdb.estimate" (fun () ->
-        let t0 = Mde_obs.Clock.wall () in
-        let est = Estimator.of_samples (monte_carlo ?pool t rng ~reps ~query) in
-        Mde_obs.Counter.add
-          (Mde_obs.counter obs
-             ~help:"Monte Carlo replications executed by Database.estimate"
-             "mde_mcdb_replications_total")
-          reps;
-        Mde_obs.Histogram.observe
-          (Mde_obs.histogram obs ~help:"Wall seconds per Database.estimate call"
-             "mde_mcdb_estimate_seconds")
-          (Mde_obs.Clock.wall () -. t0);
-        est)
+  Estimator.of_samples (monte_carlo ?pool t rng ~reps ~query)

@@ -47,7 +47,15 @@ val monte_carlo :
     stream. With [?pool] the repetitions run in parallel over the
     domain pool; because every repetition owns its pre-split stream, the
     samples are bit-identical to the sequential run. Raises
-    [Invalid_argument] if [reps < 1]. *)
+    [Invalid_argument] if [reps < 1].
+
+    When a live {!Mde_obs.default} registry is installed, the call runs
+    under an [mcdb.estimate] span and records replications executed
+    ([mde_mcdb_replications_total]) and sampling wall time
+    ([mde_mcdb_estimate_seconds]) — for every caller, so served means,
+    served tails and progressive-session batches all count. The
+    instrumentation never touches the RNG, so samples are bit-identical
+    either way; with the no-op default it costs one branch. *)
 
 val plan_samples :
   ?pool:Mde_par.Pool.t ->
@@ -75,9 +83,5 @@ val estimate :
   reps:int ->
   query:(Catalog.t -> float) ->
   Estimator.estimate
-(** Convenience: {!monte_carlo} reduced to a mean estimate with CI.
-    When a live {!Mde_obs.default} registry is installed, the call runs
-    under an [mcdb.estimate] span and records replications executed
-    ([mde_mcdb_replications_total]) and estimator wall time
-    ([mde_mcdb_estimate_seconds]); the instrumentation never touches the
-    RNG, so results are bit-identical either way. *)
+(** Convenience: [Estimator.of_samples (monte_carlo ...)], a mean
+    estimate with CI (instrumented through {!monte_carlo}). *)

@@ -1,19 +1,7 @@
 module Clock = struct
   type t = unit -> float
 
-  (* Process-wide high-water mark: gettimeofday can step backwards under
-     NTP adjustment, and a deadline computed across such a step would be
-     negative. The CAS loop keeps the clock monotonic without a lock. *)
-  let high_water = Atomic.make neg_infinity
-
-  let wall () =
-    let t = Unix.gettimeofday () in
-    let rec advance () =
-      let last = Atomic.get high_water in
-      if t > last then if Atomic.compare_and_set high_water last t then t else advance ()
-      else last
-    in
-    advance ()
+  let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 end
 
 let default_buckets =

@@ -36,12 +36,13 @@ module Clock : sig
       clocks as values so tests can inject deterministic ones. *)
 
   val wall : t
-  (** Monotonic wall clock: [Unix.gettimeofday] guarded by a process-wide
-      high-water mark, so a backward step of the system clock can never
-      make an interval negative. This is the default clock everywhere —
-      {e not} [Sys.time], which counts process CPU seconds and stands
-      still while a request sleeps in a queue or a worker domain runs on
-      another core. *)
+  (** Monotonic wall clock: seconds from an arbitrary origin on the
+      system's nanosecond monotonic clock (bechamel's unboxed,
+      allocation-free [Monotonic_clock]), so an interval is never
+      negative and a sub-microsecond cache hit does not round to zero.
+      This is the default clock everywhere — {e not} [Sys.time], which
+      counts process CPU seconds and stands still while a request sleeps
+      in a queue or a worker domain runs on another core. *)
 end
 
 type t

@@ -154,13 +154,17 @@ let feed_acc agg schema row acc =
   | Count_if e -> if Expr.eval_bool schema row e then acc.count <- acc.count + 1
   | Sum e | Avg e | Min e | Max e | Std e -> feed_numeric e
 
+(* Min/Max pick their winner by [Value.compare] (exact across Int and
+   Float) and emit it as the [Tfloat] that [agg_type] declares. *)
+let extreme = function Value.Null -> Value.Null | v -> Value.Float (Value.to_float v)
+
 let finish_acc agg acc =
   match agg with
   | Count | Count_if _ -> Value.Int acc.count
   | Sum _ -> Value.Float acc.sum
   | Avg _ -> if acc.count = 0 then Value.Null else Value.Float (acc.sum /. float_of_int acc.count)
-  | Min _ -> acc.vmin
-  | Max _ -> acc.vmax
+  | Min _ -> extreme acc.vmin
+  | Max _ -> extreme acc.vmax
   | Std _ ->
     if acc.count < 2 then Value.Null
     else begin

@@ -57,7 +57,10 @@ val group_by :
 (** Output schema: the key columns followed by one column per aggregate
     (Count/Count_if are Int, others Float). With [keys = []] the result
     is a single global-aggregate row. Groups appear in first-seen order.
-    Null inputs are skipped by Sum/Avg/Min/Max/Std. *)
+    Null inputs are skipped by Sum/Avg/Min/Max/Std. Min/Max pick their
+    winner by {!Value.compare} (exact across Int and Float) and emit it
+    converted to Float, so an Int column's [2^53+1] comes out as
+    [2^53.]. *)
 
 val order_by : ?descending:bool -> string list -> Table.t -> Table.t
 (** Stable lexicographic sort on the listed columns. *)

@@ -227,7 +227,8 @@ let float_moments ~ids ~n_groups node finish =
 
 (* Min/Max keep [Value.compare]'s order and its first of equals: typed
    over a float node, boxed otherwise, through [Value.to_float] first (so
-   strings raise as the row oracle's feed does). *)
+   strings raise as the row oracle's feed does). Like the row oracle,
+   the boxed winner leaves as the [Tfloat] cell [agg_type] declares. *)
 let extremum ~ids ~n_groups ~sign node =
   let seen = Array.make n_groups false in
   let wins g c = (not seen.(g)) || c * sign < 0 in
@@ -278,7 +279,7 @@ let extremum ~ids ~n_groups ~sign node =
                 seen.(g) <- true;
                 best.(g) <- x
               end ))
-      (fun g -> best.(g))
+      (fun g -> Value.Float (Value.to_float best.(g)))
   end
 
 let count_cells ~ids ~n_groups filter =

@@ -93,7 +93,7 @@ val group_by :
     are built directly (keys gathered from each group's first row).
     Aggregate sources run as one block sweep and accumulate unboxed, in
     row order; Min/Max keep [Value.compare]'s order and the first of
-    equals. With [?pool] the key encoding and the blocks' evaluation run
+    equals, and emit the winner as Float like {!Algebra.group_by}. With [?pool] the key encoding and the blocks' evaluation run
     on the pool, and accumulation replays in row order, so pooled
     results are bit-identical to sequential ones. *)
 

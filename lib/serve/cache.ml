@@ -191,3 +191,16 @@ let class_statistics ~compute_cost ~serve_cost ~result_variance ~repeat_fraction
   }
 
 let pays_off ?(min_gain = 1. +. 1e-9) stats = Rc.efficiency_gain stats >= min_gain
+
+(* Welford's running mean and sum of squared deviations. *)
+type variance_tracker = { mutable count : int; mutable mean : float; mutable m2 : float }
+
+let variance_tracker () = { count = 0; mean = 0.; m2 = 0. }
+
+let track v x =
+  v.count <- v.count + 1;
+  let delta = x -. v.mean in
+  v.mean <- v.mean +. (delta /. float_of_int v.count);
+  v.m2 <- v.m2 +. (delta *. (x -. v.mean))
+
+let sample_variance v = if v.count >= 2 then v.m2 /. float_of_int (v.count - 1) else 0.

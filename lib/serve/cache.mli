@@ -102,3 +102,15 @@ val pays_off : ?min_gain:float -> Mde_composite.Result_cache.statistics -> bool
 (** [pays_off stats] — should results of this class be admitted?
     [true] iff [Result_cache.efficiency_gain stats >= min_gain]
     (default just above 1: any strict gain admits). *)
+
+type variance_tracker
+(** The running sample variance of a stream of results (Welford's
+    one-pass update): the [result_variance] input of
+    {!class_statistics}, per server query class or session stream. *)
+
+val variance_tracker : unit -> variance_tracker
+val track : variance_tracker -> float -> unit
+
+val sample_variance : variance_tracker -> float
+(** Unbiased sample variance of the results tracked so far; [0.] below
+    two. *)

@@ -33,9 +33,9 @@ type model =
   | Composite : 'a Rc.two_stage -> model
 
 (* Per-query-class accounting: execution cost (for deadline budgets and
-   the c1 of admission), probe cost (c2), result variance (V1, by
-   Welford) and exact-repeat popularity (drives V2). Mutated only on the
-   caller domain — work closures read a snapshot taken at submission. *)
+   the c1 of admission), probe cost (c2), result variance (V1) and
+   exact-repeat popularity (drives V2). Mutated only on the caller
+   domain — work closures read a snapshot taken at submission. *)
 type class_info = {
   mutable requests : int;
   mutable repeats : int;
@@ -44,9 +44,7 @@ type class_info = {
   mutable exec_units : int;
   mutable probes : int;
   mutable probe_seconds : float;
-  mutable vcount : int;
-  mutable vmean : float;
-  mutable vm2 : float;
+  results : Cache.variance_tracker;
 }
 
 type executed = {
@@ -221,36 +219,45 @@ let validate t request =
          (units_of request.kind) (floor_units request.kind));
   model
 
-let model_fingerprint t request =
-  match lookup t request.model with
-  | Mcdb { db; _ } -> Printf.sprintf "mcdb:%s:%s" request.model (Database.fingerprint db)
+let model_fingerprint name = function
+  | Mcdb { db; _ } -> Printf.sprintf "mcdb:%s:%s" name (Database.fingerprint db)
   | Bundle_model { db; table; plan } ->
-    Printf.sprintf "bundle:%s:%s:%s:%s" request.model table
-      (Bundle.plan_fingerprint plan) (Database.fingerprint db)
-  | Chain_model _ -> Printf.sprintf "chain:%s" request.model
-  | Composite _ -> Printf.sprintf "rc:%s" request.model
+    Printf.sprintf "bundle:%s:%s:%s:%s" name table (Bundle.plan_fingerprint plan)
+      (Database.fingerprint db)
+  | Chain_model _ -> "chain:" ^ name
+  | Composite _ -> "rc:" ^ name
 
-let fingerprint t request =
-  let mfp = model_fingerprint t request in
+(* Every key of a request, from one model fingerprint: the cache
+   [fingerprint] (routing hashes its bytes), the [class_key] of requests
+   that micro-batch and share one admission decision (any seed) and the
+   [refinement_key] of its replication stream (any replication count). *)
+type keys = { fingerprint : string; class_key : string; refinement_key : string }
+
+let keys_of request model =
+  let mfp = model_fingerprint request.model model in
+  let seed = "|seed=" ^ string_of_int request.seed in
+  let seeded ~cls ~stream =
+    { fingerprint = cls ^ seed; class_key = cls; refinement_key = stream ^ seed }
+  in
   match request.kind with
-  | Mcdb_mean { reps } -> Printf.sprintf "%s|mean|reps=%d|seed=%d" mfp reps request.seed
+  | Mcdb_mean { reps } ->
+    seeded ~cls:(Printf.sprintf "%s|mean|reps=%d" mfp reps) ~stream:(mfp ^ "|mean")
   | Mcdb_tail { reps; p } ->
-    Printf.sprintf "%s|tail|reps=%d|p=%.17g|seed=%d" mfp reps p request.seed
+    seeded
+      ~cls:(Printf.sprintf "%s|tail|reps=%d|p=%.17g" mfp reps p)
+      ~stream:(Printf.sprintf "%s|tail|p=%.17g" mfp p)
   | Chain_mean { steps; reps } ->
-    Printf.sprintf "%s|chain|steps=%d|reps=%d|seed=%d" mfp steps reps request.seed
+    seeded
+      ~cls:(Printf.sprintf "%s|chain|steps=%d|reps=%d" mfp steps reps)
+      ~stream:(Printf.sprintf "%s|chain|steps=%d" mfp steps)
   | Composite_estimate { n; alpha } ->
-    Rc.query_fingerprint ~model:mfp ~n ~alpha ~seed:request.seed
+    {
+      fingerprint = Rc.query_fingerprint ~model:mfp ~n ~alpha ~seed:request.seed;
+      class_key = Printf.sprintf "%s|rc|n=%d|alpha=%.17g" mfp n alpha;
+      refinement_key = Printf.sprintf "%s|rc|alpha=%.17g%s" mfp alpha seed;
+    }
 
-(* The class groups requests that micro-batch together and share one
-   admission decision: same model and parameters, any seed. *)
-let class_key t request =
-  let mfp = model_fingerprint t request in
-  match request.kind with
-  | Mcdb_mean { reps } -> Printf.sprintf "%s|mean|reps=%d" mfp reps
-  | Mcdb_tail { reps; p } -> Printf.sprintf "%s|tail|reps=%d|p=%.17g" mfp reps p
-  | Chain_mean { steps; reps } -> Printf.sprintf "%s|chain|steps=%d|reps=%d" mfp steps reps
-  | Composite_estimate { n; alpha } ->
-    Printf.sprintf "%s|rc|n=%d|alpha=%.17g" mfp n alpha
+let fingerprint t request = (keys_of request (lookup t request.model)).fingerprint
 
 let class_info t key =
   match Hashtbl.find_opt t.classes key with
@@ -265,9 +272,7 @@ let class_info t key =
         exec_units = 0;
         probes = 0;
         probe_seconds = 0.;
-        vcount = 0;
-        vmean = 0.;
-        vm2 = 0.;
+        results = Cache.variance_tracker ();
       }
     in
     Hashtbl.replace t.classes key info;
@@ -284,50 +289,52 @@ let effective_units ~requested ~floor_units ~time_left ~per_unit_cost =
       Stdlib.min requested (Stdlib.max floor_units affordable)
     | _ -> requested)
 
-(* Runs on a pool domain: reads only its captured snapshot, returns
+(* The one model × kind sampling match: the per-replication query
+   samples of [reps] replications on the streams split off [root]. A
+   one-shot execution draws on a fresh seed root, a session batch on a
+   [slice_root]; composite estimates have no sample array. *)
+let draw ?pool model kind root ~reps =
+  match (model, kind) with
+  | Mcdb { db; query }, (Mcdb_mean _ | Mcdb_tail _) ->
+    Database.monte_carlo ?pool db root ~reps ~query
+  | Bundle_model { db; table; plan }, (Mcdb_mean _ | Mcdb_tail _) ->
+    Database.plan_samples ?pool db root ~table ~reps plan
+  | Chain_model { chain; query }, Chain_mean { steps; _ } ->
+    Chain.final_values ?pool chain root ~steps ~reps ~query
+  | _ -> assert false (* ruled out by [validate] and the composite arms *)
+
+let estimate kind samples =
+  match kind with
+  | Mcdb_mean _ | Chain_mean _ ->
+    let est = Est.of_samples samples in
+    (est.Est.mean, Some est.Est.ci95)
+  | Mcdb_tail { p; _ } ->
+    (* Point estimate and CI share one sort of the samples. *)
+    let q, ci = Est.tail_estimate samples ~p ~level:0.95 in
+    (q, Some ci)
+  | Composite_estimate _ ->
+    invalid_arg "Server.estimate: a composite estimate is not a reduction of samples"
+
+(* Runs on a scheduler domain: reads only its captured snapshot, returns
    timing for the caller to fold into the class statistics. *)
 let execute ~clock ~model ~kind ~seed ~per_unit_cost ~time_left =
   let requested = units_of kind in
   let floor_units = floor_units kind in
   let units = effective_units ~requested ~floor_units ~time_left ~per_unit_cost in
   let t0 = clock () in
+  let root = Rng.create ~seed () in
   let xvalue, xci95 =
     match (model, kind) with
-    | Mcdb { db; query }, Mcdb_mean _ ->
-      let est = Database.estimate db (Rng.create ~seed ()) ~reps:units ~query in
-      (est.Est.mean, Some est.Est.ci95)
-    | Mcdb { db; query }, Mcdb_tail { p; _ } ->
-      let samples = Database.monte_carlo db (Rng.create ~seed ()) ~reps:units ~query in
-      (* Point estimate and CI share one sort of the samples. *)
-      let q, ci = Est.tail_estimate samples ~p ~level:0.95 in
-      (q, Some ci)
-    | Bundle_model { db; table; plan }, Mcdb_mean _ ->
-      let samples =
-        Database.plan_samples db (Rng.create ~seed ()) ~table ~reps:units plan
-      in
-      let est = Est.of_samples samples in
-      (est.Est.mean, Some est.Est.ci95)
-    | Bundle_model { db; table; plan }, Mcdb_tail { p; _ } ->
-      let samples =
-        Database.plan_samples db (Rng.create ~seed ()) ~table ~reps:units plan
-      in
-      let q, ci = Est.tail_estimate samples ~p ~level:0.95 in
-      (q, Some ci)
-    | Chain_model { chain; query }, Chain_mean { steps; _ } ->
-      let finals = Chain.final_values chain (Rng.create ~seed ()) ~steps ~reps:units ~query in
-      let est = Est.of_samples finals in
-      (est.Est.mean, Some est.Est.ci95)
     | Composite stages, Composite_estimate { alpha; _ } ->
-      let est = Rc.estimate stages (Rng.create ~seed ()) ~n:units ~alpha in
-      (est.Rc.theta_hat, None)
-    | _ -> assert false (* ruled out by [validate] *)
+      ((Rc.estimate stages root ~n:units ~alpha).Rc.theta_hat, None)
+    | _ -> estimate kind (draw model kind root ~reps:units)
   in
   { xvalue; xci95; xunits = units; xseconds = clock () -. t0 }
 
 let submit t request =
   let model = validate t request in
-  let fp = fingerprint t request in
-  let cls = class_info t (class_key t request) in
+  let { fingerprint = fp; class_key; _ } = keys_of request model in
+  let cls = class_info t class_key in
   cls.requests <- cls.requests + 1;
   if Hashtbl.mem t.seen fp then cls.repeats <- cls.repeats + 1
   else remember t fp;
@@ -367,8 +374,7 @@ let submit t request =
     let kind = request.kind and seed = request.seed in
     let run = execute ~clock ~model ~kind ~seed ~per_unit_cost in
     match
-      Scheduler.submit t.sched ~class_key:(class_key t request) ?deadline:request.deadline
-        run
+      Scheduler.submit t.sched ~class_key ?deadline:request.deadline run
     with
     | `Rejected ->
       t.rejected <- t.rejected + 1;
@@ -386,12 +392,6 @@ let submit t request =
         };
       `Queued id)
 
-let welford cls x =
-  cls.vcount <- cls.vcount + 1;
-  let delta = x -. cls.vmean in
-  cls.vmean <- cls.vmean +. (delta /. float_of_int cls.vcount);
-  cls.vm2 <- cls.vm2 +. (delta *. (x -. cls.vmean))
-
 let admit_decision t cls =
   match t.admission with
   | Admit_all -> true
@@ -404,12 +404,10 @@ let admit_decision t cls =
           Float.max 1e-9 (cls.probe_seconds /. float_of_int cls.probes)
         else 1e-9
       in
-      let result_variance =
-        if cls.vcount >= 2 then cls.vm2 /. float_of_int (cls.vcount - 1) else 0.
-      in
       let repeat_fraction = float_of_int cls.repeats /. float_of_int cls.requests in
       Cache.pays_off ~min_gain
-        (Cache.class_statistics ~compute_cost ~serve_cost ~result_variance
+        (Cache.class_statistics ~compute_cost ~serve_cost
+           ~result_variance:(Cache.sample_variance cls.results)
            ~repeat_fraction)
 
 let settle t completions =
@@ -425,7 +423,7 @@ let settle t completions =
         fl.cls.executions <- fl.cls.executions + 1;
         fl.cls.exec_seconds <- fl.cls.exec_seconds +. result.xseconds;
         fl.cls.exec_units <- fl.cls.exec_units + result.xunits;
-        welford fl.cls result.xvalue;
+        Cache.track fl.cls.results result.xvalue;
         let degraded = result.xunits < fl.requested in
         if degraded then begin
           t.degraded_count <- t.degraded_count + 1;
@@ -478,36 +476,21 @@ let slice_root ~seed ~lo =
   Rng.advance root lo;
   root
 
-let refinement_key t request =
-  ignore (validate t request);
-  let mfp = model_fingerprint t request in
-  match request.kind with
-  | Mcdb_mean _ -> Printf.sprintf "%s|mean|seed=%d" mfp request.seed
-  | Mcdb_tail { p; _ } -> Printf.sprintf "%s|tail|p=%.17g|seed=%d" mfp p request.seed
-  | Chain_mean { steps; _ } ->
-    Printf.sprintf "%s|chain|steps=%d|seed=%d" mfp steps request.seed
-  | Composite_estimate { alpha; _ } ->
-    Printf.sprintf "%s|rc|alpha=%.17g|seed=%d" mfp alpha request.seed
+let refinement_key t request = (keys_of request (validate t request)).refinement_key
 
 let sample_batch t request ~lo ~hi =
   let model = validate t request in
   if lo < 0 then invalid_arg "Server.sample_batch: lo must be >= 0";
   if hi <= lo then invalid_arg "Server.sample_batch: hi must be > lo";
-  let pool = Scheduler.pool t.sched in
-  let reps = hi - lo in
-  let root = slice_root ~seed:request.seed ~lo in
-  match (model, request.kind) with
-  | Mcdb { db; query }, (Mcdb_mean _ | Mcdb_tail _) ->
-    Database.monte_carlo ?pool db root ~reps ~query
-  | Bundle_model { db; table; plan }, (Mcdb_mean _ | Mcdb_tail _) ->
-    Database.plan_samples ?pool db root ~table ~reps plan
-  | Chain_model { chain; query }, Chain_mean { steps; _ } ->
-    Chain.final_values ?pool chain root ~steps ~reps ~query
-  | Composite _, Composite_estimate _ ->
+  (match request.kind with
+  | Composite_estimate _ ->
     invalid_arg
       "Server.sample_batch: composite estimates consume their RNG sequentially; \
        refine them by re-serving at a larger n"
-  | _ -> assert false (* ruled out by [validate] *)
+  | _ -> ());
+  draw ?pool:(Scheduler.pool t.sched) model request.kind
+    (slice_root ~seed:request.seed ~lo)
+    ~reps:(hi - lo)
 
 type stats = {
   served : int;

@@ -10,6 +10,11 @@
     and admits fresh results into the cache when the g(α) theory says the
     class pays off ({!Cache.pays_off}).
 
+    One model × kind match draws the per-replication samples for both
+    one-shot executions and {!sample_batch}, {!estimate} is the one
+    estimator over them, and one match over kinds derives the cache
+    fingerprint, the class key and the {!refinement_key}.
+
     Determinism contract: a served response carries exactly the value the
     direct library call produces for the same seed —
     [Mde_mcdb.Database.estimate], [Mde_mcdb.Database.monte_carlo] +
@@ -118,8 +123,17 @@ val register_composite :
 val fingerprint : t -> request -> string
 (** The canonical cache key: model fingerprint + kind + every parameter +
     seed. Distinct parameters give distinct fingerprints. Raises
-    [Invalid_argument] on an unregistered model or a kind mismatched to
-    the registered model. *)
+    [Invalid_argument] on an unregistered model; the rest of the request
+    is validated by {!submit}. *)
+
+val estimate : kind -> float array -> float * (float * float) option
+(** The one estimator behind every served and progressive answer: value
+    and 95% CI of a kind over its per-replication samples
+    ({!Mde_mcdb.Estimator.of_samples}' mean for [Mcdb_mean]/[Chain_mean],
+    {!Mde_mcdb.Estimator.tail_estimate} for [Mcdb_tail]). A {!Session}
+    applies it to a stream prefix, so a converged session lands on the
+    one-shot bits. Raises [Invalid_argument] for [Composite_estimate]
+    and on the estimators' own preconditions. *)
 
 val units_of : kind -> int
 (** The request's total replication (or composite [n]) budget. *)
@@ -143,8 +157,8 @@ val refinement_key : t -> request -> string
     kind + seed + every parameter {e except} replication counts. Two
     requests with the same key and different rep budgets are prefixes of
     one another's sample sequences, so a session shares one growing
-    sample store between them. Raises [Invalid_argument] like
-    {!fingerprint}. *)
+    sample store between them. Raises [Invalid_argument] on malformed
+    requests, like {!submit}. *)
 
 val sample_batch : t -> request -> lo:int -> hi:int -> float array
 (** The per-replication query samples for stream indices [lo..hi-1] —

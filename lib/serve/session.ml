@@ -1,5 +1,4 @@
 module Rc = Mde_composite.Result_cache
-module Est = Mde_mcdb.Estimator
 
 type planner = Explore | Round_robin
 
@@ -20,15 +19,13 @@ type update = {
 
 (* One growing sample store per refinement key, shared by every handle
    (and watcher) whose request identifies the same replication stream.
-   [len] is the filled prefix; Welford moments over it feed the g(α)
+   [len] is the filled prefix; its running variance feeds the g(α)
    variance input. *)
 type entry = {
   e_request : Server.request;  (* a representative request, for refine calls *)
   mutable buf : float array;
   mutable len : int;
-  mutable vcount : int;
-  mutable vmean : float;
-  mutable vm2 : float;
+  moments : Cache.variance_tracker;
 }
 
 (* Composite estimates are not sliceable; their store caches the levels
@@ -143,7 +140,9 @@ let entry_of t (p : progress) =
   match Hashtbl.find_opt t.entries p.pr_key with
   | Some e -> e
   | None ->
-    let e = { e_request = p.pr_request; buf = [||]; len = 0; vcount = 0; vmean = 0.; vm2 = 0. } in
+    let e =
+      { e_request = p.pr_request; buf = [||]; len = 0; moments = Cache.variance_tracker () }
+    in
     Hashtbl.replace t.entries p.pr_key e;
     e
 
@@ -214,20 +213,6 @@ let half_width_of = function
   | Some (lo, hi) -> (hi -. lo) /. 2.
   | None -> nan
 
-(* Exactly the one-shot execution paths ([Server.execute]) over the
-   stream prefix: mean kinds through [Estimator.of_samples], tail kinds
-   through [Estimator.tail_estimate] — so a converged prefix yields the
-   one-shot bits. *)
-let sample_estimate (request : Server.request) xs =
-  match request.Server.kind with
-  | Server.Mcdb_mean _ | Server.Chain_mean _ ->
-    let est = Est.of_samples xs in
-    (est.Est.mean, Some est.Est.ci95)
-  | Server.Mcdb_tail { p; _ } ->
-    let q, ci = Est.tail_estimate xs ~p ~level:0.95 in
-    (q, Some ci)
-  | Server.Composite_estimate _ -> assert false (* composite handles never get here *)
-
 let make_update ~id ~value ~ci95 ~reps_done ~reps_total ~reps_reused =
   {
     id;
@@ -240,6 +225,13 @@ let make_update ~id ~value ~ci95 ~reps_done ~reps_total ~reps_reused =
     converged = reps_done >= reps_total;
   }
 
+(* The update over the first [n] replications of [entry]'s stream: the
+   one-shot estimator ([Server.estimate]) over the prefix, so a
+   converged prefix yields the one-shot bits. *)
+let sample_update ~id (request : Server.request) entry ~n ~reps_total ~reps_reused =
+  let value, ci95 = Server.estimate request.Server.kind (Array.sub entry.buf 0 n) in
+  make_update ~id ~value ~ci95 ~reps_done:n ~reps_total ~reps_reused
+
 let progress_update t (p : progress) =
   if p.pr_done < p.pr_floor || p.pr_done < 1 then None
   else if p.pr_composite then
@@ -250,12 +242,9 @@ let progress_update t (p : progress) =
         (make_update ~id:p.pr_id ~value ~ci95:None ~reps_done:p.pr_done
            ~reps_total:p.pr_total ~reps_reused:p.pr_reused)
   else
-    let entry = entry_of t p in
-    let xs = Array.sub entry.buf 0 p.pr_done in
-    let value, ci95 = sample_estimate p.pr_request xs in
     Some
-      (make_update ~id:p.pr_id ~value ~ci95 ~reps_done:p.pr_done ~reps_total:p.pr_total
-         ~reps_reused:p.pr_reused)
+      (sample_update ~id:p.pr_id p.pr_request (entry_of t p) ~n:p.pr_done
+         ~reps_total:p.pr_total ~reps_reused:p.pr_reused)
 
 let estimate t = function
   | Query p -> progress_update t p
@@ -281,18 +270,11 @@ let estimate t = function
         let n = Stdlib.min entry.len w.w_total in
         if n < w.w_floor || n < 1 then None
         else
-          let value, ci95 = sample_estimate w.w_request (Array.sub entry.buf 0 n) in
           Some
-            (make_update ~id:w.w_id ~value ~ci95 ~reps_done:n ~reps_total:w.w_total
+            (sample_update ~id:w.w_id w.w_request entry ~n ~reps_total:w.w_total
                ~reps_reused:0)
 
 (* --- the sample store --- *)
-
-let welford entry x =
-  entry.vcount <- entry.vcount + 1;
-  let delta = x -. entry.vmean in
-  entry.vmean <- entry.vmean +. (delta /. float_of_int entry.vcount);
-  entry.vm2 <- entry.vm2 +. (delta *. (x -. entry.vmean))
 
 let append_samples entry xs =
   let n = Array.length xs in
@@ -304,7 +286,7 @@ let append_samples entry xs =
   end;
   Array.blit xs 0 entry.buf entry.len n;
   entry.len <- needed;
-  Array.iter (fun x -> welford entry x) xs
+  Array.iter (Cache.track entry.moments) xs
 
 (* Fire every watcher that gained new replications (or a new composite
    level) — exactly once per landed batch, never on reuse-only
@@ -316,9 +298,8 @@ let fire_sample_watchers t key entry =
         let n = Stdlib.min entry.len w.w_total in
         if n > w.w_seen && n >= w.w_floor then begin
           w.w_seen <- n;
-          let value, ci95 = sample_estimate w.w_request (Array.sub entry.buf 0 n) in
           w.w_cb
-            (make_update ~id:w.w_id ~value ~ci95 ~reps_done:n ~reps_total:w.w_total
+            (sample_update ~id:w.w_id w.w_request entry ~n ~reps_total:w.w_total
                ~reps_reused:0)
         end
       end)
@@ -384,8 +365,8 @@ let effective_cost t p ~want =
       else
         let result_variance =
           match Hashtbl.find_opt t.entries p.pr_key with
-          | Some e when e.vcount >= 2 -> e.vm2 /. float_of_int (e.vcount - 1)
-          | _ -> 0.
+          | Some e -> Cache.sample_variance e.moments
+          | None -> 0.
         in
         let stats =
           Cache.class_statistics ~compute_cost:1. ~serve_cost:0. ~result_variance

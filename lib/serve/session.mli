@@ -32,7 +32,9 @@
     {e exactly} the samples a one-shot serve at its total rep count
     draws — same estimate, same CI bits — pooled or not, whatever order
     the planner interleaved its batches in, on a single server or a
-    sharded front, even across a {!retarget} to a resized front.
+    sharded front, even across a {!retarget} to a resized front. The
+    session has no estimator of its own: every update applies
+    {!Server.estimate}, the one-shot estimator, to a stream prefix.
     Composite ([Composite_estimate]) handles have no positional streams
     (their RNG is consumed sequentially); the session refines them by
     re-serving at increasing [n] through the target, so their final

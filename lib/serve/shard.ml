@@ -189,13 +189,17 @@ let resolve t (request : Server.request) =
 
 let backend_for t request = (fst (resolve t request)).Server.model
 
-(* The routing fingerprint of a federated request comes from its
-   statically-preferred backend, so the shard placement of a logical
-   query never moves when the cost-based catalog changes backends. *)
-let fingerprint t (request : Server.request) =
+(* A federated request is keyed as its statically-preferred backend, so
+   neither the shard placement of a logical query (its routing
+   fingerprint) nor a session's sample store (its refinement key) moves
+   when the cost-based catalog changes backends; executions may use any
+   backend because federated backends are bit-identical by contract. *)
+let primary t (request : Server.request) =
   match Hashtbl.find_opt t.federated request.Server.model with
-  | None -> Server.fingerprint t.servers.(0) request
-  | Some fed -> Server.fingerprint t.servers.(0) { request with Server.model = fed.primary }
+  | None -> request
+  | Some fed -> { request with Server.model = fed.primary }
+
+let fingerprint t request = Server.fingerprint t.servers.(0) (primary t request)
 
 let shard_of t request = Router.route t.router (fingerprint t request)
 
@@ -274,15 +278,7 @@ let serve t request =
 
 (* --- progressive-refinement hooks --- *)
 
-(* Like routing, refinement keys come from the statically-preferred
-   primary of a federated name, so a session's sample store never moves
-   when the cost-based catalog changes backends; executions may use any
-   backend because federated backends are bit-identical by contract. *)
-let refinement_key t (request : Server.request) =
-  match Hashtbl.find_opt t.federated request.Server.model with
-  | None -> Server.refinement_key t.servers.(0) request
-  | Some fed ->
-    Server.refinement_key t.servers.(0) { request with Server.model = fed.primary }
+let refinement_key t request = Server.refinement_key t.servers.(0) (primary t request)
 
 let sample_batch t request ~lo ~hi =
   let resolved, _ = resolve t request in

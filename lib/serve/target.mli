@@ -4,8 +4,8 @@
 
     The open-loop workload driver, the shard benchmark and the
     progressive {!Session} engine all used to either take a concrete
-    server or re-wrap the two backends in ad-hoc closure records
-    ([Workload.target]); they now all drive a [Target.t], so anything
+    server or re-wrap the two backends in ad-hoc closure records; they
+    now all drive a [Target.t], so anything
     that can accept-or-drop a request and later deliver responses plugs
     into every driver. [`Dropped] unifies {!Server}'s backpressure
     [`Rejected] and {!Shard}'s typed [`Shed]: callers that need the

@@ -60,15 +60,35 @@ let percentiles xs qs =
   Array.sort Float.compare sorted;
   Array.map (percentile_sorted sorted) qs
 
-(* The reports document nan percentiles when nothing was served; only
-   explicit [percentile]/[percentiles] calls reject empty samples. *)
-let report_percentiles latencies =
-  if Array.length latencies = 0 then [| nan; nan; nan |]
-  else percentiles latencies [| 0.50; 0.95; 0.99 |]
+(* What both loops report of their responses ([None] = dropped):
+   served, degraded, hits, throughput, mean latency and percentiles. *)
+let summarize responses ~elapsed =
+  let latencies =
+    Array.of_seq
+      (Seq.filter_map
+         (Option.map (fun (r : Server.response) -> r.Server.latency))
+         (Array.to_seq responses))
+  in
+  let served = Array.length latencies in
+  let count pred =
+    Array.fold_left
+      (fun acc -> function Some r when pred r -> acc + 1 | _ -> acc)
+      0 responses
+  in
+  (* One sort serves all three report percentiles. The reports document
+     nan percentiles when nothing was served; only explicit
+     [percentile]/[percentiles] calls reject empty samples. *)
+  let ps =
+    if served = 0 then [| nan; nan; nan |] else percentiles latencies [| 0.50; 0.95; 0.99 |]
+  in
+  ( served,
+    count (fun r -> r.Server.degraded),
+    count (fun r -> r.Server.cache = Server.Hit),
+    (if elapsed > 0. then float_of_int served /. elapsed else infinity),
+    (if served = 0 then nan else Array.fold_left ( +. ) 0. latencies /. float_of_int served),
+    (ps.(0), ps.(1), ps.(2)) )
 
 (* --- open loop --- *)
-
-type target = Target.t
 
 type open_config = { arrivals : int; rate : float; zipf_s : float; seed : int }
 
@@ -133,34 +153,22 @@ let run_open ?(clock = Mde_obs.Clock.wall) target ~catalog (config : open_config
     (* else: spin on the clock until the next arrival is due. *)
   done;
   let elapsed = clock () -. t0 in
-  let latencies =
-    Array.of_seq
-      (Seq.filter_map
-         (Option.map (fun (r : Server.response) -> r.Server.latency))
-         (Array.to_seq responses))
+  let served, degraded, hits, throughput, mean_latency, (p50, p95, p99) =
+    summarize responses ~elapsed
   in
-  let served = Array.length latencies in
-  let count pred =
-    Array.fold_left
-      (fun acc -> function Some r when pred r -> acc + 1 | _ -> acc)
-      0 responses
-  in
-  let ps = report_percentiles latencies in
   ( {
       offered = config.arrivals;
       offered_rate = config.rate;
       served;
       shed = !shed;
-      degraded = count (fun r -> r.Server.degraded);
-      hits = count (fun r -> r.Server.cache = Server.Hit);
+      degraded;
+      hits;
       elapsed;
-      throughput = (if elapsed > 0. then float_of_int served /. elapsed else infinity);
-      mean_latency =
-        (if served = 0 then nan
-         else Array.fold_left ( +. ) 0. latencies /. float_of_int served);
-      p50 = ps.(0);
-      p95 = ps.(1);
-      p99 = ps.(2);
+      throughput;
+      mean_latency;
+      p50;
+      p95;
+      p99;
       shed_rate =
         (if config.arrivals = 0 then 0.
          else float_of_int !shed /. float_of_int config.arrivals);
@@ -195,38 +203,23 @@ let run ?(clock = Mde_obs.Clock.wall) target ~catalog config =
       (Target.drain target)
   done;
   let elapsed = clock () -. t0 in
-  let latencies =
-    Array.of_seq
-      (Seq.filter_map
-         (Option.map (fun (r : Server.response) -> r.Server.latency))
-         (Array.to_seq responses))
+  let served, degraded, hits, throughput, mean_latency, (p50, p95, p99) =
+    summarize responses ~elapsed
   in
-  let served = Array.length latencies in
-  let count pred =
-    Array.fold_left
-      (fun acc -> function Some r when pred r -> acc + 1 | _ -> acc)
-      0 responses
-  in
-  let hits = count (fun r -> r.Server.cache = Server.Hit) in
-  let degraded = count (fun r -> r.Server.degraded) in
-  (* One sort serves all three report percentiles. *)
-  let ps = report_percentiles latencies in
-  {
-    issued = !issued;
-    served;
-    rejected = !rejected;
-    degraded;
-    hits;
-    elapsed;
-    throughput = (if elapsed > 0. then float_of_int served /. elapsed else infinity);
-    mean_latency =
-      (if served = 0 then nan
-       else Array.fold_left ( +. ) 0. latencies /. float_of_int served);
-    p50 = ps.(0);
-    p95 = ps.(1);
-    p99 = ps.(2);
-    hit_rate = (if served = 0 then 0. else float_of_int hits /. float_of_int served);
-    rejection_rate =
-      (if !issued = 0 then 0. else float_of_int !rejected /. float_of_int !issued);
-  },
-  responses
+  ( {
+      issued = !issued;
+      served;
+      rejected = !rejected;
+      degraded;
+      hits;
+      elapsed;
+      throughput;
+      mean_latency;
+      p50;
+      p95;
+      p99;
+      hit_rate = (if served = 0 then 0. else float_of_int hits /. float_of_int served);
+      rejection_rate =
+        (if !issued = 0 then 0. else float_of_int !rejected /. float_of_int !issued);
+    },
+    responses )

@@ -66,13 +66,6 @@ val percentiles : float array -> float array -> float array
     bounded queues and the target sheds — which is the regime the
     latency-under-load curves in [bench/BENCH_serve.json] record. *)
 
-type target = Target.t
-(** What both loops drive: anything that can accept-or-drop a request
-    and later deliver responses ({!Target}). [`Dropped] unifies
-    {!Server}'s backpressure [`Rejected] and {!Shard}'s typed [`Shed] —
-    the driver counts them as shed either way. (The ad-hoc closure
-    record this type used to be is now the first-class {!Target.t}.) *)
-
 type open_config = {
   arrivals : int;  (** total arrivals to generate *)
   rate : float;  (** offered load: mean arrivals per clock second (> 0) *)

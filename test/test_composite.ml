@@ -391,6 +391,36 @@ let test_resample_transform () =
     check_close 1e-9 "starts at range start" 0. (Series.start_time out)
   | _ -> Alcotest.fail "expected timeseries"
 
+(* Preconditions raise Invalid_argument, with or without -noassert. *)
+let rejects =
+  let composite =
+    Splash.compose ~name:"dq" ~models:[ demand_model; queue_model ] ~transforms:[]
+  in
+  let rng () = Rng.create ~seed:1 () in
+  List.map
+    (fun (name, msg, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.check_raises name (Invalid_argument msg) f))
+    [ ( "resample step <= 0", "Splash.resample_transform: step must be > 0",
+        fun () -> ignore (Splash.resample_transform ~dataset:"s" ~step:0.) );
+      ( "monte_carlo reps < 1", "Splash.monte_carlo: reps must be >= 1",
+        fun () ->
+          ignore
+            (Splash.monte_carlo composite (rng ()) ~inputs:[] ~reps:0 ~query:(fun _ -> 0.)) );
+      ( "alpha_star c1 <= 0", "Result_cache.alpha_star: costs must be > 0 and variances >= 0",
+        fun () -> ignore (Rc.alpha_star { stats_example with Rc.c1 = 0. }) );
+      ( "estimate n < 1", "Result_cache.estimate: n must be >= 1",
+        fun () -> ignore (Rc.estimate two_stage (rng ()) ~n:0 ~alpha:0.5) );
+      ( "pilot inputs < 2", "Result_cache.pilot: inputs and outputs_per_input must be >= 2",
+        fun () -> ignore (Rc.pilot two_stage (rng ()) ~inputs:1 ~outputs_per_input:2) );
+      ( "experiment replications < 1", "Experiment.run: replications must be >= 1",
+        fun () -> ignore (run_experiment ~replications:0 Experiment.Full_factorial) );
+      ( "experiment without parameters", "Experiment.run: no parameters to vary",
+        fun () ->
+          ignore
+            (Experiment.run ~rng:(rng ()) ~design:Experiment.Full_factorial ~parameters:[]
+               ~composite:analytic_composite ~fixed_inputs:[] ~response ()) ) ]
+
 let () =
   Alcotest.run "mde_composite"
     [
@@ -430,4 +460,5 @@ let () =
           Alcotest.test_case "pilot ANOVA" `Slow test_pilot_recovers_variance_components;
           Alcotest.test_case "transformer M2" `Quick test_transformer_m2_detected;
         ] );
+      ("preconditions", rejects);
     ]

@@ -333,6 +333,40 @@ let test_reljob_nan_keys_and_empty () =
   Alcotest.(check bool) "empty global row identical" true
     (same_rows_as_multiset (Algebra.group_by ~keys:[] ~aggs:reljob_aggs empty) g)
 
+(* Min/Max are declared Float: over an Int column every engine picks
+   the winner by [Value.compare] and emits it as a Float, so 2^53+1
+   leaves as 2^53. and an all-Null group as Null, identically in the
+   row oracle, [Columnar] and [Reljob]. *)
+let test_min_max_over_int_column () =
+  let big = (1 lsl 53) + 1 in
+  let t =
+    Table.create
+      (Schema.of_list [ ("k", Value.Tint); ("i", Value.Tint) ])
+      (List.map
+         (fun (k, i) -> [| Value.Int k; i |])
+         [ (0, Value.Int 3); (1, Value.Null); (0, Value.Int big); (2, Value.Null);
+           (1, Value.Int (-5)); (0, Value.Int (big - 1)) ])
+  in
+  let aggs = [ ("lo", Algebra.Min (Expr.col "i")); ("hi", Algebra.Max (Expr.col "i")) ] in
+  let oracle = Algebra.group_by ~keys:[ "k" ] ~aggs t in
+  let columnar = Columnar.to_table (Columnar.group_by ~keys:[ "k" ] ~aggs (Columnar.of_table t)) in
+  let reljob, _ = Reljob.group_by ~partitions:2 ~keys:[ "k" ] ~aggs t in
+  let row k lo hi = [ Value.Int k; lo; hi ] in
+  let expected =
+    [ row 0 (Value.Float 3.) (Value.Float (float_of_int big));
+      row 1 (Value.Float (-5.)) (Value.Float (-5.));
+      row 2 Value.Null Value.Null ]
+  in
+  let canon t =
+    Array.to_list (Table.rows t) |> List.map Array.to_list
+    |> List.sort (List.compare Value.compare)
+  in
+  List.iter
+    (fun (name, out) ->
+      Alcotest.(check bool) (name ^ " rows") true
+        (List.equal (List.equal value_identical) expected (canon out)))
+    [ ("algebra", oracle); ("columnar", columnar); ("reljob", reljob) ]
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_mapred"
@@ -366,6 +400,7 @@ let () =
           Alcotest.test_case "NaN keys + empty global" `Quick
             test_reljob_nan_keys_and_empty;
           Alcotest.test_case "pooled == sequential" `Quick test_reljob_pooled_identity;
+          Alcotest.test_case "Min/Max over an Int column" `Quick test_min_max_over_int_column;
         ] );
       ( "properties",
         qc

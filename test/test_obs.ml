@@ -15,6 +15,21 @@ let ticking () =
     t := v +. 1.;
     v
 
+(* --- clock --- *)
+
+(* The default clock is monotonic: successive reads never decrease, and
+   it advances across a short sleep. *)
+let test_wall_clock_monotonic () =
+  let last = ref (Obs.Clock.wall ()) in
+  for _ = 1 to 100_000 do
+    let now = Obs.Clock.wall () in
+    if now < !last then Alcotest.failf "clock went back: %.9f after %.9f" now !last;
+    last := now
+  done;
+  let before = Obs.Clock.wall () in
+  Unix.sleepf 0.002;
+  Alcotest.(check bool) "a 2 ms sleep advances it" true (Obs.Clock.wall () -. before >= 0.002)
+
 (* --- registry --- *)
 
 let test_counter () =
@@ -218,6 +233,7 @@ let test_json_export () =
 let () =
   Alcotest.run "obs"
     [
+      ( "clock", [ Alcotest.test_case "monotonic" `Quick test_wall_clock_monotonic ] );
       ( "registry",
         [
           Alcotest.test_case "counter semantics" `Quick test_counter;

@@ -130,6 +130,19 @@ let test_cache_pays_off () =
   Alcotest.(check bool) "repeats admit" true (Cache.pays_off popular);
   Alcotest.(check bool) "no repeats reject" false (Cache.pays_off unpopular)
 
+(* The running variance both the server's classes and a session's
+   streams feed admission with: the two-pass sample variance, and 0
+   below two results. *)
+let test_cache_variance_tracker () =
+  let v = Cache.variance_tracker () in
+  Alcotest.(check (float 0.)) "nothing tracked" 0. (Cache.sample_variance v);
+  Cache.track v 3.;
+  Alcotest.(check (float 0.)) "one result" 0. (Cache.sample_variance v);
+  let xs = [| 3.; 1.5; -2.; 8.25; 0.125; 4. |] in
+  Array.iteri (fun i x -> if i > 0 then Cache.track v x) xs;
+  Alcotest.(check (float 1e-12)) "two-pass variance" (Mde_prob.Stats.variance xs)
+    (Cache.sample_variance v)
+
 (* --- fixtures mirroring the direct library calls --- *)
 
 let sbp_db rows =
@@ -231,6 +244,30 @@ let test_fingerprint_collision_free () =
     requests;
   Alcotest.(check int) "all distinct" (List.length requests) (Hashtbl.length seen)
 
+(* A refinement key names a replication stream: requests differing
+   only in their replication count share it, any other parameter, the
+   seed or the model separates them. *)
+let test_refinement_key_classes () =
+  let t = make_server (sbp_db 10) in
+  let key = Server.refinement_key t in
+  let same name a b = Alcotest.(check string) name (key a) (key b) in
+  let differ name a b =
+    Alcotest.(check bool) name false (String.equal (key a) (key b))
+  in
+  let mean reps seed = req "sbp" (Server.Mcdb_mean { reps }) seed in
+  let tail reps p = req "sbp" (Server.Mcdb_tail { reps; p }) 0 in
+  let chain steps reps = req "walk" (Server.Chain_mean { steps; reps }) 0 in
+  let rc n alpha = req "queue" (Server.Composite_estimate { n; alpha }) 0 in
+  same "mean reps" (mean 8 1) (mean 32 1);
+  differ "mean seed" (mean 8 1) (mean 8 2);
+  same "tail reps" (tail 20 0.9) (tail 64 0.9);
+  differ "tail p" (tail 20 0.9) (tail 20 0.95);
+  differ "mean vs tail" (mean 20 0) (tail 20 0.9);
+  same "chain reps" (chain 3 2) (chain 3 9);
+  differ "chain steps" (chain 3 2) (chain 4 2);
+  same "composite n" (rc 4 0.5) (rc 16 0.5);
+  differ "composite alpha" (rc 4 0.5) (rc 4 0.25)
+
 (* --- determinism: served == direct library call --- *)
 
 let get_served = function
@@ -238,6 +275,23 @@ let get_served = function
   | `Rejected -> Alcotest.fail "request rejected unexpectedly"
 
 let check_pair = Alcotest.(check (pair (float 0.) (float 0.)))
+
+(* [Server.estimate] is the one estimator: the mean kinds are
+   [Estimator.of_samples], the tail kind [Estimator.tail_estimate], and
+   a composite is not a reduction of samples. *)
+let test_estimate_is_the_estimator () =
+  let xs = Array.init 40 (fun i -> Float.of_int ((i * 7919) mod 97) /. 13.) in
+  let est = Est.of_samples xs in
+  let value, ci = Server.estimate (Server.Chain_mean { steps = 1; reps = 40 }) xs in
+  Alcotest.(check (float 0.)) "mean" est.Est.mean value;
+  check_pair "mean ci" est.Est.ci95 (Option.get ci);
+  let q, qci = Est.tail_estimate xs ~p:0.9 ~level:0.95 in
+  let value, ci = Server.estimate (Server.Mcdb_tail { reps = 40; p = 0.9 }) xs in
+  Alcotest.(check (float 0.)) "tail" q value;
+  check_pair "tail ci" qci (Option.get ci);
+  Alcotest.check_raises "composite"
+    (Invalid_argument "Server.estimate: a composite estimate is not a reduction of samples")
+    (fun () -> ignore (Server.estimate (Server.Composite_estimate { n = 40; alpha = 0.5 }) xs))
 
 let test_served_equals_direct () =
   let db = sbp_db 40 in
@@ -550,9 +604,14 @@ let () =
           Alcotest.test_case "expired tail counts as expiration" `Quick
             test_cache_add_counts_expired_tail_as_expiration;
           Alcotest.test_case "cost-aware admission" `Quick test_cache_pays_off;
+          Alcotest.test_case "variance tracker" `Quick test_cache_variance_tracker;
         ] );
       ( "fingerprint",
-        [ Alcotest.test_case "collision-free over params" `Quick test_fingerprint_collision_free ] );
+        [
+          Alcotest.test_case "collision-free over params" `Quick test_fingerprint_collision_free;
+          Alcotest.test_case "refinement key classes" `Quick test_refinement_key_classes;
+          Alcotest.test_case "one estimator" `Quick test_estimate_is_the_estimator;
+        ] );
       ( "server",
         [
           Alcotest.test_case "served == direct (pooled, batched, cached)" `Quick

@@ -262,6 +262,43 @@ let test_cancel () =
   | Some u -> Alcotest.(check bool) "mate converged" true u.Session.converged
   | None -> Alcotest.fail "mate has no estimate"
 
+(* Every MCDB sampling run, served or progressive, goes through
+   [Database.monte_carlo], which counts its replications and opens the
+   [mcdb.estimate] span under a live registry: a served tail and a
+   session batch are instrumented like a served mean. *)
+let test_mcdb_sampling_instrumented () =
+  let registry = Mde_obs.create () in
+  Mde_obs.set_default registry;
+  Fun.protect
+    ~finally:(fun () -> Mde_obs.set_default Mde_obs.noop)
+    (fun () ->
+      let replications () =
+        Mde_obs.Counter.value (Mde_obs.counter registry "mde_mcdb_replications_total")
+      in
+      let server = Demo.server ~rows:30 () in
+      (match
+         Server.serve server
+           {
+             Server.model = "sbp";
+             kind = Server.Mcdb_tail { reps = 40; p = 0.9 };
+             seed = 5;
+             deadline = None;
+           }
+       with
+      | `Served resp -> Alcotest.(check int) "tail ran in full" 40 resp.Server.reps_executed
+      | `Rejected -> Alcotest.fail "tail serve rejected");
+      Alcotest.(check int) "served tail counted" 40 (replications ());
+      let session = Session.create (Target.of_server server) in
+      ignore
+        (Session.open_query session
+           { Server.model = "sbp"; kind = Server.Mcdb_mean { reps = 48 }; seed = 6; deadline = None });
+      ignore (Session.tick session);
+      let fresh = (Session.stats session).Session.fresh_reps in
+      Alcotest.(check bool) "the tick drew replications" true (fresh > 0);
+      Alcotest.(check int) "session batches counted" (40 + fresh) (replications ());
+      Alcotest.(check bool) "mcdb.estimate span recorded" true
+        (List.exists (fun s -> s.Mde_obs.name = "mcdb.estimate") (Mde_obs.spans registry)))
+
 let () =
   Alcotest.run "session"
     [
@@ -288,5 +325,10 @@ let () =
         [
           Alcotest.test_case "handles survive shard resize" `Quick
             test_handles_survive_shard_resize;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "served tails and session batches instrumented" `Quick
+            test_mcdb_sampling_instrumented;
         ] );
     ]

@@ -216,6 +216,43 @@ let test_federated_fingerprint_pinned_to_primary () =
     (Shard.shard_of front (request "sbp_bundle"))
     (Shard.shard_of front (request "sbp_any"))
 
+(* Routing hashes the bytes of [Shard.fingerprint], so they are pinned:
+   the digest of every fingerprint of the demo catalog (as addressed and
+   with its MCDB requests sent to the federated name) and the shard each
+   request lands on in a 4-shard front. A change to those bytes moves
+   requests off the shards whose caches they warmed. *)
+let test_routing_keys_pinned () =
+  let front = Demo.front ~shards:4 () in
+  let catalog = Demo.catalog 300 in
+  let federated =
+    Array.map
+      (fun (r : Server.request) ->
+        match r.Server.model with
+        | "sbp" | "sbp_bundle" -> { r with Server.model = "sbp_any" }
+        | _ -> r)
+      catalog
+  in
+  let digest requests =
+    Array.to_list (Array.map (Shard.fingerprint front) requests)
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  let shards requests =
+    String.concat ""
+      (Array.to_list (Array.map (fun r -> string_of_int (Shard.shard_of front r)) requests))
+  in
+  Alcotest.(check string) "fingerprint digest" "e97cbae8f9b03399f7047d81fcdce107"
+    (digest catalog);
+  Alcotest.(check string) "federated fingerprint digest" "0ebcac27c0680f6f0e724ac3ec6fc81d"
+    (digest federated);
+  Alcotest.(check string) "shard_of"
+    "122133103223200011213121031010013100221211031233222321213022220201102323202233223022200122330232021202310222203001102331323131312031033202010002001012\
+     300001022320313031200021222303022212110003222033311323002301201332213013122311220011210321111100223310001032031101022330331122303203222211130101330102"
+    (shards catalog);
+  Alcotest.(check string) "federated shard_of"
+    "012132303203200021213321033010033103121222031313222321213022100203202312202113223022213122300230321200310112203301131331233133312002033212013302001012\
+     330002322303313201203021211303222212310002222033313023023301211332213003122131221111213321001103123330001132032101012330131121003230222311130101302102"
+    (shards federated)
+
 let test_federate_validation () =
   let front = Demo.front ~rows:20 ~shards:2 () in
   let raises name f =
@@ -431,6 +468,7 @@ let () =
             test_federation_prefers_bundle_then_stays_identical;
           Alcotest.test_case "fingerprint pinned to primary" `Quick
             test_federated_fingerprint_pinned_to_primary;
+          Alcotest.test_case "routing keys pinned" `Quick test_routing_keys_pinned;
           Alcotest.test_case "validation" `Quick test_federate_validation;
         ] );
       ( "open loop",
