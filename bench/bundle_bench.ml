@@ -52,42 +52,25 @@ let derive = [ ("risk", Value.Tfloat, Expr.((col "sbp" - float 120.) / float 15.
 
 let aggs =
   [
-    ("mean_sbp", Bundle.Avg (Expr.col "sbp"));
-    ("max_risk", Bundle.Max (Expr.col "risk"));
-    ("n", Bundle.Count);
+    ("mean_sbp", Aggregate.Avg (Expr.col "sbp"));
+    ("max_risk", Aggregate.Max (Expr.col "risk"));
+    ("n", Aggregate.Count);
   ]
 
 let plan = { Bundle.where_ = Some where_; derive; group_keys = []; aggs }
-
-let algebra_aggs =
-  List.map
-    (fun (name, agg) ->
-      ( name,
-        match agg with
-        | Bundle.Count -> Algebra.Count
-        | Bundle.Sum e -> Algebra.Sum e
-        | Bundle.Avg e -> Algebra.Avg e
-        | Bundle.Min e -> Algebra.Min e
-        | Bundle.Max e -> Algebra.Max e ))
-    aggs
 
 (* Per-instance plan execution — the query the naive path repeats. The
    global group row is read back in [Bundle.aggregate]'s float
    conventions (Count as float, empty-group Avg/Min/Max as nan). *)
 let naive_instance table =
   let out =
-    Algebra.group_by ~keys:[] ~aggs:algebra_aggs
+    Algebra.group_by ~keys:[] ~aggs
       (Algebra.extend derive (Algebra.select where_ table))
   in
   let row = (Table.rows out).(0) in
   Array.mapi
-    (fun j _ ->
-      match row.(j) with
-      | Value.Int n -> float_of_int n
-      | Value.Float f -> f
-      | Value.Null -> nan
-      | v -> Value.to_float v)
-    (Array.of_list algebra_aggs)
+    (fun j _ -> match row.(j) with Value.Null -> nan | v -> Value.to_float v)
+    (Array.of_list aggs)
 
 let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 

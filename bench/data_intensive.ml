@@ -102,7 +102,7 @@ let mcdb () =
     let rng = Rng.create ~seed:1 () in
     let bundle = Mcdb.Bundle.of_stochastic_table st rng ~n_reps in
     let selected = Mcdb.Bundle.select pred bundle in
-    match Mcdb.Bundle.aggregate [ ("s", Mcdb.Bundle.Sum (Expr.col "amount")) ] selected with
+    match Mcdb.Bundle.aggregate [ ("s", Aggregate.Sum (Expr.col "amount")) ] selected with
     | [ (_, per) ] -> Mde.Prob.Stats.mean per.(0)
     | _ -> nan
   in
@@ -140,7 +140,7 @@ let mcdb () =
   (* Risk + threshold queries (MCDB-R, [5, 42]). *)
   let rng = Rng.create ~seed:2 () in
   let bundle = Mcdb.Bundle.of_stochastic_table st rng ~n_reps:2_000 in
-  match Mcdb.Bundle.aggregate ~keys:[ "region" ] [ ("s", Mcdb.Bundle.Sum (Expr.col "amount")) ] bundle with
+  match Mcdb.Bundle.aggregate ~keys:[ "region" ] [ ("s", Aggregate.Sum (Expr.col "amount")) ] bundle with
   | groups ->
     Util.note "";
     Util.note "risk extension — per-region revenue distribution over 2000 reps:";

@@ -40,7 +40,7 @@ let test_bundle_query =
     (Staged.stage (fun () ->
          let _, bundle = Lazy.force bundle_fixture in
          let selected = Mcdb.Bundle.select pred bundle in
-         Mcdb.Bundle.aggregate [ ("s", Mcdb.Bundle.Sum (Expr.col "amount")) ] selected))
+         Mcdb.Bundle.aggregate [ ("s", Aggregate.Sum (Expr.col "amount")) ] selected))
 
 let test_naive_query =
   Test.make ~name:"mcdb/naive-query-50reps"

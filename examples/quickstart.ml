@@ -47,7 +47,7 @@ let () =
       Expr.(col "gender" = string "F" && col "sbp" > float 140.)
       bundle
   in
-  (match Mcdb.Bundle.aggregate [ ("n", Mcdb.Bundle.Count) ] hypertensive with
+  (match Mcdb.Bundle.aggregate [ ("n", Aggregate.Count) ] hypertensive with
   | [ (_, per_agg) ] ->
     let counts = per_agg.(0) in
     let fractions = Array.map (fun c -> c /. 250.) counts in

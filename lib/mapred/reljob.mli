@@ -22,7 +22,7 @@ val group_by :
   ?pool:Mde_par.Pool.t ->
   ?partitions:int ->
   keys:string list ->
-  aggs:(string * Algebra.aggregate) list ->
+  aggs:(string * Aggregate.t) list ->
   Table.t ->
   Table.t * Job.stats
 (** Distributed {!Algebra.group_by}. Per-group values are bit-identical

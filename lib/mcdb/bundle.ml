@@ -194,112 +194,21 @@ let join ~on left right =
 
 (* --- aggregate / fused query ---------------------------------------- *)
 
-type agg = Count | Sum of Expr.t | Avg of Expr.t | Min of Expr.t | Max of Expr.t
-
-(* One aggregate's per-(group, repetition) accumulators, flat at cell
-   [g * reps + r]: the value fed so far (a sum, or the least or greatest
-   value) and how many non-null values fed it. *)
-type acc = { xs : float array; ns : int array }
-
-(* Feed the values [v] at the kept positions into [acc]; [cell.(j)] is
-   the accumulator cell of kept position [j]. Per cell, values arrive in
-   row order, so each repetition's float sums keep their bits. *)
-let accumulate agg acc cell (v : float array Kernel.vec) (kept : Kernel.selection) =
-  let data = v.data and nulls = v.nulls and xs = acc.xs and ns = acc.ns in
-  let nullable = Bytes.length nulls > 0 in
-  match agg with
-  | Count -> ()
-  | Sum _ | Avg _ ->
-    for j = 0 to kept.n - 1 do
-      let k = kept.pos.(j) in
-      if not (nullable && Bytes.unsafe_get nulls k <> '\000') then begin
-        let c = cell.(j) in
-        xs.(c) <- xs.(c) +. data.(k);
-        ns.(c) <- ns.(c) + 1
-      end
-    done
-  | Min _ ->
-    for j = 0 to kept.n - 1 do
-      let k = kept.pos.(j) in
-      if not (nullable && Bytes.unsafe_get nulls k <> '\000') then begin
-        let c = cell.(j) and x = data.(k) in
-        if x < xs.(c) then xs.(c) <- x;
-        ns.(c) <- ns.(c) + 1
-      end
-    done
-  | Max _ ->
-    for j = 0 to kept.n - 1 do
-      let k = kept.pos.(j) in
-      if not (nullable && Bytes.unsafe_get nulls k <> '\000') then begin
-        let c = cell.(j) and x = data.(k) in
-        if x > xs.(c) then xs.(c) <- x;
-        ns.(c) <- ns.(c) + 1
-      end
-    done
-
-(* One sweep over the present cells: test, derive, then accumulate each
-   block in row order, so per-rep float sums keep their bits whether or
-   not the blocks were evaluated on the pool. *)
-let sweep_plan ?pool t ~pred ~keys ~aggs agg_nodes =
+(* One sweep over the present cells, through the shared aggregation
+   core: test, derive, then accumulate each block in row order, so
+   per-rep float sums keep their bits whether or not the blocks were
+   evaluated on the pool. Aggregates leave as floats: Null (an empty
+   cell) as [nan], counts converted. *)
+let sweep_plan ?pool t ~pred ~keys aggs =
   let key_cols = det_key_columns t (List.map (Schema.column_index t.schema) keys) in
-  let reps = t.n_reps in
-  (* Keying: one packed Keycode word per row, first-seen group ids, and
-     each group's key values read back from its first row. A global
-     aggregate is one group (no ids), emitted even over no tuples. *)
-  let ids, firsts, n_groups =
-    match keys with
-    | [] -> ([||], [||], 1)
-    | _ ->
-      let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
-      (ids, firsts, Array.length firsts)
+  let res =
+    Aggregate.grouped ~pool ~site:"bundle.sweep" ~presence:(Some t.presence) ~where:pred
+      ~keys:key_cols ~rows:t.n_rows ~reps:t.n_reps aggs
   in
-  let n_cells = n_groups * reps in
-  let counts = Array.make n_cells 0 in
-  let aggs = Array.of_list (List.map snd aggs) in
-  let accs =
-    Array.map
-      (fun agg ->
-        let x0 = match agg with Min _ -> infinity | Max _ -> neg_infinity | _ -> 0. in
-        { xs = Array.make n_cells x0; ns = Array.make n_cells 0 })
-      aggs
-  in
-  Kernel.sweep ?pool ~site:"bundle.sweep" ~presence:t.presence ~rows:t.n_rows ~reps (fun f ->
-      let kept, keep =
-        match pred with Some p -> Kernel.filter p f | None -> (f.all, ignore)
-      in
-      let srcs = Array.map (Option.map (fun node -> Kernel.floats node f)) agg_nodes in
-      let cell = Array.make (Array.length f.all.pos) 0 in
-      ( (fun () ->
-          keep f.all;
-          Array.iter (Option.iter (fun (v : float array Kernel.vec) -> v.fill kept)) srcs),
-        fun () ->
-          for j = 0 to kept.n - 1 do
-            let k = kept.pos.(j) in
-            let i = f.rowix.(k) in
-            let g = if Array.length ids = 0 then 0 else ids.(i) in
-            let c = (g * reps) + f.lo + k - (i * reps) in
-            cell.(j) <- c;
-            counts.(c) <- counts.(c) + 1
-          done;
-          Array.iteri
-            (fun a src -> Option.iter (fun v -> accumulate aggs.(a) accs.(a) cell v kept) src)
-            srcs ));
-  let finish g =
-    let base = g * reps in
-    Array.mapi
-      (fun a agg ->
-        let { xs; ns } = accs.(a) in
-        Array.init reps (fun r ->
-            let c = base + r in
-            match agg with
-            | Count -> float_of_int counts.(c)
-            | Sum _ -> xs.(c)
-            | Avg _ -> if ns.(c) = 0 then nan else xs.(c) /. float_of_int ns.(c)
-            | Min _ | Max _ -> if ns.(c) = 0 then nan else xs.(c)))
-      aggs
-  in
-  List.init n_groups (fun g ->
-      (Array.map (fun c -> Column.value c firsts.(g) 0) key_cols, finish g))
+  let sample = function Value.Null -> nan | v -> Value.to_float v in
+  List.init res.n_groups (fun g ->
+      ( Array.map (fun c -> Column.value c res.firsts.(g) 0) key_cols,
+        Array.mapi (fun a _ -> Array.init t.n_reps (fun r -> sample (res.value a g r))) aggs ))
 
 (* [None] when the plan derives columns and a derivation, or an
    aggregate over the derived schema, falls back: interpreting such a
@@ -309,20 +218,15 @@ let fused ?pool t ~pred ~defs ~keys ~aggs =
   let env = Kernel.env_of_columns t.schema t.columns in
   let def_nodes = List.map (fun (n, _, e) -> (n, Kernel.compile env e)) defs in
   let env' = Kernel.env_extend env def_nodes in
-  let agg_nodes =
-    Array.of_list
-      (List.map
-         (fun (_, agg) ->
-           match agg with Count -> None | Sum e | Avg e | Min e | Max e -> Some (Kernel.compile env' e))
-         aggs)
-  in
+  let aggs = Array.of_list (List.map (fun (_, a) -> Aggregate.compile env' a) aggs) in
+  let args = Array.to_list (Array.map (fun (c : Aggregate.compiled) -> c.arg) aggs) in
   let fallback = function Some n -> not (Kernel.compiled n) | None -> false in
-  if defs <> [] && List.exists fallback (List.map (fun (_, n) -> Some n) def_nodes @ Array.to_list agg_nodes)
+  if defs <> [] && List.exists fallback (List.map (fun (_, n) -> Some n) def_nodes @ args)
   then None
   else begin
     let pred = Option.map (Kernel.compile env) pred in
-    count_fallbacks (List.length (List.filter fallback (pred :: Array.to_list agg_nodes)));
-    Some (sweep_plan ?pool t ~pred ~keys ~aggs agg_nodes)
+    count_fallbacks (List.length (List.filter fallback (pred :: args)));
+    Some (sweep_plan ?pool t ~pred ~keys aggs)
   end
 
 let aggregate ?pool ?(keys = []) aggs t =
@@ -333,15 +237,8 @@ type plan = {
   where_ : Expr.t option;
   derive : (string * Value.ty * Expr.t) list;
   group_keys : string list;
-  aggs : (string * agg) list;
+  aggs : (string * Aggregate.t) list;
 }
-
-let agg_fingerprint = function
-  | Count -> "count"
-  | Sum e -> Format.asprintf "sum(%a)" Expr.pp e
-  | Avg e -> Format.asprintf "avg(%a)" Expr.pp e
-  | Min e -> Format.asprintf "min(%a)" Expr.pp e
-  | Max e -> Format.asprintf "max(%a)" Expr.pp e
 
 let plan_fingerprint plan =
   Format.asprintf "plan{where=%s;derive=[%s];keys=[%s];aggs=[%s]}"
@@ -355,7 +252,7 @@ let plan_fingerprint plan =
           plan.derive))
     (String.concat ";" plan.group_keys)
     (String.concat ";"
-       (List.map (fun (n, a) -> n ^ "=" ^ agg_fingerprint a) plan.aggs))
+       (List.map (fun (n, a) -> n ^ "=" ^ Aggregate.fingerprint a) plan.aggs))
 
 let query ?pool t plan =
   (* Materialize, then aggregate: for group keys naming derived columns,

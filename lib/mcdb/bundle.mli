@@ -101,24 +101,22 @@ val join : on:(string * string) list -> t -> t -> t
     [Invalid_argument] if a key column is uncertain or the repetition
     counts differ. *)
 
-type agg =
-  | Count
-  | Sum of Expr.t
-  | Avg of Expr.t
-  | Min of Expr.t
-  | Max of Expr.t
-
 val aggregate :
   ?pool:Mde_par.Pool.t ->
   ?keys:string list ->
-  (string * agg) list ->
+  (string * Aggregate.t) list ->
   t ->
   (Table.row * float array array) list
 (** Grouped aggregation in one pass: for each group (keyed on
     deterministic columns; [?keys] defaults to none, i.e. one global
     group) and each named aggregate, the per-repetition aggregate values
-    (array of length [n_reps]). Empty groups in a repetition yield [nan]
-    for Avg/Min/Max and 0 for Count/Sum. With [?pool], blocks are
+    (array of length [n_reps]). The sweep is {!Aggregate.grouped}, the
+    accumulator {!Columnar.group_by} runs too, over the present cells:
+    repetition [r]'s values are {!Algebra.group_by}'s on realized
+    instance [r], bit for bit, with counts as floats and Null as [nan].
+    So empty groups in a repetition yield [nan] for Avg/Min/Max/Std and
+    0 for Count/Count_if/Sum, and NaN follows {!Value.compare}: [nan]
+    wins Min, and loses Max to any number. With [?pool], blocks are
     evaluated on the pool and the accumulation replayed in row order,
     so grouped sums are bit-identical to the sequential pass. *)
 
@@ -126,7 +124,7 @@ type plan = {
   where_ : Expr.t option;  (** selection over the base schema *)
   derive : (string * Value.ty * Expr.t) list;  (** computed columns *)
   group_keys : string list;
-  aggs : (string * agg) list;  (** over the derived schema *)
+  aggs : (string * Aggregate.t) list;  (** over the derived schema *)
 }
 (** A select → extend → aggregate pipeline, the row-stable query shape
     the serving layer pushes through the bundle engine. *)

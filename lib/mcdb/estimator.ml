@@ -66,20 +66,28 @@ let check_unit_interval ~who ~what p =
   if not (p > 0. && p < 1.) then
     invalid_arg (Printf.sprintf "Estimator.%s: %s must be in (0,1)" who what)
 
-let quantile_ci xs p level =
-  let xs, _ = clean_counted ~who:"quantile_ci" xs in
-  let n = Array.length xs in
-  if n < 2 then invalid_arg "Estimator.quantile_ci: need at least 2 samples";
-  check_unit_interval ~who:"quantile_ci" ~what:"p" p;
-  check_unit_interval ~who:"quantile_ci" ~what:"level" level;
+let sorted_copy xs =
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
+  sorted
+
+(* The order-statistic CI of the [p]-quantile over [sorted]: ranks
+   n·p ± z·sqrt(n·p·(1−p)) at the two-sided [level], clamped to the
+   sample. The one rank rule behind [quantile_ci] and [tail_estimate]. *)
+let rank_ci sorted p level =
   let z = Special.normal_inv_cdf (1. -. ((1. -. level) /. 2.)) in
-  let nf = float_of_int n in
+  let nf = float_of_int (Array.length sorted) in
   let half_width = z *. sqrt (nf *. p *. (1. -. p)) in
   let lo_rank = Float.to_int (Float.max 0. (floor ((nf *. p) -. half_width))) in
   let hi_rank = Float.to_int (Float.min (nf -. 1.) (ceil ((nf *. p) +. half_width))) in
   (sorted.(lo_rank), sorted.(hi_rank))
+
+let quantile_ci xs p level =
+  let xs, _ = clean_counted ~who:"quantile_ci" xs in
+  if Array.length xs < 2 then invalid_arg "Estimator.quantile_ci: need at least 2 samples";
+  check_unit_interval ~who:"quantile_ci" ~what:"p" p;
+  check_unit_interval ~who:"quantile_ci" ~what:"level" level;
+  rank_ci (sorted_copy xs) p level
 
 let extreme_quantile xs p =
   let xs, _ = clean_counted ~who:"extreme_quantile" xs in
@@ -105,8 +113,8 @@ let quantiles xs ps =
 
 (* extreme_quantile + quantile_ci share the same sorted order statistics;
    serving-layer tail queries want both, so compute them off one sort.
-   Kept rank-for-rank identical to the two separate calls (the estimator
-   tests assert it). *)
+   The CI is [rank_ci]'s, so the pair is identical to the two separate
+   calls (the estimator tests assert it). *)
 let tail_estimate xs ~p ~level =
   let xs, _ = clean_counted ~who:"tail_estimate" xs in
   let n = Array.length xs in
@@ -120,15 +128,8 @@ let tail_estimate xs ~p ~level =
          "Estimator.tail_estimate: %d samples leave the %.4g tail empty; draw \
           more repetitions"
          n tail);
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let q = Stats.quantile_sorted sorted p in
-  let z = Special.normal_inv_cdf (1. -. ((1. -. level) /. 2.)) in
-  let nf = float_of_int n in
-  let half_width = z *. sqrt (nf *. p *. (1. -. p)) in
-  let lo_rank = Float.to_int (Float.max 0. (floor ((nf *. p) -. half_width))) in
-  let hi_rank = Float.to_int (Float.min (nf -. 1.) (ceil ((nf *. p) +. half_width))) in
-  (q, (sorted.(lo_rank), sorted.(hi_rank)))
+  let sorted = sorted_copy xs in
+  (Stats.quantile_sorted sorted p, rank_ci sorted p level)
 
 let conditional_tail_expectation xs p =
   let xs, _ = clean_counted ~who:"conditional_tail_expectation" xs in

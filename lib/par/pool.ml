@@ -439,20 +439,26 @@ let parallel_chunks pool s ~n ~chunk run_chunk =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let parallel_init pool ?(site = "default") ?chunk n f =
-  if n < 0 then invalid_arg "Pool.parallel_init: negative length";
+(* The one batch driver behind [parallel_init] and [parallel_iter]
+   ([fn] names it in errors): argument checks, then [seq ()] on the
+   caller, metered, on a 1-domain pool, for one item, or below the
+   site's crossover; otherwise [par run] with [run] spreading chunks of
+   the chosen size over the pool. An empty batch is [empty] and touches
+   no site. *)
+let batch pool ~fn ~site ?chunk n ~empty ~seq ~par =
+  if n < 0 then invalid_arg (Printf.sprintf "Pool.%s: negative length" fn);
   (* Validate before any fast-path branch: ~chunk:0 must be rejected on
      a 1-domain pool exactly as on a multi-domain one. *)
   (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.parallel_init: chunk must be >= 1"
+  | Some c when c < 1 -> invalid_arg (Printf.sprintf "Pool.%s: chunk must be >= 1" fn)
   | _ -> ());
   if pool.closing then invalid_arg "Pool: submitted to a shut-down pool";
-  if n = 0 then [||]
+  if n = 0 then empty
   else begin
     let s = find_site pool site in
     let sequential () =
       let t0 = Mde_obs.Clock.wall () in
-      let out = Array.init n f in
+      let out = seq () in
       let dt = Mde_obs.Clock.wall () -. t0 in
       Mutex.lock pool.mutex;
       pool.seq_batches <- pool.seq_batches + 1;
@@ -478,64 +484,37 @@ let parallel_init pool ?(site = "default") ?chunk n f =
         in
         if pool.metrics.obs_on then
           Mde_obs.Gauge.set s.site_chunk (float_of_int chunk);
-        (* Unboxed result writing: evaluation order of [f] is unspecified
-           by contract, so the caller computes [f 0] up front to seed the
-           result array, and every chunk writes its slots directly — no
-           option boxing, no unwrap pass. Slot writes are disjoint across
-           chunks and published to the caller by batch completion. *)
-        let first = f 0 in
-        let out = Array.make n first in
-        parallel_chunks pool s ~n ~chunk (fun lo hi ->
-            for i = Stdlib.max lo 1 to hi - 1 do
-              out.(i) <- f i
-            done);
-        out
+        par (parallel_chunks pool s ~n ~chunk)
   end
 
+let parallel_init pool ?(site = "default") ?chunk n f =
+  batch pool ~fn:"parallel_init" ~site ?chunk n ~empty:[||]
+    ~seq:(fun () -> Array.init n f)
+    ~par:(fun run ->
+      (* Unboxed result writing: evaluation order of [f] is unspecified
+         by contract, so the caller computes [f 0] up front to seed the
+         result array, and every chunk writes its slots directly — no
+         option boxing, no unwrap pass. Slot writes are disjoint across
+         chunks and published to the caller by batch completion. *)
+      let out = Array.make n (f 0) in
+      run (fun lo hi ->
+          for i = Stdlib.max lo 1 to hi - 1 do
+            out.(i) <- f i
+          done);
+      out)
+
+(* Pure side-effect fan-out: no result array is allocated — the caller's
+   [f] writes wherever it writes. This is the fill shape the columnar
+   engine uses ([flags.(i) <- ...], bigarray slots). *)
 let parallel_iter pool ?(site = "default") ?chunk n f =
-  if n < 0 then invalid_arg "Pool.parallel_iter: negative length";
-  (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.parallel_iter: chunk must be >= 1"
-  | _ -> ());
-  if pool.closing then invalid_arg "Pool: submitted to a shut-down pool";
-  if n > 0 then begin
-    let s = find_site pool site in
-    let sequential () =
-      let t0 = Mde_obs.Clock.wall () in
-      for i = 0 to n - 1 do
-        f i
-      done;
-      let dt = Mde_obs.Clock.wall () -. t0 in
-      Mutex.lock pool.mutex;
-      pool.seq_batches <- pool.seq_batches + 1;
-      Mutex.unlock pool.mutex;
-      if pool.metrics.obs_on then begin
-        Mde_obs.Counter.incr pool.metrics.m_seq;
-        Mde_obs.Histogram.observe s.site_hist dt
-      end;
-      update_site pool s ~items:n ~seconds:dt
-    in
-    if pool.n_domains <= 1 || n = 1 then sequential ()
-    else
-      match chunk with
-      | None when s.per_item > 0. && float_of_int n *. s.per_item < crossover_seconds
-        ->
-        sequential ()
-      | _ ->
-        let chunk =
-          match chunk with Some c -> c | None -> adaptive_chunk pool s n
-        in
-        if pool.metrics.obs_on then
-          Mde_obs.Gauge.set s.site_chunk (float_of_int chunk);
-        (* Pure side-effect fan-out: no result array is allocated — the
-           caller's [f] writes wherever it writes. This is the fill shape
-           the columnar engine uses ([flags.(i) <- ...], bigarray slots),
-           which used to pay a throwaway [unit array] per pooled sweep. *)
-        parallel_chunks pool s ~n ~chunk (fun lo hi ->
-            for i = lo to hi - 1 do
-              f i
-            done)
-  end
+  let each lo hi =
+    for i = lo to hi - 1 do
+      f i
+    done
+  in
+  batch pool ~fn:"parallel_iter" ~site ?chunk n ~empty:()
+    ~seq:(fun () -> each 0 n)
+    ~par:(fun run -> run each)
 
 let parallel_map pool ?site ?chunk f a =
   parallel_init pool ?site ?chunk (Array.length a) (fun i -> f a.(i))

@@ -116,7 +116,7 @@ let anti_join ~on left right =
           (fun row acc -> if matches row then acc else row :: acc)
           (Table.rows left) []))
 
-type aggregate =
+type aggregate = Aggregate.t =
   | Count
   | Count_if of Expr.t
   | Sum of Expr.t
@@ -155,7 +155,8 @@ let feed_acc agg schema row acc =
   | Sum e | Avg e | Min e | Max e | Std e -> feed_numeric e
 
 (* Min/Max pick their winner by [Value.compare] (exact across Int and
-   Float) and emit it as the [Tfloat] that [agg_type] declares. *)
+   Float) and emit it as the [Tfloat] that [Aggregate.output_type]
+   declares. *)
 let extreme = function Value.Null -> Value.Null | v -> Value.Float (Value.to_float v)
 
 let finish_acc agg acc =
@@ -173,10 +174,6 @@ let finish_acc agg acc =
       Value.Float (sqrt (Float.max var 0.))
     end
 
-let agg_type = function
-  | Count | Count_if _ -> Value.Tint
-  | Sum _ | Avg _ | Min _ | Max _ | Std _ -> Value.Tfloat
-
 let group_by ~keys ~aggs table =
   let schema = Table.schema table in
   let key_idx = List.map (Schema.column_index schema) keys in
@@ -184,7 +181,7 @@ let group_by ~keys ~aggs table =
     List.map (fun k -> (k, Schema.column_type schema k)) keys
   in
   let out_schema =
-    Schema.of_list (key_schema_cols @ List.map (fun (n, a) -> (n, agg_type a)) aggs)
+    Schema.of_list (key_schema_cols @ List.map (fun (n, a) -> (n, Aggregate.output_type a)) aggs)
   in
   (* Keyed by [Value.hash]: a NaN group key used to raise [Not_found]
      in the lookup below because structural equality never matched it. *)

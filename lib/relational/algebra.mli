@@ -6,8 +6,8 @@
     plainest way over boxed rows. Production queries run on {!Columnar};
     this module is the reference its operators, {!Plan.execute},
     [Reljob] and [Bundle] are tested against, and the engine behind
-    {!Plan.execute_rows}. It also defines the {!aggregate} type every
-    engine's [group_by] takes. *)
+    {!Plan.execute_rows}. Its {!aggregate} type is {!Aggregate.t},
+    re-exported. *)
 
 val select : Expr.t -> Table.t -> Table.t
 (** σ: keep rows where the predicate is true. *)
@@ -41,9 +41,8 @@ val semi_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
 val anti_join : on:(string * string) list -> Table.t -> Table.t -> Table.t
 (** Left rows with no key match on the right. *)
 
-(** Aggregate functions for {!group_by}. [Count_if] counts rows where the
-    predicate holds; the rest take a source expression. *)
-type aggregate =
+(** Aggregate functions for {!group_by}: {!Aggregate.t}, re-exported. *)
+type aggregate = Aggregate.t =
   | Count
   | Count_if of Expr.t
   | Sum of Expr.t
@@ -71,6 +70,3 @@ val union : Table.t -> Table.t -> Table.t
 
 val limit : int -> Table.t -> Table.t
 (** Raises [Invalid_argument] on a negative count. *)
-
-val agg_type : aggregate -> Value.ty
-(** Declared output type: Count/Count_if are Int, the rest Float. *)

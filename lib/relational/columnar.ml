@@ -192,168 +192,33 @@ let equi_join ?pool ~on l r =
 
 (* --- grouped aggregation -------------------------------------------- *)
 
-(* One aggregate's accumulators, flat over group ids, fed block by block:
-   [bind f] binds the aggregate's views to a frame and returns its
-   (eval, consume) pair; [finish g] is group [g]'s output cell. Counts
-   and float sums are fed in row order, so sums come out bit-identical
-   to the row oracle's. *)
-type agg_state = {
-  bind : Kernel.frame -> (unit -> unit) * (unit -> unit);
-  finish : int -> Value.t;
-}
-
-(* Group of row [i]: [ids] is empty for a global aggregate. *)
-let[@inline] group ids i = if Array.length ids = 0 then 0 else Array.unsafe_get ids i
-
-let float_moments ~ids ~n_groups node finish =
-  let count = Array.make n_groups 0 and sum = Array.make n_groups 0.
-  and sum_sq = Array.make n_groups 0. in
-  let bind (f : Kernel.frame) =
-    let v = Kernel.floats node f in
-    ( (fun () -> v.fill f.all),
-      fun () ->
-        let nullable = Bytes.length v.nulls > 0 in
-        for j = 0 to f.all.n - 1 do
-          let k = f.all.pos.(j) in
-          if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then begin
-            let g = group ids (f.lo + k) and x = v.data.(k) in
-            count.(g) <- count.(g) + 1;
-            sum.(g) <- sum.(g) +. x;
-            sum_sq.(g) <- sum_sq.(g) +. (x *. x)
-          end
-        done )
-  in
-  { bind; finish = (fun g -> finish count.(g) sum.(g) sum_sq.(g)) }
-
-(* Min/Max keep [Value.compare]'s order and its first of equals: typed
-   over a float node, boxed otherwise, through [Value.to_float] first (so
-   strings raise as the row oracle's feed does). Like the row oracle,
-   the boxed winner leaves as the [Tfloat] cell [agg_type] declares. *)
-let extremum ~ids ~n_groups ~sign node =
-  let seen = Array.make n_groups false in
-  let wins g c = (not seen.(g)) || c * sign < 0 in
-  (* [view f]: the node's fill and null flags in a frame, and [offer g
-     k], which keeps position [k]'s value for group [g] if it wins. *)
-  let state view finish =
-    let bind (f : Kernel.frame) =
-      let fill, nulls, offer = view f in
-      ( (fun () -> fill f.all),
-        fun () ->
-          let nullable = Bytes.length nulls > 0 in
-          for j = 0 to f.all.n - 1 do
-            let k = f.all.pos.(j) in
-            if not (nullable && Bytes.unsafe_get nulls k <> '\000') then
-              offer (group ids (f.lo + k)) k
-          done )
-    in
-    { bind; finish = (fun g -> if seen.(g) then finish g else Value.Null) }
-  in
-  if Kernel.kind node = Kernel.Float then begin
-    let best = Array.make n_groups 0. in
-    state
-      (fun f ->
-        let v = Kernel.floats node f in
-        ( v.fill,
-          v.nulls,
-          fun g k ->
-            let x = v.data.(k) in
-            if wins g (Float.compare x best.(g)) then begin
-              seen.(g) <- true;
-              best.(g) <- x
-            end ))
-      (fun g -> Value.Float best.(g))
-  end
-  else begin
-    let best = Array.make n_groups Value.Null in
-    state
-      (fun f ->
-        let v = Kernel.boxed node f in
-        ( v.fill,
-          v.nulls,
-          fun g k ->
-            match v.data.(k) with
-            | Value.Null -> ()
-            | x ->
-              ignore (Value.to_float x);
-              if wins g (Value.compare x best.(g)) then begin
-                seen.(g) <- true;
-                best.(g) <- x
-              end ))
-      (fun g -> Value.Float (Value.to_float best.(g)))
-  end
-
-let count_cells ~ids ~n_groups filter =
-  let count = Array.make n_groups 0 in
-  let bind (f : Kernel.frame) =
-    let kept, keep =
-      match filter with Some node -> Kernel.filter node f | None -> (f.all, ignore)
-    in
-    ( (fun () -> keep f.all),
-      fun () ->
-        for j = 0 to kept.n - 1 do
-          let g = group ids (f.lo + kept.pos.(j)) in
-          count.(g) <- count.(g) + 1
-        done )
-  in
-  { bind; finish = (fun g -> Value.Int count.(g)) }
-
-let finish_sum _ sum _ = Value.Float sum
-let finish_avg n sum _ = if n = 0 then Value.Null else Value.Float (sum /. float_of_int n)
-
-let finish_std n sum sum_sq =
-  if n < 2 then Value.Null
-  else begin
-    let n = float_of_int n in
-    let var = (sum_sq -. (sum *. sum /. n)) /. (n -. 1.) in
-    Value.Float (sqrt (Float.max var 0.))
-  end
-
-let agg_state ~ids ~n_groups kenv agg =
-  let compile = Kernel.compile kenv in
-  match (agg : Algebra.aggregate) with
-  | Algebra.Count -> count_cells ~ids ~n_groups None
-  | Algebra.Count_if e -> count_cells ~ids ~n_groups (Some (compile e))
-  | Algebra.Sum e -> float_moments ~ids ~n_groups (compile e) finish_sum
-  | Algebra.Avg e -> float_moments ~ids ~n_groups (compile e) finish_avg
-  | Algebra.Std e -> float_moments ~ids ~n_groups (compile e) finish_std
-  | Algebra.Min e -> extremum ~ids ~n_groups ~sign:1 (compile e)
-  | Algebra.Max e -> extremum ~ids ~n_groups ~sign:(-1) (compile e)
-
+(* One [Aggregate.grouped] sweep at one slot per row; the output columns
+   are built directly: keys by gathering each group's first row,
+   aggregates from the finishers. *)
 let group_by ?pool ~keys ~aggs t =
   let key_cols = key_cols t keys in
   let key_schema_cols = List.map (fun k -> (k, Schema.column_type t.tschema k)) keys in
   let out_schema =
-    Schema.of_list (key_schema_cols @ List.map (fun (n, a) -> (n, Algebra.agg_type a)) aggs)
-  in
-  (* Group ids in first-seen order and each group's first row; a global
-     aggregate is one group, emitted even on empty input. *)
-  let ids, firsts, n_groups =
-    match keys with
-    | [] -> ([||], [||], 1)
-    | _ ->
-      let ids, firsts = Keycode.groups ?pool key_cols ~rows:t.n_rows in
-      (ids, firsts, Array.length firsts)
+    Schema.of_list (key_schema_cols @ List.map (fun (n, a) -> (n, Aggregate.output_type a)) aggs)
   in
   let kenv = env t in
-  let states = Array.of_list (List.map (fun (_, a) -> agg_state ~ids ~n_groups kenv a) aggs) in
-  Kernel.sweep ?pool ~site:"columnar.group" ~rows:t.n_rows ~reps:1 (fun f ->
-      let bound = Array.map (fun st -> st.bind f) states in
-      ( (fun () -> Array.iter (fun (eval, _) -> eval ()) bound),
-        fun () -> Array.iter (fun (_, consume) -> consume ()) bound ));
-  (* Output columns are built directly: keys by gathering each group's
-     representative row, aggregates from the finishers. *)
+  let res =
+    Aggregate.grouped ~pool ~site:"columnar.group" ~presence:None ~where:None ~keys:key_cols
+      ~rows:t.n_rows ~reps:1
+      (Array.of_list (List.map (fun (_, a) -> Aggregate.compile kenv a) aggs))
+  in
   let agg_out =
     Array.of_list
       (List.mapi
          (fun a (_, agg) ->
-           Column.of_det_cells ~ty:(Algebra.agg_type agg) ~rows:n_groups ~reps:1
-             states.(a).finish)
+           Column.of_det_cells ~ty:(Aggregate.output_type agg) ~rows:res.n_groups ~reps:1
+             (fun g -> res.value a g 0))
          aggs)
   in
   {
     tschema = out_schema;
-    n_rows = n_groups;
-    cols = Array.append (Column.gather key_cols firsts) agg_out;
+    n_rows = res.n_groups;
+    cols = Array.append (Column.gather key_cols res.firsts) agg_out;
   }
 
 (* --- ordering, distinct, limit -------------------------------------- *)

@@ -83,17 +83,19 @@ val join_index :
 val group_by :
   ?pool:Mde_par.Pool.t ->
   keys:string list ->
-  aggs:(string * Algebra.aggregate) list ->
+  aggs:(string * Aggregate.t) list ->
   t ->
   t
 (** Grouped aggregation with {!Algebra.group_by}'s exact semantics:
     first-seen group order, NaN keys collapse to one group, [keys = []]
-    yields one global row even on empty input. Each row's composite key
-    is one {!Keycode} word ({!Keycode.groups}), and the output columns
-    are built directly (keys gathered from each group's first row).
-    Aggregate sources run as one block sweep and accumulate unboxed, in
-    row order; Min/Max keep [Value.compare]'s order and the first of
-    equals, and emit the winner as Float like {!Algebra.group_by}. With [?pool] the key encoding and the blocks' evaluation run
+    yields one global row even on empty input. The accumulation is
+    {!Aggregate.grouped} at one repetition, the core the tuple-bundle
+    engine shares: each row's composite key is one {!Keycode} word,
+    aggregate sources run as one block sweep and accumulate unboxed, in
+    row order, and Min/Max keep [Value.compare]'s order (a NaN wins Min)
+    and the first of equals, emitting the winner as Float. The output
+    columns are built directly (keys gathered from each group's first
+    row). With [?pool] the key encoding and the blocks' evaluation run
     on the pool, and accumulation replays in row order, so pooled
     results are bit-identical to sequential ones. *)
 

@@ -45,7 +45,7 @@ let mean_sbp_rows catalog =
 let mean_sbp catalog =
   let t = Columnar.of_table (Catalog.find catalog "SBP_DATA") in
   let out =
-    Columnar.group_by ~keys:[] ~aggs:[ ("mean_sbp", Algebra.Avg (Expr.col "sbp")) ] t
+    Columnar.group_by ~keys:[] ~aggs:[ ("mean_sbp", Aggregate.Avg (Expr.col "sbp")) ] t
   in
   Value.to_float (Columnar.to_table out |> Table.rows).(0).(0)
 
@@ -69,7 +69,7 @@ let sbp_plan =
     Mde_mcdb.Bundle.where_ = None;
     derive = [];
     group_keys = [];
-    aggs = [ ("mean_sbp", Mde_mcdb.Bundle.Avg (Expr.col "sbp")) ];
+    aggs = [ ("mean_sbp", Aggregate.Avg (Expr.col "sbp")) ];
   }
 
 let queue_composite =

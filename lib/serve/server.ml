@@ -257,7 +257,7 @@ let keys_of request model =
       refinement_key = Printf.sprintf "%s|rc|alpha=%.17g%s" mfp alpha seed;
     }
 
-let fingerprint t request = (keys_of request (lookup t request.model)).fingerprint
+let fingerprint t request = (keys_of request (validate t request)).fingerprint
 
 let class_info t key =
   match Hashtbl.find_opt t.classes key with

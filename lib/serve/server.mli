@@ -123,8 +123,9 @@ val register_composite :
 val fingerprint : t -> request -> string
 (** The canonical cache key: model fingerprint + kind + every parameter +
     seed. Distinct parameters give distinct fingerprints. Raises
-    [Invalid_argument] on an unregistered model; the rest of the request
-    is validated by {!submit}. *)
+    [Invalid_argument] on a malformed request, exactly as {!submit}
+    does: an unregistered model, a kind the model cannot answer, or a
+    parameter out of range. *)
 
 val estimate : kind -> float array -> float * (float * float) option
 (** The one estimator behind every served and progressive answer: value

@@ -114,8 +114,10 @@ val fingerprint : t -> Server.request -> string
     model this is the fingerprint of its statically-preferred backend —
     fixed at {!federate} time — so a logical query's shard never moves
     when the cost-based catalog changes its mind about the backend.
-    Raises [Invalid_argument] on unknown models or kind mismatches,
-    exactly as {!Server.fingerprint}. *)
+    Raises [Invalid_argument] on a malformed request (an unknown
+    model, a kind mismatch, a parameter out of range), exactly as
+    {!Server.fingerprint}; {!submit} computes it first, so a malformed
+    request raises whatever the front's load. *)
 
 val shard_of : t -> Server.request -> int
 (** [Router.route (router t) (fingerprint t request)] — where the
@@ -132,7 +134,8 @@ val submit : t -> Server.request -> [ `Queued of int | `Shed of shed ]
 (** Resolve the backend, route, and submit to the routed shard.
     [`Queued id] is a front-level id delivered by {!drain}; [`Shed]
     is typed admission-control shedding (see above). Raises
-    [Invalid_argument] on malformed requests, as {!Server.submit}. *)
+    [Invalid_argument] on malformed requests, as {!Server.submit},
+    before any shedding decision. *)
 
 val drain : t -> (int * Server.response) list
 (** Drain every shard and deliver all completed responses in front

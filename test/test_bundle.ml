@@ -100,19 +100,12 @@ let derivations =
 
 let agg_pool =
   [
-    ("n", Bundle.Count);
-    ("s", Bundle.Sum (Expr.col "sbp"));
-    ("a", Bundle.Avg (Expr.col "sbp"));
-    ("lo", Bundle.Min (Expr.col "sbp"));
-    ("hi", Bundle.Max (Expr.col "sbp"));
+    ("n", Aggregate.Count);
+    ("s", Aggregate.Sum (Expr.col "sbp"));
+    ("a", Aggregate.Avg (Expr.col "sbp"));
+    ("lo", Aggregate.Min (Expr.col "sbp"));
+    ("hi", Aggregate.Max (Expr.col "sbp"));
   ]
-
-let algebra_agg = function
-  | Bundle.Count -> Algebra.Count
-  | Bundle.Sum e -> Algebra.Sum e
-  | Bundle.Avg e -> Algebra.Avg e
-  | Bundle.Min e -> Algebra.Min e
-  | Bundle.Max e -> Algebra.Max e
 
 (* Bundle aggregates are float-valued; map Algebra's Value results onto
    the same representation (empty-group Avg/Min/Max is Null ↦ nan,
@@ -143,29 +136,42 @@ let test_to_instances_matches_naive () =
       realized
   done
 
+(* A row-stable VG drawing each cell from [Rng.bool]: the first or the
+   second value of the driver row's one parameter row. [coin_table]
+   realizes [(driver columns..., value)] over it. *)
+let coin_vg =
+  Vg.create ~name:"coin"
+    ~output:(Schema.of_list [ ("value", Value.Tfloat) ])
+    ~row_stable:true
+    (fun rng params ->
+      let p = (Table.rows (List.hd params)).(0) in
+      [ [| (if Rng.bool rng then p.(0) else p.(1)) |] ])
+
+let coin_table ~name driver coin =
+  let faces = Schema.of_list [ ("a", Value.Tfloat); ("b", Value.Tfloat) ] in
+  St.define ~name
+    ~schema:(Schema.concat (Table.schema driver) (Schema.of_list [ ("value", Value.Tfloat) ]))
+    ~driver ~vg:coin_vg
+    ~params:(fun d ->
+      let a, b = coin d in
+      [ Table.create faces [ [| v_float a; v_float b |] ] ])
+    ~combine:(fun d v -> Array.append d v)
+
+let quiet_nan = Int64.float_of_bits 0x7FF8000000000001L
+
 (* Deciding a column is deterministic must not lose bits: [0.] and
    [-0.], and NaNs with different payloads, are equal under
    [Value.equal] but not interchangeable. Drawn per cell from
    [Rng.bool], they differ across repetitions, so every realization must
    keep its own bits. *)
 let test_signed_zero_and_nan_bits () =
-  let quiet_nan = Int64.float_of_bits 0x7FF8000000000001L in
   List.iter
     (fun (label, a, b) ->
-      let vg =
-        Vg.create ~name:label
-          ~output:(Schema.of_list [ ("value", Value.Tfloat) ])
-          ~row_stable:true
-          (fun rng _ -> [ [| v_float (if Mde_prob.Rng.bool rng then a else b) |] ])
-      in
       let st =
-        St.define ~name:label
-          ~schema:(Schema.of_list [ ("pid", Value.Tint); ("value", Value.Tfloat) ])
-          ~driver:(Table.create (Schema.of_list [ ("pid", Value.Tint) ])
+        coin_table ~name:label
+          (Table.create (Schema.of_list [ ("pid", Value.Tint) ])
              (List.init 4 (fun i -> [| v_int i |])))
-          ~vg
-          ~params:(fun _ -> [])
-          ~combine:(fun d v -> [| d.(0); v.(0) |])
+          (fun _ -> (a, b))
       in
       let naive = St.instantiate_many st (Rng.create ~seed:7 ()) 8 in
       let b = Bundle.of_stochastic_table st (Rng.create ~seed:7 ()) ~n_reps:8 in
@@ -273,63 +279,89 @@ let check_agg_results_identical msg expected actual =
         v1)
     expected actual
 
+(* [Bundle.aggregate] over the [pred]-filtered bundle of [st] against
+   [Algebra.group_by] on every realized instance, bit for bit. A group
+   empty in repetition [r] has no row in the naive output; the bundle
+   reports Count 0 / Sum 0 / nan there. *)
+let check_aggregate_parity msg st ~seed ~reps pred aggs keys =
+  let b = Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps in
+  let kernel = Bundle.aggregate ~keys aggs (Bundle.select pred b) in
+  let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
+  let n_keys = List.length keys in
+  List.iter
+    (fun (key, per_agg) ->
+      for r = 0 to reps - 1 do
+        let g = Algebra.group_by ~keys ~aggs (Algebra.select pred naive.(r)) in
+        let matching =
+          Array.to_list (Table.rows g)
+          |> List.filter (fun row -> Array.for_all2 value_eq (Array.sub row 0 n_keys) key)
+        in
+        match matching with
+        | [] ->
+          List.iteri
+            (fun j (_, a) ->
+              if a = Aggregate.Count then
+                Alcotest.(check (float 0.)) "empty group count" 0. per_agg.(j).(r))
+            aggs
+        | [ row ] ->
+          List.iteri
+            (fun j _ ->
+              let expect = agg_value_to_float row.(n_keys + j) in
+              if not (float_bits_eq expect per_agg.(j).(r)) then
+                Alcotest.failf "%s rep %d agg %d: naive %h <> bundle %h" msg r j expect
+                  per_agg.(j).(r))
+            aggs
+        | _ -> Alcotest.fail "duplicate group in naive output"
+      done)
+    kernel;
+  kernel
+
+(* NaN cells, drawn per cell by [coin_vg]: group "nan" holds NaNs of two
+   payloads in every repetition, group "mixed" NaN or a number per cell,
+   and the global group both. Every aggregate matches the per-instance
+   row oracle bit for bit, where NaN follows [Value.compare]: it wins
+   Min and loses Max to any number. *)
+let check_nan_aggregate_parity () =
+  let driver =
+    Table.create
+      (Schema.of_list [ ("pid", Value.Tint); ("kind", Value.Tstring) ])
+      (List.init 8 (fun i -> [| v_int i; v_str (if i < 3 then "nan" else "mixed") |]))
+  in
+  let st =
+    coin_table ~name:"NAN_DATA" driver (fun d ->
+        if Value.equal d.(1) (v_str "nan") then (nan, quiet_nan)
+        else (nan, float_of_int (Value.to_int d.(0))))
+  in
+  let v = Expr.col "value" in
+  let aggs =
+    Aggregate.[ ("n", Count); ("s", Sum v); ("a", Avg v); ("lo", Min v); ("hi", Max v) ]
+  in
+  let pred = Expr.(col "pid" >= int 0) in
+  ignore (check_aggregate_parity "global" st ~seed:11 ~reps:16 pred aggs []);
+  let groups = check_aggregate_parity "keyed" st ~seed:11 ~reps:16 pred aggs [ "kind" ] in
+  let group kind = snd (List.find (fun (key, _) -> Value.equal key.(0) (v_str kind)) groups) in
+  Array.iter
+    (fun x -> Alcotest.(check bool) "all-NaN group: Min and Max are NaN" true (Float.is_nan x))
+    (Array.append (group "nan").(3) (group "nan").(4));
+  let mixed = group "mixed" in
+  Alcotest.(check bool) "some repetition mixes NaN and numbers: NaN Min, number Max" true
+    (List.exists
+       (fun r -> Float.is_nan mixed.(3).(r) && not (Float.is_nan mixed.(4).(r)))
+       (List.init 16 Fun.id))
+
 let test_aggregate_parity () =
   let rng0 = Rng.create ~seed:404 () in
   List.iteri
     (fun pi pred ->
       let rows = 2 + Rng.int rng0 10 and reps = 2 + Rng.int rng0 6 in
-      let st = sbp_table rows in
-      let seed = 1700 + pi in
-      let b = Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps in
-      let filtered = Bundle.select pred b in
       List.iter
         (fun keys ->
-          let kernel = Bundle.aggregate ~keys agg_pool filtered in
-          (* Naive oracle: run σ + γ on every realized instance. A group
-             empty in repetition [r] simply has no row in the naive
-             output; the bundle reports Count 0 / Sum 0 / nan there. *)
-          let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
-          let algebra_aggs =
-            List.map (fun (name, a) -> (name, algebra_agg a)) agg_pool
-          in
-          let n_keys = List.length keys in
-          List.iter
-            (fun (key, per_agg) ->
-              for r = 0 to reps - 1 do
-                let inst = Algebra.select pred naive.(r) in
-                let g = Algebra.group_by ~keys ~aggs:algebra_aggs inst in
-                let matching =
-                  Array.to_list (Table.rows g)
-                  |> List.filter (fun row ->
-                         Array.for_all2 value_eq (Array.sub row 0 n_keys) key)
-                in
-                match matching with
-                | [] ->
-                  (* group absent in this repetition: Count must be 0 *)
-                  Array.iteri
-                    (fun j (_, a) ->
-                      match a with
-                      | Bundle.Count ->
-                        Alcotest.(check (float 0.)) "empty group count" 0.
-                          per_agg.(j).(r)
-                      | _ -> ())
-                    (Array.of_list agg_pool)
-                | [ row ] ->
-                  let n_keys = List.length keys in
-                  List.iteri
-                    (fun j (_, _) ->
-                      let expect = agg_value_to_float row.(n_keys + j) in
-                      if not (float_bits_eq expect per_agg.(j).(r)) then
-                        Alcotest.failf
-                          "predicate %d rep %d agg %d: naive %h <> bundle %h" pi r
-                          j expect
-                          per_agg.(j).(r))
-                    agg_pool
-                | _ -> Alcotest.fail "duplicate group in naive output"
-              done)
-            kernel)
+          ignore
+            (check_aggregate_parity (Printf.sprintf "predicate %d" pi) (sbp_table rows)
+               ~seed:(1700 + pi) ~reps pred agg_pool keys))
         [ []; [ "gender" ]; [ "gender"; "pid" ] ])
-    predicates
+    predicates;
+  check_nan_aggregate_parity ()
 
 (* --- fused query ≡ select |> extend |> aggregate ----------------------- *)
 
@@ -340,9 +372,9 @@ let plan =
     group_keys = [];
     aggs =
       [
-        ("mean_sbp", Bundle.Avg (Expr.col "sbp"));
-        ("max_risk", Bundle.Max (Expr.col "risk"));
-        ("n", Bundle.Count);
+        ("mean_sbp", Aggregate.Avg (Expr.col "sbp"));
+        ("max_risk", Aggregate.Max (Expr.col "risk"));
+        ("n", Aggregate.Count);
       ];
   }
 
@@ -373,7 +405,7 @@ let test_query_fused_equals_compose () =
       plan with
       Bundle.where_ = Some (List.nth predicates 6);
       derive = (List.nth derivations 3) :: plan.Bundle.derive;
-      aggs = ("mean_mixed", Bundle.Avg (Expr.col "mixed")) :: plan.Bundle.aggs;
+      aggs = ("mean_mixed", Aggregate.Avg (Expr.col "mixed")) :: plan.Bundle.aggs;
     }
   in
   List.iter
@@ -457,14 +489,18 @@ let test_blocks_bit_identity () =
 (* The fused sweep allocates per block, not per cell: marginal words per
    cell between 200 and 400 rows of 64 repetitions, so the per-call setup
    cancels. What remains is per row (the group key), spread over 64
-   repetitions. *)
+   repetitions. [Gc.allocated_bytes] counts the minor heap's words only
+   at a minor collection, so the measured call runs between two: from an
+   empty minor heap, and counted in full. *)
 let test_query_allocation () =
   let words rows =
     let b = Bundle.of_stochastic_table (sbp_table rows) (Rng.create ~seed:3 ()) ~n_reps:64 in
     let plan = { plan with Bundle.group_keys = [ "gender" ] } in
     ignore (Bundle.query b plan);
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
     ignore (Sys.opaque_identity (Bundle.query b plan));
+    Gc.minor ();
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
   let per_cell = (words 400 -. words 200) /. float_of_int (200 * 64) in
@@ -503,7 +539,7 @@ let test_nan_keys () =
       ]
   in
   let b = Bundle.of_table t ~n_reps:3 in
-  (match Bundle.aggregate ~keys:[ "k" ] [ ("s", Bundle.Sum (Expr.col "x")) ] b with
+  (match Bundle.aggregate ~keys:[ "k" ] [ ("s", Aggregate.Sum (Expr.col "x")) ] b with
   | groups ->
     Alcotest.(check int) "NaN rows form one group" 2 (List.length groups);
     let nan_group =
@@ -536,7 +572,7 @@ let test_key_validation () =
   Alcotest.check_raises "join on an uncertain key" uncertain (fun () ->
       ignore (Bundle.join ~on:[ ("sbp", "rk") ] b right));
   let plan keys =
-    { Bundle.where_ = None; derive = []; group_keys = keys; aggs = [ ("n", Bundle.Count) ] }
+    { Bundle.where_ = None; derive = []; group_keys = keys; aggs = [ ("n", Aggregate.Count) ] }
   in
   Alcotest.check_raises "query keyed on an uncertain column" uncertain (fun () ->
       ignore (Bundle.query b (plan [ "sbp" ])));

@@ -147,7 +147,7 @@ let test_empty_driver () =
   Alcotest.(check int) "no rows" 0 (Table.cardinality (St.instantiate st rng));
   let bundle = Bundle.of_stochastic_table st rng ~n_reps:5 in
   Alcotest.(check int) "empty bundle" 0 (Bundle.row_count bundle);
-  match Bundle.aggregate [ ("n", Bundle.Count) ] bundle with
+  match Bundle.aggregate [ ("n", Aggregate.Count) ] bundle with
   | [ (_, per) ] -> Alcotest.(check (float 0.)) "count 0" 0. per.(0).(0)
   | _ -> Alcotest.fail "expected the global group"
 
@@ -284,7 +284,7 @@ let test_bundle_aggregate_equivalence () =
   let b, instances = bundle_and_instances () in
   let groups =
     Bundle.aggregate ~keys:[ "gender" ]
-      [ ("n", Bundle.Count); ("avg_sbp", Bundle.Avg (Expr.col "sbp")) ]
+      [ ("n", Aggregate.Count); ("avg_sbp", Aggregate.Avg (Expr.col "sbp")) ]
       b
   in
   Alcotest.(check int) "two genders" 2 (List.length groups);
@@ -328,7 +328,7 @@ let test_bundle_extend_and_join () =
   let joined = Bundle.join ~on:[ ("pid", "pid2") ] b region in
   Alcotest.(check int) "join preserves rows" 30 (Bundle.row_count joined);
   let groups =
-    Bundle.aggregate ~keys:[ "region" ] [ ("n", Bundle.Count) ] joined
+    Bundle.aggregate ~keys:[ "region" ] [ ("n", Aggregate.Count) ] joined
   in
   Alcotest.(check int) "two regions" 2 (List.length groups)
 
@@ -575,7 +575,7 @@ let test_whatif_revenue_pipeline () =
       [ ("revenue", Value.Tfloat, Expr.(col "demand" * float 10.5)) ]
       east_young
   in
-  match Bundle.aggregate [ ("total", Bundle.Sum (Expr.col "revenue")) ] revenue with
+  match Bundle.aggregate [ ("total", Aggregate.Sum (Expr.col "revenue")) ] revenue with
   | [ (_, per_agg) ] ->
     let estimate = Estimator.of_samples per_agg.(0) in
     Alcotest.(check bool) "positive revenue" true (estimate.Estimator.mean > 0.);

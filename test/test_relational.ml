@@ -679,7 +679,7 @@ let keyed_ops_match_algebra ?pool table keys =
   in
   let b = Mde_mcdb.Bundle.of_table table ~n_reps:1 in
   let bundle_groups =
-    Mde_mcdb.Bundle.aggregate ?pool ~keys [ ("n", Mde_mcdb.Bundle.Count) ] b
+    Mde_mcdb.Bundle.aggregate ?pool ~keys [ ("n", Aggregate.Count) ] b
     |> List.map (fun (key, per_agg) ->
            Array.append key [| Value.Int (int_of_float per_agg.(0).(0)) |])
   in

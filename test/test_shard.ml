@@ -176,6 +176,26 @@ let test_shed_front_high_water () =
   Alcotest.(check int) "drain delivers the accepted 3" 3 (List.length (Shard.drain front));
   Alcotest.(check int) "drained front is empty" 0 (Shard.stats front).Shard.outstanding
 
+(* A malformed request raises whatever the front's load: validation runs
+   with the routing fingerprint, before the high-water check, so a full
+   front never turns it into a shed. *)
+let test_malformed_raises_under_load () =
+  let front = Demo.front ~rows:20 ~high_water:1 ~shards:2 () in
+  let ok = (Demo.catalog 1).(0) in
+  let bad = { ok with Server.model = "sbp"; kind = Server.Mcdb_mean { reps = 1 } } in
+  let raises label =
+    match Shard.submit front bad with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+    | exception Invalid_argument _ -> ()
+  in
+  raises "empty front";
+  (match Shard.submit front ok with
+  | `Queued _ -> ()
+  | `Shed _ -> Alcotest.fail "the first valid request is admitted");
+  raises "one request queued";
+  Alcotest.(check int) "no front-level sheds" 0 (Shard.stats front).Shard.shed_front;
+  Alcotest.(check int) "the valid request drains" 1 (List.length (Shard.drain front))
+
 (* --- federation --- *)
 
 let test_federation_prefers_bundle_then_stays_identical () =
@@ -459,6 +479,8 @@ let () =
             test_shed_shard_queue_full;
           Alcotest.test_case "front high water: typed shed" `Quick
             test_shed_front_high_water;
+          Alcotest.test_case "malformed request raises under load" `Quick
+            test_malformed_raises_under_load;
           Alcotest.test_case "shard metrics exported" `Quick
             test_shard_metrics_registered;
         ] );
