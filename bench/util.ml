@@ -47,15 +47,17 @@ let time_it f =
   let result = f () in
   (result, Sys.time () -. t0)
 
-(* One timed section: wall seconds and the [Gc.allocated_bytes] delta. *)
+(* One timed section: wall seconds and the bytes it allocated
+   ([Mde_obs.allocated_words], minor heap included). *)
 type timing = { seconds : float; alloc_bytes : float }
 
 let timed f =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Mde.Obs.allocated_words () in
   let t0 = Mde.Obs.Clock.wall () in
   let x = f () in
   let seconds = Mde.Obs.Clock.wall () -. t0 in
-  (x, { seconds; alloc_bytes = Gc.allocated_bytes () -. a0 })
+  let words = Mde.Obs.allocated_words () -. a0 in
+  (x, { seconds; alloc_bytes = words *. float_of_int (Sys.word_size / 8) })
 
 let min_timing a b =
   {

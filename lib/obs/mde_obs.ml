@@ -4,6 +4,10 @@ module Clock = struct
   let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 end
 
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 5e-4; 1e-3; 5e-3; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10. |]
 

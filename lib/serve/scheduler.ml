@@ -35,6 +35,8 @@ type 'a t = {
   mutable stashed : 'a completion list;
       (* completions collected by a drain that raised, delivered by the
          next drain so accepted work is never lost *)
+  mutable unanswered : int list;
+      (* tickets the last drain or shutdown ended without a completion *)
   mutable pending : int;
   mutable next_ticket : int;
   mutable submitted : int;
@@ -58,6 +60,7 @@ let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs config =
     clock;
     queue = [];
     stashed = [];
+    unanswered = [];
     pending = 0;
     next_ticket = 0;
     submitted = 0;
@@ -84,6 +87,7 @@ let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs config =
 
 let pending t = t.pending
 let pool t = t.pool
+let unanswered t = List.sort compare t.unanswered
 
 let submit t ~class_key ?deadline run =
   if t.closed then invalid_arg "Scheduler.submit: scheduler is shut down";
@@ -129,6 +133,7 @@ let drain t =
   (* Completions rescued from a previous drain that raised go out first. *)
   let completions = ref t.stashed in
   t.stashed <- [];
+  t.unanswered <- [];
   (* Oldest first. *)
   let queue = ref (List.rev t.queue) in
   t.queue <- [];
@@ -185,6 +190,7 @@ let drain t =
                :: !completions
            | Error (e, bt) ->
              t.failed <- t.failed + 1;
+             t.unanswered <- item.ticket :: t.unanswered;
              if !error = None then error := Some (e, bt))
          batch;
        Mde_obs.Gauge.set t.metrics.m_queue_depth (float_of_int t.pending)
@@ -205,11 +211,15 @@ let drain t =
    the scheduler was dropped before the next drain: deliver them here
    instead, and account every undispatched item exactly once. *)
 let shutdown t =
-  if t.closed then []
+  if t.closed then begin
+    t.unanswered <- [];
+    []
+  end
   else begin
     t.closed <- true;
     let banked = t.stashed in
     t.stashed <- [];
+    t.unanswered <- List.map (fun (item : _ item) -> item.ticket) t.queue;
     t.abandoned <- t.abandoned + t.pending;
     t.pending <- 0;
     t.queue <- [];

@@ -70,6 +70,12 @@ val submit :
 
 val pending : 'a t -> int
 
+val unanswered : 'a t -> int list
+(** The tickets the last {!drain} or {!shutdown} ended without a
+    completion — closures that raised, or queued items a shutdown
+    abandoned — in ticket order. Each accepted ticket ends exactly once:
+    in some drain's or shutdown's completions, or in this list. *)
+
 val pool : 'a t -> Mde_par.Pool.t option
 (** The pool batches fan out over, if any — the hook {!Server} uses to
     run out-of-band work (progressive-refinement replication batches) on

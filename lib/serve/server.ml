@@ -91,6 +91,7 @@ type t = {
   admission : admission;
   inflight : (int, inflight) Hashtbl.t;  (* scheduler ticket -> bookkeeping *)
   mutable ready : (int * response) list;  (* completed at submission (cache hits) *)
+  mutable unanswered : int list;  (* ids the last drain or shutdown ended unanswered *)
   mutable next_id : int;
   mutable served : int;
   mutable rejected : int;
@@ -137,6 +138,7 @@ let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs ?(cache_capacity = 256)
     admission;
     inflight = Hashtbl.create 16;
     ready = [];
+    unanswered = [];
     next_id = 0;
     served = 0;
     rejected = 0;
@@ -450,9 +452,34 @@ let settle t completions =
   t.ready <- [];
   List.sort (fun (a, _) (b, _) -> compare a b) out
 
-let drain t = settle t (Scheduler.drain t.sched)
+(* Run the scheduler's [drain] or [shutdown], then release every
+   request it ended without a completion — even when it raises — so
+   each accepted request ends exactly once: answered, or in
+   [unanswered]. *)
+let finish t run =
+  let release () =
+    t.unanswered <-
+      List.map
+        (fun ticket ->
+          let fl = Hashtbl.find t.inflight ticket in
+          Hashtbl.remove t.inflight ticket;
+          fl.id)
+        (Scheduler.unanswered t.sched)
+  in
+  match run t.sched with
+  | completions ->
+    release ();
+    settle t completions
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release ();
+    Printexc.raise_with_backtrace e bt
 
-let shutdown t = settle t (Scheduler.shutdown t.sched)
+let drain t = finish t Scheduler.drain
+
+let shutdown t = finish t Scheduler.shutdown
+
+let unanswered t = t.unanswered
 
 let serve t request =
   match submit t request with

@@ -197,6 +197,13 @@ val shutdown : t -> (int * response) list
     is never silently lost. Idempotent; a later {!submit} that misses
     the cache raises [Invalid_argument]. *)
 
+val unanswered : t -> int list
+(** The ids of accepted requests the last {!drain} or {!shutdown} ended
+    without a response — their execution raised, or the shutdown
+    abandoned them ({!Scheduler.unanswered}) — even when that drain
+    raised. Every accepted request ends exactly once: in some drain's or
+    shutdown's responses, or here. *)
+
 type stats = {
   served : int;
   rejected : int;

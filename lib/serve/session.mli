@@ -13,12 +13,16 @@
     per fresh replication, {!Round_robin} spreads the budget uniformly
     (the baseline the [--session] bench compares against).
 
-    {b Sample reuse and the g(α) split.} Handles with the same
-    {!Target.refinement_key} (same model, kind parameters and seed —
-    any rep budget) share one growing sample store: a batch first
-    adopts the cached replications past the handle's cursor for free,
-    then draws the remainder fresh through {!Target.refine}. The
-    explorer prices this split with the two-stage result-cache theory
+    {b One store per refinement key.} Handles and watchers with the
+    same {!Target.refinement_key} (same model, kind parameters and seed
+    — any rep budget) share one store: the landed prefix of a sampled
+    stream, or the levels a composite was served at so far. A batch
+    first adopts what the store holds past the handle's cursor for free
+    — the landed samples, or the whole batch when the level it reaches
+    was already served — then lands the remainder: drawn fresh through
+    {!Target.refine}, or re-served at the new level. The same rule
+    prices a batch and runs it. The explorer prices the split with the
+    two-stage result-cache theory
     ({!Mde_composite.Result_cache}): each candidate batch's statistics
     — unit fresh-rep cost, zero reuse cost, the store's observed result
     variance, the batch's cached share as the repeat fraction — go
@@ -52,11 +56,12 @@ type planner =
 type config = {
   tick_reps : int;  (** replication budget each {!tick} may spend *)
   min_batch : int;  (** allocation granularity (reps per batch) *)
-  min_gain : float;  (** g(α) gain below which reuse is priced as fresh *)
 }
+(** Reuse is priced as fresh unless {!Cache.pays_off} holds at its
+    default threshold (any strict g(α) gain). *)
 
 val default_config : config
-(** [{ tick_reps = 64; min_batch = 8; min_gain = 1.0 +. 1e-9 }] *)
+(** [{ tick_reps = 64; min_batch = 8 }] *)
 
 type update = {
   id : int;  (** the handle the update belongs to *)
@@ -88,20 +93,23 @@ val open_query : t -> Server.request -> handle
     exactly as {!Server.submit}. *)
 
 val watch : t -> Server.request -> (update -> unit) -> handle
-(** Subscribe to the request's replication stream: the callback fires
-    exactly once per {e new} batch of replications landing for its
-    {!Target.refinement_key} (reuse-only progress fires nothing), with
-    the estimate over every landed replication up to the request's rep
-    count. A watcher spends no budget of its own — it rides on batches
-    that progressive handles (or other sessions' writes to the same
-    store) pay for. *)
+(** Subscribe to the request's store. A watcher's {e frontier} is the
+    largest level its store can estimate it at, capped at the request's
+    rep count: the landed replications, or the largest served composite
+    level. The callback fires exactly once each time a landed batch or a
+    newly served level moves the frontier past its last firing
+    (adoption lands nothing, so fires nothing), with the estimate at the
+    frontier. A watcher spends no budget of its own — it rides on
+    batches that progressive handles pay for. *)
 
 val id : handle -> int
 (** The identifier {!update}s carry; unique within the session. *)
 
 val estimate : t -> handle -> update option
-(** The handle's current estimate: [None] until enough replications
-    landed ({!Server.floor_units}). Pure — does not execute. *)
+(** The current estimate: at the cursor for a progressive handle, at
+    the frontier for a watcher, sampled and composite alike. [None]
+    below {!Server.floor_units} or before anything landed. Pure — does
+    not execute. *)
 
 val cancel : t -> handle -> unit
 (** Close the handle: no further updates, no further budget. Its

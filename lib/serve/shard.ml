@@ -36,6 +36,9 @@ type t = {
   federated : (string, fed) Hashtbl.t;
   inflight : (int * int, int * backend option) Hashtbl.t;
       (* (shard, server id) -> front id + the backend to charge *)
+  banked : (int * Server.response) list array;
+      (* per shard: responses a raising drain collected, delivered by the
+         next drain *)
   mutable next_id : int;
   mutable outstanding : int;
   depth : int array;  (* outstanding per shard *)
@@ -67,6 +70,7 @@ let create ?pool ?(clock = Mde_obs.Clock.wall) ?obs ?cache_capacity ?cache_ttl
     tags = Hashtbl.create 8;
     federated = Hashtbl.create 4;
     inflight = Hashtbl.create 64;
+    banked = Array.make shards [];
     next_id = 0;
     outstanding = 0;
     depth = Array.make shards 0;
@@ -238,20 +242,21 @@ let submit t request =
       set_gauges t shard;
       `Queued id
 
+(* End the request [sid] of [shard]: it leaves the front's books. *)
+let release t shard sid =
+  let entry = Hashtbl.find t.inflight (shard, sid) in
+  Hashtbl.remove t.inflight (shard, sid);
+  t.outstanding <- t.outstanding - 1;
+  t.depth.(shard) <- t.depth.(shard) - 1;
+  entry
+
 let deliver t per_server =
   let out = ref [] in
   Array.iteri
     (fun shard completions ->
       List.iter
         (fun (sid, (resp : Server.response)) ->
-          let id, backend =
-            match Hashtbl.find_opt t.inflight (shard, sid) with
-            | Some v -> v
-            | None -> assert false
-          in
-          Hashtbl.remove t.inflight (shard, sid);
-          t.outstanding <- t.outstanding - 1;
-          t.depth.(shard) <- t.depth.(shard) - 1;
+          let id, backend = release t shard sid in
           (* Only real executions inform the federation cost estimate:
              a cache hit's latency measures the probe, not the backend. *)
           (match backend with
@@ -265,8 +270,41 @@ let deliver t per_server =
     per_server;
   List.sort (fun (a, _) (b, _) -> compare a b) !out
 
-let drain t = deliver t (Array.map Server.drain t.servers)
-let shutdown t = deliver t (Array.map Server.shutdown t.servers)
+(* Run [finish] ({!Server.drain} or {!Server.shutdown}) on every shard,
+   even when one raises, and release every request a shard ended
+   without a response. If one raised, the others' responses are banked
+   for the next drain and the first exception propagates; otherwise
+   everything, banked responses included, is delivered. *)
+let finish_all t finish =
+  let error = ref None in
+  let per_server =
+    Array.mapi
+      (fun shard server ->
+        let responses =
+          match finish server with
+          | responses -> responses
+          | exception e ->
+            if !error = None then error := Some (e, Printexc.get_raw_backtrace ());
+            []
+        in
+        List.iter (fun sid -> ignore (release t shard sid)) (Server.unanswered server);
+        let all = t.banked.(shard) @ responses in
+        t.banked.(shard) <- [];
+        all)
+      t.servers
+  in
+  match !error with
+  | None -> deliver t per_server
+  | Some (e, bt) ->
+    Array.iteri
+      (fun shard responses ->
+        t.banked.(shard) <- responses;
+        set_gauges t shard)
+      per_server;
+    Printexc.raise_with_backtrace e bt
+
+let drain t = finish_all t Server.drain
+let shutdown t = finish_all t Server.shutdown
 
 let serve t request =
   match submit t request with

@@ -140,7 +140,15 @@ val submit : t -> Server.request -> [ `Queued of int | `Shed of shed ]
 val drain : t -> (int * Server.response) list
 (** Drain every shard and deliver all completed responses in front
     submission order. Observed execution latencies feed the federation
-    catalog's cost estimates. *)
+    catalog's cost estimates.
+
+    Exception safety: every shard is drained even when one raises.
+    Requests a shard ended without a response ({!Server.unanswered})
+    leave the front's [outstanding] count and per-shard depth at once;
+    the other shards' responses are banked and delivered by the next
+    drain; then the first exception propagates. So every accepted
+    request ends exactly once — delivered, or failed and released — and
+    a raising model never shrinks the front's high-water headroom. *)
 
 val serve : t -> Server.request -> [ `Served of Server.response | `Shed of shed ]
 (** [submit] + [drain] for a single request. *)
@@ -148,7 +156,8 @@ val serve : t -> Server.request -> [ `Served of Server.response | `Shed of shed 
 val shutdown : t -> (int * Server.response) list
 (** {!Server.shutdown} on every shard: deliver everything already
     executed (banked completions, pending cache hits) without running
-    queued work, which is dropped and counted as abandoned. *)
+    queued work, which is dropped, counted as abandoned and released
+    from [outstanding]. *)
 
 (** {2 Progressive-refinement hooks} — the front-side twins of
     {!Server.refinement_key} and {!Server.sample_batch}. *)

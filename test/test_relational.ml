@@ -563,9 +563,9 @@ let test_columnar_blocks_match_algebra () =
    three calls, past one-off work on first use. *)
 let allocated_words f =
   let once () =
-    let before = Gc.allocated_bytes () in
+    let before = Mde_obs.allocated_words () in
     ignore (Sys.opaque_identity (f ()));
-    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+    Mde_obs.allocated_words () -. before
   in
   List.fold_left Float.min infinity (List.init 3 (fun _ -> once ()))
 
@@ -1974,9 +1974,9 @@ let test_join_allocates_read_columns_only () =
     Columnar.row_count out
   in
   ignore (read ());
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Mde_obs.allocated_words () in
   let n = read () in
-  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+  let words = Mde_obs.allocated_words () -. a0 in
   Alcotest.(check int) "10 matches per probe row" 100_000 n;
   Alcotest.(check bool)
     (Printf.sprintf "join + one column read: %.2f words per output row < 5" (words /. float n))

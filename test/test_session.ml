@@ -126,7 +126,7 @@ let test_key_mate_reuse () =
    executed — and never again after the stream stops growing. *)
 let test_watch_fires_once_per_batch () =
   let server = Demo.server ~rows:30 () in
-  let config = { Session.default_config with Session.tick_reps = 16; min_batch = 8 } in
+  let config = { Session.tick_reps = 16; min_batch = 8 } in
   let session = Session.create ~config (Target.of_server server) in
   let request =
     { Server.model = "sbp"; kind = Server.Mcdb_mean { reps = 32 }; seed = 9; deadline = None }
@@ -159,7 +159,7 @@ let test_watch_fires_once_per_batch () =
    the summed per-tick allocations. *)
 let test_budget_accounting () =
   let server = Demo.server ~rows:30 () in
-  let config = { Session.default_config with Session.tick_reps = 24; min_batch = 8 } in
+  let config = { Session.tick_reps = 24; min_batch = 8 } in
   let session = Session.create ~config (Target.of_server server) in
   List.iter
     (fun r -> ignore (Session.open_query session r))
@@ -299,6 +299,169 @@ let test_mcdb_sampling_instrumented () =
       Alcotest.(check bool) "mcdb.estimate span recorded" true
         (List.exists (fun s -> s.Mde_obs.name = "mcdb.estimate") (Mde_obs.spans registry)))
 
+(* perfbench's session-explore mix: a bundle MCDB mean, a naive MCDB
+   tail, four chains and an MCDB key-mate pair. *)
+let explore_mix ~seed =
+  let req model kind k = { Server.model; kind; seed = seed + k; deadline = None } in
+  [
+    req "sbp_bundle" (Server.Mcdb_mean { reps = 256 }) 0;
+    req "sbp" (Server.Mcdb_tail { reps = 40; p = 0.9 }) 1;
+    req "walk" (Server.Chain_mean { steps = 4; reps = 64 }) 2;
+    req "walk" (Server.Chain_mean { steps = 4; reps = 64 }) 3;
+    req "walk" (Server.Chain_mean { steps = 4; reps = 64 }) 4;
+    req "walk" (Server.Chain_mean { steps = 96; reps = 384 }) 5;
+    req "sbp" (Server.Mcdb_mean { reps = 32 }) 6;
+    req "sbp" (Server.Mcdb_mean { reps = 16 }) 6;
+  ]
+
+(* Composite key-mates (n = 64 and n = 20 on one stream) next to an
+   MCDB pair and a chain, with a composite and a sample watcher. *)
+let queue_request ~seed n =
+  {
+    Server.model = "queue";
+    kind = Server.Composite_estimate { n; alpha = 0.25 };
+    seed;
+    deadline = None;
+  }
+
+let composite_mix ~seed =
+  let queue = queue_request ~seed in
+  let sbp reps =
+    { Server.model = "sbp"; kind = Server.Mcdb_mean { reps }; seed = seed + 1; deadline = None }
+  in
+  let walk =
+    {
+      Server.model = "walk";
+      kind = Server.Chain_mean { steps = 8; reps = 32 };
+      seed = seed + 2;
+      deadline = None;
+    }
+  in
+  ([ queue 64; queue 20; sbp 24; walk ], [ queue 48; sbp 40 ])
+
+(* Every tick's updates, every watcher firing, every handle's final
+   estimate and the session totals, as one string: the planner's
+   decisions and the bits they produce. *)
+let planner_trace ~planner ~config (requests, watched) =
+  let front = Demo.front ~rows:30 ~shards:2 () in
+  let session = Session.create ~planner ~config (Target.of_shard front) in
+  let b = Buffer.create 4096 in
+  let add_update tag u =
+    Buffer.add_string b
+      (Printf.sprintf "%s %d %Lx %d/%d r%d %b\n" tag u.Session.id (bits u.Session.value)
+         u.Session.reps_done u.Session.reps_total u.Session.reps_reused u.Session.converged)
+  in
+  let watchers = List.map (fun r -> Session.watch session r (add_update "fire")) watched in
+  let handles = List.map (Session.open_query session) requests in
+  let ticks = ref 0 in
+  while (Session.stats session).Session.handles_open > 0 && !ticks < 1000 do
+    incr ticks;
+    Buffer.add_string b (Printf.sprintf "tick %d\n" !ticks);
+    List.iter (add_update "update") (Session.tick session)
+  done;
+  List.iter
+    (fun h -> Option.iter (add_update "final") (Session.estimate session h))
+    (watchers @ handles);
+  let st = Session.stats session in
+  Buffer.add_string b
+    (Printf.sprintf "ticks %d fresh %d reused %d\n" st.Session.ticks st.Session.fresh_reps
+       st.Session.reused_reps);
+  ignore (Serve.Shard.shutdown front);
+  Buffer.contents b
+
+(* The planners' decisions, pinned: a digest of every update and firing
+   on four mixes, under both planners. Refactoring the session must
+   leave it unchanged. The explorer prices a composite batch as adopted
+   only when the level it reaches was served, the rule that runs it. *)
+let test_planner_trace_pinned () =
+  let digest ~planner ~config mix =
+    Digest.to_hex (Digest.string (planner_trace ~planner ~config mix))
+  in
+  let small = { Session.default_config with Session.tick_reps = 12 } in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check string) name expected got)
+    [
+      ( "explore mix, Explore",
+        "c3cacf3fd73ade165691fda8f2d88665",
+        digest ~planner:Session.Explore ~config:Session.default_config
+          (explore_mix ~seed:1000, []) );
+      ( "explore mix, Round_robin",
+        "26fe5f563d419b67dd66c198beb5d4f1",
+        digest ~planner:Session.Round_robin ~config:Session.default_config
+          (explore_mix ~seed:1000, []) );
+      ( "composite key-mates, Explore",
+        "14af7a2b38fa3621cc72b2c84f1ab02d",
+        digest ~planner:Session.Explore ~config:small (composite_mix ~seed:41) );
+      ( "composite key-mates, Round_robin",
+        "ab2308915368c873ccd2eb6674b96f9e",
+        digest ~planner:Session.Round_robin ~config:small (composite_mix ~seed:41) );
+    ]
+
+(* A composite watcher fires once for each newly served level within its
+   total, carrying the served value. *)
+let test_composite_watch_fires_per_level () =
+  let server = Demo.server ~rows:30 () in
+  let config = { Session.default_config with Session.tick_reps = 8 } in
+  let session = Session.create ~config (Target.of_server server) in
+  let fired = ref [] in
+  let _w = Session.watch session (queue_request ~seed:4 24) (fun u -> fired := u :: !fired) in
+  let _h = Session.open_query session (queue_request ~seed:4 32) in
+  ignore (Session.drive session);
+  let firings = List.rev !fired in
+  Alcotest.(check (list int)) "one firing per served level within the total" [ 8; 16; 24 ]
+    (List.map (fun u -> u.Session.reps_done) firings);
+  let oneshot = Demo.server ~rows:30 () in
+  List.iter
+    (fun u ->
+      match Server.serve oneshot (queue_request ~seed:4 u.Session.reps_done) with
+      | `Served resp ->
+        Alcotest.(check bool) "served level's bits" true
+          (same_float u.Session.value resp.Server.value)
+      | `Rejected -> Alcotest.fail "one-shot serve rejected")
+    firings
+
+(* Adopting a served level lands nothing new: a composite key-mate
+   converging off the levels store fires no watcher, and its reps count
+   as reused. *)
+let test_composite_adoption_silent () =
+  let server = Demo.server ~rows:30 () in
+  let config = { Session.default_config with Session.tick_reps = 8 } in
+  let session = Session.create ~config (Target.of_server server) in
+  let fired = ref 0 in
+  let _w = Session.watch session (queue_request ~seed:6 32) (fun _ -> incr fired) in
+  let _big = Session.open_query session (queue_request ~seed:6 32) in
+  ignore (Session.drive session);
+  let before = !fired in
+  Alcotest.(check int) "one firing per served level" 4 before;
+  let mate = Session.open_query session (queue_request ~seed:6 16) in
+  ignore (Session.drive session);
+  Alcotest.(check int) "adoption fires nothing" before !fired;
+  Alcotest.(check int) "adopted levels count as reused" 16
+    (Session.stats session).Session.reused_reps;
+  match Session.estimate session mate with
+  | Some u -> Alcotest.(check bool) "mate converged" true u.Session.converged
+  | None -> Alcotest.fail "mate has no estimate"
+
+(* Composite key-mates opened together share served levels. *)
+let test_composite_key_mates_reuse () =
+  let server = Demo.server ~rows:30 () in
+  let config = { Session.default_config with Session.tick_reps = 12 } in
+  let session = Session.create ~config (Target.of_server server) in
+  let big = Session.open_query session (queue_request ~seed:8 64) in
+  let small = Session.open_query session (queue_request ~seed:8 20) in
+  ignore (Session.drive session);
+  Alcotest.(check bool) "a key-mate adopted served levels" true
+    ((Session.stats session).Session.reused_reps > 0);
+  let oneshot = Demo.server ~rows:30 () in
+  List.iter
+    (fun (h, n) ->
+      match (Session.estimate session h, Server.serve oneshot (queue_request ~seed:8 n)) with
+      | Some u, `Served resp ->
+        Alcotest.(check bool) "converged == one-shot" true
+          (u.Session.converged && same_float u.Session.value resp.Server.value)
+      | _ -> Alcotest.fail "missing estimate or one-shot answer")
+    [ (big, 64); (small, 20) ]
+
 let () =
   Alcotest.run "session"
     [
@@ -309,11 +472,19 @@ let () =
           Alcotest.test_case "converged == one-shot (pooled)" `Quick
             test_bit_identity_pooled;
           Alcotest.test_case "key-mates share one store" `Quick test_key_mate_reuse;
+          Alcotest.test_case "composite key-mates reuse levels" `Quick
+            test_composite_key_mates_reuse;
         ] );
+      ( "planner",
+        [ Alcotest.test_case "trace pinned" `Quick test_planner_trace_pinned ] );
       ( "watch",
         [
           Alcotest.test_case "fires once per landed batch" `Quick
             test_watch_fires_once_per_batch;
+          Alcotest.test_case "composite fires once per level" `Quick
+            test_composite_watch_fires_per_level;
+          Alcotest.test_case "composite adoption fires nothing" `Quick
+            test_composite_adoption_silent;
         ] );
       ( "budget",
         [

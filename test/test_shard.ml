@@ -432,6 +432,66 @@ let test_front_shutdown () =
   Alcotest.(check int) "outstanding zero after shutdown" 0
     (Shard.stats front).Shard.outstanding
 
+(* A raising model ends its own request and nothing else: the front
+   drains every shard, banks the responses the other shards settled,
+   releases the failed request from its high-water count, and
+   re-raises. Shard 0 drains before the raising shard 1, and shard 3
+   after it. *)
+let test_raising_model_loses_nothing () =
+  let front = Shard.create ~shards:4 ~high_water:6 () in
+  Shard.register_composite front ~name:"ok"
+    {
+      Mde_composite.Result_cache.model1 = (fun rng -> Rng.float rng);
+      model2 = (fun rng x -> x +. Rng.float rng);
+    };
+  Shard.register_composite front ~name:"bad"
+    {
+      Mde_composite.Result_cache.model1 = (fun _ -> failwith "bad model");
+      model2 = (fun _ x -> x);
+    };
+  let request model seed =
+    { Server.model; kind = Server.Composite_estimate { n = 4; alpha = 0.5 }; seed; deadline = None }
+  in
+  (* the first seeds placing a request of [model] on [shard] *)
+  let on_shard model shard ~from =
+    let rec go seed =
+      if Shard.shard_of front (request model seed) = shard then seed else go (seed + 1)
+    in
+    go from
+  in
+  let submit r =
+    match Shard.submit front r with
+    | `Queued id -> id
+    | `Shed _ -> Alcotest.fail "submission shed"
+  in
+  let s3 = on_shard "ok" 3 ~from:0 in
+  let oks =
+    List.map
+      (fun seed -> submit (request "ok" seed))
+      [ on_shard "ok" 0 ~from:0; on_shard "ok" 1 ~from:0; s3; on_shard "ok" 3 ~from:(s3 + 1) ]
+  in
+  ignore (submit (request "bad" (on_shard "bad" 1 ~from:0)));
+  (match Shard.drain front with
+  | _ -> Alcotest.fail "the raising model's drain should raise"
+  | exception Failure _ -> ());
+  let st = Shard.stats front in
+  Alcotest.(check int) "shard 0 settled its response" 1 st.Shard.servers.(0).Server.served;
+  Alcotest.(check int) "the failed request left the front" 4 st.Shard.outstanding;
+  let delivered = Shard.drain front in
+  Alcotest.(check (list int)) "every accepted ok request delivered once" oks
+    (List.map fst delivered);
+  Alcotest.(check int) "nothing outstanding" 0 (Shard.stats front).Shard.outstanding;
+  (* the full high-water headroom is back *)
+  let again = List.init 6 (fun k -> submit (request "ok" (1000 + k))) in
+  Alcotest.(check (list int)) "a full front's worth delivered" again
+    (List.map fst (Shard.drain front));
+  Alcotest.(check int) "front empty again" 0 (Shard.stats front).Shard.outstanding;
+  (* work a shutdown abandons leaves the books too *)
+  ignore (submit (request "ok" 2000));
+  Alcotest.(check (list int)) "queued work is not run at shutdown" []
+    (List.map fst (Shard.shutdown front));
+  Alcotest.(check int) "abandoned work released" 0 (Shard.stats front).Shard.outstanding
+
 (* --- metrics --- *)
 
 let test_shard_metrics_registered () =
@@ -506,5 +566,7 @@ let () =
           Alcotest.test_case "server delivers ready hits" `Quick
             test_server_shutdown_delivers_ready_hits;
           Alcotest.test_case "front-wide shutdown" `Quick test_front_shutdown;
+          Alcotest.test_case "raising model loses nothing" `Quick
+            test_raising_model_loses_nothing;
         ] );
     ]
