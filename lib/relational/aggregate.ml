@@ -179,7 +179,9 @@ let grouped ~pool ~site ~presence ~where ~keys ~rows ~reps aggs =
       let bound = Array.map (fun st -> st.bind f cells) states in
       ( (fun () ->
           keep f.all;
-          Array.iter (fun (fill, _) -> fill kept) bound),
+          for a = 0 to Array.length bound - 1 do
+            fst bound.(a) kept
+          done),
         fun () ->
           let lo = f.lo in
           if reps > 1 then
@@ -194,5 +196,7 @@ let grouped ~pool ~site ~presence ~where ~keys ~rows ~reps aggs =
               let k = kept.pos.(j) in
               cells.(k) <- ids.(lo + k)
             done;
-          Array.iter (fun (_, consume) -> consume kept) bound ));
+          for a = 0 to Array.length bound - 1 do
+            snd bound.(a) kept
+          done ));
   { n_groups; firsts; value = (fun a g r -> states.(a).finish ((g * reps) + r)) }

@@ -73,9 +73,8 @@ let extend ?pool defs t =
     cols = Array.append t.cols (Array.of_list (List.map build defs));
   }
 
-let no_nulls = function
-  | None -> fun _ -> false
-  | Some (flags : bool array) -> fun i -> flags.(i)
+(* Probe rows per chunk of the join's lookups. *)
+let probe_chunk = 4096
 
 let join_index ?pool (left, left_rows) (right, right_rows) =
   let enc =
@@ -96,11 +95,16 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
   (* Key ids of the hashed rows (-1: a Null component), and each id's
      rows as a chain in row order. *)
   let tbl = Keycode.tbl_create ~hint:h_rows hashed.keys in
-  let hnull = no_nulls hashed.null_rows in
   let h_id = Array.make h_rows (-1) in
-  for h = 0 to h_rows - 1 do
-    if not (hnull h) then h_id.(h) <- Keycode.tbl_add tbl h
-  done;
+  (match hashed.null_rows with
+  | None ->
+    for h = 0 to h_rows - 1 do
+      h_id.(h) <- Keycode.tbl_add tbl h
+    done
+  | Some null ->
+    for h = 0 to h_rows - 1 do
+      if not null.(h) then h_id.(h) <- Keycode.tbl_add tbl h
+    done);
   let ids = Keycode.tbl_count tbl in
   let head = Array.make ids (-1) and next = Array.make h_rows (-1) in
   for h = h_rows - 1 downto 0 do
@@ -110,15 +114,22 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
       head.(id) <- h
     end
   done;
-  (* The lookups run as a block sweep, on the pool when given. *)
-  let pnull = no_nulls probed.null_rows in
+  (* The lookups run in row chunks, on the pool when given; each chunk
+     writes only its own rows' ids. *)
   let p_id = Array.make p_rows (-1) in
-  Kernel.sweep ?pool ~site:"columnar.join.probe" ~rows:p_rows ~reps:1 (fun f ->
-      ( (fun () ->
-          for o = f.lo to f.lo + f.all.n - 1 do
-            if not (pnull o) then p_id.(o) <- Keycode.tbl_find tbl probed.keys o
-          done),
-        ignore ));
+  let chunks = (p_rows + probe_chunk - 1) / probe_chunk in
+  Mde_par.Pool.iter ?pool ~site:"columnar.join.probe" chunks (fun b ->
+      let lo = b * probe_chunk in
+      let hi = min p_rows (lo + probe_chunk) in
+      match probed.null_rows with
+      | None ->
+        for o = lo to hi - 1 do
+          p_id.(o) <- Keycode.tbl_find tbl probed.keys o
+        done
+      | Some null ->
+        for o = lo to hi - 1 do
+          if not null.(o) then p_id.(o) <- Keycode.tbl_find tbl probed.keys o
+        done);
   let l_id, r_id = if hash_left then (h_id, p_id) else (p_id, h_id) in
   (* Pairs come out left row by left row, each left row's matches in
      right-row order — the row oracle's order — into arrays of exactly

@@ -70,15 +70,15 @@ val join_index :
     matching (left row, right row) pairs of an inner equi-join on the
     given deterministic key columns, left rows in order and each left
     row's matches in right order; rows with a Null key component never
-    match. Both sides hash one unboxed {!Keycode} word per row. The
-    open-addressing table, with match chains in row order, goes over the
-    smaller side (the right on a tie), and the other side looks its rows
-    up in a block sweep; the pairs are then written through per-left-row
-    offsets (prefix sums of each left row's match count) into arrays of
-    exactly their number, in the same order whichever side was hashed.
-    With [?pool] the key encoding and the lookups run on the pool; the
-    output is the same. Raises [Invalid_argument] on an uncertain key
-    column. *)
+    match. Both sides code one unboxed {!Keycode} word per row. The
+    key table (direct over a narrow key span, hashed otherwise: see
+    {!Keycode.tbl_create}), with match chains in row order, goes over
+    the smaller side (the right on a tie), and the other side looks its
+    rows up in row chunks; the pairs are then written into arrays of
+    exactly their number, in the same order whichever side holds the
+    table. With [?pool] the key encoding and the lookups run on the
+    pool; the output is the same. Raises [Invalid_argument] on an
+    uncertain key column. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->

@@ -15,32 +15,63 @@ let int_hash k =
   let h = k * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 31)) land max_int
 
-type tbl = {
+type slots = {
   mutable mask : int;  (* capacity - 1, capacity a power of two *)
   mutable slot_keys : int array;
   mutable slot_ids : int array;  (* -1 = empty *)
-  mutable count : int;
-  build_keys : int array;
 }
 
-let pow2_at_least n =
+(* A table is direct or hashed, fixed at creation from its build keys.
+   Direct: key [k] of [base, top] has its id at [ids.(k - base)] (-1:
+   not added yet), so a lookup is one load. *)
+type tbl = { build_keys : int array; mutable count : int; index : index }
+
+and index = Direct of { base : int; top : int; ids : int array } | Hashed of slots
+
+(* Slots a hashed table starts with: a power of two, at least 16 and
+   twice the expected number of keys. *)
+let capacity ~hint =
   let c = ref 16 in
-  while !c < n do c := !c * 2 done;
+  while !c < hint * 2 do c := !c * 2 done;
   !c
 
-let tbl_create ~hint build_keys =
-  let cap = pow2_at_least (max 16 (hint * 2)) in
-  { mask = cap - 1; slot_keys = Array.make cap 0; slot_ids = Array.make cap (-1); count = 0; build_keys }
+let hashed ~cap build_keys =
+  {
+    build_keys;
+    count = 0;
+    index = Hashed { mask = cap - 1; slot_keys = Array.make cap 0; slot_ids = Array.make cap (-1) };
+  }
 
-let int_grow t =
-  let cap = (t.mask + 1) * 2 in
+(* Direct when the build keys' span takes no more words than the hashed
+   table's two arrays at creation ([span + 1 <= 2 cap]), so a direct
+   table is never the larger. [span < 0] is [top - base] overflowing: a
+   span past [max_int] hashes, as do no keys at all. *)
+let tbl_create ~hint build_keys =
+  let cap = capacity ~hint in
+  let base = ref max_int and top = ref min_int in
+  for i = 0 to Array.length build_keys - 1 do
+    let k = build_keys.(i) in
+    if k < !base then base := k;
+    if k > !top then top := k
+  done;
+  let span = !top - !base in
+  if Array.length build_keys > 0 && span >= 0 && span < 2 * cap then
+    {
+      build_keys;
+      count = 0;
+      index = Direct { base = !base; top = !top; ids = Array.make (span + 1) (-1) };
+    }
+  else hashed ~cap build_keys
+
+let grow s =
+  let cap = (s.mask + 1) * 2 in
   let keys = Array.make cap 0 and ids = Array.make cap (-1) in
   let mask = cap - 1 in
-  let old_keys = t.slot_keys and old_ids = t.slot_ids in
+  let old_keys = s.slot_keys and old_ids = s.slot_ids in
   Array.iteri
-    (fun s id ->
+    (fun slot id ->
       if id >= 0 then begin
-        let k = old_keys.(s) in
+        let k = old_keys.(slot) in
         let j = ref (int_hash k land mask) in
         while ids.(!j) >= 0 do
           j := (!j + 1) land mask
@@ -49,40 +80,57 @@ let int_grow t =
         ids.(!j) <- id
       end)
     old_ids;
-  t.mask <- mask;
-  t.slot_keys <- keys;
-  t.slot_ids <- ids
+  s.mask <- mask;
+  s.slot_keys <- keys;
+  s.slot_ids <- ids
 
+(* The id of key [k], inserting it if new. A direct table takes only
+   keys of its range, which every build key is. *)
 let int_add t k =
-  let mask = t.mask in
-  let j = ref (int_hash k land mask) in
-  let res = ref (-1) in
-  while !res < 0 do
-    let id = t.slot_ids.(!j) in
-    if id < 0 then begin
+  match t.index with
+  | Direct { base; ids; _ } ->
+    let id = ids.(k - base) in
+    if id >= 0 then id
+    else begin
       let fresh = t.count in
-      t.slot_ids.(!j) <- fresh;
-      t.slot_keys.(!j) <- k;
+      ids.(k - base) <- fresh;
       t.count <- fresh + 1;
-      if t.count * 4 > (mask + 1) * 3 then int_grow t;
-      res := fresh
+      fresh
     end
-    else if t.slot_keys.(!j) = k then res := id
-    else j := (!j + 1) land mask
-  done;
-  !res
+  | Hashed s ->
+    let mask = s.mask in
+    let j = ref (int_hash k land mask) in
+    let res = ref (-1) in
+    while !res < 0 do
+      let id = s.slot_ids.(!j) in
+      if id < 0 then begin
+        let fresh = t.count in
+        s.slot_ids.(!j) <- fresh;
+        s.slot_keys.(!j) <- k;
+        t.count <- fresh + 1;
+        if t.count * 4 > (mask + 1) * 3 then grow s;
+        res := fresh
+      end
+      else if s.slot_keys.(!j) = k then res := id
+      else j := (!j + 1) land mask
+    done;
+    !res
 
 let int_find t k =
-  let mask = t.mask in
-  let j = ref (int_hash k land mask) in
-  let res = ref min_int in
-  while !res = min_int do
-    let id = t.slot_ids.(!j) in
-    if id < 0 then res := -1
-    else if t.slot_keys.(!j) = k then res := id
-    else j := (!j + 1) land mask
-  done;
-  !res
+  match t.index with
+  | Direct { base; top; ids } ->
+    if k < base || k > top then -1 else Array.unsafe_get ids (k - base)
+  | Hashed s ->
+    let mask = s.mask in
+    let j = ref (int_hash k land mask) in
+    let res = ref min_int in
+    while !res = min_int do
+      let id = s.slot_ids.(!j) in
+      if id < 0 then res := -1
+      else if s.slot_keys.(!j) = k then res := id
+      else j := (!j + 1) land mask
+    done;
+    !res
 
 let tbl_add t i = int_add t t.build_keys.(i)
 let tbl_find t probe i = int_find t probe.(i)
@@ -98,7 +146,8 @@ let bits_for count =
    first-seen ids — the shared dictionary that narrows a wide field —
    and returns the ids' width. *)
 let densify sides =
-  let t = tbl_create ~hint:(Array.fold_left (fun n a -> n + Array.length a) 0 sides) [||] in
+  let hint = Array.fold_left (fun n a -> n + Array.length a) 0 sides in
+  let t = hashed ~cap:(capacity ~hint) [||] in
   Array.iter (fun a -> Array.iteri (fun i code -> a.(i) <- int_add t code) a) sides;
   bits_for t.count
 

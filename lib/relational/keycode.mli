@@ -77,14 +77,29 @@ val groups : ?pool:Mde_par.Pool.t -> Column.t array -> rows:int -> int array * i
 
 (** {2 Key tables}
 
-    First-seen id assignment over encoded keys: the hash side of
-    group/join/distinct without any boxing, an open-addressing table
-    (linear probing, multiplicative hashing). *)
+    First-seen id assignment over encoded keys: the build side of
+    group/join/distinct without any boxing. A table takes one of two
+    representations, chosen at creation from its build keys alone:
+
+    - {e direct}: when the build keys' span ([max - min + 1]) takes no
+      more words than the hashed table's two arrays would at creation
+      (twice its starting slot count), one [int array] of ids indexed
+      by [key - min]; adding is one load and at most one store, a
+      lookup a range check and one load. A direct table is therefore
+      never larger than the hashed one it replaces;
+    - {e hashed}: otherwise (a wide span, a span whose [max - min]
+      overflows, no build keys), an open-addressing table (linear
+      probing, multiplicative hashing) that doubles at 3/4 load.
+
+    Ids are the same in both: dense and first-seen, so an operator's
+    output does not depend on the representation. *)
 
 type tbl
 
 val tbl_create : hint:int -> int array -> tbl
-(** A table that will be fed rows of the given keys (the build side). *)
+(** [tbl_create ~hint keys]: a table that will be fed rows of [keys]
+    (the build side), [hint] distinct keys expected. One pass over
+    [keys] picks the representation. *)
 
 val tbl_add : tbl -> int -> int
 (** [tbl_add t i]: the id of build row [i]'s key, inserting it if new.

@@ -1081,6 +1081,95 @@ let test_lopsided_join_orientations () =
   check "small left hashed" small large [ ("l_s", "r_s"); ("l_k", "r_k") ];
   check "large left, right hashed" large small [ ("r_s", "l_s"); ("r_k", "l_k") ]
 
+(* A join whose probe side spans more than one probe chunk (4096 rows),
+   with Null keys on both sides, in both orientations: pooled ==
+   sequential == row Algebra. The narrow key takes a direct table, the
+   wide one (values 2^40 apart) a hashed table. *)
+let test_pooled_probe_past_chunk () =
+  let rng = Mde_prob.Rng.create ~seed:41 () in
+  let side prefix rows =
+    let cell () =
+      let k = Mde_prob.Rng.int rng 10 in
+      let key scale = if Mde_prob.Rng.int rng 15 = 0 then Value.Null else v_int (k * scale) in
+      [| key 1; key (1 lsl 40); v_int (Mde_prob.Rng.int rng 1000) |]
+    in
+    Table.create
+      (Schema.of_list
+         [ (prefix ^ "n", Value.Tint); (prefix ^ "w", Value.Tint); (prefix ^ "x", Value.Tint) ])
+      (List.init rows (fun _ -> cell ()))
+  in
+  let long = side "l_" 5000 and short = side "s_" 60 in
+  Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (label, l, r, on) ->
+          let oracle = Algebra.equi_join ~on l r in
+          let lc = Columnar.of_table l and rc = Columnar.of_table r in
+          let seq = Columnar.equi_join ~on lc rc in
+          Alcotest.(check bool) (label ^ " == algebra") true (matches oracle seq);
+          Alcotest.(check bool) (label ^ " pooled == sequential") true
+            (tables_identical (Columnar.to_table seq)
+               (Columnar.to_table (Columnar.equi_join ~pool ~on lc rc))))
+        [ ("narrow, long left", long, short, [ ("l_n", "s_n") ]);
+          ("narrow, long right", short, long, [ ("s_n", "l_n") ]);
+          ("wide, long left", long, short, [ ("l_w", "s_w") ]);
+          ("wide, long right", short, long, [ ("s_w", "l_w") ]) ])
+
+(* Table ids against a first-seen [Hashtbl]: build spans on both sides
+   of the direct/hashed boundary (twice the starting slot count, 32 to
+   256 here), hints small enough that a hashed table grows, negative
+   keys, [min_int]/[max_int] (whose span overflows), and probes below,
+   inside and above the build range. *)
+let tbl_keys_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* hint = int_range 0 n in
+    let* width = oneof [ int_range 1 40; int_range 1 400 ] in
+    let* lo = oneof [ int_range (-200) 200; return min_int; return (max_int - width) ] in
+    let inside = map (fun d -> lo + d) (int_bound width) in
+    let extreme = oneofl [ min_int; max_int ] in
+    let outside =
+      map2 (fun below d -> if below then lo - 1 - d else lo + width + 1 + d) bool (int_bound 50)
+    in
+    let* build = list_repeat n (frequency [ (30, inside); (1, extreme) ]) in
+    let* probe =
+      list_size (int_range 0 40) (frequency [ (5, inside); (3, outside); (1, extreme) ])
+    in
+    return (hint, Array.of_list build, Array.of_list probe))
+
+let prop_tbl_first_seen =
+  QCheck.Test.make ~name:"table ids == first-seen Hashtbl" ~count:500
+    (QCheck.make
+       ~print:(fun (hint, b, p) ->
+         let ints a = String.concat "; " (Array.to_list (Array.map string_of_int a)) in
+         Printf.sprintf "hint %d build [|%s|] probe [|%s|]" hint (ints b) (ints p))
+       tbl_keys_gen)
+    (fun (hint, build, probe) ->
+      let tbl = Keycode.tbl_create ~hint build in
+      let seen = Hashtbl.create 16 in
+      let added =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i k ->
+               let expect =
+                 match Hashtbl.find_opt seen k with
+                 | Some id -> id
+                 | None ->
+                   let id = Hashtbl.length seen in
+                   Hashtbl.add seen k id;
+                   id
+               in
+               Keycode.tbl_add tbl i = expect)
+             build)
+      in
+      let found keys =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i k ->
+               Keycode.tbl_find tbl keys i = Option.value (Hashtbl.find_opt seen k) ~default:(-1))
+             keys)
+      in
+      added && Keycode.tbl_count tbl = Hashtbl.length seen && found probe && found build)
+
 (* Keys without a narrow native code — floats, an inexact int beside a
    float, boxed [Vvalues] cells, the empty key — take the dictionary
    and constant codes of each keyed operator's one packed path; each
@@ -2403,6 +2492,9 @@ let () =
             test_dictionary_keys_match_algebra;
           Alcotest.test_case "keyed ops pooled == sequential" `Quick
             test_keyed_pooled_identity;
+          Alcotest.test_case "pooled probe past one chunk == algebra" `Quick
+            test_pooled_probe_past_chunk;
+          QCheck_alcotest.to_alcotest prop_tbl_first_seen;
         ] );
       ( "query",
         [
