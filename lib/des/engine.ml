@@ -15,7 +15,7 @@ let schedule_at t ~time handler =
   Event_queue.add t.queue ~time handler
 
 let schedule t ~delay handler =
-  assert (delay >= 0.);
+  if not (delay >= 0.) then invalid_arg "Engine.schedule: delay must be non-negative";
   schedule_at t ~time:(t.clock +. delay) handler
 
 let run ?until ?max_events t =

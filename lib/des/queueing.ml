@@ -26,8 +26,9 @@ type state = {
 }
 
 let simulate ?warmup_customers params ~customers rng =
-  assert (params.arrival_rate > 0. && params.service_rate > 0. && params.servers >= 1);
-  assert (customers > 0);
+  if not (params.arrival_rate > 0. && params.service_rate > 0. && params.servers >= 1) then
+    invalid_arg "Queueing.simulate: rates must be positive and servers at least 1";
+  if customers <= 0 then invalid_arg "Queueing.simulate: customers must be at least 1";
   let warmup =
     match warmup_customers with Some w -> w | None -> customers / 10
   in
@@ -113,7 +114,8 @@ let erlang_c params =
   let c = params.servers in
   let a = lambda /. mu in
   let rho = a /. float_of_int c in
-  assert (rho < 1.);
+  if not (rho < 1.) then
+    invalid_arg "Queueing.erlang_c: the system must be stable (arrival_rate < servers * service_rate)";
   let sum = ref 0. in
   for k = 0 to c - 1 do
     sum := !sum +. ((a ** float_of_int k) /. factorial k)

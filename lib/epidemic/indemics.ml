@@ -235,7 +235,7 @@ let vaccinate_preschoolers t =
   let infected = infected_table t in
   let n = Table.cardinality preschool in
   let pid = Table.columns preschool in
-  let hits, _ =
+  let _, hits =
     Columnar.join_index (pid, n) (Table.columns infected, Table.cardinality infected)
   in
   if float_of_int (Array.length hits) > 0.01 *. float_of_int n then

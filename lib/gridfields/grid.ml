@@ -95,7 +95,7 @@ let sub_grid t ~keep =
   create ~cells ~incidence
 
 let regular_2d ~nx ~ny =
-  assert (nx >= 1 && ny >= 1);
+  if nx < 1 || ny < 1 then invalid_arg "Grid.regular_2d: nx and ny must be at least 1";
   (* Vertices: (nx+1)(ny+1); horizontal edges: nx(ny+1); vertical edges:
      (nx+1)ny; faces: nx·ny. Ids are assigned in that order. *)
   let vid i j = (j * (nx + 1)) + i in

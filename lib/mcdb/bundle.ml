@@ -182,13 +182,17 @@ let join ~on left right =
   let l_keys = det_key_columns left (List.map (fun (l, _) -> Schema.column_index ls l) on) in
   let r_keys = det_key_columns right (List.map (fun (_, r) -> Schema.column_index rs r) on) in
   let li, ri = Columnar.join_index (l_keys, left.n_rows) (r_keys, right.n_rows) in
-  let n_out = Array.length li in
-  let columns =
-    Array.append (Column.gather left.columns li) (Column.gather right.columns ri)
+  let n_out = Array.length ri in
+  (* No left index: pair [k] is left row [k]. *)
+  let l_cols, l_row =
+    match li with
+    | None -> (left.columns, Fun.id)
+    | Some li -> (Column.gather left.columns li, Array.get li)
   in
+  let columns = Array.append l_cols (Column.gather right.columns ri) in
   let presence = Bitset.create ~rows:n_out ~reps:left.n_reps false in
   for k = 0 to n_out - 1 do
-    Bitset.and_rows ~dst:presence k ~a:left.presence li.(k) ~b:right.presence ri.(k)
+    Bitset.and_rows ~dst:presence k ~a:left.presence (l_row k) ~b:right.presence ri.(k)
   done;
   { schema = out_schema; n_reps = left.n_reps; n_rows = n_out; columns; presence }
 

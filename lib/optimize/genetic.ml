@@ -31,7 +31,8 @@ type result = {
 
 let minimize ?(params = default_params) ~rng ~bounds ~f () =
   let dim = Array.length bounds in
-  assert (dim >= 1 && params.population >= 4 && params.elite < params.population);
+  if dim < 1 || params.population < 4 || params.elite >= params.population then
+    invalid_arg "Genetic.minimize: needs a dimension, population >= 4 and elite < population";
   let evals = ref 0 in
   let eval x =
     incr evals;

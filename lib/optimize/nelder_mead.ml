@@ -8,7 +8,7 @@ type result = {
 
 let minimize ?(max_iter = 1000) ?(tol = 1e-8) ?(step = 0.5) ~f ~x0 () =
   let n = Array.length x0 in
-  assert (n >= 1);
+  if n < 1 then invalid_arg "Nelder_mead.minimize: x0 must have at least one coordinate";
   let evals = ref 0 in
   let eval x =
     incr evals;

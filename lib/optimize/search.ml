@@ -3,7 +3,7 @@ module Rng = Mde_prob.Rng
 type result = { x : float array; f : float; evaluations : int }
 
 let random_search ~rng ~bounds ~f ~evaluations =
-  assert (evaluations > 0);
+  if evaluations <= 0 then invalid_arg "Search.random_search: evaluations must be at least 1";
   let dim = Array.length bounds in
   let best_x = ref [||] and best_f = ref infinity in
   for _ = 1 to evaluations do
@@ -21,7 +21,7 @@ let random_search ~rng ~bounds ~f ~evaluations =
   { x = !best_x; f = !best_f; evaluations }
 
 let grid_search ~bounds ~f ~points_per_dim =
-  assert (points_per_dim >= 2);
+  if points_per_dim < 2 then invalid_arg "Search.grid_search: points_per_dim must be at least 2";
   let dim = Array.length bounds in
   let level j k =
     let lo, hi = bounds.(j) in

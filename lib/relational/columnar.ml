@@ -115,8 +115,10 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
     end
   done;
   (* The lookups run in row chunks, on the pool when given; each chunk
-     writes only its own rows' ids. *)
-  let p_id = Array.make p_rows (-1) in
+     writes only its own rows' ids. The ids overwrite the probe side's
+     codes, row by row after reading them: a two-sided encoder never
+     returns column storage, so the codes are this call's own. *)
+  let p_id = probed.keys in
   let chunks = (p_rows + probe_chunk - 1) / probe_chunk in
   Mde_par.Pool.iter ?pool ~site:"columnar.join.probe" chunks (fun b ->
       let lo = b * probe_chunk in
@@ -124,51 +126,69 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
       match probed.null_rows with
       | None ->
         for o = lo to hi - 1 do
-          p_id.(o) <- Keycode.tbl_find tbl probed.keys o
+          p_id.(o) <- Keycode.tbl_find tbl p_id o
         done
       | Some null ->
         for o = lo to hi - 1 do
-          if not null.(o) then p_id.(o) <- Keycode.tbl_find tbl probed.keys o
+          p_id.(o) <- (if null.(o) then -1 else Keycode.tbl_find tbl p_id o)
         done);
   let l_id, r_id = if hash_left then (h_id, p_id) else (p_id, h_id) in
+  let r_count = Array.make ids 0 in
+  for j = 0 to right_rows - 1 do
+    let id = r_id.(j) in
+    if id >= 0 then r_count.(id) <- r_count.(id) + 1
+  done;
+  (* One pass over the left rows: the number of pairs, whether every
+     left row matches exactly once, and (left hashed) each left row's
+     first pair. *)
+  let off = Array.make (if hash_left then left_rows + 1 else 0) 0 in
+  let total = ref 0 and once = ref true in
+  for i = 0 to left_rows - 1 do
+    let id = l_id.(i) in
+    let m = if id >= 0 then r_count.(id) else 0 in
+    once := !once && m = 1;
+    total := !total + m;
+    if hash_left then off.(i + 1) <- !total
+  done;
   (* Pairs come out left row by left row, each left row's matches in
      right-row order — the row oracle's order — into arrays of exactly
      their number. *)
-  let r_count = Array.make ids 0 in
-  Array.iter (fun id -> if id >= 0 then r_count.(id) <- r_count.(id) + 1) r_id;
-  let matches i = if l_id.(i) >= 0 then r_count.(l_id.(i)) else 0 in
   if not hash_left then begin
-    (* Left rows in order, each walking its right chain in row order:
-       pairs are written as they come. The offset scatter below gives
-       the same pairs, but its writes jump across a large left side;
-       this sequential loop is the faster one end to end (DESIGN.md,
-       "Join orientation"). *)
-    let total = ref 0 in
-    for i = 0 to left_rows - 1 do
-      total := !total + matches i
-    done;
-    let li = Array.make !total 0 and ri = Array.make !total 0 and k = ref 0 in
-    for i = 0 to left_rows - 1 do
-      let j = ref (if l_id.(i) >= 0 then head.(l_id.(i)) else -1) in
-      while !j >= 0 do
-        li.(!k) <- i;
-        ri.(!k) <- !j;
-        incr k;
-        j := next.(!j)
-      done
-    done;
-    (li, ri)
+    if !once then begin
+      (* Every left row has its one right row at the head of its chain:
+         the left side passes through with no index. *)
+      let ri = Array.make left_rows 0 in
+      for i = 0 to left_rows - 1 do
+        ri.(i) <- head.(l_id.(i))
+      done;
+      (None, ri)
+    end
+    else begin
+      (* Left rows in order, each walking its right chain in row order:
+         pairs are written as they come. The offset scatter below gives
+         the same pairs, but its writes jump across a large left side;
+         this sequential loop is the faster one end to end (DESIGN.md,
+         "Join orientation"). *)
+      let li = Array.make !total 0 and ri = Array.make !total 0 and k = ref 0 in
+      for i = 0 to left_rows - 1 do
+        let j = ref (if l_id.(i) >= 0 then head.(l_id.(i)) else -1) in
+        while !j >= 0 do
+          li.(!k) <- i;
+          ri.(!k) <- !j;
+          incr k;
+          j := next.(!j)
+        done
+      done;
+      (Some li, ri)
+    end
   end
   else begin
     (* Right rows in order, each walking its left chain: [off.(i)] starts
-       at left row [i]'s first pair (prefix sums of the match counts) and
-       advances as its pairs are written, so every left row receives its
-       right rows in increasing order. *)
-    let off = Array.make (left_rows + 1) 0 in
-    for i = 0 to left_rows - 1 do
-      off.(i + 1) <- off.(i) + matches i
-    done;
-    let li = Array.make off.(left_rows) 0 and ri = Array.make off.(left_rows) 0 in
+       at left row [i]'s first pair and advances as its pairs are
+       written, so every left row receives its right rows in increasing
+       order. The left side here is the smaller one, so its index is
+       written even when it passes through. *)
+    let li = Array.make !total 0 and ri = Array.make !total 0 in
     for j = 0 to right_rows - 1 do
       let i = ref (if r_id.(j) >= 0 then head.(r_id.(j)) else -1) in
       while !i >= 0 do
@@ -179,7 +199,7 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
         i := next.(!i)
       done
     done;
-    (li, ri)
+    ((if !once then None else Some li), ri)
   end
 
 let key_cols t names =
@@ -195,11 +215,9 @@ let equi_join ?pool ~on l r =
       (key_cols l (List.map fst on), l.n_rows)
       (key_cols r (List.map snd on), r.n_rows)
   in
-  {
-    tschema;
-    n_rows = Array.length li;
-    cols = Array.append (Column.gather l.cols li) (Column.gather r.cols ri);
-  }
+  (* A left side matched once per row keeps its columns as they are. *)
+  let l_cols = match li with None -> l.cols | Some li -> Column.gather l.cols li in
+  { tschema; n_rows = Array.length ri; cols = Array.append l_cols (Column.gather r.cols ri) }
 
 (* --- grouped aggregation -------------------------------------------- *)
 

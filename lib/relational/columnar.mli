@@ -62,23 +62,30 @@ val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
 val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
 (** Inner hash join through {!join_index} — the plan executor's join.
     Row order and null-key behavior match {!Algebra.equi_join}; [on = []]
-    is the cross product. *)
+    is the cross product. When every left row matches exactly once, the
+    left columns pass through as they are (no index, no view). *)
 
 val join_index :
-  ?pool:Mde_par.Pool.t -> Column.t array * int -> Column.t array * int -> int array * int array
+  ?pool:Mde_par.Pool.t ->
+  Column.t array * int ->
+  Column.t array * int ->
+  int array option * int array
 (** [join_index (left_keys, left_rows) (right_keys, right_rows)]: the
     matching (left row, right row) pairs of an inner equi-join on the
     given deterministic key columns, left rows in order and each left
-    row's matches in right order; rows with a Null key component never
-    match. Both sides code one unboxed {!Keycode} word per row. The
+    row's matches in right order, as a left and a right index of
+    exactly the pairs' number; rows with a Null key component never
+    match. A missing left index ([None]) means every left row has
+    exactly one match: pair [k] is left row [k] and right row
+    [ri.(k)], so the pairs number [left_rows] and the left side needs
+    no index. Both sides code one unboxed {!Keycode} word per row. The
     key table (direct over a narrow key span, hashed otherwise: see
     {!Keycode.tbl_create}), with match chains in row order, goes over
     the smaller side (the right on a tie), and the other side looks its
-    rows up in row chunks; the pairs are then written into arrays of
-    exactly their number, in the same order whichever side holds the
-    table. With [?pool] the key encoding and the lookups run on the
-    pool; the output is the same. Raises [Invalid_argument] on an
-    uncertain key column. *)
+    rows up in row chunks; the pairs come out in the same order
+    whichever side holds the table. With [?pool] the key encoding and
+    the lookups run on the pool; the output is the same. Raises
+    [Invalid_argument] on an uncertain key column. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->

@@ -61,9 +61,13 @@ val codes : ?pool:Mde_par.Pool.t -> t -> side:int -> rows:int -> coded
     {!of_columns}); a row is Null when one of its fields reads 0. The
     fill is row-chunked over the pool when given; chunks own disjoint
     rows, so the pooled fill is bit-identical to the sequential one. A
-    single no-null int component is returned zero-copy (the column's
-    own storage) when the column is built; an unread view's keys are
-    read through its index into a fresh array. *)
+    single no-null int component of a one-sided encoder is returned
+    zero-copy (the column's own storage) when the column is built; an
+    unread view's keys are read through its index into a fresh array.
+    An encoder over two or more sides never returns column storage:
+    its keys are a fresh array, or (a composite wider than a word) the
+    encoder's own, which no other encoder shares. A join that encodes
+    each side once may therefore overwrite them. *)
 
 val encode : ?pool:Mde_par.Pool.t -> t -> side:int -> coded
 (** {!codes} with the row count of the side's key columns. Raises

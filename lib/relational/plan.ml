@@ -149,17 +149,15 @@ let order_join_chain catalog leaves pairs =
     let n = List.length leaves in
     let leaves = Array.of_list leaves in
     let schemas = Array.map (schema_of catalog) leaves in
+    let rows = Array.map (estimate_rows catalog) leaves in
     let used = Array.make n false in
     (* Start from the smallest-cardinality leaf. *)
     let start = ref 0 in
-    Array.iteri
-      (fun i leaf ->
-        if estimate_rows catalog leaf < estimate_rows catalog leaves.(!start) then
-          start := i)
-      leaves;
+    Array.iteri (fun i r -> if r < rows.(!start) then start := i) rows;
     used.(!start) <- true;
     let acc_plan = ref leaves.(!start) in
     let acc_schema = ref schemas.(!start) in
+    let acc_rows = ref rows.(!start) in
     let remaining_pairs = ref pairs in
     let ok = ref true in
     (try
@@ -202,9 +200,21 @@ let order_join_chain catalog leaves pairs =
                  if r < br then (r, i, o) else (br, bi, bo))
                (List.hd scored) (List.tl scored)
            in
-           let _, i, oriented = best in
-           acc_plan := Join (oriented, !acc_plan, leaves.(i));
-           acc_schema := Schema.concat !acc_schema schemas.(i);
+           let joined_rows, i, oriented = best in
+           (* The input with the strictly larger estimate goes left, to
+              probe: the executor hashes the right side and emits pairs
+              in left-row order, so a large fact table streams in its
+              own row order. The estimate is symmetric, so flipping
+              changes no cost figure. *)
+           if rows.(i) > !acc_rows then begin
+             acc_plan := Join (List.map (fun (a, b) -> (b, a)) oriented, leaves.(i), !acc_plan);
+             acc_schema := Schema.concat schemas.(i) !acc_schema
+           end
+           else begin
+             acc_plan := Join (oriented, !acc_plan, leaves.(i));
+             acc_schema := Schema.concat !acc_schema schemas.(i)
+           end;
+           acc_rows := joined_rows;
            used.(i) <- true;
            remaining_pairs :=
              List.filter

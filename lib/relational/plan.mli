@@ -59,13 +59,20 @@ val push_selections : Catalog.t -> t -> t
     keep the columns, into either side of a join when one side suffices). *)
 
 val order_joins : Catalog.t -> t -> t
-(** Flatten chains of inner equi-joins and re-associate them greedily,
-    smallest estimated intermediate result first. Only joins whose key
-    pairs remain resolvable against the reordered inputs are moved. *)
+(** Flatten chains of inner equi-joins and re-associate them greedily:
+    start from the leaf with the smallest estimate, then join the
+    connected leaf that gives the smallest estimated intermediate
+    result. Each join puts the input with the strictly larger estimate
+    on the left, its key pairs flipped to match: {!execute} hashes the
+    right side and emits pairs in left-row order, so a large fact table
+    probes and keeps its row order. The estimate is symmetric in the
+    two inputs, so the orientation changes no {!estimate_cost} figure.
+    Only joins whose key pairs remain resolvable against the reordered
+    inputs are moved. *)
 
 val optimize : Catalog.t -> t -> t
 (** [push_selections] then [order_joins]. Semantics-preserving: the
-    optimized plan returns the same rows (possibly in different order) —
-    property-tested. *)
+    optimized plan returns the same rows (possibly in different order,
+    with its columns in the oriented joins' order) — property-tested. *)
 
 val pp : Format.formatter -> t -> unit

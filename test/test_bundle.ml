@@ -524,6 +524,55 @@ let test_survivors_popcount () =
   Alcotest.(check int) "survivors = per-cell walk" !per_cell (Bundle.survivors b);
   Alcotest.(check int) "survivors = row popcounts" !per_row (Bundle.survivors b)
 
+(* --- join: per-instance parity -----------------------------------------
+
+   A bundle selected on its uncertain column (presence differs by
+   repetition) joined on [pid] with a dimension: covering every pid
+   once (the bundle side passes through unindexed), missing one, and
+   duplicating one, with the bundle on either side. Each repetition is
+   the row algebra's join of that instance. *)
+
+let test_join_parity () =
+  let reps = 6 and n = 40 in
+  let b =
+    Bundle.select
+      Expr.(col "sbp" > float 120.)
+      (Bundle.of_stochastic_table (sbp_table n) (Rng.create ~seed:9 ()) ~n_reps:reps)
+  in
+  let naive = Bundle.to_instances b in
+  let dim pids =
+    Table.create
+      (Schema.of_list [ ("dpid", Value.Tint); ("w", Value.Tint) ])
+      (List.map (fun p -> [| v_int p; v_int (p * 10) |]) pids)
+  in
+  let pids = List.init n Fun.id in
+  List.iter
+    (fun (label, pids, passes) ->
+      let d = dim pids in
+      let db = Bundle.of_table d ~n_reps:reps in
+      Alcotest.(check bool) (label ^ ": left index omitted") passes
+        (Option.is_none
+           (fst
+              (Columnar.join_index
+                 ([| Bundle.column b "pid" |], n)
+                 ([| Bundle.column db "dpid" |], List.length pids))));
+      let each msg joined oracle =
+        Array.iteri
+          (fun r inst -> check_tables_identical (Printf.sprintf "%s, rep %d" msg r) (oracle r) inst)
+          (Bundle.to_instances joined)
+      in
+      each (label ^ ", bundle left")
+        (Bundle.join ~on:[ ("pid", "dpid") ] b db)
+        (fun r -> Algebra.equi_join ~on:[ ("pid", "dpid") ] naive.(r) d);
+      each (label ^ ", bundle right")
+        (Bundle.join ~on:[ ("dpid", "pid") ] db b)
+        (fun r -> Algebra.equi_join ~on:[ ("dpid", "pid") ] d naive.(r)))
+    [
+      ("cover", List.rev pids, true);
+      ("missing", List.filter (( <> ) 7) pids, false);
+      ("duplicate", pids @ [ 7 ], false);
+    ]
+
 (* --- NaN keys: joins and grouping treat NaN = NaN ---------------------- *)
 
 let test_nan_keys () =
@@ -668,6 +717,7 @@ let () =
             test_aggregate_parity;
           Alcotest.test_case "fused query = compose" `Quick
             test_query_fused_equals_compose;
+          Alcotest.test_case "join = naive" `Quick test_join_parity;
         ] );
       ( "parallel",
         [ Alcotest.test_case "pooled = sequential, bit for bit" `Quick

@@ -167,6 +167,20 @@ let test_more_servers_less_wait () =
   Alcotest.(check bool) "simulated too" true
     (r4.Queueing.mean_wait_in_queue < r2.Queueing.mean_wait_in_queue)
 
+(* Preconditions raise Invalid_argument, with or without -noassert. *)
+let test_preconditions () =
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
+  let mm1 = { Queueing.arrival_rate = 3.; service_rate = 5.; servers = 1 } in
+  let rng () = Rng.create ~seed:1 () in
+  raises "Engine.schedule: delay must be non-negative" (fun () ->
+      Engine.schedule (Engine.create ()) ~delay:(-1.) ignore);
+  raises "Queueing.simulate: rates must be positive and servers at least 1" (fun () ->
+      Queueing.simulate { mm1 with servers = 0 } ~customers:10 (rng ()));
+  raises "Queueing.simulate: customers must be at least 1" (fun () ->
+      Queueing.simulate mm1 ~customers:0 (rng ()));
+  raises "Queueing.erlang_c: the system must be stable (arrival_rate < servers * service_rate)"
+    (fun () -> Queueing.erlang_c { mm1 with arrival_rate = 5. })
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_des"
@@ -191,6 +205,7 @@ let () =
           Alcotest.test_case "M/M/3" `Slow test_mm3;
           Alcotest.test_case "Erlang C limits" `Quick test_erlang_c_limits;
           Alcotest.test_case "server scaling" `Slow test_more_servers_less_wait;
+          Alcotest.test_case "invalid inputs raise" `Quick test_preconditions;
         ] );
       ("properties", qc [ prop_queue_sorted ]);
     ]

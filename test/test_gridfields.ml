@@ -205,6 +205,11 @@ let prop_commutation =
              Float.abs (Gridfield.value optimized id -. Gridfield.value naive id) < 1e-9)
            (Gridfield.cells naive))
 
+(* A precondition raises Invalid_argument, with or without -noassert. *)
+let test_regular_2d_rejects () =
+  let msg = "Grid.regular_2d: nx and ny must be at least 1" in
+  Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (Grid.regular_2d ~nx:0 ~ny:2))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_gridfields"
@@ -216,6 +221,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_create_validation;
           Alcotest.test_case "sub grid" `Quick test_sub_grid;
           Alcotest.test_case "up/down/leq" `Quick test_up_down_vertex;
+          Alcotest.test_case "regular 2d rejects" `Quick test_regular_2d_rejects;
         ] );
       ( "gridfield",
         [

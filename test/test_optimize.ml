@@ -82,6 +82,19 @@ let test_grid_search () =
   check_close 1e-9 "x0 on grid" 5. r.Search.x.(0);
   check_close 1e-9 "x1 on grid" 7.5 r.Search.x.(1)
 
+(* Preconditions raise Invalid_argument, with or without -noassert. *)
+let test_preconditions () =
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
+  let bounds = [| (0., 1.) |] in
+  raises "Search.random_search: evaluations must be at least 1" (fun () ->
+      Search.random_search ~rng:(Rng.create ~seed:1 ()) ~bounds ~f:sphere ~evaluations:0);
+  raises "Search.grid_search: points_per_dim must be at least 2" (fun () ->
+      Search.grid_search ~bounds ~f:sphere ~points_per_dim:1);
+  raises "Genetic.minimize: needs a dimension, population >= 4 and elite < population"
+    (fun () -> Genetic.minimize ~rng:(Rng.create ~seed:1 ()) ~bounds:[||] ~f:sphere ());
+  raises "Nelder_mead.minimize: x0 must have at least one coordinate" (fun () ->
+      Nm.minimize ~f:sphere ~x0:[||] ())
+
 let prop_nm_box_stays_inside =
   QCheck.Test.make ~name:"box-constrained NM stays inside bounds" ~count:50
     QCheck.(pair (float_range (-3.) 0.) (float_range 0.5 3.))
@@ -111,6 +124,7 @@ let () =
         [
           Alcotest.test_case "random" `Quick test_random_search;
           Alcotest.test_case "grid" `Quick test_grid_search;
+          Alcotest.test_case "invalid inputs raise" `Quick test_preconditions;
         ] );
       ("properties", qc [ prop_nm_box_stays_inside ]);
     ]

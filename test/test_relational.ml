@@ -1114,6 +1114,112 @@ let test_pooled_probe_past_chunk () =
           ("wide, long left", long, short, [ ("l_w", "s_w") ]);
           ("wide, long right", short, long, [ ("s_w", "l_w") ]) ])
 
+(* --- join pass-through ---
+
+   A join whose left rows each match exactly once returns no left index
+   ([Columnar.join_index]'s [None]), and [equi_join] keeps the left
+   columns as they are. The generator builds unique right keys covering
+   every left key, where the pass-through fires, and each perturbation
+   of it: a left key missing on the right, a duplicated right key, a
+   Null left key, an empty side, and [on = []] against one right row
+   (every left row then matches once, so that one passes through too). *)
+type join_kind = Cover | Missing | Dup | Null_left | Empty_left | Empty_right | Cross_one
+
+let join_kind_name = function
+  | Cover -> "cover"
+  | Missing -> "missing"
+  | Dup -> "dup"
+  | Null_left -> "null left"
+  | Empty_left -> "empty left"
+  | Empty_right -> "empty right"
+  | Cross_one -> "on = [] x 1"
+
+(* Keys scaled by 1 (a direct key table) or 2^40 (hashed); the unused
+   right keys make either side the larger, so both sides hold the
+   table. *)
+let join_case_gen =
+  QCheck.Gen.(
+    let* kind = oneofl [ Cover; Missing; Dup; Null_left; Empty_left; Empty_right; Cross_one ] in
+    let* domain = int_range 1 12 in
+    let* left = list_size (int_range 1 40) (int_bound (domain - 1)) in
+    let used = List.sort_uniq compare left in
+    let* extra = int_range 0 40 in
+    let* cover = shuffle_l (used @ List.init extra (fun i -> domain + i)) in
+    let* victim = oneofl used in
+    let* at = int_bound (List.length left - 1) in
+    let* scale = oneofl [ 1; 1 lsl 40 ] in
+    let some = List.map (fun k -> Some (k * scale)) in
+    let left = some left and cover = some cover and victim = Some (victim * scale) in
+    return
+      ( kind,
+        match kind with
+        | Cover | Cross_one -> (left, cover)
+        | Missing -> (left, List.filter (( <> ) victim) cover)
+        | Dup -> (left, cover @ [ victim ])
+        | Null_left -> (List.mapi (fun i k -> if i = at then None else k) left, cover)
+        | Empty_left -> ([], cover)
+        | Empty_right -> (left, []) ))
+
+let key_table prefix keys =
+  Table.create
+    (Schema.of_list [ (prefix ^ "k", Value.Tint); (prefix ^ "v", Value.Tint) ])
+    (List.mapi (fun i k -> [| Option.fold ~none:Value.Null ~some:v_int k; v_int i |]) keys)
+
+let prop_join_pass_through =
+  QCheck.Test.make ~name:"join_index/equi_join == Algebra.equi_join" ~count:400
+    (QCheck.make
+       ~print:(fun (kind, (l, r)) ->
+         let keys ks =
+           String.concat "; " (List.map (Option.fold ~none:"Null" ~some:string_of_int) ks)
+         in
+         Printf.sprintf "%s: left [%s] right [%s]" (join_kind_name kind) (keys l) (keys r))
+       join_case_gen)
+    (fun (kind, (lkeys, rkeys)) ->
+      let pool = Mde_par.Pool.shared ~domains:2 () in
+      let cross = kind = Cross_one in
+      let rkeys = if cross then [ List.hd rkeys ] else rkeys in
+      (* Both orientations: the case as generated, then its sides swapped. *)
+      let run (lkeys, lp) (rkeys, rp) =
+        let l = key_table lp lkeys and r = key_table rp rkeys in
+        let on = if cross then [] else [ (lp ^ "k", rp ^ "k") ] in
+        let keys t = if cross then [||] else [| (Table.columns t).(0) |] in
+        let side t = (keys t, Table.cardinality t) in
+        (* The pairs by nested loops: left rows in order, each one's
+           matches in right order. *)
+        let pairs =
+          List.concat
+            (List.mapi
+               (fun i lk ->
+                 List.concat
+                   (List.mapi
+                      (fun j rk -> if cross || (lk <> None && lk = rk) then [ (i, j) ] else [])
+                      rkeys))
+               lkeys)
+        in
+        let once = List.map fst pairs = List.init (List.length lkeys) Fun.id in
+        let index_ok (li, ri) =
+          ri = Array.of_list (List.map snd pairs)
+          &&
+          match li with
+          | None -> once
+          | Some li -> (not once) && li = Array.of_list (List.map fst pairs)
+        in
+        let oracle = Algebra.equi_join ~on l r in
+        let lc = Columnar.of_table l and rc = Columnar.of_table r in
+        let seq = Columnar.equi_join ~on lc rc in
+        let index = Columnar.join_index (side l) (side r) in
+        ( index_ok index
+          && index_ok (Columnar.join_index ~pool (side l) (side r))
+          && matches oracle seq
+          && tables_identical (Columnar.to_table seq)
+               (Columnar.to_table (Columnar.equi_join ~pool ~on lc rc)),
+          Option.is_none (fst index) )
+      in
+      let ok, passed = run (lkeys, "l") (rkeys, "r") in
+      let swapped_ok, _ = run (rkeys, "r") (lkeys, "l") in
+      let expect_pass = match kind with Cover | Cross_one | Empty_left -> true | _ -> false in
+      ok && swapped_ok && passed = expect_pass)
+
 (* Table ids against a first-seen [Hashtbl]: build spans on both sides
    of the direct/hashed boundary (twice the starting slot count, 32 to
    256 here), hints small enough that a hashed table grows, negative
@@ -1495,6 +1601,43 @@ let test_order_joins_disconnected_chain () =
     (same_multiset (Plan.execute_rows cat disconnected) (Plan.execute_rows cat result));
   Alcotest.(check bool) "columnar cross product agrees" true
     (tables_identical (Plan.execute_rows cat result) (Plan.execute cat result))
+
+(* Every join of the optimized star query has the larger estimate on
+   its left, the probe side, so the fact table is the leftmost leaf.
+   Flipping joins changes no cost figure, and the optimized plan runs
+   bit-identically on the columnar and row executors. *)
+let rec swapped = function
+  | Plan.Join (on, l, r) -> Plan.Join (List.map (fun (a, b) -> (b, a)) on, swapped r, swapped l)
+  | Plan.Select (e, c) -> Plan.Select (e, swapped c)
+  | Plan.Project (cols, c) -> Plan.Project (cols, swapped c)
+  | Plan.Scan _ as scan -> scan
+
+let test_optimize_larger_input_left () =
+  List.iter
+    (fun orders_n ->
+      let cat = star_catalog ~orders_n 9 in
+      let optimized = Plan.optimize cat star_query in
+      let rec check_joins = function
+        | Plan.Join (_, l, r) ->
+          Alcotest.(check bool) "left estimate >= right estimate" true
+            (Plan.estimate_rows cat l >= Plan.estimate_rows cat r);
+          check_joins l;
+          check_joins r
+        | _ -> ()
+      in
+      check_joins optimized;
+      let rec leftmost = function Plan.Join (_, l, _) -> leftmost l | leaf -> leaf in
+      Alcotest.(check bool) "fact table leftmost" true
+        (Schema.mem (Plan.schema_of cat (leftmost optimized)) "oid");
+      Alcotest.(check bool) "flipping keeps every cost figure" true
+        (Plan.estimate_cost cat optimized = Plan.estimate_cost cat (swapped optimized));
+      let rows = Plan.execute_rows cat optimized in
+      Alcotest.(check bool) "optimized: columnar == rows" true
+        (tables_identical rows (Plan.execute cat optimized));
+      Mde_par.Pool.with_pool ~domains:2 (fun pool ->
+          Alcotest.(check bool) "optimized: pooled == rows" true
+            (tables_identical rows (Plan.execute ~pool cat optimized))))
+    [ 300; 3000 ]
 
 let prop_optimize_preserves_semantics =
   QCheck.Test.make ~name:"optimize preserves query results" ~count:60
@@ -2495,6 +2638,7 @@ let () =
           Alcotest.test_case "pooled probe past one chunk == algebra" `Quick
             test_pooled_probe_past_chunk;
           QCheck_alcotest.to_alcotest prop_tbl_first_seen;
+          QCheck_alcotest.to_alcotest prop_join_pass_through;
         ] );
       ( "query",
         [
@@ -2512,6 +2656,7 @@ let () =
           Alcotest.test_case "columnar executor identity" `Quick test_plan_columnar_identity;
           Alcotest.test_case "disconnected chain still optimizes subtrees" `Quick
             test_order_joins_disconnected_chain;
+          Alcotest.test_case "larger input probes" `Quick test_optimize_larger_input_left;
         ] );
       ("catalog", [ Alcotest.test_case "stats" `Quick test_catalog ]);
       ( "properties",
