@@ -461,6 +461,116 @@ let plan_stage ?pool ~domains ~rows ~seed () =
     exit 1
   end
 
+(* --- star ----------------------------------------------------------- *)
+
+(* The perfbench analytic query's shape at [rows] fact rows: a fact
+   table joined to a store dimension on a (string, int) key and to a
+   day dimension on an int key, both predicates pushed down by
+   [Plan.optimize], then a (string, int) group. *)
+let star_catalog ~rows ~seed =
+  let rng = Rng.create ~seed () in
+  let regions = [| "north"; "south"; "east"; "west"; "central"; "coast"; "hills"; "plains" |] in
+  let cat = Catalog.create () in
+  Catalog.register cat "sales"
+    (Table.create
+       (Schema.of_list
+          [ ("region", Value.Tstring); ("store", Value.Tint); ("day", Value.Tint);
+            ("amount", Value.Tfloat); ("qty", Value.Tint) ])
+       (List.init rows (fun _ ->
+            [| Value.String regions.(Rng.int rng 8); Value.Int (Rng.int rng 50);
+               Value.Int (Rng.int rng 365); Value.Float (Rng.float_range rng 0. 1000.);
+               Value.Int (1 + Rng.int rng 9) |])));
+  Catalog.register cat "stores"
+    (Table.create
+       (Schema.of_list
+          [ ("s_region", Value.Tstring); ("s_store", Value.Tint); ("city", Value.Tstring);
+            ("size", Value.Tint) ])
+       (List.concat_map
+          (fun region ->
+            List.init 50 (fun s ->
+                [| Value.String region; Value.Int s;
+                   Value.String (Printf.sprintf "city%02d" (Rng.int rng 24));
+                   Value.Int (1 + Rng.int rng 5) |]))
+          (Array.to_list regions)));
+  Catalog.register cat "days"
+    (Table.create
+       (Schema.of_list [ ("d_day", Value.Tint); ("month", Value.Tint) ])
+       (List.init 365 (fun d -> [| Value.Int d; Value.Int (1 + (d / 31)) |])));
+  cat
+
+let star_query =
+  Plan.select
+    Expr.(col "amount" >= float 500. && col "size" >= int 2)
+    (Plan.join ~on:[ ("day", "d_day") ]
+       (Plan.join
+          ~on:[ ("region", "s_region"); ("store", "s_store") ]
+          (Plan.scan "sales") (Plan.scan "stores"))
+       (Plan.scan "days"))
+
+let star_keys = [ "city"; "month" ]
+
+let star_aggs =
+  [ ("revenue", Aggregate.Sum (Expr.col "amount")); ("orders", Aggregate.Count);
+    ("avg_qty", Aggregate.Avg (Expr.col "qty")) ]
+
+(* Major-heap words of one call, between two minor collections: what a
+   full-length intermediate array costs. *)
+let major_words f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.major_words -. before
+
+let star_stage ?pool ~domains ~rows ~seed () =
+  let cat = star_catalog ~rows ~seed in
+  let plan = Plan.optimize cat star_query in
+  let columnar () =
+    Columnar.group_by ?pool ~keys:star_keys ~aggs:star_aggs
+      (Columnar.of_table (Plan.execute ?pool cat plan))
+  in
+  ignore (columnar ());
+  let out, columnar_t = settled (fun () -> forced (columnar ())) in
+  let words = major_words columnar in
+  let expect, rows_t =
+    settled (fun () -> Algebra.group_by ~keys:star_keys ~aggs:star_aggs (Plan.execute_rows cat plan))
+  in
+  let identical = tables_identical (Columnar.to_table out) expect in
+  let speedup = ratio rows_t.seconds columnar_t.seconds in
+  Printf.printf "\n  star query over %d fact rows -> %d groups: %s\n\n" rows
+    (Columnar.row_count out)
+    (Format.asprintf "%a" Plan.pp plan |> String.split_on_char '\n' |> List.map String.trim
+   |> String.concat " ");
+  Printf.printf "  %-28s %10.4f s  %14.3g bytes  %10.0f major words
+"
+    "Plan.execute + group_by" columnar_t.seconds columnar_t.alloc_bytes words;
+  Printf.printf "  %-28s %10.4f s  %14.3g bytes
+" "execute_rows + Algebra" rows_t.seconds
+    rows_t.alloc_bytes;
+  Printf.printf "\n  star query vs row algebra: %.1fx throughput; outputs bit-identical: %b\n"
+    speedup identical;
+  let path =
+    Mde_bench_emit.(
+      append ~file:"BENCH_relational.json" ~name:"relational-star"
+        [
+          ("rows", Int rows);
+          ("seed", Int seed);
+          ("domains", Int domains);
+          ("groups", Int (Columnar.row_count out));
+          ("star_columnar_s", Float columnar_t.seconds);
+          ("star_rows_s", Float rows_t.seconds);
+          ("star_columnar_alloc_bytes", Float columnar_t.alloc_bytes);
+          ("star_columnar_major_words", Float words);
+          ("star_speedup_vs_rows", Float speedup);
+          ("identical_output", Bool identical);
+        ])
+  in
+  Util.note "recorded in %s" path;
+  if not identical then begin
+    Util.note "FAIL: the star query disagrees with row algebra";
+    exit 1
+  end
+
 let run ?(domains = 1) ?(rows = 200_000) ?(seed = 42) () =
   Util.section "RELATIONAL"
     (Printf.sprintf "unified columnar substrate, %d rows (%d domains)" rows domains);
@@ -469,4 +579,5 @@ let run ?(domains = 1) ?(rows = 200_000) ?(seed = 42) () =
   let pool = if domains > 1 then Some (Mde.Par.Pool.shared ~domains ()) else None in
   pipeline ?pool ~domains ~rows ~seed ();
   keyed ?pool ~domains ~rows ~seed ();
-  plan_stage ?pool ~domains ~rows ~seed ()
+  plan_stage ?pool ~domains ~rows ~seed ();
+  star_stage ?pool ~domains ~rows ~seed ()

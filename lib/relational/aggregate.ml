@@ -55,25 +55,45 @@ let counts ~n_cells pred =
   in
   { bind; finish = (fun c -> Value.Int count.(c)) }
 
+(* [Value.to_float] of the cell at slot [r] of a column's storage. *)
+let[@inline] stored_float (store : Kernel.store) r =
+  match store with
+  | Kernel.Sfloat d -> Bigarray.Array1.unsafe_get d r
+  | Kernel.Sint d -> float_of_int (Array.unsafe_get d r)
+  | Kernel.Sbool d -> if Array.unsafe_get d r <> 0 then 1. else 0.
+
 (* Sum, Avg and Std: the count and running sum of the non-null values,
    and the sum of squares only for Std. *)
 let moments ~n_cells ~squares node finish =
   let count = Array.make n_cells 0 and sum = Array.make n_cells 0.
   and sum_sq = Array.make (if squares then n_cells else 0) 0. in
+  let[@inline] add c x =
+    count.(c) <- count.(c) + 1;
+    sum.(c) <- sum.(c) +. x;
+    if squares then sum_sq.(c) <- sum_sq.(c) +. (x *. x)
+  in
   let bind f cells =
-    let v = Kernel.floats node f in
-    ( v.fill,
-      fun (s : Kernel.selection) ->
-        let nullable = Bytes.length v.nulls > 0 in
-        for j = 0 to s.n - 1 do
-          let k = s.pos.(j) in
-          if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then begin
-            let c = cells.(k) and x = v.data.(k) in
-            count.(c) <- count.(c) + 1;
-            sum.(c) <- sum.(c) +. x;
-            if squares then sum_sq.(c) <- sum_sq.(c) +. (x *. x)
-          end
-        done )
+    match Kernel.leaf_column node with
+    | Some col ->
+      (* A bare column: each kept position's cell is read where it is
+         stored, with no vector in between. *)
+      ( ignore,
+        fun (s : Kernel.selection) ->
+          let nullable = Option.is_some col.nulls and store = col.store in
+          for j = 0 to s.n - 1 do
+            let k = s.pos.(j) in
+            if not (nullable && Kernel.null col f k) then
+              add cells.(k) (stored_float store (Kernel.slot col f k))
+          done )
+    | None ->
+      let v = Kernel.floats node f in
+      ( v.fill,
+        fun (s : Kernel.selection) ->
+          let nullable = Bytes.length v.nulls > 0 in
+          for j = 0 to s.n - 1 do
+            let k = s.pos.(j) in
+            if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then add cells.(k) v.data.(k)
+          done )
   in
   { bind; finish = (fun c -> finish count.(c) sum.(c) (if squares then sum_sq.(c) else 0.)) }
 
@@ -91,58 +111,64 @@ let finish_std n sum sum_sq =
 (* Min ([sign = 1]) and Max ([sign = -1]) keep [Value.compare]'s order
    and its first of equals. A compiled node compares its [Value.to_float]
    image under [Float.compare], which is [Value.compare] within one kind
-   and leaves the winner's float unchanged; a fallback node's cells may
-   mix Int and Float, so they compare boxed. *)
+   and leaves the winner's float unchanged; a bare column leaf is read
+   where it is stored. A fallback node's cells may mix Int and Float, so
+   they compare boxed. *)
 let extremum ~n_cells ~sign node =
   let seen = Array.make n_cells false in
   let wins c cmp = (not seen.(c)) || cmp * sign < 0 in
-  (* [view f]: the node's fill and null flags in a frame, and [offer c
-     k], which keeps position [k]'s value for cell [c] if it wins. *)
-  let state view finish =
-    let bind f cells =
-      let fill, nulls, offer = view f in
-      ( fill,
-        fun (s : Kernel.selection) ->
-          let nullable = Bytes.length nulls > 0 in
-          for j = 0 to s.n - 1 do
-            let k = s.pos.(j) in
-            if not (nullable && Bytes.unsafe_get nulls k <> '\000') then offer cells.(k) k
-          done )
-    in
-    { bind; finish = (fun c -> if seen.(c) then finish c else Value.Null) }
-  in
+  let finish best c = if seen.(c) then Value.Float (best c) else Value.Null in
   match Kernel.kind node with
   | Int | Float | Bool | String ->
     let best = Array.make n_cells 0. in
-    state
-      (fun f ->
+    let[@inline] offer c x =
+      if wins c (Float.compare x best.(c)) then begin
+        seen.(c) <- true;
+        best.(c) <- x
+      end
+    in
+    let bind f cells =
+      match Kernel.leaf_column node with
+      | Some col ->
+        ( ignore,
+          fun (s : Kernel.selection) ->
+            let nullable = Option.is_some col.nulls and store = col.store in
+            for j = 0 to s.n - 1 do
+              let k = s.pos.(j) in
+              if not (nullable && Kernel.null col f k) then
+                offer cells.(k) (stored_float store (Kernel.slot col f k))
+            done )
+      | None ->
         let v = Kernel.floats node f in
         ( v.fill,
-          v.nulls,
-          fun c k ->
-            let x = v.data.(k) in
-            if wins c (Float.compare x best.(c)) then begin
-              seen.(c) <- true;
-              best.(c) <- x
-            end ))
-      (fun c -> Value.Float best.(c))
+          fun (s : Kernel.selection) ->
+            let nullable = Bytes.length v.nulls > 0 in
+            for j = 0 to s.n - 1 do
+              let k = s.pos.(j) in
+              if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then offer cells.(k) v.data.(k)
+            done )
+    in
+    { bind; finish = finish (Array.get best) }
   | Boxed ->
     let best = Array.make n_cells Value.Null in
-    state
-      (fun f ->
-        let v = Kernel.boxed node f in
-        ( v.fill,
-          v.nulls,
-          fun c k ->
+    let bind f cells =
+      let v = Kernel.boxed node f in
+      ( v.fill,
+        fun (s : Kernel.selection) ->
+          for j = 0 to s.n - 1 do
+            let k = s.pos.(j) in
             match v.data.(k) with
             | Value.Null -> ()
             | x ->
               ignore (Value.to_float x);
+              let c = cells.(k) in
               if wins c (Value.compare x best.(c)) then begin
                 seen.(c) <- true;
                 best.(c) <- x
-              end ))
-      (fun c -> Value.Float (Value.to_float best.(c)))
+              end
+          done )
+    in
+    { bind; finish = finish (fun c -> Value.to_float best.(c)) }
 
 let state ~n_cells { agg; arg } =
   let node () = Option.get arg in

@@ -388,6 +388,31 @@ let gather cols idx =
       })
     cols
 
+(* The built columns that every column of [cols] views through one
+   shared index vector, and that vector. Each column's state is read
+   once, so a view forced meanwhile is never paired with the index. *)
+let bases cols =
+  let states = Array.map (fun c -> Atomic.get c.state) cols in
+  let shared =
+    if Array.length states = 0 then None
+    else match states.(0) with View { idx; _ } -> Some idx | Built _ -> None
+  in
+  Option.bind shared (fun shared ->
+      let base c = function
+        | View { base = { data; nulls }; idx } when idx == shared ->
+          let slots =
+            match data with
+            | Floats a -> Array1.dim a
+            | Ints a | Bools a | Strings { codes = a; _ } -> Array.length a
+            | Values a -> Array.length a
+          in
+          let rows = if c.cdet then slots else slots / c.creps in
+          Some (built ~det:c.cdet ~rows ~reps:c.creps data nulls)
+        | View _ | Built _ -> None
+      in
+      let out = Array.map2 base cols states in
+      if Array.for_all Option.is_some out then Some (Array.map Option.get out, shared) else None)
+
 (* --- access ------------------------------------------------------- *)
 
 type view =

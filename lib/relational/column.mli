@@ -172,6 +172,17 @@ val gather : t array -> int array -> t array
     O([Array.length idx]). A view keeps its base column alive until it
     is forced, and then drops it. *)
 
+val bases : t array -> (t array * int array) option
+(** [Some (bases, ix)] when every column of [cols] is a view not yet
+    read, all through the one index vector [ix] (physically shared, as
+    the columns of every select or join output are): [bases.(j)] is
+    column [j]'s base as a built column, and row [k] of column [j] is
+    row [ix.(k)] of [bases.(j)]. An operator that reads [cols] through
+    [ix] can then write its output index already composed onto the
+    bases: [gather bases (Array.map (Array.get ix) idx)] has the rows
+    of [gather cols idx] without composing. [None] for no columns, a
+    built column or a second index. Never forces. *)
+
 val materialized : t -> bool
 (** Whether the column's storage is built: [false] for a view not yet
     read. Never forces. *)

@@ -29,29 +29,53 @@ let env t = Kernel.env_of_columns t.tschema t.cols
 let gather t idx =
   { tschema = t.tschema; n_rows = Array.length idx; cols = Column.gather t.cols idx }
 
-(* Survivors are marked one byte per row, then collected into an index
-   vector of exactly their number: the only allocation that grows with
-   the input. *)
+(* The columns an operator's output index addresses, and the index it
+   composes row [i] with: the bases of a side whose columns all view
+   through one shared index, so the output views need no composing
+   pass; otherwise the columns themselves, whose [Column.gather]
+   composes per source as needed. *)
+let based cols =
+  match Column.bases cols with Some (bases, ix) -> (bases, Some ix) | None -> (cols, None)
+
+(* Each block's survivors are kept as their positions in the block, one
+   byte each (a block has at most [Kernel.block] = 256 positions), with
+   the block's first row; the output index then takes exactly their
+   number, as row indices or, through a shared view index, base rows.
+   It is the only allocation as long as the output. *)
 let select ?pool pred t =
   let node = Kernel.compile (env t) pred in
-  let marks = Bytes.make t.n_rows '\000' and count = ref 0 and last = ref (-1) in
+  let cols, ix = based t.cols in
+  let kept_blocks = ref [] and count = ref 0 in
   Kernel.sweep ?pool ~site:"columnar.select" ~rows:t.n_rows ~reps:1 (fun f ->
       let kept, keep = Kernel.filter node f in
       ( (fun () -> keep f.all),
         fun () ->
-          for j = 0 to kept.n - 1 do
-            Bytes.unsafe_set marks (f.lo + kept.pos.(j)) '\001'
-          done;
-          if kept.n > 0 then last := f.lo + kept.pos.(kept.n - 1);
-          count := !count + kept.n ));
-  (* Branch-free: up to the last survivor, the write index stays below
-     [count]. *)
-  let idx = Array.make !count 0 and m = ref 0 in
-  for i = 0 to !last do
-    Array.unsafe_set idx !m i;
-    m := !m + Char.code (Bytes.unsafe_get marks i)
-  done;
-  gather t idx
+          let n = kept.n in
+          if n > 0 then begin
+            let positions = Bytes.create n in
+            for j = 0 to n - 1 do
+              Bytes.unsafe_set positions j (Char.chr (Array.unsafe_get kept.pos j))
+            done;
+            kept_blocks := (f.lo, positions) :: !kept_blocks;
+            count := !count + n
+          end ));
+  let idx = Array.make !count 0 and hi = ref !count in
+  List.iter
+    (fun (lo, positions) ->
+      let n = Bytes.length positions in
+      hi := !hi - n;
+      let at = !hi in
+      match ix with
+      | None ->
+        for j = 0 to n - 1 do
+          Array.unsafe_set idx (at + j) (lo + Char.code (Bytes.unsafe_get positions j))
+        done
+      | Some ix ->
+        for j = 0 to n - 1 do
+          Array.unsafe_set idx (at + j) ix.(lo + Char.code (Bytes.unsafe_get positions j))
+        done)
+    !kept_blocks;
+  { tschema = t.tschema; n_rows = !count; cols = Column.gather cols idx }
 
 let project names t =
   let idxs = List.map (Schema.column_index t.tschema) names in
@@ -76,7 +100,11 @@ let extend ?pool defs t =
 (* Probe rows per chunk of the join's lookups. *)
 let probe_chunk = 4096
 
-let join_index ?pool (left, left_rows) (right, right_rows) =
+(* [join_index], with each side's pair entries written through that
+   side's map ([None]: the row itself), so a side read through a view's
+   shared index gets its output index already composed. *)
+let join_pairs ?pool ~lmap ~rmap (left, left_rows) (right, right_rows) =
+  let[@inline] via map r = match map with None -> r | Some m -> m.(r) in
   let enc =
     match Keycode.of_columns [ right; left ] with
     | Some enc -> enc
@@ -96,22 +124,17 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
      rows as a chain in row order. *)
   let tbl = Keycode.tbl_create ~hint:h_rows hashed.keys in
   let h_id = Array.make h_rows (-1) in
-  (match hashed.null_rows with
-  | None ->
-    for h = 0 to h_rows - 1 do
-      h_id.(h) <- Keycode.tbl_add tbl h
-    done
-  | Some null ->
-    for h = 0 to h_rows - 1 do
-      if not null.(h) then h_id.(h) <- Keycode.tbl_add tbl h
-    done);
+  Keycode.tbl_add_rows tbl ~skip:hashed.null_rows h_id;
   let ids = Keycode.tbl_count tbl in
-  let head = Array.make ids (-1) and next = Array.make h_rows (-1) in
+  (* Per-id arrays are indexed by [id + 1], so that a row without a key
+     id (-1) reads slot 0, an empty chain and no matches, with no
+     branch. *)
+  let head = Array.make (ids + 1) (-1) and next = Array.make h_rows (-1) in
   for h = h_rows - 1 downto 0 do
     let id = h_id.(h) in
     if id >= 0 then begin
-      next.(h) <- head.(id);
-      head.(id) <- h
+      next.(h) <- head.(id + 1);
+      head.(id + 1) <- h
     end
   done;
   (* The lookups run in row chunks, on the pool when given; each chunk
@@ -122,44 +145,38 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
   let chunks = (p_rows + probe_chunk - 1) / probe_chunk in
   Mde_par.Pool.iter ?pool ~site:"columnar.join.probe" chunks (fun b ->
       let lo = b * probe_chunk in
-      let hi = min p_rows (lo + probe_chunk) in
-      match probed.null_rows with
-      | None ->
-        for o = lo to hi - 1 do
-          p_id.(o) <- Keycode.tbl_find tbl p_id o
-        done
-      | Some null ->
-        for o = lo to hi - 1 do
-          p_id.(o) <- (if null.(o) then -1 else Keycode.tbl_find tbl p_id o)
-        done);
+      Keycode.tbl_find_rows tbl ~skip:probed.null_rows p_id lo (min p_rows (lo + probe_chunk)));
   let l_id, r_id = if hash_left then (h_id, p_id) else (p_id, h_id) in
-  let r_count = Array.make ids 0 in
+  let r_count = Array.make (ids + 1) 0 in
   for j = 0 to right_rows - 1 do
-    let id = r_id.(j) in
-    if id >= 0 then r_count.(id) <- r_count.(id) + 1
+    let c = r_id.(j) + 1 in
+    r_count.(c) <- r_count.(c) + 1
   done;
+  r_count.(0) <- 0;
   (* One pass over the left rows: the number of pairs, whether every
-     left row matches exactly once, and (left hashed) each left row's
-     first pair. *)
+     left row matches exactly once ([others] stays 0), and (left hashed)
+     each left row's first pair. *)
   let off = Array.make (if hash_left then left_rows + 1 else 0) 0 in
-  let total = ref 0 and once = ref true in
+  let total = ref 0 and others = ref 0 in
   for i = 0 to left_rows - 1 do
-    let id = l_id.(i) in
-    let m = if id >= 0 then r_count.(id) else 0 in
-    once := !once && m = 1;
+    let m = r_count.(l_id.(i) + 1) in
+    others := !others lor (m lxor 1);
     total := !total + m;
     if hash_left then off.(i + 1) <- !total
   done;
+  let once = !others = 0 in
   (* Pairs come out left row by left row, each left row's matches in
      right-row order — the row oracle's order — into arrays of exactly
      their number. *)
   if not hash_left then begin
-    if !once then begin
+    if once then begin
       (* Every left row has its one right row at the head of its chain:
-         the left side passes through with no index. *)
-      let ri = Array.make left_rows 0 in
+         the left side passes through with no index, and the right
+         index overwrites the left rows' key ids, which are this call's
+         own (see the lookups). *)
+      let ri = l_id in
       for i = 0 to left_rows - 1 do
-        ri.(i) <- head.(l_id.(i))
+        ri.(i) <- via rmap head.(l_id.(i) + 1)
       done;
       (None, ri)
     end
@@ -171,10 +188,11 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
          "Join orientation"). *)
       let li = Array.make !total 0 and ri = Array.make !total 0 and k = ref 0 in
       for i = 0 to left_rows - 1 do
-        let j = ref (if l_id.(i) >= 0 then head.(l_id.(i)) else -1) in
+        let j = ref head.(l_id.(i) + 1) in
+        let l = via lmap i in
         while !j >= 0 do
-          li.(!k) <- i;
-          ri.(!k) <- !j;
+          li.(!k) <- l;
+          ri.(!k) <- via rmap !j;
           incr k;
           j := next.(!j)
         done
@@ -190,17 +208,20 @@ let join_index ?pool (left, left_rows) (right, right_rows) =
        written even when it passes through. *)
     let li = Array.make !total 0 and ri = Array.make !total 0 in
     for j = 0 to right_rows - 1 do
-      let i = ref (if r_id.(j) >= 0 then head.(r_id.(j)) else -1) in
+      let i = ref head.(r_id.(j) + 1) in
+      let r = via rmap j in
       while !i >= 0 do
         let k = off.(!i) in
-        li.(k) <- !i;
-        ri.(k) <- j;
+        li.(k) <- via lmap !i;
+        ri.(k) <- r;
         off.(!i) <- k + 1;
         i := next.(!i)
       done
     done;
-    ((if !once then None else Some li), ri)
+    ((if once then None else Some li), ri)
   end
+
+let join_index ?pool left right = join_pairs ?pool ~lmap:None ~rmap:None left right
 
 let key_cols t names =
   Array.of_list (List.map (fun k -> t.cols.(Schema.column_index t.tschema k)) names)
@@ -210,14 +231,15 @@ let equi_join ?pool ~on l r =
   (* Left rows in order, each one's matches in right-row order — the
      exact row order of the row oracle's equi_join. Null keys never
      match. *)
+  let l_based, lmap = based l.cols and r_based, rmap = based r.cols in
   let li, ri =
-    join_index ?pool
+    join_pairs ?pool ~lmap ~rmap
       (key_cols l (List.map fst on), l.n_rows)
       (key_cols r (List.map snd on), r.n_rows)
   in
   (* A left side matched once per row keeps its columns as they are. *)
-  let l_cols = match li with None -> l.cols | Some li -> Column.gather l.cols li in
-  { tschema; n_rows = Array.length ri; cols = Array.append l_cols (Column.gather r.cols ri) }
+  let l_cols = match li with None -> l.cols | Some li -> Column.gather l_based li in
+  { tschema; n_rows = Array.length ri; cols = Array.append l_cols (Column.gather r_based ri) }
 
 (* --- grouped aggregation -------------------------------------------- *)
 

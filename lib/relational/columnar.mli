@@ -48,9 +48,12 @@ val schema : t -> Schema.t
 val row_count : t -> int
 
 val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
-(** σ, preserving row order: one block sweep marks the survivors, and
-    their row indices fill an index vector of exactly their number.
-    With [?pool] the blocks are tested on the pool. *)
+(** σ, preserving row order: one block sweep keeps each block's
+    survivors (a byte each), and their row indices fill an index vector
+    of exactly their number. When every input column views one shared
+    index ({!Column.bases}), the vector holds base rows, so the output
+    views compose nothing. With [?pool] the blocks are tested on the
+    pool. *)
 
 val project : string list -> t -> t
 (** π onto existing columns — O(1) per column, nothing is copied. *)
@@ -63,7 +66,14 @@ val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
 (** Inner hash join through {!join_index} — the plan executor's join.
     Row order and null-key behavior match {!Algebra.equi_join}; [on = []]
     is the cross product. When every left row matches exactly once, the
-    left columns pass through as they are (no index, no view). *)
+    left columns pass through as they are (no index, no view). A side
+    whose columns all view one shared index ({!Column.bases}, as every
+    select or join output does) gets its pair indices written already
+    composed onto its bases, and its output views use them as they
+    are; a side of built columns gets row indices, and a side mixing
+    sources is composed per source by {!Column.gather}. When the left
+    side passes through, the right index takes the place of the probe
+    rows' key ids. *)
 
 val join_index :
   ?pool:Mde_par.Pool.t ->
@@ -83,9 +93,11 @@ val join_index :
     {!Keycode.tbl_create}), with match chains in row order, goes over
     the smaller side (the right on a tie), and the other side looks its
     rows up in row chunks; the pairs come out in the same order
-    whichever side holds the table. With [?pool] the key encoding and
-    the lookups run on the pool; the output is the same. Raises
-    [Invalid_argument] on an uncertain key column. *)
+    whichever side holds the table. The indices are row numbers of the
+    given key columns ({!equi_join} runs the same routine writing base
+    rows). With [?pool] the key encoding and the lookups run on the
+    pool; the output is the same. Raises [Invalid_argument] on an
+    uncertain key column. *)
 
 val group_by :
   ?pool:Mde_par.Pool.t ->

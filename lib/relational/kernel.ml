@@ -1,3 +1,11 @@
+(* Block kernels (the contract is in kernel.mli). A compiled node fills
+   typed vectors at a block's selected positions, one loop per operator,
+   and a predicate narrows the selection. Two shapes read column storage
+   in place instead of through a vector: a comparison of an int, float
+   or bool column with a literal narrows in one loop per block
+   ([narrow_literal]), and an aggregate over a bare column leaf reads its
+   cells through [slot] and [null] ([leaf_column], for [Aggregate]). *)
+
 module Array1 = Bigarray.Array1
 module Bitset = Column.Bitset
 
@@ -43,6 +51,19 @@ let inst ?(fv = [||]) ?(iv = [||]) ?(sv = [||]) ?(nul = Bytes.empty) run =
 
 type kind = Int | Float | Bool | String | Boxed
 
+(* An int, float or bool column's storage as a leaf reads it: slot [r]
+   of [store], with row [r]'s null bit in [nulls] when deterministic.
+   [ix] is an unread view's index ([direct]: none). *)
+type store = Sfloat of Column.floats | Sint of int array | Sbool of int array
+
+type column = {
+  store : store;
+  nulls : Bitset.t option;
+  sdet : bool;
+  direct : bool;
+  ix : int array;
+}
+
 type node = C of cnode | F of { fenv : env; expr : Expr.t; func : bool }
 
 and cnode = {
@@ -52,7 +73,11 @@ and cnode = {
   make : frame -> inst;
   narrow : (frame -> selection * (selection -> unit)) option;
       (* a boolean node's own filter, when it beats value-then-compact *)
+  operand : operand;
 }
+
+(* What a comparison may read in place instead of through [make]. *)
+and operand = Computed | Stored of column | Lit of Value.t
 
 (* Named columns: the base columns, plus any definitions bound by name.
    A base column's node is built when an expression first references
@@ -65,7 +90,7 @@ and binding = Base of Column.t | Bound of node
 let unc = function C n -> n.unc | F f -> f.func
 let compiled = function C _ -> true | F _ -> false
 let kind = function C n -> n.kind | F _ -> Boxed
-let cnode kind ~unc ~nullable make = { kind; unc; nullable; make; narrow = None }
+let cnode kind ~unc ~nullable make = { kind; unc; nullable; make; narrow = None; operand = Computed }
 let const kind make = cnode kind ~unc:false ~nullable:false (fun f -> make (cap f))
 
 (* --- column leaves --------------------------------------------------- *)
@@ -74,67 +99,81 @@ let const kind make = cnode kind ~unc:false ~nullable:false (fun f -> make (cap 
    in a sweep of the column's own geometry, or the position's row when a
    deterministic column meets a sweep of several repetitions. A
    deterministic column that is an unread view ([Column.source]) reads
-   that row through the view's index [ix] instead ([direct]: no index),
-   so an expression forces no view it reads. *)
-let read_nulls f ~det ~direct ix mask nul s =
-  match mask with
-  | None -> ()
-  | Some m ->
-    for j = 0 to s.n - 1 do
-      let k = Array.unsafe_get s.pos j in
-      let i = Array.unsafe_get f.rowix k in
-      let null =
-        if det then Bitset.get m (if direct then i else Array.unsafe_get ix i) 0
-        else Bitset.get m i (f.lo + k - (i * f.reps))
-      in
-      Bytes.unsafe_set nul k (if null then '\001' else '\000')
-    done
+   that row through the view's index [ix] instead, so an expression
+   forces no view it reads. [slot] and [null] are that mapping, for the
+   loops that read a column where it is stored. *)
+let[@inline] slot c f k =
+  let i = if c.sdet && f.reps > 1 then Array.unsafe_get f.rowix k else f.lo + k in
+  if c.direct then i else Array.unsafe_get c.ix i
 
-let leaf col =
-  let det = Column.det col in
-  let view, idx = if det then Column.source col else (Column.view col, None) in
-  let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
-  let mk kind nullable make = Some (cnode kind ~unc:(not det) ~nullable make) in
-  let nulls_for mask f = if mask = None then Bytes.empty else Bytes.make (cap f) '\000' in
-  let ints data mask ~bool f =
-    let iv = Array.make (cap f) 0 and nul = nulls_for mask f in
-    inst ~iv ~nul (fun s ->
-        let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
+let[@inline] null c f k =
+  match c.nulls with
+  | None -> false
+  | Some m ->
+    if c.sdet then Bitset.get m (slot c f k) 0
+    else
+      let i = Array.unsafe_get f.rowix k in
+      Bitset.get m i (f.lo + k - (i * f.reps))
+
+let leaf_column = function C { operand = Stored c; _ } -> Some c | C _ | F _ -> None
+
+(* An int, float or bool leaf's value vector: each selected position's
+   cell copied out, bools as 0/1. *)
+let read_column kind c f =
+  let n = cap f in
+  let fv = if kind = Float then Array.create_float n else [||]
+  and iv = if kind = Float then [||] else Array.make n 0
+  and nul = if Option.is_none c.nulls then Bytes.empty else Bytes.make n '\000' in
+  inst ~fv ~iv ~nul (fun s ->
+      let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = c.sdet && f.reps > 1 in
+      let direct = c.direct and ix = c.ix in
+      (match c.store with
+      | Sfloat data ->
+        for j = 0 to s.n - 1 do
+          let k = Array.unsafe_get pos j in
+          let i = if by_row then Array.unsafe_get rowix k else lo + k in
+          Array.unsafe_set fv k (Array1.unsafe_get data (if direct then i else Array.unsafe_get ix i))
+        done
+      | Sint data | Sbool data ->
+        let bool = match c.store with Sbool _ -> true | Sint _ | Sfloat _ -> false in
         for j = 0 to s.n - 1 do
           let k = Array.unsafe_get pos j in
           let i = if by_row then Array.unsafe_get rowix k else lo + k in
           let x = Array.unsafe_get data (if direct then i else Array.unsafe_get ix i) in
           Array.unsafe_set iv k (if bool then Bool.to_int (x <> 0) else x)
-        done;
-        read_nulls f ~det ~direct ix mask nul s)
+        done);
+      if Option.is_some c.nulls then
+        for j = 0 to s.n - 1 do
+          let k = Array.unsafe_get pos j in
+          Bytes.unsafe_set nul k (if null c f k then '\001' else '\000')
+        done)
+
+let leaf col =
+  let det = Column.det col in
+  let view, idx = if det then Column.source col else (Column.view col, None) in
+  let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
+  let typed kind store nulls =
+    let c = { store; nulls; sdet = det; direct; ix } in
+    let n = cnode kind ~unc:(not det) ~nullable:(Option.is_some nulls) (read_column kind c) in
+    Some { n with operand = Stored c }
   in
   match view with
-  | Column.Vfloat { data; nulls; _ } ->
-    mk Float (nulls <> None) (fun f ->
-        let fv = Array.create_float (cap f) and nul = nulls_for nulls f in
-        inst ~fv ~nul (fun s ->
-            let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
-            for j = 0 to s.n - 1 do
-              let k = Array.unsafe_get pos j in
-              let i = if by_row then Array.unsafe_get rowix k else lo + k in
-              Array.unsafe_set fv k
-                (Array1.unsafe_get data (if direct then i else Array.unsafe_get ix i))
-            done;
-            read_nulls f ~det ~direct ix nulls nul s))
-  | Column.Vint { data; nulls; _ } -> mk Int (nulls <> None) (ints data nulls ~bool:false)
-  | Column.Vbool { data; nulls; _ } -> mk Bool (nulls <> None) (ints data nulls ~bool:true)
+  | Column.Vfloat { data; nulls; _ } -> typed Float (Sfloat data) nulls
+  | Column.Vint { data; nulls; _ } -> typed Int (Sint data) nulls
+  | Column.Vbool { data; nulls; _ } -> typed Bool (Sbool data) nulls
   | Column.Vstring { codes; dict; _ } ->
-    mk String true (fun f ->
-        let sv = Array.make (cap f) "" and nul = Bytes.make (cap f) '\000' in
-        inst ~sv ~nul (fun s ->
-            let rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
-            for j = 0 to s.n - 1 do
-              let k = Array.unsafe_get s.pos j in
-              let i = if by_row then Array.unsafe_get rowix k else lo + k in
-              let c = Array.unsafe_get codes (if direct then i else Array.unsafe_get ix i) in
-              Bytes.unsafe_set nul k (if c < 0 then '\001' else '\000');
-              Array.unsafe_set sv k (if c < 0 then "" else Array.unsafe_get dict c)
-            done))
+    Some
+      (cnode String ~unc:(not det) ~nullable:true (fun f ->
+           let sv = Array.make (cap f) "" and nul = Bytes.make (cap f) '\000' in
+           inst ~sv ~nul (fun s ->
+               let rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
+               for j = 0 to s.n - 1 do
+                 let k = Array.unsafe_get s.pos j in
+                 let i = if by_row then Array.unsafe_get rowix k else lo + k in
+                 let c = Array.unsafe_get codes (if direct then i else Array.unsafe_get ix i) in
+                 Bytes.unsafe_set nul k (if c < 0 then '\001' else '\000');
+                 Array.unsafe_set sv k (if c < 0 then "" else Array.unsafe_get dict c)
+               done)))
   | Column.Vvalues _ -> None
 
 (* --- environments ---------------------------------------------------- *)
@@ -204,6 +243,7 @@ let floated n =
       n with
       kind = Float;
       narrow = None;
+      operand = Computed;
       make =
         (fun f ->
           let x = n.make f and fv = Array.create_float (cap f) in
@@ -303,23 +343,120 @@ let copy_cell kind x y k =
 
 type cmpop = Ceq | Cne | Clt | Cle | Cgt | Cge
 
+(* Whether an operator holds, as 0/1 at index [1 + sign] of a three-way
+   comparison. *)
+let outcomes op =
+  Array.map Bool.to_int
+    (match op with
+    | Ceq -> [| false; true; false |]
+    | Cne -> [| true; false; true |]
+    | Clt -> [| true; false; false |]
+    | Cle -> [| true; true; false |]
+    | Cgt -> [| false; false; true |]
+    | Cge -> [| false; true; true |])
+
+(* [b op' a] holds exactly when [a op b] does. *)
+let flip = function Clt -> Cgt | Cle -> Cge | Cgt -> Clt | Cge -> Cle | (Ceq | Cne) as op -> op
+
+(* The narrowing loops of [column op literal]: each writes the positions
+   of [s] where the operator holds to [opos], and returns their number.
+   The compaction is branch-free. Against a literal [x] that is not NaN,
+   [1 + Float.compare v x] is [(v >= x) + (v > x)] (a NaN cell is below
+   [x] on both counts), and so is [1 + Int.compare v x] on ints: [tbl]
+   is indexed by that sum. Cells are read where they are stored: at
+   slot [lo + k] for position [k] when the column is built and matches
+   the sweep's geometry, else at [slot]. *)
+let keep_floats tbl (d : Column.floats) x c f (s : selection) opos =
+  let pos = s.pos and m = ref 0 in
+  if c.direct && not (c.sdet && f.reps > 1) then begin
+    let lo = f.lo in
+    for j = 0 to s.n - 1 do
+      let k = Array.unsafe_get pos j in
+      let v = Array1.unsafe_get d (lo + k) in
+      Array.unsafe_set opos !m k;
+      m := !m + Array.unsafe_get tbl (Bool.to_int (v >= x) + Bool.to_int (v > x))
+    done
+  end
+  else
+    for j = 0 to s.n - 1 do
+      let k = Array.unsafe_get pos j in
+      let v = Array1.unsafe_get d (slot c f k) in
+      Array.unsafe_set opos !m k;
+      m := !m + Array.unsafe_get tbl (Bool.to_int (v >= x) + Bool.to_int (v > x))
+    done;
+  !m
+
+let keep_ints tbl (d : int array) x c f (s : selection) opos =
+  let pos = s.pos and m = ref 0 in
+  if c.direct && not (c.sdet && f.reps > 1) then begin
+    let lo = f.lo in
+    for j = 0 to s.n - 1 do
+      let k = Array.unsafe_get pos j in
+      let v = Array.unsafe_get d (lo + k) in
+      Array.unsafe_set opos !m k;
+      m := !m + Array.unsafe_get tbl (Bool.to_int (v >= x) + Bool.to_int (v > x))
+    done
+  end
+  else
+    for j = 0 to s.n - 1 do
+      let k = Array.unsafe_get pos j in
+      let v = Array.unsafe_get d (slot c f k) in
+      Array.unsafe_set opos !m k;
+      m := !m + Array.unsafe_get tbl (Bool.to_int (v >= x) + Bool.to_int (v > x))
+    done;
+  !m
+
+(* Any column with Null cells, a bool column, or mixed kinds: [sign r]
+   compares the cell at slot [r] with the literal. *)
+let keep_signs tbl sign c f (s : selection) opos =
+  let pos = s.pos and m = ref 0 in
+  for j = 0 to s.n - 1 do
+    let k = Array.unsafe_get pos j in
+    Array.unsafe_set opos !m k;
+    if not (null c f k) then m := !m + Array.unsafe_get tbl (1 + Int.compare (sign (slot c f k)) 0)
+  done;
+  !m
+
+(* [column op literal] narrows in one loop per block: each selected
+   position's cell is compared where it is stored, and the position is
+   kept when the operator holds and the cell is not Null. That is
+   [compare_node]'s outcome without its leaf copy, its comparison vector
+   and its compaction pass. An int column meets a float literal, and the
+   converse, through [Value.compare_int_float]. *)
+let narrow_literal op c lit =
+  let sign =
+    match (c.store, lit) with
+    | Sfloat d, Value.Float x -> Some (fun r -> Float.compare (Array1.unsafe_get d r) x)
+    | Sint d, Value.Int x -> Some (fun r -> Int.compare (Array.unsafe_get d r) x)
+    | Sbool d, Value.Bool x ->
+      let x = Bool.to_int x in
+      Some (fun r -> Int.compare (Bool.to_int (Array.unsafe_get d r <> 0)) x)
+    | Sint d, Value.Float x -> Some (fun r -> Value.compare_int_float (Array.unsafe_get d r) x)
+    | Sfloat d, Value.Int x -> Some (fun r -> -Value.compare_int_float x (Array1.unsafe_get d r))
+    | (Sfloat _ | Sint _ | Sbool _), _ -> None
+  in
+  Option.map
+    (fun sign f ->
+      let tbl = outcomes op and out = selection (cap f) in
+      ( out,
+        fun s ->
+          out.n <-
+            (match (c.store, lit, c.nulls) with
+            | Sfloat d, Value.Float x, None when not (Float.is_nan x) ->
+              keep_floats tbl d x c f s out.pos
+            | Sint d, Value.Int x, None -> keep_ints tbl d x c f s out.pos
+            | _ -> keep_signs tbl sign c f s out.pos) ))
+    sign
+
 (* Three-way comparisons agree with [Value.compare] bit for bit: ints and
    bools as ints, floats by [Float.compare] (NaN below everything,
    [-0. = 0.]), mixed numerics exactly through
    [Value.compare_int_float], strings by [String.compare]. The operator
    is looked up by the sign; a comparison with a Null side is false,
-   never Null. Int and float pairs get loops of their own. *)
+   never Null. Int and float pairs get loops of their own, and a
+   column compared with a literal narrows in place ([narrow_literal]). *)
 let compare_node op a b =
-  let tbl =
-    Array.map Bool.to_int
-      (match op with
-      | Ceq -> [| false; true; false |]
-      | Cne -> [| true; false; true |]
-      | Clt -> [| true; false; false |]
-      | Cle -> [| true; true; false |]
-      | Cgt -> [| false; false; true |]
-      | Cge -> [| false; true; true |])
-  in
+  let tbl = outcomes op in
   let[@inline] outcome c = Array.unsafe_get tbl (1 + Int.compare c 0) in
   let unc = a.unc || b.unc in
   let typed loop =
@@ -342,29 +479,38 @@ let compare_node op a b =
         set_bool y k
           ((not (is_null x.nul k || is_null z.nul k)) && outcome (three x z k) = 1))
   in
-  match (a.kind, b.kind) with
-  | Int, Int | Bool, Bool ->
-    Some
-      (typed (fun x y iv s ->
-           let pos = s.pos and xv = x.iv and yv = y.iv in
-           for j = 0 to s.n - 1 do
-             let k = Array.unsafe_get pos j in
-             Array.unsafe_set iv k
-               (outcome (Int.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
-           done))
-  | Float, Float ->
-    Some
-      (typed (fun x y iv s ->
-           let pos = s.pos and xv = x.fv and yv = y.fv in
-           for j = 0 to s.n - 1 do
-             let k = Array.unsafe_get pos j in
-             Array.unsafe_set iv k
-               (outcome (Float.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
-           done))
-  | Int, Float -> Some (generic (fun x z k -> Value.compare_int_float x.iv.(k) z.fv.(k)))
-  | Float, Int -> Some (generic (fun x z k -> -Value.compare_int_float z.iv.(k) x.fv.(k)))
-  | String, String -> Some (generic (fun x z k -> String.compare x.sv.(k) z.sv.(k)))
-  | _ -> None (* cross-kind comparison: rank order, left to the interpreter *)
+  let node =
+    match (a.kind, b.kind) with
+    | Int, Int | Bool, Bool ->
+      Some
+        (typed (fun x y iv s ->
+             let pos = s.pos and xv = x.iv and yv = y.iv in
+             for j = 0 to s.n - 1 do
+               let k = Array.unsafe_get pos j in
+               Array.unsafe_set iv k
+                 (outcome (Int.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
+             done))
+    | Float, Float ->
+      Some
+        (typed (fun x y iv s ->
+             let pos = s.pos and xv = x.fv and yv = y.fv in
+             for j = 0 to s.n - 1 do
+               let k = Array.unsafe_get pos j in
+               Array.unsafe_set iv k
+                 (outcome (Float.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
+             done))
+    | Int, Float -> Some (generic (fun x z k -> Value.compare_int_float x.iv.(k) z.fv.(k)))
+    | Float, Int -> Some (generic (fun x z k -> -Value.compare_int_float z.iv.(k) x.fv.(k)))
+    | String, String -> Some (generic (fun x z k -> String.compare x.sv.(k) z.sv.(k)))
+    | _ -> None (* cross-kind comparison: rank order, left to the interpreter *)
+  in
+  let narrow =
+    match (a.operand, b.operand) with
+    | Stored c, Lit v -> narrow_literal op c v
+    | Lit v, Stored c -> narrow_literal (flip op) c v
+    | _ -> None
+  in
+  Option.map (fun n -> { n with narrow }) node
 
 (* A boolean node's filter: the positions of [s] where it holds, in a
    selection the filter owns. *)
@@ -411,11 +557,13 @@ let logic ~conj a b =
 let rec comp env (e : Expr.t) =
   match e with
   | Expr.Col name -> lookup env name
-  | Expr.Lit (Value.Int i) -> Some (const Int (fun n -> inst ~iv:(Array.make n i) noop))
-  | Expr.Lit (Value.Float x) ->
-    Some (const Float (fun n -> inst ~fv:(Array.make n x) noop))
-  | Expr.Lit (Value.Bool b) ->
-    Some (const Bool (fun n -> inst ~iv:(Array.make n (Bool.to_int b)) noop))
+  | Expr.Lit (Value.Int i as v) ->
+    Some { (const Int (fun n -> inst ~iv:(Array.make n i) noop)) with operand = Lit v }
+  | Expr.Lit (Value.Float x as v) ->
+    Some { (const Float (fun n -> inst ~fv:(Array.make n x) noop)) with operand = Lit v }
+  | Expr.Lit (Value.Bool b as v) ->
+    Some
+      { (const Bool (fun n -> inst ~iv:(Array.make n (Bool.to_int b)) noop)) with operand = Lit v }
   | Expr.Lit (Value.String str) ->
     Some (const String (fun n -> inst ~sv:(Array.make n str) noop))
   | Expr.Lit Value.Null -> None
@@ -572,14 +720,22 @@ let sweep ?pool ~site ?presence ~rows ~reps body =
     let r1 = min rows (r0 + per) in
     f.lo <- r0 * reps;
     let rowix = f.rowix and m = ref 0 in
-    for i = r0 to r1 - 1 do
-      for k = (i - r0) * reps to ((i - r0 + 1) * reps) - 1 do
-        Array.unsafe_set rowix k i
+    if reps = 1 then
+      for i = r0 to r1 - 1 do
+        Array.unsafe_set rowix (i - r0) i
+      done
+    else
+      for i = r0 to r1 - 1 do
+        for k = (i - r0) * reps to ((i - r0 + 1) * reps) - 1 do
+          Array.unsafe_set rowix k i
+        done
       done;
-      match presence with
-      | None -> ()
-      | Some p -> m := Bitset.row_positions p i ~base:((i - r0) * reps) f.all.pos !m
-    done;
+    Option.iter
+      (fun p ->
+        for i = r0 to r1 - 1 do
+          m := Bitset.row_positions p i ~base:((i - r0) * reps) f.all.pos !m
+        done)
+      presence;
     f.all.n <- (match presence with None -> (r1 - r0) * reps | Some _ -> !m)
   in
   match pool with

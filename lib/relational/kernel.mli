@@ -6,7 +6,10 @@
     A compiled node fills an unboxed float, int (bools as 0/1) or string
     vector, with null flags when it can be Null, at the selected
     positions of a block, one tight loop per operator; a predicate
-    narrows the selection instead. Coverage: typed column reads,
+    narrows the selection instead; a comparison of an int, float or bool
+    column with a literal narrows in one loop that reads the column's
+    storage in place, and {!leaf_column} lets an aggregate read a bare
+    column the same way. Coverage: typed column reads,
     non-Null literals, [+ - *] (int on two ints, else float), [/]
     (float), [Neg], comparisons of two ints, two numerics (exact
     int/float, [Float.compare] for floats: [Value.compare] bit for bit),
@@ -70,6 +73,30 @@ val filter : node -> frame -> selection * (selection -> unit)
 
 val floats : node -> frame -> float array vec
 (** The [Value.to_float] image; strings raise as it does. *)
+
+(** {2 Columns read in place} *)
+
+type store = Sfloat of Column.floats | Sint of int array | Sbool of int array  (** bools: non-zero is true *)
+
+type column = private {
+  store : store;
+  nulls : Column.Bitset.t option;
+  sdet : bool;
+  direct : bool;
+  ix : int array;
+}
+(** An int, float or bool column as its leaf reads it: the storage, or
+    an unread view's base and index ([ix], empty when [direct]). *)
+
+val leaf_column : node -> column option
+(** The column a bare column leaf reads, for loops that read it where it
+    is stored rather than through a vector; [None] for any other node. *)
+
+val slot : column -> frame -> int -> int
+(** The storage slot that position [k] of the frame reads. *)
+
+val null : column -> frame -> int -> bool
+(** Whether position [k]'s cell is Null. *)
 
 val boxed : node -> frame -> Value.t array vec
 

@@ -132,9 +132,53 @@ let int_find t k =
     done;
     !res
 
-let tbl_add t i = int_add t t.build_keys.(i)
-let tbl_find t probe i = int_find t probe.(i)
 let tbl_count t = t.count
+
+(* The row loops: the table's mode is matched once per call, and a
+   direct table's loads are inlined. *)
+let tbl_add_rows t ~skip ids =
+  let keys = t.build_keys in
+  if Array.length ids < Array.length keys then invalid_arg "Keycode.tbl_add_rows: ids too short";
+  match (t.index, skip) with
+  | Direct { base; ids = slots; _ }, None ->
+    for i = 0 to Array.length keys - 1 do
+      let slot = Array.unsafe_get keys i - base in
+      let id = slots.(slot) in
+      Array.unsafe_set ids i
+        (if id >= 0 then id
+         else begin
+           let fresh = t.count in
+           slots.(slot) <- fresh;
+           t.count <- fresh + 1;
+           fresh
+         end)
+    done
+  | _ ->
+    for i = 0 to Array.length keys - 1 do
+      Array.unsafe_set ids i
+        (match skip with
+        | Some skip when skip.(i) -> -1
+        | _ -> int_add t (Array.unsafe_get keys i))
+    done
+
+let tbl_find_rows t ~skip keys lo hi =
+  if lo < 0 || hi > Array.length keys then invalid_arg "Keycode.tbl_find_rows: rows out of range";
+  (match t.index with
+  | Direct { base; top; ids } ->
+    for i = lo to hi - 1 do
+      let k = Array.unsafe_get keys i in
+      Array.unsafe_set keys i (if k < base || k > top then -1 else Array.unsafe_get ids (k - base))
+    done
+  | Hashed _ ->
+    for i = lo to hi - 1 do
+      Array.unsafe_set keys i (int_find t (Array.unsafe_get keys i))
+    done);
+  Option.iter
+    (fun skip ->
+      for i = lo to hi - 1 do
+        if skip.(i) then Array.unsafe_set keys i (-1)
+      done)
+    skip
 
 (* Smallest w >= 1 with 2^w >= count. Callers guarantee count < 2^62. *)
 let bits_for count =
@@ -291,42 +335,74 @@ let null_reader nulls =
    0 iff the cell is Null, otherwise >= 1 and injective over the
    component's values. One typed loop per component kind, reading the
    column ([Column.source]) through its view's index, so nothing is
-   forced. Returns whether a field read 0. *)
+   forced; whether a view's index applies and whether the column has
+   Null cells are decided once per loop, not per row, and the loops
+   index [out], a built column and the view's index without bounds
+   checks once [hi] is checked against each. Returns whether a field
+   read 0. *)
 let pack comp side (view, idx) out lo hi =
   let w = comp_width comp in
-  let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
-  let nul = ref false in
-  (match (comp, view) with
-  | Cint _, Column.Vint { data; nulls; _ } | Cbool, Column.Vbool { data; nulls; _ } ->
+  let within a = if lo < 0 || hi > Array.length a then invalid_arg "Keycode: rows out of range" in
+  within out;
+  Option.iter within idx;
+  let[@inline] put i code = Array.unsafe_set out i ((Array.unsafe_get out i lsl w) lor code) in
+  match (comp, view) with
+  | Cint _, Column.Vint { data; nulls; _ } | Cbool, Column.Vbool { data; nulls; _ } -> (
     (* Bools are 0/1, so [base] 0 codes them 1/2. *)
-    let base = match comp with Cint { base; _ } -> base | _ -> 0 in
-    for i = lo to hi - 1 do
-      let s = if direct then i else ix.(i) in
-      let code =
-        match nulls with
-        | Some m when Column.Bitset.get m s 0 -> 0
-        | _ -> data.(s) - base + 1
-      in
-      if code = 0 then nul := true;
-      out.(i) <- (out.(i) lsl w) lor code
-    done
+    let off = 1 - match comp with Cint { base; _ } -> base | _ -> 0 in
+    match (nulls, idx) with
+    | None, None ->
+      within data;
+      for i = lo to hi - 1 do
+        put i (Array.unsafe_get data i + off)
+      done;
+      false
+    | None, Some ix ->
+      for i = lo to hi - 1 do
+        put i (data.(Array.unsafe_get ix i) + off)
+      done;
+      false
+    | Some m, _ ->
+      let nul = ref false and ix = Option.value idx ~default:[||] and direct = Option.is_none idx in
+      for i = lo to hi - 1 do
+        let s = if direct then i else Array.unsafe_get ix i in
+        if Column.Bitset.get m s 0 then begin
+          nul := true;
+          put i 0
+        end
+        else put i (data.(s) + off)
+      done;
+      !nul)
   | Cstr { remaps; _ }, Column.Vstring { codes; _ } ->
-    let remap = remaps.(side) in
-    for i = lo to hi - 1 do
-      let c = codes.(if direct then i else ix.(i)) in
-      if c < 0 then nul := true;
-      out.(i) <- (out.(i) lsl w) lor if c < 0 then 0 else remap.(c) + 1
-    done
+    (* A Null cell's code is negative, so [seen] is negative iff one
+       was read. *)
+    let remap = remaps.(side) and seen = ref 0 in
+    (match idx with
+    | None ->
+      within codes;
+      for i = lo to hi - 1 do
+        let c = Array.unsafe_get codes i in
+        seen := !seen lor c;
+        put i (if c < 0 then 0 else remap.(c) + 1)
+      done
+    | Some ix ->
+      for i = lo to hi - 1 do
+        let c = codes.(Array.unsafe_get ix i) in
+        seen := !seen lor c;
+        put i (if c < 0 then 0 else remap.(c) + 1)
+      done);
+    !seen < 0
   | Cdict { codes; _ }, _ ->
     (* Dictionary codes are per row of the side, already coded. *)
-    let codes = codes.(side) in
+    let codes = codes.(side) and nul = ref false in
+    within codes;
     for i = lo to hi - 1 do
-      let code = codes.(i) in
+      let code = Array.unsafe_get codes i in
       if code = 0 then nul := true;
-      out.(i) <- (out.(i) lsl w) lor code
-    done
-  | (Craw | Cint _ | Cbool | Cstr _), _ -> invalid_arg "Keycode: component/storage mismatch");
-  !nul
+      put i code
+    done;
+    !nul
+  | (Craw | Cint _ | Cbool | Cstr _), _ -> invalid_arg "Keycode: component/storage mismatch"
 
 (* A composite whose fields pass 63 bits, coded per side up front:
    fields pack left to right, and when the next one would not fit, the
@@ -420,7 +496,7 @@ let coded_rows ?pool t ~side ~rows:n =
          unread. *)
       let keys = Array.make (Array.length idx) 0 in
       for k = 0 to Array.length idx - 1 do
-        keys.(k) <- data.(idx.(k))
+        Array.unsafe_set keys k data.(Array.unsafe_get idx k)
       done;
       ({ keys; null_rows = None }, true)
     | _ -> invalid_arg "Keycode: component/storage mismatch")
@@ -458,9 +534,7 @@ let groups ?pool cols ~rows =
        them: row i's key is read before its id is written, and the table
        keeps its own copy of every key it has seen. *)
     let ids = if fresh then keys else Array.make rows 0 in
-    for i = 0 to rows - 1 do
-      ids.(i) <- tbl_add tbl i
-    done;
+    tbl_add_rows tbl ~skip:None ids;
     let firsts = Array.make tbl.count 0 in
     for i = rows - 1 downto 0 do
       firsts.(ids.(i)) <- i

@@ -105,18 +105,23 @@ val tbl_create : hint:int -> int array -> tbl
     (the build side), [hint] distinct keys expected. One pass over
     [keys] picks the representation. *)
 
-val tbl_add : tbl -> int -> int
-(** [tbl_add t i]: the id of build row [i]'s key, inserting it if new.
-    Ids are dense and in first-seen order: a fresh key gets id
-    [tbl_count t] (pre-insertion). *)
-
-val tbl_find : tbl -> int array -> int -> int
-(** [tbl_find t probe i]: the id of probe row [i]'s key, or [-1] if the
-    key was never added. [probe] must come from the same encoder (a
-    different side is the point). *)
-
 val tbl_count : tbl -> int
 (** Number of distinct keys added so far. *)
+
+val tbl_add_rows : tbl -> skip:bool array option -> int array -> unit
+(** [tbl_add_rows t ~skip ids]: for every build row [i] in order,
+    [ids.(i)] is the id of its key, inserted if new; a row with
+    [skip.(i)] is not added and gets [-1]. Ids are dense and in
+    first-seen order: a fresh key gets the count of keys added before
+    it. [ids] may be the build keys themselves: each row's key is read
+    before its id is written. *)
+
+val tbl_find_rows : tbl -> skip:bool array option -> int array -> int -> int -> unit
+(** [tbl_find_rows t ~skip keys lo hi]: each [keys.(i)], [lo <= i < hi],
+    is replaced by its key's id, or [-1] when the key was never added
+    or [skip.(i)]. [keys] must come from the table's encoder (a
+    different side is the point). Rows of disjoint ranges may be looked
+    up from different domains. *)
 
 val int_hash : int -> int
 (** The table's non-negative int mix, exposed for callers that route by

@@ -76,11 +76,16 @@ let rec estimate catalog = function
   | Join (on, l, r) ->
     let l_rows, l_env = estimate catalog l in
     let r_rows, r_env = estimate catalog r in
+    (* A composite key's distinct count on one side is the product of
+       its columns' counts, at most that side's rows; the join divides by
+       the larger side's count, as a single-column key divides by the
+       larger of its two columns'. [on = []] divides by 1. *)
+    let keys cols env rows =
+      Float.min (Float.max 1. rows)
+        (List.fold_left (fun acc c -> acc *. distinct_of env c) 1. cols)
+    in
     let key_factor =
-      List.fold_left
-        (fun acc (a, b) ->
-          Float.max acc (Float.max (distinct_of l_env a) (distinct_of r_env b)))
-        1. on
+      Float.max (keys (List.map fst on) l_env l_rows) (keys (List.map snd on) r_env r_rows)
     in
     (l_rows *. r_rows /. key_factor, Env.union (fun _ a _ -> Some a) l_env r_env)
 

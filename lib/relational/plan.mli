@@ -40,7 +40,9 @@ val estimate_rows : Catalog.t -> t -> float
 (** Textbook selectivity model: scans use catalog row counts; an equality
     predicate on column c selects 1/distinct(c); other comparisons 1/3;
     conjunctions multiply, disjunctions add (capped); equi-joins use
-    |L|·|R| / max(distinct keys). *)
+    |L|·|R| / max(keys(L), keys(R)), where a side's key count is the
+    product of its key columns' distinct counts, at most its estimated
+    rows. *)
 
 type cost = {
   estimated_rows : float;  (** of the plan's result *)

@@ -47,11 +47,12 @@ let in_sample_rmse f = f.rmse
 let mean_step series =
   let times = Series.times series in
   let n = Array.length times in
+  (* [fit] takes at least 3 observations. *)
   assert (n >= 2);
   (times.(n - 1) -. times.(0)) /. float_of_int (n - 1)
 
 let extrapolate f ~horizon =
-  assert (horizon > 0);
+  if horizon <= 0 then invalid_arg "Forecast.extrapolate: horizon must be > 0";
   let step = mean_step f.history in
   let last_time = Series.end_time f.history in
   let times = Array.init horizon (fun i -> last_time +. (float_of_int (i + 1) *. step)) in

@@ -21,7 +21,8 @@ val in_sample_rmse : fit -> float
 val extrapolate : fit -> horizon:int -> Series.t
 (** Continue the series [horizon] steps past its last observation, on the
     series' mean time step. Trend models evaluate the fitted curve; AR
-    models iterate the recursion on their own predictions. *)
+    models iterate the recursion on their own predictions. Raises
+    [Invalid_argument] unless [horizon > 0]. *)
 
 val extrapolation_error : fit -> actual:Series.t -> float
 (** RMSE of the extrapolation against the held-out continuation

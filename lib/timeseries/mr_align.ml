@@ -10,12 +10,12 @@ type window = {
 
 let windows ?sigma series =
   let n = Series.length series in
-  assert (n >= 2);
+  if n < 2 then invalid_arg "Mr_align.windows: needs >= 2 observations";
   let times = Series.times series and values = Series.values series in
   let sigma =
     match sigma with
     | Some s ->
-      assert (Array.length s = n);
+      if Array.length s <> n then invalid_arg "Mr_align.windows: sigma length <> series length";
       s
     | None -> Array.make n 0.
   in
@@ -47,7 +47,7 @@ type result = {
 
 let interpolate ?(partitions = 8) ~kind series ~target_times =
   let n_windows = Series.length series - 1 in
-  assert (n_windows >= 1);
+  if n_windows < 1 then invalid_arg "Mr_align.interpolate: needs >= 2 observations";
   let sigma =
     match kind with
     | `Linear -> None

@@ -20,7 +20,9 @@ type window = {
 
 val windows : ?sigma:float array -> Series.t -> window array
 (** Consecutive-knot windows (length m for m+1 observations); σ defaults
-    to all zeros (linear interpolation windows). *)
+    to all zeros (linear interpolation windows). Raises
+    [Invalid_argument] on fewer than 2 observations or a σ whose length
+    is not the series length. *)
 
 type result = {
   target : Series.t;
@@ -39,4 +41,4 @@ val interpolate :
     the assembled series plus the per-job shuffle accounting. Target
     points outside the knot range are clamped into the boundary windows.
     The result equals the sequential {!Align.align} answer (property
-    tested). *)
+    tested). Raises [Invalid_argument] on fewer than 2 observations. *)

@@ -23,7 +23,8 @@ let start_time t = t.times.(0)
 let end_time t = t.times.(Array.length t.times - 1)
 
 let regular_times ~start ~step ~count =
-  assert (count > 0 && step > 0.);
+  if not (count > 0 && step > 0.) then
+    invalid_arg "Series.regular_times: needs count > 0 and step > 0";
   Array.init count (fun i -> start +. (float_of_int i *. step))
 
 let map_values f t = { t with values = Array.map f t.values }

@@ -17,7 +17,8 @@ val start_time : t -> float
 val end_time : t -> float
 
 val regular_times : start:float -> step:float -> count:int -> float array
-(** start, start+step, … (count ticks). *)
+(** start, start+step, … (count ticks). Raises [Invalid_argument] unless
+    [count > 0] and [step > 0]. *)
 
 val map_values : (float -> float) -> t -> t
 

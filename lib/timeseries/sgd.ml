@@ -5,7 +5,7 @@ type problem = { dim : int; rows : sparse_row array }
 
 let of_tridiag a b =
   let dim = Mde_linalg.Tridiag.dim a in
-  assert (Array.length b = dim);
+  if Array.length b <> dim then invalid_arg "Sgd.of_tridiag: right-hand side length <> dimension";
   let rows =
     Array.init dim (fun i ->
         let entries = ref [] in
@@ -64,7 +64,7 @@ let step_row schedule n m x row =
 let sgd ~rng ~schedule ~iters ?x0 problem =
   let x = match x0 with Some v -> Array.copy v | None -> Array.make problem.dim 0. in
   let m = Array.length problem.rows in
-  assert (m > 0);
+  if m = 0 then invalid_arg "Sgd.sgd: problem has no rows";
   for n = 0 to iters - 1 do
     let i = Rng.int rng m in
     step_row schedule n m x problem.rows.(i)
@@ -80,7 +80,7 @@ type dsgd_result = {
 }
 
 let tridiagonal_strata ~dim =
-  assert (dim > 0);
+  if dim <= 0 then invalid_arg "Sgd.tridiagonal_strata: dim must be > 0";
   let bucket k = Array.of_list (List.filter (fun i -> i mod 3 = k) (List.init dim Fun.id)) in
   Array.of_list
     (List.filter (fun a -> Array.length a > 0) [ bucket 0; bucket 1; bucket 2 ])
@@ -103,7 +103,7 @@ let strata_independent problem strata =
     strata
 
 let dsgd ~rng ~schedule ~sub_epochs ?x0 ?(tol = 0.) ~strata problem =
-  assert (Array.length strata > 0);
+  if Array.length strata = 0 then invalid_arg "Sgd.dsgd: no strata";
   let x = match x0 with Some v -> Array.copy v | None -> Array.make problem.dim 0. in
   let m = Array.length problem.rows in
   let n_strata = Array.length strata in

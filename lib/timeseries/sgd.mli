@@ -17,6 +17,9 @@ type sparse_row = {
 type problem = { dim : int; rows : sparse_row array }
 
 val of_tridiag : Mde_linalg.Tridiag.t -> float array -> problem
+(** Raises [Invalid_argument] unless the right-hand side's length is the
+    matrix dimension. *)
+
 val residual_norm : problem -> float array -> float
 (** ‖Ax − b‖₂. *)
 
@@ -37,7 +40,8 @@ val sgd :
   ?x0:float array ->
   problem ->
   float array
-(** Plain sequential SGD with uniformly random row selection. *)
+(** Plain sequential SGD with uniformly random row selection. Raises
+    [Invalid_argument] on a problem with no rows. *)
 
 type dsgd_result = {
   solution : float array;
@@ -51,7 +55,8 @@ type dsgd_result = {
 val tridiagonal_strata : dim:int -> int array array
 (** The 3-coloring strata for a tridiagonal system: rows {0,3,6,…},
     {1,4,7,…}, {2,5,8,…} (0-based). Rows within one stratum update
-    disjoint coordinate sets. *)
+    disjoint coordinate sets. Raises [Invalid_argument] unless
+    [dim > 0]. *)
 
 val strata_independent : problem -> int array array -> bool
 (** Check the DSGD precondition: within every stratum, no two rows share
@@ -70,4 +75,4 @@ val dsgd :
     each stratum in the long run (a uniformly shuffled sequence of the
     strata per regeneration cycle), processing every row of the visited
     stratum. Stops early once the residual drops below [tol]
-    (default 0 = never). *)
+    (default 0 = never). Raises [Invalid_argument] on no strata. *)

@@ -3,7 +3,8 @@ module Dist = Mde_prob.Dist
 
 let housing_index ?(seed = 19) ?(start_year = 1970.) ?(bust_year = 2006.)
     ?(end_year = 2011.) () =
-  assert (start_year < bust_year && bust_year < end_year);
+  if not (start_year < bust_year && bust_year < end_year) then
+    invalid_arg "Synthetic.housing_index: years must satisfy start < bust < end";
   let rng = Rng.create ~seed () in
   let months =
     Float.to_int (Float.round ((end_year -. start_year) *. 12.)) + 1
@@ -28,7 +29,8 @@ let housing_index ?(seed = 19) ?(start_year = 1970.) ?(bust_year = 2006.)
   Series.create ~times ~values
 
 let smooth_signal ?(seed = 7) ~knots ~span () =
-  assert (knots >= 2 && span > 0.);
+  if not (knots >= 2 && span > 0.) then
+    invalid_arg "Synthetic.smooth_signal: needs knots >= 2 and span > 0";
   let rng = Rng.create ~seed () in
   let n_waves = 4 in
   let amps = Array.init n_waves (fun _ -> Rng.float_range rng 0.3 1.2) in

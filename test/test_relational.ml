@@ -558,7 +558,8 @@ let test_columnar_blocks_match_algebra () =
 (* Allocation grows with the number of blocks, not with rows. Measured
    as marginal words per row between 20k and 40k rows, so the per-call
    setup (one block's scratch per expression node) cancels: select pays
-   one mark byte per row plus its output index, and the aggregate
+   a byte per survivor for its position in its block, and a word for
+   its output index, and the aggregate
    feeders of group_by nothing per row. Each figure is the least of
    three calls, past one-off work on first use. *)
 let allocated_words f =
@@ -585,7 +586,8 @@ let test_columnar_allocation () =
   in
   (* The column image is built before measuring. *)
   let c t = Columnar.of_table t in
-  (* About 10% survive: 1/8 word of marks and 0.1 of output per row. *)
+  (* About 10% survive: 1/80 word of block positions and 0.1 of output
+     per row. *)
   let pred = Expr.(col "v" > float 4. && col "k" < float 4.5) in
   check "select" 0.3 (fun t ->
       let c = c t in
@@ -754,12 +756,14 @@ let test_keycode_cross_side_numeric () =
   let build = Keycode.encode enc ~side:0
   and probe = Keycode.encode enc ~side:1 in
   let tbl = Keycode.tbl_create ~hint:8 build.Keycode.keys in
-  List.iteri (fun i _ -> ignore (Keycode.tbl_add tbl i)) ls;
+  Keycode.tbl_add_rows tbl ~skip:None (Array.make (List.length ls) 0);
   Alcotest.(check int) "distinct build keys" 5 (Keycode.tbl_count tbl);
-  Alcotest.(check int) "Float 2. finds Int 2" 0 (Keycode.tbl_find tbl probe.Keycode.keys 0);
-  Alcotest.(check int) "Float -0. finds Int 0" 2 (Keycode.tbl_find tbl probe.Keycode.keys 2);
-  Alcotest.(check int) "NaN unmatched" (-1) (Keycode.tbl_find tbl probe.Keycode.keys 1);
-  Alcotest.(check int) "3.5 unmatched" (-1) (Keycode.tbl_find tbl probe.Keycode.keys 3)
+  let found = Array.copy probe.Keycode.keys in
+  Keycode.tbl_find_rows tbl ~skip:None found 0 (Array.length found);
+  Alcotest.(check int) "Float 2. finds Int 2" 0 found.(0);
+  Alcotest.(check int) "Float -0. finds Int 0" 2 found.(2);
+  Alcotest.(check int) "NaN unmatched" (-1) found.(1);
+  Alcotest.(check int) "3.5 unmatched" (-1) found.(3)
 
 let test_keycode_shared_string_dict () =
   (* Same strings, different per-column dictionary codes (the insertion
@@ -843,6 +847,8 @@ let test_keycode_tbl_first_seen () =
   let coded = Keycode.encode enc ~side:0 in
   let tbl = Keycode.tbl_create ~hint:4 coded.Keycode.keys in
   let seen = Hashtbl.create 64 in
+  let ids = Array.make n 0 in
+  Keycode.tbl_add_rows tbl ~skip:None ids;
   List.iteri
     (fun i v ->
       let expect =
@@ -853,7 +859,7 @@ let test_keycode_tbl_first_seen () =
           Hashtbl.add seen v id;
           id
       in
-      Alcotest.(check int) (Printf.sprintf "row %d id" i) expect (Keycode.tbl_add tbl i))
+      Alcotest.(check int) (Printf.sprintf "row %d id" i) expect ids.(i))
     vs;
   Alcotest.(check int) "distinct count" (Hashtbl.length seen) (Keycode.tbl_count tbl)
 
@@ -1250,31 +1256,48 @@ let prop_tbl_first_seen =
          Printf.sprintf "hint %d build [|%s|] probe [|%s|]" hint (ints b) (ints p))
        tbl_keys_gen)
     (fun (hint, build, probe) ->
-      let tbl = Keycode.tbl_create ~hint build in
-      let seen = Hashtbl.create 16 in
-      let added =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i k ->
-               let expect =
-                 match Hashtbl.find_opt seen k with
-                 | Some id -> id
-                 | None ->
-                   let id = Hashtbl.length seen in
-                   Hashtbl.add seen k id;
-                   id
-               in
-               Keycode.tbl_add tbl i = expect)
-             build)
+      (* Every build row and every probe row, then with every third build
+         row and every fourth probe row skipped. *)
+      let check ~build_every ~probe_every =
+        let tbl = Keycode.tbl_create ~hint build and seen = Hashtbl.create 16 in
+        let skip n every =
+          if every = 0 then None else Some (Array.init n (fun i -> i mod every = every - 1))
+        in
+        let skipped i every = every > 0 && i mod every = every - 1 in
+        let ids = Array.make (Array.length build) 0 in
+        Keycode.tbl_add_rows tbl ~skip:(skip (Array.length build) build_every) ids;
+        let added =
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun i k ->
+                 ids.(i)
+                 =
+                 if skipped i build_every then -1
+                 else
+                   match Hashtbl.find_opt seen k with
+                   | Some id -> id
+                   | None ->
+                     let id = Hashtbl.length seen in
+                     Hashtbl.add seen k id;
+                     id)
+               build)
+        in
+        let found keys =
+          let ids = Array.copy keys in
+          Keycode.tbl_find_rows tbl ~skip:(skip (Array.length keys) probe_every) ids 0
+            (Array.length ids);
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun i k ->
+                 ids.(i)
+                 =
+                 if skipped i probe_every then -1
+                 else Option.value (Hashtbl.find_opt seen k) ~default:(-1))
+               keys)
+        in
+        added && Keycode.tbl_count tbl = Hashtbl.length seen && found probe && found build
       in
-      let found keys =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i k ->
-               Keycode.tbl_find tbl keys i = Option.value (Hashtbl.find_opt seen k) ~default:(-1))
-             keys)
-      in
-      added && Keycode.tbl_count tbl = Hashtbl.length seen && found probe && found build)
+      check ~build_every:0 ~probe_every:0 && check ~build_every:3 ~probe_every:4)
 
 (* Keys without a narrow native code — floats, an inexact int beside a
    float, boxed [Vvalues] cells, the empty key — take the dictionary
@@ -1638,6 +1661,74 @@ let test_optimize_larger_input_left () =
           Alcotest.(check bool) "optimized: pooled == rows" true
             (tables_identical rows (Plan.execute ~pool cat optimized))))
     [ 300; 3000 ]
+
+(* The perfbench analytic shape, small: a fact table keyed into a store
+   dimension on (region, store) and a day dimension on day. *)
+let composite_star_catalog ~sales_n =
+  let rng = Mde_prob.Rng.create ~seed:51 () in
+  let regions = [| "north"; "south"; "east"; "west"; "central"; "coast"; "hills"; "plains" |] in
+  let cat = Catalog.create () in
+  Catalog.register cat "sales"
+    (Table.create
+       (Schema.of_list
+          [ ("region", Value.Tstring); ("store", Value.Tint); ("day", Value.Tint);
+            ("amount", Value.Tfloat) ])
+       (List.init sales_n (fun _ ->
+            [| v_str regions.(Mde_prob.Rng.int rng 8); v_int (Mde_prob.Rng.int rng 50);
+               v_int (Mde_prob.Rng.int rng 365); v_float (Mde_prob.Rng.float_range rng 0. 1000.) |])));
+  Catalog.register cat "stores"
+    (Table.create
+       (Schema.of_list [ ("s_region", Value.Tstring); ("s_store", Value.Tint); ("size", Value.Tint) ])
+       (List.concat_map
+          (fun r -> List.init 50 (fun s -> [| v_str r; v_int s; v_int (1 + Mde_prob.Rng.int rng 5) |]))
+          (Array.to_list regions)));
+  Catalog.register cat "days"
+    (Table.create
+       (Schema.of_list [ ("d_day", Value.Tint); ("month", Value.Tint) ])
+       (List.init 365 (fun d -> [| v_int d; v_int (1 + (d / 31)) |])));
+  cat
+
+(* A composite key is as selective as the product of its columns'
+   counts, not as its most selective column: an unfiltered fact ⋈
+   dimension join on (region, store), each fact row matching one store,
+   is estimated within 2x of its true size (dividing by the store
+   column's 50 alone read 8x). *)
+let test_composite_join_estimate () =
+  let cat = composite_star_catalog ~sales_n:4000 in
+  let join =
+    Plan.join ~on:[ ("region", "s_region"); ("store", "s_store") ] (Plan.scan "sales") (Plan.scan "stores")
+  in
+  let truth = float_of_int (Table.cardinality (Plan.execute_rows cat join)) in
+  let estimate = Plan.estimate_rows cat join in
+  Alcotest.(check int) "every sale has its store" 4000 (int_of_float truth);
+  Alcotest.(check bool)
+    (Printf.sprintf "estimate %.0f within 2x of %.0f" estimate truth)
+    true
+    (estimate <= 2. *. truth && estimate >= truth /. 2.)
+
+(* The analytic shape still optimizes to (σ sales ⋈ σ stores) ⋈ days,
+   with the fact table probing both joins. *)
+let test_optimize_analytic_shape () =
+  let cat = composite_star_catalog ~sales_n:4000 in
+  let plan =
+    Plan.select
+      Expr.(col "amount" >= float 500. && col "size" >= int 2)
+      (Plan.join ~on:[ ("day", "d_day") ]
+         (Plan.join
+            ~on:[ ("region", "s_region"); ("store", "s_store") ]
+            (Plan.scan "sales") (Plan.scan "stores"))
+         (Plan.scan "days"))
+  in
+  match Plan.optimize cat plan with
+  | Plan.Join
+      ( [ ("day", "d_day") ],
+        Plan.Join
+          ( [ ("region", "s_region"); ("store", "s_store") ],
+            Plan.Select (_, Plan.Scan "sales"),
+            Plan.Select (_, Plan.Scan "stores") ),
+        Plan.Scan "days" ) ->
+    ()
+  | other -> Alcotest.failf "optimized to %a" Plan.pp other
 
 let prop_optimize_preserves_semantics =
   QCheck.Test.make ~name:"optimize preserves query results" ~count:60
@@ -2532,6 +2623,248 @@ let test_inexact_int_never_joins_float () =
     (Columnar.row_count
        (Columnar.equi_join ~on:[ ("i", "f") ] (Columnar.of_table ints) (Columnar.of_table floats)))
 
+(* --- operators reading storage in place --- *)
+
+let cmp_ops = Expr.[| (fun a b -> Eq (a, b)); (fun a b -> Ne (a, b)); (fun a b -> Lt (a, b));
+                      (fun a b -> Le (a, b)); (fun a b -> Gt (a, b)); (fun a b -> Ge (a, b)) |]
+
+let cmp_name = [| "="; "<>"; "<"; "<="; ">"; ">=" |]
+
+let edge_floats = [ nan; -0.; 0.; infinity; neg_infinity; 1.5; -2.; 3. ]
+
+(* A fact table [k, i, f, b] with edge floats and, when [nulls], Null
+   cells in every column but [k]; and a dimension [dk, dv] covering
+   [k]'s values, and two keys of none, in shuffled order. *)
+let in_place_case_gen =
+  QCheck.Gen.(
+    let* rows = oneof [ oneofl [ 0; 255; 256; 257 ]; int_range 1 40 ] in
+    let* nulls = bool in
+    let cell gen = if nulls then frequency [ (5, gen); (1, return Value.Null) ] else gen in
+    let vfloat =
+      frequency
+        [ (4, map (fun k -> Value.Float (float_of_int k /. 2.)) (int_range (-6) 6));
+          (2, map (fun f -> Value.Float f) (oneofl edge_floats)) ]
+    in
+    let* cells =
+      list_repeat rows
+        (triple (cell (map v_int (int_range (-3) 3))) (cell vfloat)
+           (cell (map (fun b -> Value.Bool b) bool)))
+    in
+    let* dv = list_repeat 4 (int_bound 2) in
+    (* Two rows no fact row matches, which [dv >= 0] drops. *)
+    let* dim = shuffle_l (List.combine (List.init 4 Fun.id) dv @ [ (100, -1); (101, -1) ]) in
+    return (cells, dim))
+
+let in_place_tables (cells, dim) =
+  let fact =
+    Table.create
+      (Schema.of_list
+         [ ("k", Value.Tint); ("i", Value.Tint); ("f", Value.Tfloat); ("b", Value.Tbool) ])
+      (List.mapi (fun r (i, f, b) -> [| v_int (r mod 4); i; f; b |]) cells)
+  and dim =
+    Table.create
+      (Schema.of_list [ ("dk", Value.Tint); ("dv", Value.Tint) ])
+      (List.map (fun (k, v) -> [| v_int k; v_int v |]) dim)
+  in
+  (fact, dim)
+
+(* The fact table as built columns; as views through one shared index
+   (a select's output); as views (a join's output: the dimension is the
+   smaller side, so the fact rows come out in dimension order, each
+   column a view over the join's right index); as views of views (a
+   select over that join); and as a star join's output (the fact rows
+   pass through, each matching one row of a selected dimension, whose
+   columns view through the composed right index), with each one's
+   row-oracle image. *)
+let in_place_inputs (fact, dim) =
+  let on = [ ("dk", "k") ] and keep = Expr.(col "dv" >= int 1) and odd = Expr.(col "k" <> int 2)
+  and all = Expr.(col "dv" >= int 0) in
+  let joined = Algebra.equi_join ~on dim fact in
+  [ ("built", Columnar.of_table fact, fact);
+    ("selected", Columnar.select odd (Columnar.of_table fact), Algebra.select odd fact);
+    ("view", Columnar.equi_join ~on (Columnar.of_table dim) (Columnar.of_table fact), joined);
+    ( "view of view",
+      Columnar.select keep
+        (Columnar.equi_join ~on (Columnar.of_table dim) (Columnar.of_table fact)),
+      Algebra.select keep joined );
+    ( "star",
+      Columnar.equi_join ~on:[ ("k", "dk") ] (Columnar.of_table fact)
+        (Columnar.select all (Columnar.of_table dim)),
+      Algebra.equi_join ~on:[ ("k", "dk") ] fact (Algebra.select all dim) ) ]
+
+let prop_select_literal_in_place =
+  QCheck.Test.make ~name:"select col op lit / lit op col == Algebra.select" ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         let* case = in_place_case_gen in
+         let* col = oneofl [ "i"; "f"; "b" ] in
+         let* lit =
+           oneof
+             [ map v_int (int_range (-3) 3);
+               map (fun f -> Value.Float f) (oneofl (2.5 :: edge_floats));
+               map (fun b -> Value.Bool b) bool ]
+         in
+         return (case, col, lit)))
+    (fun (case, col, lit) ->
+      let pool = Mde_par.Pool.shared ~domains:2 () in
+      let tables = in_place_tables case in
+      List.for_all
+        (fun (op, mk) ->
+          List.for_all
+            (fun pred ->
+              List.for_all
+                (fun (_, c, oracle) ->
+                  let seq = Columnar.select pred c in
+                  let pooled = Columnar.select ~pool pred c in
+                  matches (Algebra.select pred oracle) seq
+                  && tables_identical (Columnar.to_table seq) (Columnar.to_table pooled)
+                  || QCheck.Test.fail_reportf "%s %s %s" col cmp_name.(op)
+                       (Value.to_display lit))
+                (in_place_inputs tables))
+            [ mk (Expr.Col col) (Expr.Lit lit); mk (Expr.Lit lit) (Expr.Col col) ])
+        (List.mapi (fun op mk -> (op, mk)) (Array.to_list cmp_ops)))
+
+let prop_group_by_leaves_in_place =
+  QCheck.Test.make ~name:"group_by over view leaves == Algebra.group_by" ~count:150
+    (QCheck.make in_place_case_gen)
+    (fun case ->
+      let pool = Mde_par.Pool.shared ~domains:2 () in
+      let aggs =
+        List.concat_map
+          (fun c ->
+            Algebra.
+              [ ("s" ^ c, Sum (Expr.col c)); ("a" ^ c, Avg (Expr.col c)); ("lo" ^ c, Min (Expr.col c));
+                ("hi" ^ c, Max (Expr.col c)); ("sd" ^ c, Std (Expr.col c)) ])
+          [ "i"; "f"; "b" ]
+      in
+      List.for_all
+        (fun (_, c, oracle) ->
+          List.for_all
+            (fun keys ->
+              let seq = Columnar.group_by ~keys ~aggs c in
+              matches (Algebra.group_by ~keys ~aggs oracle) seq
+              && tables_identical (Columnar.to_table seq)
+                   (Columnar.to_table (Columnar.group_by ~pool ~keys ~aggs c)))
+            [ [ "k" ]; [] ])
+        (in_place_inputs (in_place_tables case)))
+
+(* Join inputs of every shape: built columns, a select's views, views of
+   views, and a side mixing both (a join whose left side passed through
+   built and whose right side is views), keyed on an int with Nulls and
+   duplicates. *)
+type join_side = Built | Sel of int * join_side | Mixed
+
+let rec side_name = function
+  | Built -> "built"
+  | Sel (c, s) -> Printf.sprintf "sel(%d, %s)" c (side_name s)
+  | Mixed -> "mixed"
+
+let side_gen =
+  QCheck.Gen.(
+    let* c1 = int_bound 5 and* c2 = int_bound 5 in
+    oneofl [ Built; Sel (c1, Built); Sel (c2, Sel (c1, Built)); Mixed; Sel (c1, Mixed) ])
+
+let rec build_side p base = function
+  | Built -> (Columnar.of_table base, base)
+  | Sel (c, s) ->
+    let col, alg = build_side p base s in
+    let pred = Expr.(col (p ^ "v") <> int c) in
+    (Columnar.select pred col, Algebra.select pred alg)
+  | Mixed ->
+    let n = Table.cardinality base in
+    let dim =
+      Table.create
+        (Schema.of_list [ (p ^ "d", Value.Tint); (p ^ "w", Value.Tint) ])
+        (List.init n (fun i -> [| v_int (n - 1 - i); v_int (i * 7) |]))
+    in
+    let on = [ (p ^ "v", p ^ "d") ] in
+    (Columnar.equi_join ~on (Columnar.of_table base) (Columnar.of_table dim), Algebra.equi_join ~on base dim)
+
+let prop_join_views_in_place =
+  QCheck.Test.make ~name:"equi_join over views of views and mixed sides == Algebra" ~count:200
+    (QCheck.make
+       ~print:(fun ((l, _), (r, _)) -> side_name l ^ " x " ^ side_name r)
+       QCheck.Gen.(
+         let keys = list_size (int_range 0 30) (frequency [ (6, map Option.some (int_bound 6)); (1, return None) ]) in
+         pair (pair side_gen keys) (pair side_gen keys)))
+    (fun ((ls, lkeys), (rs, rkeys)) ->
+      let pool = Mde_par.Pool.shared ~domains:2 () in
+      let base p keys =
+        Table.create
+          (Schema.of_list [ (p ^ "k", Value.Tint); (p ^ "v", Value.Tint); (p ^ "f", Value.Tfloat) ])
+          (List.mapi
+             (fun i k ->
+               [| Option.fold ~none:Value.Null ~some:v_int k; v_int (i mod 6); v_float (float_of_int i /. 3.) |])
+             keys)
+      in
+      let l, la = build_side "l" (base "l" lkeys) ls and r, ra = build_side "r" (base "r" rkeys) rs in
+      let on = [ ("lk", "rk") ] in
+      let seq = Columnar.equi_join ~on l r and pooled = Columnar.equi_join ~pool ~on l r in
+      matches (Algebra.equi_join ~on la ra) seq
+      && tables_identical (Columnar.to_table seq) (Columnar.to_table pooled))
+
+(* An analytic-shaped star query: a float-literal select on the fact
+   table, a (string, int) join to a selected dimension, an int join to a
+   second one, and a (string, int) group. Major-heap words per query,
+   measured between two minor collections, least of three: the select's
+   output index, the first join's probe codes and pair indices, and the
+   second join's codes (its left side passes through, and its right
+   index takes the codes' place), and the group's key codes, about 2.6
+   words per fact row here. The bound fails a per-row survivor mark, a
+   composed second copy of a join's pair indices or a right index
+   beside the probe codes: with all three the query read 4.0. *)
+let test_star_query_major_words () =
+  let rows = 20_000 in
+  let rng = Mde_prob.Rng.create ~seed:51 () in
+  let regions = [| "n"; "s"; "e"; "w" |] in
+  let fact =
+    Table.create
+      (Schema.of_list
+         [ ("region", Value.Tstring); ("store", Value.Tint); ("day", Value.Tint);
+           ("amount", Value.Tfloat); ("qty", Value.Tint) ])
+      (List.init rows (fun _ ->
+           [| v_str regions.(Mde_prob.Rng.int rng 4); v_int (Mde_prob.Rng.int rng 25);
+              v_int (Mde_prob.Rng.int rng 100); v_float (Mde_prob.Rng.float_range rng 0. 1000.);
+              v_int (1 + Mde_prob.Rng.int rng 9) |]))
+  and stores =
+    Table.create
+      (Schema.of_list
+         [ ("s_region", Value.Tstring); ("s_store", Value.Tint); ("city", Value.Tstring); ("size", Value.Tint) ])
+      (List.concat_map
+         (fun r ->
+           List.init 25 (fun s ->
+               [| v_str r; v_int s; v_str (Printf.sprintf "c%d" (Mde_prob.Rng.int rng 6));
+                  v_int (1 + Mde_prob.Rng.int rng 5) |]))
+         (Array.to_list regions))
+  and days =
+    Table.create
+      (Schema.of_list [ ("d_day", Value.Tint); ("month", Value.Tint) ])
+      (List.init 100 (fun d -> [| v_int d; v_int (d / 31) |]))
+  in
+  let fact = Columnar.of_table fact and stores = Columnar.of_table stores and days = Columnar.of_table days in
+  let query () =
+    let sel = Columnar.select Expr.(col "amount" >= float 500.) fact in
+    let dim = Columnar.select Expr.(col "size" >= int 2) stores in
+    let j1 = Columnar.equi_join ~on:[ ("region", "s_region"); ("store", "s_store") ] sel dim in
+    let j2 = Columnar.equi_join ~on:[ ("day", "d_day") ] j1 days in
+    Columnar.group_by ~keys:[ "city"; "month" ]
+      ~aggs:[ ("revenue", Algebra.Sum (Expr.col "amount")); ("n", Algebra.Count); ("q", Algebra.Avg (Expr.col "qty")) ]
+      j2
+  in
+  ignore (query ());
+  let once () =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    ignore (Sys.opaque_identity (query ()));
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words -. before
+  in
+  let words = List.fold_left Float.min infinity (List.init 3 (fun _ -> once ())) in
+  let per_row = words /. float_of_int rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "star query: %.2f major words per fact row <= 2.9" per_row)
+    true (per_row <= 2.9)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_relational"
@@ -2605,6 +2938,7 @@ let () =
           Alcotest.test_case "plan leaves unread columns unforced" `Quick
             test_plan_leaves_unread_columns_unforced;
           Alcotest.test_case "views domain-safe" `Quick test_views_domain_safe;
+          Alcotest.test_case "star query major words" `Quick test_star_query_major_words;
         ] );
       ( "value order",
         qc [ prop_value_compare_total ]
@@ -2657,6 +2991,8 @@ let () =
           Alcotest.test_case "disconnected chain still optimizes subtrees" `Quick
             test_order_joins_disconnected_chain;
           Alcotest.test_case "larger input probes" `Quick test_optimize_larger_input_left;
+          Alcotest.test_case "composite-key join estimate" `Quick test_composite_join_estimate;
+          Alcotest.test_case "analytic shape optimizes as before" `Quick test_optimize_analytic_shape;
         ] );
       ("catalog", [ Alcotest.test_case "stats" `Quick test_catalog ]);
       ( "properties",
@@ -2665,5 +3001,6 @@ let () =
             prop_expr_total; prop_optimize_preserves_semantics;
             prop_columnar_matches_algebra; prop_columnar_join_mixed_keys;
             prop_packed_matches_boxed; prop_packed_views_match_boxed; prop_plan_execute_bit_identity;
-            prop_table_images_agree; prop_view_chains ] );
+            prop_table_images_agree; prop_view_chains; prop_select_literal_in_place;
+            prop_group_by_leaves_in_place; prop_join_views_in_place ] );
     ]

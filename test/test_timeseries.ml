@@ -25,6 +25,36 @@ let test_series_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Public preconditions raise [Invalid_argument], also under
+   [-noassert]. *)
+let test_invalid_inputs_raise () =
+  let raises label f =
+    Alcotest.(check bool) label true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  let two = Series.of_pairs [ (0., 1.); (1., 2.) ] and one = Series.of_pairs [ (0., 1.) ] in
+  let tri = Mde_linalg.Tridiag.create ~lower:[| 0.; 1. |] ~diag:[| 2.; 2. |] ~upper:[| 1.; 0. |] in
+  let problem = Sgd.of_tridiag tri [| 1.; 1. |] in
+  let rng = Rng.create ~seed:1 () and schedule = Sgd.Row_normalized 1. in
+  raises "regular_times count 0" (fun () -> Series.regular_times ~start:0. ~step:1. ~count:0);
+  raises "regular_times step nan" (fun () -> Series.regular_times ~start:0. ~step:nan ~count:3);
+  raises "of_tridiag length" (fun () -> Sgd.of_tridiag tri [| 1. |]);
+  raises "sgd no rows" (fun () -> Sgd.sgd ~rng ~schedule ~iters:1 { Sgd.dim = 2; rows = [||] });
+  raises "strata dim 0" (fun () -> Sgd.tridiagonal_strata ~dim:0);
+  raises "dsgd no strata" (fun () -> Sgd.dsgd ~rng ~schedule ~sub_epochs:1 ~strata:[||] problem);
+  raises "housing years" (fun () -> Synthetic.housing_index ~start_year:2000. ~bust_year:1990. ());
+  raises "smooth knots" (fun () -> Synthetic.smooth_signal ~knots:1 ~span:1. ());
+  raises "smooth span" (fun () -> Synthetic.smooth_signal ~knots:4 ~span:0. ());
+  raises "windows one point" (fun () -> Mr_align.windows one);
+  raises "windows sigma" (fun () -> Mr_align.windows ~sigma:[| 0. |] two);
+  raises "interpolate one point" (fun () ->
+      Mr_align.interpolate ~kind:`Linear one ~target_times:[| 0. |]);
+  let fit = Forecast.fit Forecast.Linear_trend (Series.of_pairs [ (0., 1.); (1., 2.); (2., 3.) ]) in
+  raises "extrapolate horizon 0" (fun () -> Forecast.extrapolate fit ~horizon:0)
+
 let test_series_locate () =
   let s = Series.of_pairs [ (0., 0.); (1., 1.); (2., 4.); (5., 25.) ] in
   Alcotest.(check int) "inside" 1 (Series.locate s 1.5);
@@ -484,6 +514,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_series_validation;
           Alcotest.test_case "locate" `Quick test_series_locate;
           Alcotest.test_case "sub_before" `Quick test_series_sub_before;
+          Alcotest.test_case "invalid inputs raise" `Quick test_invalid_inputs_raise;
         ] );
       ( "spline",
         [
