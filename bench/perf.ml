@@ -232,17 +232,22 @@ let bench_par_json ~reps ~domains ~t_seq ~t_par ~identical ~batches ~seq_batches
       ("pool_steals", Int steals);
     ]
 
-(* Min over [k] runs: the least-noise estimator for a deterministic
-   computation on a shared machine. The result is identical every run by
+(* Min over [k] runs of each of two computations: the least-noise
+   estimator for a deterministic computation on a shared machine. The
+   runs alternate (a, b, a, b, ...), so a change in the machine's speed
+   reaches both sides alike. Each result is identical every run by
    construction, so keeping the last is as good as any. *)
-let best_of k f =
-  let best = ref infinity and result = ref None in
+let best_of_alternating k fa fb =
+  let ta = ref infinity and tb = ref infinity and ra = ref None and rb = ref None in
   for _ = 1 to k do
-    let r, t = wall_time f in
-    if t < !best then best := t;
-    result := Some r
+    let r, t = wall_time fa in
+    ra := Some r;
+    ta := Float.min !ta t;
+    let r, t = wall_time fb in
+    rb := Some r;
+    tb := Float.min !tb t
   done;
-  (Option.get !result, !best)
+  ((Option.get !ra, !ta), (Option.get !rb, !tb))
 
 (* Pooled runs must cost at most this factor over sequential when the
    pool cannot help (domains = 1): the sequential fast path makes pool
@@ -265,8 +270,7 @@ let run_parallel ?(reps = 400) ~domains () =
   ignore (run ~pool ());
   ignore (run ());
   let stats0 = Pool.stats pool in
-  let seq, t_seq = best_of 3 (fun () -> run ()) in
-  let par, t_par = best_of 3 (fun () -> run ~pool ()) in
+  let (seq, t_seq), (par, t_par) = best_of_alternating 3 (fun () -> run ()) (fun () -> run ~pool ()) in
   let stats1 = Pool.stats pool in
   let sum = Array.fold_left ( + ) 0 in
   let batches = stats1.Pool.batches - stats0.Pool.batches in

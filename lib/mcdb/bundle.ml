@@ -42,17 +42,6 @@ let instrumented ~cells f =
           cells;
         result)
 
-let count_fallbacks n =
-  if n > 0 then begin
-    let obs = Mde_obs.default () in
-    if Mde_obs.enabled obs then
-      Mde_obs.Counter.add
-        (Mde_obs.counter obs
-           ~help:"Bundle expressions evaluated by the interpreter fallback"
-           "mde_bundle_fallback_total")
-        n
-  end
-
 (* --- construction -------------------------------------------------- *)
 
 let column_types schema = Array.map (fun c -> c.Schema.ty) (Schema.column_array schema)
@@ -111,17 +100,14 @@ let of_table table ~n_reps =
 
 (* --- select / project / extend ---------------------------------------- *)
 
-let compile t e =
-  let node = Kernel.compile (Kernel.env_of_columns t.schema t.columns) e in
-  if not (Kernel.compiled node) then count_fallbacks 1;
-  node
+let env t = Kernel.env_of_columns t.schema t.columns
 
 (* A deterministic predicate is tested once per row and clears the whole
    row; an uncertain one is tested on the present cells. *)
 let select ?pool pred t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
       let presence = Bitset.copy t.presence in
-      let node = compile t pred in
+      let node = Kernel.compile_as (env t) Value.Tbool pred in
       let unc = Kernel.unc node in
       let presence_in = if unc then Some t.presence else None in
       Kernel.sweep ?pool ~site:"bundle.select" ?presence:presence_in ~rows:t.n_rows
@@ -154,13 +140,13 @@ let project names t =
 let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
   instrumented ~cells:(t.n_rows * t.n_reps * List.length defs) (fun () ->
-      let materialize (_, ty, e) =
-        Kernel.materialize ?pool ~ty ~rows:t.n_rows ~reps:t.n_reps (compile t e)
-      in
+      let kenv = env t in
+      let nodes = List.map (fun (_, ty, e) -> (ty, Kernel.compile_as kenv ty e)) defs in
+      let materialize (ty, node) = Kernel.materialize ?pool ~ty ~rows:t.n_rows ~reps:t.n_reps node in
       {
         t with
         schema = Schema.concat t.schema added;
-        columns = Array.append t.columns (Array.of_list (List.map materialize defs));
+        columns = Array.append t.columns (Array.of_list (List.map materialize nodes));
       })
 
 (* --- join ----------------------------------------------------------- *)
@@ -214,28 +200,27 @@ let sweep_plan ?pool t ~pred ~keys aggs =
       ( Array.map (fun c -> Column.value c res.firsts.(g) 0) key_cols,
         Array.mapi (fun a _ -> Array.init t.n_reps (fun r -> sample (res.value a g r))) aggs ))
 
-(* [None] when the plan derives columns and a derivation, or an
-   aggregate over the derived schema, falls back: interpreting such a
-   cell needs the derived columns materialized, which [query]'s compose
-   path does. *)
+(* Test, derive and aggregate in one sweep, the derivations bound by
+   name. Everything is typed before the sweep, in the order select,
+   extend and aggregate type it: the predicate, each derivation against
+   the input schema, then the aggregates. Over derivations, aggregates
+   are typed against the derived schema first, by declared type, since
+   the kernel types a derivation that is always Null as Null. *)
 let fused ?pool t ~pred ~defs ~keys ~aggs =
-  let env = Kernel.env_of_columns t.schema t.columns in
-  let def_nodes = List.map (fun (n, _, e) -> (n, Kernel.compile env e)) defs in
-  let env' = Kernel.env_extend env def_nodes in
-  let aggs = Array.of_list (List.map (fun (_, a) -> Aggregate.compile env' a) aggs) in
-  let args = Array.to_list (Array.map (fun (c : Aggregate.compiled) -> c.arg) aggs) in
-  let fallback = function Some n -> not (Kernel.compiled n) | None -> false in
-  if defs <> [] && List.exists fallback (List.map (fun (_, n) -> Some n) def_nodes @ args)
-  then None
-  else begin
-    let pred = Option.map (Kernel.compile env) pred in
-    count_fallbacks (List.length (List.filter fallback (pred :: args)));
-    Some (sweep_plan ?pool t ~pred ~keys aggs)
-  end
+  let env = env t in
+  let pred = Option.map (Kernel.compile_as env Value.Tbool) pred in
+  let def_nodes = List.map (fun (n, ty, e) -> (n, Kernel.compile_as env ty e)) defs in
+  if defs <> [] then begin
+    let derived = Schema.concat t.schema (Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs)) in
+    List.iter (fun (_, a) -> Aggregate.check (fun n -> Some (Schema.column_type derived n)) a) aggs
+  end;
+  let env = Kernel.env_extend env def_nodes in
+  sweep_plan ?pool t ~pred ~keys
+    (Array.of_list (List.map (fun (_, a) -> Aggregate.compile env a) aggs))
 
 let aggregate ?pool ?(keys = []) aggs t =
   instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
-      Option.get (fused ?pool t ~pred:None ~defs:[] ~keys ~aggs))
+      fused ?pool t ~pred:None ~defs:[] ~keys ~aggs)
 
 type plan = {
   where_ : Expr.t option;
@@ -259,18 +244,14 @@ let plan_fingerprint plan =
        (List.map (fun (n, a) -> n ^ "=" ^ Aggregate.fingerprint a) plan.aggs))
 
 let query ?pool t plan =
-  (* Materialize, then aggregate: for group keys naming derived columns,
-     and for derived columns the kernel declines. *)
-  let compose () =
-    let t = match plan.where_ with None -> t | Some p -> select ?pool p t in
-    aggregate ?pool ~keys:plan.group_keys plan.aggs (extend ?pool plan.derive t)
-  in
-  let fused () =
+  if List.for_all (Schema.mem t.schema) plan.group_keys then
     instrumented ~cells:(t.n_rows * t.n_reps) (fun () ->
         fused ?pool t ~pred:plan.where_ ~defs:plan.derive ~keys:plan.group_keys ~aggs:plan.aggs)
-  in
-  if not (List.for_all (Schema.mem t.schema) plan.group_keys) then compose ()
-  else match fused () with Some result -> result | None -> compose ()
+  else
+    (* Group keys naming derived columns: materialize them, then
+       aggregate. *)
+    let t = match plan.where_ with None -> t | Some p -> select ?pool p t in
+    aggregate ?pool ~keys:plan.group_keys plan.aggs (extend ?pool plan.derive t)
 
 let to_instances t =
   Array.init t.n_reps (fun r ->

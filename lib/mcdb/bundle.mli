@@ -9,12 +9,12 @@
     rows × reps bitset with popcount survivor counting. Predicates,
     computed columns and aggregate arguments run as {!Kernel} block
     programs over the cells, the presence bitset as the initial
-    selection; expressions the compiler does not cover run as fallback
-    blocks through the {!Mde_relational.Expr} interpreter, with
-    identical results (fallbacks are counted on
-    [mde_bundle_fallback_total] when a live {!Mde_obs} registry is
-    installed, and every operator sweep records
-    [mde_bundle_kernel_seconds] and [mde_bundle_cells_total]).
+    selection. Every expression is typed when an operator binds it
+    ({!Mde_relational.Expr.type_of}), so a rejected one raises the row
+    oracle's [Invalid_argument] before any cell is read, and every
+    accepted one compiles. With a live {!Mde_obs} registry installed,
+    every operator sweep records [mde_bundle_kernel_seconds] and
+    [mde_bundle_cells_total].
 
     Determinism contract: construction pre-splits one RNG stream per
     repetition (so realization [r] of {!to_instances} is bit-identical to
@@ -89,10 +89,12 @@ val select : ?pool:Mde_par.Pool.t -> Expr.t -> t -> t
 val project : string list -> t -> t
 
 val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
-(** Computed columns, materialized as typed columns. A compiled column
-    is deterministic when the expression touches only deterministic
-    inputs; a fallback column is deterministic when its values are
-    observed constant across repetitions. *)
+(** Computed columns, materialized as typed columns of their declared
+    types (a definition of another kind raises [Invalid_argument], and
+    one that is always Null is an all-Null column). A column is
+    deterministic when the expression touches only deterministic
+    inputs, and a string column also when its rows agree across
+    repetitions. *)
 
 val join : on:(string * string) list -> t -> t -> t
 (** Hash equi-join on deterministic key columns (keyed by
@@ -143,9 +145,9 @@ val query :
     materialized and presence is not rewritten — each cell is tested,
     derived and accumulated in a single sweep. Result is exactly
     [aggregate ~keys (select |> extend)] on the same bundle (asserted in
-    tests, bit for bit). Group keys naming derived columns, and derived
-    columns the kernel compiler declines (or aggregates over them that
-    it declines), take that compose path. *)
+    tests, bit for bit), and it raises what that composition raises,
+    before any cell is read. Group keys naming derived columns take
+    that compose path. *)
 
 val to_instances : t -> Table.t array
 (** Materialize each repetition as an ordinary table (presence applied) —

@@ -75,7 +75,10 @@ let realize ~one_row t streams =
   (* A mistyped cell raises exactly what [Table.of_rows] raises on its
      row: the shared driver cells before it are well typed. *)
   let push row b v =
-    try Column.push b v with Column.Untyped -> Table.check_row t.schema row
+    try Column.push b v
+    with Invalid_argument _ as e ->
+      Table.check_row t.schema row;
+      raise e
   in
   (* Output row [!n]'s cells from stream [r]: [row], combined from
      driver row [d]. *)

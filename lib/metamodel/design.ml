@@ -6,7 +6,7 @@ let runs d = Array.length d
 let factors d = if Array.length d = 0 then 0 else Array.length d.(0)
 
 let full_factorial k =
-  assert (k >= 1 && k <= 20);
+  if k < 1 || k > 20 then invalid_arg "Design.full_factorial: k must be in 1..20";
   let n = 1 lsl k in
   (* Factor 0 varies fastest — the enumeration order of Figure 3. *)
   Array.init n (fun i ->
@@ -14,17 +14,12 @@ let full_factorial k =
 
 let fractional_factorial ~base ~generators =
   let core = full_factorial base in
+  if List.exists (List.exists (fun j -> j < 0 || j >= base)) generators then
+    invalid_arg "Design.fractional_factorial: a generator index is outside 0..base-1";
   Array.map
     (fun row ->
       let extra =
-        List.map
-          (fun gen ->
-            List.fold_left
-              (fun acc j ->
-                assert (j >= 0 && j < base);
-                acc *. row.(j))
-              1. gen)
-          generators
+        List.map (fun gen -> List.fold_left (fun acc j -> acc *. row.(j)) 1. gen) generators
       in
       Array.append row (Array.of_list extra))
     core
@@ -37,11 +32,11 @@ let resolution_v_5 () = fractional_factorial ~base:4 ~generators:[ [ 0; 1; 2; 3 
 let fold_over d = Array.append d (Array.map (Array.map (fun v -> -.v)) d)
 
 let central_composite ?axial k =
-  assert (k >= 1 && k <= 12);
+  if k < 1 || k > 12 then invalid_arg "Design.central_composite: k must be in 1..12";
   let alpha =
     match axial with
     | Some a ->
-      assert (a > 0.);
+      if not (a > 0.) then invalid_arg "Design.central_composite: axial must be positive";
       a
     | None -> (2. ** float_of_int k) ** 0.25
   in
@@ -56,7 +51,8 @@ let central_composite ?axial k =
 let centered_levels r = Array.init r (fun i -> float_of_int i -. (float_of_int (r - 1) /. 2.))
 
 let latin_hypercube ~rng ~factors ~levels =
-  assert (factors >= 1 && levels >= 2);
+  if factors < 1 || levels < 2 then
+    invalid_arg "Design.latin_hypercube: needs factors >= 1 and levels >= 2";
   let base = centered_levels levels in
   let columns =
     Array.init factors (fun _ ->
@@ -79,7 +75,7 @@ let max_abs_correlation d =
   !worst
 
 let nearly_orthogonal_lh ~rng ~factors ~levels ~tries =
-  assert (tries >= 1);
+  if tries < 1 then invalid_arg "Design.nearly_orthogonal_lh: tries must be >= 1";
   let best = ref (latin_hypercube ~rng ~factors ~levels) in
   let best_score = ref (max_abs_correlation !best) in
   for _ = 2 to tries do
@@ -110,7 +106,7 @@ let column_orthogonal ?(tol = 1e-9) d = max_abs_correlation d <= tol
 
 let scale d ~ranges =
   let k = factors d in
-  assert (Array.length ranges = k);
+  if Array.length ranges <> k then invalid_arg "Design.scale: needs one range per factor";
   let mins = Array.init k (fun j -> Array.fold_left (fun m row -> Float.min m row.(j)) infinity d) in
   let maxs = Array.init k (fun j -> Array.fold_left (fun m row -> Float.max m row.(j)) neg_infinity d) in
   Array.map

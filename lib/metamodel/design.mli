@@ -9,12 +9,14 @@ val runs : t -> int
 val factors : t -> int
 
 val full_factorial : int -> t
-(** All 2^k combinations of ±1 for k factors (k ≤ 20). *)
+(** All 2^k combinations of ±1 for k factors. Raises
+    [Invalid_argument] unless 1 ≤ k ≤ 20. *)
 
 val fractional_factorial : base:int -> generators:int list list -> t
 (** 2^{k−p} design: [base] factors get a full factorial; each generator
     (a list of base-factor indices, 0-based) defines one additional
-    factor as the product of those columns. *)
+    factor as the product of those columns. Raises [Invalid_argument]
+    on an index outside [0, base). *)
 
 val resolution_iii_7 : unit -> t
 (** The paper's Figure 3: seven factors in eight runs (2^{7−4}_III), with
@@ -29,7 +31,8 @@ val central_composite : ?axial:float -> int -> t
 (** Central composite design for k factors: the 2^k factorial corners,
     2k axial points at ±[axial] (default the rotatable (2^k)^(1/4)), and
     a centre point — 2^k + 2k + 1 runs, enough to fit a full quadratic
-    metamodel (squares included). *)
+    metamodel (squares included). Raises [Invalid_argument] unless
+    1 ≤ k ≤ 12 and [axial] > 0. *)
 
 val fold_over : t -> t
 (** Append the sign-reversed runs: lifts a resolution III design to
@@ -39,13 +42,15 @@ val fold_over : t -> t
 val latin_hypercube : rng:Mde_prob.Rng.t -> factors:int -> levels:int -> t
 (** Randomized LH: each column is an independent random permutation of
     the [levels] centered levels (−(r−1)/2 … (r−1)/2), so every level
-    appears exactly once per factor — Figure 5's construction. *)
+    appears exactly once per factor — Figure 5's construction. Raises
+    [Invalid_argument] unless [factors] ≥ 1 and [levels] ≥ 2. *)
 
 val nearly_orthogonal_lh :
   rng:Mde_prob.Rng.t -> factors:int -> levels:int -> tries:int -> t
 (** Cioppa–Lucas-style search: draw [tries] randomized LHs and keep the
     one with the smallest maximum absolute pairwise column correlation —
-    space-filling and near-orthogonal. *)
+    space-filling and near-orthogonal. Raises [Invalid_argument] when
+    [tries] < 1. *)
 
 val is_latin : t -> bool
 (** Every column a permutation of the same centered level set. *)
@@ -57,7 +62,8 @@ val column_orthogonal : ?tol:float -> t -> bool
 
 val scale : t -> ranges:(float * float) array -> t
 (** Map coded levels linearly into natural parameter ranges (the coded
-    min/max of each column hit the range endpoints). *)
+    min/max of each column hit the range endpoints). Raises
+    [Invalid_argument] unless there is one range per factor. *)
 
 val pp : Format.formatter -> t -> unit
 (** The Figure 3 / Figure 5 table rendering. *)

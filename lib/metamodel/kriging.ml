@@ -1,7 +1,8 @@
 module Mat = Mde_linalg.Mat
 
 let covariance ~theta ~tau2 a b =
-  assert (Array.length a = Array.length b && Array.length a = Array.length theta);
+  if Array.length a <> Array.length b || Array.length a <> Array.length theta then
+    invalid_arg "Kriging.covariance: points and theta differ in length";
   let acc = ref 0. in
   Array.iteri
     (fun k ak ->
@@ -20,9 +21,10 @@ type t = {
   weights : float array;
 }
 
-let build ?beta0 ~theta ~tau2 ~design ~response ~extra_diag () =
+let build ~fn ?beta0 ~theta ~tau2 ~design ~response ~extra_diag () =
   let n = Array.length design in
-  assert (n >= 2 && Array.length response = n);
+  if n < 2 || Array.length response <> n then
+    invalid_arg (fn ^ ": needs >= 2 design points and one response per point");
   let sigma =
     Mat.init n n (fun i j ->
         covariance ~theta ~tau2 design.(i) design.(j)
@@ -52,11 +54,13 @@ let build ?beta0 ~theta ~tau2 ~design ~response ~extra_diag () =
 let fit ?beta0 ?nugget ~theta ~tau2 ~design ~response () =
   let n = Array.length design in
   let nugget = match nugget with Some v -> v | None -> 1e-10 *. tau2 in
-  build ?beta0 ~theta ~tau2 ~design ~response ~extra_diag:(Array.make n nugget) ()
+  build ~fn:"Kriging.fit" ?beta0 ~theta ~tau2 ~design ~response ~extra_diag:(Array.make n nugget) ()
 
 let fit_stochastic ?beta0 ~theta ~tau2 ~design ~means ~noise_variances () =
-  assert (Array.length noise_variances = Array.length design);
-  build ?beta0 ~theta ~tau2 ~design ~response:means ~extra_diag:noise_variances ()
+  if Array.length noise_variances <> Array.length design then
+    invalid_arg "Kriging.fit_stochastic: needs one noise variance per design point";
+  build ~fn:"Kriging.fit_stochastic" ?beta0 ~theta ~tau2 ~design ~response:means
+    ~extra_diag:noise_variances ()
 
 let correlations t x =
   Array.map (fun xi -> covariance ~theta:t.theta ~tau2:t.tau2 x xi) t.design
@@ -84,7 +88,7 @@ let tau2 t = t.tau2
 
 let log_likelihood ~theta ~design ~response =
   let n = Array.length design in
-  assert (n >= 2);
+  if n < 2 then invalid_arg "Kriging.log_likelihood: needs >= 2 design points";
   let nf = float_of_int n in
   (* Correlation matrix (tau2 = 1) with a small nugget. *)
   let r =

@@ -10,7 +10,8 @@
 type t
 
 val covariance : theta:float array -> tau2:float -> float array -> float array -> float
-(** Equation (5). *)
+(** Equation (5). Raises [Invalid_argument] unless both points and
+    [theta] have one length. *)
 
 val fit :
   ?beta0:float ->
@@ -24,7 +25,8 @@ val fit :
 (** Deterministic kriging. [beta0] defaults to the GLS estimate
     (1ᵀΣ⁻¹y)/(1ᵀΣ⁻¹1); [nugget] (default 1e-10·τ²) regularizes the
     Cholesky factorization. [theta] must have one entry per input
-    dimension. *)
+    dimension. Raises [Invalid_argument] unless there are at least two
+    design points and one response per point. *)
 
 val fit_stochastic :
   ?beta0:float ->
@@ -37,7 +39,9 @@ val fit_stochastic :
   t
 (** Stochastic kriging: [means] are per-design-point Monte Carlo averages
     and [noise_variances] their squared standard errors (V(xᵢ)/nᵢ);
-    Σ_M⁻¹ becomes (Σ_M + Σ_ε)⁻¹ in the predictor. *)
+    Σ_M⁻¹ becomes (Σ_M + Σ_ε)⁻¹ in the predictor. Raises
+    [Invalid_argument] unless there are at least two design points, and
+    one mean and one noise variance per point. *)
 
 val predict : t -> float array -> float
 (** Equation (6). *)
@@ -53,7 +57,8 @@ val tau2 : t -> float
 val log_likelihood :
   theta:float array -> design:float array array -> response:float array -> float
 (** Concentrated Gaussian log-likelihood (β₀ and τ² profiled out) — the
-    objective for hyperparameter estimation. *)
+    objective for hyperparameter estimation. Raises [Invalid_argument]
+    on fewer than two design points. *)
 
 val fit_mle :
   ?theta_bounds:float * float ->

@@ -4,7 +4,8 @@ type factor_stats = { factor : int; mu_star : float; mu : float; sigma : float }
 type result = { stats : factor_stats array; runs_used : int; ranked : int list }
 
 let screen ?(levels = 4) ?(trajectories = 10) ~rng ~factors ~simulate () =
-  assert (factors >= 1 && levels >= 2 && levels mod 2 = 0 && trajectories >= 1);
+  if factors < 1 || levels < 2 || levels mod 2 <> 0 || trajectories < 1 then
+    invalid_arg "Morris.screen: needs factors >= 1, an even levels >= 2 and trajectories >= 1";
   let p = float_of_int levels in
   let delta = p /. (2. *. (p -. 1.)) in
   let runs = ref 0 in

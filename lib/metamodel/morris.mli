@@ -30,4 +30,5 @@ val screen :
 (** [simulate] maps a point of the unit cube [0,1]^k to a response.
     [levels] (default 4, must be even) is the grid resolution; the jump
     is the canonical Δ = levels / (2(levels−1)). [trajectories] defaults
-    to 10. *)
+    to 10. Raises [Invalid_argument] unless [factors] ≥ 1, [levels] is
+    even and ≥ 2, and [trajectories] ≥ 1. *)

@@ -4,7 +4,8 @@ module Ols = Mde_linalg.Ols
 type term = int list
 
 let terms_up_to ~factors ~order =
-  assert (factors >= 1 && order >= 0);
+  if factors < 1 || order < 0 then
+    invalid_arg "Polynomial.terms_up_to: needs factors >= 1 and order >= 0";
   (* Generate all sorted index subsets of size <= order, graded. *)
   let rec subsets k start =
     if k = 0 then [ [] ]
@@ -23,7 +24,8 @@ type fit = {
 }
 
 let fit ~terms ~design ~response =
-  assert (Array.length response = Design.runs design);
+  if Array.length response <> Design.runs design then
+    invalid_arg "Polynomial.fit: needs one response per design run";
   let x =
     Mat.init (Design.runs design) (List.length terms) (fun i j ->
         term_value (List.nth terms j) design.(i))

@@ -9,7 +9,8 @@ type term = int list
 
 val terms_up_to : factors:int -> order:int -> term list
 (** Intercept + all interactions up to the given order, in graded
-    lexicographic order. *)
+    lexicographic order. Raises [Invalid_argument] unless [factors] ≥ 1
+    and [order] ≥ 0. *)
 
 val term_value : term -> float array -> float
 (** Product of the named coordinates (1 for the intercept). *)
@@ -17,6 +18,9 @@ val term_value : term -> float array -> float
 type fit
 
 val fit : terms:term list -> design:Design.t -> response:float array -> fit
+(** Least squares on the terms' columns. Raises [Invalid_argument]
+    unless there is one response per design run. *)
+
 val coefficient : fit -> term -> float
 (** Raises [Not_found] for a term outside the model. *)
 

@@ -2,7 +2,8 @@ type sb_result = { important : int list; runs_used : int; group_tests : int }
 
 let sequential_bifurcation ?(threshold = 0.01) ?(replications = 1)
     ?(confidence_z = 2.) ~factors ~simulate () =
-  assert (factors >= 1 && replications >= 1);
+  if factors < 1 || replications < 1 then
+    invalid_arg "Screening.sequential_bifurcation: needs factors >= 1 and replications >= 1";
   let cache = Hashtbl.create 64 in
   let runs = ref 0 in
   let tests = ref 0 in

@@ -37,7 +37,8 @@ val sequential_bifurcation :
     many times, group effects use the replicate means, and a group is
     split only when its effect exceeds threshold + [confidence_z] ×
     standard error (default z = 2), guarding against noise-induced
-    splits. *)
+    splits. Raises [Invalid_argument] unless [factors] ≥ 1 and
+    [replications] ≥ 1. *)
 
 type gp_screen = {
   theta : float array;

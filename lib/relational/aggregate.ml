@@ -20,13 +20,27 @@ let fingerprint = function
   | Max e -> Format.asprintf "max(%a)" Expr.pp e
   | Std e -> Format.asprintf "std(%a)" Expr.pp e
 
+(* The kinds an aggregate's argument may have: a predicate is bool, a
+   source a number or bool, as [Value.to_float] reads it. *)
+let arg_kinds = function
+  | Count_if _ -> [ Value.Tbool ]
+  | Count | Sum _ | Avg _ | Min _ | Max _ | Std _ -> [ Value.Tint; Value.Tfloat; Value.Tbool ]
+
+let check types agg =
+  match agg with
+  | Count -> ()
+  | Count_if e | Sum e | Avg e | Min e | Max e | Std e ->
+    Expr.expect (arg_kinds agg) e (Expr.type_of types e)
+
 type compiled = { agg : t; arg : Kernel.node option }
 
 let compile env agg =
   match agg with
   | Count -> { agg; arg = None }
   | Count_if e | Sum e | Avg e | Min e | Max e | Std e ->
-    { agg; arg = Some (Kernel.compile env e) }
+    let node = Kernel.compile env e in
+    Expr.expect (arg_kinds agg) e (Kernel.kind node);
+    { agg; arg = Some node }
 
 (* One aggregate's accumulators, flat over cells [g * reps + r]. [bind f
    cells] binds the aggregate's views to a frame whose kept positions map
@@ -109,66 +123,40 @@ let finish_std n sum sum_sq =
   end
 
 (* Min ([sign = 1]) and Max ([sign = -1]) keep [Value.compare]'s order
-   and its first of equals. A compiled node compares its [Value.to_float]
-   image under [Float.compare], which is [Value.compare] within one kind
+   and its first of equals. A node's cells are of one kind, so comparing
+   their [Value.to_float] image under [Float.compare] is [Value.compare]
    and leaves the winner's float unchanged; a bare column leaf is read
-   where it is stored. A fallback node's cells may mix Int and Float, so
-   they compare boxed. *)
+   where it is stored. *)
 let extremum ~n_cells ~sign node =
-  let seen = Array.make n_cells false in
-  let wins c cmp = (not seen.(c)) || cmp * sign < 0 in
-  let finish best c = if seen.(c) then Value.Float (best c) else Value.Null in
-  match Kernel.kind node with
-  | Int | Float | Bool | String ->
-    let best = Array.make n_cells 0. in
-    let[@inline] offer c x =
-      if wins c (Float.compare x best.(c)) then begin
-        seen.(c) <- true;
-        best.(c) <- x
-      end
-    in
-    let bind f cells =
-      match Kernel.leaf_column node with
-      | Some col ->
-        ( ignore,
-          fun (s : Kernel.selection) ->
-            let nullable = Option.is_some col.nulls and store = col.store in
-            for j = 0 to s.n - 1 do
-              let k = s.pos.(j) in
-              if not (nullable && Kernel.null col f k) then
-                offer cells.(k) (stored_float store (Kernel.slot col f k))
-            done )
-      | None ->
-        let v = Kernel.floats node f in
-        ( v.fill,
-          fun (s : Kernel.selection) ->
-            let nullable = Bytes.length v.nulls > 0 in
-            for j = 0 to s.n - 1 do
-              let k = s.pos.(j) in
-              if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then offer cells.(k) v.data.(k)
-            done )
-    in
-    { bind; finish = finish (Array.get best) }
-  | Boxed ->
-    let best = Array.make n_cells Value.Null in
-    let bind f cells =
-      let v = Kernel.boxed node f in
-      ( v.fill,
+  let seen = Array.make n_cells false and best = Array.make n_cells 0. in
+  let[@inline] offer c x =
+    if (not seen.(c)) || Float.compare x best.(c) * sign < 0 then begin
+      seen.(c) <- true;
+      best.(c) <- x
+    end
+  in
+  let bind f cells =
+    match Kernel.leaf_column node with
+    | Some col ->
+      ( ignore,
         fun (s : Kernel.selection) ->
+          let nullable = Option.is_some col.nulls and store = col.store in
           for j = 0 to s.n - 1 do
             let k = s.pos.(j) in
-            match v.data.(k) with
-            | Value.Null -> ()
-            | x ->
-              ignore (Value.to_float x);
-              let c = cells.(k) in
-              if wins c (Value.compare x best.(c)) then begin
-                seen.(c) <- true;
-                best.(c) <- x
-              end
+            if not (nullable && Kernel.null col f k) then
+              offer cells.(k) (stored_float store (Kernel.slot col f k))
           done )
-    in
-    { bind; finish = finish (fun c -> Value.to_float best.(c)) }
+    | None ->
+      let v = Kernel.floats node f in
+      ( v.fill,
+        fun (s : Kernel.selection) ->
+          let nullable = Bytes.length v.nulls > 0 in
+          for j = 0 to s.n - 1 do
+            let k = s.pos.(j) in
+            if not (nullable && Bytes.unsafe_get v.nulls k <> '\000') then offer cells.(k) v.data.(k)
+          done )
+  in
+  { bind; finish = (fun c -> if seen.(c) then Value.Float best.(c) else Value.Null) }
 
 let state ~n_cells { agg; arg } =
   let node () = Option.get arg in

@@ -26,11 +26,19 @@ val fingerprint : t -> string
     {!Expr.pp}): a component of serving cache keys and shard routing, so
     its bytes never change. *)
 
+val check : (string -> Value.ty option) -> t -> unit
+(** The bind-time check of an aggregate's argument over columns of the
+    given kinds ({!Expr.type_of}): [Count_if]'s predicate must be bool,
+    and the source of [Sum], [Avg], [Std], [Min] and [Max] a number or
+    bool; anything else raises [Invalid_argument "Expr: …"]. *)
+
 type compiled = private { agg : t; arg : Kernel.node option }
 (** An aggregate with its argument compiled: the source expression, or
     [Count_if]'s predicate; [None] for [Count]. *)
 
 val compile : Kernel.env -> t -> compiled
+(** Compiles the argument and applies {!check}'s rule to it, so a
+    rejected aggregate raises before any row is read. *)
 
 type result = {
   n_groups : int;  (** 1 for a global aggregate, even over no rows *)
@@ -65,5 +73,4 @@ val grouped :
     Avg/Min/Max are [Null] over no values, Std under two. Min/Max keep
     {!Value.compare}'s order and its first of equals, so a NaN wins Min
     and loses Max to any number, and emit the winner as [Float].
-    Raises [Invalid_argument] on an uncertain key column and, as
-    {!Value.to_float} does, on a string argument. *)
+    Raises [Invalid_argument] on an uncertain key column. *)

@@ -1,5 +1,11 @@
+(* Each operator types its expressions before reading a row, by the
+   rule the columnar engine binds with ([Expr.type_of]). *)
+let types schema name = Some (Schema.column_type schema name)
+let check schema ty e = Expr.expect [ ty ] e (Expr.type_of (types schema) e)
+
 let select pred table =
   let schema = Table.schema table in
+  check schema Value.Tbool pred;
   let keep = Array.of_list
       (Array.fold_right
          (fun row acc -> if Expr.eval_bool schema row pred then row :: acc else acc)
@@ -21,6 +27,7 @@ let project names table =
 let extend defs table =
   let schema = Table.schema table in
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
+  List.iter (fun (_, ty, e) -> check schema ty e) defs;
   let out_schema = Schema.concat schema added in
   let exprs = Array.of_list (List.map (fun (_, _, e) -> e) defs) in
   let rows =
@@ -75,6 +82,7 @@ let equi_join ?(kind = Inner) ~on left right =
 
 let theta_join ~on left right =
   let out_schema = Schema.concat (Table.schema left) (Table.schema right) in
+  check out_schema Value.Tbool on;
   let out = ref [] in
   Array.iter
     (fun lrow ->
@@ -176,6 +184,7 @@ let finish_acc agg acc =
 
 let group_by ~keys ~aggs table =
   let schema = Table.schema table in
+  List.iter (fun (_, agg) -> Aggregate.check (types schema) agg) aggs;
   let key_idx = List.map (Schema.column_index schema) keys in
   let key_schema_cols =
     List.map (fun k -> (k, Schema.column_type schema k)) keys

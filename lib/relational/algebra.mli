@@ -7,7 +7,15 @@
     this module is the reference its operators, {!Plan.execute},
     [Reljob] and [Bundle] are tested against, and the engine behind
     {!Plan.execute_rows}. Its {!aggregate} type is {!Aggregate.t},
-    re-exported. *)
+    re-exported.
+
+    Every operator that takes expressions types them before reading a
+    row, by {!Expr.type_of} and the columnar engine's rule for its
+    positions: predicates are bool, an extend definition has its
+    declared type, an aggregate's source is a number or bool
+    ({!Aggregate.check}); a rejected expression raises
+    [Invalid_argument "Expr: …"] even over no rows. Any of them may be
+    always Null. *)
 
 val select : Expr.t -> Table.t -> Table.t
 (** σ: keep rows where the predicate is true. *)

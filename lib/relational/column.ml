@@ -96,7 +96,6 @@ type data =
   | Ints of int array
   | Bools of int array
   | Strings of { codes : int array; dict : string array }
-  | Values of Value.t array
 
 type storage = {
   data : data;
@@ -122,8 +121,6 @@ let built ~det ~rows ~reps data nulls =
   { cdet = det; crows = rows; creps = reps; state = Atomic.make (Built { data; nulls }) }
 
 (* --- construction ------------------------------------------------- *)
-
-exception Untyped
 
 let slots ~det ~rows ~reps = rows * if det then 1 else reps
 
@@ -164,7 +161,8 @@ let builder ~ty ~det ~reps ~rows =
   { bdet = det; breps = reps; block; cells = alloc_cells ty (rows * block); cap = rows;
     len = 0; mask = None }
 
-(* The string's dictionary code, assigned on first sight. *)
+(* The string's dictionary code, assigned on first sight; only a string
+   builder interns. *)
 let intern b str =
   match b.cells with
   | Cstrings c -> (
@@ -175,7 +173,7 @@ let intern b str =
       Hashtbl.add c.table str k;
       c.dict <- str :: c.dict;
       k)
-  | Cfloats _ | Cints _ | Cbools _ -> raise Untyped
+  | Cfloats _ | Cints _ | Cbools _ -> assert false
 
 let mask b =
   match b.mask with
@@ -199,7 +197,8 @@ let set b s (v : Value.t) =
     mark_null b s
   | (Cints _ | Cbools _), Value.Null -> mark_null b s
   | Cstrings _, Value.Null -> ()
-  | (Cfloats _ | Cints _ | Cbools _ | Cstrings _), _ -> raise Untyped
+  | (Cfloats _ | Cints _ | Cbools _ | Cstrings _), (Value.Float _ | Int _ | Bool _ | String _) ->
+    invalid_arg (Printf.sprintf "Column: cell %s is not of the column's type" (Value.to_display v))
 
 let grow b =
   let cap = max 16 (2 * b.cap) in
@@ -258,19 +257,13 @@ let finish b =
   in
   built ~det:b.bdet ~rows ~reps:b.breps data nulls
 
+(* [get] reads by slot. *)
 let build ~ty ~det ~rows ~reps get =
-  (* [get] reads by slot. A cell contradicting [ty] degrades the whole
-     column to boxed storage. *)
-  let n = slots ~det ~rows ~reps in
-  match
-    let b = builder ~ty ~det ~reps ~rows in
-    for s = 0 to n - 1 do
-      push b (get s)
-    done;
-    finish b
-  with
-  | c -> c
-  | exception Untyped -> built ~det ~rows ~reps (Values (Array.init n get)) None
+  let b = builder ~ty ~det ~reps ~rows in
+  for s = 0 to slots ~det ~rows ~reps - 1 do
+    push b (get s)
+  done;
+  finish b
 
 let of_det_cells ~ty ~rows ~reps get =
   if reps < 1 then invalid_arg "Column.of_det_cells: reps must be >= 1";
@@ -289,10 +282,6 @@ let of_ints ~det ~reps ?nulls data =
 let of_bools ~det ~reps ?nulls data =
   let rows = infer_rows ~det ~reps (Array.length data) in
   built ~det ~rows ~reps (Bools data) nulls
-
-let of_values ~det ~reps data =
-  let rows = infer_rows ~det ~reps (Array.length data) in
-  built ~det ~rows ~reps (Values data) None
 
 (* --- views ---------------------------------------------------------- *)
 
@@ -328,10 +317,6 @@ let gather_storage ~block base idx =
     | Ints a -> Ints (gather_int a)
     | Bools a -> Bools (gather_int a)
     | Strings { codes; dict } -> Strings { codes = gather_int codes; dict }
-    | Values a ->
-      let dst = Array.make (out_rows * block) Value.Null in
-      Array.iteri (fun k i -> Array.blit a (i * block) dst (k * block) block) idx;
-      Values dst
   in
   { data; nulls = Option.map (fun m -> Bitset.gather_rows m idx) base.nulls }
 
@@ -351,11 +336,10 @@ let materialized t = match Atomic.get t.state with Built _ -> true | View _ -> f
 let storage_ty t =
   let base = match Atomic.get t.state with Built s -> s | View { base; _ } -> base in
   match base.data with
-  | Floats _ -> Some Value.Tfloat
-  | Ints _ -> Some Value.Tint
-  | Bools _ -> Some Value.Tbool
-  | Strings _ -> Some Value.Tstring
-  | Values _ -> None
+  | Floats _ -> Value.Tfloat
+  | Ints _ -> Value.Tint
+  | Bools _ -> Value.Tbool
+  | Strings _ -> Value.Tstring
 
 let gather cols idx =
   (* The columns of one operator's input usually share one index vector
@@ -404,7 +388,6 @@ let bases cols =
             match data with
             | Floats a -> Array1.dim a
             | Ints a | Bools a | Strings { codes = a; _ } -> Array.length a
-            | Values a -> Array.length a
           in
           let rows = if c.cdet then slots else slots / c.creps in
           Some (built ~det:c.cdet ~rows ~reps:c.creps data nulls)
@@ -420,7 +403,6 @@ type view =
   | Vint of { vdet : bool; data : int array; nulls : Bitset.t option }
   | Vbool of { vdet : bool; data : int array; nulls : Bitset.t option }
   | Vstring of { vdet : bool; codes : int array; dict : string array }
-  | Vvalues of { vdet : bool; data : Value.t array }
 
 let view_of vdet { data; nulls } =
   match data with
@@ -428,7 +410,6 @@ let view_of vdet { data; nulls } =
   | Ints data -> Vint { vdet; data; nulls }
   | Bools data -> Vbool { vdet; data; nulls }
   | Strings { codes; dict } -> Vstring { vdet; codes; dict }
-  | Values data -> Vvalues { vdet; data }
 
 let view t = view_of t.cdet (storage t)
 
@@ -452,7 +433,6 @@ let read { data; nulls } ~slot ~row ~rep =
   | Strings { codes; dict } ->
     let c = codes.(slot) in
     if c < 0 then Value.Null else Value.String dict.(c)
-  | Values a -> a.(slot)
 
 let value t i r =
   if t.cdet then read (storage t) ~slot:i ~row:i ~rep:0
@@ -506,7 +486,6 @@ let stable ~rows ~reps { data; nulls } =
   | Floats a -> rows_agree (fun s0 s -> Value.same_float (Array1.get a s0) (Array1.get a s))
   | Ints a | Bools a -> rows_agree (fun s0 s -> a.(s0) = a.(s))
   | Strings { codes; _ } -> rows_agree (fun s0 s -> codes.(s0) = codes.(s))
-  | Values a -> rows_agree (fun s0 s -> Value.identical a.(s0) a.(s))
 
 (* A rows × reps column stored deterministically when it is stable:
    every row keeps the cell of its first slot. *)
@@ -529,7 +508,6 @@ let compress c =
         | Ints a -> Ints (first a)
         | Bools a -> Bools (first a)
         | Strings { codes; dict } -> Strings { codes = first codes; dict }
-        | Values a -> Values (first a)
       in
       let nulls =
         Option.map
@@ -559,34 +537,16 @@ let of_realizations ~ty cols =
       (* Interleave: each row holds [cols.(0)]'s repetitions, then
          [cols.(1)]'s, and so on. *)
       let st = Array.map storage cols in
-      let interleaved =
-        match
-          let b = builder ~ty ~det:false ~reps ~rows in
-          for i = 0 to rows - 1 do
-            Array.iteri
-              (fun k c ->
-                for r = 0 to c.creps - 1 do
-                  push_cell b c st.(k) i r
-                done)
-              cols
-          done;
-          finish b
-        with
-        | c -> c
-        | exception Untyped ->
-          let cells = Array.make (rows * reps) Value.Null and s = ref 0 in
-          for i = 0 to rows - 1 do
-            Array.iter
-              (fun c ->
-                for r = 0 to c.creps - 1 do
-                  cells.(!s) <- value c i r;
-                  incr s
-                done)
-              cols
-          done;
-          built ~det:false ~rows ~reps (Values cells) None
-      in
-      compress interleaved
+      let b = builder ~ty ~det:false ~reps ~rows in
+      for i = 0 to rows - 1 do
+        Array.iteri
+          (fun k c ->
+            for r = 0 to c.creps - 1 do
+              push_cell b c st.(k) i r
+            done)
+          cols
+      done;
+      compress (finish b)
 
 let of_cells ~ty ~rows ~reps get =
   if reps < 1 then invalid_arg "Column.of_cells: reps must be >= 1";

@@ -7,10 +7,9 @@
     dictionary codes over a per-column dictionary. A column is either
     {e deterministic} (one slot per physical row — every repetition
     agrees) or {e uncertain} (rows × reps slots, repetition-major within
-    a row: slot of [(i, r)] is [i * reps + r]). Columns whose cells
-    cannot be represented in the typed storage (values that contradict
-    the declared type) degrade to a boxed [Value.t array] rather than
-    failing, so the engine never rejects data the interpreter accepted.
+    a row: slot of [(i, r)] is [i * reps + r]). Every non-null cell has
+    the column's one type: a cell that contradicts it raises
+    [Invalid_argument] where it is written.
 
     {!Bitset} is the packed rows × reps presence bitmap (1 bit per cell,
     8× to 64× smaller than the [bool array array] it replaced) with
@@ -65,9 +64,9 @@ val rows : t -> int
 val reps : t -> int
 
 val of_cells : ty:Value.ty -> rows:int -> reps:int -> (int -> int -> Value.t) -> t
-(** Build from a cell reader [get i r], read row by row. Typed storage
-    follows [ty], degrading to boxed storage if any cell's type
-    contradicts it; a column whose every row holds identical cells
+(** Build from a cell reader [get i r], read row by row, into the typed
+    storage [ty] selects (raising [Invalid_argument] on a cell of
+    another type); a column whose every row holds identical cells
     across its repetitions is stored deterministically, as by
     {!of_realizations}. *)
 
@@ -78,8 +77,9 @@ val of_realizations : ty:Value.ty -> t array -> t
     repetition or a run of them each. When every [cols.(k)] is
     deterministic with the storage of [cols.(0)], the result shares that
     storage. Otherwise the cells are interleaved into rows × reps typed
-    storage (copied only when there are several [cols]), degrading to
-    boxed storage like {!of_cells}, and a column whose every row holds
+    storage of type [ty] (copied only when there are several [cols];
+    a cell of another type raises [Invalid_argument]), and a column
+    whose every row holds
     identical cells across all repetitions ({!Value.identical}: same
     constructor, bitwise floats, so [0.] and [-0.] stay apart; what a
     Null slot stores is not compared) is stored deterministically.
@@ -99,18 +99,15 @@ val of_det_cells : ty:Value.ty -> rows:int -> reps:int -> (int -> Value.t) -> t
 
 type builder
 
-exception Untyped
-(** Raised by {!push} on a non-null cell whose type is not the
-    builder's. *)
-
 val builder : ty:Value.ty -> det:bool -> reps:int -> rows:int -> builder
 (** An empty builder for a column of [reps] repetitions ([det]: one slot
     per row, else rows × reps slots, repetition-major within a row), with
     room for [rows] rows; it grows as needed. *)
 
 val push : builder -> Value.t -> unit
-(** Append the next slot's cell. Raises {!Untyped} when the cell
-    contradicts the builder's type; the builder is then unusable. *)
+(** Append the next slot's cell. Raises [Invalid_argument] when the
+    cell contradicts the builder's type; the builder is then
+    unusable. *)
 
 val finish : builder -> t
 (** The column of the cells pushed so far (a whole number of rows). *)
@@ -127,9 +124,6 @@ val of_bools : det:bool -> reps:int -> ?nulls:Bitset.t -> int array -> t
 (** Bool storage is 0/1 ints; a distinct constructor so read-back knows
     to rebuild [Value.Bool]. *)
 
-val of_values : det:bool -> reps:int -> Value.t array -> t
-(** Boxed fallback storage. *)
-
 (** The kernel compiler's window into the storage. [nulls = None] means
     the column has no Null cells. *)
 type view =
@@ -137,7 +131,6 @@ type view =
   | Vint of { vdet : bool; data : int array; nulls : Bitset.t option }
   | Vbool of { vdet : bool; data : int array; nulls : Bitset.t option }
   | Vstring of { vdet : bool; codes : int array; dict : string array }
-  | Vvalues of { vdet : bool; data : Value.t array }
 
 val view : t -> view
 (** The column's storage, forcing a view: for readers that need one
@@ -151,7 +144,7 @@ val source : t -> view * int array option
     [idx] copy nothing, and the view stays unread. *)
 
 val value : t -> int -> int -> Value.t
-(** Boxed read of cell [(i, r)]; deterministic columns ignore [r].
+(** Cell [(i, r)] as a [Value.t]; deterministic columns ignore [r].
     Forces a view. *)
 
 val gather : t array -> int array -> t array
@@ -187,7 +180,6 @@ val materialized : t -> bool
 (** Whether the column's storage is built: [false] for a view not yet
     read. Never forces. *)
 
-val storage_ty : t -> Value.ty option
-(** The type every non-null cell of the typed storage has, or [None]
-    for boxed [Values] storage. Never forces: a view reports its
-    base's storage. *)
+val storage_ty : t -> Value.ty
+(** The type every non-null cell of the storage has. Never forces: a
+    view reports its base's storage. *)

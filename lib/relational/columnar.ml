@@ -1,10 +1,10 @@
 (* The columnar relational table: the deterministic reps=1 specialization
    of the tuple-bundle storage ([Column]/[Bitset]) carrying the [Algebra]
-   operators. Predicates, computed columns and aggregate sources run as
-   [Kernel] block programs, whose fallback blocks interpret what the
-   compiler declines. Every operator reproduces its [Algebra] twin bit
-   for bit: same row order, same float accumulation order, same error
-   behavior on well-formed inputs. *)
+   operators. Predicates, computed columns and aggregate sources are
+   typed when bound and run as [Kernel] block programs. Every operator
+   reproduces its [Algebra] twin bit for bit: same row order, same
+   float accumulation order, and the same errors, raised before any row
+   is read. *)
 
 type t = { tschema : Schema.t; n_rows : int; cols : Column.t array }
 
@@ -43,7 +43,7 @@ let based cols =
    number, as row indices or, through a shared view index, base rows.
    It is the only allocation as long as the output. *)
 let select ?pool pred t =
-  let node = Kernel.compile (env t) pred in
+  let node = Kernel.compile_as (env t) Value.Tbool pred in
   let cols, ix = based t.cols in
   let kept_blocks = ref [] and count = ref 0 in
   Kernel.sweep ?pool ~site:"columnar.select" ~rows:t.n_rows ~reps:1 (fun f ->
@@ -87,14 +87,15 @@ let project names t =
 
 let extend ?pool defs t =
   let added = Schema.of_list (List.map (fun (n, ty, _) -> (n, ty)) defs) in
-  let kenv = env t in
   (* Every defining expression reads the input schema, as the row oracle's
-     extend does. *)
-  let build (_, ty, e) = Kernel.materialize ?pool ~ty ~rows:t.n_rows ~reps:1 (Kernel.compile kenv e) in
+     extend does; all are typed before any is evaluated. *)
+  let kenv = env t in
+  let nodes = List.map (fun (_, ty, e) -> (ty, Kernel.compile_as kenv ty e)) defs in
+  let build (ty, node) = Kernel.materialize ?pool ~ty ~rows:t.n_rows ~reps:1 node in
   {
     tschema = Schema.concat t.tschema added;
     n_rows = t.n_rows;
-    cols = Array.append t.cols (Array.of_list (List.map build defs));
+    cols = Array.append t.cols (Array.of_list (List.map build nodes));
   }
 
 (* Probe rows per chunk of the join's lookups. *)

@@ -6,10 +6,10 @@
     in a float64 bigarray, ints/bools unboxed, strings
     dictionary-coded), nulls in a packed {!Column.Bitset}. Each operator
     has one path, picked from its inputs: predicates, computed columns
-    and aggregate sources run as {!Kernel} block programs, whose
-    fallback blocks interpret what the compiler does not cover; every
-    key — group, join, distinct and sort — packs into {!Keycode} words,
-    whatever its column types.
+    and aggregate sources are typed when bound ({!Expr.type_of}) and run
+    as {!Kernel} block programs, which cover every expression the typing
+    rule accepts; every key — group, join, distinct and sort — packs
+    into {!Keycode} words, whatever its column types.
 
     Operator outputs are views: [select], [equi_join], [order_by],
     [distinct], [limit] and [group_by]'s key columns build each output
@@ -19,12 +19,13 @@
     nothing downstream reads. Expressions ({!Kernel}) and key encoding
     ({!Keycode}) read a view through its index without forcing it, so
     a column that operators only read is never gathered at all; sort
-    keys, boxed and dictionary-coded key components still force.
+    keys and dictionary-coded key components still force.
 
     The contract, property-tested in [test/test_relational.ml]: every
     operator returns exactly what its {!Algebra} twin returns on the
     same input — same rows in the same order with bit-identical floats
-    — with or without a pool. Group
+    — with or without a pool — and raises the same [Invalid_argument]
+    on a rejected expression, before reading any row. Group
     aggregates feed rows in row order (float sums are order-sensitive),
     joins emit left-order × right-order pairs, sorts are stable with
     the same [Value.compare] key order. *)
@@ -40,9 +41,7 @@ val of_table : Table.t -> t
 
 val to_table : t -> Table.t
 (** A column-backed table over the same columns: O(columns), builds no
-    rows ({!Table.rows} builds them on first read). Columns whose
-    storage does not match their declared type are scanned, raising
-    the same [Invalid_argument] that [Table.of_rows] would. *)
+    rows ({!Table.rows} builds them on first read). *)
 
 val schema : t -> Schema.t
 val row_count : t -> int
@@ -60,7 +59,10 @@ val project : string list -> t -> t
 
 val extend : ?pool:Mde_par.Pool.t -> (string * Value.ty * Expr.t) list -> t -> t
 (** Append computed columns; every defining expression reads the input
-    schema (not columns added by earlier defs), as {!Algebra.extend}. *)
+    schema (not columns added by earlier defs), as {!Algebra.extend}.
+    Each must be of its declared type or always Null: all are typed
+    before any is evaluated, and another kind raises
+    [Invalid_argument "Expr: …"]. *)
 
 val equi_join : ?pool:Mde_par.Pool.t -> on:(string * string) list -> t -> t -> t
 (** Inner hash join through {!join_index} — the plan executor's join.

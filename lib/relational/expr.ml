@@ -119,6 +119,54 @@ let rec pp ppf = function
   | Is_null a -> Format.fprintf ppf "(%a IS NULL)" pp a
   | If (c, t, e) -> Format.fprintf ppf "(IF %a THEN %a ELSE %a)" pp c pp t pp e
 
+(* The typing rule. A kind is [Some ty], or [None] when every cell is
+   Null: [None] fits every context, as its Null cells do at run time. *)
+let expect kinds e = function
+  | Some k when not (List.mem k kinds) ->
+    invalid_arg
+      (Format.asprintf "Expr: %a is %s, expected %s" pp e (Value.type_name k)
+         (String.concat " or " (List.map Value.type_name kinds)))
+  | Some _ | None -> ()
+
+let type_of types e =
+  let rec kind e =
+    match e with
+    | Col name -> types name
+    | Lit v -> Value.type_of v
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> (
+      let x = number a in
+      match (e, x, number b) with
+      | _, None, _ | _, _, None -> None
+      | (Add _ | Sub _ | Mul _), Some Value.Tint, Some Value.Tint -> x
+      | _ -> Some Value.Tfloat)
+    | Neg a -> number a
+    | Eq (a, b) | Ne (a, b) | Lt (a, b) | Le (a, b) | Gt (a, b) | Ge (a, b) ->
+      ignore (kind a);
+      ignore (kind b);
+      Some Value.Tbool
+    | And (a, b) | Or (a, b) ->
+      condition a;
+      condition b;
+      Some Value.Tbool
+    | Not a -> condition a; Some Value.Tbool
+    | Is_null a -> ignore (kind a); Some Value.Tbool
+    | If (c, t, f) -> (
+      condition c;
+      let x = kind t in
+      match (x, kind f) with
+      | None, k | k, None -> k
+      | Some u, Some v when u = v -> x
+      | Some u, Some v ->
+        invalid_arg
+          (Format.asprintf "Expr: %a has branches of kinds %s and %s" pp e (Value.type_name u)
+             (Value.type_name v)))
+  and number a =
+    let k = kind a in
+    expect [ Value.Tint; Value.Tfloat ] a k;
+    k
+  and condition a = expect [ Value.Tbool ] a (kind a) in
+  kind e
+
 (* Smart-constructor operators come last so that the stdlib operators they
    shadow remain available to the implementation above. *)
 let ( + ) a b = Add (a, b)

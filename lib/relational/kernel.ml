@@ -49,7 +49,17 @@ type inst = {
 let inst ?(fv = [||]) ?(iv = [||]) ?(sv = [||]) ?(nul = Bytes.empty) run =
   { run; fv; iv; sv; nul }
 
-type kind = Int | Float | Bool | String | Boxed
+(* A node's kind is the kind [Expr.type_of] gives its expression. *)
+type kind = Value.ty = Tint | Tfloat | Tstring | Tbool
+
+(* The vectors of a node of [kind] over [n] positions, with null flags
+   [nul]. *)
+let vectors kind ~nul n =
+  inst
+    ~fv:(if kind = Tfloat then Array.create_float n else [||])
+    ~iv:(if kind = Tint || kind = Tbool then Array.make n 0 else [||])
+    ~sv:(if kind = Tstring then Array.make n "" else [||])
+    ~nul noop
 
 (* An int, float or bool column's storage as a leaf reads it: slot [r]
    of [store], with row [r]'s null bit in [nulls] when deterministic.
@@ -64,9 +74,7 @@ type column = {
   ix : int array;
 }
 
-type node = C of cnode | F of { fenv : env; expr : Expr.t; func : bool }
-
-and cnode = {
+type node = {
   kind : kind;
   unc : bool;
   nullable : bool;
@@ -76,22 +84,34 @@ and cnode = {
   operand : operand;
 }
 
-(* What a comparison may read in place instead of through [make]. *)
+(* What a comparison may read in place instead of through [make]; a
+   [Lit Null] operand marks a node whose every cell is Null. *)
 and operand = Computed | Stored of column | Lit of Value.t
 
 (* Named columns: the base columns, plus any definitions bound by name.
    A base column's node is built when an expression first references
    it; a deterministic leaf reads a view through its index, so only an
    uncertain column an expression reads is ever forced. *)
-and env = { schema : Schema.t; columns : Column.t array; names : (string, binding) Hashtbl.t }
-
+type env = { schema : Schema.t; names : (string, binding) Hashtbl.t }
 and binding = Base of Column.t | Bound of node
 
-let unc = function C n -> n.unc | F f -> f.func
-let compiled = function C _ -> true | F _ -> false
-let kind = function C n -> n.kind | F _ -> Boxed
+let unc n = n.unc
 let cnode kind ~unc ~nullable make = { kind; unc; nullable; make; narrow = None; operand = Computed }
 let const kind make = cnode kind ~unc:false ~nullable:false (fun f -> make (cap f))
+
+(* A node whose every cell is Null. Its kind is the one its context
+   needs: an [If] branch takes the other branch's, and elsewhere it is
+   bool, which a condition reads as false, a comparison as Null and
+   [materialize] as its declared type. *)
+let blank kind =
+  {
+    (cnode kind ~unc:false ~nullable:true (fun f -> vectors kind ~nul:(Bytes.make (cap f) '\001') (cap f)))
+    with
+    operand = Lit Value.Null;
+  }
+
+let is_blank n = match n.operand with Lit Value.Null -> true | Lit _ | Computed | Stored _ -> false
+let kind n = if is_blank n then None else Some n.kind
 
 (* --- column leaves --------------------------------------------------- *)
 
@@ -115,14 +135,14 @@ let[@inline] null c f k =
       let i = Array.unsafe_get f.rowix k in
       Bitset.get m i (f.lo + k - (i * f.reps))
 
-let leaf_column = function C { operand = Stored c; _ } -> Some c | C _ | F _ -> None
+let leaf_column n = match n.operand with Stored c -> Some c | Computed | Lit _ -> None
 
 (* An int, float or bool leaf's value vector: each selected position's
    cell copied out, bools as 0/1. *)
 let read_column kind c f =
   let n = cap f in
-  let fv = if kind = Float then Array.create_float n else [||]
-  and iv = if kind = Float then [||] else Array.make n 0
+  let fv = if kind = Tfloat then Array.create_float n else [||]
+  and iv = if kind = Tfloat then [||] else Array.make n 0
   and nul = if Option.is_none c.nulls then Bytes.empty else Bytes.make n '\000' in
   inst ~fv ~iv ~nul (fun s ->
       let pos = s.pos and rowix = f.rowix and lo = f.lo and by_row = c.sdet && f.reps > 1 in
@@ -148,33 +168,38 @@ let read_column kind c f =
           Bytes.unsafe_set nul k (if null c f k then '\001' else '\000')
         done)
 
-let leaf col =
+(* The leaf of base column [name], declared [ty]: its storage holds
+   cells of that kind. *)
+let leaf name ty col =
+  let stored = Column.storage_ty col in
+  if stored <> ty then
+    invalid_arg
+      (Printf.sprintf "Kernel: column %S is declared %s but stores %s" name (Value.type_name ty)
+         (Value.type_name stored));
   let det = Column.det col in
   let view, idx = if det then Column.source col else (Column.view col, None) in
   let direct = Option.is_none idx and ix = Option.value idx ~default:[||] in
   let typed kind store nulls =
     let c = { store; nulls; sdet = det; direct; ix } in
     let n = cnode kind ~unc:(not det) ~nullable:(Option.is_some nulls) (read_column kind c) in
-    Some { n with operand = Stored c }
+    { n with operand = Stored c }
   in
   match view with
-  | Column.Vfloat { data; nulls; _ } -> typed Float (Sfloat data) nulls
-  | Column.Vint { data; nulls; _ } -> typed Int (Sint data) nulls
-  | Column.Vbool { data; nulls; _ } -> typed Bool (Sbool data) nulls
+  | Column.Vfloat { data; nulls; _ } -> typed Tfloat (Sfloat data) nulls
+  | Column.Vint { data; nulls; _ } -> typed Tint (Sint data) nulls
+  | Column.Vbool { data; nulls; _ } -> typed Tbool (Sbool data) nulls
   | Column.Vstring { codes; dict; _ } ->
-    Some
-      (cnode String ~unc:(not det) ~nullable:true (fun f ->
-           let sv = Array.make (cap f) "" and nul = Bytes.make (cap f) '\000' in
-           inst ~sv ~nul (fun s ->
-               let rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
-               for j = 0 to s.n - 1 do
-                 let k = Array.unsafe_get s.pos j in
-                 let i = if by_row then Array.unsafe_get rowix k else lo + k in
-                 let c = Array.unsafe_get codes (if direct then i else Array.unsafe_get ix i) in
-                 Bytes.unsafe_set nul k (if c < 0 then '\001' else '\000');
-                 Array.unsafe_set sv k (if c < 0 then "" else Array.unsafe_get dict c)
-               done)))
-  | Column.Vvalues _ -> None
+    cnode Tstring ~unc:(not det) ~nullable:true (fun f ->
+        let sv = Array.make (cap f) "" and nul = Bytes.make (cap f) '\000' in
+        inst ~sv ~nul (fun s ->
+            let rowix = f.rowix and lo = f.lo and by_row = det && f.reps > 1 in
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get s.pos j in
+              let i = if by_row then Array.unsafe_get rowix k else lo + k in
+              let c = Array.unsafe_get codes (if direct then i else Array.unsafe_get ix i) in
+              Bytes.unsafe_set nul k (if c < 0 then '\001' else '\000');
+              Array.unsafe_set sv k (if c < 0 then "" else Array.unsafe_get dict c)
+            done))
 
 (* --- environments ---------------------------------------------------- *)
 
@@ -183,38 +208,27 @@ let env_of_columns schema columns =
   List.iteri
     (fun j name -> Hashtbl.replace names name (Base columns.(j)))
     (Schema.column_names schema);
-  { schema; columns; names }
+  { schema; names }
 
 let env_extend env defs =
   let names = Hashtbl.copy env.names in
   List.iter (fun (name, node) -> Hashtbl.replace names name (Bound node)) defs;
   { env with names }
 
-(* A name bound to a node the compiler declined (boxed storage, an
-   interpreted definition) makes every expression reading it fall back. *)
-let lookup env name =
-  match Hashtbl.find_opt env.names name with
-  | None -> None
-  | Some (Bound (C n)) -> Some n
-  | Some (Bound (F _)) -> None
-  | Some (Base col) ->
-    let node =
-      match leaf col with
-      | Some n -> C n
-      | None -> F { fenv = env; expr = Expr.Col name; func = not (Column.det col) }
-    in
-    Hashtbl.replace env.names name (Bound node);
-    (match node with C n -> Some n | F _ -> None)
+(* The column kinds [Expr.type_of] reads: a base column's declared
+   type, a bound definition's kind. *)
+let types env name =
+  match Hashtbl.find env.names name with
+  | Base _ -> Some (Schema.column_type env.schema name)
+  | Bound n -> kind n
 
-(* An interpreted expression is uncertain iff a column it reads is. *)
-let reads_unc env e =
-  List.exists
-    (fun name ->
-      match Hashtbl.find_opt env.names name with
-      | None -> false
-      | Some (Base col) -> not (Column.det col)
-      | Some (Bound n) -> unc n)
-    (Expr.columns_used e)
+let lookup env name =
+  match Hashtbl.find env.names name with
+  | Bound n -> n
+  | Base col ->
+    let n = leaf name (Schema.column_type env.schema name) col in
+    Hashtbl.replace env.names name (Bound n);
+    n
 
 (* --- operators ------------------------------------------------------- *)
 
@@ -238,10 +252,10 @@ let merged_nulls f x y =
 (* [Value.to_float]'s image of a numeric or boolean node. *)
 let floated n =
   match n.kind with
-  | Int | Bool ->
+  | Tint | Tbool ->
     {
       n with
-      kind = Float;
+      kind = Tfloat;
       narrow = None;
       operand = Computed;
       make =
@@ -260,48 +274,47 @@ let floated n =
                 done);
           });
     }
-  | Float | String | Boxed -> n
+  | Tfloat -> n
+  | Tstring -> invalid_arg "Kernel.floats: a string node"
 
 type arop = Add | Sub | Mul | Div
 
 (* Int on two ints except for [/], float otherwise, as the interpreter's
-   [arith]. *)
+   [arith]; Null when either operand is always Null. *)
 let arith op a b =
-  match (a.kind, b.kind) with
-  | (Int | Float), (Int | Float) ->
-    let int = a.kind = Int && b.kind = Int && op <> Div in
+  if is_blank a || is_blank b then blank Tbool
+  else
+    let int = a.kind = Tint && b.kind = Tint && op <> Div in
     let a, b = if int then (a, b) else (floated a, floated b) in
-    Some
-      (cnode (if int then Int else Float) ~unc:(a.unc || b.unc)
-         ~nullable:(a.nullable || b.nullable) (fun f ->
-           let x = a.make f and y = b.make f in
-           let iv = if int then Array.make (cap f) 0 else [||]
-           and fv = if int then [||] else Array.create_float (cap f) in
-           let nul, merge = merged_nulls f x y in
-           inst ~iv ~fv ~nul (fun s ->
-               x.run s;
-               y.run s;
-               let pos = s.pos in
-               if int then begin
-                 let xv = x.iv and yv = y.iv in
-                 for j = 0 to s.n - 1 do
-                   let k = Array.unsafe_get pos j in
-                   let u = Array.unsafe_get xv k and v = Array.unsafe_get yv k in
-                   Array.unsafe_set iv k
-                     (match op with Add -> u + v | Sub -> u - v | Mul | Div -> u * v)
-                 done
-               end
-               else begin
-                 let xv = x.fv and yv = y.fv in
-                 for j = 0 to s.n - 1 do
-                   let k = Array.unsafe_get pos j in
-                   let u = Array.unsafe_get xv k and v = Array.unsafe_get yv k in
-                   Array.unsafe_set fv k
-                     (match op with Add -> u +. v | Sub -> u -. v | Mul -> u *. v | Div -> u /. v)
-                 done
-               end;
-               merge s)))
-  | _ -> None
+    cnode (if int then Tint else Tfloat) ~unc:(a.unc || b.unc)
+      ~nullable:(a.nullable || b.nullable) (fun f ->
+      let x = a.make f and y = b.make f in
+      let iv = if int then Array.make (cap f) 0 else [||]
+      and fv = if int then [||] else Array.create_float (cap f) in
+      let nul, merge = merged_nulls f x y in
+      inst ~iv ~fv ~nul (fun s ->
+          x.run s;
+          y.run s;
+          let pos = s.pos in
+          if int then begin
+            let xv = x.iv and yv = y.iv in
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get pos j in
+              let u = Array.unsafe_get xv k and v = Array.unsafe_get yv k in
+              Array.unsafe_set iv k
+                (match op with Add -> u + v | Sub -> u - v | Mul | Div -> u * v)
+            done
+          end
+          else begin
+            let xv = x.fv and yv = y.fv in
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get pos j in
+              let u = Array.unsafe_get xv k and v = Array.unsafe_get yv k in
+              Array.unsafe_set fv k
+                (match op with Add -> u +. v | Sub -> u -. v | Mul -> u *. v | Div -> u /. v)
+            done
+          end;
+          merge s))
 
 (* [eval_bool] semantics: Null counts as false. *)
 let[@inline] truthy x k = Array.unsafe_get x.iv k <> 0 && not (is_null x.nul k)
@@ -312,14 +325,7 @@ let[@inline] truthy x k = Array.unsafe_get x.iv k <> 0 && not (is_null x.nul k)
 let per_cell kind ~unc ~nullable parts cell =
   cnode kind ~unc ~nullable (fun f ->
       let xs = Array.of_list (List.map (fun p -> p.make f) parts) and n = cap f in
-      let y =
-        inst
-          ~fv:(if kind = Float then Array.create_float n else [||])
-          ~iv:(if kind = Int || kind = Bool then Array.make n 0 else [||])
-          ~sv:(if kind = String then Array.make n "" else [||])
-          ~nul:(if nullable then Bytes.make n '\000' else Bytes.empty)
-          noop
-      in
+      let y = vectors kind ~nul:(if nullable then Bytes.make n '\000' else Bytes.empty) n in
       {
         y with
         run =
@@ -334,10 +340,9 @@ let set_bool y k b = Array.unsafe_set y.iv k (Bool.to_int b)
 
 let copy_cell kind x y k =
   (match kind with
-  | Float -> Array.unsafe_set y.fv k (Array.unsafe_get x.fv k)
-  | Int | Bool -> Array.unsafe_set y.iv k (Array.unsafe_get x.iv k)
-  | String -> Array.unsafe_set y.sv k (Array.unsafe_get x.sv k)
-  | Boxed -> ());
+  | Tfloat -> Array.unsafe_set y.fv k (Array.unsafe_get x.fv k)
+  | Tint | Tbool -> Array.unsafe_set y.iv k (Array.unsafe_get x.iv k)
+  | Tstring -> Array.unsafe_set y.sv k (Array.unsafe_get x.sv k));
   if Bytes.length y.nul > 0 then
     Bytes.unsafe_set y.nul k (if is_null x.nul k then '\001' else '\000')
 
@@ -451,16 +456,17 @@ let narrow_literal op c lit =
 (* Three-way comparisons agree with [Value.compare] bit for bit: ints and
    bools as ints, floats by [Float.compare] (NaN below everything,
    [-0. = 0.]), mixed numerics exactly through
-   [Value.compare_int_float], strings by [String.compare]. The operator
-   is looked up by the sign; a comparison with a Null side is false,
-   never Null. Int and float pairs get loops of their own, and a
-   column compared with a literal narrows in place ([narrow_literal]). *)
+   [Value.compare_int_float], strings by [String.compare], and two kinds
+   with no common order by their ranks, a constant. The operator is
+   looked up by the sign; a comparison with a Null side is false, never
+   Null. Int and float pairs get loops of their own, and a column
+   compared with a literal narrows in place ([narrow_literal]). *)
 let compare_node op a b =
   let tbl = outcomes op in
   let[@inline] outcome c = Array.unsafe_get tbl (1 + Int.compare c 0) in
   let unc = a.unc || b.unc in
   let typed loop =
-    cnode Bool ~unc ~nullable:false (fun f ->
+    cnode Tbool ~unc ~nullable:false (fun f ->
         let x = a.make f and y = b.make f and iv = Array.make (cap f) 0 in
         let guarded = Bytes.length x.nul > 0 || Bytes.length y.nul > 0 in
         inst ~iv (fun s ->
@@ -474,43 +480,51 @@ let compare_node op a b =
               done))
   in
   let generic three =
-    per_cell Bool ~unc ~nullable:false [ a; b ] (fun xs y k ->
+    per_cell Tbool ~unc ~nullable:false [ a; b ] (fun xs y k ->
         let x = xs.(0) and z = xs.(1) in
         set_bool y k
           ((not (is_null x.nul k || is_null z.nul k)) && outcome (three x z k) = 1))
   in
-  let node =
-    match (a.kind, b.kind) with
-    | Int, Int | Bool, Bool ->
-      Some
-        (typed (fun x y iv s ->
-             let pos = s.pos and xv = x.iv and yv = y.iv in
-             for j = 0 to s.n - 1 do
-               let k = Array.unsafe_get pos j in
-               Array.unsafe_set iv k
-                 (outcome (Int.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
-             done))
-    | Float, Float ->
-      Some
-        (typed (fun x y iv s ->
-             let pos = s.pos and xv = x.fv and yv = y.fv in
-             for j = 0 to s.n - 1 do
-               let k = Array.unsafe_get pos j in
-               Array.unsafe_set iv k
-                 (outcome (Float.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
-             done))
-    | Int, Float -> Some (generic (fun x z k -> Value.compare_int_float x.iv.(k) z.fv.(k)))
-    | Float, Int -> Some (generic (fun x z k -> -Value.compare_int_float z.iv.(k) x.fv.(k)))
-    | String, String -> Some (generic (fun x z k -> String.compare x.sv.(k) z.sv.(k)))
-    | _ -> None (* cross-kind comparison: rank order, left to the interpreter *)
-  in
-  let narrow =
-    match (a.operand, b.operand) with
-    | Stored c, Lit v -> narrow_literal op c v
-    | Lit v, Stored c -> narrow_literal (flip op) c v
-    | _ -> None
-  in
-  Option.map (fun n -> { n with narrow }) node
+  if is_blank a || is_blank b then const Tbool (fun n -> inst ~iv:(Array.make n 0) noop)
+  else
+    let node =
+      match (a.kind, b.kind) with
+      | Tint, Tint | Tbool, Tbool ->
+        typed (fun x y iv s ->
+            let pos = s.pos and xv = x.iv and yv = y.iv in
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get pos j in
+              Array.unsafe_set iv k
+                (outcome (Int.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
+            done)
+      | Tfloat, Tfloat ->
+        typed (fun x y iv s ->
+            let pos = s.pos and xv = x.fv and yv = y.fv in
+            for j = 0 to s.n - 1 do
+              let k = Array.unsafe_get pos j in
+              Array.unsafe_set iv k
+                (outcome (Float.compare (Array.unsafe_get xv k) (Array.unsafe_get yv k)))
+            done)
+      | Tint, Tfloat -> generic (fun x z k -> Value.compare_int_float x.iv.(k) z.fv.(k))
+      | Tfloat, Tint -> generic (fun x z k -> -Value.compare_int_float z.iv.(k) x.fv.(k))
+      | Tstring, Tstring -> generic (fun x z k -> String.compare x.sv.(k) z.sv.(k))
+      | (Tint | Tfloat | Tbool | Tstring), _ ->
+        let sample = function
+          | Tint -> Value.Int 0
+          | Tfloat -> Value.Float 0.
+          | Tbool -> Value.Bool false
+          | Tstring -> Value.String ""
+        in
+        let rank = Value.compare (sample a.kind) (sample b.kind) in
+        generic (fun _ _ _ -> rank)
+    in
+    let narrow =
+      match (a.operand, b.operand) with
+      | Stored c, Lit v -> narrow_literal op c v
+      | Lit v, Stored c -> narrow_literal (flip op) c v
+      | _ -> None
+    in
+    { node with narrow }
 
 (* A boolean node's filter: the positions of [s] where it holds, in a
    selection the filter owns. *)
@@ -533,7 +547,7 @@ let narrow_bool f n =
 
 let logic ~conj a b =
   let node =
-    per_cell Bool ~unc:(a.unc || b.unc) ~nullable:false [ a; b ] (fun xs y k ->
+    per_cell Tbool ~unc:(a.unc || b.unc) ~nullable:false [ a; b ] (fun xs y k ->
         let u = truthy xs.(0) k and v = truthy xs.(1) k in
         set_bool y k (if conj then u && v else u || v))
   in
@@ -554,151 +568,84 @@ let logic ~conj a b =
                 rb sa ));
     }
 
+(* [Expr.type_of] has accepted [e], so every operand has the kind its
+   operator needs. *)
 let rec comp env (e : Expr.t) =
   match e with
   | Expr.Col name -> lookup env name
+  | Expr.Lit Value.Null -> blank Tbool
   | Expr.Lit (Value.Int i as v) ->
-    Some { (const Int (fun n -> inst ~iv:(Array.make n i) noop)) with operand = Lit v }
+    { (const Tint (fun n -> inst ~iv:(Array.make n i) noop)) with operand = Lit v }
   | Expr.Lit (Value.Float x as v) ->
-    Some { (const Float (fun n -> inst ~fv:(Array.make n x) noop)) with operand = Lit v }
+    { (const Tfloat (fun n -> inst ~fv:(Array.make n x) noop)) with operand = Lit v }
   | Expr.Lit (Value.Bool b as v) ->
-    Some
-      { (const Bool (fun n -> inst ~iv:(Array.make n (Bool.to_int b)) noop)) with operand = Lit v }
-  | Expr.Lit (Value.String str) ->
-    Some (const String (fun n -> inst ~sv:(Array.make n str) noop))
-  | Expr.Lit Value.Null -> None
+    { (const Tbool (fun n -> inst ~iv:(Array.make n (Bool.to_int b)) noop)) with operand = Lit v }
+  | Expr.Lit (Value.String str) -> const Tstring (fun n -> inst ~sv:(Array.make n str) noop)
   | Expr.Add (a, b) -> binary env (arith Add) a b
   | Expr.Sub (a, b) -> binary env (arith Sub) a b
   | Expr.Mul (a, b) -> binary env (arith Mul) a b
   | Expr.Div (a, b) -> binary env (arith Div) a b
   | Expr.Neg a ->
-    Option.bind (comp env a) (fun a ->
-        match a.kind with
-        | Int | Float ->
-          Some
-            (per_cell a.kind ~unc:a.unc ~nullable:a.nullable [ a ] (fun xs y k ->
-                 let x = xs.(0) in
-                 copy_cell a.kind x y k;
-                 if a.kind = Int then y.iv.(k) <- 0 - x.iv.(k) else y.fv.(k) <- -.x.fv.(k)))
-        | Bool | String | Boxed -> None)
+    let a = comp env a in
+    if is_blank a then a
+    else
+      per_cell a.kind ~unc:a.unc ~nullable:a.nullable [ a ] (fun xs y k ->
+          let x = xs.(0) in
+          copy_cell a.kind x y k;
+          if a.kind = Tint then y.iv.(k) <- 0 - x.iv.(k) else y.fv.(k) <- -.x.fv.(k))
   | Expr.Eq (a, b) -> binary env (compare_node Ceq) a b
   | Expr.Ne (a, b) -> binary env (compare_node Cne) a b
   | Expr.Lt (a, b) -> binary env (compare_node Clt) a b
   | Expr.Le (a, b) -> binary env (compare_node Cle) a b
   | Expr.Gt (a, b) -> binary env (compare_node Cgt) a b
   | Expr.Ge (a, b) -> binary env (compare_node Cge) a b
-  | Expr.And (a, b) -> binary env (bools (logic ~conj:true)) a b
-  | Expr.Or (a, b) -> binary env (bools (logic ~conj:false)) a b
+  | Expr.And (a, b) -> binary env (logic ~conj:true) a b
+  | Expr.Or (a, b) -> binary env (logic ~conj:false) a b
   | Expr.Not a ->
-    Option.bind (comp env a) (fun a ->
-        if a.kind <> Bool then None
-        else
-          Some
-            (per_cell Bool ~unc:a.unc ~nullable:false [ a ] (fun xs y k ->
-                 set_bool y k (not (truthy xs.(0) k)))))
+    let a = comp env a in
+    per_cell Tbool ~unc:a.unc ~nullable:false [ a ] (fun xs y k ->
+        set_bool y k (not (truthy xs.(0) k)))
   | Expr.Is_null a ->
-    Option.map
-      (fun a ->
-        per_cell Bool ~unc:a.unc ~nullable:false [ a ] (fun xs y k ->
-            set_bool y k (is_null xs.(0).nul k)))
-      (comp env a)
-  | Expr.If (c, t, e) -> begin
-    match (comp env c, comp env t, comp env e) with
-    | Some c, Some t, Some e when c.kind = Bool && t.kind = e.kind ->
-      Some
-        (per_cell t.kind ~unc:(c.unc || t.unc || e.unc) ~nullable:(t.nullable || e.nullable)
-           [ c; t; e ] (fun xs y k ->
-             copy_cell t.kind (if truthy xs.(0) k then xs.(1) else xs.(2)) y k))
-    | _ -> None (* mixed-kind branches: rep-dependent result type *)
-  end
+    let a = comp env a in
+    per_cell Tbool ~unc:a.unc ~nullable:false [ a ] (fun xs y k ->
+        set_bool y k (is_null xs.(0).nul k))
+  | Expr.If (c, t, e) ->
+    let c = comp env c in
+    let t = comp env t in
+    let e = comp env e in
+    if is_blank t && is_blank e then t
+    else
+      (* A branch that is always Null takes the other's kind. *)
+      let t = if is_blank t then blank e.kind else t in
+      let e = if is_blank e then blank t.kind else e in
+      per_cell t.kind ~unc:(c.unc || t.unc || e.unc) ~nullable:(t.nullable || e.nullable)
+        [ c; t; e ] (fun xs y k ->
+          copy_cell t.kind (if truthy xs.(0) k then xs.(1) else xs.(2)) y k)
 
 and binary env build a b =
-  match (comp env a, comp env b) with Some a, Some b -> build a b | _ -> None
-
-and bools build a b = if a.kind = Bool && b.kind = Bool then Some (build a b) else None
+  let a = comp env a in
+  build a (comp env b)
 
 let compile env e =
-  match comp env e with
-  | Some n -> C n
-  | None -> F { fenv = env; expr = e; func = reads_unc env e }
+  let ty = Expr.type_of (types env) e in
+  let n = comp env e in
+  assert (kind n = ty);
+  n
+
+let compile_as env ty e =
+  let n = compile env e in
+  Expr.expect [ ty ] e (kind n);
+  n
 
 (* --- per-frame views -------------------------------------------------- *)
 
-let boxed node f =
-  let data = Array.make (cap f) Value.Null in
-  let fill =
-    match node with
-    | C n ->
-      let x = n.make f in
-      fun s ->
-        x.run s;
-        for j = 0 to s.n - 1 do
-          let k = Array.unsafe_get s.pos j in
-          data.(k) <-
-            (if is_null x.nul k then Value.Null
-             else
-               match n.kind with
-               | Int -> Value.Int x.iv.(k)
-               | Float -> Value.Float x.fv.(k)
-               | Bool -> Value.Bool (x.iv.(k) <> 0)
-               | String -> Value.String x.sv.(k)
-               | Boxed -> Value.Null)
-        done
-    | F { fenv; expr; _ } ->
-      (* The fallback block: realize each selected cell's row and
-         interpret. *)
-      fun s ->
-        for j = 0 to s.n - 1 do
-          let k = s.pos.(j) in
-          let i = f.rowix.(k) in
-          let r = f.lo + k - (i * f.reps) in
-          data.(k) <- Expr.eval fenv.schema (Array.map (fun c -> Column.value c i r) fenv.columns) expr
-        done
-  in
-  { data; nulls = Bytes.empty; fill }
+let filter n f =
+  if n.kind <> Tbool then invalid_arg "Kernel.filter: a non-boolean node";
+  narrow_bool f n
 
-let filter node f =
-  match node with
-  | C ({ kind = Bool; _ } as n) -> narrow_bool f n
-  | C _ | F _ ->
-    let v = boxed node f and out = selection (cap f) in
-    ( out,
-      fun s ->
-        v.fill s;
-        out.n <- 0;
-        for j = 0 to s.n - 1 do
-          let k = s.pos.(j) in
-          if Expr.truth v.data.(k) then begin
-            out.pos.(out.n) <- k;
-            out.n <- out.n + 1
-          end
-        done )
-
-let floats node f =
-  match node with
-  | C ({ kind = Int | Float | Bool; _ } as n) ->
-    let x = (floated n).make f in
-    { data = x.fv; nulls = x.nul; fill = x.run }
-  | C _ | F _ ->
-    (* Strings and fallbacks convert through [Value.to_float], raising
-       as the interpreter does. *)
-    let v = boxed node f in
-    let data = Array.create_float (cap f) and nulls = Bytes.make (cap f) '\000' in
-    {
-      data;
-      nulls;
-      fill =
-        (fun s ->
-          v.fill s;
-          for j = 0 to s.n - 1 do
-            let k = s.pos.(j) in
-            match v.data.(k) with
-            | Value.Null -> Bytes.set nulls k '\001'
-            | x ->
-              Bytes.set nulls k '\000';
-              data.(k) <- Value.to_float x
-          done);
-    }
+let floats n f =
+  let x = (floated n).make f in
+  { data = x.fv; nulls = x.nul; fill = x.run }
 
 (* --- sweeps ---------------------------------------------------------- *)
 
@@ -770,14 +717,13 @@ let sweep ?pool ~site ?presence ~rows ~reps body =
 (* --- materialization ------------------------------------------------- *)
 
 let materialize ?pool ~ty ~rows ~reps node =
-  let det = not (unc node) in
+  let det = not node.unc in
   let geo = if det then 1 else reps in
   let nslots = rows * geo in
-  (* [write slot k x] copies position [k]'s value out; nulls go to the
-     mask (and floats read [nan]). *)
-  let run make write =
+  (* [write slot k x] copies position [k]'s value out, in slot order. *)
+  let run write =
     sweep ?pool ~site:"kernel.materialize" ~rows ~reps:geo (fun f ->
-        let x = make f in
+        let x = node.make f in
         ( (fun () -> x.run f.all),
           fun () ->
             for k = 0 to f.all.n - 1 do
@@ -789,29 +735,31 @@ let materialize ?pool ~ty ~rows ~reps node =
     let i = f.rowix.(k) in
     Bitset.set (Option.get m) i (s - (i * geo))
   in
-  match node with
-  | C ({ kind = Int | Float | Bool; _ } as n) ->
-    let float = n.kind = Float and nulls = mask n.nullable in
-    let fdata = Array1.create Bigarray.float64 Bigarray.c_layout (if float then nslots else 0)
-    and idata = Array.make (if float then 0 else nslots) 0 in
-    run n.make (fun f x k s ->
-        if is_null x.nul k then begin
-          if float then Array1.set fdata s nan;
-          set_null nulls f k s
-        end
-        else if float then Array1.set fdata s x.fv.(k)
-        else idata.(s) <- x.iv.(k));
-    if float then Column.of_floats ~det ~reps ?nulls fdata
-    else if n.kind = Int then Column.of_ints ~det ~reps ?nulls idata
-    else Column.of_bools ~det ~reps ?nulls idata
-  | C { kind = String | Boxed; _ } | F _ ->
-    (* Strings and interpreted cells take the typed builder, which
-       dictionary-codes strings and degrades to boxed storage when a
-       cell contradicts [ty]. *)
-    let ty = if kind node = String then Value.Tstring else ty in
-    let vals = Array.make nslots Value.Null in
-    sweep ?pool ~site:"kernel.materialize" ~rows ~reps:geo (fun f ->
-        let v = boxed node f in
-        ((fun () -> v.fill f.all), fun () -> Array.blit v.data 0 vals f.lo f.all.n));
-    if det then Column.of_det_cells ~ty ~rows ~reps (fun i -> vals.(i))
-    else Column.of_cells ~ty ~rows ~reps (fun i r -> vals.((i * reps) + r))
+  if is_blank node then Column.of_det_cells ~ty ~rows ~reps (fun _ -> Value.Null)
+  else
+    match node.kind with
+    | Tint | Tfloat | Tbool ->
+      (* Nulls go to the mask, and floats read [nan] under them. *)
+      let float = node.kind = Tfloat and nulls = mask node.nullable in
+      let fdata = Array1.create Bigarray.float64 Bigarray.c_layout (if float then nslots else 0)
+      and idata = Array.make (if float then 0 else nslots) 0 in
+      run (fun f x k s ->
+          if is_null x.nul k then begin
+            if float then Array1.set fdata s nan;
+            set_null nulls f k s
+          end
+          else if float then Array1.set fdata s x.fv.(k)
+          else idata.(s) <- x.iv.(k));
+      if float then Column.of_floats ~det ~reps ?nulls fdata
+      else if node.kind = Tint then Column.of_ints ~det ~reps ?nulls idata
+      else Column.of_bools ~det ~reps ?nulls idata
+    | Tstring ->
+      (* Strings go to the typed builder, which dictionary-codes them; a
+         column of one repetition is deterministic, and an uncertain one
+         whose rows agree across repetitions is stored so, as
+         [Column.of_cells] stores it. *)
+      let b = Column.builder ~ty:Tstring ~det:(det || reps = 1) ~reps ~rows in
+      run (fun _ x k _ ->
+          Column.push b (if is_null x.nul k then Value.Null else Value.String x.sv.(k)));
+      let col = Column.finish b in
+      if det then col else Column.of_realizations ~ty:Tstring [| col |]

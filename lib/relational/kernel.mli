@@ -9,16 +9,20 @@
     narrows the selection instead; a comparison of an int, float or bool
     column with a literal narrows in one loop that reads the column's
     storage in place, and {!leaf_column} lets an aggregate read a bare
-    column the same way. Coverage: typed column reads,
-    non-Null literals, [+ - *] (int on two ints, else float), [/]
-    (float), [Neg], comparisons of two ints, two numerics (exact
-    int/float, [Float.compare] for floats: [Value.compare] bit for bit),
-    two strings or two bools, [And]/[Or]/[Not] (Null as false), [Is_null]
-    and [If] with same-kind branches. Anything else — boxed columns,
-    [Lit Null], cross-kind comparisons, mixed-kind [If] — is a fallback
-    node: it realizes each selected cell's row and runs {!Expr.eval}
-    into the same vectors, with the same bits and the same errors.
-    Compiled nodes never raise. *)
+    column the same way.
+
+    {!compile} types the expression first ({!Expr.type_of}), raising
+    on the shapes that rule rejects, and then compiles every shape it
+    accepts: column reads, literals, [+ - *] (int on two ints, else
+    float), [/] (float), [Neg], comparisons (two ints or two bools as
+    ints, exact int/float, [Float.compare] for floats, strings by
+    [String.compare], and two kinds with no common order as the
+    constant their {!Value.compare} ranks give: [Value.compare] bit for
+    bit, false on a Null side), [And]/[Or]/[Not] (Null as false),
+    [Is_null] and [If]. An expression that is always Null ([Lit Null],
+    arithmetic on one) takes the kind its context needs: the other [If]
+    branch's, or the declared type {!materialize} is given. There is no
+    other path: compiled nodes never raise. *)
 
 val block : int
 (** Slots per block: 256, so each vector of scratch fits the minor heap. *)
@@ -31,22 +35,32 @@ type env
     domain-safe: compile on one domain, then sweep. *)
 
 type node
-type kind = Int | Float | Bool | String | Boxed  (** [Boxed]: a fallback *)
 
 val env_of_columns : Schema.t -> Column.t array -> env
+(** Each column's storage must hold its declared type
+    ({!Column.storage_ty}); an expression reading one that does not
+    raises [Invalid_argument] when compiled. *)
 
 val env_extend : env -> (string * node) list -> env
-(** Bind definitions by name. An expression reading a fallback
-    definition falls back, and a fallback reads only base columns. *)
+(** Bind definitions by name; an expression reading one reads its node,
+    typed by the node's {!kind}. *)
 
 val compile : env -> Expr.t -> node
-val compiled : node -> bool
+(** Raises what {!Expr.type_of} raises on the expression, before any
+    row is read. *)
+
+val compile_as : env -> Value.ty -> Expr.t -> node
+(** {!compile}, then {!Expr.expect}: the node must be of the given kind
+    or always Null. A select predicate is compiled as bool, an extend
+    definition as its declared type. *)
+
+val kind : node -> Value.ty option
+(** The node's kind, as {!Expr.type_of} gives it; [None] when every
+    cell is Null. *)
 
 val unc : node -> bool
 (** Whether the node reads an uncertain column; a certain node may
     sweep with [reps = 1]. *)
-
-val kind : node -> kind
 
 (** {2 Blocks} *)
 
@@ -68,11 +82,12 @@ type 'a vec = { data : 'a; nulls : Bytes.t; fill : selection -> unit }
 
 val filter : node -> frame -> selection * (selection -> unit)
 (** [(out, run)]: [run s] sets [out] to the positions of [s] where the
-    node holds, under [eval_bool] semantics (Null is false, a
-    non-boolean raises). *)
+    node holds, under [eval_bool] semantics (Null is false). Raises
+    [Invalid_argument] on a node that is not bool. *)
 
 val floats : node -> frame -> float array vec
-(** The [Value.to_float] image; strings raise as it does. *)
+(** The [Value.to_float] image of an int, float or bool node. Raises
+    [Invalid_argument] on a string node. *)
 
 (** {2 Columns read in place} *)
 
@@ -98,8 +113,6 @@ val slot : column -> frame -> int -> int
 val null : column -> frame -> int -> bool
 (** Whether position [k]'s cell is Null. *)
 
-val boxed : node -> frame -> Value.t array vec
-
 val sweep :
   ?pool:Mde_par.Pool.t ->
   site:string ->
@@ -120,8 +133,8 @@ val sweep :
 
 val materialize :
   ?pool:Mde_par.Pool.t -> ty:Value.ty -> rows:int -> reps:int -> node -> Column.t
-(** The node's [rows × reps] cells as a column, deterministic iff [not
-    (unc node)]. Numeric and bool storage follows the node's kind;
-    strings and fallbacks go through the typed builder for [ty]
-    ([Tstring] for string nodes), degrading to boxed storage as
-    {!Column.of_cells} does. *)
+(** The node's [rows × reps] cells as a column of the node's kind,
+    deterministic iff [not (unc node)]; a node that is always Null
+    gives an all-Null column of [ty], its declared type. Strings go
+    through the typed builder and are stored as {!Column.of_cells}
+    stores them. *)

@@ -256,9 +256,9 @@ module Dict = Hashtbl.Make (struct
 end)
 
 (* The component with no narrow native code: floats, ints next to
-   floats or spanning more than 2^61, boxed [Vvalues] cells and mixed
-   kinds across sides. One dictionary over the boxed cells, filled
-   sequentially side by side and row by row. *)
+   floats or spanning more than 2^61, and mixed kinds across sides. One
+   dictionary over the cells read boxed, filled sequentially side by
+   side and row by row. *)
 let dict_comp cols =
   let dict = Dict.create 64 in
   let codes =
@@ -557,7 +557,7 @@ let[@inline] order_bits f =
    (equal strings on duplicate dictionary entries must get equal ranks,
    or the index tiebreak would be pre-empted by dictionary code order),
    floats as NaN below every number and then the sign-flipped bits of
-   the number with [-0.] read as [0.], boxed cells by dense rank. *)
+   the number with [-0.] read as [0.]. *)
 let sort_fields view =
   match view with
   | Column.Vint { data; nulls; _ } ->
@@ -602,17 +602,6 @@ let sort_fields view =
         fun i ->
           if number i then Int64.to_int (Int64.logand (order_bits (Array1.get data i)) 0xFFFF_FFFFL)
           else 0 ) ]
-  | Column.Vvalues { data; _ } ->
-    let order = Array.init (Array.length data) Fun.id in
-    Array.sort (fun a b -> Value.compare data.(a) data.(b)) order;
-    let ranks = Array.make (Array.length data) 0 in
-    let rank = ref 0 in
-    Array.iteri
-      (fun pos i ->
-        if pos > 0 && Value.compare data.(order.(pos - 1)) data.(i) <> 0 then incr rank;
-        ranks.(i) <- !rank)
-      order;
-    [ (bits_for (!rank + 1), fun i -> ranks.(i)) ]
 
 (* Fields packed greedily into words of at most 62 bits, a field never
    straddling two: (width, reader) per word. *)

@@ -13,8 +13,8 @@
       translate through it rather than comparing raw codes); a sole
       no-null int column is its own key, zero-copy;
     - every other component — floats, ints beside floats or spanning
-      more than 2^61, boxed [Vvalues] cells, different kinds on
-      different sides — is coded by one dictionary shared across sides
+      more than 2^61, different kinds on different sides — is coded by
+      one dictionary shared across sides
       under [Value.Key] equality, so [Int i] meets [Float f] exactly
       when [f] is integral with value [i], every NaN payload is one
       key, and [-0.0] is [0.0];
@@ -57,7 +57,7 @@ val codes : ?pool:Mde_par.Pool.t -> t -> side:int -> rows:int -> coded
     the empty key has no column to take from (it codes every row 0).
     Each component packs in one typed loop over the side's rows, read
     through a view's index ({!Column.source}), so no view is forced
-    (boxed and dictionary-coded components were coded, and forced, by
+    (dictionary-coded components were coded, and forced, by
     {!of_columns}); a row is Null when one of its fields reads 0. The
     fill is row-chunked over the pool when given; chunks own disjoint
     rows, so the pooled fill is bit-identical to the sequential one. A
@@ -136,7 +136,7 @@ val sort_perm : ?descending:bool -> Column.t array -> n_rows:int -> int array
     Null lowest: ints offset (or split halves when they span more than
     2^61), bools 0/1, strings by dictionary {e rank}, floats as NaN
     below every number and then their sign-flipped bits with [-0.]
-    read as [0.], boxed cells by dense rank. When the fields and the row
+    read as [0.]. When the fields and the row
     index fit one word, one flat [int array] sort does it all;
     otherwise rows compare word by word, then by index. [descending]
     reverses the key order, never the tiebreak, exactly like

@@ -45,27 +45,22 @@ let of_rows schema rows =
   done;
   row_backed schema rows
 
-(* Whether a column's storage alone guarantees every non-null cell has
-   the declared type; only the others need a per-cell scan. Reading the
-   storage kind forces no view. *)
-let storage_matches (c : Schema.column) col = Column.storage_ty col = Some c.ty
-
+(* A column's storage type is the type of every non-null cell; reading
+   it forces no view. *)
 let of_columns schema ~rows:n_rows cols =
   let scols = Schema.column_array schema in
   if Array.length cols <> Array.length scols then
     invalid_arg
       (Printf.sprintf "Table.of_columns: %d columns, schema arity %d" (Array.length cols)
          (Array.length scols));
-  (* Row-major over the suspect columns: the first bad cell is the one a
-     row-by-row check would report. *)
-  let suspect =
-    List.filter (fun j -> not (storage_matches scols.(j) cols.(j)))
-      (List.init (Array.length cols) Fun.id)
-  in
-  if suspect <> [] then
-    for i = 0 to n_rows - 1 do
-      List.iter (fun j -> check_cell scols.(j) (Column.value cols.(j) i 0)) suspect
-    done;
+  Array.iteri
+    (fun j (c : Schema.column) ->
+      let stored = Column.storage_ty cols.(j) in
+      if stored <> c.ty then
+        invalid_arg
+          (Printf.sprintf "Table.of_columns: column %S expects %s, stores %s" c.name
+             (Value.type_name c.ty) (Value.type_name stored)))
+    scols;
   { schema; n_rows; rows = Atomic.make None; cols = Atomic.make (Some cols) }
 
 let create schema row_list = of_rows schema (Array.of_list row_list)

@@ -28,12 +28,9 @@ val of_rows : Schema.t -> row array -> t
 
 val of_columns : Schema.t -> rows:int -> Column.t array -> t
 (** A column-backed table of [rows] rows over deterministic columns in
-    schema order, in O(columns) time when every column's typed storage
-    matches its declared type ({!Column.storage_ty}, which forces no
-    view). Columns whose storage does not (boxed [Values] storage, or
-    another kind) are scanned row by row, raising the same
-    [Invalid_argument] that {!of_rows} would raise on the equivalent
-    rows. *)
+    schema order, in O(columns) time. Raises [Invalid_argument] when a
+    column's storage is not of its declared type ({!Column.storage_ty},
+    which forces no view). *)
 
 val check_row : Schema.t -> row -> unit
 (** Raises the [Invalid_argument] {!of_rows} raises for [row] if its

@@ -5,9 +5,10 @@
    [Stochastic_table.instantiate_many] with the same seed, and every
    operator (select / extend / aggregate / fused query) produces
    bit-identical results to the naive per-instance path, pooled or
-   sequential, both for expressions the kernel compiles and for those
-   it declines and interprets. Randomized trials draw rows / reps / predicates /
-   computed columns from a seeded RNG so failures reproduce exactly. *)
+   sequential, for every expression the typing rule accepts, and raises
+   the row oracle's error, before any cell, on every one it rejects.
+   Randomized trials draw rows / reps / predicates / computed columns
+   from a seeded RNG so failures reproduce exactly. *)
 
 open Mde_relational
 module Rng = Mde_prob.Rng
@@ -63,11 +64,11 @@ let sbp_table n =
     ~params:(fun _ -> [ sbp_param ])
     ~combine:(fun driver vg_row -> [| driver.(0); driver.(1); vg_row.(0) |])
 
-(* Predicate pool: a mix of kernel-covered shapes (typed comparisons,
-   boolean connectives, Is_null, If over booleans) and shapes the
-   compiler declines (mixed-kind If branches, comparison against a Null
-   literal) that must take the interpreter fallback with identical
-   results. None of them can raise on the SBP schema. *)
+(* Predicate pool: typed comparisons, boolean connectives, Is_null, If
+   over booleans, and the shapes typing gives a kind to: an always-Null
+   If branch (the other branch's kind), a comparison with Null (false),
+   and string-vs-int and bool-vs-int comparisons (the constant of their
+   ranks, false on a Null side). *)
 let predicates =
   Expr.
     [
@@ -77,25 +78,25 @@ let predicates =
       not_ (col "gender" = string "M") && col "sbp" >= float 100.;
       Is_null (col "sbp");
       If (col "pid" < int 3, col "sbp" > float 115., bool false);
-      (* fallback: mixed-kind If branches defeat static typing *)
-      If (col "gender" = string "F", col "sbp", col "pid") > float 118.;
-      (* fallback: Null literal comparison *)
-      col "sbp" > Lit Value.Null;
+      If (col "gender" = string "F", col "sbp", Lit Value.Null) > float 118.;
+      col "sbp" > Lit Value.Null || (col "gender" > col "pid" && col "sbp" < float 125.);
+      (col "sbp" > float 118.) < col "pid" && Not (Lit Value.Null = col "gender");
       ((col "sbp" - float 120.) / float 15.) * (col "sbp" - float 120.) / float 15.
       > float 1.;
     ]
 
-(* Computed-column pool: (name, declared type, expr), again mixing
-   kernel-covered and fallback shapes. *)
+(* Computed-column pool: (name, declared type, expr), the typed-Null
+   and cross-kind shapes included. *)
 let derivations =
   Expr.
     [
       ("risk", Value.Tfloat, (col "sbp" - float 120.) / float 15.);
       ("flag", Value.Tbool, col "sbp" > float 125.);
       ("bucket", Value.Tint, If (col "sbp" > float 120., int 1, int 0));
-      (* fallback: the Null literal defeats static typing *)
       ("mixed", Value.Tfloat, If (col "gender" = string "F", col "sbp", Lit Value.Null));
       ("label", Value.Tstring, If (col "sbp" > float 120., string "hi", string "lo"));
+      ("cross", Value.Tbool, col "gender" <= col "sbp");
+      ("none", Value.Tint, Lit Value.Null * col "pid");
     ]
 
 let agg_pool =
@@ -198,34 +199,17 @@ let test_params_once_per_driver_row () =
     (fun r t -> check_tables_identical (Printf.sprintf "rep %d" r) t (Bundle.to_instances b).(r))
     (St.instantiate_many (sbp_table 9) (Rng.create ~seed:3 ()) 12)
 
-(* [f ()] with the interpreter fallbacks it took, read off the
-   [mde_bundle_fallback_total] counter of a registry live for the call. *)
-let with_fallbacks f =
-  let saved = Mde_obs.default () in
-  let registry = Mde_obs.create () in
-  Mde_obs.set_default registry;
-  let x = Fun.protect ~finally:(fun () -> Mde_obs.set_default saved) f in
-  (x, Mde_obs.Counter.value (Mde_obs.counter registry "mde_bundle_fallback_total"))
-
-(* Both the kernel and the interpreter fallback must have run over a pool:
-   the parity properties cover each path only if each was taken. *)
-let check_both_paths msg fallback_counts =
-  Alcotest.(check bool) (msg ^ ": some expression compiled") true
-    (List.exists (( = ) 0) fallback_counts);
-  Alcotest.(check bool) (msg ^ ": some expression interpreted") true
-    (List.exists (( < ) 0) fallback_counts)
-
-(* --- select: kernel ≡ interpreter ≡ naive σ ---------------------------- *)
+(* --- select: kernel ≡ naive σ ------------------------------------------ *)
 
 let test_select_parity () =
   let rng0 = Rng.create ~seed:202 () in
-  List.mapi
+  List.iteri
     (fun pi pred ->
       let rows = 2 + Rng.int rng0 10 and reps = 2 + Rng.int rng0 6 in
       let st = sbp_table rows in
       let seed = 900 + pi in
       let b = Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps in
-      let kernel, fallbacks = with_fallbacks (fun () -> Bundle.select pred b) in
+      let kernel = Bundle.select pred b in
       let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
       Array.iteri
         (fun r t ->
@@ -233,22 +217,20 @@ let test_select_parity () =
             (Printf.sprintf "predicate %d rep %d vs naive σ" pi r)
             (Algebra.select pred naive.(r))
             t)
-        (Bundle.to_instances kernel);
-      fallbacks)
+        (Bundle.to_instances kernel))
     predicates
-  |> check_both_paths "predicate pool"
 
-(* --- extend: kernel ≡ interpreter ≡ naive ------------------------------ *)
+(* --- extend: kernel ≡ naive -------------------------------------------- *)
 
 let test_extend_parity () =
   let rng0 = Rng.create ~seed:303 () in
-  List.mapi
+  List.iteri
     (fun di def ->
       let rows = 2 + Rng.int rng0 8 and reps = 2 + Rng.int rng0 6 in
       let st = sbp_table rows in
       let seed = 1300 + di in
       let b = Bundle.of_stochastic_table st (Rng.create ~seed ()) ~n_reps:reps in
-      let kernel, fallbacks = with_fallbacks (fun () -> Bundle.extend [ def ] b) in
+      let kernel = Bundle.extend [ def ] b in
       let naive = St.instantiate_many st (Rng.create ~seed ()) reps in
       Array.iteri
         (fun r t ->
@@ -256,12 +238,10 @@ let test_extend_parity () =
             (Printf.sprintf "derivation %d rep %d vs naive extend" di r)
             (Algebra.extend [ def ] naive.(r))
             t)
-        (Bundle.to_instances kernel);
-      fallbacks)
+        (Bundle.to_instances kernel))
     derivations
-  |> check_both_paths "derivation pool"
 
-(* --- aggregate: kernel ≡ interpreter ≡ naive group_by ------------------ *)
+(* --- aggregate: kernel ≡ naive group_by -------------------------------- *)
 
 let check_agg_results_identical msg expected actual =
   Alcotest.(check int) (msg ^ ": group count") (List.length expected)
@@ -397,15 +377,20 @@ let test_query_fused_equals_compose () =
         @ [ ("pid_band", Value.Tint, Expr.(If (col "pid" < int 20, int 0, int 1))) ];
     }
   in
-  (* The same plan with a predicate and a derivation the kernel declines:
-     the fused sweep interprets both, and the aggregate over the
-     interpreted column, while compose aggregates a materialized column. *)
-  let fallback_plan =
+  (* The same plan with a predicate and a derivation holding an
+     always-Null branch, and aggregates over that derivation and over
+     one that is always Null: the fused sweep binds them by name, while
+     compose aggregates materialized columns. *)
+  let typed_plan =
     {
       plan with
       Bundle.where_ = Some (List.nth predicates 6);
-      derive = (List.nth derivations 3) :: plan.Bundle.derive;
-      aggs = ("mean_mixed", Aggregate.Avg (Expr.col "mixed")) :: plan.Bundle.aggs;
+      derive = List.nth derivations 3 :: List.nth derivations 6 :: plan.Bundle.derive;
+      aggs =
+        ("mean_mixed", Aggregate.Avg (Expr.col "mixed"))
+        :: ("min_none", Aggregate.Min (Expr.col "none"))
+        :: ("pid_or_none", Aggregate.Sum Expr.(If (col "sbp" > float 120., col "none", col "pid")))
+        :: plan.Bundle.aggs;
     }
   in
   List.iter
@@ -415,7 +400,7 @@ let test_query_fused_equals_compose () =
           let p = { plan with Bundle.group_keys = keys } in
           check_agg_results_identical "query vs compose" (Bundle.query b p) (compose b p))
         [ []; [ "gender" ]; [ "pid_band" ] ])
-    [ plan; fallback_plan ]
+    [ plan; typed_plan ]
 
 (* --- pooled execution is bit-identical --------------------------------- *)
 
@@ -609,6 +594,76 @@ let test_nan_keys () =
 
 (* --- key validation ------------------------------------------------------ *)
 
+(* --- rejected expressions: one error from every engine ------------------
+
+   Shapes the typing rule rejects — branches of two kinds, arithmetic or
+   negation on a string or bool, a non-boolean condition, a string
+   aggregate source, a definition of another kind than declared — raise
+   the same [Invalid_argument] from row Algebra, Columnar and Bundle
+   (select, extend, aggregate and the fused query alike), before any row
+   is read: over a table with rows and over one with none. *)
+
+let test_rejected_expressions () =
+  let b = Bundle.of_stochastic_table (sbp_table 6) (Rng.create ~seed:11 ()) ~n_reps:4 in
+  let t = (Bundle.to_instances b).(0) in
+  let none = Table.empty (Table.schema t) in
+  let inputs = [ ("", t, b); (" (no rows)", none, Bundle.of_table none ~n_reps:4) ] in
+  let raises msg runs =
+    List.iter
+      (fun (suffix, t, b) ->
+        List.iter
+          (fun (engine, run) ->
+            Alcotest.check_raises (engine ^ suffix ^ ": " ^ msg) (Invalid_argument msg) (fun () ->
+                run t b))
+          runs)
+      inputs
+  in
+  let query b (p : Bundle.plan) = ignore (Bundle.query b p) in
+  let count = [ ("n", Aggregate.Count) ] in
+  let plain = { Bundle.where_ = None; derive = []; group_keys = []; aggs = count } in
+  let select msg e =
+    raises msg
+      [ ("algebra", fun t _ -> ignore (Algebra.select e t));
+        ("columnar", fun t _ -> ignore (Columnar.select e (Columnar.of_table t)));
+        ("bundle", fun _ b -> ignore (Bundle.select e b));
+        ("query", fun _ b -> query b { plain with where_ = Some e }) ]
+  in
+  let extend msg def =
+    raises msg
+      [ ("algebra", fun t _ -> ignore (Algebra.extend [ def ] t));
+        ("columnar", fun t _ -> ignore (Columnar.extend [ def ] (Columnar.of_table t)));
+        ("bundle", fun _ b -> ignore (Bundle.extend [ def ] b));
+        ("query", fun _ b -> query b { plain with derive = [ def ] }) ]
+  in
+  let aggregate msg ?(derive = []) agg =
+    let aggs = [ ("a", agg) ] in
+    raises msg
+      [ ("algebra", fun t _ -> ignore (Algebra.group_by ~keys:[] ~aggs (Algebra.extend derive t)));
+        ( "columnar",
+          fun t _ ->
+            ignore (Columnar.group_by ~keys:[] ~aggs (Columnar.extend derive (Columnar.of_table t))) );
+        ("bundle", fun _ b -> ignore (Bundle.aggregate aggs (Bundle.extend derive b)));
+        ("query", fun _ b -> query b { plain with derive; aggs }) ]
+  in
+  select "Expr: (IF (gender = F) THEN sbp ELSE pid) has branches of kinds float and int"
+    Expr.(If (col "gender" = string "F", col "sbp", col "pid") > float 118.);
+  select "Expr: (sbp + 1) is float, expected bool" Expr.(col "sbp" + float 1.);
+  select "Expr: pid is int, expected bool" Expr.(col "pid" && bool true);
+  select "Expr: gender is string, expected bool" Expr.(If (col "gender", bool true, Lit Value.Null));
+  extend "Expr: gender is string, expected int or float"
+    ("x", Value.Tfloat, Expr.(col "gender" + int 1));
+  extend "Expr: (sbp > 1) is bool, expected int or float"
+    ("x", Value.Tfloat, Expr.(Neg (col "sbp" > float 1.)));
+  extend "Expr: sbp is float, expected int" ("x", Value.Tint, Expr.col "sbp");
+  aggregate "Expr: gender is string, expected int or float or bool" (Aggregate.Sum (Expr.col "gender"));
+  aggregate "Expr: gender is string, expected int or float or bool" (Aggregate.Max (Expr.col "gender"));
+  aggregate "Expr: pid is int, expected bool" (Aggregate.Count_if (Expr.col "pid"));
+  (* A derivation that is always Null keeps its declared type: its
+     branch beside a float is rejected in the fused query as in compose. *)
+  aggregate "Expr: (IF (sbp > 120) THEN none ELSE sbp) has branches of kinds int and float"
+    ~derive:[ ("none", Value.Tint, Expr.(Lit Value.Null)) ]
+    (Aggregate.Sum Expr.(If (col "sbp" > float 120., col "none", col "sbp")))
+
 let test_key_validation () =
   (* [sbp] is uncertain in a bundle: a key on it is rejected up front. *)
   let b = Bundle.of_stochastic_table (sbp_table 6) (Rng.create ~seed:5 ()) ~n_reps:4 in
@@ -718,6 +773,7 @@ let () =
           Alcotest.test_case "fused query = compose" `Quick
             test_query_fused_equals_compose;
           Alcotest.test_case "join = naive" `Quick test_join_parity;
+          Alcotest.test_case "rejected expressions raise alike" `Quick test_rejected_expressions;
         ] );
       ( "parallel",
         [ Alcotest.test_case "pooled = sequential, bit for bit" `Quick

@@ -372,6 +372,49 @@ let prop_fractional_orthogonal =
       let generators = [ List.init base Fun.id ] in
       Design.column_orthogonal (Design.fractional_factorial ~base ~generators))
 
+(* Every public precondition raises [Invalid_argument] from a real check,
+   so this passes under [--profile noassert] too. *)
+let test_preconditions_raise () =
+  let rng () = Rng.create ~seed:1 () in
+  let design = Design.full_factorial 2 in
+  let simulate x = x.(0) in
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "Design.full_factorial: k must be in 1..20" (fun () -> Design.full_factorial 21);
+  raises "Design.fractional_factorial: a generator index is outside 0..base-1" (fun () ->
+      Design.fractional_factorial ~base:3 ~generators:[ [ 0; 3 ] ]);
+  raises "Design.central_composite: k must be in 1..12" (fun () -> Design.central_composite 0);
+  raises "Design.central_composite: axial must be positive" (fun () ->
+      Design.central_composite ~axial:0. 2);
+  raises "Design.latin_hypercube: needs factors >= 1 and levels >= 2" (fun () ->
+      Design.latin_hypercube ~rng:(rng ()) ~factors:2 ~levels:1);
+  raises "Design.nearly_orthogonal_lh: tries must be >= 1" (fun () ->
+      Design.nearly_orthogonal_lh ~rng:(rng ()) ~factors:2 ~levels:5 ~tries:0);
+  raises "Design.scale: needs one range per factor" (fun () ->
+      Design.scale design ~ranges:[| (0., 1.) |]);
+  raises "Kriging.covariance: points and theta differ in length" (fun () ->
+      Kriging.covariance ~theta:[| 1. |] ~tau2:1. [| 0.; 1. |] [| 1.; 0. |]);
+  raises "Kriging.fit: needs >= 2 design points and one response per point" (fun () ->
+      Kriging.fit ~theta:[| 1.; 1. |] ~tau2:1. ~design ~response:[| 1. |] ());
+  raises "Kriging.fit_stochastic: needs one noise variance per design point" (fun () ->
+      Kriging.fit_stochastic ~theta:[| 1.; 1. |] ~tau2:1. ~design ~means:[| 1.; 2.; 3.; 4. |]
+        ~noise_variances:[| 0.1 |] ());
+  raises "Kriging.fit_stochastic: needs >= 2 design points and one response per point"
+    (fun () ->
+      Kriging.fit_stochastic ~theta:[| 1.; 1. |] ~tau2:1. ~design ~means:[| 1. |]
+        ~noise_variances:[| 0.1; 0.1; 0.1; 0.1 |] ());
+  raises "Kriging.log_likelihood: needs >= 2 design points" (fun () ->
+      Kriging.log_likelihood ~theta:[| 1. |] ~design:[| [| 0. |] |] ~response:[| 1. |]);
+  raises "Morris.screen: needs factors >= 1, an even levels >= 2 and trajectories >= 1"
+    (fun () -> Mde_metamodel.Morris.screen ~levels:3 ~rng:(rng ()) ~factors:2 ~simulate ());
+  raises "Polynomial.terms_up_to: needs factors >= 1 and order >= 0" (fun () ->
+      Polynomial.terms_up_to ~factors:2 ~order:(-1));
+  raises "Polynomial.fit: needs one response per design run" (fun () ->
+      Polynomial.fit ~terms:[ [] ] ~design ~response:[| 1. |]);
+  raises "Screening.sequential_bifurcation: needs factors >= 1 and replications >= 1"
+    (fun () -> Screening.sequential_bifurcation ~replications:0 ~factors:2 ~simulate ())
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "mde_metamodel"
@@ -387,6 +430,7 @@ let () =
           Alcotest.test_case "latin hypercube" `Quick test_latin_hypercube;
           Alcotest.test_case "NOLH search" `Quick test_nolh_improves_orthogonality;
           Alcotest.test_case "scale" `Quick test_scale;
+          Alcotest.test_case "preconditions raise" `Quick test_preconditions_raise;
         ] );
       ( "polynomial",
         [

@@ -400,11 +400,32 @@ let mixed_table rows =
   in
   Table.create schema (List.map (fun (k, g, v) -> [| k; Value.Int g; v |]) rows)
 
-(* Shapes the kernel compiler declines (a mixed-kind If, an untyped Null
-   branch): columnar operators evaluate them with the row interpreter
-   inside the engine, group_by aggregate sources included. *)
-let fallback_pred = Expr.(If (col "g" = int 1, col "v", col "g") > float 0.)
-let fallback_def = ("x", Value.Tfloat, Expr.(If (col "g" = int 1, col "v", Lit Value.Null)))
+(* Shapes whose kind the typing rule fixes beyond their operands: an
+   always-Null [If] branch (it takes the other branch's kind),
+   comparisons with Null (false), comparisons across kinds with no
+   common order (the constant of their ranks, false on a Null side),
+   and definitions that are always Null (a column of the declared
+   type). *)
+let null_branch = Expr.(If (col "g" = int 1, col "v", Lit Value.Null))
+
+let typed_preds =
+  Expr.
+    [ null_branch > float 0.;
+      col "v" > Lit Value.Null || (col "v" < string "z" && Not (Lit Value.Null));
+      col "k" <> bool true && (Lit Value.Null = col "k" || (col "v" > float 0.) < col "g") ]
+
+let typed_defs =
+  [ ("x", Value.Tfloat, null_branch);
+    ("y", Value.Tbool, Expr.(string "" > col "k"));
+    ("z", Value.Tstring, Expr.(Lit Value.Null)) ]
+
+let typed_aggs =
+  Algebra.
+    [ ("fs", Sum null_branch);
+      ("fhi", Max null_branch);
+      ("nz", Count_if Expr.(col "v" < string "z"));
+      ("nn", Sum (Expr.Lit Value.Null));
+      ("ln", Min Expr.(Lit Value.Null + col "g")) ]
 
 let prop_columnar_matches_algebra =
   QCheck.Test.make ~name:"columnar kernel == interpreter == row algebra" ~count:120
@@ -414,8 +435,6 @@ let prop_columnar_matches_algebra =
       let c = Columnar.of_table t in
       let pred = Expr.(col "v" > float 0. || col "g" = int 1) in
       let defs = [ ("w", Value.Tfloat, Expr.((col "v" * float 2.) + col "k")) ] in
-      let _, _, fallback_expr = fallback_def in
-      let fallback_aggs = [ ("fs", Algebra.Sum fallback_expr) ] in
       let aggs =
         [ ("n", Algebra.Count);
           ("pos", Algebra.Count_if Expr.(col "v" > float 0.));
@@ -434,15 +453,13 @@ let prop_columnar_matches_algebra =
            (* Float keys: NaN collapses to one group, Null forms its own. *)
            (Algebra.group_by ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] t)
            (Columnar.group_by ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] c)
-      (* The interpreter fallback: per expression in select/extend, the
-         whole call in group_by. *)
-      && matches (Algebra.select fallback_pred t) (Columnar.select fallback_pred c)
+      && List.for_all
+           (fun pred -> matches (Algebra.select pred t) (Columnar.select pred c))
+           typed_preds
+      && matches (Algebra.extend (typed_defs @ defs) t) (Columnar.extend (typed_defs @ defs) c)
       && matches
-           (Algebra.extend (fallback_def :: defs) t)
-           (Columnar.extend (fallback_def :: defs) c)
-      && matches
-           (Algebra.group_by ~keys:[ "g" ] ~aggs:(fallback_aggs @ aggs) t)
-           (Columnar.group_by ~keys:[ "g" ] ~aggs:(fallback_aggs @ aggs) c)
+           (Algebra.group_by ~keys:[ "g" ] ~aggs:(typed_aggs @ aggs) t)
+           (Columnar.group_by ~keys:[ "g" ] ~aggs:(typed_aggs @ aggs) c)
       && tables_identical
            (Algebra.project [ "v"; "g" ] t)
            (Columnar.to_table (Columnar.project [ "v"; "g" ] c))
@@ -509,11 +526,11 @@ let test_columnar_pooled_identity () =
             (tables_identical
                (Columnar.to_table (Columnar.extend defs c))
                (Columnar.to_table (Columnar.extend ~pool defs c))))
-        [ (pred, defs); (fallback_pred, [ fallback_def ]) ])
+        ((pred, defs) :: List.map (fun p -> (p, typed_defs)) typed_preds))
 
 (* Block kernels: every operator over several blocks, pooled or not,
-   agrees with the row oracle bit for bit, fallback blocks and every
-   aggregate kind included. *)
+   agrees with the row oracle bit for bit, the typed-Null and cross-kind
+   shapes and every aggregate kind included. *)
 let test_columnar_blocks_match_algebra () =
   let rng = Mde_prob.Rng.create ~seed:7 () in
   let v () = Value.Float (Mde_prob.Rng.float_range rng (-5.) 5.) in
@@ -525,9 +542,8 @@ let test_columnar_blocks_match_algebra () =
   in
   let t = mixed_table rows in
   let c = Columnar.of_table t in
-  let _, _, fallback_expr = fallback_def in
-  let preds = Expr.[ (col "v" > float 0. && col "g" <> int 2) || Is_null (col "k"); fallback_pred ] in
-  let defs = [ ("w", Value.Tfloat, Expr.((col "v" * float 2.) - col "k")); fallback_def ] in
+  let preds = Expr.((col "v" > float 0. && col "g" <> int 2) || Is_null (col "k")) :: typed_preds in
+  let defs = ("w", Value.Tfloat, Expr.((col "v" * float 2.) - col "k")) :: typed_defs in
   let aggs =
     Algebra.
       [ ("n", Count);
@@ -536,9 +552,8 @@ let test_columnar_blocks_match_algebra () =
         ("m", Avg (Expr.col "k"));
         ("sd", Std (Expr.col "v"));
         ("lo", Min (Expr.col "k"));
-        ("hi", Max (Expr.col "v"));
-        ("fs", Sum fallback_expr);
-        ("fhi", Max fallback_expr) ]
+        ("hi", Max (Expr.col "v")) ]
+      @ typed_aggs
   in
   Mde_par.Pool.with_pool ~domains:2 (fun p ->
       List.iter
@@ -971,13 +986,11 @@ let prop_packed_matches_boxed =
         matches (Algebra.equi_join ~on lt rt) (Columnar.equi_join ~on lc rc)
         && matches (Algebra.equi_join ~on lt rt) (Columnar.equi_join ~pool ~on lc rc)
       in
-      (* A mixed-kind If stores Int and Float cells in one [Vvalues]
-         column; Algebra's reference computes the equal float key, and
-         both sides drop the key column. *)
-      let mixed = Expr.(If (col "b" = bool true, col "g", col "f")) in
+      (* A derived float key mixing an int source and a float one; both
+         sides drop the key column. *)
       let numeric = Expr.(If (col "b" = bool true, col "g" * float 1., col "f")) in
       let rows_m = Algebra.extend [ ("m", Value.Tfloat, numeric) ] lt in
-      let cols_m = Columnar.extend [ ("m", Value.Tfloat, mixed) ] lc in
+      let cols_m = Columnar.extend [ ("m", Value.Tfloat, numeric) ] lc in
       let kept = Schema.column_names key_schema in
       let both = kept @ Schema.column_names (Table.schema rt) in
       let aggs = [ ("n", Algebra.Count); ("s_v", Algebra.Sum (Expr.col "v")) ] in
@@ -1300,7 +1313,7 @@ let prop_tbl_first_seen =
       check ~build_every:0 ~probe_every:0 && check ~build_every:3 ~probe_every:4)
 
 (* Keys without a narrow native code — floats, an inexact int beside a
-   float, boxed [Vvalues] cells, the empty key — take the dictionary
+   float, the empty key — take the dictionary
    and constant codes of each keyed operator's one packed path; each
    must still match row Algebra. *)
 let test_dictionary_keys_match_algebra () =
@@ -1345,32 +1358,7 @@ let test_dictionary_keys_match_algebra () =
   check "inexact int joined to a float"
     (Algebra.equi_join ~on:[ ("i", "f") ] ints floats)
     (Columnar.equi_join ~on:[ ("i", "f") ] (Columnar.of_table ints)
-       (Columnar.of_table floats));
-  (* A mixed-kind If stores Int and Float cells in one column: boxed
-     [Vvalues] storage, dictionary-coded. Row Algebra cannot hold such
-     a column, so its reference computes the numerically equal float key
-     (Int 1 and Float 1. are one key) and both sides drop the key column. *)
-  let mixed = Expr.(If (col "g" = int 1, col "g", col "k")) in
-  let numeric = Expr.(If (col "g" = int 1, col "g" * float 1., col "k")) in
-  let vv =
-    Column.of_det_cells ~ty:Value.Tfloat ~rows:2 ~reps:1 (fun i ->
-        if i = 0 then Value.Int 1 else Value.Float 0.5)
-  in
-  Alcotest.(check bool) "premise: mixed cells are Vvalues" true
-    (match Column.view vv with Column.Vvalues _ -> true | _ -> false);
-  check_injective "Vvalues cells"
-    [ ([ vv ], [ [ Value.Int 1 ]; [ Value.Float 0.5 ] ]) ];
-  let rows_m = Algebra.extend [ ("m", Value.Tfloat, numeric) ] t in
-  let cols_m = Columnar.extend [ ("m", Value.Tfloat, mixed) ] c in
-  let agg_names = List.map fst aggs in
-  check "group_by on a Vvalues key"
-    (Algebra.project agg_names (Algebra.group_by ~keys:[ "m" ] ~aggs rows_m))
-    (Columnar.project agg_names (Columnar.group_by ~keys:[ "m" ] ~aggs cols_m));
-  let kept = [ "k"; "g"; "v"; "f"; "y" ] in
-  check "equi_join on a Vvalues key"
-    (Algebra.project kept (Algebra.equi_join ~on:[ ("m", "f") ] rows_m floats))
-    (Columnar.project kept
-       (Columnar.equi_join ~on:[ ("m", "f") ] cols_m (Columnar.of_table floats)))
+       (Columnar.of_table floats))
 
 let test_keyed_pooled_identity () =
   (* Sizes straddling the pooled chunk boundaries; NaN and Null keys. *)
@@ -1565,10 +1553,10 @@ let test_plan_columnar_identity () =
       (tables_identical oracle (Plan.execute cat plan))
   in
   check_plan "raw" star_query;
-  (* A mixed-kind If the kernel declines: the in-engine interpreter. *)
-  check_plan "fallback predicate"
+  (* An always-Null branch takes the other's kind. *)
+  check_plan "typed-Null predicate"
     (Plan.select
-       Expr.(If (col "amount" > float 25., col "amount", col "rid") > float 30.)
+       Expr.(If (col "amount" > float 25., col "amount", Lit Value.Null) > float 30.)
        star_query);
   check_plan "optimized" (Plan.optimize cat star_query);
   check_plan "projected" (Plan.project [ "oid"; "rname" ] star_query)
@@ -1768,53 +1756,48 @@ let test_catalog () =
 (* [Columnar.to_table] keeps the type check [Table.of_rows] made on the
    rows it used to build, and raises at [to_table] time: the table it
    returns has never built a row when the exception would fire. *)
-let test_to_table_validation () =
+(* An extend definition must be of its declared type or always Null. A
+   mismatch raises when the definitions are bound, in both engines and
+   over no rows, so no mistyped column reaches [to_table]. *)
+let test_extend_declared_types () =
   let schema = Schema.of_list [ ("a", Value.Tint); ("f", Value.Tfloat) ] in
-  let c =
-    Columnar.of_table
-      (Table.create schema
-         [
-           [| v_int 1; v_float 0.5 |]; [| v_int 2; Value.Null |]; [| v_int 3; v_float (-0.) |];
-         ])
+  let t =
+    Table.create schema
+      [ [| v_int 1; v_float 0.5 |]; [| v_int 2; Value.Null |]; [| v_int 3; v_float (-0.) |] ]
   in
-  let raises_at_to_table msg out =
-    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
-        ignore (Columnar.to_table out))
+  let c = Columnar.of_table t in
+  let none = Columnar.select Expr.(col "a" > int 9) c in
+  let raises msg defs =
+    List.iter
+      (fun (engine, run) ->
+        Alcotest.check_raises (engine ^ ": " ^ msg) (Invalid_argument msg) (fun () -> ignore (run ())))
+      [ ("algebra", fun () -> Table.cardinality (Algebra.extend defs t));
+        ("columnar", fun () -> Columnar.row_count (Columnar.extend defs c));
+        ("columnar, no rows", fun () -> Columnar.row_count (Columnar.extend defs none)) ]
   in
-  (* Kernel-compiled int arithmetic declared float: Ints storage. *)
-  raises_at_to_table "Table: column \"x\" expects float, got int"
-    (Columnar.extend [ ("x", Value.Tfloat, Expr.(col "a" + int 1)) ] c);
-  (* A mixed If the kernel declines: boxed Values storage. *)
-  raises_at_to_table "Table: column \"x\" expects float, got int"
-    (Columnar.extend
-       [ ("x", Value.Tfloat, Expr.(If (col "a" = int 1, col "f", int 0))) ] c);
-  (* Row-major order: row 0's bad "y" is reported before row 1's "x". *)
-  raises_at_to_table "Table: column \"y\" expects string, got int"
-    (Columnar.extend
-       [
-         ("x", Value.Tfloat, Expr.(If (col "a" = int 2, int 0, col "f")));
-         ("y", Value.Tstring, Expr.(If (col "a" = int 1, int 5, string "s")));
-       ]
-       c);
-  (* Mismatched storage with no offending cell passes, as rows would. *)
-  let empty = Columnar.select Expr.(col "a" > int 9) c in
-  let int_as_float = [ ("x", Value.Tfloat, Expr.(col "a" + int 1)) ] in
-  Alcotest.(check int) "no rows, no error" 0
-    (Table.cardinality (Columnar.to_table (Columnar.extend int_as_float empty)));
-  let nulls_as_string =
-    [ ("x", Value.Tstring, Expr.(If (col "a" = int 0, int 1, Lit Value.Null))) ]
-  in
-  Alcotest.(check int) "null cells only, no error" 3
-    (Table.cardinality (Columnar.to_table (Columnar.extend nulls_as_string c)))
+  raises "Expr: (a + 1) is int, expected float" [ ("x", Value.Tfloat, Expr.(col "a" + int 1)) ];
+  raises "Expr: (IF (a = 1) THEN f ELSE 0) has branches of kinds float and int"
+    [ ("x", Value.Tfloat, Expr.(If (col "a" = int 1, col "f", int 0))) ];
+  (* Definitions are typed in order, before any is evaluated. *)
+  raises "Expr: (IF (a = 1) THEN 5 ELSE NULL) is int, expected string"
+    [ ("x", Value.Tfloat, Expr.(col "f" * float 2.));
+      ("y", Value.Tstring, Expr.(If (col "a" = int 1, int 5, Lit Value.Null))) ];
+  (* Always Null: a column of the declared type, all Null. *)
+  let nulls = [ ("x", Value.Tstring, Expr.(Lit Value.Null + col "a")) ] in
+  let out = Columnar.to_table (Columnar.extend nulls c) in
+  Alcotest.(check bool) "all-Null column == algebra" true
+    (tables_identical (Algebra.extend nulls t) out);
+  Alcotest.(check bool) "stored as declared" true
+    (Column.storage_ty (Table.columns out).(2) = Value.Tstring)
 
 let image_schema =
   Schema.of_list
     [ ("f", Value.Tfloat); ("i", Value.Tint); ("s", Value.Tstring); ("b", Value.Tbool);
-      ("boxed", Value.Tint) ]
+      ("j", Value.Tint) ]
 
 (* One row per element: float (NaN payloads, -0., Null), int (extremes,
-   Null), string ("" and Null), bool (Null), and an int column held in
-   boxed [Values] storage. Zero rows included. *)
+   Null), string ("" and Null), bool (Null), and a second int column.
+   Zero rows included. *)
 let image_rows_gen =
   QCheck.Gen.(
     let null_or g = frequency [ (5, g); (1, return Value.Null) ] in
@@ -1834,16 +1817,14 @@ let image_rows_gen =
     let row = map (fun (f, i, s, b, x) -> [| f; i; s; b; x |]) (tup5 vf vi vs vb vi) in
     map Array.of_list (list_size (int_range 0 25) row))
 
-(* The same cells as a column-backed table, boxed column included. *)
+(* The same cells as a column-backed table. *)
 let column_backed rows =
   let n = Array.length rows in
   let cols =
     Array.of_list
       (List.mapi
          (fun j (c : Schema.column) ->
-           if c.name = "boxed" then
-             Column.of_values ~det:true ~reps:1 (Array.map (fun r -> r.(j)) rows)
-           else Column.of_det_cells ~ty:c.ty ~rows:n ~reps:1 (fun i -> rows.(i).(j)))
+           Column.of_det_cells ~ty:c.ty ~rows:n ~reps:1 (fun i -> rows.(i).(j)))
          (Schema.columns image_schema))
   in
   (Table.of_columns image_schema ~rows:n cols, cols)
@@ -1972,12 +1953,13 @@ let test_table_images_domain_safe () =
 
 (* --- late materialization: gathered columns are views --- *)
 
-(* One column of every storage kind: typed floats (NaN payloads, -0.),
-   ints, bools and strings with nulls, boxed [Values], each deterministic
-   or uncertain over [reps] repetitions as Bundle lays them out. *)
+(* One column of every storage kind: floats (NaN payloads, -0.), ints,
+   bools and strings with nulls, each deterministic or uncertain over
+   [reps] repetitions as Bundle lays them out. Kind 4 mixes ints,
+   strings and floats under the int type: cells no column can hold. *)
 type view_col = { kind : int; vreps : int; vrows : int; cells : Value.t array }
 
-let view_col_gen =
+let col_gen kinds =
   QCheck.Gen.(
     let null_or g = frequency [ (4, g); (1, return Value.Null) ] in
     let cell = function
@@ -1994,22 +1976,22 @@ let view_col_gen =
           (oneof [ map v_int (int_range 0 3); map v_str (oneofl [ "x"; "y" ]);
                    return (v_float nan) ])
     in
-    int_range 0 4 >>= fun kind ->
+    kinds >>= fun kind ->
     oneofl [ 1; 3 ] >>= fun vreps ->
     int_range 0 12 >>= fun vrows ->
     map (fun cells -> { kind; vreps; vrows; cells = Array.of_list cells })
       (list_repeat (vrows * vreps) (cell kind)))
 
+let view_col_gen = col_gen (QCheck.Gen.int_range 0 3)
+let mixed_col_gen = col_gen (QCheck.Gen.int_range 0 4)
+let column_ty = [| Value.Tfloat; Value.Tint; Value.Tbool; Value.Tstring; Value.Tint |]
+
 (* Det kinds read slot [i * reps]; an uncertain column reads every slot. *)
 let build_view_col ~uncertain v =
-  let ty = [| Value.Tfloat; Value.Tint; Value.Tbool; Value.Tstring; Value.Tint |] in
   let reps = v.vreps in
-  if v.kind = 4 then
-    if uncertain then Column.of_values ~det:false ~reps v.cells
-    else Column.of_values ~det:true ~reps (Array.init v.vrows (fun i -> v.cells.(i * reps)))
-  else if uncertain then
-    Column.of_cells ~ty:ty.(v.kind) ~rows:v.vrows ~reps (fun i r -> v.cells.((i * reps) + r))
-  else Column.of_det_cells ~ty:ty.(v.kind) ~rows:v.vrows ~reps (fun i -> v.cells.(i * reps))
+  if uncertain then
+    Column.of_cells ~ty:column_ty.(v.kind) ~rows:v.vrows ~reps (fun i r -> v.cells.((i * reps) + r))
+  else Column.of_det_cells ~ty:column_ty.(v.kind) ~rows:v.vrows ~reps (fun i -> v.cells.(i * reps))
 
 (* A chain step: random indices (repeats, possibly empty) or a full
    permutation of the current rows, drawn from a seed. *)
@@ -2033,9 +2015,7 @@ let chain_step ~rows (perm, seed, len) =
    One typed builder fills every column; [of_cells] and
    [of_realizations] decide determinism by [Value.identical], so a read
    returns exactly the cell that went in, signed zeros and NaN payloads
-   included. *)
-
-let column_ty = [| Value.Tfloat; Value.Tint; Value.Tbool; Value.Tstring; Value.Tint |]
+   included, and a cell of another type raises. *)
 
 let check_cells msg col v =
   for i = 0 to v.vrows - 1 do
@@ -2049,7 +2029,7 @@ let check_cells msg col v =
 
 let prop_builder_round_trip =
   QCheck.Test.make ~name:"builder: cells read back identical, mistyped raise" ~count:300
-    (QCheck.make view_col_gen)
+    (QCheck.make mixed_col_gen)
     (fun v ->
       let ty = column_ty.(v.kind) in
       (* Room for one row, so pushes grow the buffers. *)
@@ -2062,27 +2042,30 @@ let prop_builder_round_trip =
       | () ->
         let col = Column.finish b in
         check_cells "builder" col v;
-        Array.for_all fits v.cells && Column.rows col = v.vrows && Column.storage_ty col = Some ty
-      | exception Column.Untyped -> not (Array.for_all fits v.cells))
+        Array.for_all fits v.cells && Column.rows col = v.vrows && Column.storage_ty col = ty
+      | exception Invalid_argument _ -> not (Array.for_all fits v.cells))
 
 let prop_of_cells_identical =
   QCheck.Test.make ~name:"of_cells: det iff identical across reps, bits kept" ~count:300
-    (QCheck.make view_col_gen)
+    (QCheck.make mixed_col_gen)
     (fun v ->
-      let col =
-        Column.of_cells ~ty:column_ty.(v.kind) ~rows:v.vrows ~reps:v.vreps (fun i r ->
-            v.cells.((i * v.vreps) + r))
-      in
-      check_cells "of_cells" col v;
-      let stable =
-        List.for_all
-          (fun i ->
-            List.for_all
-              (fun r -> Value.identical v.cells.(i * v.vreps) v.cells.((i * v.vreps) + r))
-              (List.init v.vreps Fun.id))
-          (List.init v.vrows Fun.id)
-      in
-      Column.det col = stable)
+      let ty = column_ty.(v.kind) in
+      let fits c = Value.is_null c || Value.type_of c = Some ty in
+      match
+        Column.of_cells ~ty ~rows:v.vrows ~reps:v.vreps (fun i r -> v.cells.((i * v.vreps) + r))
+      with
+      | exception Invalid_argument _ -> not (Array.for_all fits v.cells)
+      | col ->
+        check_cells "of_cells" col v;
+        let stable =
+          List.for_all
+            (fun i ->
+              List.for_all
+                (fun r -> Value.identical v.cells.(i * v.vreps) v.cells.((i * v.vreps) + r))
+                (List.init v.vreps Fun.id))
+            (List.init v.vrows Fun.id)
+        in
+        Array.for_all fits v.cells && Column.det col = stable)
 
 let test_of_cells_signed_zero () =
   (* [Value.equal] calls these cells equal; a deterministic column would
@@ -2120,11 +2103,12 @@ let test_of_realizations_sharing () =
   Alcotest.(check bool) "differing cells: uncertain" false (Column.det mixed);
   Alcotest.(check bool) "rep 0 null" true (Value.identical Value.Null (Column.value mixed 1 0));
   Alcotest.(check bool) "rep 1 string" true (Value.identical (v_str "z") (Column.value mixed 1 1));
-  (* Boxed storage beside typed storage: interleaved by value. *)
-  let boxed = Column.of_values ~det:true ~reps:1 [| v_str "x"; v_str "w"; v_str "y" |] in
-  let both = Column.of_realizations ~ty:Value.Tstring [| a; boxed |] in
-  Alcotest.(check bool) "typed storage" true (Column.storage_ty both = Some Value.Tstring);
-  Alcotest.(check bool) "boxed rep read" true (Value.identical (v_str "w") (Column.value both 1 1))
+  (* A realization of another type has no storage to interleave into. *)
+  let ints = Column.of_det_cells ~ty:Value.Tint ~rows:3 ~reps:1 (fun i -> v_int i) in
+  Alcotest.(check bool) "mistyped realization raises" true
+    (match Column.of_realizations ~ty:Value.Tstring [| a; ints |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* Runs of repetitions interleave in order, and determinism ignores
    what a Null slot stores: a kernel-built column may hold anything
@@ -2231,10 +2215,6 @@ let views_identical a b =
   | Column.Vbool x, Column.Vbool y ->
     x.vdet = y.vdet && x.data = y.data && bitset_equal x.nulls y.nulls
   | Column.Vstring x, Column.Vstring y -> x.vdet = y.vdet && x.codes = y.codes && x.dict == y.dict
-  | Column.Vvalues x, Column.Vvalues y ->
-    x.vdet = y.vdet
-    && Array.length x.data = Array.length y.data
-    && Array.for_all2 value_identical x.data y.data
   | _ -> false
 
 let prop_view_chains =
@@ -2587,29 +2567,26 @@ let test_inexact_keys_row_order () =
   in
   List.iter
     (fun order ->
-      (* A mixed-kind If puts Int and Float cells in one column. *)
-      let t =
+      (* The ints on one side and the float on the other, in the order
+         drawn: one dictionary codes both sides, and only Int 2^53 meets
+         Float 2^53. *)
+      let side name ty =
         Table.create
-          (Schema.of_list [ ("i", Value.Tint); ("f", Value.Tfloat); ("pick", Value.Tbool) ])
-          (List.map
-             (function
-               | Value.Int i -> [| Value.Int i; Value.Float 0.; Value.Bool true |]
-               | v -> [| Value.Int 0; v; Value.Bool false |])
+          (Schema.of_list [ (name, ty) ])
+          (List.filter_map
+             (fun v -> if Value.type_of v = Some ty then Some [| v |] else None)
              order)
       in
-      let c =
-        Columnar.extend
-          [ ("k", Value.Tfloat, Expr.(If (col "pick", col "i", col "f"))) ]
-          (Columnar.of_table t)
-      in
-      let g = Columnar.group_by ~keys:[ "k" ] ~aggs:[ ("n", Algebra.Count) ] c in
-      let counts =
-        List.sort compare
-          (Array.to_list (Array.map (fun r -> Value.to_int r.(0)) (Table.rows (Columnar.to_table (Columnar.project [ "n" ] g)))))
-      in
-      Alcotest.(check (list int)) "group sizes" [ 1; 2 ] counts;
-      Alcotest.(check int) "distinct keys" 2
-        (Columnar.row_count (Columnar.distinct (Columnar.project [ "k" ] c))))
+      let ints = side "i" Value.Tint and floats = side "f" Value.Tfloat in
+      List.iter
+        (fun (l, r, on) ->
+          let rows = Algebra.equi_join ~on l r in
+          Alcotest.(check int) "one match" 1 (Table.cardinality rows);
+          Alcotest.(check bool) "columnar == algebra" true
+            (tables_identical rows
+               (Columnar.to_table
+                  (Columnar.equi_join ~on (Columnar.of_table l) (Columnar.of_table r)))))
+        [ (ints, floats, [ ("i", "f") ]); (floats, ints, [ ("f", "i") ]) ])
     (perms cells)
 
 let test_inexact_int_never_joins_float () =
@@ -2927,7 +2904,7 @@ let () =
             test_columnar_blocks_match_algebra;
           Alcotest.test_case "allocation per block, not per row" `Quick
             test_columnar_allocation;
-          Alcotest.test_case "to_table validates eagerly" `Quick test_to_table_validation;
+          Alcotest.test_case "extend checks declared types" `Quick test_extend_declared_types;
           Alcotest.test_case "images shared" `Quick test_columnar_shares_images;
           Alcotest.test_case "to_table builds no rows" `Quick test_to_table_builds_no_rows;
           Alcotest.test_case "images domain-safe" `Quick test_table_images_domain_safe;
