@@ -122,8 +122,12 @@ let mcdb () =
   let rows =
     List.map
       (fun n_reps ->
-        let bundle_answer, bundle_time = Util.time_it (fun () -> run_bundle n_reps) in
-        let naive_answer, naive_time = Util.time_it (fun () -> run_naive n_reps) in
+        let bundle_answer, { Util.seconds = bundle_time; _ } =
+          Util.timed (fun () -> run_bundle n_reps)
+        in
+        let naive_answer, { Util.seconds = naive_time; _ } =
+          Util.timed (fun () -> run_naive n_reps)
+        in
         [ Util.i n_reps; Util.g3 bundle_answer; Util.g3 naive_answer;
           Util.f3 bundle_time; Util.f3 naive_time;
           Util.f2 (naive_time /. Float.max 1e-9 bundle_time) ])
@@ -275,10 +279,12 @@ let spline () =
         let series = Synthetic.smooth_signal ~seed:11 ~knots ~span:100. () in
         let a, b = Spline.system series in
         let problem = Sgd.of_tridiag a b in
-        let direct, direct_time = Util.time_it (fun () -> Mde.Linalg.Tridiag.solve a b) in
+        let direct, { Util.seconds = direct_time; _ } =
+          Util.timed (fun () -> Mde.Linalg.Tridiag.solve a b)
+        in
         let rng = Rng.create ~seed:12 () in
-        let result, dsgd_time =
-          Util.time_it (fun () ->
+        let result, { Util.seconds = dsgd_time; _ } =
+          Util.timed (fun () ->
               Sgd.dsgd ~rng ~schedule:(Sgd.Row_normalized 1.0) ~sub_epochs:100_000
                 ~tol:1e-8
                 ~strata:(Sgd.tridiagonal_strata ~dim:problem.Sgd.dim)
@@ -316,12 +322,12 @@ let align () =
   let rows =
     List.map
       (fun (name, kind) ->
-        let result, elapsed =
-          Util.time_it (fun () ->
+        let result, { Util.seconds = elapsed; _ } =
+          Util.timed (fun () ->
               Mr_align.interpolate ~partitions:16 ~kind source ~target_times)
         in
-        let seq, seq_time =
-          Util.time_it (fun () ->
+        let seq, { Util.seconds = seq_time; _ } =
+          Util.timed (fun () ->
               Align.align
                 (Align.Interpolate (match kind with `Linear -> Align.Linear | `Cubic -> Align.Cubic))
                 source ~target_times)
@@ -390,13 +396,13 @@ let grid () =
     | Some idx -> idx mod coarse_n < coarse_n / 4
     | None -> false
   in
-  let (naive_field, naive_stats), naive_time =
-    Util.time_it (fun () ->
+  let (naive_field, naive_stats), { Util.seconds = naive_time; _ } =
+    Util.timed (fun () ->
         Gridfield.naive_regrid_then_restrict ~region ~assignment
           ~aggregate:Gridfield.Average ~target:coarse ~target_dim:2 field)
   in
-  let (opt_field, opt_stats), opt_time =
-    Util.time_it (fun () ->
+  let (opt_field, opt_stats), { Util.seconds = opt_time; _ } =
+    Util.timed (fun () ->
         Gridfield.restrict_then_regrid ~region ~assignment ~aggregate:Gridfield.Average
           ~target:coarse ~target_dim:2 field)
   in
@@ -514,7 +520,9 @@ let planopt () =
   let optimized = Plan.optimize cat naive in
   let report label plan =
     let cost = Plan.estimate_cost cat plan in
-    let result, elapsed = Util.time_it (fun () -> Plan.execute cat plan) in
+    let result, { Util.seconds = elapsed; _ } =
+      Util.timed (fun () -> Plan.execute cat plan)
+    in
     [ label; Util.g3 cost.Plan.intermediate_rows; Util.g3 cost.Plan.estimated_rows;
       Util.i (Table.cardinality result); Util.f3 elapsed ]
   in

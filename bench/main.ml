@@ -33,7 +33,7 @@ let list_experiments () =
 let run_one id =
   match List.find_opt (fun (eid, _, _) -> eid = id) experiments with
   | Some (_, _, fn) ->
-    let (), elapsed = Util.time_it fn in
+    let (), { Util.seconds = elapsed; _ } = Util.timed fn in
     Format.printf "@.  [%s completed in %.1fs]@." id elapsed
   | None ->
     Format.eprintf "unknown experiment %S (use --list)@." id;

@@ -20,7 +20,9 @@ let krig () =
         let coded = Design.nearly_orthogonal_lh ~rng ~factors:2 ~levels ~tries:100 in
         let design = Design.scale coded ~ranges:[| (0., 1.); (0., 1.) |] in
         let response = Array.map f design in
-        let model, fit_time = Util.time_it (fun () -> Kriging.fit_mle ~design ~response ()) in
+        let model, { Util.seconds = fit_time; _ } =
+          Util.timed (fun () -> Kriging.fit_mle ~design ~response ())
+        in
         (* Out-of-sample error on a 20x20 grid. *)
         let err = ref 0. and count = ref 0 in
         for a = 0 to 19 do

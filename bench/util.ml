@@ -42,11 +42,6 @@ let spark values =
       in
       glyphs.(max 0 (min 7 level)))
 
-let time_it f =
-  let t0 = Sys.time () in
-  let result = f () in
-  (result, Sys.time () -. t0)
-
 (* One timed section: wall seconds and the bytes it allocated
    ([Mde_obs.allocated_words], minor heap included). *)
 type timing = { seconds : float; alloc_bytes : float }

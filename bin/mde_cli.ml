@@ -361,7 +361,7 @@ let metrics_cmd =
     let registry = Mde.Obs.create () in
     Mde.Obs.set_default registry;
     (* Always route through a pool (1-domain pools run sequentially on
-       the caller) so pool batch/chunk/steal metrics appear in the
+       the caller) so pool batch/chunk/task metrics appear in the
        exposition alongside the serving-layer ones. *)
     let pool = Mde.Par.Pool.create ~domains () in
     let server = Mde.Serve.Demo.server ~pool () in

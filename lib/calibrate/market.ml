@@ -4,8 +4,11 @@ module Dist = Mde_prob.Dist
 type params = { n_agents : int; a : float; b : float; noise : float }
 
 let simulate_returns rng params ~steps ~burn_in =
-  assert (params.n_agents >= 2 && steps > 0 && burn_in >= 0);
-  assert (params.a >= 0. && params.b >= 0. && params.noise >= 0.);
+  if not (params.n_agents >= 2 && steps > 0 && burn_in >= 0) then
+    invalid_arg
+      "Market.simulate_returns: needs n_agents >= 2, steps > 0 and burn_in >= 0";
+  if not (params.a >= 0. && params.b >= 0. && params.noise >= 0.) then
+    invalid_arg "Market.simulate_returns: a, b and noise must be >= 0";
   let n = params.n_agents in
   (* optimists: number of agents in the + state. *)
   let optimists = ref (n / 2) in
@@ -37,7 +40,7 @@ let simulate_returns rng params ~steps ~burn_in =
 
 let moments returns =
   let n = Array.length returns in
-  assert (n >= 3);
+  if n < 3 then invalid_arg "Market.moments: fewer than 3 returns";
   let mean = Mde_prob.Stats.mean returns in
   let centered = Array.map (fun r -> r -. mean) returns in
   let var = Array.fold_left (fun acc c -> acc +. (c *. c)) 0. centered /. float_of_int n in
@@ -50,6 +53,7 @@ let moments returns =
   [| var; kurtosis; acf1 |]
 
 let simulate_moments ~steps ~burn_in ~n_agents ~noise rng theta =
-  assert (Array.length theta = 2);
+  if Array.length theta <> 2 then
+    invalid_arg "Market.simulate_moments: theta must be [a; b]";
   let params = { n_agents; a = Float.max 0. theta.(0); b = Float.max 0. theta.(1); noise } in
   moments (simulate_returns rng params ~steps ~burn_in)

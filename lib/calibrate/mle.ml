@@ -1,13 +1,14 @@
 let exponential xs =
-  assert (Array.length xs > 0);
-  Array.iter (fun x -> assert (x >= 0.)) xs;
+  if Array.length xs = 0 then invalid_arg "Mle.exponential: empty sample";
+  if Array.exists (fun x -> not (x >= 0.)) xs then
+    invalid_arg "Mle.exponential: observations must be >= 0";
   let mean = Mde_prob.Stats.mean xs in
-  assert (mean > 0.);
+  if not (mean > 0.) then invalid_arg "Mle.exponential: sample mean must be > 0";
   1. /. mean
 
 let normal xs =
   let n = Array.length xs in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Mle.normal: empty sample";
   let mu = Mde_prob.Stats.mean xs in
   let var =
     Array.fold_left (fun acc x -> acc +. ((x -. mu) ** 2.)) 0. xs /. float_of_int n
@@ -15,7 +16,7 @@ let normal xs =
   (mu, sqrt var)
 
 let poisson ks =
-  assert (Array.length ks > 0);
+  if Array.length ks = 0 then invalid_arg "Mle.poisson: empty sample";
   Mde_prob.Stats.mean (Array.map float_of_int ks)
 
 type numeric_result = {
@@ -25,7 +26,7 @@ type numeric_result = {
 }
 
 let numeric ~log_density ~bounds ~x0 data =
-  assert (Array.length data > 0);
+  if Array.length data = 0 then invalid_arg "Mle.numeric: empty sample";
   let objective theta =
     let acc = ref 0. in
     Array.iter (fun x -> acc := !acc +. log_density ~theta x) data;

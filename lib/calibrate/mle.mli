@@ -5,13 +5,16 @@
 
 val exponential : float array -> float
 (** MLE of the rate θ of f(x;θ) = θe^{−θx}: 1 / sample mean (the paper's
-    worked example). Requires positive observations. *)
+    worked example). Raises [Invalid_argument] if [xs] is empty, an
+    observation is negative or NaN, or the sample mean is not positive. *)
 
 val normal : float array -> float * float
-(** (μ̂, σ̂) with the (biased, 1/n) MLE variance. *)
+(** (μ̂, σ̂) with the (biased, 1/n) MLE variance. Raises
+    [Invalid_argument] on an empty sample. *)
 
 val poisson : int array -> float
-(** Rate MLE = sample mean. *)
+(** Rate MLE = sample mean. Raises [Invalid_argument] on an empty
+    sample. *)
 
 type numeric_result = {
   theta : float array;
@@ -26,4 +29,5 @@ val numeric :
   float array ->
   numeric_result
 (** [numeric ~log_density ~bounds ~x0 data] maximizes Σᵢ log f(xᵢ; θ)
-    with box-constrained Nelder–Mead. *)
+    with box-constrained Nelder–Mead. Raises [Invalid_argument] if
+    [data] is empty. *)

@@ -13,20 +13,21 @@ type problem = {
 
 let observed_mean problem =
   let n = Array.length problem.observed in
-  assert (n > 0);
+  if n = 0 then invalid_arg "Msm.observed_mean: no observed moment samples";
   let m = Array.length problem.observed.(0) in
   let out = Array.make m 0. in
   Array.iter
     (fun row ->
-      assert (Array.length row = m);
+      if Array.length row <> m then
+        invalid_arg "Msm.observed_mean: observed rows differ in length";
       Array.iteri (fun j v -> out.(j) <- out.(j) +. (v /. float_of_int n)) row)
     problem.observed;
   out
 
 let weight_matrix ?ridge problem =
   let n = Array.length problem.observed in
+  if n < 2 then invalid_arg "Msm.weight_matrix: fewer than 2 observed moment samples";
   let m = Array.length problem.observed.(0) in
-  assert (n >= 2);
   let mean = observed_mean problem in
   (* Covariance of G = Ȳ − m̂(θ): per-sample moment covariance scaled by
      (1/n + 1/R) — the simulation-noise correction of McFadden's MSM
@@ -59,7 +60,8 @@ let simulated_mean problem rng theta =
   let out = Array.make m_dim 0. in
   for _ = 1 to problem.replications do
     let sample = problem.simulate_moments rng theta in
-    assert (Array.length sample = m_dim);
+    if Array.length sample <> m_dim then
+      invalid_arg "Msm.objective: simulate_moments and observed rows differ in length";
     Array.iteri
       (fun j v -> out.(j) <- out.(j) +. (v /. float_of_int problem.replications))
       sample
@@ -70,7 +72,8 @@ let penalty problem theta =
   match problem.regularization with
   | None -> 0.
   | Some { lambda; prior } ->
-    assert (Array.length prior = Array.length theta);
+    if Array.length prior <> Array.length theta then
+      invalid_arg "Msm.objective: regularization prior and theta differ in length";
     let acc = ref 0. in
     Array.iteri
       (fun k t ->
@@ -182,7 +185,8 @@ let calibrate ?(seed = 99) ?weight ?(common_random_numbers = true) problem metho
       method_name = "random-search";
     }
   | Kriging_surrogate { design_points; refine } ->
-    assert (design_points >= 4);
+    if design_points < 4 then
+      invalid_arg "Msm.calibrate: Kriging_surrogate needs design_points >= 4";
     (* DOE: a nearly orthogonal LH over the unit box (Salle-Yildizoglu). *)
     let coded =
       Mde_metamodel.Design.nearly_orthogonal_lh ~rng:(Rng.split rng) ~factors:dims

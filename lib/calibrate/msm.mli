@@ -30,15 +30,23 @@ type problem = {
 }
 
 val observed_mean : problem -> float array
+(** Ȳ, the mean of the observed moment samples. Raises
+    [Invalid_argument] if there are none or their rows differ in
+    length. *)
 
 val weight_matrix : ?ridge:float -> problem -> Mde_linalg.Mat.t
 (** Inverse covariance of G = Ȳ − m̂(θ): the per-sample moment covariance
     scaled by (1/n + 1/replications) — McFadden's simulation-noise
     correction — with a ridge (default 1e-6 × mean diagonal) for
-    stability. *)
+    stability. Raises [Invalid_argument] on fewer than two observed
+    samples or rows of different lengths. *)
 
 val objective : problem -> Mde_prob.Rng.t -> Mde_linalg.Mat.t -> float array -> float
-(** J(θ) for one (fresh-stream) simulation estimate of m̂(θ). *)
+(** J(θ) for one (fresh-stream) simulation estimate of m̂(θ). Raises
+    [Invalid_argument] if the observed samples are empty or ragged,
+    [simulate_moments] returns a vector of another length than the
+    observed rows, or a regularization prior's length differs from
+    θ's. *)
 
 type method_ =
   | Nelder_mead
@@ -66,4 +74,7 @@ val calibrate :
     same random stream, the standard variance-reduction trick that turns
     the noisy objective into a fixed surface so that deterministic
     optimizers (Nelder–Mead, the kriging surrogate) behave; set false for
-    independent streams per evaluation. *)
+    independent streams per evaluation. Raises [Invalid_argument] on
+    the inputs {!weight_matrix} (when [weight] is not given) and
+    {!objective} reject, and on a [Kriging_surrogate] with fewer than 4
+    design points. *)

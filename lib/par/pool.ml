@@ -1,4 +1,4 @@
-(* A persistent work-stealing pool.
+(* A persistent pool of worker domains with one chunk cursor per batch.
 
    The first-generation pool had three pathologies that made parallel
    runs *slower* than sequential on small-core machines (recorded in
@@ -6,84 +6,21 @@
    spawned and joined around every [with_pool] call, every task went
    through one mutex-guarded shared queue, and [parallel_init] boxed
    every result in an option cell and unwrapped with a full extra pass.
-   This version keeps domains alive across calls ([shared]), gives each
-   domain its own deque (owner pops LIFO at the bottom, thieves take
-   FIFO from the top, so contention is per-deque and cold tasks migrate
-   first), sizes chunks adaptively from measured per-item latency, takes
-   a sequential fast path when a batch is too small to pay for a
-   fan-out, and writes results unboxed into the final array.
+   This version keeps domains alive across calls ([shared]), hands each
+   fan-out to the domains as one batch record whose chunks are claimed
+   with an atomic cursor, sizes chunks adaptively from measured per-item
+   latency, takes a sequential fast path when a batch is too small to
+   pay for a fan-out, and writes results unboxed into the final array.
+
+   Every caller submits one flat batch of independent items (Monte
+   Carlo replications, realizations, kernel block waves, key-code and
+   probe chunks, map/reduce partitions, served requests), not a tree
+   of spawns, so one shared cursor balances the load: a domain that
+   finishes early simply claims the next chunk.
 
    Determinism is unchanged: the pool decides only *where* index [i]
    runs, never what it computes, so pooled output is bit-identical to
    sequential output for self-contained work items. *)
-
-(* --- per-domain deques ---------------------------------------------
-
-   A growable ring buffer under its own small mutex. Indices [head]
-   (steal end, oldest task) and [tail] (owner end) increase
-   monotonically; occupancy is [tail - head] and slot [i] lives at
-   [i land (capacity - 1)]. A mutex per deque is plenty here: tasks are
-   whole chunks (hundreds of microseconds by construction), so deque
-   operations are far off the critical path. *)
-
-let nop_task () = ()
-
-type deque = {
-  dlock : Mutex.t;
-  mutable buf : (unit -> unit) array;
-  mutable head : int;
-  mutable tail : int;
-}
-
-let deque_create () =
-  { dlock = Mutex.create (); buf = Array.make 16 nop_task; head = 0; tail = 0 }
-
-let deque_grow d =
-  let n = Array.length d.buf in
-  let buf = Array.make (2 * n) nop_task in
-  for i = d.head to d.tail - 1 do
-    buf.(i land ((2 * n) - 1)) <- d.buf.(i land (n - 1))
-  done;
-  d.buf <- buf
-
-let push_bottom d task =
-  Mutex.lock d.dlock;
-  if d.tail - d.head = Array.length d.buf then deque_grow d;
-  d.buf.(d.tail land (Array.length d.buf - 1)) <- task;
-  d.tail <- d.tail + 1;
-  Mutex.unlock d.dlock
-
-(* Owner end: newest task first, so a domain finishes the work it just
-   queued while thieves drain the oldest (coldest) tasks. *)
-let pop_bottom d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.tail = d.head then None
-    else begin
-      d.tail <- d.tail - 1;
-      let i = d.tail land (Array.length d.buf - 1) in
-      let t = d.buf.(i) in
-      d.buf.(i) <- nop_task;
-      Some t
-    end
-  in
-  Mutex.unlock d.dlock;
-  r
-
-let steal_top d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.tail = d.head then None
-    else begin
-      let i = d.head land (Array.length d.buf - 1) in
-      let t = d.buf.(i) in
-      d.buf.(i) <- nop_task;
-      d.head <- d.head + 1;
-      Some t
-    end
-  in
-  Mutex.unlock d.dlock;
-  r
 
 (* --- metrics and adaptive state ------------------------------------
 
@@ -98,7 +35,6 @@ type metrics = {
   obs : Mde_obs.t;
   obs_on : bool;
   domain_tasks : Mde_obs.Counter.t array;  (* index 0 = submitting domain *)
-  domain_steals : Mde_obs.Counter.t array;
   m_batches : Mde_obs.Counter.t;
   m_seq : Mde_obs.Counter.t;
 }
@@ -109,18 +45,31 @@ type site = {
   mutable per_item : float;  (* EWMA seconds per work item; 0. = unmeasured *)
 }
 
+(* One fan-out. [next] is the chunk cursor: every domain, the
+   submitter included, claims chunk [Atomic.fetch_and_add next 1] until
+   it passes [n_chunks]. [unfinished], [error] and [work_seconds] are
+   guarded by the pool mutex. *)
+type batch = {
+  run_chunk : int -> unit;  (* runs chunk [c] *)
+  n_chunks : int;
+  next : int Atomic.t;
+  mutable unfinished : int;
+  mutable error : (exn * Printexc.raw_backtrace) option;
+  mutable work_seconds : float;
+  site : site;
+}
+
 type t = {
-  mutex : Mutex.t;  (* batch bookkeeping + idle/wake protocol *)
-  work_available : Condition.t;
-  deques : deque array;  (* one per domain; index 0 = submitting caller *)
-  tasks_queued : int Atomic.t;  (* pushed but not yet taken; sleep gate *)
+  mutex : Mutex.t;  (* open batches, batch completion, idle/wake protocol *)
+  work_available : Condition.t;  (* a batch was opened, or the pool closes *)
+  batch_done : Condition.t;  (* some batch's last chunk finished *)
+  open_batches : batch Queue.t;  (* FIFO; a fully claimed head is dropped *)
   mutable closing : bool;
   mutable workers : unit Domain.t array;
   n_domains : int;
-  (* Always-on plain counters for [stats]: each domain writes only its
-     own slot, so the writes are disjoint and race-free. *)
-  task_counts : int array;
-  steal_counts : int array;
+  (* Always-on counters for [stats]; slot 0 is shared by every
+     submitting domain, so the slots are atomic. *)
+  task_counts : int Atomic.t array;
   mutable batches : int;
   mutable seq_batches : int;
   sites : (string, site) Hashtbl.t;
@@ -128,62 +77,62 @@ type t = {
   metrics : metrics;
 }
 
-(* --- taking and running tasks -------------------------------------- *)
+(* --- claiming and running chunks ------------------------------------ *)
 
-let take_task pool i =
-  let found =
-    match pop_bottom pool.deques.(i) with
-    | Some _ as t -> t
-    | None ->
-      let nd = pool.n_domains in
-      let rec scan k =
-        if k >= nd then None
-        else
-          match steal_top pool.deques.((i + k) mod nd) with
-          | Some _ as t ->
-            pool.steal_counts.(i) <- pool.steal_counts.(i) + 1;
-            if pool.metrics.obs_on then
-              Mde_obs.Counter.incr pool.metrics.domain_steals.(i);
-            t
-          | None -> scan (k + 1)
-      in
-      scan 1
-  in
-  (match found with
-  | Some _ -> ignore (Atomic.fetch_and_add pool.tasks_queued (-1))
-  | None -> ());
-  found
+let run_chunk pool i b c =
+  let t0 = Mde_obs.Clock.wall () in
+  (try b.run_chunk c
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Mutex.lock pool.mutex;
+     if b.error = None then b.error <- Some (e, bt);
+     Mutex.unlock pool.mutex);
+  let dt = Mde_obs.Clock.wall () -. t0 in
+  Atomic.incr pool.task_counts.(i);
+  if pool.metrics.obs_on then begin
+    Mde_obs.Histogram.observe b.site.site_hist dt;
+    Mde_obs.Counter.incr pool.metrics.domain_tasks.(i)
+  end;
+  Mutex.lock pool.mutex;
+  b.work_seconds <- b.work_seconds +. dt;
+  b.unfinished <- b.unfinished - 1;
+  if b.unfinished = 0 then Condition.broadcast pool.batch_done;
+  Mutex.unlock pool.mutex
 
-let run_task pool i task =
-  task ();
-  pool.task_counts.(i) <- pool.task_counts.(i) + 1;
-  if pool.metrics.obs_on then Mde_obs.Counter.incr pool.metrics.domain_tasks.(i)
+(* Claim and run chunks of [b] on domain [i] until none is left. *)
+let rec drain pool i b =
+  let c = Atomic.fetch_and_add b.next 1 in
+  if c < b.n_chunks then begin
+    run_chunk pool i b c;
+    drain pool i b
+  end
 
-(* A worker spins through its deque and the others'; with nothing to
-   take it sleeps on [work_available]. The [tasks_queued] check and the
-   wait happen under the pool mutex, and submitters bump the counter and
-   broadcast under the same mutex, so a wakeup can never be missed. A
-   closing pool drains every queued task before the worker exits. *)
+(* A worker drains the oldest open batch that still has unclaimed
+   chunks, dropping fully claimed ones from the head of the FIFO; with
+   none it sleeps on [work_available]. The check and the wait happen
+   under the pool mutex, and submitters push and broadcast under the
+   same mutex, so a wakeup can never be missed. A closing pool drains
+   every open batch before the worker exits. *)
 let rec worker_loop pool i =
-  match take_task pool i with
-  | Some task ->
-    run_task pool i task;
+  Mutex.lock pool.mutex;
+  let rec next_batch () =
+    match Queue.peek_opt pool.open_batches with
+    | Some b when Atomic.get b.next < b.n_chunks -> Some b
+    | Some _ ->
+      ignore (Queue.pop pool.open_batches);
+      next_batch ()
+    | None when pool.closing -> None
+    | None ->
+      Condition.wait pool.work_available pool.mutex;
+      next_batch ()
+  in
+  let b = next_batch () in
+  Mutex.unlock pool.mutex;
+  match b with
+  | None -> ()
+  | Some b ->
+    drain pool i b;
     worker_loop pool i
-  | None ->
-    Mutex.lock pool.mutex;
-    let stop =
-      if Atomic.get pool.tasks_queued > 0 then false
-      else if pool.closing then true
-      else begin
-        Condition.wait pool.work_available pool.mutex;
-        false
-      end
-    in
-    Mutex.unlock pool.mutex;
-    if not stop then begin
-      Domain.cpu_relax ();
-      worker_loop pool i
-    end
 
 (* --- lifecycle ------------------------------------------------------ *)
 
@@ -204,12 +153,6 @@ let create ?domains () =
             Mde_obs.counter obs ~help:"Pool chunks executed, by domain (0 = caller)"
               ~labels:[ ("domain", string_of_int i) ]
               "mde_pool_tasks_total");
-      domain_steals =
-        Array.init n (fun i ->
-            Mde_obs.counter obs
-              ~help:"Pool chunks stolen from another domain's deque, by thief"
-              ~labels:[ ("domain", string_of_int i) ]
-              "mde_pool_steals_total");
       m_batches =
         Mde_obs.counter obs ~help:"Batches fanned out over the pool"
           "mde_pool_batches_total";
@@ -223,13 +166,12 @@ let create ?domains () =
     {
       mutex = Mutex.create ();
       work_available = Condition.create ();
-      deques = Array.init n (fun _ -> deque_create ());
-      tasks_queued = Atomic.make 0;
+      batch_done = Condition.create ();
+      open_batches = Queue.create ();
       closing = false;
       workers = [||];
       n_domains = n;
-      task_counts = Array.make n 0;
-      steal_counts = Array.make n 0;
+      task_counts = Array.init n (fun _ -> Atomic.make 0);
       batches = 0;
       seq_batches = 0;
       sites = Hashtbl.create 8;
@@ -298,7 +240,7 @@ let shared ?domains () =
 (* --- adaptive chunking ---------------------------------------------- *)
 
 (* Below this much *total* sequential work a fan-out cannot pay for its
-   own dispatch (queue pushes, wakeups, cross-domain cache traffic), so
+   own dispatch (opening a batch, wakeups, cross-domain cache traffic), so
    the batch runs on the caller. *)
 let crossover_seconds = 50e-6
 
@@ -379,34 +321,26 @@ let estimated_item_seconds pool ~site =
 
 (* --- batch execution ------------------------------------------------ *)
 
-(* Run [run_chunk lo hi] for each chunk of [0, n), spread round-robin
-   over the per-domain deques. The submitting domain takes part: while
-   its batch is outstanding it executes tasks (its own deque first, then
-   steals) and only sleeps when nothing is left to take. Exactly one
-   exception — the first, in completion order — survives the batch and
-   is re-raised on the caller once every chunk has finished, so a
-   failing batch never leaves tasks behind to corrupt a later one. *)
-let parallel_chunks pool s ~n ~chunk run_chunk =
+(* Run [run_chunk lo hi] for each chunk of [0, n) as one open batch.
+   The submitting domain claims chunks of its own batch like any worker
+   and then sleeps only until the chunks other domains already claimed
+   finish. It never waits on a chunk nobody runs, so a chunk that
+   submits to its own pool cannot deadlock. Exactly one exception — the
+   first, in completion order — survives the batch and is re-raised on
+   the caller once every chunk has finished, so a failing batch never
+   leaves chunks behind to corrupt a later one. *)
+let parallel_chunks pool site ~n ~chunk run_chunk =
   let n_chunks = (n + chunk - 1) / chunk in
-  let remaining = ref n_chunks in
-  let error = ref None in
-  let work_seconds = ref 0. in
-  let batch_done = Condition.create () in
-  let task_for c () =
-    let t0 = Mde_obs.Clock.wall () in
-    (try run_chunk (c * chunk) (min n ((c + 1) * chunk))
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       Mutex.lock pool.mutex;
-       if !error = None then error := Some (e, bt);
-       Mutex.unlock pool.mutex);
-    let dt = Mde_obs.Clock.wall () -. t0 in
-    if pool.metrics.obs_on then Mde_obs.Histogram.observe s.site_hist dt;
-    Mutex.lock pool.mutex;
-    work_seconds := !work_seconds +. dt;
-    decr remaining;
-    if !remaining = 0 then Condition.broadcast batch_done;
-    Mutex.unlock pool.mutex
+  let b =
+    {
+      run_chunk = (fun c -> run_chunk (c * chunk) (min n ((c + 1) * chunk)));
+      n_chunks;
+      next = Atomic.make 0;
+      unfinished = n_chunks;
+      error = None;
+      work_seconds = 0.;
+      site;
+    }
   in
   Mutex.lock pool.mutex;
   if pool.closing then begin
@@ -415,27 +349,17 @@ let parallel_chunks pool s ~n ~chunk run_chunk =
   end;
   pool.batches <- pool.batches + 1;
   if pool.metrics.obs_on then Mde_obs.Counter.incr pool.metrics.m_batches;
-  for c = 0 to n_chunks - 1 do
-    push_bottom pool.deques.(c mod pool.n_domains) (task_for c)
-  done;
-  ignore (Atomic.fetch_and_add pool.tasks_queued n_chunks);
+  Queue.push b pool.open_batches;
   Condition.broadcast pool.work_available;
   Mutex.unlock pool.mutex;
-  let rec help () =
-    match take_task pool 0 with
-    | Some task ->
-      run_task pool 0 task;
-      help ()
-    | None ->
-      Mutex.lock pool.mutex;
-      while !remaining > 0 do
-        Condition.wait batch_done pool.mutex
-      done;
-      Mutex.unlock pool.mutex
-  in
-  help ();
-  update_site pool s ~items:n ~seconds:!work_seconds;
-  match !error with
+  drain pool 0 b;
+  Mutex.lock pool.mutex;
+  while b.unfinished > 0 do
+    Condition.wait pool.batch_done pool.mutex
+  done;
+  Mutex.unlock pool.mutex;
+  update_site pool site ~items:n ~seconds:b.work_seconds;
+  match b.error with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
@@ -540,7 +464,6 @@ type stats = {
   batches : int;
   seq_batches : int;
   tasks : int array;
-  steals : int array;
 }
 
 let stats pool =
@@ -550,8 +473,7 @@ let stats pool =
       stat_domains = pool.n_domains;
       batches = pool.batches;
       seq_batches = pool.seq_batches;
-      tasks = Array.copy pool.task_counts;
-      steals = Array.copy pool.steal_counts;
+      tasks = Array.map Atomic.get pool.task_counts;
     }
   in
   Mutex.unlock pool.mutex;

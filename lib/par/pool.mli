@@ -1,18 +1,22 @@
-(** A persistent work-stealing pool of worker domains for data-parallel
-    array operations.
+(** A persistent pool of worker domains for data-parallel array
+    operations.
 
     This is the execution substrate for the replication-heavy layers:
     Monte Carlo repetitions ({!Mde_mcdb}), the map phase of MapReduce
     jobs ({!Mde_mapred}), and the two-stage pilot ({!Mde_composite}) all
     fan independent units of work out over the pool.
 
-    Each domain owns a deque: the owner pushes and pops at the bottom
-    (LIFO, cache-warm work first) while idle domains steal from the top
-    (FIFO, coldest work migrates). Domains are spawned once — use
-    {!shared} for a process-wide pool reused across calls — and batches
-    are split into chunks sized adaptively from the measured per-item
-    latency of each call {e site}; batches too small to pay for a
-    fan-out run sequentially on the caller instead.
+    Every fan-out is one flat batch of independent items. The pool
+    keeps its open batches in one FIFO; each batch carries an atomic
+    chunk cursor, and the workers and the submitting domain claim its
+    chunks from that cursor. A submitter claims chunks of its own batch
+    first and then waits only for the chunks other domains are already
+    running, so a work item may itself submit to the same pool. Domains
+    are spawned once — use {!shared} for a process-wide pool reused
+    across calls — and batches are split into chunks sized adaptively
+    from the measured per-item latency of each call {e site}; batches
+    too small to pay for a fan-out run sequentially on the caller
+    instead.
 
     Determinism contract: the pool never changes {e what} is computed,
     only {e where}. Callers must make each work item self-contained — in
@@ -24,9 +28,8 @@
     plain sequential execution, so existing call sites are unchanged.
 
     Observability: {!create} reads {!Mde_obs.default} and, when a live
-    registry is installed, records per-domain task and steal counts
-    ([mde_pool_tasks_total{domain=...}] and
-    [mde_pool_steals_total{domain=...}], domain 0 being the submitting
+    registry is installed, records per-domain task counts
+    ([mde_pool_tasks_total{domain=...}], domain 0 being the submitting
     caller), batch counts ([mde_pool_batches_total],
     [mde_pool_seq_batches_total]), per-chunk wall latency by site
     ([mde_pool_chunk_seconds{site=...}]) and the last adaptive chunk
@@ -42,7 +45,7 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] starts a pool of [domains] total domains:
     [domains - 1] spawned workers plus the submitting domain, which
-    joins in whenever it waits on a batch. [domains] defaults to
+    claims chunks of each batch it submits. [domains] defaults to
     [Domain.recommended_domain_count ()]; [domains = 1] spawns nothing
     and runs everything sequentially on the caller. Raises
     [Invalid_argument] if [domains < 1]. *)
@@ -114,12 +117,11 @@ val estimated_item_seconds : t -> site:string -> float option
 
 type stats = {
   stat_domains : int;  (** total parallelism of the pool *)
-  batches : int;  (** batches fanned out over the deques *)
+  batches : int;  (** batches fanned out over the pool *)
   seq_batches : int;
       (** batches run sequentially on the caller (1-domain pool, single
           item, or below the measured crossover) *)
-  tasks : int array;  (** chunks executed, per domain (0 = caller) *)
-  steals : int array;  (** chunks stolen from another deque, per thief *)
+  tasks : int array;  (** chunks executed, per domain (0 = any submitter) *)
 }
 
 val stats : t -> stats

@@ -27,18 +27,6 @@ let sbp_database rows =
   Mde_mcdb.Database.add_stochastic db st;
   db
 
-(* The hand-rolled fold kept as the row-level oracle: the columnar
-   [mean_sbp] below must reproduce these bits exactly. *)
-let mean_sbp_rows catalog =
-  let t = Catalog.find catalog "SBP_DATA" in
-  let total = ref 0. and n = ref 0 in
-  Table.iter
-    (fun row ->
-      total := !total +. Value.to_float row.(2);
-      incr n)
-    t;
-  !total /. float_of_int !n
-
 (* Served through the unified columnar substrate: a global Avg(sbp)
    accumulates the sum in row order and divides once, exactly like the
    naive fold, so registered models keep answering identical bits. *)

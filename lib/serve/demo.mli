@@ -43,12 +43,9 @@ val front :
 val mean_sbp : Mde_relational.Catalog.t -> float
 (** The query behind ["sbp"]: global Avg(sbp) over the realized SBP_DATA
     instance, executed on the unified columnar substrate
-    ({!Mde_relational.Columnar.group_by}). Bit-identical to
-    {!mean_sbp_rows}. *)
-
-val mean_sbp_rows : Mde_relational.Catalog.t -> float
-(** The hand-rolled row fold the columnar {!mean_sbp} replaced — kept as
-    the oracle for the serving bit-identity test. *)
+    ({!Mde_relational.Columnar.group_by}). Bit-identical to the
+    hand-rolled row fold (sum in row order, one division), which
+    [test_serve] keeps as its oracle. *)
 
 val sbp_plan : Mde_mcdb.Bundle.plan
 (** Per-repetition Avg(sbp) over SBP_DATA — the bundle plan behind

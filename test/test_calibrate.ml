@@ -205,6 +205,72 @@ let test_market_msm_adapter () =
   in
   Alcotest.(check int) "moment vector" 3 (Array.length m)
 
+(* Every public precondition raises Invalid_argument, with or without
+   -noassert, from the function the label names first. *)
+let test_preconditions_raise () =
+  let raises label f =
+    let prefix = List.hd (String.split_on_char ' ' label) ^ ":" in
+    Alcotest.(check bool) label true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument msg -> String.starts_with ~prefix msg)
+  in
+  raises "Mle.exponential empty" (fun () -> Mle.exponential [||]);
+  raises "Mle.exponential negative" (fun () -> Mle.exponential [| 1.; -0.5 |]);
+  raises "Mle.exponential NaN" (fun () -> Mle.exponential [| 1.; Float.nan |]);
+  raises "Mle.exponential zero mean" (fun () -> Mle.exponential [| 0.; 0. |]);
+  raises "Mle.normal empty" (fun () -> Mle.normal [||]);
+  raises "Mle.poisson empty" (fun () -> Mle.poisson [||]);
+  raises "Mle.numeric empty" (fun () ->
+      Mle.numeric
+        ~log_density:(fun ~theta x -> -.theta.(0) *. x)
+        ~bounds:[| (0.1, 5.) |] ~x0:[| 1. |] [||]);
+  raises "Moments.exponential zero mean" (fun () -> Moments.exponential [| 0.; 0. |]);
+  raises "Moments.solve length" (fun () ->
+      Moments.solve
+        ~population_moments:(fun theta -> [| theta.(0) |])
+        ~observed_moments:[| 1.; 2. |] ~bounds:[| (0., 3.) |] ~x0:[| 1. |]);
+  raises "Moments.sample_moments empty" (fun () ->
+      Moments.sample_moments ~orders:[ 1 ] [||]);
+  raises "Moments.sample_moments order 0" (fun () ->
+      Moments.sample_moments ~orders:[ 1; 0 ] [| 1.; 2. |]);
+  let problem = normal_msm_problem ~replications:2 () in
+  let weight = Msm.weight_matrix problem in
+  let rng () = Rng.create ~seed:3 () in
+  raises "Msm.observed_mean none" (fun () ->
+      Msm.observed_mean { problem with Msm.observed = [||] });
+  raises "Msm.observed_mean ragged" (fun () ->
+      Msm.observed_mean { problem with Msm.observed = [| [| 1.; 2. |]; [| 1. |] |] });
+  raises "Msm.weight_matrix one sample" (fun () ->
+      Msm.weight_matrix { problem with Msm.observed = [| [| 1.; 2. |] |] });
+  raises "Msm.objective simulate length" (fun () ->
+      Msm.objective
+        { problem with Msm.simulate_moments = (fun _ _ -> [| 1. |]) }
+        (rng ()) weight [| 3.; 1.5 |]);
+  raises "Msm.objective prior length" (fun () ->
+      Msm.objective
+        { problem with Msm.regularization = Some { Msm.lambda = 1.; prior = [| 3. |] } }
+        (rng ()) weight [| 3.; 1.5 |]);
+  raises "Msm.calibrate design points" (fun () ->
+      Msm.calibrate ~weight problem
+        (Msm.Kriging_surrogate { design_points = 3; refine = false }));
+  let params = { Market.n_agents = 10; a = 0.01; b = 0.2; noise = 0.01 } in
+  raises "Market.simulate_returns agents" (fun () ->
+      Market.simulate_returns (rng ()) { params with Market.n_agents = 1 } ~steps:10
+        ~burn_in:0);
+  raises "Market.simulate_returns steps" (fun () ->
+      Market.simulate_returns (rng ()) params ~steps:0 ~burn_in:0);
+  raises "Market.simulate_returns burn-in" (fun () ->
+      Market.simulate_returns (rng ()) params ~steps:10 ~burn_in:(-1));
+  raises "Market.simulate_returns herding" (fun () ->
+      Market.simulate_returns (rng ()) { params with Market.b = -0.1 } ~steps:10
+        ~burn_in:0);
+  raises "Market.moments short" (fun () -> Market.moments [| 0.1; 0.2 |]);
+  raises "Market.simulate_moments theta" (fun () ->
+      Market.simulate_moments ~steps:10 ~burn_in:0 ~n_agents:10 ~noise:0.01 (rng ())
+        [| 0.01 |])
+
 let () =
   Alcotest.run "mde_calibrate"
     [
@@ -237,4 +303,6 @@ let () =
           Alcotest.test_case "herding fattens tails" `Slow test_market_herding_fattens_tails;
           Alcotest.test_case "msm adapter" `Quick test_market_msm_adapter;
         ] );
+      ( "preconditions",
+        [ Alcotest.test_case "preconditions raise" `Quick test_preconditions_raise ] );
     ]

@@ -107,7 +107,7 @@ let test_iter_optional_pool () =
   Pool.with_pool ~domains:3 (fun pool ->
       Alcotest.(check (array int)) "pooled fill identical" expected (fill (Some pool)))
 
-let test_stats_and_steals () =
+let test_stats () =
   Pool.with_pool ~domains:2 (fun pool ->
       ignore (Pool.parallel_init pool ~chunk:1 32 Fun.id);
       let s = Pool.stats pool in
@@ -115,8 +115,72 @@ let test_stats_and_steals () =
       Alcotest.(check bool) "a batch fanned out" true (s.Pool.batches >= 1);
       Alcotest.(check int) "every chunk executed and counted" 32
         (Array.fold_left ( + ) 0 s.Pool.tasks);
-      Alcotest.(check int) "per-domain arrays sized to the pool" 2
-        (Array.length s.Pool.steals))
+      Alcotest.(check int) "per-domain array sized to the pool" 2
+        (Array.length s.Pool.tasks))
+
+(* A pure, index-only item whose bits a wrong index or a lost write
+   would change. *)
+let item i = sin (float_of_int i *. 0.37) *. 1e3
+
+let check_once label counts =
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "%s: index %d ran once" label i) 1
+        (Atomic.get c))
+    counts
+
+let test_nested_batch () =
+  (* A chunk submits a batch to the pool it runs on: the inner batch
+     must complete (no deadlock) with every index run once. *)
+  let outer = 12 and inner = 50 in
+  let expected =
+    Array.init outer (fun i -> Array.init inner (fun j -> item ((i * inner) + j)))
+  in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let counts = Array.init (outer * inner) (fun _ -> Atomic.make 0) in
+          let out =
+            Pool.parallel_init pool ~chunk:1 outer (fun i ->
+                Pool.parallel_init pool ~chunk:3 inner (fun j ->
+                    let k = (i * inner) + j in
+                    Atomic.incr counts.(k);
+                    item k))
+          in
+          let label = Printf.sprintf "%d domains" domains in
+          Alcotest.(check (array (array (float 0.)))) label expected out;
+          check_once label counts))
+    [ 2; 3 ]
+
+let test_concurrent_submitters () =
+  (* Two domains submit batches to one pool at the same time; each
+     batch still runs each of its indices once and returns its own
+     results. *)
+  let rounds = 20 and n = 97 in
+  Pool.with_pool ~domains:3 (fun pool ->
+      let submitter s =
+        Domain.spawn (fun () ->
+            Array.init rounds (fun r ->
+                let counts = Array.init n (fun _ -> Atomic.make 0) in
+                let out =
+                  Pool.parallel_init pool ~chunk:2 n (fun i ->
+                      Atomic.incr counts.(i);
+                      item ((((s * rounds) + r) * n) + i))
+                in
+                (out, counts)))
+      in
+      let results = List.map Domain.join [ submitter 0; submitter 1 ] |> Array.of_list in
+      Array.iteri
+        (fun s per_round ->
+          Array.iteri
+            (fun r (out, counts) ->
+              let label = Printf.sprintf "submitter %d round %d" s r in
+              Alcotest.(check (array (float 0.))) label
+                (Array.init n (fun i -> item ((((s * rounds) + r) * n) + i)))
+                out;
+              check_once label counts)
+            per_round)
+        results)
 
 let test_crossover_fast_path_engages () =
   (* Trivial work trains the per-site estimate down to nanoseconds per
@@ -340,7 +404,7 @@ let () =
             test_chunk_validated_on_every_pool_size;
           Alcotest.test_case "each index evaluated once" `Quick
             test_each_index_evaluated_once;
-          Alcotest.test_case "stats and steals" `Quick test_stats_and_steals;
+          Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "crossover fast path" `Quick
             test_crossover_fast_path_engages;
           Alcotest.test_case "shared pool reused" `Quick test_shared_pool_reused;
@@ -352,6 +416,8 @@ let () =
             test_parallel_iter_exception_propagates;
           Alcotest.test_case "shutdown drains in-flight work" `Quick
             test_shutdown_drains_in_flight_work;
+          Alcotest.test_case "nested batch on the same pool" `Quick test_nested_batch;
+          Alcotest.test_case "two submitting domains" `Quick test_concurrent_submitters;
         ] );
       ( "determinism",
         [

@@ -170,6 +170,9 @@ let sbp_db rows =
   Database.add_stochastic db st;
   db
 
+(* The hand-rolled row fold: the query the direct-call tests serve, and
+   the row-level oracle the demo's columnar [Demo.mean_sbp] must match
+   bit for bit. *)
 let sbp_query catalog =
   let t = Catalog.find catalog "SBP_DATA" in
   let total = ref 0. and n = ref 0 in
@@ -536,8 +539,8 @@ let test_bundle_model_matches_naive_model () =
       (Server.Mcdb_tail { reps = 40; p = 0.9 }, 6);
     ]
 
-(* The demo's registered query now runs on the columnar substrate; the
-   hand-rolled row fold is kept as its oracle. Same realized instance →
+(* The demo's registered query runs on the columnar substrate; the
+   hand-rolled row fold [sbp_query] is its oracle. Same realized instance →
    identical bits, so every served "sbp" answer is unchanged by the
    rewiring. *)
 let test_demo_columnar_query_matches_rows () =
@@ -547,7 +550,7 @@ let test_demo_columnar_query_matches_rows () =
     let catalog = Database.instantiate db rng in
     Alcotest.(check bool) "columnar mean == row fold, bit for bit" true
       (Int64.bits_of_float (Demo.mean_sbp catalog)
-      = Int64.bits_of_float (Demo.mean_sbp_rows catalog))
+      = Int64.bits_of_float (sbp_query catalog))
   done
 
 let test_demo_cold_warm () =
